@@ -5,7 +5,7 @@ First a minimal two-by-two house computed by hand, then the bundled
 tops the ranking and equipment appearance lands last.
 """
 
-from satmetric import build_hoq, roof_conflicts, technical_importance
+from satmetric import build_hoq, roof_conflicts
 from satmetric.xyz import load_xyz_hoq
 
 toy = build_hoq({
@@ -20,7 +20,7 @@ toy = build_hoq({
     "relationships": [[9, 3], [1, 9]],
 })
 print("toy example (importances 40/60, strengths [[9,3],[1,9]]):")
-for w in technical_importance(toy):
+for w in toy.importances:
     print(f"  {w.tech_id:10s} absolute {w.absolute:6.1f}  relative {w.relative_pct:7.3f}%  "
           f"rank {w.rank}")
 

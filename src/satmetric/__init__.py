@@ -55,17 +55,15 @@ from .servqual import (
     importance_weights,
     item_gaps,
     normalize_weights,
-    overall_scores,
     weights_from_means,
 )
-from .kano import DEFAULT_MULTIPLIERS, KanoPriority, classify, prioritize
+from .kano import DEFAULT_MULTIPLIERS, KanoPriority, prioritize
 from .qfd import (
     HouseOfQuality,
     TechnicalImportance,
     build_hoq,
     load_hoq,
     roof_conflicts,
-    technical_importance,
 )
 from .rootcause import (
     Contribution,

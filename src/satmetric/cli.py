@@ -8,8 +8,6 @@ files or stdout.  All randomness sits behind an explicit --seed.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -22,8 +20,8 @@ from .instrument import load_instrument
 from .kano import DEFAULT_MULTIPLIERS, parse_multiplier_spec, prioritize
 from .psychometrics import DEFAULT_ALPHA_THRESHOLD, VarianceMode, item_descriptives, \
     reliability_report
-from .qfd import load_hoq, roof_conflicts, technical_importance
-from .report import FORMATS, assemble, parse_report, write_report
+from .qfd import load_hoq, roof_conflicts
+from .report import FORMATS, assemble, csv_bytes, parse_report, reliability_csv, write_report
 from .rootcause import DEFAULT_PARETO_THRESHOLD, dissatisfaction_contributions, load_fishbone, \
     pareto
 from .servqual import compute_gap_report, importance_weights, normalize_weights, \
@@ -52,26 +50,12 @@ def _load_weights_file(path: str):
     return weights_from_means(means, n_respondents=n)
 
 
-def _csv_stdout_or_file(header: list[str], rows: list[list], out: str | None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+def _write_out(payload: bytes, out: str | None) -> None:
+    """Write UTF-8 output to the ``--out`` file, or to stdout without one."""
     if out:
-        Path(out).write_text(buf.getvalue(), encoding="utf-8")
+        Path(out).write_bytes(payload)
     else:
-        sys.stdout.write(buf.getvalue())
-
-
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+        sys.stdout.write(payload.decode("utf-8"))
 
 
 def _parse_csv(args, instrument, kind: ResponseKind, path: str):
@@ -122,12 +106,11 @@ def cmd_descriptives(args) -> int:
         if path is None:
             continue
         rs, _ = _parse_csv(args, instrument, kind, path)
-        for d in item_descriptives(rs, instrument, mode):
-            rows.append([kind.value, d.item_id, _fmt_cell(d.mean),
-                         _fmt_cell(d.variance), d.n])
+        rows.extend([kind.value, d.item_id, d.mean, d.variance, d.n]
+                    for d in item_descriptives(rs, instrument, mode))
     if not rows:
         raise SatmetricError("provide --expect and/or --perceive")
-    _csv_stdout_or_file(["survey", "item_id", "mean", "variance", "n"], rows, args.out)
+    _write_out(csv_bytes(["survey", "item_id", "mean", "variance", "n"], rows), args.out)
     return 0
 
 
@@ -135,33 +118,19 @@ def cmd_reliability(args) -> int:
     instrument = load_instrument(args.instrument)
     if args.expect is None and args.perceive is None:
         raise SatmetricError("provide --expect and/or --perceive")
-    rows: list[list] = []
-    all_pass = True
+    surveys = []
     for kind, path in ((ResponseKind.EXPECTATION, args.expect),
                        (ResponseKind.PERCEPTION, args.perceive)):
         if path is None:
             continue
         rs, _ = _parse_csv(args, instrument, kind, path)
         rel = reliability_report(rs, instrument, threshold=args.alpha_threshold)
-        all_pass = all_pass and rel.passes_gate
-        rows.append([kind.value, repr(rel.alpha), repr(rel.threshold),
-                     "true" if rel.passes_gate else "false", rel.n_items,
-                     rel.n_respondents, "", "", "", "", "", ""])
-        for o in rel.omitted:
-            rows.append([kind.value, "", "", "", "", "", o.item_id,
-                         _fmt_cell(o.adj_total_mean), _fmt_cell(o.adj_total_stdev),
-                         _fmt_cell(o.item_adj_total_corr),
-                         _fmt_cell(o.squared_multiple_corr),
-                         _fmt_cell(o.alpha_if_deleted)])
+        surveys.append((kind.value, rel))
         if not rel.passes_gate:
             print(f"{kind.value} survey alpha {rel.alpha:.4f} does not exceed "
                   f"{rel.threshold}", file=sys.stderr)
-    _csv_stdout_or_file(
-        ["survey", "alpha", "threshold", "passes_gate", "n_items", "n_respondents",
-         "item_id", "adj_total_mean", "adj_total_stdev", "item_adj_total_corr",
-         "squared_multiple_corr", "alpha_if_deleted"],
-        rows, args.out)
-    if args.strict_gate and not all_pass:
+    _write_out(reliability_csv(surveys), args.out)
+    if args.strict_gate and not all(rel.passes_gate for _, rel in surveys):
         return 1
     return 0
 
@@ -245,14 +214,12 @@ def cmd_gap(args) -> int:
 def cmd_qfd(args) -> int:
     hoq = load_hoq(args.hoq)
     if args.show_conflicts:
-        rows = [[a, b] for a, b in roof_conflicts(hoq)]
-        _csv_stdout_or_file(["tech_i", "tech_j"], rows, args.out)
+        _write_out(csv_bytes(["tech_i", "tech_j"], roof_conflicts(hoq)), args.out)
         return 0
     names = {t.id: t.name for t in hoq.tech_reqs}
-    ranked = sorted(technical_importance(hoq), key=lambda t: t.rank)
-    rows = [[t.tech_id, names[t.tech_id], repr(t.absolute), repr(t.relative_pct), t.rank]
-            for t in ranked]
-    _csv_stdout_or_file(["tech_id", "name", "absolute", "relative_pct", "rank"], rows, args.out)
+    ranked = sorted(hoq.importances, key=lambda t: t.rank)
+    rows = [[t.tech_id, names[t.tech_id], t.absolute, t.relative_pct, t.rank] for t in ranked]
+    _write_out(csv_bytes(["tech_id", "name", "absolute", "relative_pct", "rank"], rows), args.out)
     if hoq.degenerate:
         print("warning: all technical weights are zero (degenerate house)", file=sys.stderr)
     return 0
@@ -277,11 +244,7 @@ def cmd_synth(args) -> int:
     rs = generate_synthetic(targets, args.n, instrument.scale, seed=args.seed,
                             kind=ResponseKind(args.kind),
                             instrument_ref=instrument.fingerprint())
-    payload = serialize_response_set(rs, instrument)
-    if args.out:
-        Path(args.out).write_bytes(payload)
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
+    _write_out(serialize_response_set(rs, instrument), args.out)
     return 0
 
 

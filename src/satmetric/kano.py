@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DefinitionError
-from .instrument import Item, KanoCategory, SurveyInstrument
+from .instrument import KanoCategory, SurveyInstrument
 from .servqual import ImportanceWeights, ItemGap
 
 DEFAULT_MULTIPLIERS: dict[KanoCategory, float] = {
@@ -26,17 +26,12 @@ DEFAULT_MULTIPLIERS: dict[KanoCategory, float] = {
 
 @dataclass(frozen=True)
 class KanoPriority:
+    rank: int
     item_id: int
     category: KanoCategory
     raw_contribution: float
     multiplier: float
     priority_score: float
-    rank: int
-
-
-def classify(item: Item) -> KanoCategory:
-    """Return the item's static Kano category."""
-    return item.kano
 
 
 def resolve_multipliers(

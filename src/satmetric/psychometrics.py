@@ -66,9 +66,9 @@ class ReliabilityReport:
     alpha: float
     n_items: int
     n_respondents: int
-    omitted: tuple[OmittedItemStats, ...]
     threshold: float
     passes_gate: bool
+    omitted: tuple[OmittedItemStats, ...]
 
 
 def _as_matrix(matrix) -> np.ndarray:

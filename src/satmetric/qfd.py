@@ -52,6 +52,9 @@ class RoofEntry:
 
 @dataclass(frozen=True)
 class TechnicalImportance:
+    """Absolute weight, relative weight (% of the absolute total) and rank
+    (1 = most important) of one technical requirement."""
+
     tech_id: str
     absolute: float
     relative_pct: float
@@ -199,12 +202,6 @@ def build_hoq(definition: Mapping) -> HouseOfQuality:
         benchmarks=definition.get("benchmarks"),
         ctq_tree=definition.get("ctq_tree"),
     )
-
-
-def technical_importance(hoq: HouseOfQuality) -> list[TechnicalImportance]:
-    """Per-technical-requirement absolute weight, relative weight (% of the
-    absolute total), and rank (1 = most important)."""
-    return list(hoq.importances)
 
 
 def roof_conflicts(hoq: HouseOfQuality) -> list[tuple[str, str]]:

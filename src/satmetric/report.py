@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
+from enum import Enum
+from functools import cache
 from typing import Mapping, Sequence
 
 from . import __version__
@@ -169,134 +171,65 @@ def assemble(
 
 # --- JSON ------------------------------------------------------------------
 
-def _descriptives_doc(items):
-    return [
-        {"item_id": d.item_id, "mean": d.mean, "variance": d.variance, "n": d.n}
-        for d in items
-    ]
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
-def _reliability_doc(r: ReliabilityReport | None):
-    if r is None:
+def _record(obj) -> dict | None:
+    """A result dataclass as a JSON-ready dict: fields in declaration order,
+    enums as their values, tuples (of dataclasses) as lists (of records)."""
+    if obj is None:
         return None
-    return {
-        "alpha": r.alpha,
-        "n_items": r.n_items,
-        "n_respondents": r.n_respondents,
-        "threshold": r.threshold,
-        "passes_gate": r.passes_gate,
-        "omitted": [
-            {
-                "item_id": o.item_id,
-                "adj_total_mean": o.adj_total_mean,
-                "adj_total_stdev": o.adj_total_stdev,
-                "item_adj_total_corr": o.item_adj_total_corr,
-                "squared_multiple_corr": o.squared_multiple_corr,
-                "alpha_if_deleted": o.alpha_if_deleted,
-            }
-            for o in r.omitted
-        ],
-    }
+    doc = {}
+    for name in _field_names(type(obj)):
+        value = getattr(obj, name)
+        if isinstance(value, tuple):
+            value = [_record(v) if is_dataclass(v) else v for v in value]
+        elif isinstance(value, Enum):
+            value = value.value
+        doc[name] = value
+    return doc
+
+
+def _records(objs) -> list[dict] | None:
+    return [_record(o) for o in objs] if objs else None
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
     """Serialize to a plain JSON-ready dict with fixed section order."""
     gr = report.gap_report
-    doc = {
+    hoq = None
+    if report.hoq:
+        hoq = serialize_hoq(report.hoq)
+        hoq["computed"] = {"degenerate": report.hoq.degenerate,
+                           "technical_importance": [_record(t) for t in report.hoq.importances]}
+    return {
         "metadata": report.metadata,
-        "descriptives": {
-            "expectation": _descriptives_doc(report.expectation_descriptives)
-            if report.expectation_descriptives else None,
-            "perception": _descriptives_doc(report.perception_descriptives)
-            if report.perception_descriptives else None,
-        },
-        "reliability": {
-            "expectation": _reliability_doc(gr.reliability_expectation),
-            "perception": _reliability_doc(gr.reliability_perception),
-        },
-        "importance_weights": {
-            "means": dict(report.importance_weights.means),
-            "n_respondents": report.importance_weights.n_respondents,
-            "sum_of_means": report.importance_weights.sum_of_means,
-        } if report.importance_weights else None,
+        "descriptives": {"expectation": _records(report.expectation_descriptives),
+                         "perception": _records(report.perception_descriptives)},
+        "reliability": {"expectation": _record(gr.reliability_expectation),
+                        "perception": _record(gr.reliability_perception)},
+        "importance_weights": _record(report.importance_weights),
         "gap_analysis": {
-            "items": [
-                {
-                    "item_id": g.item_id,
-                    "expectation_mean": g.expectation_mean,
-                    "perception_mean": g.perception_mean,
-                    "gap": g.gap,
-                    "classification": classify_satisfaction(g.gap).value,
-                }
-                for g in gr.item_gaps
-            ],
-            "dimensions": [
-                {
-                    "dimension": d.dimension,
-                    "item_ids": list(d.item_ids),
-                    "unweighted": d.unweighted,
-                    "weighted": d.weighted,
-                    "importance": d.importance,
-                }
-                for d in gr.dimension_scores
-            ],
+            "items": [{**_record(g), "classification": classify_satisfaction(g.gap).value}
+                      for g in gr.item_gaps],
+            "dimensions": [_record(d) for d in gr.dimension_scores],
             "overall": {
                 "weighted_sum": gr.overall_weighted_sum,
                 "weighted_mean": gr.overall_weighted_mean,
                 "unweighted_mean_of_dimensions": gr.unweighted_mean_of_dimensions,
             },
         },
-        "kano": [
-            {
-                "rank": k.rank,
-                "item_id": k.item_id,
-                "category": k.category.value,
-                "raw_contribution": k.raw_contribution,
-                "multiplier": k.multiplier,
-                "priority_score": k.priority_score,
-            }
-            for k in report.kano_priorities
-        ] if report.kano_priorities else None,
-        "pareto": {
-            "threshold_pct": report.pareto.threshold_pct,
-            "vital_few_cutoff": report.pareto.vital_few_cutoff,
-            "rows": [
-                {
-                    "rank": r.rank,
-                    "item_id": r.item_id,
-                    "label": r.label,
-                    "magnitude": r.magnitude,
-                    "cumulative": r.cumulative,
-                    "cumulative_pct": r.cumulative_pct,
-                }
-                for r in report.pareto.rows
-            ],
-        } if report.pareto else None,
-        "hoq": _hoq_doc(report.hoq) if report.hoq else None,
+        "kano": _records(report.kano_priorities),
+        "pareto": _record(report.pareto),
+        "hoq": hoq,
         "fishbone": serialize_fishbone(report.fishbone) if report.fishbone else None,
         "fishbone_branch_magnitudes": dict(report.branch_magnitudes)
         if report.branch_magnitudes is not None else None,
         "item_labels": {str(k): v for k, v in report.item_labels.items()},
-        "warnings": [{"code": w.code, "message": w.message} for w in report.warnings],
+        "warnings": [_record(w) for w in report.warnings],
     }
-    return doc
-
-
-def _hoq_doc(hoq: HouseOfQuality) -> dict:
-    doc = serialize_hoq(hoq)
-    doc["computed"] = {
-        "degenerate": hoq.degenerate,
-        "technical_importance": [
-            {
-                "tech_id": t.tech_id,
-                "absolute": t.absolute,
-                "relative_pct": t.relative_pct,
-                "rank": t.rank,
-            }
-            for t in hoq.importances
-        ],
-    }
-    return doc
 
 
 def report_from_dict(doc: Mapping) -> AnalysisReport:
@@ -305,124 +238,50 @@ def report_from_dict(doc: Mapping) -> AnalysisReport:
     from .qfd import build_hoq
     from .rootcause import build_fishbone
 
-    def descriptives(section):
-        if section is None:
-            return None
-        return tuple(
-            ItemDescriptives(item_id=d["item_id"], mean=d["mean"],
-                             variance=d["variance"], n=d["n"])
-            for d in section
-        )
+    def rows(cls, docs):
+        return tuple(cls(**d) for d in docs) if docs is not None else None
 
-    def reliability(section):
-        if section is None:
-            return None
-        return ReliabilityReport(
-            alpha=section["alpha"],
-            n_items=section["n_items"],
-            n_respondents=section["n_respondents"],
-            threshold=section["threshold"],
-            passes_gate=section["passes_gate"],
-            omitted=tuple(
-                OmittedItemStats(
-                    item_id=o["item_id"],
-                    adj_total_mean=o["adj_total_mean"],
-                    adj_total_stdev=o["adj_total_stdev"],
-                    item_adj_total_corr=o["item_adj_total_corr"],
-                    squared_multiple_corr=o["squared_multiple_corr"],
-                    alpha_if_deleted=o["alpha_if_deleted"],
-                )
-                for o in section["omitted"]
-            ),
-        )
+    def reliability(d):
+        return ReliabilityReport(**{**d, "omitted": rows(OmittedItemStats, d["omitted"])}) \
+            if d is not None else None
 
     ga = doc["gap_analysis"]
+    overall = ga["overall"]
     gap_report = GapReport(
-        item_gaps=tuple(
-            ItemGap(
-                item_id=g["item_id"],
-                expectation_mean=g["expectation_mean"],
-                perception_mean=g["perception_mean"],
-                gap=g["gap"],
-            )
-            for g in ga["items"]
-        ),
-        dimension_scores=tuple(
-            DimensionScore(
-                dimension=d["dimension"],
-                unweighted=d["unweighted"],
-                weighted=d["weighted"],
-                importance=d["importance"],
-                item_ids=tuple(d["item_ids"]),
-            )
-            for d in ga["dimensions"]
-        ),
-        overall_weighted_sum=ga["overall"]["weighted_sum"],
-        overall_weighted_mean=ga["overall"]["weighted_mean"],
-        unweighted_mean_of_dimensions=ga["overall"]["unweighted_mean_of_dimensions"],
+        item_gaps=tuple(ItemGap(**{k: v for k, v in g.items() if k != "classification"})
+                        for g in ga["items"]),
+        dimension_scores=tuple(DimensionScore(**{**d, "item_ids": tuple(d["item_ids"])})
+                               for d in ga["dimensions"]),
+        overall_weighted_sum=overall["weighted_sum"],
+        overall_weighted_mean=overall["weighted_mean"],
+        unweighted_mean_of_dimensions=overall["unweighted_mean_of_dimensions"],
         reliability_expectation=reliability(doc["reliability"]["expectation"]),
         reliability_perception=reliability(doc["reliability"]["perception"]),
     )
-    weights_doc = doc.get("importance_weights")
-    weights = ImportanceWeights(
-        means=dict(weights_doc["means"]),
-        n_respondents=weights_doc["n_respondents"],
-        sum_of_means=weights_doc["sum_of_means"],
-    ) if weights_doc else None
-    kano_doc = doc.get("kano")
-    priorities = tuple(
-        KanoPriority(
-            item_id=k["item_id"],
-            category=KanoCategory(k["category"]),
-            raw_contribution=k["raw_contribution"],
-            multiplier=k["multiplier"],
-            priority_score=k["priority_score"],
-            rank=k["rank"],
-        )
-        for k in kano_doc
-    ) if kano_doc else None
-    pareto_doc = doc.get("pareto")
-    pareto_table = ParetoTable(
-        rows=tuple(
-            ParetoRow(
-                rank=r["rank"],
-                item_id=r["item_id"],
-                label=r["label"],
-                magnitude=r["magnitude"],
-                cumulative=r["cumulative"],
-                cumulative_pct=r["cumulative_pct"],
-            )
-            for r in pareto_doc["rows"]
-        ),
-        threshold_pct=pareto_doc["threshold_pct"],
-        vital_few_cutoff=pareto_doc["vital_few_cutoff"],
-    ) if pareto_doc else None
-    hoq_doc = doc.get("hoq")
-    hoq = None
-    if hoq_doc:
-        definition = {k: v for k, v in hoq_doc.items() if k != "computed"}
-        hoq = build_hoq(definition)
-    fishbone_doc = doc.get("fishbone")
+    descriptives = doc["descriptives"]
+    weights, kano, pareto_doc = doc.get("importance_weights"), doc.get("kano"), doc.get("pareto")
+    hoq, fishbone = doc.get("hoq"), doc.get("fishbone")
     return AnalysisReport(
         metadata=dict(doc["metadata"]),
         gap_report=gap_report,
-        expectation_descriptives=descriptives(doc["descriptives"]["expectation"]),
-        perception_descriptives=descriptives(doc["descriptives"]["perception"]),
-        importance_weights=weights,
-        kano_priorities=priorities,
-        pareto=pareto_table,
-        hoq=hoq,
-        fishbone=build_fishbone(fishbone_doc) if fishbone_doc else None,
+        expectation_descriptives=rows(ItemDescriptives, descriptives["expectation"]),
+        perception_descriptives=rows(ItemDescriptives, descriptives["perception"]),
+        importance_weights=ImportanceWeights(**weights) if weights else None,
+        kano_priorities=tuple(KanoPriority(**{**k, "category": KanoCategory(k["category"])})
+                              for k in kano) if kano else None,
+        pareto=ParetoTable(**{**pareto_doc, "rows": rows(ParetoRow, pareto_doc["rows"])})
+        if pareto_doc else None,
+        hoq=build_hoq({k: v for k, v in hoq.items() if k != "computed"}) if hoq else None,
+        fishbone=build_fishbone(fishbone) if fishbone else None,
         branch_magnitudes=doc.get("fishbone_branch_magnitudes"),
         item_labels={int(k): v for k, v in doc.get("item_labels", {}).items()},
-        warnings=tuple(ReportWarning(code=w["code"], message=w["message"])
-                       for w in doc.get("warnings", [])),
+        warnings=tuple(ReportWarning(**w) for w in doc.get("warnings", [])),
     )
 
 
 # --- CSV bundle -------------------------------------------------------------
 
-def _fmt(value) -> str:
+def format_cell(value) -> str:
     """Shortest round-trip text for numbers; empty string for None."""
     if value is None:
         return ""
@@ -433,13 +292,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_bytes(header: Sequence[str], rows: Sequence[Sequence]) -> bytes:
+def csv_bytes(header: Sequence[str], rows: Sequence[Sequence]) -> bytes:
+    """UTF-8 CSV with newline line ends; every cell goes through format_cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
+        writer.writerow([format_cell(cell) for cell in row])
     return buf.getvalue().encode("utf-8")
+
+
+def reliability_csv(surveys: Sequence[tuple[str, ReliabilityReport | None]]) -> bytes:
+    """One summary row per (survey name, report) pair, then one row per
+    omitted item; pairs whose report is None are skipped."""
+    rows = []
+    for survey, rel in surveys:
+        if rel is None:
+            continue
+        rows.append([survey, rel.alpha, rel.threshold, rel.passes_gate,
+                     rel.n_items, rel.n_respondents, None, None, None, None, None, None])
+        for o in rel.omitted:
+            rows.append([survey, None, None, None, None, None, o.item_id,
+                         o.adj_total_mean, o.adj_total_stdev, o.item_adj_total_corr,
+                         o.squared_multiple_corr, o.alpha_if_deleted])
+    return csv_bytes(
+        ["survey", "alpha", "threshold", "passes_gate", "n_items", "n_respondents",
+         "item_id", "adj_total_mean", "adj_total_stdev", "item_adj_total_corr",
+         "squared_multiple_corr", "alpha_if_deleted"],
+        rows,
+    )
 
 
 def _csv_tables(report: AnalysisReport) -> dict[str, bytes]:
@@ -458,29 +339,14 @@ def _csv_tables(report: AnalysisReport) -> dict[str, bytes]:
             e.mean if e else None, e.variance if e else None, e.n if e else None,
             p.mean if p else None, p.variance if p else None, p.n if p else None,
         ])
-    tables["descriptives.csv"] = _csv_bytes(
+    tables["descriptives.csv"] = csv_bytes(
         ["item_id", "label", "expectation_mean", "expectation_variance", "expectation_n",
          "perception_mean", "perception_variance", "perception_n"],
         rows,
     )
 
-    rows = []
-    for survey, rel in (("expectation", gr.reliability_expectation),
-                        ("perception", gr.reliability_perception)):
-        if rel is None:
-            continue
-        rows.append([survey, rel.alpha, rel.threshold, rel.passes_gate,
-                     rel.n_items, rel.n_respondents, None, None, None, None, None, None])
-        for o in rel.omitted:
-            rows.append([survey, None, None, None, None, None, o.item_id,
-                         o.adj_total_mean, o.adj_total_stdev, o.item_adj_total_corr,
-                         o.squared_multiple_corr, o.alpha_if_deleted])
-    tables["reliability.csv"] = _csv_bytes(
-        ["survey", "alpha", "threshold", "passes_gate", "n_items", "n_respondents",
-         "item_id", "adj_total_mean", "adj_total_stdev", "item_adj_total_corr",
-         "squared_multiple_corr", "alpha_if_deleted"],
-        rows,
-    )
+    tables["reliability.csv"] = reliability_csv((("expectation", gr.reliability_expectation),
+                                                 ("perception", gr.reliability_perception)))
 
     gap_rows = []
     dim_of_item = {}
@@ -500,14 +366,14 @@ def _csv_tables(report: AnalysisReport) -> dict[str, bytes]:
                          d.importance, d.unweighted, d.weighted])
     gap_rows.append(["overall", "overall", None, "", None, None, None, "",
                      None, gr.unweighted_mean_of_dimensions, gr.overall_weighted_sum])
-    tables["gaps.csv"] = _csv_bytes(
+    tables["gaps.csv"] = csv_bytes(
         ["dimension", "level", "item_id", "label", "expectation_mean", "perception_mean",
          "gap", "classification", "importance", "unweighted_score", "weighted_score"],
         gap_rows,
     )
 
     if report.kano_priorities is not None:
-        tables["kano.csv"] = _csv_bytes(
+        tables["kano.csv"] = csv_bytes(
             ["rank", "item_id", "label", "category", "raw_contribution",
              "multiplier", "priority_score"],
             [[k.rank, k.item_id, report.item_labels.get(k.item_id, ""), k.category.value,
@@ -516,7 +382,7 @@ def _csv_tables(report: AnalysisReport) -> dict[str, bytes]:
         )
 
     if report.pareto is not None:
-        tables["pareto.csv"] = _csv_bytes(
+        tables["pareto.csv"] = csv_bytes(
             ["rank", "item", "label", "magnitude", "cumulative", "cumulative_pct"],
             [[r.rank, r.item_id, r.label, r.magnitude, r.cumulative, r.cumulative_pct]
              for r in report.pareto.rows],
@@ -531,7 +397,7 @@ def _csv_tables(report: AnalysisReport) -> dict[str, bytes]:
         rows.append(["absolute_weight", None, *[t.absolute for t in hoq.importances]])
         rows.append(["relative_weight_pct", None, *[t.relative_pct for t in hoq.importances]])
         rows.append(["rank", None, *[t.rank for t in hoq.importances]])
-        tables["hoq.csv"] = _csv_bytes(header, rows)
+        tables["hoq.csv"] = csv_bytes(header, rows)
 
     return tables
 
@@ -831,13 +697,16 @@ def emit(report: AnalysisReport, format: str):
 
 def parse_report(data: bytes | str) -> AnalysisReport:
     """Parse report JSON bytes back into an AnalysisReport."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DefinitionError(f"report is not valid JSON ({exc})") from None
-    return report_from_dict(doc)
+    try:
+        return report_from_dict(doc)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DefinitionError(
+            f"report JSON does not have the report shape ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 def write_report(report: AnalysisReport, stem, formats: Sequence[str] = FORMATS) -> list[str]:

@@ -45,9 +45,9 @@ class ParetoTable:
     cumulative percentage reaches the threshold, or None for an empty
     table (the explicit empty marker - not an error)."""
 
-    rows: tuple[ParetoRow, ...]
     threshold_pct: float
     vital_few_cutoff: int | None
+    rows: tuple[ParetoRow, ...]
 
     @property
     def is_empty(self) -> bool:

@@ -50,17 +50,10 @@ class ImportanceWeights:
 @dataclass(frozen=True)
 class DimensionScore:
     dimension: str
+    item_ids: tuple[int, ...]
     unweighted: float
     weighted: float
     importance: float
-    item_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class OverallScores:
-    weighted_sum: float
-    weighted_mean: float
-    unweighted_mean: float
 
 
 @dataclass(frozen=True)
@@ -190,24 +183,6 @@ def dimension_scores(
     return scores
 
 
-def overall_scores(dims: Sequence[DimensionScore]) -> OverallScores:
-    """Sum of weighted dimension scores, that sum over 100, and the plain
-    average of the unweighted dimension scores.  Requires all five
-    dimensions."""
-    if len(dims) != len(DIMENSION_ORDER):
-        raise ComputationError(f"expected {len(DIMENSION_ORDER)} dimension scores, got {len(dims)}")
-    weighted_sum = 0.0
-    unweighted_total = 0.0
-    for score in dims:
-        weighted_sum += score.weighted
-        unweighted_total += score.unweighted
-    return OverallScores(
-        weighted_sum=weighted_sum,
-        weighted_mean=weighted_sum / 100.0,
-        unweighted_mean=unweighted_total / len(dims),
-    )
-
-
 def compute_gap_report(
     expect: Sequence[ItemDescriptives],
     perceive: Sequence[ItemDescriptives],
@@ -216,16 +191,26 @@ def compute_gap_report(
     reliability_expectation: ReliabilityReport | None = None,
     reliability_perception: ReliabilityReport | None = None,
 ) -> GapReport:
-    """Full gap analysis from paired descriptives and importance weights."""
+    """Full gap analysis from paired descriptives and importance weights.
+
+    The overall scores are the sum of the weighted dimension scores, that
+    sum over 100, and the plain average of the unweighted dimension scores.
+    """
     gaps = item_gaps(expect, perceive)
     dims = dimension_scores(gaps, weights, instrument)
-    overall = overall_scores(dims)
+    # a plain left-to-right loop: sum() compensates rounding on Python >= 3.12,
+    # which would change the last bits of the reported scores
+    weighted_sum = 0.0
+    unweighted_total = 0.0
+    for score in dims:
+        weighted_sum += score.weighted
+        unweighted_total += score.unweighted
     return GapReport(
         item_gaps=tuple(gaps),
         dimension_scores=tuple(dims),
-        overall_weighted_sum=overall.weighted_sum,
-        overall_weighted_mean=overall.weighted_mean,
-        unweighted_mean_of_dimensions=overall.unweighted_mean,
+        overall_weighted_sum=weighted_sum,
+        overall_weighted_mean=weighted_sum / 100.0,
+        unweighted_mean_of_dimensions=unweighted_total / len(dims),
         reliability_expectation=reliability_expectation,
         reliability_perception=reliability_perception,
     )

@@ -21,7 +21,7 @@ from satmetric.instrument import DIMENSION_ORDER, KanoCategory, build_instrument
 from satmetric.kano import DEFAULT_MULTIPLIERS, prioritize
 from satmetric.psychometrics import VarianceMode, cronbach_alpha, item_descriptives, \
     omitted_item_stats
-from satmetric.qfd import build_hoq, technical_importance
+from satmetric.qfd import build_hoq
 from satmetric.rootcause import dissatisfaction_contributions, pareto
 from satmetric.servqual import ItemGap, compute_gap_report, dimension_scores, item_gaps, \
     weights_from_means
@@ -199,7 +199,7 @@ def test_criterion_6_qfd():
         "tech_reqs": [{"id": "t1"}, {"id": "t2"}],
         "relationships": [[9, 3], [1, 9]],
     })
-    (w1, w2) = technical_importance(hoq)
+    (w1, w2) = hoq.importances
     check(failures, abs(w1.absolute - 420.0) <= 1e-9, f"absolute 1 {w1.absolute!r}")
     check(failures, abs(w2.absolute - 660.0) <= 1e-9, f"absolute 2 {w2.absolute!r}")
     check(failures, abs(w1.relative_pct - 420 / 1080 * 100) <= 1e-9, "relative 1 off")

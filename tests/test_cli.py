@@ -1,10 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from satmetric.cli import main
 from satmetric.instrument import serialize_instrument
+from satmetric.qfd import serialize_hoq
+from satmetric.rootcause import serialize_fishbone
 from satmetric import xyz
 
 GOOD_LIKERT = "respondent_id,q1,q2,q3\nr1,4,4,4\nr2,3,5,2\nr3,2,1,5\nr4,5,3,3\n"
@@ -128,6 +131,15 @@ class TestDescriptivesAndReliability:
     def test_reliability_requires_a_survey(self, workdir, capsys):
         rc = main(["reliability", "--instrument", str(workdir / "tiny.json")])
         assert rc == 1
+
+    def test_reliability_csv_matches_gap_bundle_table(self, xyz_dir):
+        inputs = ["--instrument", str(xyz_dir / "xyz.json"),
+                  "--expect", str(xyz_dir / "e.csv"), "--perceive", str(xyz_dir / "p.csv")]
+        assert main(["reliability", *inputs, "--out", str(xyz_dir / "rel.csv")]) == 0
+        assert main(["gap", *inputs, "--weights", str(xyz_dir / "weights.json"),
+                     "--formats", "csv", "--out", str(xyz_dir / "bundle" / "xyz")]) == 0
+        assert (xyz_dir / "rel.csv").read_bytes() == \
+            (xyz_dir / "bundle" / "xyz.tables" / "reliability.csv").read_bytes()
 
 
 class TestGapPipeline:
@@ -292,25 +304,68 @@ class TestReportCommand:
     def test_reemitted_bundle_matches_original_bytes(self, xyz_dir):
         # computed values must survive the JSON round trip bit-exactly, so a
         # re-emitted bundle is byte-identical to the directly written one
-        common = ["gap", "--instrument", str(xyz_dir / "xyz.json"),
-                  "--expect", str(xyz_dir / "e.csv"),
-                  "--perceive", str(xyz_dir / "p.csv"),
-                  "--weights", str(xyz_dir / "weights.json"),
-                  "--suppress-timestamp"]
-        assert main(common + ["--out", str(xyz_dir / "orig" / "xyz")]) == 0
-        assert main(["report", "--input", str(xyz_dir / "orig" / "xyz.report.json"),
-                     "--out", str(xyz_dir / "re" / "xyz")]) == 0
-        orig_root, re_root = xyz_dir / "orig", xyz_dir / "re"
-        originals = {p.relative_to(orig_root): p.read_bytes()
-                     for p in orig_root.rglob("*") if p.is_file()}
-        reemitted = {p.relative_to(re_root): p.read_bytes()
-                     for p in re_root.rglob("*") if p.is_file()}
-        assert set(originals) == set(reemitted)
-        for name in originals:
-            assert originals[name] == reemitted[name], f"{name} differs after re-emit"
-        joined = b"".join(originals.values())
-        assert b"np.float64" not in joined  # numpy scalars must not leak into output
-        assert b"NaN" not in originals[Path("xyz.report.json")]
+        (xyz_dir / "hoq.json").write_text(json.dumps(serialize_hoq(xyz.load_xyz_hoq())))
+        (xyz_dir / "fishbone.json").write_text(
+            json.dumps(serialize_fishbone(xyz.load_xyz_fishbone())))
+        # importance CSV route with one rejected row per file and a zero-variance
+        # item, so null/undefined cells and ROWS_REJECTED warnings round-trip
+        rng = np.random.default_rng(5)
+        header = "respondent_id," + ",".join(f"q{i}" for i in range(1, 18))
+        for name in ("ze.csv", "zp.csv"):
+            values = rng.integers(1, 6, size=(30, 17))
+            values[:, 3] = 4
+            rows = [f"r{i}," + ",".join(map(str, row)) for i, row in enumerate(values)]
+            (xyz_dir / name).write_text(
+                "\n".join([header, *rows, "bad," + ",".join(["9"] * 17)]) + "\n")
+        (xyz_dir / "zi.csv").write_text(
+            "respondent_id,tangibles,reliability,responsiveness,assurance,empathy\n"
+            "r1,10,40,25,15,10\nr2,20,30,20,15,15\nr3,10,10,10,10,10\n")
+        xyz_inputs = ["--expect", str(xyz_dir / "e.csv"), "--perceive", str(xyz_dir / "p.csv"),
+                      "--weights", str(xyz_dir / "weights.json")]
+        variants = {
+            "plain": xyz_inputs,
+            "hoq_fishbone": [*xyz_inputs, "--hoq", str(xyz_dir / "hoq.json"),
+                             "--fishbone", str(xyz_dir / "fishbone.json")],
+            "importance": ["--expect", str(xyz_dir / "ze.csv"),
+                           "--perceive", str(xyz_dir / "zp.csv"),
+                           "--importance", str(xyz_dir / "zi.csv")],
+        }
+        for variant, inputs in variants.items():
+            orig_root, re_root = xyz_dir / variant / "orig", xyz_dir / variant / "re"
+            assert main(["gap", "--instrument", str(xyz_dir / "xyz.json"), *inputs,
+                         "--suppress-timestamp", "--out", str(orig_root / "xyz")]) == 0
+            assert main(["report", "--input", str(orig_root / "xyz.report.json"),
+                         "--out", str(re_root / "xyz")]) == 0
+            originals = {p.relative_to(orig_root): p.read_bytes()
+                         for p in orig_root.rglob("*") if p.is_file()}
+            reemitted = {p.relative_to(re_root): p.read_bytes()
+                         for p in re_root.rglob("*") if p.is_file()}
+            assert set(originals) == set(reemitted)
+            for name in originals:
+                assert originals[name] == reemitted[name], \
+                    f"{variant}: {name} differs after re-emit"
+            joined = b"".join(originals.values())
+            assert b"np.float64" not in joined  # numpy scalars must not leak into output
+            assert b"NaN" not in originals[Path("xyz.report.json")]
+        importance_report = (xyz_dir / "importance" / "orig" / "xyz.report.json").read_bytes()
+        assert b'"item_adj_total_corr": null' in importance_report
+        assert b"ROWS_REJECTED" in importance_report
+        assert b"undefined" in (xyz_dir / "importance" / "orig" / "xyz.report.md").read_bytes()
+        assert (xyz_dir / "hoq_fishbone" / "orig" / "xyz.tables" / "hoq.csv").exists()
+
+    @pytest.mark.parametrize("payload", [
+        b'{"metadata": {}}',
+        b"[1, 2]",
+        b'{"metadata": {}, "gap_analysis": {"items": [{"item_id": 1, "bogus": 0}]}}',
+        b"\xff{}",
+    ], ids=["missing_sections", "not_an_object", "unknown_row_key", "not_utf8"])
+    def test_wrong_shape_json_is_1(self, tmp_path, capsys, payload):
+        path = tmp_path / "bad.report.json"
+        path.write_bytes(payload)
+        assert main(["report", "--input", str(path), "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_bad_format_token_is_2(self, capsys):
         assert main(["report", "--input", "x.json", "--formats", "pdf", "--out", "y"]) == 2

@@ -6,7 +6,6 @@ from satmetric.errors import DefinitionError
 from satmetric.instrument import DIMENSION_ORDER, KanoCategory, build_instrument, master_catalog
 from satmetric.kano import (
     DEFAULT_MULTIPLIERS,
-    classify,
     parse_multiplier_spec,
     prioritize,
     resolve_multipliers,
@@ -34,9 +33,9 @@ UNIFORM_WEIGHTS = weights_from_means({d: 20.0 for d in DIMENSION_ORDER})
 class TestClassify:
     def test_static_catalog_categories(self):
         by_prompt = {item.prompt: item for item in master_catalog()}
-        assert classify(by_prompt["Error free service"]) is KanoCategory.MUST_BE
-        assert classify(by_prompt["The level of employees courtesy"]) is KanoCategory.PERFORMANCE
-        assert classify(by_prompt["Entertainment in the waiting area"]) is KanoCategory.DELIGHTER
+        assert by_prompt["Error free service"].kano is KanoCategory.MUST_BE
+        assert by_prompt["The level of employees courtesy"].kano is KanoCategory.PERFORMANCE
+        assert by_prompt["Entertainment in the waiting area"].kano is KanoCategory.DELIGHTER
 
 
 class TestMultipliers:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satmetric.errors import DefinitionError
-from satmetric.qfd import build_hoq, roof_conflicts, serialize_hoq, technical_importance
+from satmetric.qfd import build_hoq, roof_conflicts, serialize_hoq
 from satmetric import xyz
 
 
@@ -27,7 +27,7 @@ class TestTechnicalImportance:
     def test_two_by_two_oracle(self):
         # hand arithmetic: (40*9 + 60*1, 40*3 + 60*9) = (420, 660)
         hoq = simple_hoq([40, 60], [[9, 3], [1, 9]])
-        weights = technical_importance(hoq)
+        weights = hoq.importances
         assert weights[0].absolute == pytest.approx(420.0, abs=1e-9)
         assert weights[1].absolute == pytest.approx(660.0, abs=1e-9)
         assert weights[0].relative_pct == pytest.approx(38.88888888888889, abs=1e-9)
@@ -36,7 +36,7 @@ class TestTechnicalImportance:
 
     def test_single_cell(self):
         hoq = simple_hoq([1], [[9]])
-        (weight,) = technical_importance(hoq)
+        (weight,) = hoq.importances
         assert weight.absolute == 9.0
         assert weight.relative_pct == 100.0
         assert weight.rank == 1
@@ -44,17 +44,17 @@ class TestTechnicalImportance:
     def test_all_zero_matrix_is_degenerate(self):
         hoq = simple_hoq([10, 20], [[0, 0], [0, 0]])
         assert hoq.degenerate is True
-        for weight in technical_importance(hoq):
+        for weight in hoq.importances:
             assert weight.absolute == 0.0 and weight.relative_pct == 0.0
 
     def test_relative_weights_sum_to_100(self):
         hoq = simple_hoq([5, 7, 11], [[9, 3, 0], [1, 9, 3], [0, 1, 9]])
-        assert sum(w.relative_pct for w in technical_importance(hoq)) == pytest.approx(
+        assert sum(w.relative_pct for w in hoq.importances) == pytest.approx(
             100.0, abs=1e-9)
 
     def test_equal_absolutes_tie_break_on_lower_index(self):
         hoq = simple_hoq([10], [[3, 3]])
-        weights = technical_importance(hoq)
+        weights = hoq.importances
         assert (weights[0].rank, weights[1].rank) == (1, 2)
 
 

@@ -21,7 +21,6 @@ from satmetric.servqual import (
     importance_weights,
     item_gaps,
     normalize_weights,
-    overall_scores,
     weights_from_means,
 )
 from satmetric import xyz
@@ -135,21 +134,18 @@ class TestDimensionScores:
 class TestOverallScores:
     def test_reference_totals(self, xyz_instrument, xyz_weights,
                               xyz_expect_desc, xyz_perceive_desc):
-        gaps = item_gaps(xyz_expect_desc, xyz_perceive_desc)
-        scores = dimension_scores(gaps, xyz_weights, xyz_instrument)
-        overall = overall_scores(scores)
-        assert overall.weighted_sum == pytest.approx(REFERENCE_WEIGHTED_SUM, abs=1e-6)
-        assert overall.weighted_mean == pytest.approx(REFERENCE_WEIGHTED_SUM / 100, abs=1e-8)
-        assert overall.unweighted_mean == pytest.approx(REFERENCE_UNWEIGHTED_MEAN, abs=1e-9)
+        report = compute_gap_report(xyz_expect_desc, xyz_perceive_desc,
+                                    xyz_weights, xyz_instrument)
+        assert report.overall_weighted_sum == pytest.approx(REFERENCE_WEIGHTED_SUM, abs=1e-6)
+        assert report.overall_weighted_mean == pytest.approx(REFERENCE_WEIGHTED_SUM / 100,
+                                                             abs=1e-8)
+        assert report.unweighted_mean_of_dimensions == pytest.approx(REFERENCE_UNWEIGHTED_MEAN,
+                                                                     abs=1e-9)
 
     def test_all_zero_gaps(self, xyz_instrument, xyz_weights, xyz_expect_desc):
-        gaps = item_gaps(xyz_expect_desc, xyz_expect_desc)
-        overall = overall_scores(dimension_scores(gaps, xyz_weights, xyz_instrument))
-        assert overall == type(overall)(0.0, 0.0, 0.0)
-
-    def test_five_dimensions_required(self):
-        with pytest.raises(ComputationError, match="5 dimension scores"):
-            overall_scores([])
+        report = compute_gap_report(xyz_expect_desc, xyz_expect_desc, xyz_weights, xyz_instrument)
+        assert (report.overall_weighted_sum, report.overall_weighted_mean,
+                report.unweighted_mean_of_dimensions) == (0.0, 0.0, 0.0)
 
 
 class TestClassification:
@@ -187,19 +183,18 @@ class TestProperties:
     def test_equal_weights_make_weighted_consistent_with_unweighted(
             self, xyz_instrument, xyz_expect_desc, xyz_perceive_desc):
         weights = weights_from_means({d: 20.0 for d in DIMENSION_ORDER})
-        gaps = item_gaps(xyz_expect_desc, xyz_perceive_desc)
-        scores = dimension_scores(gaps, weights, xyz_instrument)
-        overall = overall_scores(scores)
-        y_sum = sum(s.unweighted for s in scores)
-        assert overall.weighted_sum == pytest.approx(20.0 * y_sum, rel=1e-12)
-        assert overall.weighted_mean == pytest.approx(overall.unweighted_mean, rel=1e-12)
+        report = compute_gap_report(xyz_expect_desc, xyz_perceive_desc, weights, xyz_instrument)
+        y_sum = sum(s.unweighted for s in report.dimension_scores)
+        assert report.overall_weighted_sum == pytest.approx(20.0 * y_sum, rel=1e-12)
+        assert report.overall_weighted_mean == pytest.approx(
+            report.unweighted_mean_of_dimensions, rel=1e-12)
 
     def test_gap_bounds_on_five_point_scale(self, xyz_expect_desc, xyz_perceive_desc,
                                             xyz_weights, xyz_instrument):
-        gaps = item_gaps(xyz_expect_desc, xyz_perceive_desc)
-        assert all(abs(g.gap) <= 4.0 for g in gaps)
-        overall = overall_scores(dimension_scores(gaps, xyz_weights, xyz_instrument))
-        assert abs(overall.weighted_sum) <= 4.0 * xyz_weights.sum_of_means
+        report = compute_gap_report(xyz_expect_desc, xyz_perceive_desc,
+                                    xyz_weights, xyz_instrument)
+        assert all(abs(g.gap) <= 4.0 for g in report.item_gaps)
+        assert abs(report.overall_weighted_sum) <= 4.0 * xyz_weights.sum_of_means
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 100_000))
@@ -215,10 +210,9 @@ class TestProperties:
         raw = rng.uniform(0, 1, 5)
         alloc = raw / raw.sum() * 100.0
         weights = weights_from_means(dict(zip(DIMENSION_ORDER, alloc)), tolerance=0.25)
-        scores = dimension_scores(item_gaps(e, p), weights, instrument)
-        for score in scores:
+        report = compute_gap_report(e, p, weights, instrument)
+        for score in report.dimension_scores:
             assert score.weighted == pytest.approx(
                 score.unweighted * weights[score.dimension], rel=1e-12)
-        overall = overall_scores(scores)
-        assert overall.weighted_sum == pytest.approx(
-            sum(s.weighted for s in scores), rel=1e-12)
+        assert report.overall_weighted_sum == pytest.approx(
+            sum(s.weighted for s in report.dimension_scores), rel=1e-12)
