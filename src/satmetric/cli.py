@@ -8,12 +8,11 @@ files or stdout.  All randomness sits behind an explicit --seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import SatmetricError
+from .errors import DefinitionError, SatmetricError
 from .ingest import MissingPolicy, ResponseKind, generate_synthetic, parse_response_file, \
     serialize_response_set
 from .instrument import load_instrument
@@ -24,30 +23,16 @@ from .qfd import load_hoq, roof_conflicts
 from .report import FORMATS, assemble, csv_bytes, parse_report, reliability_csv, write_report
 from .rootcause import DEFAULT_PARETO_THRESHOLD, dissatisfaction_contributions, load_fishbone, \
     pareto
+from .schema import array, number, read_bytes, read_json
 from .servqual import compute_gap_report, importance_weights, normalize_weights, \
     weights_from_means
 
 
-def _read_bytes(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise SatmetricError(f"cannot read {path}: {exc.strerror}") from None
-
-
 def _load_weights_file(path: str):
-    try:
-        doc = json.loads(_read_bytes(path).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SatmetricError(f"{path}: not valid JSON ({exc})") from None
+    doc = read_json(path)
     if isinstance(doc, dict) and "means" in doc:
-        means = doc["means"]
-        n = doc.get("n_respondents")
-    else:
-        means, n = doc, None
-    if not isinstance(means, dict):
-        raise SatmetricError(f"{path}: expected a dimension -> points object")
-    return weights_from_means(means, n_respondents=n)
+        return weights_from_means(doc["means"], n_respondents=doc.get("n_respondents"))
+    return weights_from_means(doc)
 
 
 def _write_out(payload: bytes, out: str | None) -> None:
@@ -59,7 +44,7 @@ def _write_out(payload: bytes, out: str | None) -> None:
 
 
 def _parse_csv(args, instrument, kind: ResponseKind, path: str):
-    rs, vr = parse_response_file(_read_bytes(path), instrument, kind,
+    rs, vr = parse_response_file(read_bytes(path), instrument, kind,
                                  MissingPolicy(args.missing_policy))
     for err in vr.row_errors:
         print(f"{path}: row {err.row}, column {err.column}: {err.message} [{err.code}]",
@@ -228,17 +213,13 @@ def cmd_qfd(args) -> int:
 def cmd_synth(args) -> int:
     instrument = load_instrument(args.instrument)
     if args.targets:
-        try:
-            targets = json.loads(_read_bytes(args.targets).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SatmetricError(f"{args.targets}: not valid JSON ({exc})") from None
-        if not isinstance(targets, list):
-            raise SatmetricError(f"{args.targets}: expected a JSON array of target means")
+        targets = array(read_json(args.targets), f"{args.targets}: target means")
     else:
         try:
             targets = [float(v) for v in args.means.split(",")]
         except ValueError:
             raise SatmetricError(f"bad --means list {args.means!r}") from None
+    targets = [number(t, f"target mean {pos}") for pos, t in enumerate(targets, start=1)]
     if len(targets) != instrument.n_items:
         raise SatmetricError(f"{len(targets)} target means for {instrument.n_items} items")
     rs = generate_synthetic(targets, args.n, instrument.scale, seed=args.seed,
@@ -249,11 +230,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = parse_report(_read_bytes(args.input))
+    report = parse_report(read_bytes(args.input))
     written = write_report(report, args.out, formats=args.formats)
     for path in written:
         print(path)
     return 0
+
+
+def _finite_arg(value: str) -> float:
+    try:
+        return number(float(value), "value")
+    except (ValueError, DefinitionError):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {value!r}") from None
 
 
 def _formats_arg(value: str) -> list[str]:
@@ -295,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instrument_arg(p)
     p.add_argument("--expect", help="expectation CSV")
     p.add_argument("--perceive", help="perception CSV")
-    p.add_argument("--alpha-threshold", type=float, default=DEFAULT_ALPHA_THRESHOLD)
+    p.add_argument("--alpha-threshold", type=_finite_arg, default=DEFAULT_ALPHA_THRESHOLD)
     p.add_argument("--strict-gate", action="store_true",
                    help="exit 1 when a survey fails the alpha gate")
     p.add_argument("--out", help="write CSV here instead of stdout")
@@ -314,12 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fishbone", help="optional fishbone definition JSON")
     p.add_argument("--variance-mode", choices=[m.value for m in VarianceMode],
                    default=VarianceMode.POPULATION.value)
-    p.add_argument("--alpha-threshold", type=float, default=DEFAULT_ALPHA_THRESHOLD)
+    p.add_argument("--alpha-threshold", type=_finite_arg, default=DEFAULT_ALPHA_THRESHOLD)
     p.add_argument("--strict-gate", action="store_true",
                    help="refuse to emit scores when a survey fails the alpha gate")
     p.add_argument("--kano-multipliers",
                    help="per-category multipliers, e.g. must_be=2,performance=1,delighter=0")
-    p.add_argument("--pareto-threshold", type=float, default=DEFAULT_PARETO_THRESHOLD)
+    p.add_argument("--pareto-threshold", type=_finite_arg, default=DEFAULT_PARETO_THRESHOLD)
     p.add_argument("--normalize-weights", action="store_true",
                    help="rescale importance means to sum to exactly 100")
     p.add_argument("--unweighted-contributions", action="store_true",

@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DefinitionError
+from .schema import array, document, fields, integer, read_json
 
 #: The five service-quality dimensions, in canonical reporting order.
 DIMENSION_ORDER: tuple[str, ...] = (
@@ -23,14 +24,6 @@ DIMENSION_ORDER: tuple[str, ...] = (
     "empathy",
     "tangibles",
 )
-
-DIMENSION_NAMES: dict[str, str] = {
-    "reliability": "Reliability",
-    "responsiveness": "Responsiveness",
-    "assurance": "Assurance",
-    "empathy": "Empathy",
-    "tangibles": "Tangibles",
-}
 
 
 class KanoCategory(str, Enum):
@@ -52,10 +45,6 @@ class LikertScale:
     def __post_init__(self) -> None:
         if self.min >= self.max:
             raise DefinitionError(f"scale min must be < max, got [{self.min}, {self.max}]")
-
-    @property
-    def span(self) -> int:
-        return self.max - self.min
 
 
 @dataclass(frozen=True)
@@ -182,11 +171,6 @@ def master_catalog() -> tuple[Item, ...]:
     )
 
 
-_SCALE_KEYS = {"min", "max", "anchor_low", "anchor_high"}
-_ITEM_KEYS = {"id", "prompt", "dimension", "kano", "source_key"}
-_TOP_KEYS = {"scale", "items"}
-
-
 def build_instrument(config: Mapping) -> SurveyInstrument:
     """Validate an instrument-definition document and build the instrument.
 
@@ -194,38 +178,23 @@ def build_instrument(config: Mapping) -> SurveyInstrument:
     with items ``{"id", "prompt", "dimension", "kano", "source_key"?}``.
     Unknown fields are rejected.  Errors name the offending item position.
     """
-    if not isinstance(config, Mapping):
-        raise DefinitionError("instrument definition must be a JSON object")
-    unknown = set(config) - _TOP_KEYS
-    if unknown:
-        raise DefinitionError(f"unknown instrument fields: {sorted(unknown)}")
-
+    document(config, "instrument", {"scale", "items"})
     scale_doc = config.get("scale", {})
-    if not isinstance(scale_doc, Mapping):
-        raise DefinitionError("'scale' must be an object")
-    unknown = set(scale_doc) - _SCALE_KEYS
-    if unknown:
-        raise DefinitionError(f"unknown scale fields: {sorted(unknown)}")
-    scale_args = {k: scale_doc[k] for k in _SCALE_KEYS if k in scale_doc}
-    scale = LikertScale(**scale_args)
+    document(scale_doc, "scale", {"min", "max", "anchor_low", "anchor_high"})
+    for bound in ("min", "max"):
+        if bound in scale_doc:
+            integer(scale_doc[bound], f"scale {bound}")
+    scale = LikertScale(**scale_doc)
 
-    raw_items = config.get("items")
-    if not isinstance(raw_items, Sequence) or isinstance(raw_items, (str, bytes)):
-        raise DefinitionError("'items' must be a list")
+    raw_items = array(config.get("items"), "'items'")
     if not raw_items:
         raise DefinitionError("'items' must not be empty")
 
     items: list[Item] = []
     seen_ids: set[int] = set()
     for pos, doc in enumerate(raw_items, start=1):
-        if not isinstance(doc, Mapping):
-            raise DefinitionError(f"item at position {pos} must be an object")
-        unknown = set(doc) - _ITEM_KEYS
-        if unknown:
-            raise DefinitionError(f"item at position {pos}: unknown fields {sorted(unknown)}")
-        for required in ("id", "prompt", "dimension", "kano"):
-            if required not in doc:
-                raise DefinitionError(f"item at position {pos}: missing field {required!r}")
+        fields(doc, f"item at position {pos}", {"id", "prompt", "dimension", "kano", "source_key"},
+               required=("id", "prompt", "dimension", "kano"))
         item_id = doc["id"]
         if not isinstance(item_id, int) or isinstance(item_id, bool) or item_id < 1:
             raise DefinitionError(f"item at position {pos}: id must be a positive integer")
@@ -305,11 +274,4 @@ def serialize_instrument(instrument: SurveyInstrument) -> dict:
 
 def load_instrument(path) -> SurveyInstrument:
     """Read and validate an instrument-definition JSON file."""
-    try:
-        with open(path, "rb") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DefinitionError(f"cannot read {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise DefinitionError(f"{path}: not valid JSON ({exc})") from None
-    return build_instrument(doc)
+    return build_instrument(read_json(path))

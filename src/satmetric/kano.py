@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 from .errors import DefinitionError
 from .instrument import KanoCategory, SurveyInstrument
+from .schema import number
 from .servqual import ImportanceWeights, ItemGap
 
 DEFAULT_MULTIPLIERS: dict[KanoCategory, float] = {
@@ -45,10 +46,7 @@ def resolve_multipliers(
                 category = KanoCategory(key)
             except ValueError:
                 raise DefinitionError(f"unknown Kano category {key!r}") from None
-            multipliers[category] = float(value)
-    for category, value in multipliers.items():
-        if value < 0:
-            raise DefinitionError(f"multiplier for {category.value} must be >= 0, got {value}")
+            multipliers[category] = number(value, f"multiplier for {category.value}", minimum=0)
     return multipliers
 
 

@@ -9,13 +9,13 @@ column sum of its relationship strengths.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import DefinitionError
+from .schema import array, document, fields, integer, number, read_json
 
 STRENGTH_VALUES = (0, 1, 3, 9)
 ROOF_SIGNS = ("positive", "negative")
@@ -103,53 +103,45 @@ def _compute_importances(
     return computed, degenerate
 
 
+def _requirements(docs, label: str, allowed: set[str], required=()):
+    """(id, record) pairs of a requirement list; ids are non-empty and unique,
+    and at least one requirement is required."""
+    seen: set[str] = set()
+    for pos, doc in enumerate(array(docs, f"{label} list"), start=1):
+        fields(doc, f"{label} at position {pos}", allowed, required)
+        req_id = str(doc.get("id", ""))
+        if not req_id:
+            raise DefinitionError(f"{label} at position {pos}: missing id")
+        if req_id in seen:
+            raise DefinitionError(f"duplicate {label} id {req_id!r}")
+        seen.add(req_id)
+        yield req_id, doc
+    if not seen:
+        raise DefinitionError(f"at least one {label} is required")
+
+
 def build_hoq(definition: Mapping) -> HouseOfQuality:
     """Validate a house-of-quality definition document and compute weights.
 
     ``benchmarks`` and ``ctq_tree`` are opaque annotations: accepted,
     echoed in reports, never computed on.
     """
-    if not isinstance(definition, Mapping):
-        raise DefinitionError("house-of-quality definition must be a JSON object")
-    unknown = set(definition) - _TOP_KEYS
-    if unknown:
-        raise DefinitionError(f"unknown house-of-quality fields: {sorted(unknown)}")
-    for required in ("customer_reqs", "tech_reqs", "relationships"):
-        if required not in definition:
-            raise DefinitionError(f"missing house-of-quality field {required!r}")
+    document(definition, "house-of-quality", _TOP_KEYS,
+             required=("customer_reqs", "tech_reqs", "relationships"))
 
-    customer_reqs: list[CustomerRequirement] = []
-    seen: set[str] = set()
-    for pos, doc in enumerate(definition["customer_reqs"], start=1):
-        cr_id = str(doc.get("id", ""))
-        if not cr_id:
-            raise DefinitionError(f"customer requirement at position {pos}: missing id")
-        if cr_id in seen:
-            raise DefinitionError(f"duplicate customer requirement id {cr_id!r}")
-        seen.add(cr_id)
-        if "importance" not in doc:
-            raise DefinitionError(f"customer requirement {cr_id!r}: missing importance")
-        customer_reqs.append(
-            CustomerRequirement(id=cr_id, name=str(doc.get("name", cr_id)),
-                                importance=float(doc["importance"]))
-        )
-    if not customer_reqs:
-        raise DefinitionError("at least one customer requirement is required")
+    customer_reqs = [
+        CustomerRequirement(id=cr_id, name=str(doc.get("name", cr_id)), importance=number(
+            doc["importance"], f"customer requirement {cr_id!r}: importance"))
+        for cr_id, doc in _requirements(definition["customer_reqs"], "customer requirement",
+                                        {"id", "name", "importance"}, required=("importance",))
+    ]
+    tech_reqs = [
+        TechnicalRequirement(id=tr_id, name=str(doc.get("name", tr_id)))
+        for tr_id, doc in _requirements(definition["tech_reqs"], "technical requirement",
+                                        {"id", "name"})
+    ]
 
-    tech_reqs: list[TechnicalRequirement] = []
-    seen = set()
-    for pos, doc in enumerate(definition["tech_reqs"], start=1):
-        tr_id = str(doc.get("id", ""))
-        if not tr_id:
-            raise DefinitionError(f"technical requirement at position {pos}: missing id")
-        if tr_id in seen:
-            raise DefinitionError(f"duplicate technical requirement id {tr_id!r}")
-        seen.add(tr_id)
-        tech_reqs.append(TechnicalRequirement(id=tr_id, name=str(doc.get("name", tr_id))))
-    if not tech_reqs:
-        raise DefinitionError("at least one technical requirement is required")
-
-    rows = definition["relationships"]
+    rows = array(definition["relationships"], "relationships")
     if len(rows) != len(customer_reqs):
         raise DefinitionError(
             f"relationship matrix has {len(rows)} rows but there are "
@@ -157,7 +149,7 @@ def build_hoq(definition: Mapping) -> HouseOfQuality:
         )
     matrix = np.zeros((len(customer_reqs), len(tech_reqs)), dtype=np.int64)
     for i, row in enumerate(rows):
-        if len(row) != len(tech_reqs):
+        if len(array(row, f"relationship row {i}")) != len(tech_reqs):
             raise DefinitionError(
                 f"relationship row {i} has {len(row)} cells but there are "
                 f"{len(tech_reqs)} technical requirements"
@@ -173,11 +165,11 @@ def build_hoq(definition: Mapping) -> HouseOfQuality:
 
     roof: list[RoofEntry] = []
     seen_pairs: set[tuple[int, int]] = set()
-    for pos, doc in enumerate(definition.get("roof", []), start=1):
-        try:
-            i, j, sign = int(doc["i"]), int(doc["j"]), str(doc["sign"])
-        except (KeyError, TypeError, ValueError):
-            raise DefinitionError(f"roof entry {pos}: expected {{i, j, sign}}") from None
+    for pos, doc in enumerate(array(definition.get("roof", []), "roof"), start=1):
+        context = f"roof entry {pos}"
+        fields(doc, context, {"i", "j", "sign"}, required=("i", "j", "sign"))
+        i, j = integer(doc["i"], f"{context}: i"), integer(doc["j"], f"{context}: j")
+        sign = doc["sign"]
         if sign not in ROOF_SIGNS:
             raise DefinitionError(f"roof entry {pos}: sign must be one of {ROOF_SIGNS}")
         if i == j:
@@ -216,14 +208,7 @@ def roof_conflicts(hoq: HouseOfQuality) -> list[tuple[str, str]]:
 
 def load_hoq(path) -> HouseOfQuality:
     """Read and validate a house-of-quality JSON file."""
-    try:
-        with open(path, "rb") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DefinitionError(f"cannot read {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise DefinitionError(f"{path}: not valid JSON ({exc})") from None
-    return build_hoq(doc)
+    return build_hoq(read_json(path))
 
 
 def serialize_hoq(hoq: HouseOfQuality) -> dict:

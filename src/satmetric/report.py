@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
@@ -24,8 +25,10 @@ from .ingest import ValidationReport
 from .instrument import KanoCategory, SurveyInstrument
 from .kano import KanoPriority
 from .psychometrics import ItemDescriptives, OmittedItemStats, ReliabilityReport
-from .qfd import HouseOfQuality, serialize_hoq
-from .rootcause import FishboneTree, ParetoRow, ParetoTable, serialize_fishbone
+from .qfd import HouseOfQuality, build_hoq, serialize_hoq
+from .rootcause import FishboneTree, ParetoRow, ParetoTable, branch_magnitudes, \
+    build_fishbone, serialize_fishbone
+from .schema import integer, number, parse_json
 from .servqual import (
     DimensionScore,
     GapReport,
@@ -124,11 +127,7 @@ def assemble(
     branch_sums = None
     if fishbone is not None and pareto is not None and not pareto.is_empty \
             and any(b.item_ids for b in fishbone.branches):
-        from .rootcause import Contribution, branch_magnitudes
-
-        contribs = [Contribution(item_id=r.item_id, label=r.label, magnitude=r.magnitude)
-                    for r in pareto.rows]
-        branch_sums = branch_magnitudes(fishbone, contribs)
+        branch_sums = branch_magnitudes(fishbone, pareto.rows)
 
     metadata: dict = {
         "tool": {"name": "satmetric", "version": __version__},
@@ -232,29 +231,40 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
+_NUMERIC_CHECKS = {"float": number, "int": integer}
+
+
+def _build(cls, doc: Mapping, **built):
+    """``cls(**doc, **built)`` after checking each field of ``doc`` whose (string)
+    annotation is ``float`` or ``int``; ``X | None`` fields may hold None."""
+    for f in fields(cls):
+        base, _, optional = f.type.partition(" | ")
+        if base in _NUMERIC_CHECKS and f.name in doc and not (optional and doc[f.name] is None):
+            _NUMERIC_CHECKS[base](doc[f.name], f"report {cls.__name__}.{f.name}")
+    return cls(**{**doc, **built})
+
+
 def report_from_dict(doc: Mapping) -> AnalysisReport:
     """Rebuild an AnalysisReport from its JSON form (inverse of
     report_to_dict up to tuple/list normalization)."""
-    from .qfd import build_hoq
-    from .rootcause import build_fishbone
-
     def rows(cls, docs):
-        return tuple(cls(**d) for d in docs) if docs is not None else None
+        return tuple(_build(cls, d) for d in docs) if docs is not None else None
 
     def reliability(d):
-        return ReliabilityReport(**{**d, "omitted": rows(OmittedItemStats, d["omitted"])}) \
+        return _build(ReliabilityReport, d, omitted=rows(OmittedItemStats, d["omitted"])) \
             if d is not None else None
 
     ga = doc["gap_analysis"]
     overall = ga["overall"]
-    gap_report = GapReport(
-        item_gaps=tuple(ItemGap(**{k: v for k, v in g.items() if k != "classification"})
+    gap_report = _build(
+        GapReport,
+        {"overall_weighted_sum": overall["weighted_sum"],
+         "overall_weighted_mean": overall["weighted_mean"],
+         "unweighted_mean_of_dimensions": overall["unweighted_mean_of_dimensions"]},
+        item_gaps=tuple(_build(ItemGap, {k: v for k, v in g.items() if k != "classification"})
                         for g in ga["items"]),
-        dimension_scores=tuple(DimensionScore(**{**d, "item_ids": tuple(d["item_ids"])})
+        dimension_scores=tuple(_build(DimensionScore, d, item_ids=tuple(d["item_ids"]))
                                for d in ga["dimensions"]),
-        overall_weighted_sum=overall["weighted_sum"],
-        overall_weighted_mean=overall["weighted_mean"],
-        unweighted_mean_of_dimensions=overall["unweighted_mean_of_dimensions"],
         reliability_expectation=reliability(doc["reliability"]["expectation"]),
         reliability_perception=reliability(doc["reliability"]["perception"]),
     )
@@ -266,10 +276,10 @@ def report_from_dict(doc: Mapping) -> AnalysisReport:
         gap_report=gap_report,
         expectation_descriptives=rows(ItemDescriptives, descriptives["expectation"]),
         perception_descriptives=rows(ItemDescriptives, descriptives["perception"]),
-        importance_weights=ImportanceWeights(**weights) if weights else None,
-        kano_priorities=tuple(KanoPriority(**{**k, "category": KanoCategory(k["category"])})
+        importance_weights=_build(ImportanceWeights, weights) if weights else None,
+        kano_priorities=tuple(_build(KanoPriority, k, category=KanoCategory(k["category"]))
                               for k in kano) if kano else None,
-        pareto=ParetoTable(**{**pareto_doc, "rows": rows(ParetoRow, pareto_doc["rows"])})
+        pareto=_build(ParetoTable, pareto_doc, rows=rows(ParetoRow, pareto_doc["rows"]))
         if pareto_doc else None,
         hoq=build_hoq({k: v for k, v in hoq.items() if k != "computed"}) if hoq else None,
         fishbone=build_fishbone(fishbone) if fishbone else None,
@@ -563,6 +573,21 @@ def _markdown(report: AnalysisReport) -> bytes:
 _CHART_W = 720
 _CHART_H = 360
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 30, 40, 70
+_PLOT_W = _CHART_W - _MARGIN_L - _MARGIN_R
+_PLOT_H = _CHART_H - _MARGIN_T - _MARGIN_B
+
+
+def _svg(title: str, body: Sequence[str]) -> bytes:
+    """A chart document: white background, centred title, then ``body``."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CHART_W}" height="{_CHART_H}" '
+        f'viewBox="0 0 {_CHART_W} {_CHART_H}">',
+        f'<rect width="{_CHART_W}" height="{_CHART_H}" fill="white"/>',
+        f'<text x="{_CHART_W / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{title}</text>',
+        *body,
+        "</svg>\n",
+    ]).encode("utf-8")
 
 
 def _bar_chart_svg(title: str, labels: Sequence[str], values: Sequence[float]) -> bytes:
@@ -570,24 +595,15 @@ def _bar_chart_svg(title: str, labels: Sequence[str], values: Sequence[float]) -
     top = max([*values, 0.0])
     bottom = min([*values, 0.0])
     span = (top - bottom) or 1.0
-    plot_w = _CHART_W - _MARGIN_L - _MARGIN_R
-    plot_h = _CHART_H - _MARGIN_T - _MARGIN_B
-    slot = plot_w / max(len(values), 1)
+    slot = _PLOT_W / max(len(values), 1)
     bar_w = slot * 0.7
 
     def y_of(value: float) -> float:
-        return _MARGIN_T + (top - value) / span * plot_h
+        return _MARGIN_T + (top - value) / span * _PLOT_H
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CHART_W}" height="{_CHART_H}" '
-        f'viewBox="0 0 {_CHART_W} {_CHART_H}">',
-        f'<rect width="{_CHART_W}" height="{_CHART_H}" fill="white"/>',
-        f'<text x="{_CHART_W / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
-    ]
     zero_y = y_of(0.0)
-    parts.append(f'<line x1="{_MARGIN_L}" y1="{zero_y:.2f}" x2="{_CHART_W - _MARGIN_R}" '
-                 f'y2="{zero_y:.2f}" stroke="black" stroke-width="1"/>')
+    parts = [f'<line x1="{_MARGIN_L}" y1="{zero_y:.2f}" x2="{_CHART_W - _MARGIN_R}" '
+             f'y2="{zero_y:.2f}" stroke="black" stroke-width="1"/>']
     for idx, (label, value) in enumerate(zip(labels, values)):
         x = _MARGIN_L + idx * slot + (slot - bar_w) / 2
         y = min(zero_y, y_of(value))
@@ -600,8 +616,7 @@ def _bar_chart_svg(title: str, labels: Sequence[str], values: Sequence[float]) -
                      f'font-family="sans-serif" font-size="10">{value:.2f}</text>')
         parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{_CHART_H - _MARGIN_B + 16:.2f}" '
                      f'text-anchor="middle" font-family="sans-serif" font-size="10">{label}</text>')
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    return _svg(title, parts)
 
 
 def _pareto_chart_svg(table: ParetoTable) -> bytes:
@@ -610,57 +625,42 @@ def _pareto_chart_svg(table: ParetoTable) -> bytes:
     labels = [str(r.item_id) for r in rows]
     values = [r.magnitude for r in rows]
     top = max([*values, 1e-12])
-    plot_w = _CHART_W - _MARGIN_L - _MARGIN_R
-    plot_h = _CHART_H - _MARGIN_T - _MARGIN_B
-    slot = plot_w / max(len(values), 1)
+    slot = _PLOT_W / max(len(values), 1)
     bar_w = slot * 0.7
     base_y = _CHART_H - _MARGIN_B
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CHART_W}" height="{_CHART_H}" '
-        f'viewBox="0 0 {_CHART_W} {_CHART_H}">',
-        f'<rect width="{_CHART_W}" height="{_CHART_H}" fill="white"/>',
-        f'<text x="{_CHART_W / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">Dissatisfaction Pareto</text>',
-        f'<line x1="{_MARGIN_L}" y1="{base_y}" x2="{_CHART_W - _MARGIN_R}" '
-        f'y2="{base_y}" stroke="black" stroke-width="1"/>',
-    ]
+    parts = [f'<line x1="{_MARGIN_L}" y1="{base_y}" x2="{_CHART_W - _MARGIN_R}" '
+             f'y2="{base_y}" stroke="black" stroke-width="1"/>']
     points = []
     for idx, row in enumerate(rows):
         x = _MARGIN_L + idx * slot + (slot - bar_w) / 2
-        height = row.magnitude / top * plot_h
+        height = row.magnitude / top * _PLOT_H
         parts.append(f'<rect x="{x:.2f}" y="{base_y - height:.2f}" width="{bar_w:.2f}" '
                      f'height="{height:.2f}" fill="#4878a8"/>')
         parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{base_y + 16:.2f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="10">{labels[idx]}</text>')
-        cum_y = _MARGIN_T + (100.0 - row.cumulative_pct) / 100.0 * plot_h
+        cum_y = _MARGIN_T + (100.0 - row.cumulative_pct) / 100.0 * _PLOT_H
         points.append(f"{x + bar_w / 2:.2f},{cum_y:.2f}")
     if points:
         parts.append(f'<polyline points="{" ".join(points)}" fill="none" '
                      f'stroke="#b0413e" stroke-width="2"/>')
     if table.vital_few_cutoff is not None:
-        threshold_y = _MARGIN_T + (100.0 - table.threshold_pct) / 100.0 * plot_h
+        threshold_y = _MARGIN_T + (100.0 - table.threshold_pct) / 100.0 * _PLOT_H
         parts.append(f'<line x1="{_MARGIN_L}" y1="{threshold_y:.2f}" '
                      f'x2="{_CHART_W - _MARGIN_R}" y2="{threshold_y:.2f}" '
                      f'stroke="#b0413e" stroke-width="1" stroke-dasharray="4 3"/>')
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    return _svg("Dissatisfaction Pareto", parts)
 
 
 def _svg_charts(report: AnalysisReport) -> dict[str, bytes]:
     charts: dict[str, bytes] = {}
     gr = report.gap_report
-    if report.expectation_descriptives:
-        charts["expectation_items.svg"] = _bar_chart_svg(
-            "Expected level per item",
-            [str(d.item_id) for d in report.expectation_descriptives],
-            [d.mean for d in report.expectation_descriptives],
-        )
-    if report.perception_descriptives:
-        charts["perception_items.svg"] = _bar_chart_svg(
-            "Perceived level per item",
-            [str(d.item_id) for d in report.perception_descriptives],
-            [d.mean for d in report.perception_descriptives],
-        )
+    for name, title, desc in (
+        ("expectation_items.svg", "Expected level per item", report.expectation_descriptives),
+        ("perception_items.svg", "Perceived level per item", report.perception_descriptives),
+    ):
+        if desc:
+            charts[name] = _bar_chart_svg(title, [str(d.item_id) for d in desc],
+                                          [d.mean for d in desc])
     if report.importance_weights:
         charts["dimension_weights.svg"] = _bar_chart_svg(
             "Dimension importance weight",
@@ -697,10 +697,7 @@ def emit(report: AnalysisReport, format: str):
 
 def parse_report(data: bytes | str) -> AnalysisReport:
     """Parse report JSON bytes back into an AnalysisReport."""
-    try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DefinitionError(f"report is not valid JSON ({exc})") from None
+    doc = parse_json(data, "report")
     try:
         return report_from_dict(doc)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -709,31 +706,25 @@ def parse_report(data: bytes | str) -> AnalysisReport:
         ) from None
 
 
+_SUFFIXES = {"json": ".report.json", "markdown": ".report.md", "csv": ".tables",
+             "svg-charts": ".charts"}
+
+
 def write_report(report: AnalysisReport, stem, formats: Sequence[str] = FORMATS) -> list[str]:
     """Write ``<stem>.report.json``, ``<stem>.report.md``, ``<stem>.tables/``
     and ``<stem>.charts/`` for the requested formats; returns written paths."""
-    from pathlib import Path
-
     stem = Path(stem)
-    if stem.parent and not stem.parent.exists():
-        stem.parent.mkdir(parents=True, exist_ok=True)
+    payloads = [(fmt, emit(report, fmt)) for fmt in formats]  # a failed render writes nothing
+    stem.parent.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
-    for fmt in formats:
-        payload = emit(report, fmt)
-        if fmt == "json":
-            path = stem.with_name(stem.name + ".report.json")
-            path.write_bytes(payload)
-            written.append(str(path))
-        elif fmt == "markdown":
-            path = stem.with_name(stem.name + ".report.md")
-            path.write_bytes(payload)
-            written.append(str(path))
+    for fmt, payload in payloads:
+        target = stem.with_name(stem.name + _SUFFIXES[fmt])
+        if isinstance(payload, bytes):
+            files = {target: payload}
         else:
-            suffix = ".tables" if fmt == "csv" else ".charts"
-            directory = stem.with_name(stem.name + suffix)
-            directory.mkdir(parents=True, exist_ok=True)
-            for name, content in payload.items():
-                path = directory / name
-                path.write_bytes(content)
-                written.append(str(path))
+            target.mkdir(parents=True, exist_ok=True)
+            files = {target / name: content for name, content in payload.items()}
+        for path, content in files.items():
+            path.write_bytes(content)
+            written.append(str(path))
     return written

@@ -8,12 +8,12 @@ entry only; cause discovery stays with the analyst.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import DefinitionError
 from .instrument import SurveyInstrument
+from .schema import array, document, fields, integer, read_json
 from .servqual import ImportanceWeights, ItemGap
 
 DEFAULT_PARETO_THRESHOLD = 80.0
@@ -138,6 +138,7 @@ class FishboneTree:
 
 
 def _parse_causes(docs, depth: int, context: str) -> tuple[FishboneCause, ...]:
+    docs = array(docs, f"{context} causes")
     if docs and depth > MAX_FISHBONE_DEPTH:
         raise DefinitionError(f"{context}: cause tree deeper than {MAX_FISHBONE_DEPTH} levels")
     causes: list[FishboneCause] = []
@@ -145,11 +146,7 @@ def _parse_causes(docs, depth: int, context: str) -> tuple[FishboneCause, ...]:
         if isinstance(doc, str):
             causes.append(FishboneCause(text=doc))
             continue
-        if not isinstance(doc, Mapping) or "text" not in doc:
-            raise DefinitionError(f"{context}: cause {pos} must be a string or {{text, causes?}}")
-        unknown = set(doc) - {"text", "causes"}
-        if unknown:
-            raise DefinitionError(f"{context}: cause {pos} has unknown fields {sorted(unknown)}")
+        fields(doc, f"{context} cause {pos}", {"text", "causes"}, required=("text",))
         children = _parse_causes(doc.get("causes", []), depth + 1, f"{context} cause {pos}")
         causes.append(FishboneCause(text=str(doc["text"]), children=children))
     return tuple(causes)
@@ -159,22 +156,14 @@ def build_fishbone(definition: Mapping) -> FishboneTree:
     """Validate a fishbone definition: non-empty effect, uniquely named
     branches, each with an optional cause tree (at most 3 levels) and an
     optional item-id annotation used for per-branch magnitude summaries."""
-    if not isinstance(definition, Mapping):
-        raise DefinitionError("fishbone definition must be a JSON object")
-    unknown = set(definition) - {"effect", "branches"}
-    if unknown:
-        raise DefinitionError(f"unknown fishbone fields: {sorted(unknown)}")
+    document(definition, "fishbone", {"effect", "branches"})
     effect = str(definition.get("effect", "")).strip()
     if not effect:
         raise DefinitionError("fishbone effect must be a non-empty string")
     branches: list[FishboneBranch] = []
     seen: set[str] = set()
-    for pos, doc in enumerate(definition.get("branches", []), start=1):
-        if not isinstance(doc, Mapping) or "name" not in doc:
-            raise DefinitionError(f"branch {pos}: expected {{name, causes?, items?}}")
-        unknown = set(doc) - {"name", "causes", "items"}
-        if unknown:
-            raise DefinitionError(f"branch {pos}: unknown fields {sorted(unknown)}")
+    for pos, doc in enumerate(array(definition.get("branches", []), "branches"), start=1):
+        fields(doc, f"branch {pos}", {"name", "causes", "items"}, required=("name",))
         name = str(doc["name"]).strip()
         if not name:
             raise DefinitionError(f"branch {pos}: name must be non-empty")
@@ -182,16 +171,18 @@ def build_fishbone(definition: Mapping) -> FishboneTree:
             raise DefinitionError(f"duplicate branch name {name!r}")
         seen.add(name)
         causes = _parse_causes(doc.get("causes", []), 2, f"branch {name!r}")
-        item_ids = tuple(int(i) for i in doc.get("items", []))
+        item_ids = tuple(integer(i, f"branch {name!r} item") for i in
+                         array(doc.get("items", []), f"branch {name!r} items"))
         branches.append(FishboneBranch(name=name, causes=causes, item_ids=item_ids))
     return FishboneTree(effect=effect, branches=tuple(branches))
 
 
 def branch_magnitudes(
     tree: FishboneTree,
-    contributions: Sequence[Contribution],
+    contributions: Sequence[Contribution | ParetoRow],
 ) -> dict[str, float]:
-    """Tool extension: sum contribution magnitudes per annotated branch.
+    """Tool extension: sum contribution (or Pareto row) magnitudes per
+    annotated branch.
 
     Branches without an item annotation are omitted."""
     by_item = {c.item_id: c.magnitude for c in contributions}
@@ -204,14 +195,7 @@ def branch_magnitudes(
 
 def load_fishbone(path) -> FishboneTree:
     """Read and validate a fishbone JSON file."""
-    try:
-        with open(path, "rb") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DefinitionError(f"cannot read {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise DefinitionError(f"{path}: not valid JSON ({exc})") from None
-    return build_fishbone(doc)
+    return build_fishbone(read_json(path))
 
 
 def serialize_fishbone(tree: FishboneTree) -> dict:

@@ -16,6 +16,7 @@ from .errors import ComputationError, DataError, DefinitionError
 from .ingest import IMPORTANCE_COLUMNS, ResponseKind, ResponseSet
 from .instrument import DIMENSION_ORDER, SurveyInstrument
 from .psychometrics import ItemDescriptives, ReliabilityReport
+from .schema import integer, number
 
 #: Allowed drift of the importance means' sum away from 100 points.
 DEFAULT_WEIGHT_SUM_TOLERANCE = 0.25
@@ -119,16 +120,18 @@ def weights_from_means(
     The five dimensions must all be present and nonnegative, and their sum
     must lie within ``tolerance`` of 100 points.
     """
+    if not isinstance(means, Mapping):
+        raise DefinitionError("importance means must be a dimension -> points object")
+    if n_respondents is not None:
+        integer(n_respondents, "importance n_respondents", minimum=1)
     missing = set(DIMENSION_ORDER) - set(means)
     if missing:
         raise DefinitionError(f"importance means missing dimensions: {sorted(missing)}")
     unknown = set(means) - set(DIMENSION_ORDER)
     if unknown:
         raise DefinitionError(f"importance means name unknown dimensions: {sorted(unknown)}")
-    clean = {dim: float(means[dim]) for dim in DIMENSION_ORDER}
-    for dim, value in clean.items():
-        if value < 0:
-            raise DefinitionError(f"importance for {dim} must be >= 0, got {value}")
+    clean = {dim: number(means[dim], f"importance for {dim}", minimum=0)
+             for dim in DIMENSION_ORDER}
     total = sum(clean.values())
     if abs(total - 100.0) > tolerance:
         raise DefinitionError(

@@ -9,13 +9,13 @@ scripts and the regression suite; handy as a worked end-to-end example.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
 from .instrument import SurveyInstrument, build_instrument, master_catalog, select_items
 from .psychometrics import ItemDescriptives
 from .qfd import HouseOfQuality, build_hoq
 from .rootcause import FishboneTree, build_fishbone
+from .schema import parse_json
 from .servqual import ImportanceWeights, weights_from_means
 
 #: Catalog keys of the 17 items the case study retained, in survey order
@@ -120,8 +120,7 @@ def perception_descriptives() -> list[ItemDescriptives]:
 
 
 def _load_data(name: str) -> dict:
-    text = resources.files("satmetric.data").joinpath(name).read_text(encoding="utf-8")
-    return json.loads(text)
+    return parse_json(resources.files("satmetric.data").joinpath(name).read_bytes(), name)
 
 
 def load_xyz_instrument_definition() -> dict:

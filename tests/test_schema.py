@@ -1,0 +1,206 @@
+"""The input boundary: malformed outside input is rejected through
+SatmetricError at every entry point, never by another exception."""
+
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import satmetric
+from satmetric.cli import main
+from satmetric.errors import DefinitionError, SatmetricError
+from satmetric.instrument import build_instrument, load_instrument
+from satmetric.kano import resolve_multipliers
+from satmetric.qfd import build_hoq, load_hoq
+from satmetric.rootcause import build_fishbone, load_fishbone
+from satmetric.servqual import weights_from_means
+
+INSTRUMENT = {
+    "scale": {"min": 1, "max": 5, "anchor_low": "low", "anchor_high": "high"},
+    "items": [
+        {"id": i, "prompt": dim, "dimension": dim, "kano": kano, "source_key": dim}
+        for i, (dim, kano) in enumerate((("reliability", "must_be"),
+                                         ("responsiveness", "performance"),
+                                         ("assurance", "must_be"),
+                                         ("empathy", "delighter"),
+                                         ("tangibles", "indifferent")), start=1)
+    ],
+}
+HOQ = {
+    "customer_reqs": [{"id": "c1", "name": "a", "importance": 40},
+                      {"id": "c2", "importance": 60.5}],
+    "tech_reqs": [{"id": "t1", "name": "x"}, {"id": "t2"}],
+    "relationships": [[9, 3], [0, 1]],
+    "roof": [{"i": 0, "j": 1, "sign": "negative"}],
+    "benchmarks": {"us": [1, 2]},
+    "ctq_tree": ["root"],
+}
+FISHBONE = {
+    "effect": "late repairs",
+    "branches": [
+        {"name": "staff", "items": [1, 2],
+         "causes": ["training", {"text": "rota", "causes": [{"text": "leave"}]}]},
+        {"name": "parts"},
+    ],
+}
+MEANS = {"reliability": 40, "responsiveness": 20, "assurance": 20, "empathy": 10,
+         "tangibles": 10}
+LIKERT = "respondent_id,q1,q2,q3,q4,q5\n" + "".join(
+    f"r{n},{row}\n" for n, row in enumerate(
+        ("4,4,5,3,4", "3,4,4,2,3", "5,5,4,4,5", "2,3,3,2,2", "4,3,4,3,4", "3,3,2,3,3")))
+
+
+def _file(tmp_path: Path, name: str, content) -> str:
+    path = tmp_path / name
+    path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    return str(path)
+
+
+def _with(doc: dict, **changes) -> dict:
+    return {**json.loads(json.dumps(doc)), **changes}
+
+
+def _branch(**changes) -> dict:
+    return {"effect": "e", "branches": [{"name": "b", **changes}]}
+
+
+LIBRARY_ESCAPES = {
+    "instrument_not_utf8": lambda tmp: load_instrument(_file(tmp, "i.json", b"\xff{}")),
+    "hoq_not_utf8": lambda tmp: load_hoq(_file(tmp, "h.json", b"\xff{}")),
+    "fishbone_not_utf8": lambda tmp: load_fishbone(_file(tmp, "f.json", b"\xff{}")),
+    "hoq_requirement_not_object": lambda tmp: build_hoq(_with(HOQ, customer_reqs=["c1", "c2"])),
+    "hoq_importance_string": lambda tmp: build_hoq(_with(HOQ, customer_reqs=[
+        {"id": "c1", "importance": "hi"}, {"id": "c2", "importance": 1}])),
+    "hoq_importance_nan": lambda tmp: build_hoq(_with(HOQ, customer_reqs=[
+        {"id": "c1", "importance": math.nan}, {"id": "c2", "importance": 1}])),
+    "hoq_relationships_not_list": lambda tmp: build_hoq(_with(HOQ, relationships=9)),
+    "hoq_roof_not_list": lambda tmp: build_hoq(_with(HOQ, roof=9)),
+    "fishbone_items_string": lambda tmp: build_fishbone(_branch(items=["x"])),
+    "fishbone_branches_not_list": lambda tmp: build_fishbone({"effect": "e", "branches": 9}),
+    "fishbone_causes_not_list": lambda tmp: build_fishbone(_branch(causes=9)),
+    "scale_min_string": lambda tmp: build_instrument(_with(INSTRUMENT, scale={"min": "a"})),
+    "scale_min_fraction": lambda tmp: build_instrument(_with(INSTRUMENT, scale={"min": 1.5})),
+    "weights_string": lambda tmp: weights_from_means({**MEANS, "empathy": "ten"}),
+    "weights_nan": lambda tmp: weights_from_means({**MEANS, "empathy": math.nan}),
+    "multiplier_nan": lambda tmp: resolve_multipliers({"must_be": math.nan}),
+}
+
+
+def _gap(tmp_path: Path, *extra: str, weights=MEANS) -> list[str]:
+    return ["gap", "--instrument", _file(tmp_path, "i.json", INSTRUMENT),
+            "--expect", _file(tmp_path, "e.csv", LIKERT.encode()),
+            "--perceive", _file(tmp_path, "p.csv", LIKERT.encode()),
+            "--weights", _file(tmp_path, "w.json", weights),
+            "--suppress-timestamp", "--out", str(tmp_path / "out" / "r"), *extra]
+
+
+def _synth(tmp_path: Path, *targets: str) -> list[str]:
+    return ["synth", "--instrument", _file(tmp_path, "i.json", INSTRUMENT), "--n", "4",
+            *targets]
+
+
+def _report_with_bad_alpha(tmp_path: Path) -> list[str]:
+    assert main(_gap(tmp_path, "--formats", "json")) == 0
+    doc = json.loads((tmp_path / "out" / "r.report.json").read_text())
+    doc["reliability"]["expectation"]["alpha"] = "x"
+    return ["report", "--input", _file(tmp_path, "saved.json", doc),
+            "--formats", "json,csv,markdown", "--out", str(tmp_path / "re" / "r")]
+
+
+CLI_ESCAPES = {
+    "gap_nan_weights": (1, lambda tmp: _gap(
+        tmp, weights=json.dumps({**MEANS, "empathy": math.nan}).encode())),
+    "gap_nan_multiplier": (1, lambda tmp: _gap(tmp, "--kano-multipliers", "must_be=nan")),
+    "gap_nan_alpha_threshold": (2, lambda tmp: _gap(tmp, "--alpha-threshold", "nan")),
+    "gap_inf_pareto_threshold": (2, lambda tmp: _gap(tmp, "--pareto-threshold", "inf")),
+    "synth_nan_means": (1, lambda tmp: _synth(tmp, "--means", "4,4,nan,4,4")),
+    "synth_string_targets": (1, lambda tmp: _synth(
+        tmp, "--targets", _file(tmp, "t.json", ["a", 4, 4, 4, 4]))),
+    "report_string_alpha": (1, _report_with_bad_alpha),
+}
+
+
+@pytest.mark.parametrize("case", [*LIBRARY_ESCAPES, *CLI_ESCAPES])
+def test_malformed_input_is_rejected_through_satmetric_error(case, tmp_path, capsys):
+    if case in LIBRARY_ESCAPES:
+        with pytest.raises(DefinitionError):
+            LIBRARY_ESCAPES[case](tmp_path)
+        return
+    code, build_argv = CLI_ESCAPES[case]
+    argv = build_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+    if case == "report_string_alpha":  # rendering fails before any file is written
+        assert not (tmp_path / "re").exists()
+
+
+def test_valid_documents_still_build():
+    assert build_instrument(INSTRUMENT).n_items == 5
+    assert [t.rank for t in build_hoq(HOQ).importances] == [1, 2]
+    assert build_fishbone(FISHBONE).branches[0].item_ids == (1, 2)
+    assert weights_from_means(MEANS, n_respondents=3).sum_of_means == 100.0
+
+
+def _paths(doc, path=()):
+    """Every position in a JSON document, the whole document included."""
+    yield path
+    children = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+BUILDERS = {
+    "instrument": (build_instrument, INSTRUMENT),
+    "hoq": (build_hoq, HOQ),
+    "fishbone": (build_fishbone, FISHBONE),
+    "weights": (weights_from_means, MEANS),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), value=JSON_VALUES)
+def test_structural_fuzz_only_satmetric_errors_escape(name, data, value):
+    build, valid = BUILDERS[name]
+    path = data.draw(st.sampled_from(list(_paths(valid))), label="path")
+    try:
+        build(_replace(valid, path, value))
+    except SatmetricError:
+        pass
+    if name == "weights":
+        try:
+            weights_from_means(MEANS, n_respondents=value)
+        except SatmetricError:
+            pass
+
+
+def test_json_is_decoded_only_in_schema_module():
+    package = Path(satmetric.__file__).parent
+    decoders = [path.name for path in sorted(package.glob("*.py"))
+                if re.search(r"\bjson\.loads?\(|from json import", path.read_text())]
+    assert decoders == ["schema.py"]
