@@ -9,10 +9,11 @@ fully configurable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import DefinitionError
+from .errors import ComputationError, DefinitionError
 from .instrument import KanoCategory, SurveyInstrument
 from .schema import number
 from .servqual import ImportanceWeights, ItemGap
@@ -89,7 +90,11 @@ def prioritize(
             continue
         raw = -gap * weights[item.dimension] if gap < 0 else 0.0
         multiplier = table[item.kano]
-        entries.append((raw * multiplier, item.id, item.kano, raw, multiplier))
+        score = raw * multiplier
+        if not math.isfinite(score):
+            raise ComputationError(f"item {item.id}: priority score {raw!r} x {multiplier!r} "
+                                   "overflows")
+        entries.append((score, item.id, item.kano, raw, multiplier))
     entries.sort(key=lambda e: (-e[0], e[1]))
     return [
         KanoPriority(

@@ -106,6 +106,14 @@ def item_descriptives(
     return out
 
 
+def _alpha(k: int, item_var_sum: float, total_var: float) -> float | None:
+    """Alpha of k items from the sum of their sample variances and the sample
+    variance of their total; None when that total variance is zero."""
+    if total_var == 0.0:
+        return None
+    return (k / (k - 1)) * (1.0 - item_var_sum / total_var)
+
+
 def cronbach_alpha(matrix) -> float:
     """Cronbach's alpha: (k/(k-1)) * (1 - sum of item variances / variance
     of the total score), sample-variance convention throughout.
@@ -119,11 +127,10 @@ def cronbach_alpha(matrix) -> float:
         raise ComputationError(f"alpha requires at least 2 items, got {k}")
     if n < 2:
         raise ComputationError(f"alpha requires at least 2 respondents, got {n}")
-    item_var_sum = float(m.var(axis=0, ddof=1).sum())
-    total_var = float(m.sum(axis=1).var(ddof=1))
-    if total_var == 0.0:
+    alpha = _alpha(k, float(m.var(axis=0, ddof=1).sum()), float(m.sum(axis=1).var(ddof=1)))
+    if alpha is None:
         raise ComputationError("total-score variance is zero; alpha is undefined")
-    return (k / (k - 1)) * (1.0 - item_var_sum / total_var)
+    return alpha
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
@@ -135,8 +142,12 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
     return min(1.0, max(-1.0, float(cov / (sx * sy))))
 
 
+def _centered_ss(y: np.ndarray) -> float:
+    return float(((y - y.mean()) ** 2).sum())
+
+
 def _squared_multiple_corr(y: np.ndarray, others: np.ndarray) -> float | None:
-    ss_tot = float(((y - y.mean()) ** 2).sum())
+    ss_tot = _centered_ss(y)
     if ss_tot == 0.0:
         return None
     design = np.column_stack([np.ones(len(y)), others])
@@ -149,41 +160,89 @@ def _squared_multiple_corr(y: np.ndarray, others: np.ndarray) -> float | None:
     return min(1.0, max(0.0, r2))
 
 
-def omitted_item_stats(matrix, item_ids: Sequence[int] | None = None) -> list[OmittedItemStats]:
-    """Per-item omitted diagnostics over an N x k matrix (k >= 3).
+#: Smallest ratio of the least to the largest eigenvalue of the item
+#: correlation matrix R for which SMC is read off R's inverse; at or below it
+#: R counts as rank-deficient and each item is regressed on the others.  On
+#: near-collinear matrices the two routes differed by about 2e-17 / ratio, so
+#: at 1e-6 they agree to ~2e-11, well inside the 1e-9 the tests hold them to.
+_SMC_MIN_RCOND = 1e-6
 
-    For each item: mean and sample stdev of the adjusted total (row sums
-    excluding the item), item/adjusted-total correlation, squared multiple
-    correlation from regressing the item on the others, and alpha computed
-    with the item's column removed.
+
+def _squared_multiple_corrs(m: np.ndarray) -> list[float | None] | None:
+    """SMC of every item from one correlation matrix R over the non-constant
+    items: ``1 - 1/(R^-1)_ii``, clipped to [0, 1]; constant items get None.
+    Returns None (no answer) when fewer than two items vary or R is not
+    finite or is rank-deficient."""
+    varying = [i for i in range(m.shape[1]) if _centered_ss(m[:, i]) != 0.0]
+    if len(varying) < 2:
+        return None
+    with np.errstate(all="ignore"):  # overflow shows up as a non-finite R
+        x = m[:, varying]  # a copy: fancy indexing
+        x -= x.mean(axis=0)
+        cross = x.T @ x
+        scale = np.sqrt(np.diag(cross))
+        corr = cross / np.outer(scale, scale)
+    if not np.isfinite(corr).all():
+        return None
+    try:
+        eigvals, eigvecs = np.linalg.eigh(corr)
+    except np.linalg.LinAlgError:
+        return None
+    if not eigvals[0] > _SMC_MIN_RCOND * eigvals[-1]:
+        return None
+    inverse_diag = (eigvecs ** 2) @ (1.0 / eigvals)
+    smc: list[float | None] = [None] * m.shape[1]
+    for i, r2 in zip(varying, np.clip(1.0 - 1.0 / inverse_diag, 0.0, 1.0)):
+        smc[i] = float(r2)
+    return smc
+
+
+def omitted_item_stats(matrix, item_ids: Sequence[int] | None = None) -> list[OmittedItemStats]:
+    """Per-item omitted diagnostics over an N x k matrix (k >= 3, N >= 2).
+
+    With row totals T and the item's column x_i, the adjusted total is
+    A_i = T - x_i.  Each item reports mean(A_i), its sample stdev, the
+    Pearson correlation of x_i with A_i, alpha-if-deleted
+    ((k-1)/(k-2)) * (1 - (sum of the other items' sample variances) /
+    var(A_i)), and the squared multiple correlation of x_i on the other
+    items, SMC_i = 1 - 1/(R^-1)_ii, R the correlation matrix of the
+    non-constant items (Guttman); a constant item's SMC is None.  Row
+    totals, item variances and R are computed once, so the cost is
+    O(N*k^2 + k^3) where a per-item regression would cost O(N*k^3).  When
+    fewer than two items vary, or R is not finite or is rank-deficient
+    (least/largest eigenvalue <= 1e-6: N <= k, duplicated items, an item
+    that is a linear combination of others), SMC is instead the R-squared
+    of a least-squares regression of each item on all the other items.
     """
     m = _as_matrix(matrix)
     n, k = m.shape
     if k < 3:
         raise ComputationError(f"omitted-item statistics require at least 3 items, got {k}")
+    if n < 2:
+        raise ComputationError(f"omitted-item statistics require at least 2 respondents, got {n}")
     if item_ids is None:
         ids = list(range(1, k + 1))
     else:
         ids = list(item_ids)
         if len(ids) != k:
             raise ComputationError("item_ids length must match the column count")
+    total = m.sum(axis=1)
+    item_vars = m.var(axis=0, ddof=1)
+    smc = _squared_multiple_corrs(m)
     out: list[OmittedItemStats] = []
     for i in range(k):
         item = m[:, i]
-        others = np.delete(m, i, axis=1)
-        adj_total = others.sum(axis=1)
-        try:
-            alpha_del = cronbach_alpha(others)
-        except ComputationError:
-            alpha_del = None
+        adj_total = total - item
         out.append(
             OmittedItemStats(
                 item_id=ids[i],
                 adj_total_mean=float(adj_total.mean()),
                 adj_total_stdev=float(adj_total.std(ddof=1)),
                 item_adj_total_corr=_pearson(item, adj_total),
-                squared_multiple_corr=_squared_multiple_corr(item, others),
-                alpha_if_deleted=alpha_del,
+                squared_multiple_corr=smc[i] if smc is not None
+                else _squared_multiple_corr(item, np.delete(m, i, axis=1)),
+                alpha_if_deleted=_alpha(k - 1, float(np.delete(item_vars, i).sum()),
+                                        float(adj_total.var(ddof=1))),
             )
         )
     return out

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DefinitionError
+from .errors import ComputationError, DefinitionError
 from .schema import array, document, fields, integer, number, read_json
 
 STRENGTH_VALUES = (0, 1, 3, 9)
@@ -80,8 +80,12 @@ def _compute_importances(
 ) -> tuple[tuple[TechnicalImportance, ...], bool]:
     importance = np.array([cr.importance for cr in customer_reqs], dtype=float)
     # per-column reduction, so each weight is independent of its neighbors
-    absolute = (importance[:, None] * relationships).sum(axis=0)
-    total = float(absolute.sum())
+    with np.errstate(over="ignore"):
+        absolute = (importance[:, None] * relationships).sum(axis=0)
+        total = float(absolute.sum())
+    if not np.isfinite(total):
+        raise ComputationError("technical-importance weights overflow: the importance-"
+                               "weighted relationship sums exceed the float range")
     degenerate = total == 0.0
     if degenerate:
         relative = np.zeros_like(absolute)

@@ -28,7 +28,8 @@ from .psychometrics import ItemDescriptives, OmittedItemStats, ReliabilityReport
 from .qfd import HouseOfQuality, build_hoq, serialize_hoq
 from .rootcause import FishboneTree, ParetoRow, ParetoTable, branch_magnitudes, \
     build_fishbone, serialize_fishbone
-from .schema import integer, number, parse_json
+from .schema import array, fields as check_fields, integer, mapping, number, parse_json, \
+    string
 from .servqual import (
     DimensionScore,
     GapReport,
@@ -231,17 +232,38 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
-_NUMERIC_CHECKS = {"float": number, "int": integer}
+_FIELD_CHECKS = {"float": number, "int": integer, "str": string}
 
 
 def _build(cls, doc: Mapping, **built):
     """``cls(**doc, **built)`` after checking each field of ``doc`` whose (string)
-    annotation is ``float`` or ``int``; ``X | None`` fields may hold None."""
+    annotation is ``float``, ``int`` or ``str``; ``X | None`` fields may hold None."""
     for f in fields(cls):
         base, _, optional = f.type.partition(" | ")
-        if base in _NUMERIC_CHECKS and f.name in doc and not (optional and doc[f.name] is None):
-            _NUMERIC_CHECKS[base](doc[f.name], f"report {cls.__name__}.{f.name}")
+        if base in _FIELD_CHECKS and f.name in doc and not (optional and doc[f.name] is None):
+            _FIELD_CHECKS[base](doc[f.name], f"report {cls.__name__}.{f.name}")
     return cls(**{**doc, **built})
+
+
+def _numbers(doc, context: str) -> Mapping:
+    """A name -> finite number object, returned as given."""
+    for key, value in mapping(doc, context).items():
+        number(value, f"{context}[{key!r}]")
+    return doc
+
+
+def _metadata(meta) -> dict:
+    """The metadata block, checked to the shape ``assemble`` writes."""
+    check_fields(meta, "report metadata",
+                 {"tool", "generated_at", "instrument", "respondents", "config"}, ("tool",))
+    check_fields(meta["tool"], "report metadata.tool", {"name", "version"}, ("name", "version"))
+    check_fields(meta.get("respondents", {}), "report metadata.respondents",
+                 {"expectation", "perception", "importance"})
+    if meta.get("instrument"):
+        check_fields(meta["instrument"], "report metadata.instrument",
+                     {"fingerprint", "n_items", "dimension_order", "items_per_dimension"},
+                     ("fingerprint", "n_items"))
+    return dict(meta)
 
 
 def report_from_dict(doc: Mapping) -> AnalysisReport:
@@ -251,19 +273,32 @@ def report_from_dict(doc: Mapping) -> AnalysisReport:
         return tuple(_build(cls, d) for d in docs) if docs is not None else None
 
     def reliability(d):
-        return _build(ReliabilityReport, d, omitted=rows(OmittedItemStats, d["omitted"])) \
+        return _build(ReliabilityReport, d, omitted=rows(
+            OmittedItemStats, array(d["omitted"], "report reliability omitted"))) \
             if d is not None else None
 
     ga = doc["gap_analysis"]
     overall = ga["overall"]
+    item_gaps = tuple(_build(ItemGap, {k: v for k, v in g.items() if k != "classification"})
+                      for g in ga["items"])
+    gap_ids = {g.item_id for g in item_gaps}
+
+    def item_ids(d):
+        ids = tuple(integer(i, "report DimensionScore.item_ids entry")
+                    for i in array(d["item_ids"], "report DimensionScore.item_ids"))
+        unknown = [i for i in ids if i not in gap_ids]
+        if unknown:
+            raise DefinitionError(f"report dimension {d.get('dimension')!r} lists items "
+                                  f"{unknown} that have no gap row")
+        return ids
+
     gap_report = _build(
         GapReport,
         {"overall_weighted_sum": overall["weighted_sum"],
          "overall_weighted_mean": overall["weighted_mean"],
          "unweighted_mean_of_dimensions": overall["unweighted_mean_of_dimensions"]},
-        item_gaps=tuple(_build(ItemGap, {k: v for k, v in g.items() if k != "classification"})
-                        for g in ga["items"]),
-        dimension_scores=tuple(_build(DimensionScore, d, item_ids=tuple(d["item_ids"]))
+        item_gaps=item_gaps,
+        dimension_scores=tuple(_build(DimensionScore, d, item_ids=item_ids(d))
                                for d in ga["dimensions"]),
         reliability_expectation=reliability(doc["reliability"]["expectation"]),
         reliability_perception=reliability(doc["reliability"]["perception"]),
@@ -271,21 +306,25 @@ def report_from_dict(doc: Mapping) -> AnalysisReport:
     descriptives = doc["descriptives"]
     weights, kano, pareto_doc = doc.get("importance_weights"), doc.get("kano"), doc.get("pareto")
     hoq, fishbone = doc.get("hoq"), doc.get("fishbone")
+    magnitudes = doc.get("fishbone_branch_magnitudes")
+    labels = mapping(doc.get("item_labels", {}), "report item_labels")
     return AnalysisReport(
-        metadata=dict(doc["metadata"]),
+        metadata=_metadata(doc["metadata"]),
         gap_report=gap_report,
         expectation_descriptives=rows(ItemDescriptives, descriptives["expectation"]),
         perception_descriptives=rows(ItemDescriptives, descriptives["perception"]),
-        importance_weights=_build(ImportanceWeights, weights) if weights else None,
+        importance_weights=_build(ImportanceWeights, weights, means=_numbers(
+            weights["means"], "report importance_weights.means")) if weights else None,
         kano_priorities=tuple(_build(KanoPriority, k, category=KanoCategory(k["category"]))
                               for k in kano) if kano else None,
-        pareto=_build(ParetoTable, pareto_doc, rows=rows(ParetoRow, pareto_doc["rows"]))
-        if pareto_doc else None,
+        pareto=_build(ParetoTable, pareto_doc, rows=rows(
+            ParetoRow, array(pareto_doc["rows"], "report pareto rows"))) if pareto_doc else None,
         hoq=build_hoq({k: v for k, v in hoq.items() if k != "computed"}) if hoq else None,
         fishbone=build_fishbone(fishbone) if fishbone else None,
-        branch_magnitudes=doc.get("fishbone_branch_magnitudes"),
-        item_labels={int(k): v for k, v in doc.get("item_labels", {}).items()},
-        warnings=tuple(ReportWarning(**w) for w in doc.get("warnings", [])),
+        branch_magnitudes=_numbers(magnitudes, "report fishbone_branch_magnitudes")
+        if magnitudes is not None else None,
+        item_labels={int(k): string(v, f"report item_labels[{k!r}]") for k, v in labels.items()},
+        warnings=tuple(_build(ReportWarning, w) for w in doc.get("warnings", [])),
     )
 
 

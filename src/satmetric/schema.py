@@ -70,6 +70,18 @@ def array(value, context: str) -> list | tuple:
     return value
 
 
+def string(value, context: str) -> str:
+    if not isinstance(value, str):
+        raise DefinitionError(f"{context} must be a string, got {value!r}")
+    return value
+
+
+def mapping(value, context: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise DefinitionError(f"{context} must be an object")
+    return value
+
+
 def number(value, context: str, minimum: float | None = None) -> float:
     """``value`` as a float: a finite real number, not a bool."""
     if isinstance(value, bool) or not isinstance(value, Real) \

@@ -3,10 +3,17 @@ reference values (9-digit decimals as printed in the source tables)."""
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from satmetric import xyz
+from satmetric.errors import ComputationError
 from satmetric.instrument import SurveyInstrument
+from satmetric.psychometrics import OmittedItemStats, _pearson, _squared_multiple_corr, \
+    cronbach_alpha
 
 # Published per-item means (17 items, N = 81).
 REFERENCE_EXPECTATION_MEANS = [
@@ -37,6 +44,60 @@ REFERENCE_DIMENSION_SCORES = {
 }
 REFERENCE_WEIGHTED_SUM = -25.25148048
 REFERENCE_UNWEIGHTED_MEAN = -0.237613169
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def replace_at(doc, path, value):
+    """A copy of JSON document ``doc`` with the position ``path`` (a tuple of
+    keys and indices) set to ``value``."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def alpha_covariance_oracle(matrix: np.ndarray) -> float:
+    """Independent route: alpha from the sample covariance matrix."""
+    k = matrix.shape[1]
+    cov = np.cov(matrix, rowvar=False)
+    return (k / (k - 1)) * (1.0 - np.trace(cov) / cov.sum())
+
+
+def omitted_item_stats_oracle(matrix: np.ndarray) -> list[OmittedItemStats]:
+    """Reference route for omitted_item_stats: per item, copy the matrix
+    without its column, then take the adjusted total as that copy's row
+    sums, alpha-if-deleted from cronbach_alpha and SMC from a least-squares
+    fit of the item on the copy."""
+    m = np.asarray(matrix, dtype=float)
+    out = []
+    for i in range(m.shape[1]):
+        item = m[:, i]
+        others = np.delete(m, i, axis=1)
+        adj_total = others.sum(axis=1)
+        try:
+            alpha_del = cronbach_alpha(others)
+        except ComputationError:
+            alpha_del = None
+        out.append(OmittedItemStats(
+            item_id=i + 1,
+            adj_total_mean=float(adj_total.mean()),
+            adj_total_stdev=float(adj_total.std(ddof=1)),
+            item_adj_total_corr=_pearson(item, adj_total),
+            squared_multiple_corr=_squared_multiple_corr(item, others),
+            alpha_if_deleted=alpha_del,
+        ))
+    return out
 
 
 @pytest.fixture(scope="session")

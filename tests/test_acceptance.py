@@ -13,6 +13,7 @@ from conftest import (
     REFERENCE_DIMENSION_SCORES,
     REFERENCE_GAPS,
     REFERENCE_WEIGHTED_SUM,
+    alpha_covariance_oracle,
 )
 from satmetric.cli import main
 from satmetric.ingest import ResponseKind, parse_response_file, validate_importance_row
@@ -27,7 +28,7 @@ from satmetric.servqual import ItemGap, compute_gap_report, dimension_scores, it
     weights_from_means
 from satmetric import xyz
 
-from test_psychometrics import alpha_covariance_oracle, make_response_set, tiny_instrument
+from test_psychometrics import make_response_set, tiny_instrument
 
 
 def finish(num: int, name: str, failures: list[str], started: float, budget: float) -> None:

@@ -236,6 +236,26 @@ class TestGapPipeline:
         report = json.loads((xyz_dir / "km" / "xyz.report.json").read_text())
         assert report["metadata"]["config"]["kano_multipliers"]["must_be"] == 2.0
 
+    @pytest.mark.parametrize("case", ["kano_multiplier", "hoq_importance"])
+    def test_overflowing_finite_input_is_1(self, xyz_dir, capsys, case):
+        # each input is finite, but the priority score or the HoQ weight sum is not
+        extra = ["--kano-multipliers", "must_be=1e308"]
+        if case == "hoq_importance":
+            hoq = serialize_hoq(xyz.load_xyz_hoq())
+            hoq["customer_reqs"][0]["importance"] = 1e308
+            (xyz_dir / "hoq.json").write_text(json.dumps(hoq))
+            extra = ["--hoq", str(xyz_dir / "hoq.json")]
+        rc = main(["gap", "--instrument", str(xyz_dir / "xyz.json"),
+                   "--expect", str(xyz_dir / "e.csv"),
+                   "--perceive", str(xyz_dir / "p.csv"),
+                   "--weights", str(xyz_dir / "weights.json"),
+                   *extra, "--out", str(xyz_dir / "overflow" / "xyz")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflow" in err
+        assert "Traceback" not in err
+        assert not (xyz_dir / "overflow").exists()
+
 
 class TestQfdCommand:
     def test_weights_to_stdout(self, tmp_path, capsys):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from conftest import alpha_covariance_oracle, omitted_item_stats_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from satmetric import psychometrics
 
 from satmetric.errors import ComputationError
 from satmetric.ingest import ResponseKind, ResponseSet, generate_synthetic
@@ -21,13 +25,6 @@ from satmetric.psychometrics import (
 ORACLE_MATRIX = np.array([(1, 2, 3), (2, 4, 5), (3, 3, 4), (4, 5, 5)], dtype=float)
 ORACLE_ALPHA = 120 / 131
 ORACLE_ALPHA_WITHOUT_LAST = 8 / 9  # columns 1-2: 2 * (1 - (10/3)/6)
-
-
-def alpha_covariance_oracle(matrix: np.ndarray) -> float:
-    """Independent route: alpha from the sample covariance matrix."""
-    k = matrix.shape[1]
-    cov = np.cov(matrix, rowvar=False)
-    return (k / (k - 1)) * (1.0 - np.trace(cov) / cov.sum())
 
 
 def make_response_set(matrix, kind=ResponseKind.EXPECTATION):
@@ -171,6 +168,10 @@ class TestOmittedItemStats:
         with pytest.raises(ComputationError, match="at least 3 items"):
             omitted_item_stats(ORACLE_MATRIX[:, :2])
 
+    def test_fewer_than_two_respondents_rejected(self):
+        with pytest.raises(ComputationError, match="at least 2 respondents"):
+            omitted_item_stats(ORACLE_MATRIX[:1])
+
     def test_item_ids_are_carried_through(self):
         stats = omitted_item_stats(ORACLE_MATRIX, item_ids=[10, 20, 30])
         assert [s.item_id for s in stats] == [10, 20, 30]
@@ -216,3 +217,92 @@ def test_descriptives_recover_synthetic_targets():
     rs = generate_synthetic(targets, 81, LikertScale(), seed=4)
     descriptives = item_descriptives(rs, tiny_instrument(3))
     assert [d.mean for d in descriptives] == targets
+
+
+SHAPES = st.tuples(st.integers(2, 12), st.integers(3, 8))
+LIKERT_MATRICES = arrays(np.int64, SHAPES, elements=st.integers(1, 5)).map(
+    lambda a: a.astype(float))
+# half-precision values, from 2**-24 to 65504 and of both signs: every row sum
+# is exact in float64, so an adjusted total is the same number however it is
+# summed, and an exactly constant one is constant on both routes
+HALF_FLOAT_MATRICES = arrays(np.float16, SHAPES, elements=st.floats(
+    width=16, allow_nan=False, allow_infinity=False)).map(lambda a: a.astype(float))
+
+
+def _normal_matrix(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(2, 40)), int(rng.integers(3, 12))
+    return rng.normal(size=(n, k)) * rng.uniform(0.1, 10, k) + rng.uniform(-10, 10, k)
+
+
+def _duplicate(m):
+    return np.column_stack([m, m[:, 0]])
+
+
+def _constant(m):
+    return np.column_stack([m, np.full(len(m), 3.0)])
+
+
+def _one_varying(m):
+    return np.column_stack([m[:, :1], np.full((len(m), 2), 4.0)])
+
+
+def _sum_of_others(m):
+    return np.column_stack([m, m[:, 0] + m[:, 1]])
+
+
+OMITTED_CASES = {
+    "likert": (LIKERT_MATRICES, True),
+    "float": (st.integers(0, 2**32 - 1).map(_normal_matrix), False),
+    "half_float": (HALF_FLOAT_MATRICES, False),
+    "n_le_k": (LIKERT_MATRICES.map(lambda m: m[:m.shape[1]]), True),
+    "duplicate_column": (LIKERT_MATRICES.map(_duplicate), True),
+    "constant_column": (LIKERT_MATRICES.map(_constant), True),
+    "one_varying_item": (LIKERT_MATRICES.map(_one_varying), True),
+    "item_is_sum_of_others": (LIKERT_MATRICES.map(_sum_of_others), True),
+}
+
+
+@pytest.mark.parametrize("case", OMITTED_CASES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_omitted_item_stats_matches_per_item_oracle(case, data):
+    """The closed form against the per-item loop it replaces: the same None
+    pattern; SMC to the regression tolerance; the other fields exactly on
+    integer matrices, to 1e-12 relative on float matrices."""
+    strategy, exact = OMITTED_CASES[case]
+    matrix = data.draw(strategy, label="matrix")
+    for got, want in zip(omitted_item_stats(matrix), omitted_item_stats_oracle(matrix),
+                         strict=True):
+        for name in ("adj_total_mean", "adj_total_stdev", "item_adj_total_corr",
+                     "squared_multiple_corr", "alpha_if_deleted"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), name
+            if a is None:
+                continue
+            if name == "squared_multiple_corr":
+                assert a == pytest.approx(b, abs=1e-9), name
+            elif exact:
+                assert a == b, name
+            else:
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-12), name
+
+
+def test_full_rank_matrix_needs_no_per_item_alpha_or_regression(monkeypatch):
+    calls = {"cronbach_alpha": 0, "lstsq": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(psychometrics, "cronbach_alpha",
+                        counted("cronbach_alpha", psychometrics.cronbach_alpha))
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+    full_rank = np.random.default_rng(7).integers(1, 6, size=(200, 40)).astype(float)
+    omitted_item_stats(full_rank)
+    assert calls == {"cronbach_alpha": 0, "lstsq": 0}
+    # a duplicated item makes the correlation matrix singular: per-item regressions
+    omitted_item_stats(np.column_stack([full_rank, full_rank[:, 0]]))
+    assert calls == {"cronbach_alpha": 0, "lstsq": 41}

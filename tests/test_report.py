@@ -1,12 +1,20 @@
 import json
 
+import numpy as np
 import pytest
+from conftest import JSON_VALUES, replace_at
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from satmetric.errors import DefinitionError
+from satmetric.cli import main
+from satmetric.errors import DefinitionError, SatmetricError
 from satmetric.ingest import RowError, ValidationReport
 from satmetric.kano import prioritize
 from satmetric.psychometrics import OmittedItemStats, ReliabilityReport
+from satmetric.instrument import serialize_instrument
+from satmetric.qfd import serialize_hoq
 from satmetric.report import (
+    FORMATS,
     WARN_IMPORTANCE_DRIFT,
     WARN_RELIABILITY_GATE,
     WARN_ROWS_REJECTED,
@@ -16,7 +24,7 @@ from satmetric.report import (
     report_to_dict,
     write_report,
 )
-from satmetric.rootcause import dissatisfaction_contributions, pareto
+from satmetric.rootcause import dissatisfaction_contributions, pareto, serialize_fishbone
 from satmetric.servqual import compute_gap_report, item_gaps
 from satmetric import xyz
 
@@ -223,3 +231,78 @@ class TestDeterminism:
         assert "xyz.report.md" in names
         assert any(n.startswith("xyz.tables/") for n in names)
         assert any(n.startswith("xyz.charts/") for n in names)
+
+
+def _json_file(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def saved_reports(tmp_path_factory) -> dict[str, tuple[dict, list[tuple]]]:
+    """Report JSON, with the position of every leaf in it, of the demo-07 run
+    (published means, weights file, HoQ, fishbone) and of an importance-CSV
+    run with a rejected row per file and a zero-variance item."""
+    work = tmp_path_factory.mktemp("saved")
+    instrument = _json_file(work / "xyz.json", serialize_instrument(xyz.xyz_instrument()))
+    for name, kind, targets, seed in (("e.csv", "expectation", xyz.expectation_means(), 1),
+                                      ("p.csv", "perception", xyz.perception_means(), 2)):
+        assert main(["synth", "--instrument", instrument, "--n", "81", "--seed", str(seed),
+                     "--targets", _json_file(work / f"{name}.json", targets),
+                     "--kind", kind, "--out", str(work / name)]) == 0
+    rng = np.random.default_rng(5)
+    header = "respondent_id," + ",".join(f"q{i}" for i in range(1, 18))
+    for name in ("ze.csv", "zp.csv"):
+        values = rng.integers(1, 6, size=(30, 17))
+        values[:, 3] = 4
+        rows = [f"r{i}," + ",".join(map(str, row)) for i, row in enumerate(values)]
+        (work / name).write_text("\n".join([header, *rows, "bad," + ",".join(["9"] * 17)]) + "\n")
+    (work / "zi.csv").write_text(
+        "respondent_id,tangibles,reliability,responsiveness,assurance,empathy\n"
+        "r1,10,40,25,15,10\nr2,20,30,20,15,15\nr3,10,10,10,10,10\n")
+    runs = {
+        "demo07": ["--expect", str(work / "e.csv"), "--perceive", str(work / "p.csv"),
+                   "--weights", _json_file(work / "weights.json", {
+                       "means": xyz.importance_means(), "n_respondents": xyz.N_IMPORTANCE}),
+                   "--hoq", _json_file(work / "hoq.json", serialize_hoq(xyz.load_xyz_hoq())),
+                   "--fishbone", _json_file(work / "fishbone.json",
+                                            serialize_fishbone(xyz.load_xyz_fishbone()))],
+        "importance_csv": ["--expect", str(work / "ze.csv"), "--perceive", str(work / "zp.csv"),
+                           "--importance", str(work / "zi.csv")],
+    }
+    saved = {}
+    for name, inputs in runs.items():
+        assert main(["gap", "--instrument", instrument, *inputs, "--suppress-timestamp",
+                     "--formats", "json", "--out", str(work / name)]) == 0
+        doc = json.loads((work / f"{name}.report.json").read_text())
+        saved[name] = (doc, list(_leaves(doc)))
+    return saved
+
+
+def _leaves(doc, path=()):
+    """Positions of the scalars and empty containers of a JSON document."""
+    children = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    if not children:
+        yield path
+    for key, child in children:
+        yield from _leaves(child, path + (key,))
+
+
+@pytest.mark.parametrize("name", ["demo07", "importance_csv"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), value=JSON_VALUES)
+def test_leaf_mutation_fuzz_only_satmetric_errors_escape(saved_reports, name, data, value):
+    """Any leaf of a saved report set to any JSON value: parsing and every
+    emit either succeed or raise SatmetricError."""
+    doc, leaves = saved_reports[name]
+    path = data.draw(st.sampled_from(leaves), label="path")
+    try:
+        report = parse_report(json.dumps(replace_at(doc, path, value)))
+    except SatmetricError:
+        return
+    for fmt in FORMATS:
+        try:
+            emit(report, fmt)
+        except SatmetricError:
+            pass

@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import pytest
+from conftest import JSON_VALUES, replace_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,23 +158,6 @@ def _paths(doc, path=()):
         yield from _paths(child, path + (key,))
 
 
-def _replace(doc, path, value):
-    if not path:
-        return value
-    doc = json.loads(json.dumps(doc))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    return doc
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=6), children, max_size=3),
-    max_leaves=8,
-)
 BUILDERS = {
     "instrument": (build_instrument, INSTRUMENT),
     "hoq": (build_hoq, HOQ),
@@ -189,7 +173,7 @@ def test_structural_fuzz_only_satmetric_errors_escape(name, data, value):
     build, valid = BUILDERS[name]
     path = data.draw(st.sampled_from(list(_paths(valid))), label="path")
     try:
-        build(_replace(valid, path, value))
+        build(replace_at(valid, path, value))
     except SatmetricError:
         pass
     if name == "weights":
