@@ -1,7 +1,7 @@
 """Response-file ingestion and synthetic response generation.
 
-Three CSV schemas are accepted, all UTF-8 with a header row and plain
-integer cells:
+Three CSV schemas are accepted, all UTF-8 (a leading byte-order mark is
+skipped) with a header row and plain integer cells:
 
 * expectation / perception: ``respondent_id,q1,...,qk`` (k = item count)
 * importance:  ``respondent_id,tangibles,reliability,responsiveness,assurance,empathy``
@@ -10,10 +10,15 @@ integer cells:
 Parsing is a pure function of the file bytes; the returned ResponseSet is
 immutable.  Rows that violate the schema are either dropped (listwise,
 with a row-level diagnostic) or abort the parse, per MissingPolicy.
+
+A canonical file (unquoted ASCII, plain digit cells, every row valid) is
+read in bulk with numpy; every other file goes through the row-by-row
+parser, which yields the same result and the row diagnostics.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -103,10 +108,10 @@ class ResponseSet:
         if self.kind is ResponseKind.IMPORTANCE:
             if values.shape[1] != len(IMPORTANCE_COLUMNS):
                 raise DataError("importance matrix must have exactly 5 columns")
-            for idx, row in enumerate(values, start=1):
-                violation = validate_importance_row([int(v) for v in row])
-                if violation is not None:
-                    raise DataError(f"importance row {idx} violates {violation}")
+            bad = np.flatnonzero(_invalid_allocations(values))
+            if bad.size:
+                violation = validate_importance_row([int(v) for v in values[bad[0]]])
+                raise DataError(f"importance row {bad[0] + 1} violates {violation}")
 
     @property
     def n_respondents(self) -> int:
@@ -134,6 +139,13 @@ def validate_importance_row(row: Sequence[int]) -> str | None:
         if value % IMPORTANCE_STEP != 0:
             return "not_multiple_of_five"
     return None
+
+
+def _invalid_allocations(values: np.ndarray) -> np.ndarray:
+    """Row mask of an N x 5 integer matrix: True where
+    validate_importance_row would report a violation."""
+    out_of_step = (values < 0) | (values > IMPORTANCE_TOTAL) | (values % IMPORTANCE_STEP != 0)
+    return out_of_step.any(axis=1) | (values.sum(axis=1) != IMPORTANCE_TOTAL)
 
 
 def _expected_header(instrument: SurveyInstrument, kind: ResponseKind) -> list[str]:
@@ -164,11 +176,90 @@ def parse_response_file(
 
     Returns the set built from accepted rows plus a report enumerating every
     rejection.  Raises DataError on malformed CSV, header mismatch, zero
-    accepted rows, or (with policy=fail) the first bad row.
+    accepted rows, or (with policy=fail) the first bad row.  The result,
+    and any error, equals that of parse_response_rows.
     """
     if isinstance(data, bytes):
+        parsed = _parse_canonical(data, instrument, kind)
+        if parsed is not None:
+            return parsed
+    return parse_response_rows(data, instrument, kind, policy)
+
+
+#: A canonical data line: a respondent id of printable ASCII other than
+#: space, comma and double quote, then k cells of 1 to 18 digits (an int64
+#: holds every 18-digit number).  Neither part can match a comma or a
+#: newline, so a failed match backtracks at most the length of its line.
+_CANONICAL_ROW = r"[!#-+\--~]+(?:,[0-9]{1,18}){%d}"
+
+
+def _parse_canonical(
+    data: bytes, instrument: SurveyInstrument, kind: ResponseKind,
+) -> tuple[ResponseSet, ValidationReport] | None:
+    """Bulk route for a canonical file, else None.
+
+    Canonical: ASCII after an optional byte-order mark, no double quote,
+    ``\n`` or ``\r\n`` line ends, at most one trailing newline, a header
+    equal to the expected one after stripping each cell, then one or more
+    ``id,digits,...,digits`` lines whose values all pass validation.  Each
+    test stops at the first byte or line that fails it.
+    """
+    data = data.removeprefix(codecs.BOM_UTF8)
+    if b'"' in data or not data.isascii():
+        return None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" in data:
+            return None
+    head, _, body = data.partition(b"\n")
+    expected = _expected_header(instrument, kind)
+    if [cell.strip() for cell in head.decode("ascii").split(",")] != expected:
+        return None
+    body = body.removesuffix(b"\n")
+    k = len(expected) - 1
+    lines = body.decode("ascii").split("\n")
+    if not all(map(re.compile(_CANONICAL_ROW % k).fullmatch, lines)):
+        return None
+    # csv.reader refuses a field longer than its limit; so does this route.
+    if max(len(head), *map(len, lines)) >= csv.field_size_limit():
+        return None
+
+    raw = np.frombuffer(body, dtype=np.uint8)
+    line_ends = np.append(np.flatnonzero(raw == ord("\n")), raw.size)
+    commas = np.flatnonzero(raw == ord(",")).reshape(-1, k)
+    cell_ends = np.column_stack((commas[:, 1:], line_ends))
+    widths = cell_ends - commas - 1
+    # One gather per digit place: several times faster than converting the
+    # split cells with astype(np.int64).
+    values = np.zeros(widths.shape, dtype=np.int64)
+    for place in range(int(widths.max())):
+        digits = np.where(widths > place, raw[cell_ends - 1 - place] - ord("0"), 0)
+        values += digits.astype(np.int64) * 10 ** place
+
+    if kind.is_likert:
+        scale = instrument.scale
+        if values.min() < scale.min or values.max() > scale.max:
+            return None
+    elif _invalid_allocations(values).any():
+        return None
+    ids = tuple(line.partition(",")[0] for line in lines)
+    response_set = ResponseSet(kind=kind, instrument_ref=instrument.fingerprint(),
+                               values=values, respondent_ids=ids)
+    return response_set, ValidationReport(row_errors=(), accepted_rows=len(ids),
+                                          rejected_rows=0)
+
+
+def parse_response_rows(
+    data: bytes | str,
+    instrument: SurveyInstrument,
+    kind: ResponseKind,
+    policy: MissingPolicy = MissingPolicy.DROP_ROW,
+) -> tuple[ResponseSet, ValidationReport]:
+    """The row-by-row route of parse_response_file, for any file: reads
+    each row with csv.reader and reports each rejected row."""
+    if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8")
+            text = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise DataError(f"response file is not valid UTF-8: {exc}") from None
     else:

@@ -54,6 +54,12 @@ JSON_VALUES = st.recursive(
 )
 
 
+#: Valid importance rows: five multiples of five summing to 100, cut from
+#: 0..20 at four drawn points.
+ALLOCATIONS = st.lists(st.integers(0, 20), min_size=4, max_size=4).map(
+    lambda cuts: [5 * (b - a) for a, b in zip([0, *sorted(cuts)], [*sorted(cuts), 20])])
+
+
 def replace_at(doc, path, value):
     """A copy of JSON document ``doc`` with the position ``path`` (a tuple of
     keys and indices) set to ``value``."""

@@ -1,8 +1,13 @@
+import codecs
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satmetric.cli import main
 from satmetric.instrument import serialize_instrument
@@ -389,3 +394,70 @@ class TestReportCommand:
 
     def test_bad_format_token_is_2(self, capsys):
         assert main(["report", "--input", "x.json", "--formats", "pdf", "--out", "y"]) == 2
+
+
+@pytest.fixture(scope="module")
+def gap_fuzz_dir(tmp_path_factory):
+    """Small valid gap inputs on the XYZ instrument: 12-row expectation and
+    perception CSVs, a 6-row importance CSV and a weights file."""
+    d = tmp_path_factory.mktemp("gap_fuzz")
+    (d / "xyz.json").write_text(json.dumps(serialize_instrument(xyz.xyz_instrument())))
+    (d / "weights.json").write_text(json.dumps({"means": xyz.importance_means()}))
+    rng = np.random.default_rng(7)
+    header = "respondent_id," + ",".join(f"q{i}" for i in range(1, 18))
+    for name in ("e", "p"):
+        rows = [f"r{r}," + ",".join(map(str, rng.integers(1, 6, 17))) for r in range(12)]
+        (d / f"{name}.csv").write_text("\n".join([header, *rows]) + "\n")
+    rows = [f"r{r},{10 + 5 * (r % 3)},40,20,15,{15 - 5 * (r % 3)}" for r in range(6)]
+    (d / "i.csv").write_text("respondent_id,tangibles,reliability,responsiveness,"
+                             "assurance,empathy\n" + "\n".join(rows) + "\n")
+    return d
+
+
+#: Byte strings spliced into the CSVs: separators, line ends, quoting,
+#: padding, signs, digits, non-integers, invalid UTF-8, byte-order marks, NUL.
+CSV_TOKENS = (b"", b",", b"\n", b"\r", b"\r\n", b'"', b" ", b"\t", b"+", b"-", b"0", b"7",
+              b"100", b"9" * 25, b"1.5", b"1e3", b"\xff", b"\xc3", codecs.BOM_UTF8, b"\x00",
+              b"q1", b"respondent_id")
+
+
+@st.composite
+def mutated_csv(draw, base: bytes) -> bytes:
+    """``base`` with up to three splices, each anywhere in the file or (as
+    often) past the header, so that data rows get most of them."""
+    data = base
+    body = base.index(b"\n") + 1
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(draw(st.sampled_from([0, body])), len(data)))
+        cut = draw(st.integers(0, 12))
+        data = data[:at] + draw(st.sampled_from(CSV_TOKENS)) + data[at + cut:]
+    return data
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gap_fuzz_over_csv_bytes_exits_cleanly(gap_fuzz_dir, data):
+    """Mutated expectation, perception and importance CSVs through
+    ``satmetric gap``: exit code 0, 1 or 2, no traceback, and only
+    SatmetricError (turned into exit 1 by main) escapes the library."""
+    d = gap_fuzz_dir
+    paths = {}
+    for name in ("e", "p", "i"):
+        paths[name] = d / f"fuzz_{name}.csv"
+        paths[name].write_bytes(data.draw(mutated_csv((d / f"{name}.csv").read_bytes()),
+                                          label=name))
+    argv = ["gap", "--instrument", str(d / "xyz.json"), "--expect", str(paths["e"]),
+            "--perceive", str(paths["p"]), "--suppress-timestamp",
+            "--missing-policy", data.draw(st.sampled_from(["drop_row", "fail"])),
+            "--out", str(d / "out" / "report")]
+    if data.draw(st.booleans(), label="importance csv"):
+        argv += ["--importance", str(paths["i"])]
+    else:
+        argv += ["--weights", str(d / "weights.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 1:
+        assert err.getvalue().splitlines()[-1].startswith("error:")

@@ -1,5 +1,8 @@
+import codecs
+
 import numpy as np
 import pytest
+from conftest import ALLOCATIONS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,8 +11,10 @@ from satmetric.ingest import (
     IMPORTANCE_COLUMNS,
     MissingPolicy,
     ResponseKind,
+    ResponseSet,
     generate_synthetic,
     parse_response_file,
+    parse_response_rows,
     serialize_response_set,
     validate_importance_row,
 )
@@ -89,6 +94,22 @@ def test_crlf_and_lf_both_accepted():
     assert np.array_equal(rs_lf.values, rs_crlf.values)
 
 
+@pytest.mark.parametrize("rows", [
+    ["r1,1,2,3", "r2,4,5,1"],      # canonical: bulk route
+    ["r1,1,2,3", "r2, 4,5,1"],     # padded cell: row-by-row route
+    ["r1,1,2,3", "r2,7,5,1"],      # rejected row: row-by-row route
+])
+def test_leading_byte_order_mark_is_skipped(rows):
+    data = likert_csv(rows)
+    for parse in (parse_response_file, parse_response_rows):
+        plain, plain_report = parse(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION)
+        bom, bom_report = parse(codecs.BOM_UTF8 + data, SMALL_INSTRUMENT,
+                                ResponseKind.EXPECTATION)
+        assert bom_report == plain_report
+        assert bom.respondent_ids == plain.respondent_ids == ("r1", "r2")[:plain.n_respondents]
+        assert np.array_equal(bom.values, plain.values)
+
+
 def test_importance_row_sum_99_rejected(xyz_instrument):
     data = importance_csv(["r1,40,30,20,5,4", "r2,20,20,20,20,20"])
     rs, report = parse_response_file(data, xyz_instrument, ResponseKind.IMPORTANCE)
@@ -107,6 +128,27 @@ def test_importance_row_sum_99_rejected(xyz_instrument):
 ])
 def test_validate_importance_row(row, expected):
     assert validate_importance_row(row) == expected
+
+
+ANY_ROWS = st.lists(st.integers(-10, 110) | st.integers(-2**63, 2**63 - 1),
+                    min_size=5, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ALLOCATIONS | ANY_ROWS, min_size=1, max_size=6))
+def test_importance_set_check_matches_row_validator(rows):
+    """ResponseSet's bulk allocation check raises exactly when, and with the
+    message that, validate_importance_row gives for the first bad row."""
+    first_bad = next(((idx, v) for idx, row in enumerate(rows, start=1)
+                      if (v := validate_importance_row(row)) is not None), None)
+    args = (ResponseKind.IMPORTANCE, "t", np.array(rows, dtype=np.int64),
+            tuple(map(str, range(len(rows)))))
+    if first_bad is None:
+        assert ResponseSet(*args).values.tolist() == rows
+    else:
+        with pytest.raises(DataError) as exc:
+            ResponseSet(*args)
+        assert str(exc.value) == f"importance row {first_bad[0]} violates {first_bad[1]}"
 
 
 def test_serialize_parse_round_trip_is_bit_exact(xyz_instrument):
