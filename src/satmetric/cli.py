@@ -46,9 +46,12 @@ def _write_out(payload: bytes, out: str | None) -> None:
 def _parse_csv(args, instrument, kind: ResponseKind, path: str):
     rs, vr = parse_response_file(read_bytes(path), instrument, kind,
                                  MissingPolicy(args.missing_policy))
-    for err in vr.row_errors:
-        print(f"{path}: row {err.row}, column {err.column}: {err.message} [{err.code}]",
-              file=sys.stderr)
+    # One write per file: stderr is line-buffered, so a print per row would
+    # be a system call per row.
+    if vr.row_errors:
+        sys.stderr.write("".join(
+            f"{path}: row {err.row}, column {err.column}: {err.message} [{err.code}]\n"
+            for err in vr.row_errors))
     return rs, vr
 
 

@@ -11,9 +11,12 @@ Parsing is a pure function of the file bytes; the returned ResponseSet is
 immutable.  Rows that violate the schema are either dropped (listwise,
 with a row-level diagnostic) or abort the parse, per MissingPolicy.
 
-A canonical file (unquoted ASCII, plain digit cells, every row valid) is
-read in bulk with numpy; every other file goes through the row-by-row
-parser, which yields the same result and the row diagnostics.
+A canonical file (unquoted ASCII, plain digit cells, distinct ids, every
+row valid) is read whole with numpy.  Any other input is read record by
+record with csv.reader: canonical records are converted in bulk and only
+the others are parsed cell by cell.  Both routes yield the result, and the
+row diagnostics, of parse_response_rows, which parses every record cell by
+cell.
 """
 
 from __future__ import annotations
@@ -176,14 +179,14 @@ def parse_response_file(
 
     Returns the set built from accepted rows plus a report enumerating every
     rejection.  Raises DataError on malformed CSV, header mismatch, zero
-    accepted rows, or (with policy=fail) the first bad row.  The result,
-    and any error, equals that of parse_response_rows.
+    accepted rows, or (with policy=fail) the first bad row in file order.
+    The result, and any error, equals that of parse_response_rows.
     """
     if isinstance(data, bytes):
         parsed = _parse_canonical(data, instrument, kind)
         if parsed is not None:
             return parsed
-    return parse_response_rows(data, instrument, kind, policy)
+    return _parse_records(data, instrument, kind, policy)
 
 
 #: A canonical data line: a respondent id of printable ASCII other than
@@ -192,17 +195,19 @@ def parse_response_file(
 #: newline, so a failed match backtracks at most the length of its line.
 _CANONICAL_ROW = r"[!#-+\--~]+(?:,[0-9]{1,18}){%d}"
 
+_ID_COLUMN = "respondent_id"
+
 
 def _parse_canonical(
     data: bytes, instrument: SurveyInstrument, kind: ResponseKind,
 ) -> tuple[ResponseSet, ValidationReport] | None:
-    """Bulk route for a canonical file, else None.
+    """Whole-file route for a canonical file, else None.
 
     Canonical: ASCII after an optional byte-order mark, no double quote,
     ``\n`` or ``\r\n`` line ends, at most one trailing newline, a header
     equal to the expected one after stripping each cell, then one or more
-    ``id,digits,...,digits`` lines whose values all pass validation.  Each
-    test stops at the first byte or line that fails it.
+    ``id,digits,...,digits`` lines with distinct ids whose values all pass
+    validation.  Each test stops at the first byte or line that fails it.
     """
     data = data.removeprefix(codecs.BOM_UTF8)
     if b'"' in data or not data.isascii():
@@ -221,32 +226,88 @@ def _parse_canonical(
     if not all(map(re.compile(_CANONICAL_ROW % k).fullmatch, lines)):
         return None
     # csv.reader refuses a field longer than its limit; so does this route.
-    if max(len(head), *map(len, lines)) >= csv.field_size_limit():
+    if max(len(head), max(map(len, lines))) >= csv.field_size_limit():
         return None
-
-    raw = np.frombuffer(body, dtype=np.uint8)
-    line_ends = np.append(np.flatnonzero(raw == ord("\n")), raw.size)
-    commas = np.flatnonzero(raw == ord(",")).reshape(-1, k)
-    cell_ends = np.column_stack((commas[:, 1:], line_ends))
-    widths = cell_ends - commas - 1
-    # One gather per digit place: several times faster than converting the
-    # split cells with astype(np.int64).
-    values = np.zeros(widths.shape, dtype=np.int64)
-    for place in range(int(widths.max())):
-        digits = np.where(widths > place, raw[cell_ends - 1 - place] - ord("0"), 0)
-        values += digits.astype(np.int64) * 10 ** place
-
-    if kind.is_likert:
-        scale = instrument.scale
-        if values.min() < scale.min or values.max() > scale.max:
-            return None
-    elif _invalid_allocations(values).any():
+    values = _digit_values(body, k)
+    if _invalid_rows(values, instrument.scale, kind).any():
         return None
-    ids = tuple(line.partition(",")[0] for line in lines)
+    ids = [line.partition(",")[0] for line in lines]
+    if len(set(ids)) != len(ids):
+        return None
     response_set = ResponseSet(kind=kind, instrument_ref=instrument.fingerprint(),
-                               values=values, respondent_ids=ids)
+                               values=values, respondent_ids=tuple(ids))
     return response_set, ValidationReport(row_errors=(), accepted_rows=len(ids),
                                           rejected_rows=0)
+
+
+def _digit_values(body: bytes, k: int) -> np.ndarray:
+    """The N x k values of N canonical data lines joined by ``\n``."""
+    # Padding: the cursors below run up to 18 bytes past a cell's start.
+    raw = np.frombuffer(body + b"\n" * 18, dtype=np.uint8)
+    text = raw[:len(body)]
+    starts = np.flatnonzero(text == ord(",")).reshape(-1, k)
+    widths = np.column_stack((starts[:, 1:],
+                              np.append(np.flatnonzero(text == ord("\n")), len(body))))
+    starts += 1
+    widths -= starts
+    widths = widths.astype(np.int8)
+    # Horner's rule, one gather per digit place, in place: several times
+    # faster than converting the split cells with astype, and no N x k
+    # int64 array besides the cursors and the result.
+    values = np.zeros(widths.shape, dtype=np.int64)
+    for place in range(int(widths.max())):
+        has = widths > place
+        np.multiply(values, 10, out=values, where=has)
+        np.add(values, raw[starts] - ord("0"), out=values, where=has)
+        starts += 1
+    return values
+
+
+def _invalid_rows(values: np.ndarray, scale: LikertScale, kind: ResponseKind) -> np.ndarray:
+    """Row mask: True where a row of values is outside the Likert scale or,
+    for importance, not a valid allocation."""
+    if kind.is_likert:
+        return ((values < scale.min) | (values > scale.max)).any(axis=1)
+    return _invalid_allocations(values)
+
+
+def _parse_records(
+    data: bytes | str,
+    instrument: SurveyInstrument,
+    kind: ResponseKind,
+    policy: MissingPolicy,
+) -> tuple[ResponseSet, ValidationReport]:
+    """Per-record route: reads the records with csv.reader and converts the
+    canonical ones (k+1 fields, a plain id, cells of 1 to 18 digits) in
+    bulk.  Every other record, and every canonical record whose values fail
+    validation, goes through the per-cell checks."""
+    expected, records = _read_records(data, instrument, kind)
+    k = len(expected) - 1
+    match = re.compile(_CANONICAL_ROW % k).fullmatch
+    lines = [",".join(raw) if len(raw) == k + 1 else "" for raw in records]
+    bulk = [at for at, line in enumerate(lines) if match(line)]
+    body = "\n".join([lines[at] for at in bulk]).encode("ascii")
+    # Each large intermediate is dropped once used, which keeps this route's
+    # peak memory below the per-cell route's.
+    del lines
+    table = np.empty((len(records), k), dtype=np.int64)
+    accepted = np.zeros(len(records), dtype=bool)
+    if bulk:
+        values = _digit_values(body, k)
+        table[bulk] = values
+        accepted[bulk] = ~_invalid_rows(values, instrument.scale, kind)
+        del values
+    positions, values, errors = _check_records(
+        records, np.flatnonzero(~accepted).tolist(), expected, instrument.scale, kind)
+    if positions:
+        table[positions] = values
+        accepted[positions] = True
+    rows = np.flatnonzero(accepted)
+    ids = [records[at][0].strip() for at in rows.tolist()]
+    del records
+    values = table[rows]
+    del table
+    return _result(instrument, kind, policy, (rows + 1).tolist(), ids, values, errors)
 
 
 def parse_response_rows(
@@ -255,8 +316,21 @@ def parse_response_rows(
     kind: ResponseKind,
     policy: MissingPolicy = MissingPolicy.DROP_ROW,
 ) -> tuple[ResponseSet, ValidationReport]:
-    """The row-by-row route of parse_response_file, for any file: reads
-    each row with csv.reader and reports each rejected row."""
+    """The per-cell route, for any file: reads each record with csv.reader
+    and runs the per-cell checks on every one of them."""
+    expected, records = _read_records(data, instrument, kind)
+    positions, values, errors = _check_records(
+        records, range(len(records)), expected, instrument.scale, kind)
+    return _result(instrument, kind, policy, [at + 1 for at in positions],
+                   [records[at][0].strip() for at in positions],
+                   np.array(values, dtype=np.int64).reshape(-1, len(expected) - 1), errors)
+
+
+def _read_records(
+    data: bytes | str, instrument: SurveyInstrument, kind: ResponseKind,
+) -> tuple[list[str], list[list[str]]]:
+    """Decode ``data``, read it with csv.reader and check its header; returns
+    the expected header and the data records."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8-sig")
@@ -279,78 +353,104 @@ def parse_response_rows(
             f"header mismatch for {kind.value} file: expected "
             f"{','.join(expected)!r}, got {','.join(header)!r}"
         )
-    n_cols = len(expected) - 1
+    return expected, rows[1:]
 
-    scale = instrument.scale
-    accepted: list[list[int]] = []
-    ids: list[str] = []
+
+def _check_records(
+    records: list[list[str]],
+    positions: Sequence[int],
+    expected: list[str],
+    scale: LikertScale,
+    kind: ResponseKind,
+) -> tuple[list[int], list[list[int]], list[RowError]]:
+    """Run the per-cell checks on ``records[at]`` for each position, in
+    ascending order; returns the accepted positions, their values and the
+    errors of the rejected records."""
+    accepted: list[int] = []
+    values: list[list[int]] = []
     errors: list[RowError] = []
+    for at in positions:
+        checked = _check_record(records[at], at + 1, expected, scale, kind)
+        if isinstance(checked, RowError):
+            errors.append(checked)
+        elif checked is not None:
+            accepted.append(at)
+            values.append(checked)
+    return accepted, values, errors
 
-    def reject(row_idx: int, column: str, code: str, message: str) -> None:
-        err = RowError(row=row_idx, column=column, code=code, message=message)
-        if policy is MissingPolicy.FAIL:
-            raise DataError(f"row {row_idx}, column {column}: {message} [{code}]")
-        errors.append(err)
 
-    for row_idx, raw in enumerate(rows[1:], start=1):
-        if not raw or all(not cell.strip() for cell in raw):
-            continue  # ignore blank trailing lines
-        if len(raw) != len(expected):
-            reject(row_idx, "*", "row_length",
-                   f"expected {len(expected)} fields, got {len(raw)}")
-            continue
-        respondent_id = raw[0].strip()
-        values: list[int] = []
-        bad = False
-        for col_name, cell in zip(expected[1:], raw[1:]):
-            value = _parse_int_cell(cell)
-            if value is None:
-                code = "missing" if not cell.strip() else "not_an_integer"
-                reject(row_idx, col_name, code,
-                       f"cell {cell.strip()!r} is not a plain integer")
-                bad = True
-                break
-            values.append(value)
-        if bad:
-            continue
-        if kind.is_likert:
-            for col_name, value in zip(expected[1:], values):
-                if value < scale.min or value > scale.max:
-                    reject(row_idx, col_name, "out_of_range",
-                           f"value {value} outside scale [{scale.min}, {scale.max}]")
-                    bad = True
-                    break
-            if bad:
-                continue
-        else:
-            violation = validate_importance_row(values)
-            if violation is not None:
-                messages = {
-                    "sum_not_100": f"allocation sums to {sum(values)}, expected 100",
-                    "out_of_range": "allocation values must lie in [0, 100]",
-                    "not_multiple_of_five": "allocation values must be multiples of five",
-                    "row_length": f"expected {n_cols} allocation values",
-                }
-                reject(row_idx, "*", violation, messages[violation])
-                continue
-        accepted.append(values)
-        ids.append(respondent_id)
+def _check_record(
+    raw: list[str], row: int, expected: list[str], scale: LikertScale, kind: ResponseKind,
+) -> list[int] | RowError | None:
+    """The per-cell checks of one record, data row ``row``: its values, the
+    first violation as a RowError, or None for a blank line."""
+    if not any(map(str.strip, raw)):
+        return None
+    if len(raw) != len(expected):
+        return RowError(row, "*", "row_length",
+                        f"expected {len(expected)} fields, got {len(raw)}")
+    if not raw[0].strip():
+        return RowError(row, _ID_COLUMN, "empty_id", "respondent id is empty")
+    values: list[int] = []
+    for col_name, cell in zip(expected[1:], raw[1:]):
+        value = _parse_int_cell(cell)
+        if value is None:
+            code = "missing" if not cell.strip() else "not_an_integer"
+            return RowError(row, col_name, code, f"cell {cell.strip()!r} is not a plain integer")
+        values.append(value)
+    if kind.is_likert:
+        for col_name, value in zip(expected[1:], values):
+            if value < scale.min or value > scale.max:
+                return RowError(row, col_name, "out_of_range",
+                                f"value {value} outside scale [{scale.min}, {scale.max}]")
+        return values
+    violation = validate_importance_row(values)
+    if violation is None:
+        return values
+    messages = {
+        "sum_not_100": f"allocation sums to {sum(values)}, expected 100",
+        "out_of_range": "allocation values must lie in [0, 100]",
+        "not_multiple_of_five": "allocation values must be multiples of five",
+    }
+    return RowError(row, "*", violation, messages[violation])
 
-    if not accepted:
-        raise DataError(f"no valid rows in {kind.value} file "
-                        f"({len(errors)} rejected)")
 
-    response_set = ResponseSet(
-        kind=kind,
-        instrument_ref=instrument.fingerprint(),
-        values=np.array(accepted, dtype=np.int64),
-        respondent_ids=tuple(ids),
-    )
-    report = ValidationReport(
-        row_errors=tuple(errors),
-        accepted_rows=len(accepted),
-        rejected_rows=len(errors),
-    )
+def _result(
+    instrument: SurveyInstrument,
+    kind: ResponseKind,
+    policy: MissingPolicy,
+    rows: list[int],
+    ids: list[str],
+    values: np.ndarray,
+    errors: list[RowError],
+) -> tuple[ResponseSet, ValidationReport]:
+    """Finish a parse from its accepted rows (data-row numbers, ids and
+    values, in file order) and the errors of the rejected ones: reject each
+    accepted row whose id an earlier accepted row holds, then raise the
+    first error in file order under policy fail, else build the result."""
+    if len(set(ids)) != len(ids):
+        first: dict[str, int] = {}
+        keep: list[int] = []
+        for at, (row, respondent_id) in enumerate(zip(rows, ids)):
+            if respondent_id in first:
+                errors.append(RowError(row, _ID_COLUMN, "duplicate_id",
+                                       f"respondent id {respondent_id!r} repeats row "
+                                       f"{first[respondent_id]}"))
+            else:
+                first[respondent_id] = row
+                keep.append(at)
+        errors.sort(key=lambda err: err.row)
+        ids = [ids[at] for at in keep]
+        values = values[keep]
+    if errors and policy is MissingPolicy.FAIL:
+        err = errors[0]
+        raise DataError(f"row {err.row}, column {err.column}: {err.message} [{err.code}]")
+    if not ids:
+        raise DataError(f"no valid rows in {kind.value} file ({len(errors)} rejected)")
+    response_set = ResponseSet(kind=kind, instrument_ref=instrument.fingerprint(),
+                               values=values, respondent_ids=tuple(ids))
+    report = ValidationReport(row_errors=tuple(errors), accepted_rows=len(ids),
+                              rejected_rows=len(errors))
     return response_set, report
 
 

@@ -1,12 +1,18 @@
 """Shared fixtures: the bundled XYZ case study and its published
-reference values (9-digit decimals as printed in the source tables)."""
+reference values (9-digit decimals as printed in the source tables).
+
+Hypothesis runs the profile named by ``$HYPOTHESIS_PROFILE``: ``default``
+(tier-1) or ``deep``, which runs every property test on ten times as many
+examples."""
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from satmetric import xyz
@@ -14,6 +20,18 @@ from satmetric.errors import ComputationError
 from satmetric.instrument import SurveyInstrument
 from satmetric.psychometrics import OmittedItemStats, _pearson, _squared_multiple_corr, \
     cronbach_alpha
+
+DEEP_FACTOR = 10
+settings.register_profile("deep", max_examples=100 * DEEP_FACTOR)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "default")
+settings.load_profile(PROFILE)
+
+
+def examples(n: int) -> int:
+    """``max_examples`` for a test that runs ``n`` examples in tier-1.  An
+    explicit ``max_examples`` overrides the profile, so it is scaled here."""
+    return n * DEEP_FACTOR if PROFILE == "deep" else n
+
 
 # Published per-item means (17 items, N = 81).
 REFERENCE_EXPECTATION_MEANS = [

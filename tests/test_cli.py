@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +92,29 @@ class TestValidate:
         assert rc == 1
         assert "row 2, column q1" in captured.err
         assert "out_of_range" in captured.err
+
+    def test_row_diagnostics_of_a_file_are_one_write(self, workdir):
+        class Writes(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.chunks = []
+
+            def write(self, text):
+                self.chunks.append(text)
+                return super().write(text)
+
+        mixed = workdir / "ids.csv"
+        mixed.write_text("respondent_id,q1,q2,q3\n,4,4,4\nr1,6,4,4\nr2,4,4,4\nr2,1,1,1\n")
+        err = Writes()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["validate", "--instrument", str(workdir / "tiny.json"),
+                       "--expect", str(mixed), "--perceive", str(mixed)])
+        assert rc == 1
+        lines = [f"{mixed}: row 1, column respondent_id: respondent id is empty [empty_id]\n",
+                 f"{mixed}: row 2, column q1: value 6 outside scale [1, 5] [out_of_range]\n",
+                 f"{mixed}: row 4, column respondent_id: respondent id 'r2' repeats row 3 "
+                 "[duplicate_id]\n"]
+        assert err.chunks == ["".join(lines)] * 2
 
     def test_importance_sum_violation_diagnosed(self, workdir, capsys):
         imp = workdir / "imp.csv"
@@ -434,7 +458,7 @@ def mutated_csv(draw, base: bytes) -> bytes:
     return data
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(data=st.data())
 def test_gap_fuzz_over_csv_bytes_exits_cleanly(gap_fuzz_dir, data):
     """Mutated expectation, perception and importance CSVs through

@@ -2,10 +2,11 @@ import codecs
 
 import numpy as np
 import pytest
-from conftest import ALLOCATIONS
+from conftest import ALLOCATIONS, examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satmetric import ingest
 from satmetric.errors import DataError
 from satmetric.ingest import (
     IMPORTANCE_COLUMNS,
@@ -74,6 +75,53 @@ def test_missing_and_decimal_cells_rejected():
     assert codes == ["missing", "not_an_integer"]
 
 
+ALL_ROUTES = (
+    lambda data, *args: parse_response_file(data, *args),
+    lambda data, *args: parse_response_file(data.decode(), *args),
+    lambda data, *args: parse_response_rows(data, *args),
+)
+
+
+@pytest.mark.parametrize("parse", ALL_ROUTES, ids=["bytes", "str", "per_cell"])
+def test_empty_and_duplicate_ids_rejected(parse):
+    """An empty id is rejected; a later accepted row that repeats an earlier
+    accepted row's id (after stripping) is rejected, and the first kept."""
+    data = likert_csv([" ,1,2,3", "r1,1,2,3", "r2,9,9,9", "r2,4,4,4", " r1 ,5,5,5",
+                       "r3,1,1,1", "r2,2,2,2"])
+    rs, report = parse(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION, MissingPolicy.DROP_ROW)
+    assert rs.respondent_ids == ("r1", "r2", "r3")
+    assert rs.values.tolist() == [[1, 2, 3], [4, 4, 4], [1, 1, 1]]
+    assert [(e.row, e.column, e.code) for e in report.row_errors] == [
+        (1, "respondent_id", "empty_id"), (3, "q1", "out_of_range"),
+        (5, "respondent_id", "duplicate_id"), (7, "respondent_id", "duplicate_id")]
+    assert report.row_errors[2].message == "respondent id 'r1' repeats row 2"
+    assert report.accepted_rows == 3 and report.rejected_rows == 4
+
+
+@pytest.mark.parametrize("parse", ALL_ROUTES, ids=["bytes", "str", "per_cell"])
+def test_fail_policy_raises_on_the_first_bad_row_duplicates_included(parse):
+    def first_error(rows):
+        with pytest.raises(DataError) as exc:
+            parse(likert_csv(rows), SMALL_INSTRUMENT, ResponseKind.EXPECTATION,
+                  MissingPolicy.FAIL)
+        return str(exc.value)
+
+    assert first_error(["r1,1,2,3", "r1,3,2,1", "r2,9,2,3"]) == \
+        "row 2, column respondent_id: respondent id 'r1' repeats row 1 [duplicate_id]"
+    assert first_error(["r1,1,2,3", "r2,9,2,3", "r1,3,2,1"]) == \
+        "row 2, column q1: value 9 outside scale [1, 5] [out_of_range]"
+    assert first_error(["r1,1,2,3", ",3,2,1"]) == \
+        "row 2, column respondent_id: respondent id is empty [empty_id]"
+
+
+def test_whole_file_route_declines_duplicate_ids():
+    data = likert_csv(["r1,1,2,3", "r2,1,2,3", "r1,3,2,1"])
+    assert ingest._parse_canonical(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION) is None
+    rs, report = parse_response_file(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION)
+    assert rs.respondent_ids == ("r1", "r2")
+    assert [e.code for e in report.row_errors] == ["duplicate_id"]
+
+
 def test_header_mismatch_rejected(xyz_instrument):
     data = likert_csv(["r1,1,2,3"], header="respondent_id,q1,q2,q4")
     with pytest.raises(DataError, match="header mismatch"):
@@ -134,7 +182,7 @@ ANY_ROWS = st.lists(st.integers(-10, 110) | st.integers(-2**63, 2**63 - 1),
                     min_size=5, max_size=5)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(st.lists(ALLOCATIONS | ANY_ROWS, min_size=1, max_size=6))
 def test_importance_set_check_matches_row_validator(rows):
     """ResponseSet's bulk allocation check raises exactly when, and with the
@@ -202,7 +250,7 @@ def test_synthetic_is_deterministic_per_seed():
     assert np.array_equal(c.values.sum(axis=0), (np.array(targets) * 8).round())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 10_000), st.data())
 def test_random_valid_matrices_parse_with_zero_rejections(n, k, seed, data):
     instrument = build_instrument({

@@ -1,4 +1,5 @@
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,7 +124,7 @@ class TestProperties:
                        for p in prioritize(worse, UNIFORM_WEIGHTS, instrument)}
         assert score_worse[1] >= score_base[1]
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(st.floats(min_value=0.01, max_value=100.0,
                      allow_nan=False, allow_infinity=False),
            st.integers(0, 10_000))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import alpha_covariance_oracle, omitted_item_stats_oracle
+from conftest import alpha_covariance_oracle, examples, omitted_item_stats_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -116,7 +116,7 @@ class TestCronbachAlpha:
     def test_positive_scaling_invariance(self):
         assert cronbach_alpha(ORACLE_MATRIX * 3.5) == pytest.approx(ORACLE_ALPHA, abs=1e-12)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     @given(st.integers(0, 10_000))
     def test_matches_covariance_oracle_on_random_matrices(self, seed):
         rng = np.random.default_rng(seed)
@@ -198,7 +198,7 @@ class TestReliabilityGate:
         assert [o.item_id for o in report.omitted] == [1, 2, 3]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(st.integers(0, 10_000))
 def test_alpha_invariances_on_random_matrices(seed):
     rng = np.random.default_rng(seed)
@@ -264,7 +264,7 @@ OMITTED_CASES = {
 
 
 @pytest.mark.parametrize("case", OMITTED_CASES)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(data=st.data())
 def test_omitted_item_stats_matches_per_item_oracle(case, data):
     """The closed form against the per-item loop it replaces: the same None

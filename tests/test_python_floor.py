@@ -1,0 +1,122 @@
+"""The oldest Python that ``pyproject.toml`` allows, 3.10, must byte-compile
+every source file and compile every regular expression in ``src``.
+
+The suite runs on one interpreter, so this test looks for a 3.10 one:
+``$SATMETRIC_PYTHON310``, then ``python3.10`` on the PATH, then a pyenv
+3.10 install.  The checks run there with the standard library only.
+Without a 3.10 interpreter the test skips and says so.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "satmetric"
+
+#: Item count substituted into a pattern built with ``%`` formatting.
+SAMPLE_K = 17
+
+#: A possessive quantifier, which ``re`` accepts only from 3.11: the run
+#: must reject it, or the interpreter is not enforcing 3.10's syntax.
+CANARY = r"[0-9]++"
+
+CHECK = """
+import json, py_compile, re, sys
+files, patterns, cache = json.load(sys.stdin)
+bad = []
+for at, path in enumerate(files):
+    try:
+        py_compile.compile(path, cfile=f"{cache}/{at}.pyc", doraise=True)
+    except py_compile.PyCompileError as exc:
+        bad.append([path, str(exc)])
+for pattern in patterns:
+    try:
+        re.compile(pattern)
+    except re.error as exc:
+        bad.append([pattern, str(exc)])
+print(json.dumps(bad))
+"""
+
+
+def _candidates():
+    if os.environ.get("SATMETRIC_PYTHON310"):
+        yield os.environ["SATMETRIC_PYTHON310"]
+    if shutil.which("python3.10"):
+        yield shutil.which("python3.10")
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    yield from map(str, sorted(pyenv.glob("versions/3.10*/bin/python3.10")))
+
+
+def _python310() -> str | None:
+    """The first candidate that runs and reports version 3.10 (a pyenv shim
+    for a version that is not active exits non-zero)."""
+    for candidate in _candidates():
+        try:
+            done = subprocess.run([candidate, "-I", "-c", "import sys; print(*sys.version_info[:2])"],
+                                  capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if done.returncode == 0 and done.stdout.split() == ["3", "10"]:
+            return candidate
+    return None
+
+
+def _regex_literals() -> list[str]:
+    """Every pattern passed to ``re.compile`` in ``src``: a string literal, or
+    a module-level string constant, formatted with SAMPLE_K when the call
+    applies ``%`` to it."""
+    patterns = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        constants = {}
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                    isinstance(node.value, ast.Constant) and isinstance(node.value.value, str):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                constants.update((t.id, node.value.value) for t in targets
+                                 if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "compile" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "re"):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                patterns.append(arg.value)
+            elif isinstance(arg, ast.Name) and arg.id in constants:
+                patterns.append(constants[arg.id])
+            elif isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mod) and \
+                    isinstance(arg.left, ast.Name) and arg.left.id in constants:
+                patterns.append(constants[arg.left.id] % SAMPLE_K)
+            else:
+                pytest.fail(f"{path.name}:{node.lineno}: cannot resolve the pattern "
+                            f"passed to re.compile: {ast.unparse(arg)}")
+    return patterns
+
+
+def test_regex_literals_are_found():
+    patterns = _regex_literals()
+    assert r"[+-]?[0-9]+" in patterns
+    assert any(p.endswith("{%d}" % SAMPLE_K) for p in patterns)
+
+
+def test_sources_and_patterns_compile_on_python_3_10(tmp_path):
+    python = _python310()
+    if python is None:
+        pytest.skip("no Python 3.10 interpreter found (set SATMETRIC_PYTHON310, put "
+                    "python3.10 on the PATH or install 3.10 with pyenv)")
+    files = [str(path) for path in sorted(SRC.glob("*.py"))]
+    patterns = [*_regex_literals(), CANARY]
+    done = subprocess.run([python, "-I", "-c", CHECK], capture_output=True, text=True,
+                          input=json.dumps([files, patterns, str(tmp_path)]), timeout=120)
+    assert done.returncode == 0, done.stderr
+    bad = json.loads(done.stdout)
+    assert [item for item, _ in bad] == [CANARY], bad
+    assert len(files) >= 10

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,7 +153,7 @@ class TestShippedExample:
 
 
 class TestProperties:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(st.integers(0, 10_000))
     def test_linearity_and_zero_column(self, seed):
         rng = np.random.default_rng(seed)

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import JSON_VALUES, replace_at
+from conftest import JSON_VALUES, examples, replace_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -290,7 +290,7 @@ def _leaves(doc, path=()):
 
 
 @pytest.mark.parametrize("name", ["demo07", "importance_csv"])
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(data=st.data(), value=JSON_VALUES)
 def test_leaf_mutation_fuzz_only_satmetric_errors_escape(saved_reports, name, data, value):
     """Any leaf of a saved report set to any JSON value: parsing and every

@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import pytest
-from conftest import JSON_VALUES, replace_at
+from conftest import JSON_VALUES, examples, replace_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -167,7 +167,7 @@ BUILDERS = {
 
 
 @pytest.mark.parametrize("name", BUILDERS)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(data=st.data(), value=JSON_VALUES)
 def test_structural_fuzz_only_satmetric_errors_escape(name, data, value):
     build, valid = BUILDERS[name]

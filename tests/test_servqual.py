@@ -8,6 +8,7 @@ from conftest import (
     REFERENCE_GAPS,
     REFERENCE_UNWEIGHTED_MEAN,
     REFERENCE_WEIGHTED_SUM,
+    examples,
 )
 from satmetric.errors import ComputationError, DataError, DefinitionError
 from satmetric.ingest import ResponseKind, ResponseSet
@@ -196,7 +197,7 @@ class TestProperties:
         assert all(abs(g.gap) <= 4.0 for g in report.item_gaps)
         assert abs(report.overall_weighted_sum) <= 4.0 * xyz_weights.sum_of_means
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(st.integers(0, 100_000))
     def test_random_consistency(self, seed):
         rng = np.random.default_rng(seed)
