@@ -1,0 +1,26 @@
+# Test and benchmark entry points; `make help` lists them.
+
+PYTHON ?= python3
+W ?= tall
+SEED ?= 1
+TIER1 = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
+
+.PHONY: help test test-deep bench-smoke bench
+
+help:
+	@echo "make test         tier-1 suite (tests/, default hypothesis profile)"
+	@echo "make test-deep    the same suite with every property test on 10x the examples"
+	@echo "make bench-smoke  perfbench smoke run at tiny sizes"
+	@echo "make bench        one benchmark run: W=<workload> (default tall) SEED=<n> (default 1)"
+
+test:
+	$(TIER1)
+
+test-deep:
+	HYPOTHESIS_PROFILE=deep $(TIER1)
+
+bench-smoke:
+	$(PYTHON) -m pytest -q perfbench
+
+bench:
+	$(PYTHON) perfbench/run.py --workload $(W) --seed $(SEED) --trace 0

@@ -16,7 +16,12 @@ row valid) is read whole with numpy.  Any other input is read record by
 record with csv.reader: canonical records are converted in bulk and only
 the others are parsed cell by cell.  Both routes yield the result, and the
 row diagnostics, of parse_response_rows, which parses every record cell by
-cell.
+cell.  A canonical line is one that matches ``_CANONICAL_ROW``: the
+per-record route matches records against that pattern, and the whole-file
+route checks all lines at once with array arithmetic that must accept
+exactly the lines the pattern matches
+(tests/test_ingest_routes.py: test_canonical_check_matches_the_row_pattern
+and ..._on_every_byte).
 """
 
 from __future__ import annotations
@@ -101,7 +106,7 @@ class ResponseSet:
     respondent_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.int64, copy=True)
+        values = np.array(self.values, dtype=np.int64, copy=True, order="C")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] < 1:
@@ -193,6 +198,11 @@ def parse_response_file(
 #: space, comma and double quote, then k cells of 1 to 18 digits (an int64
 #: holds every 18-digit number).  Neither part can match a comma or a
 #: newline, so a failed match backtracks at most the length of its line.
+#: The per-record route matches each record against it.  The whole-file
+#: route checks the same form with array arithmetic and must accept exactly
+#: the lines this pattern matches; the tests
+#: test_canonical_check_matches_the_row_pattern and ..._on_every_byte
+#: (tests/test_ingest_routes.py) hold the two together.
 _CANONICAL_ROW = r"[!#-+\--~]+(?:,[0-9]{1,18}){%d}"
 
 _ID_COLUMN = "respondent_id"
@@ -206,8 +216,12 @@ def _parse_canonical(
     Canonical: ASCII after an optional byte-order mark, no double quote,
     ``\n`` or ``\r\n`` line ends, at most one trailing newline, a header
     equal to the expected one after stripping each cell, then one or more
-    ``id,digits,...,digits`` lines with distinct ids whose values all pass
-    validation.  Each test stops at the first byte or line that fails it.
+    lines that each match ``_CANONICAL_ROW``, with distinct ids and values
+    that all pass validation.  The lines are checked together, over arrays
+    of the body's bytes: the only bytes outside ``!`` to ``~`` are the
+    newlines; the N*k commas fall k to a line, each line's first after its
+    start; every cell is 1 to 18 digits (checked by _digit_values); and no
+    line reaches the csv.reader field limit.
     """
     data = data.removeprefix(codecs.BOM_UTF8)
     if b'"' in data or not data.isascii():
@@ -221,17 +235,24 @@ def _parse_canonical(
     if [cell.strip() for cell in head.decode("ascii").split(",")] != expected:
         return None
     body = body.removesuffix(b"\n")
-    k = len(expected) - 1
-    lines = body.decode("ascii").split("\n")
-    if not all(map(re.compile(_CANONICAL_ROW % k).fullmatch, lines)):
+    raw = np.frombuffer(body, dtype=np.uint8)
+    grid = _cell_grid(raw, len(expected) - 1)
+    if grid is None:
+        return None
+    starts, commas, ends = grid
+    # With the cell widths that _digit_values checks, these keep each row
+    # of ``commas`` inside its own line.
+    if (np.count_nonzero((raw <= ord(" ")) | (raw > ord("~"))) != len(ends) - 1
+            or not (commas[:, 0] > starts).all()):
         return None
     # csv.reader refuses a field longer than its limit; so does this route.
-    if max(len(head), max(map(len, lines))) >= csv.field_size_limit():
+    if max(len(head), int((ends - starts).max())) >= csv.field_size_limit():
         return None
-    values = _digit_values(body, k)
-    if _invalid_rows(values, instrument.scale, kind).any():
+    values = _digit_values(raw, commas, ends)
+    if values is None or _invalid_rows(values, instrument.scale, kind).any():
         return None
-    ids = [line.partition(",")[0] for line in lines]
+    text = body.decode("ascii")
+    ids = [text[start:comma] for start, comma in zip(starts.tolist(), commas[:, 0].tolist())]
     if len(set(ids)) != len(ids):
         return None
     response_set = ResponseSet(kind=kind, instrument_ref=instrument.fingerprint(),
@@ -240,26 +261,46 @@ def _parse_canonical(
                                           rejected_rows=0)
 
 
-def _digit_values(body: bytes, k: int) -> np.ndarray:
-    """The N x k values of N canonical data lines joined by ``\n``."""
-    # Padding: the cursors below run up to 18 bytes past a cell's start.
-    raw = np.frombuffer(body + b"\n" * 18, dtype=np.uint8)
-    text = raw[:len(body)]
-    starts = np.flatnonzero(text == ord(",")).reshape(-1, k)
-    widths = np.column_stack((starts[:, 1:],
-                              np.append(np.flatnonzero(text == ord("\n")), len(body))))
-    starts += 1
+def _cell_grid(
+    raw: np.ndarray, k: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The start offset of each of the N ``\n``-separated lines in ``raw``,
+    its N x k comma offsets and its end offset; None unless ``raw`` holds
+    exactly N*k commas.  Row i of the comma array is line i's commas only
+    if each line holds k of them."""
+    ends = np.append(np.flatnonzero(raw == ord("\n")), len(raw))
+    commas = np.flatnonzero(raw == ord(","))
+    if commas.size != ends.size * k:
+        return None
+    return np.append(0, ends[:-1] + 1), commas.reshape(-1, k), ends
+
+
+def _digit_values(raw: np.ndarray, commas: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The N x k values of the cells of N lines of ``raw``: a cell follows
+    each of the N x k ``commas`` and runs to the next comma or, for the
+    last, to its line's end in ``ends``.  None unless every cell is 1 to 18
+    digits (an int64 holds every 18-digit number)."""
+    starts = commas + 1
+    widths = np.column_stack((commas[:, 1:], ends))
     widths -= starts
+    if widths.min() < 1 or widths.max() > 18:
+        return None
     widths = widths.astype(np.int8)
     # Horner's rule, one gather per digit place, in place: several times
     # faster than converting the split cells with astype, and no N x k
-    # int64 array besides the cursors and the result.
+    # int64 array besides the cursors and the result.  A gather past the
+    # end of ``raw`` (a short last cell) reads its last byte, unused.
     values = np.zeros(widths.shape, dtype=np.int64)
+    worst = np.zeros(widths.shape, dtype=np.uint8)
     for place in range(int(widths.max())):
         has = widths > place
+        digits = raw.take(starts, mode="clip") - ord("0")  # other bytes wrap above 9
+        np.maximum(worst, digits, out=worst, where=has)
         np.multiply(values, 10, out=values, where=has)
-        np.add(values, raw[starts] - ord("0"), out=values, where=has)
+        np.add(values, digits, out=values, where=has)
         starts += 1
+    if worst.max() > 9:
+        return None
     return values
 
 
@@ -286,14 +327,16 @@ def _parse_records(
     match = re.compile(_CANONICAL_ROW % k).fullmatch
     lines = [",".join(raw) if len(raw) == k + 1 else "" for raw in records]
     bulk = [at for at, line in enumerate(lines) if match(line)]
-    body = "\n".join([lines[at] for at in bulk]).encode("ascii")
+    raw = np.frombuffer("\n".join([lines[at] for at in bulk]).encode("ascii"), dtype=np.uint8)
     # Each large intermediate is dropped once used, which keeps this route's
     # peak memory below the per-cell route's.
     del lines
     table = np.empty((len(records), k), dtype=np.int64)
     accepted = np.zeros(len(records), dtype=bool)
     if bulk:
-        values = _digit_values(body, k)
+        _, commas, ends = _cell_grid(raw, k)
+        values = _digit_values(raw, commas, ends)
+        del raw, commas, ends
         table[bulk] = values
         accepted[bulk] = ~_invalid_rows(values, instrument.scale, kind)
         del values

@@ -72,7 +72,10 @@ class ReliabilityReport:
 
 
 def _as_matrix(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=float)
+    """``matrix`` as a C-contiguous float array: numpy sums a row-major and a
+    column-major copy in different orders, so the layout would otherwise
+    change the last bits of every statistic."""
+    m = np.asarray(matrix, dtype=float, order="C")
     if m.ndim != 2:
         raise ComputationError("expected a 2-D N x k matrix")
     return m
@@ -133,21 +136,8 @@ def cronbach_alpha(matrix) -> float:
     return alpha
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
-    sx = x.std(ddof=1)
-    sy = y.std(ddof=1)
-    if sx == 0.0 or sy == 0.0:
-        return None
-    cov = ((x - x.mean()) * (y - y.mean())).sum() / (len(x) - 1)
-    return min(1.0, max(-1.0, float(cov / (sx * sy))))
-
-
-def _centered_ss(y: np.ndarray) -> float:
-    return float(((y - y.mean()) ** 2).sum())
-
-
 def _squared_multiple_corr(y: np.ndarray, others: np.ndarray) -> float | None:
-    ss_tot = _centered_ss(y)
+    ss_tot = float(((y - y.mean()) ** 2).sum())
     if ss_tot == 0.0:
         return None
     design = np.column_stack([np.ones(len(y)), others])
@@ -168,12 +158,13 @@ def _squared_multiple_corr(y: np.ndarray, others: np.ndarray) -> float | None:
 _SMC_MIN_RCOND = 1e-6
 
 
-def _squared_multiple_corrs(m: np.ndarray) -> list[float | None] | None:
+def _squared_multiple_corrs(m: np.ndarray, item_ss: np.ndarray) -> list[float | None] | None:
     """SMC of every item from one correlation matrix R over the non-constant
-    items: ``1 - 1/(R^-1)_ii``, clipped to [0, 1]; constant items get None.
+    items (those whose centered sum of squares ``item_ss`` is not zero):
+    ``1 - 1/(R^-1)_ii``, clipped to [0, 1]; constant items get None.
     Returns None (no answer) when fewer than two items vary or R is not
     finite or is rank-deficient."""
-    varying = [i for i in range(m.shape[1]) if _centered_ss(m[:, i]) != 0.0]
+    varying = np.flatnonzero(item_ss != 0.0).tolist()
     if len(varying) < 2:
         return None
     with np.errstate(all="ignore"):  # overflow shows up as a non-finite R
@@ -206,13 +197,17 @@ def omitted_item_stats(matrix, item_ids: Sequence[int] | None = None) -> list[Om
     ((k-1)/(k-2)) * (1 - (sum of the other items' sample variances) /
     var(A_i)), and the squared multiple correlation of x_i on the other
     items, SMC_i = 1 - 1/(R^-1)_ii, R the correlation matrix of the
-    non-constant items (Guttman); a constant item's SMC is None.  Row
-    totals, item variances and R are computed once, so the cost is
-    O(N*k^2 + k^3) where a per-item regression would cost O(N*k^3).  When
-    fewer than two items vary, or R is not finite or is rank-deficient
-    (least/largest eigenvalue <= 1e-6: N <= k, duplicated items, an item
-    that is a linear combination of others), SMC is instead the R-squared
-    of a least-squares regression of each item on all the other items.
+    non-constant items (Guttman); a constant item's SMC is None.
+
+    One pass over k x N arrays gives every item's adjusted total, its mean
+    and variance, the item's sum of squares and the item-rest covariance,
+    and R is computed once: the cost is O(N*k^2 + k^3) where a per-item
+    regression would cost O(N*k^3), and only the assembly of the results
+    loops over items.  When fewer than two items vary, or R is not finite
+    or is rank-deficient (least/largest eigenvalue <= 1e-6: N <= k,
+    duplicated items, an item that is a linear combination of others), SMC
+    is instead the R-squared of a least-squares regression of each item on
+    all the other items.
     """
     m = _as_matrix(matrix)
     n, k = m.shape
@@ -226,23 +221,39 @@ def omitted_item_stats(matrix, item_ids: Sequence[int] | None = None) -> list[Om
         ids = list(item_ids)
         if len(ids) != k:
             raise ComputationError("item_ids length must match the column count")
+    # Row i of ``items`` is item i and row i of ``adj`` its adjusted total,
+    # each then centered.  numpy sums a C-contiguous row in the order it
+    # sums the 1-D column, so every statistic keeps the bits of the
+    # per-item formula; a k x N array in F order would not.
     total = m.sum(axis=1)
     item_vars = m.var(axis=0, ddof=1)
-    smc = _squared_multiple_corrs(m)
+    items = m.T.copy()
+    items -= items.mean(axis=1, keepdims=True)
+    item_ss = (items * items).sum(axis=1)
+    adj = np.subtract(total, m.T, order="C")
+    adj_means = adj.mean(axis=1)
+    adj -= adj_means[:, None]
+    adj_vars = (adj * adj).sum(axis=1) / (n - 1)
+    adj_sds = np.sqrt(adj_vars)
+    item_sds = np.sqrt(item_ss / (n - 1))
+    adj *= items
+    covs = adj.sum(axis=1) / (n - 1)
+    del items, adj
+    smc = _squared_multiple_corrs(m, item_ss)
     out: list[OmittedItemStats] = []
     for i in range(k):
-        item = m[:, i]
-        adj_total = total - item
+        defined = item_sds[i] != 0.0 and adj_sds[i] != 0.0
         out.append(
             OmittedItemStats(
                 item_id=ids[i],
-                adj_total_mean=float(adj_total.mean()),
-                adj_total_stdev=float(adj_total.std(ddof=1)),
-                item_adj_total_corr=_pearson(item, adj_total),
+                adj_total_mean=float(adj_means[i]),
+                adj_total_stdev=float(adj_sds[i]),
+                item_adj_total_corr=min(1.0, max(-1.0, float(
+                    covs[i] / (item_sds[i] * adj_sds[i])))) if defined else None,
                 squared_multiple_corr=smc[i] if smc is not None
-                else _squared_multiple_corr(item, np.delete(m, i, axis=1)),
+                else _squared_multiple_corr(m[:, i], np.delete(m, i, axis=1)),
                 alpha_if_deleted=_alpha(k - 1, float(np.delete(item_vars, i).sum()),
-                                        float(adj_total.var(ddof=1))),
+                                        float(adj_vars[i])),
             )
         )
     return out

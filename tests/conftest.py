@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from satmetric import xyz
 from satmetric.errors import ComputationError
 from satmetric.instrument import SurveyInstrument
-from satmetric.psychometrics import OmittedItemStats, _pearson, _squared_multiple_corr, \
-    cronbach_alpha
+from satmetric.psychometrics import OmittedItemStats, _squared_multiple_corr, cronbach_alpha
 
 DEEP_FACTOR = 10
 settings.register_profile("deep", max_examples=100 * DEEP_FACTOR)
@@ -96,6 +95,15 @@ def alpha_covariance_oracle(matrix: np.ndarray) -> float:
     k = matrix.shape[1]
     cov = np.cov(matrix, rowvar=False)
     return (k / (k - 1)) * (1.0 - np.trace(cov) / cov.sum())
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
+    sx = x.std(ddof=1)
+    sy = y.std(ddof=1)
+    if sx == 0.0 or sy == 0.0:
+        return None
+    cov = ((x - x.mean()) * (y - y.mean())).sum() / (len(x) - 1)
+    return min(1.0, max(-1.0, float(cov / (sx * sy))))
 
 
 def omitted_item_stats_oracle(matrix: np.ndarray) -> list[OmittedItemStats]:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import codecs
 import contextlib
 import csv
+import io
+import re
 from unittest import mock
 
 import pytest
@@ -167,15 +169,23 @@ class _Untouchable:
         raise AssertionError("the per-cell parser used the canonical row pattern")
 
 
-def _refuse(*args):
-    raise AssertionError("the per-cell parser used the digit converter")
+#: The helpers of the bulk routes, which the per-cell parser must not use.
+BULK_HELPERS = ("_parse_canonical", "_cell_grid", "_digit_values", "_invalid_rows")
+
+
+def _refuser(name: str):
+    def refuse(*args):
+        raise AssertionError(f"the per-cell parser used {name}")
+    return refuse
 
 
 @contextlib.contextmanager
 def _per_cell_only():
-    """While active, the canonical matcher and the digit converter fail."""
-    with mock.patch.object(ingest, "_CANONICAL_ROW", _Untouchable()), \
-            mock.patch.object(ingest, "_digit_values", _refuse):
+    """While active, the canonical row pattern and every bulk helper fail."""
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(ingest, "_CANONICAL_ROW", _Untouchable()))
+        for name in BULK_HELPERS:
+            stack.enter_context(mock.patch.object(ingest, name, _refuser(name)))
         yield
 
 
@@ -231,6 +241,115 @@ def test_field_over_the_csv_limit_takes_the_row_route():
     assert ingest._parse_canonical(data, instrument, ResponseKind.EXPECTATION) is None
     with pytest.raises(DataError, match="malformed CSV"):
         parse_response_file(data, instrument, ResponseKind.EXPECTATION)
+    # A first or last data line of limit - 1 bytes stays on the whole-file
+    # route; one of exactly the limit leaves it, for the same result.
+    for shortfall in (1, 0):
+        long_line = "x" * (csv.field_size_limit() - shortfall - 2) + ",2"
+        assert len(long_line) == csv.field_size_limit() - shortfall
+        for lines in ([long_line, "r1,1", "r2,3"], ["r1,1", "r2,3", long_line]):
+            data = ("respondent_id,q1\n" + "\n".join(lines) + "\n").encode("ascii")
+            bulk = ingest._parse_canonical(data, instrument, ResponseKind.EXPECTATION)
+            assert (bulk is not None) == (shortfall == 1)
+            rs, report = parse_response_file(data, instrument, ResponseKind.EXPECTATION)
+            assert report.rejected_rows == 0
+            assert rs.respondent_ids == tuple(line.partition(",")[0] for line in lines)
+
+
+#: Any ASCII character, most of the time one at the edge of a byte class
+#: that the canonical check tells apart.
+ASCII = st.one_of(st.sampled_from("\x00\t\n\r !\",~\x7f"), st.sampled_from("/09:"),
+                  st.characters(max_codepoint=0x7F))
+DIGITS = st.integers(1, 18).flatmap(
+    lambda n: st.text(alphabet="0123456789", min_size=n, max_size=n))
+LINE_FLAWS = ("any_id", "odd_id_byte", "empty_id", "fewer_cells", "more_cells", "empty_cell",
+              "long_cell", "odd_cell_byte", "lead_comma", "trail_comma", "empty_line")
+
+
+def _insert(draw, text: str) -> str:
+    place = draw(st.integers(0, len(text)))
+    return text[:place] + draw(ASCII) + text[place:]
+
+
+@st.composite
+def near_canonical_lines(draw, k: int) -> str:
+    """A canonical data line of k cells, or, one time in three, one with a
+    flaw: an id of any ASCII characters, one such character in an id or a
+    cell, an empty id, k - 1 or k + 1 cells, an empty cell, a cell of 19
+    digits that fits an int64, a leading or trailing comma, or an empty
+    line.  Some flaws still draw a canonical line."""
+    respondent_id = draw(st.text(alphabet="abz09_.#~!+-", min_size=1, max_size=4))
+    cells = draw(st.lists(DIGITS, min_size=k, max_size=k))
+    flaw = draw(st.sampled_from(LINE_FLAWS)) if draw(st.integers(0, 2)) == 0 else None
+    at = draw(st.integers(0, k - 1))
+    if flaw == "any_id":
+        respondent_id = draw(st.text(alphabet=ASCII, max_size=4))
+    elif flaw == "odd_id_byte":
+        respondent_id = _insert(draw, respondent_id)
+    elif flaw == "empty_id":
+        respondent_id = ""
+    elif flaw == "fewer_cells":
+        cells.pop()
+    elif flaw == "more_cells":
+        cells.append(draw(DIGITS))
+    elif flaw == "empty_cell":
+        cells[at] = ""
+    elif flaw == "long_cell":
+        cells[at] = str(draw(st.integers(10**18, 2**63 - 1)))
+    elif flaw == "odd_cell_byte":
+        cells[at] = _insert(draw, cells[at])
+    line = ",".join([respondent_id, *cells])
+    return {"lead_comma": "," + line, "trail_comma": line + ",", "empty_line": ""}.get(
+        flaw, line)
+
+
+def _assert_read_whole_iff_canonical(k: int, lines: list[str], trailing: bool) -> None:
+    """The whole-file route reads the file of ``lines`` (under a scale that
+    holds every int64, so that no value is refused for its size) exactly
+    when every data line fullmatches ``_CANONICAL_ROW`` and the ids are
+    distinct, and then to the values and ids that csv.reader reads."""
+    instrument = build_instrument({
+        "scale": {"min": 0, "max": 2**63 - 1},
+        "items": [{"id": i, "prompt": f"q{i}", "dimension": "empathy", "kano": "must_be"}
+                  for i in range(1, k + 1)],
+    })
+    header = ",".join(["respondent_id", *(f"q{i}" for i in range(1, k + 1))])
+    text = header + "\n" + "\n".join(lines) + ("\n" if trailing else "")
+    bulk = ingest._parse_canonical(text.encode("ascii"), instrument, ResponseKind.EXPECTATION)
+    # The route reads \r\n as \n, so the lines are those of the normalised text.
+    body = text.replace("\r\n", "\n").partition("\n")[2].removesuffix("\n").split("\n")
+    pattern = re.compile(ingest._CANONICAL_ROW % k)
+    canonical = all(pattern.fullmatch(line) for line in body)
+    distinct = len({line.partition(",")[0] for line in body}) == len(body)
+    assert (bulk is not None) == (canonical and distinct), text
+    if bulk is not None:
+        records = list(csv.reader(io.StringIO(text, newline="")))[1:]
+        assert bulk[0].respondent_ids == tuple(record[0] for record in records)
+        assert bulk[0].values.tolist() == [[int(cell) for cell in record[1:]]
+                                           for record in records]
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(near_canonical_lines(k), min_size=1, max_size=6))),
+    st.booleans())
+def test_canonical_check_matches_the_row_pattern(case, trailing):
+    """The whole-file route's array checks against the pattern they stand
+    in for, on the drawn file and on each of its lines alone."""
+    k, lines = case
+    for data_lines in [lines, *([line] for line in lines)]:
+        _assert_read_whole_iff_canonical(k, data_lines, trailing)
+
+
+def test_canonical_check_matches_the_row_pattern_on_every_byte():
+    """Each ASCII byte before, inside and after an id, an inner cell and a
+    last cell, on the first and on the last data line."""
+    for char in map(chr, range(0x80)):
+        for place in range(3):
+            respondent_id = "ab"[:place] + char + "ab"[place:]
+            cell = "12"[:place] + char + "12"[place:]
+            for line in (f"{respondent_id},12,3", f"ab,{cell},3", f"ab,3,{cell}"):
+                _assert_read_whole_iff_canonical(2, [line, "x,1,2"], False)
+                _assert_read_whole_iff_canonical(2, ["x,1,2", line], False)
 
 
 def _count_cell_parses(monkeypatch) -> list[str]:

@@ -306,3 +306,41 @@ def test_full_rank_matrix_needs_no_per_item_alpha_or_regression(monkeypatch):
     # a duplicated item makes the correlation matrix singular: per-item regressions
     omitted_item_stats(np.column_stack([full_rank, full_rank[:, 0]]))
     assert calls == {"cronbach_alpha": 0, "lstsq": 41}
+
+
+def _layouts(matrix: np.ndarray) -> dict[str, np.ndarray]:
+    """The same matrix in row-major order, in column-major order and as a
+    strided view into a larger array."""
+    strided = np.zeros((2 * matrix.shape[0], 3 * matrix.shape[1]), dtype=matrix.dtype)
+    strided[::2, ::3] = matrix
+    return {"C": np.ascontiguousarray(matrix), "F": np.asfortranarray(matrix),
+            "strided": strided[::2, ::3]}
+
+
+def _result_or_error(function, *args):
+    try:
+        return function(*args)
+    except ComputationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=examples(50), deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_statistics_do_not_depend_on_memory_layout(seed):
+    """numpy sums a column-major or strided array in another order than a
+    row-major one; every statistic must come out bit for bit the same."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(1, 6, size=(int(rng.integers(8, 80)), int(rng.integers(3, 9))))
+    instrument = tiny_instrument(matrix.shape[1])
+    floats = _layouts(matrix.astype(float))
+    results = {}
+    for layout, values in _layouts(matrix).items():
+        rs = make_response_set(values)
+        results[layout] = (
+            [_result_or_error(function, m) for function in (cronbach_alpha, omitted_item_stats)
+             for m in (values, floats[layout])],
+            [item_descriptives(rs, instrument, mode) for mode in VarianceMode],
+            _result_or_error(reliability_report, rs, instrument),
+        )
+    assert results["F"] == results["C"]
+    assert results["strided"] == results["C"]
