@@ -5,11 +5,12 @@ W ?= tall
 SEED ?= 1
 TIER1 = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
 
-.PHONY: help test test-deep bench-smoke bench
+.PHONY: help test test-deep test-ingest-deep bench-smoke bench
 
 help:
 	@echo "make test         tier-1 suite (tests/, default hypothesis profile)"
 	@echo "make test-deep    the same suite with every property test on 10x the examples"
+	@echo "make test-ingest-deep  the ingest route tests alone, on 10x the examples"
 	@echo "make bench-smoke  perfbench smoke run at tiny sizes"
 	@echo "make bench        one benchmark run: W=<workload> (default tall) SEED=<n> (default 1)"
 
@@ -18,6 +19,9 @@ test:
 
 test-deep:
 	HYPOTHESIS_PROFILE=deep $(TIER1)
+
+test-ingest-deep:
+	HYPOTHESIS_PROFILE=deep $(TIER1) tests/test_ingest.py tests/test_ingest_routes.py
 
 bench-smoke:
 	$(PYTHON) -m pytest -q perfbench

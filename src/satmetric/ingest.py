@@ -11,17 +11,29 @@ Parsing is a pure function of the file bytes; the returned ResponseSet is
 immutable.  Rows that violate the schema are either dropped (listwise,
 with a row-level diagnostic) or abort the parse, per MissingPolicy.
 
-A canonical file (unquoted ASCII, plain digit cells, distinct ids, every
-row valid) is read whole with numpy.  Any other input is read record by
-record with csv.reader: canonical records are converted in bulk and only
-the others are parsed cell by cell.  Both routes yield the result, and the
-row diagnostics, of parse_response_rows, which parses every record cell by
-cell.  A canonical line is one that matches ``_CANONICAL_ROW``: the
-per-record route matches records against that pattern, and the whole-file
-route checks all lines at once with array arithmetic that must accept
-exactly the lines the pattern matches
-(tests/test_ingest_routes.py: test_canonical_check_matches_the_row_pattern
-and ..._on_every_byte).
+Two routes stand in for parse_response_rows, which reads every record
+with csv.reader and checks it cell by cell; each yields its result, row
+diagnostics and errors.
+
+* Whole-file: a canonical file (unquoted ASCII, plain digit cells,
+  distinct ids, every row valid) passed as bytes is checked and read at
+  once with array arithmetic over its bytes.
+* Line route: every other input, and all ``str`` input (encoded to UTF-8,
+  with no byte-order mark removed).  All lines are classified at once.  A
+  line that holds a double quote starts a record that csv.reader reads,
+  which may span further lines; every other line is one record, split on
+  commas.  A quote-free ASCII line whose id str.strip() leaves non-empty
+  and whose cells it leaves as an optional sign and 1 to 18 digits is
+  converted in bulk.  The rest, and every converted row whose values fail
+  the scale or allocation check, go through _check_record, the source of
+  every row diagnostic but ``duplicate_id``.  The route declines, and
+  parse_response_rows reads, input that is not UTF-8, holds a NUL byte or
+  a carriage return not followed by a newline, is empty, has a header line
+  that holds a double quote or does not match, or has a line of
+  csv.field_size_limit() bytes or more.
+
+tests/test_ingest_routes.py holds each route to parse_response_rows and
+its checks to the patterns they stand in for.
 """
 
 from __future__ import annotations
@@ -191,19 +203,11 @@ def parse_response_file(
         parsed = _parse_canonical(data, instrument, kind)
         if parsed is not None:
             return parsed
-    return _parse_records(data, instrument, kind, policy)
+    parsed = _parse_lines(data, instrument, kind, policy)
+    if parsed is not None:
+        return parsed
+    return parse_response_rows(data, instrument, kind, policy)
 
-
-#: A canonical data line: a respondent id of printable ASCII other than
-#: space, comma and double quote, then k cells of 1 to 18 digits (an int64
-#: holds every 18-digit number).  Neither part can match a comma or a
-#: newline, so a failed match backtracks at most the length of its line.
-#: The per-record route matches each record against it.  The whole-file
-#: route checks the same form with array arithmetic and must accept exactly
-#: the lines this pattern matches; the tests
-#: test_canonical_check_matches_the_row_pattern and ..._on_every_byte
-#: (tests/test_ingest_routes.py) hold the two together.
-_CANONICAL_ROW = r"[!#-+\--~]+(?:,[0-9]{1,18}){%d}"
 
 _ID_COLUMN = "respondent_id"
 
@@ -216,12 +220,14 @@ def _parse_canonical(
     Canonical: ASCII after an optional byte-order mark, no double quote,
     ``\n`` or ``\r\n`` line ends, at most one trailing newline, a header
     equal to the expected one after stripping each cell, then one or more
-    lines that each match ``_CANONICAL_ROW``, with distinct ids and values
-    that all pass validation.  The lines are checked together, over arrays
-    of the body's bytes: the only bytes outside ``!`` to ``~`` are the
-    newlines; the N*k commas fall k to a line, each line's first after its
-    start; every cell is 1 to 18 digits (checked by _digit_values); and no
-    line reaches the csv.reader field limit.
+    lines of the form ``id,digits,...,digits`` (an id of printable ASCII
+    other than space, comma and double quote, then k cells of 1 to 18
+    digits), with distinct ids and values that all pass validation.  The
+    lines are checked together, over arrays of the body's bytes: the only
+    bytes outside ``!`` to ``~`` are the newlines; the N*k commas fall k to
+    a line, each line's first after its start; every cell is 1 to 18 digits
+    (checked by _digit_values); and no line reaches the csv.reader field
+    limit.
     """
     data = data.removeprefix(codecs.BOM_UTF8)
     if b'"' in data or not data.isascii():
@@ -236,121 +242,266 @@ def _parse_canonical(
         return None
     body = body.removesuffix(b"\n")
     raw = np.frombuffer(body, dtype=np.uint8)
-    grid = _cell_grid(raw, len(expected) - 1)
-    if grid is None:
+    ends = np.append(np.flatnonzero(raw == ord("\n")), len(raw))
+    commas = np.flatnonzero(raw == ord(","))
+    if commas.size != ends.size * (len(expected) - 1):
         return None
-    starts, commas, ends = grid
-    # With the cell widths that _digit_values checks, these keep each row
-    # of ``commas`` inside its own line.
+    # Row i of ``commas`` holds line i's commas if each line holds k of them,
+    # which these checks and the cell widths that _digit_values checks ensure.
+    starts, commas = np.append(0, ends[:-1] + 1), commas.reshape(len(ends), -1)
     if (np.count_nonzero((raw <= ord(" ")) | (raw > ord("~"))) != len(ends) - 1
             or not (commas[:, 0] > starts).all()):
         return None
     # csv.reader refuses a field longer than its limit; so does this route.
     if max(len(head), int((ends - starts).max())) >= csv.field_size_limit():
         return None
-    values = _digit_values(raw, commas, ends)
-    if values is None or _invalid_rows(values, instrument.scale, kind).any():
+    values, valid = _digit_values(raw, commas + 1, np.column_stack((commas[:, 1:], ends)))
+    if not valid.all() or _invalid_rows(values, instrument.scale, kind).any():
         return None
-    text = body.decode("ascii")
-    ids = [text[start:comma] for start, comma in zip(starts.tolist(), commas[:, 0].tolist())]
+    ids = _texts(raw, starts, commas[:, 0])
     if len(set(ids)) != len(ids):
         return None
-    response_set = ResponseSet(kind=kind, instrument_ref=instrument.fingerprint(),
-                               values=values, respondent_ids=tuple(ids))
-    return response_set, ValidationReport(row_errors=(), accepted_rows=len(ids),
-                                          rejected_rows=0)
+    return _validated_set(instrument, kind, values, ids), ValidationReport(
+        row_errors=(), accepted_rows=len(ids), rejected_rows=0)
 
 
-def _cell_grid(
-    raw: np.ndarray, k: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The start offset of each of the N ``\n``-separated lines in ``raw``,
-    its N x k comma offsets and its end offset; None unless ``raw`` holds
-    exactly N*k commas.  Row i of the comma array is line i's commas only
-    if each line holds k of them."""
-    ends = np.append(np.flatnonzero(raw == ord("\n")), len(raw))
-    commas = np.flatnonzero(raw == ord(","))
-    if commas.size != ends.size * k:
-        return None
-    return np.append(0, ends[:-1] + 1), commas.reshape(-1, k), ends
-
-
-def _digit_values(raw: np.ndarray, commas: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The N x k values of the cells of N lines of ``raw``: a cell follows
-    each of the N x k ``commas`` and runs to the next comma or, for the
-    last, to its line's end in ``ends``.  None unless every cell is 1 to 18
-    digits (an int64 holds every 18-digit number)."""
-    starts = commas + 1
-    widths = np.column_stack((commas[:, 1:], ends))
-    widths -= starts
-    if widths.min() < 1 or widths.max() > 18:
-        return None
+def _digit_values(
+    raw: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The N x k values of the cells ``raw[starts:ends]`` (elementwise) and
+    the mask of the rows whose every cell is 1 to 18 digits (an int64 holds
+    every 18-digit number); the values of other rows are meaningless.
+    Advances ``starts`` and overwrites ``ends``: each large temporary is
+    paid for in page faults, so callers hand over theirs."""
+    widths = np.subtract(ends, starts, out=ends)
+    valid = ~_rows_with((widths < 1) | (widths > 18))
+    widths[~valid] = 0
     widths = widths.astype(np.int8)
-    # Horner's rule, one gather per digit place, in place: several times
-    # faster than converting the split cells with astype, and no N x k
-    # int64 array besides the cursors and the result.  A gather past the
-    # end of ``raw`` (a short last cell) reads its last byte, unused.
-    values = np.zeros(widths.shape, dtype=np.int64)
-    worst = np.zeros(widths.shape, dtype=np.uint8)
-    for place in range(int(widths.max())):
+    # Horner's rule, one gather per digit place: several times faster than
+    # converting the split cells with astype.  Every cell of a valid row
+    # has a first digit; the later places update only the cells that have
+    # them.  A gather past the end of ``raw`` reads its last byte, unused.
+    worst = raw.take(starts, mode="clip") - ord("0")  # other bytes wrap above 9
+    values = worst.astype(np.int64)
+    for place in range(1, int(widths.max(initial=0))):
+        starts += 1
         has = widths > place
-        digits = raw.take(starts, mode="clip") - ord("0")  # other bytes wrap above 9
+        digits = raw.take(starts, mode="clip") - ord("0")
         np.maximum(worst, digits, out=worst, where=has)
         np.multiply(values, 10, out=values, where=has)
         np.add(values, digits, out=values, where=has)
-        starts += 1
-    if worst.max() > 9:
-        return None
-    return values
+    valid &= ~_rows_with(worst > 9)
+    return values, valid
+
+
+def _rows_with(cells: np.ndarray) -> np.ndarray:
+    """Row mask of an N x k cell mask: True where a row holds a True cell.
+    The same as cells.any(axis=1), and faster when few cells are True."""
+    rows = np.zeros(len(cells), dtype=bool)
+    rows[np.flatnonzero(cells) // cells.shape[1]] = True
+    return rows
+
+
+def _texts(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The ASCII text of each span ``raw[starts:ends]``, none of which holds
+    a newline: one gather takes each span and the byte at its end, which
+    becomes the newline that one split cuts at."""
+    if not len(starts):
+        return []
+    stops = np.cumsum(ends - starts + 1)
+    # The offsets to gather step by one within a span, and jump from the
+    # end of each span to the start of the next: one array, summed in place.
+    steps = np.ones(stops[-1], dtype=np.int64)
+    steps[0], steps[stops[:-1]] = starts[0], starts[1:] - ends[:-1]
+    text = raw[np.cumsum(steps, out=steps)]
+    text[stops - 1] = ord("\n")
+    return text.tobytes().decode("ascii").split("\n")[:-1]
 
 
 def _invalid_rows(values: np.ndarray, scale: LikertScale, kind: ResponseKind) -> np.ndarray:
     """Row mask: True where a row of values is outside the Likert scale or,
     for importance, not a valid allocation."""
     if kind.is_likert:
-        return ((values < scale.min) | (values > scale.max)).any(axis=1)
+        return _rows_with((values < scale.min) | (values > scale.max))
     return _invalid_allocations(values)
 
 
-def _parse_records(
+#: The ASCII bytes that str.strip() removes, but for the line ends: within
+#: a line's text, the padding a cell or an id may carry.
+_PAD = np.array([b < 0x80 and chr(b).isspace() and b not in b"\r\n" for b in range(256)])
+
+
+def _parse_lines(
     data: bytes | str,
     instrument: SurveyInstrument,
     kind: ResponseKind,
     policy: MissingPolicy,
-) -> tuple[ResponseSet, ValidationReport]:
-    """Per-record route: reads the records with csv.reader and converts the
-    canonical ones (k+1 fields, a plain id, cells of 1 to 18 digits) in
-    bulk.  Every other record, and every canonical record whose values fail
-    validation, goes through the per-cell checks."""
-    expected, records = _read_records(data, instrument, kind)
+) -> tuple[ResponseSet, ValidationReport] | None:
+    """Line route (see the module docstring): the result of
+    parse_response_rows, or None for an input it declines.  A record's row
+    number counts the records before it, so it differs from its line
+    number only after a record of several lines."""
+    expected = _expected_header(instrument, kind)
+    data = _line_input(data, expected)
+    if data is None:
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    edges = np.append(0, np.flatnonzero(raw == ord("\n")) + 1)
+    if edges[-1] < len(raw):
+        edges = np.append(edges, len(raw))
+    if np.diff(edges).max() >= csv.field_size_limit():
+        return None
+    # Data line i is raw[starts[i]:ends[i]], line end included, and its text
+    # is raw[starts[i]:stops[i]].  Every \r precedes a \n.
+    starts, ends = edges[1:-1], edges[2:]
+    stops = ends - (raw[ends - 1] == ord("\n"))
+    stops -= raw[stops - 1] == ord("\r")
+    quoted = np.unique(np.searchsorted(ends, np.flatnonzero(raw == ord('"')), side="right"))
+    read = _quoted_records(data, edges[1:].tolist(), quoted.tolist())
+    if read is None:
+        return None
+    records, later = read
+    first = np.ones(len(starts), dtype=bool)  # the first line of a record
+    first[later] = False
+    numbers = np.cumsum(first)  # each line's data-row number, if it is first
+
     k = len(expected) - 1
-    match = re.compile(_CANONICAL_ROW % k).fullmatch
-    lines = [",".join(raw) if len(raw) == k + 1 else "" for raw in records]
-    bulk = [at for at, line in enumerate(lines) if match(line)]
-    raw = np.frombuffer("\n".join([lines[at] for at in bulk]).encode("ascii"), dtype=np.uint8)
-    # Each large intermediate is dropped once used, which keeps this route's
-    # peak memory below the per-cell route's.
-    del lines
-    table = np.empty((len(records), k), dtype=np.int64)
-    accepted = np.zeros(len(records), dtype=bool)
-    if bulk:
-        _, commas, ends = _cell_grid(raw, k)
-        values = _digit_values(raw, commas, ends)
-        del raw, commas, ends
-        table[bulk] = values
-        accepted[bulk] = ~_invalid_rows(values, instrument.scale, kind)
-        del values
-    positions, values, errors = _check_records(
-        records, np.flatnonzero(~accepted).tolist(), expected, instrument.scale, kind)
-    if positions:
-        table[positions] = values
-        accepted[positions] = True
-    rows = np.flatnonzero(accepted)
-    ids = [records[at][0].strip() for at in rows.tolist()]
-    del records
-    values = table[rows]
-    del table
-    return _result(instrument, kind, policy, (rows + 1).tolist(), ids, values, errors)
+    commas = np.flatnonzero(raw == ord(","))
+    lead = np.searchsorted(commas, starts)
+    plain = first & (np.searchsorted(commas, stops) - lead == k)
+    plain[quoted] = False
+    # Sparse offsets of the bytes outside "!" to "~" (the subtraction wraps
+    # below "!"): the padding and the non-ASCII bytes are among them.
+    odd = np.flatnonzero((raw - np.uint8(ord("!"))) > ord("~") - ord("!"))
+    high = odd[raw[odd] > 0x7F]
+    plain &= np.searchsorted(high, stops) == np.searchsorted(high, starts)
+    lines = np.flatnonzero(plain)
+    values, valid, id_lo, id_hi = _bulk_values(
+        raw, starts[lines], stops[lines], commas[lead[lines, None] + np.arange(k)],
+        odd[_PAD[raw[odd]]])
+    valid &= ~_invalid_rows(values, instrument.scale, kind)
+    lines, values = lines[valid], values[valid]
+    ids = _texts(raw, id_lo[valid], id_hi[valid])
+
+    first[lines] = False
+    rest = np.flatnonzero(first)
+    checked, errors = [], []
+    for at, start, stop, row in zip(rest.tolist(), starts[rest].tolist(),
+                                    stops[rest].tolist(), numbers[rest].tolist()):
+        record = records.get(at)
+        if record is None:
+            record = data[start:stop].decode("utf-8").split(",")
+        outcome = _check_record(record, row, expected, instrument.scale, kind)
+        if isinstance(outcome, RowError):
+            errors.append(outcome)
+        elif outcome is not None:
+            checked.append((at, record[0].strip(), outcome))
+    if checked:  # merge them into the converted rows, in line order
+        more_lines, more_ids, more_values = zip(*checked)
+        places = np.searchsorted(lines, more_lines)
+        lines = np.insert(lines, places, more_lines)
+        values = np.insert(values, places, more_values, axis=0)
+        merged, done = [], 0
+        for place, respondent_id in zip(places.tolist(), more_ids):
+            merged += ids[done:place]
+            merged.append(respondent_id)
+            done = place
+        ids = merged + ids[done:]
+    return _result(instrument, kind, policy, numbers[lines].tolist(), ids, values, errors)
+
+
+def _line_input(data: bytes | str, expected: list[str]) -> bytes | None:
+    """The UTF-8 bytes of ``data`` (a byte-order mark removed from bytes),
+    or None unless they are valid, non-empty, free of NUL bytes and of
+    carriage returns outside ``\r\n``, and start with a header line that
+    holds no double quote and matches ``expected`` once stripped."""
+    if isinstance(data, str):
+        try:
+            data = data.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+    else:
+        data = data.removeprefix(codecs.BOM_UTF8)
+    if not data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    head = data.partition(b"\n")[0].removesuffix(b"\r")
+    if b'"' in head or [cell.strip() for cell in head.decode("utf-8").split(",")] != expected:
+        return None
+    return data
+
+
+def _quoted_records(
+    data: bytes, edges: list[int], quoted: list[int],
+) -> tuple[dict[int, list[str]], list[int]] | None:
+    """The record that csv.reader reads from each line in ``quoted`` (line i
+    is data[edges[i]:edges[i + 1]]), in order, skipping the lines that an
+    earlier record took; and the lines the records took after their first.
+    None if csv.reader raises."""
+    records: dict[int, list[str]] = {}
+    later: list[int] = []
+    taken = 0
+    for line in quoted:
+        if line < taken:
+            continue
+        reader = csv.reader(data[edges[at]:edges[at + 1]].decode("utf-8")
+                            for at in range(line, len(edges) - 1))
+        try:
+            records[line] = next(reader)
+        except csv.Error:
+            return None
+        taken = line + reader.line_num
+        later.extend(range(line + 1, taken))
+    return records, later
+
+
+def _bulk_values(
+    raw: np.ndarray, starts: np.ndarray, stops: np.ndarray, commas: np.ndarray,
+    pad: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Convert the quote-free ASCII lines ``raw[starts:stops]``, whose N x k
+    comma offsets are ``commas`` (consumed); ``pad`` holds the sorted
+    offsets of the _PAD bytes.  A line converts when str.strip() leaves its
+    id non-empty and each of its cells as an optional sign and 1 to 18
+    digits.  Returns the values, the mask of the lines that convert, and
+    the bounds of their stripped ids."""
+    id_lo, id_hi = starts.copy(), commas[:, 0].copy()
+    hi = np.empty_like(commas)
+    hi[:, :-1], hi[:, -1] = commas[:, 1:], stops
+    lo = np.add(commas, 1, out=commas)
+    padded = np.flatnonzero(np.searchsorted(pad, stops) > np.searchsorted(pad, starts))
+    if padded.size:
+        id_lo[padded], id_hi[padded] = _strip_spans(id_lo[padded], id_hi[padded], pad)
+        lo[padded], hi[padded] = _strip_spans(lo[padded], hi[padded], pad)
+    sign = raw.take(lo, mode="clip")
+    negative = sign == ord("-")
+    lo += negative | (sign == ord("+"))
+    values, valid = _digit_values(raw, lo, hi)
+    np.negative(values, out=values, where=negative)
+    valid &= id_hi > id_lo
+    return values, valid, id_lo, id_hi
+
+
+def _strip_spans(
+    lo: np.ndarray, hi: np.ndarray, pad: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Narrow each span raw[lo:hi] as str.strip() narrows its ASCII text,
+    given the sorted offsets ``pad`` of the _PAD bytes of ``raw`` (not
+    empty; no pad byte lies just outside a span).  A pad byte left inside a
+    cell is not a digit, so the digit check refuses it.  An all-pad span
+    comes back with hi < lo."""
+    breaks = np.flatnonzero(np.diff(pad) != 1)
+    never = np.iinfo(np.int64).max  # ends both run arrays, matching no offset
+    run_lo = np.append(pad[np.append(0, breaks + 1)], never)
+    run_hi = np.append(pad[np.append(breaks, -1)] + 1, never)
+    at = np.searchsorted(run_lo, lo)
+    lo = np.where(run_lo[at] == lo, run_hi[at], lo)
+    at = np.searchsorted(run_hi, hi)
+    return lo, np.where(run_hi[at] == hi, run_lo[at], hi)
 
 
 def parse_response_rows(
@@ -490,11 +641,26 @@ def _result(
         raise DataError(f"row {err.row}, column {err.column}: {err.message} [{err.code}]")
     if not ids:
         raise DataError(f"no valid rows in {kind.value} file ({len(errors)} rejected)")
-    response_set = ResponseSet(kind=kind, instrument_ref=instrument.fingerprint(),
-                               values=values, respondent_ids=tuple(ids))
+    response_set = _validated_set(instrument, kind, values, ids)
     report = ValidationReport(row_errors=tuple(errors), accepted_rows=len(ids),
                               rejected_rows=len(errors))
     return response_set, report
+
+
+def _validated_set(
+    instrument: SurveyInstrument, kind: ResponseKind, values: np.ndarray, ids: list[str],
+) -> ResponseSet:
+    """The ResponseSet of the rows that a route has checked, at least one:
+    ``values`` is the route's own matrix, one row per id.  It skips the
+    constructor, whose copy of ``values`` costs page faults in this and
+    later stages and whose allocation check would check every row again."""
+    values = np.ascontiguousarray(values, dtype=np.int64)
+    values.setflags(write=False)
+    response_set = object.__new__(ResponseSet)
+    for name, value in (("kind", kind), ("instrument_ref", instrument.fingerprint()),
+                        ("values", values), ("respondent_ids", tuple(ids))):
+        object.__setattr__(response_set, name, value)
+    return response_set
 
 
 def serialize_response_set(rs: ResponseSet, instrument: SurveyInstrument) -> bytes:

@@ -165,6 +165,33 @@ def test_importance_row_sum_99_rejected(xyz_instrument):
     assert report.row_errors[0].code == "sum_not_100"
 
 
+def test_allocations_are_checked_once_per_parse(monkeypatch, xyz_instrument):
+    """Each bulk route checks the converted allocations once and builds its
+    ResponseSet without checking them again; a ResponseSet built directly
+    still checks every row."""
+    calls = []
+    real = ingest._invalid_allocations
+
+    def spy(values):
+        calls.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(ingest, "_invalid_allocations", spy)
+    clean = importance_csv(["r1,40,30,10,10,10", "r2,20,20,20,20,20"])
+    dirty = importance_csv(["r1, 40,30,10,10,10", "r2,20,20,20,20,20", "r3,20,20,20,20,25"])
+    assert ingest._parse_canonical(clean, xyz_instrument, ResponseKind.IMPORTANCE) is not None
+    calls.clear()
+    for data, rows in ((clean, 2), (clean.decode(), 2), (dirty, 3)):
+        rs, _ = parse_response_file(data, xyz_instrument, ResponseKind.IMPORTANCE)
+        assert rs.n_respondents == 2
+        assert calls == [rows]
+        calls.clear()
+    with pytest.raises(DataError, match="importance row 2 violates sum_not_100"):
+        ResponseSet(ResponseKind.IMPORTANCE, "t", np.array([[20] * 5, [20, 20, 20, 20, 25]]),
+                    ("r1", "r2"))
+    assert calls == [2]
+
+
 @pytest.mark.parametrize("row, expected", [
     ((20, 20, 20, 20, 20), None),
     ((40, 30, 10, 10, 10), None),

@@ -1,8 +1,9 @@
 """The routes of ``parse_response_file`` against the per-cell parser
 (``parse_response_rows``) they stand in for: the whole-file route for
-canonical bytes, and the per-record route for every other file and for all
-``str`` input, which converts canonical records in bulk and parses only
-the others cell by cell.
+canonical bytes, and the line route for every other file and for all
+``str`` input, which converts plain lines in bulk, reads only the records
+of lines that hold a quote with csv.reader, and parses only the records it
+does not convert cell by cell.
 
 Hypothesis starts from canonical files and applies the near misses a real
 export produces.  Whatever the bytes, every route must return the same
@@ -16,6 +17,7 @@ import codecs
 import contextlib
 import csv
 import io
+import itertools
 import re
 from unittest import mock
 
@@ -67,6 +69,16 @@ def canonical_files(draw):
     return _instrument(k, lo, hi), kind, [header, *rows], hi, eol, draw(st.booleans())
 
 
+#: A canonical data line: a respondent id of printable ASCII other than
+#: space, comma and double quote, then k cells of 1 to 18 digits.  The
+#: whole-file route checks this form with array arithmetic, as does the
+#: line route per line; both must accept exactly the lines it matches.
+CANONICAL_ROW = r"[!#-+\--~]+(?:,[0-9]{1,18}){%d}"
+
+#: A cell that the line route converts in bulk, once str.strip() has
+#: removed its padding.
+RELAXED_CELL = re.compile(r"[+-]?[0-9]{1,18}")
+
 #: Cell spellings that leave the canonical subset (most are still accepted
 #: by the row-by-row parser) or break the row.
 CELL_MUTATIONS = {
@@ -82,10 +94,21 @@ CELL_MUTATIONS = {
     "empty": lambda cell, hi: "",
     "decimal": lambda cell, hi: f"{cell}.0",
     "non_ascii_digit": lambda cell, hi: "٣",
+    "minus_zero": lambda cell, hi: "-0",
+    "plus_zero": lambda cell, hi: "+0",
+    "signed_18_digits": lambda cell, hi: "+" + cell.zfill(18),
+    "signed_19_digits": lambda cell, hi: "-" + cell.zfill(19),
+    "quoted_newline": lambda cell, hi: f'"{cell}\n"',
+    "quoted_crlf": lambda cell, hi: f'" \r\n{cell}"',
+    "mid_quote": lambda cell, hi: f'{cell}"{cell}',
+    "doubled_quote": lambda cell, hi: f'"{cell}"""',
+    "nul": lambda cell, hi: f"{cell}\x00",
+    "inner_cr": lambda cell, hi: f"{cell}\r{cell}",
 }
 ROW_MUTATIONS = ("add_field", "drop_field", "empty_id", "blank_id", "duplicate_id",
-                 "padded_duplicate_id", "padded_id", "non_ascii_id", "blank_line", "pad_header",
-                 "header_case")
+                 "padded_duplicate_id", "padded_id", "whitespace_padded_id", "non_ascii_id",
+                 "blank_line", "whitespace_line", "blank_fields_line", "quoted_id_closing_later",
+                 "unterminated_quote", "pad_header", "quote_header", "header_case")
 FILE_MUTATIONS = ("bare_cr", "mixed_crlf", "extra_trailing_newlines", "bom", "double_bom",
                   "invalid_utf8")
 MUTATIONS = tuple(CELL_MUTATIONS) + ROW_MUTATIONS + FILE_MUTATIONS
@@ -125,14 +148,27 @@ def _mutate(draw, table, hi, eol, trailing, names) -> bytes:
                 row[0] = other[0] if name == "duplicate_id" else f" {other[0].strip()} "
         elif name == "padded_id":
             row[0] = f" {row[0]}"
+        elif name == "whitespace_padded_id":  # \x1f: only str.strip removes it
+            row[0] = f"\t{row[0]} \x1f"
         elif name == "non_ascii_id":
             row[0] = f"{row[0]}é"
-        elif name == "blank_line":
-            table.insert(r, [])
+        elif name in ("blank_line", "whitespace_line", "blank_fields_line"):
+            table.insert(r, {"blank_line": [], "whitespace_line": [" \t"],
+                             "blank_fields_line": [" ", " ", ""]}[name])
             ends.insert(r, eol)
+        elif name == "quoted_id_closing_later":
+            row[0] = f'"{row[0]}'
+            later = r + draw(st.integers(1, 2))
+            if later < len(table) and table[later]:
+                table[later][0] += '"'
+        elif name == "unterminated_quote":
+            row[draw(st.integers(0, len(row) - 1))] += '"'
         elif name == "pad_header":
             c = draw(st.integers(0, len(table[0]) - 1))
             table[0][c] = f" {table[0][c]}\t"
+        elif name == "quote_header":
+            c = draw(st.integers(0, len(table[0]) - 1))
+            table[0][c] = f'"{table[0][c]}"'
         elif name == "header_case":
             table[0][0] = table[0][0].upper()
         elif name == "bare_cr":
@@ -162,15 +198,10 @@ def _outcome(parse, data, instrument, kind, policy):
             rs.respondent_ids, report)
 
 
-class _Untouchable:
-    """Stands in for the canonical row pattern: any use fails the test."""
-
-    def __mod__(self, other):
-        raise AssertionError("the per-cell parser used the canonical row pattern")
-
-
 #: The helpers of the bulk routes, which the per-cell parser must not use.
-BULK_HELPERS = ("_parse_canonical", "_cell_grid", "_digit_values", "_invalid_rows")
+BULK_HELPERS = ("_parse_canonical", "_digit_values", "_rows_with", "_texts",
+                "_invalid_rows", "_parse_lines", "_line_input", "_quoted_records", "_bulk_values",
+                "_strip_spans")
 
 
 def _refuser(name: str):
@@ -181,9 +212,8 @@ def _refuser(name: str):
 
 @contextlib.contextmanager
 def _per_cell_only():
-    """While active, the canonical row pattern and every bulk helper fail."""
+    """While active, every bulk helper fails."""
     with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(ingest, "_CANONICAL_ROW", _Untouchable()))
         for name in BULK_HELPERS:
             stack.enter_context(mock.patch.object(ingest, name, _refuser(name)))
         yield
@@ -192,9 +222,9 @@ def _per_cell_only():
 @settings(max_examples=examples(200), deadline=None)
 @given(canonical_files(), st.lists(st.sampled_from(MUTATIONS), max_size=3), st.data())
 def test_bulk_route_matches_row_by_row_parser(case, names, data):
-    """parse_response_file on bytes (whole-file or per-record route) and on
-    the decoded text (always the per-record route) against the per-cell
-    parser, which runs the per-record checks on every csv.reader record."""
+    """parse_response_file on bytes (whole-file or line route) and on the
+    decoded text (always the line route) against the per-cell parser, which
+    runs the per-record checks on every csv.reader record."""
     instrument, kind, table, hi, eol, trailing = case
     canonical = _render(table, eol, trailing).encode("ascii")
     assert ingest._parse_canonical(canonical, instrument, kind) is not None
@@ -261,8 +291,11 @@ ASCII = st.one_of(st.sampled_from("\x00\t\n\r !\",~\x7f"), st.sampled_from("/09:
                   st.characters(max_codepoint=0x7F))
 DIGITS = st.integers(1, 18).flatmap(
     lambda n: st.text(alphabet="0123456789", min_size=n, max_size=n))
+#: Runs of the ASCII characters that str.strip() removes within a line.
+PADDING = st.text(alphabet=" \t\x0b\x0c\x1c\x1d\x1e\x1f", max_size=3)
 LINE_FLAWS = ("any_id", "odd_id_byte", "empty_id", "fewer_cells", "more_cells", "empty_cell",
-              "long_cell", "odd_cell_byte", "lead_comma", "trail_comma", "empty_line")
+              "long_cell", "odd_cell_byte", "lead_comma", "trail_comma", "empty_line",
+              "padded_id", "padded_cell", "signed_cell", "blank_cell")
 
 
 def _insert(draw, text: str) -> str:
@@ -275,8 +308,9 @@ def near_canonical_lines(draw, k: int) -> str:
     """A canonical data line of k cells, or, one time in three, one with a
     flaw: an id of any ASCII characters, one such character in an id or a
     cell, an empty id, k - 1 or k + 1 cells, an empty cell, a cell of 19
-    digits that fits an int64, a leading or trailing comma, or an empty
-    line.  Some flaws still draw a canonical line."""
+    digits that fits an int64, a leading or trailing comma, an empty line,
+    padding around the id or a cell, a signed cell, or a cell of padding
+    alone.  Some flaws still draw a canonical line."""
     respondent_id = draw(st.text(alphabet="abz09_.#~!+-", min_size=1, max_size=4))
     cells = draw(st.lists(DIGITS, min_size=k, max_size=k))
     flaw = draw(st.sampled_from(LINE_FLAWS)) if draw(st.integers(0, 2)) == 0 else None
@@ -297,6 +331,14 @@ def near_canonical_lines(draw, k: int) -> str:
         cells[at] = str(draw(st.integers(10**18, 2**63 - 1)))
     elif flaw == "odd_cell_byte":
         cells[at] = _insert(draw, cells[at])
+    elif flaw == "padded_id":
+        respondent_id = draw(PADDING) + respondent_id + draw(PADDING)
+    elif flaw == "padded_cell":
+        cells[at] = draw(PADDING) + cells[at] + draw(PADDING)
+    elif flaw == "signed_cell":
+        cells[at] = draw(st.sampled_from("+-")) + cells[at]
+    elif flaw == "blank_cell":
+        cells[at] = draw(PADDING)
     line = ",".join([respondent_id, *cells])
     return {"lead_comma": "," + line, "trail_comma": line + ",", "empty_line": ""}.get(
         flaw, line)
@@ -305,7 +347,7 @@ def near_canonical_lines(draw, k: int) -> str:
 def _assert_read_whole_iff_canonical(k: int, lines: list[str], trailing: bool) -> None:
     """The whole-file route reads the file of ``lines`` (under a scale that
     holds every int64, so that no value is refused for its size) exactly
-    when every data line fullmatches ``_CANONICAL_ROW`` and the ids are
+    when every data line fullmatches ``CANONICAL_ROW`` and the ids are
     distinct, and then to the values and ids that csv.reader reads."""
     instrument = build_instrument({
         "scale": {"min": 0, "max": 2**63 - 1},
@@ -317,7 +359,7 @@ def _assert_read_whole_iff_canonical(k: int, lines: list[str], trailing: bool) -
     bulk = ingest._parse_canonical(text.encode("ascii"), instrument, ResponseKind.EXPECTATION)
     # The route reads \r\n as \n, so the lines are those of the normalised text.
     body = text.replace("\r\n", "\n").partition("\n")[2].removesuffix("\n").split("\n")
-    pattern = re.compile(ingest._CANONICAL_ROW % k)
+    pattern = re.compile(CANONICAL_ROW % k)
     canonical = all(pattern.fullmatch(line) for line in body)
     distinct = len({line.partition(",")[0] for line in body}) == len(body)
     assert (bulk is not None) == (canonical and distinct), text
@@ -352,6 +394,85 @@ def test_canonical_check_matches_the_row_pattern_on_every_byte():
                 _assert_read_whole_iff_canonical(2, ["x,1,2", line], False)
 
 
+def _assert_bulk_iff_relaxed(k: int, lines: list[str], trailing: bool) -> None:
+    """The line route, on the file of ``lines`` (under a scale that holds
+    every int64, so that no value is refused for its size), converts in
+    bulk exactly the records that are one quote-free ASCII line whose id
+    str.strip() leaves non-empty and whose cells it leaves as RELAXED_CELL,
+    every line that fullmatches CANONICAL_ROW among them; it sends every
+    other record to _check_record, declines exactly the inputs with a NUL
+    or a \\r outside a \\r\\n, and otherwise gives the per-cell result."""
+    instrument = build_instrument({
+        "scale": {"min": -(2**63 - 1), "max": 2**63 - 1},
+        "items": [{"id": i, "prompt": f"q{i}", "dimension": "empathy", "kano": "must_be"}
+                  for i in range(1, k + 1)],
+    })
+    header = ",".join(["respondent_id", *(f"q{i}" for i in range(1, k + 1))])
+    text = header + "\n" + "\n".join(lines) + ("\n" if trailing else "")
+    checked: list[int] = []
+    real = ingest._check_record
+
+    def spy(raw, row, *args):
+        checked.append(row)
+        return real(raw, row, *args)
+
+    with mock.patch.object(ingest, "_check_record", spy):
+        try:
+            got = ingest._parse_lines(text.encode("ascii"), instrument,
+                                      ResponseKind.EXPECTATION, MissingPolicy.DROP_ROW)
+        except DataError:
+            got = ()
+    declined = "\x00" in text or "\r" in text.replace("\r\n", "")
+    assert (got is None) == declined, text
+    if declined:
+        return
+    body = text.partition("\n")[2]
+    physical = body.split("\n")
+    canonical = re.compile(CANONICAL_ROW % k)
+    reader = csv.reader(io.StringIO(body, newline=""))
+    bulk, taken, number = set(), 0, 0
+    for number, record in enumerate(reader, start=1):
+        line = physical[taken]
+        if (reader.line_num == taken + 1 and '"' not in line and line.isascii()
+                and len(record) == k + 1 and record[0].strip()
+                and all(RELAXED_CELL.fullmatch(cell.strip()) for cell in record[1:])):
+            bulk.add(number)
+        if canonical.fullmatch(line.removesuffix("\r")):
+            assert number in bulk, text
+        taken = reader.line_num
+    assert set(range(1, number + 1)) - set(checked) == bulk, text
+    assert _outcome(parse_response_file, text, instrument, ResponseKind.EXPECTATION,
+                    MissingPolicy.DROP_ROW) == \
+        _outcome(parse_response_rows, text, instrument, ResponseKind.EXPECTATION,
+                 MissingPolicy.DROP_ROW)
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(near_canonical_lines(k), min_size=1, max_size=6))),
+    st.booleans())
+def test_line_check_matches_the_relaxed_pattern(case, trailing):
+    """The line route's per-line checks against the patterns they stand in
+    for, on the drawn file and on each of its lines alone."""
+    k, lines = case
+    for data_lines in [lines, *([line] for line in lines)]:
+        _assert_bulk_iff_relaxed(k, data_lines, trailing)
+
+
+def test_line_check_matches_the_relaxed_pattern_on_every_byte():
+    """Each ASCII byte before, inside and after an id, an inner cell and a
+    last cell, on the first and on the last data line.  Only str.strip(),
+    not bytes.strip(), removes \\x1c to \\x1f, and the line route follows
+    str.strip()."""
+    for char in map(chr, range(0x80)):
+        for place in range(3):
+            respondent_id = "ab"[:place] + char + "ab"[place:]
+            cell = "12"[:place] + char + "12"[place:]
+            for line in (f"{respondent_id},12,3", f"ab,{cell},3", f"ab,3,{cell}"):
+                _assert_bulk_iff_relaxed(2, [line, "x,1,2"], False)
+                _assert_bulk_iff_relaxed(2, ["x,1,2", line], False)
+
+
 def _count_cell_parses(monkeypatch) -> list[str]:
     calls: list[str] = []
     real = ingest._parse_int_cell
@@ -378,37 +499,60 @@ def test_canonical_file_never_parses_a_cell(monkeypatch, xyz_instrument):
     assert calls == []
     assert rs.n_respondents == 1000 and report.rejected_rows == 0
 
-    # One padded cell sends the file to the per-record route, which parses
-    # only that record cell by cell.
-    padded = data.replace(b"\nr0500,", b"\nr0500, ", 1)
-    assert parse_response_file(padded, xyz_instrument, ResponseKind.EXPECTATION)[1] == report
-    assert calls == [" " + rows[500].split(",")[1], *rows[500].split(",")[2:]]
-    calls.clear()
-    assert parse_response_file(data.decode(), xyz_instrument, ResponseKind.EXPECTATION)[1] == \
-        report
+    # Padded, signed and CRLF records send the file to the line route, which
+    # converts them in bulk as well; so does any str input.
+    dressed = data.replace(b"\nr0500,", b"\nr0500, ", 1).replace(b"\nr0600,", b"\nr0600,+", 1)
+    dressed = dressed.replace(b"\nr0700,", b"\nr0700,\t", 1).replace(b"\nr0800", b"\r\nr0800", 1)
+    assert ingest._parse_canonical(dressed, xyz_instrument, ResponseKind.EXPECTATION) is None
+    for payload in (dressed, dressed.decode(), data.decode()):
+        parsed, parsed_report = parse_response_file(payload, xyz_instrument,
+                                                    ResponseKind.EXPECTATION)
+        assert parsed_report == report and parsed.values.tolist() == rs.values.tolist()
     assert calls == []
 
 
 def test_per_record_route_parses_only_non_canonical_records(monkeypatch, xyz_instrument):
-    """On a mixed file the per-cell parser sees the cells of the records
-    that are not canonical once csv.reader has read them (dressed cells,
-    a bad cell, a wrong field count is rejected before any cell) and of the
-    canonical record whose value is out of the scale; the quoted and CRLF
-    records are canonical once read and never reach it."""
+    """On a mixed file the per-cell parser sees only the cells of the
+    records that the line route does not convert in bulk: those of lines
+    that hold a quote (one of them spans two lines), a bad cell (parsed up
+    to it), a missing cell, and a converted row whose value is out of the
+    scale; a wrong field count is rejected before any cell.  Padded, signed
+    and CRLF records never reach it, and csv.reader starts only at the
+    lines that hold a quote."""
     calls = _count_cell_parses(monkeypatch)
+    starts: list[str] = []
+    real_reader = csv.reader
+
+    def reader(lines):
+        lines = iter(lines)
+        first = next(lines)
+        starts.append(first)
+        return real_reader(itertools.chain([first], lines))
+
+    monkeypatch.setattr(ingest.csv, "reader", reader)
     header, rows = _xyz_rows(200)
     cells = [row.split(",") for row in rows]
-    cells[10][3] = "+" + cells[10][3]       # dressed: every cell parsed
-    cells[20][5] = f'"{cells[20][5]}"'      # quoted: canonical once read
-    cells[30][2] = "x"                      # bad cell: parsed up to it
-    cells[40][17] = "6"                     # out of range: canonical, then re-checked
-    cells[50] = cells[50][:-1]              # row_length: no cell parsed
+    cells[10][3] = "+" + cells[10][3]               # signed: converted in bulk
+    cells[15][4] = f" {cells[15][4]}\t"             # padded: converted in bulk
+    cells[20][5] = f'"{cells[20][5]}"'              # quoted: read by csv.reader
+    cells[30][2] = "x"                              # bad cell: parsed up to it
+    cells[40][17] = "6"                             # out of range: converted, then checked
+    cells[50] = cells[50][:-1]                      # row_length: no cell parsed
+    cells[70][9] = f'"{cells[70][9]}\n"'            # a quoted newline: one record, two lines
+    cells[80][1] = ""                               # missing: the first cell parsed
     lines = [",".join(row) for row in cells]
-    lines[60] += "\r"                       # CRLF: canonical once read
+    lines[60] += "\r"                               # CRLF: converted in bulk
     data = (header + "\n" + "\n".join(lines) + "\n").encode()
     rs, report = parse_response_file(data, xyz_instrument, ResponseKind.EXPECTATION)
-    assert calls == [*cells[10][1:], *cells[30][1:3], *cells[40][1:]]
+    unquoted = [row[:] for row in cells]
+    unquoted[20][5], unquoted[70][9] = unquoted[20][5].strip('"'), unquoted[70][9].strip('"')
+    assert calls == [*unquoted[20][1:], *cells[30][1:3], *cells[40][1:], *unquoted[70][1:],
+                     cells[80][1]]
+    assert starts == [lines[20] + "\n", lines[70].partition("\n")[0] + "\n"]
+    # Row numbers count records, so the two-line record shifts none of them.
     assert [(err.row, err.code) for err in report.row_errors] == \
-        [(31, "not_an_integer"), (41, "out_of_range"), (51, "row_length")]
+        [(31, "not_an_integer"), (41, "out_of_range"), (51, "row_length"), (81, "missing")]
     assert rs.respondent_ids == tuple(row[0] for at, row in enumerate(cells)
-                                      if at not in (30, 40, 50))
+                                      if at not in (30, 40, 50, 80))
+    assert rs.values[rs.respondent_ids.index(cells[70][0])].tolist() == \
+        [int(cell) for cell in unquoted[70][1:]]

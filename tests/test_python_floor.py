@@ -68,12 +68,23 @@ def _python310() -> str | None:
     return None
 
 
-def _regex_literals() -> list[str]:
-    """Every pattern passed to ``re.compile`` in ``src``: a string literal, or
-    a module-level string constant, formatted with SAMPLE_K when the call
-    applies ``%`` to it."""
+#: A source whose patterns take each form that _regex_literals resolves.
+FIXTURE_SOURCE = '''
+import re
+_ROW = r"[a-z]+(?:,[0-9]{1,18}){%d}"
+_CELL = r"[0-9]+"
+ROW = re.compile(_ROW % 3)
+CELL = re.compile(_CELL)
+WORD = re.compile(r"[a-z]+")
+'''
+
+
+def _regex_literals(paths=None) -> list[str]:
+    """Every pattern passed to ``re.compile`` in ``paths`` (default: the
+    files of ``src``): a string literal, or a module-level string constant,
+    formatted with SAMPLE_K when the call applies ``%`` to it."""
     patterns = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) if paths is None else paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         constants = {}
         for node in tree.body:
@@ -101,10 +112,15 @@ def _regex_literals() -> list[str]:
     return patterns
 
 
-def test_regex_literals_are_found():
+def test_regex_literals_are_found(tmp_path):
     patterns = _regex_literals()
     assert r"[+-]?[0-9]+" in patterns
+    # No pattern in src is built with % now; the fixture keeps that case.
+    fixture = tmp_path / "fixture.py"
+    fixture.write_text(FIXTURE_SOURCE, encoding="utf-8")
+    patterns = _regex_literals([fixture])
     assert any(p.endswith("{%d}" % SAMPLE_K) for p in patterns)
+    assert patterns == [r"[a-z]+(?:,[0-9]{1,18}){%d}" % SAMPLE_K, "[0-9]+", "[a-z]+"]
 
 
 def test_sources_and_patterns_compile_on_python_3_10(tmp_path):
