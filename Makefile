@@ -5,7 +5,7 @@ W ?= tall
 SEED ?= 1
 TIER1 = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
 
-.PHONY: help test test-deep test-ingest-deep bench-smoke bench
+.PHONY: help test test-deep test-ingest-deep bench-smoke bench loc
 
 help:
 	@echo "make test         tier-1 suite (tests/, default hypothesis profile)"
@@ -13,6 +13,7 @@ help:
 	@echo "make test-ingest-deep  the ingest route tests alone, on 10x the examples"
 	@echo "make bench-smoke  perfbench smoke run at tiny sizes"
 	@echo "make bench        one benchmark run: W=<workload> (default tall) SEED=<n> (default 1)"
+	@echo "make loc          line counts of the source modules"
 
 test:
 	$(TIER1)
@@ -28,3 +29,6 @@ bench-smoke:
 
 bench:
 	$(PYTHON) perfbench/run.py --workload $(W) --seed $(SEED) --trace 0
+
+loc:
+	@wc -l src/satmetric/*.py

@@ -11,29 +11,31 @@ Parsing is a pure function of the file bytes; the returned ResponseSet is
 immutable.  Rows that violate the schema are either dropped (listwise,
 with a row-level diagnostic) or abort the parse, per MissingPolicy.
 
-Two routes stand in for parse_response_rows, which reads every record
-with csv.reader and checks it cell by cell; each yields its result, row
-diagnostics and errors.
+Two routes read a file; each yields its result, row diagnostics and
+errors.
 
-* Whole-file: a canonical file (unquoted ASCII, plain digit cells,
-  distinct ids, every row valid) passed as bytes is checked and read at
-  once with array arithmetic over its bytes.
-* Line route: every other input, and all ``str`` input (encoded to UTF-8,
-  with no byte-order mark removed).  All lines are classified at once.  A
-  line that holds a double quote starts a record that csv.reader reads,
-  which may span further lines; every other line is one record, split on
-  commas.  A quote-free ASCII line whose id str.strip() leaves non-empty
-  and whose cells it leaves as an optional sign and 1 to 18 digits is
-  converted in bulk.  The rest, and every converted row whose values fail
-  the scale or allocation check, go through _check_record, the source of
-  every row diagnostic but ``duplicate_id``.  The route declines, and
-  parse_response_rows reads, input that is not UTF-8, holds a NUL byte or
-  a carriage return not followed by a newline, is empty, has a header line
-  that holds a double quote or does not match, or has a line of
-  csv.field_size_limit() bytes or more.
+* Line route: bytes, and ``str`` input encoded to UTF-8 (with no byte-order
+  mark removed).  Its strict case reads a strict file at once with array
+  arithmetic over its bytes: no double quote, k commas to a line, no byte
+  outside ``!`` to ``~`` in the body but the line ends, every id non-empty,
+  every cell 1 to 18 digits and every row valid.  Any other file has all
+  its lines classified at once.  A line that holds a double quote starts a
+  record that csv.reader reads, which may span further lines; every other
+  line is one record, split on commas.  A quote-free ASCII line whose id
+  str.strip() leaves non-empty and whose cells it leaves as an optional
+  sign and 1 to 18 digits is converted in bulk; _value_error checks the
+  values of each converted row.  The rest go through _check_record, which
+  parses their cells and calls _value_error, so every row diagnostic but
+  ``duplicate_id`` comes from these two.  The route declines input that is
+  not UTF-8, holds a NUL byte or a carriage return not followed by a
+  newline, is empty, has a header line that holds a double quote or does
+  not match, or has a line of csv.field_size_limit() bytes or more, line
+  end included.
+* Per-cell: parse_response_rows reads every record with csv.reader and
+  checks it cell by cell.  It reads every input the line route declines.
 
-tests/test_ingest_routes.py holds each route to parse_response_rows and
-its checks to the patterns they stand in for.
+tests/test_ingest_routes.py holds the line route to parse_response_rows
+and its checks to the patterns they stand in for.
 """
 
 from __future__ import annotations
@@ -197,12 +199,9 @@ def parse_response_file(
     Returns the set built from accepted rows plus a report enumerating every
     rejection.  Raises DataError on malformed CSV, header mismatch, zero
     accepted rows, or (with policy=fail) the first bad row in file order.
-    The result, and any error, equals that of parse_response_rows.
+    The line route reads the file unless it declines it, and then
+    parse_response_rows does; the result, and any error, is the same.
     """
-    if isinstance(data, bytes):
-        parsed = _parse_canonical(data, instrument, kind)
-        if parsed is not None:
-            return parsed
     parsed = _parse_lines(data, instrument, kind, policy)
     if parsed is not None:
         return parsed
@@ -210,59 +209,6 @@ def parse_response_file(
 
 
 _ID_COLUMN = "respondent_id"
-
-
-def _parse_canonical(
-    data: bytes, instrument: SurveyInstrument, kind: ResponseKind,
-) -> tuple[ResponseSet, ValidationReport] | None:
-    """Whole-file route for a canonical file, else None.
-
-    Canonical: ASCII after an optional byte-order mark, no double quote,
-    ``\n`` or ``\r\n`` line ends, at most one trailing newline, a header
-    equal to the expected one after stripping each cell, then one or more
-    lines of the form ``id,digits,...,digits`` (an id of printable ASCII
-    other than space, comma and double quote, then k cells of 1 to 18
-    digits), with distinct ids and values that all pass validation.  The
-    lines are checked together, over arrays of the body's bytes: the only
-    bytes outside ``!`` to ``~`` are the newlines; the N*k commas fall k to
-    a line, each line's first after its start; every cell is 1 to 18 digits
-    (checked by _digit_values); and no line reaches the csv.reader field
-    limit.
-    """
-    data = data.removeprefix(codecs.BOM_UTF8)
-    if b'"' in data or not data.isascii():
-        return None
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-        if b"\r" in data:
-            return None
-    head, _, body = data.partition(b"\n")
-    expected = _expected_header(instrument, kind)
-    if [cell.strip() for cell in head.decode("ascii").split(",")] != expected:
-        return None
-    body = body.removesuffix(b"\n")
-    raw = np.frombuffer(body, dtype=np.uint8)
-    ends = np.append(np.flatnonzero(raw == ord("\n")), len(raw))
-    commas = np.flatnonzero(raw == ord(","))
-    if commas.size != ends.size * (len(expected) - 1):
-        return None
-    # Row i of ``commas`` holds line i's commas if each line holds k of them,
-    # which these checks and the cell widths that _digit_values checks ensure.
-    starts, commas = np.append(0, ends[:-1] + 1), commas.reshape(len(ends), -1)
-    if (np.count_nonzero((raw <= ord(" ")) | (raw > ord("~"))) != len(ends) - 1
-            or not (commas[:, 0] > starts).all()):
-        return None
-    # csv.reader refuses a field longer than its limit; so does this route.
-    if max(len(head), int((ends - starts).max())) >= csv.field_size_limit():
-        return None
-    values, valid = _digit_values(raw, commas + 1, np.column_stack((commas[:, 1:], ends)))
-    if not valid.all() or _invalid_rows(values, instrument.scale, kind).any():
-        return None
-    ids = _texts(raw, starts, commas[:, 0])
-    if len(set(ids)) != len(ids):
-        return None
-    return _validated_set(instrument, kind, values, ids), ValidationReport(
-        row_errors=(), accepted_rows=len(ids), rejected_rows=0)
 
 
 def _digit_values(
@@ -356,6 +302,24 @@ def _parse_lines(
     starts, ends = edges[1:-1], edges[2:]
     stops = ends - (raw[ends - 1] == ord("\n"))
     stops -= raw[stops - 1] == ord("\r")
+    k = len(expected) - 1
+    commas = np.flatnonzero(raw == ord(","))
+    # Sparse offsets of the bytes outside "!" to "~" (the subtraction wraps
+    # below "!"): the padding and the non-ASCII bytes are among them.
+    odd = np.flatnonzero((raw - np.uint8(ord("!"))) > ord("~") - ord("!"))
+    # A strict file: no quote, k commas to a line (the header holds k), and no
+    # body byte outside "!" to "~" but the line ends.  Row i of the grid holds
+    # line i's commas if each line holds k of them, which the first-comma
+    # check and the cell widths that _digit_values checks ensure.
+    if (b'"' not in data and len(commas) == k * (len(starts) + 1)
+            and len(odd) - np.searchsorted(odd, edges[1]) == (ends - stops).sum()):
+        grid = commas[k:].reshape(-1, k)
+        if (grid[:, 0] > starts).all():
+            values, valid = _digit_values(raw, grid + 1, np.column_stack((grid[:, 1:], stops)))
+            if valid.all() and not _invalid_rows(values, instrument.scale, kind).any():
+                return _result(instrument, kind, policy, range(1, len(starts) + 1),
+                               _texts(raw, starts, grid[:, 0]), values, [])
+
     quoted = np.unique(np.searchsorted(ends, np.flatnonzero(raw == ord('"')), side="right"))
     read = _quoted_records(data, edges[1:].tolist(), quoted.tolist())
     if read is None:
@@ -365,27 +329,25 @@ def _parse_lines(
     first[later] = False
     numbers = np.cumsum(first)  # each line's data-row number, if it is first
 
-    k = len(expected) - 1
-    commas = np.flatnonzero(raw == ord(","))
     lead = np.searchsorted(commas, starts)
     plain = first & (np.searchsorted(commas, stops) - lead == k)
     plain[quoted] = False
-    # Sparse offsets of the bytes outside "!" to "~" (the subtraction wraps
-    # below "!"): the padding and the non-ASCII bytes are among them.
-    odd = np.flatnonzero((raw - np.uint8(ord("!"))) > ord("~") - ord("!"))
     high = odd[raw[odd] > 0x7F]
     plain &= np.searchsorted(high, stops) == np.searchsorted(high, starts)
     lines = np.flatnonzero(plain)
     values, valid, id_lo, id_hi = _bulk_values(
         raw, starts[lines], stops[lines], commas[lead[lines, None] + np.arange(k)],
         odd[_PAD[raw[odd]]])
-    valid &= ~_invalid_rows(values, instrument.scale, kind)
+    first[lines[valid]] = False
+    refused = valid & _invalid_rows(values, instrument.scale, kind)
+    errors = [_value_error(cells, row, expected, instrument.scale, kind) for cells, row
+              in zip(values[refused].tolist(), numbers[lines[refused]].tolist())]
+    valid &= ~refused
     lines, values = lines[valid], values[valid]
     ids = _texts(raw, id_lo[valid], id_hi[valid])
 
-    first[lines] = False
     rest = np.flatnonzero(first)
-    checked, errors = [], []
+    checked = []
     for at, start, stop, row in zip(rest.tolist(), starts[rest].tolist(),
                                     stops[rest].tolist(), numbers[rest].tolist()):
         record = records.get(at)
@@ -422,7 +384,8 @@ def _line_input(data: bytes | str, expected: list[str]) -> bytes | None:
             return None
     else:
         data = data.removeprefix(codecs.BOM_UTF8)
-    if not data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
+    if not data or b"\0" in data or (
+            b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
     if not data.isascii():
         try:
@@ -513,10 +476,16 @@ def parse_response_rows(
     """The per-cell route, for any file: reads each record with csv.reader
     and runs the per-cell checks on every one of them."""
     expected, records = _read_records(data, instrument, kind)
-    positions, values, errors = _check_records(
-        records, range(len(records)), expected, instrument.scale, kind)
-    return _result(instrument, kind, policy, [at + 1 for at in positions],
-                   [records[at][0].strip() for at in positions],
+    rows, ids, values, errors = [], [], [], []
+    for row, record in enumerate(records, start=1):
+        checked = _check_record(record, row, expected, instrument.scale, kind)
+        if isinstance(checked, RowError):
+            errors.append(checked)
+        elif checked is not None:
+            rows.append(row)
+            ids.append(record[0].strip())
+            values.append(checked)
+    return _result(instrument, kind, policy, rows, ids,
                    np.array(values, dtype=np.int64).reshape(-1, len(expected) - 1), errors)
 
 
@@ -550,29 +519,6 @@ def _read_records(
     return expected, rows[1:]
 
 
-def _check_records(
-    records: list[list[str]],
-    positions: Sequence[int],
-    expected: list[str],
-    scale: LikertScale,
-    kind: ResponseKind,
-) -> tuple[list[int], list[list[int]], list[RowError]]:
-    """Run the per-cell checks on ``records[at]`` for each position, in
-    ascending order; returns the accepted positions, their values and the
-    errors of the rejected records."""
-    accepted: list[int] = []
-    values: list[list[int]] = []
-    errors: list[RowError] = []
-    for at in positions:
-        checked = _check_record(records[at], at + 1, expected, scale, kind)
-        if isinstance(checked, RowError):
-            errors.append(checked)
-        elif checked is not None:
-            accepted.append(at)
-            values.append(checked)
-    return accepted, values, errors
-
-
 def _check_record(
     raw: list[str], row: int, expected: list[str], scale: LikertScale, kind: ResponseKind,
 ) -> list[int] | RowError | None:
@@ -592,15 +538,23 @@ def _check_record(
             code = "missing" if not cell.strip() else "not_an_integer"
             return RowError(row, col_name, code, f"cell {cell.strip()!r} is not a plain integer")
         values.append(value)
+    return _value_error(values, row, expected, scale, kind) or values
+
+
+def _value_error(
+    values: list[int], row: int, expected: list[str], scale: LikertScale, kind: ResponseKind,
+) -> RowError | None:
+    """The first scale or allocation violation of the values of data row
+    ``row`` as a RowError, or None if they pass."""
     if kind.is_likert:
         for col_name, value in zip(expected[1:], values):
             if value < scale.min or value > scale.max:
                 return RowError(row, col_name, "out_of_range",
                                 f"value {value} outside scale [{scale.min}, {scale.max}]")
-        return values
+        return None
     violation = validate_importance_row(values)
     if violation is None:
-        return values
+        return None
     messages = {
         "sum_not_100": f"allocation sums to {sum(values)}, expected 100",
         "out_of_range": "allocation values must lie in [0, 100]",
@@ -613,15 +567,16 @@ def _result(
     instrument: SurveyInstrument,
     kind: ResponseKind,
     policy: MissingPolicy,
-    rows: list[int],
+    rows: Sequence[int],
     ids: list[str],
     values: np.ndarray,
     errors: list[RowError],
 ) -> tuple[ResponseSet, ValidationReport]:
     """Finish a parse from its accepted rows (data-row numbers, ids and
-    values, in file order) and the errors of the rejected ones: reject each
-    accepted row whose id an earlier accepted row holds, then raise the
-    first error in file order under policy fail, else build the result."""
+    values, in file order) and the errors of the rejected ones, in any
+    order: reject each accepted row whose id an earlier accepted row holds,
+    put the errors in file order, then raise the first under policy fail,
+    else build the result."""
     if len(set(ids)) != len(ids):
         first: dict[str, int] = {}
         keep: list[int] = []
@@ -633,9 +588,9 @@ def _result(
             else:
                 first[respondent_id] = row
                 keep.append(at)
-        errors.sort(key=lambda err: err.row)
         ids = [ids[at] for at in keep]
         values = values[keep]
+    errors.sort(key=lambda err: err.row)
     if errors and policy is MissingPolicy.FAIL:
         err = errors[0]
         raise DataError(f"row {err.row}, column {err.column}: {err.message} [{err.code}]")

@@ -7,16 +7,18 @@ examples."""
 
 from __future__ import annotations
 
+import csv
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from satmetric import xyz
-from satmetric.errors import ComputationError
+from satmetric import ingest, xyz
+from satmetric.errors import ComputationError, DataError
 from satmetric.instrument import SurveyInstrument
 from satmetric.psychometrics import OmittedItemStats, _squared_multiple_corr, cronbach_alpha
 
@@ -75,6 +77,31 @@ JSON_VALUES = st.recursive(
 #: 0..20 at four drawn points.
 ALLOCATIONS = st.lists(st.integers(0, 20), min_size=4, max_size=4).map(
     lambda cuts: [5 * (b - a) for a, b in zip([0, *sorted(cuts)], [*sorted(cuts), 20])])
+
+
+def strict_result(data, instrument, kind, policy=ingest.MissingPolicy.DROP_ROW):
+    """parse_response_file's result if the line route's strict-file case
+    gave it, else None.  Every other way through the parser calls
+    _bulk_values, _check_record or csv.reader; a DataError that the strict
+    case raises is raised again."""
+    calls: list[str] = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def record(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return mock.patch.object(owner, name, record)
+
+    with spy(ingest, "_bulk_values"), spy(ingest, "_check_record"), spy(csv, "reader"):
+        try:
+            result = ingest.parse_response_file(data, instrument, kind, policy)
+        except DataError:
+            if calls:
+                return None
+            raise
+    return None if calls else result
 
 
 def replace_at(doc, path, value):

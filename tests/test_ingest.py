@@ -2,7 +2,7 @@ import codecs
 
 import numpy as np
 import pytest
-from conftest import ALLOCATIONS, examples
+from conftest import ALLOCATIONS, examples, strict_result
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,12 +114,27 @@ def test_fail_policy_raises_on_the_first_bad_row_duplicates_included(parse):
         "row 2, column respondent_id: respondent id is empty [empty_id]"
 
 
-def test_whole_file_route_declines_duplicate_ids():
-    data = likert_csv(["r1,1,2,3", "r2,1,2,3", "r1,3,2,1"])
-    assert ingest._parse_canonical(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION) is None
-    rs, report = parse_response_file(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION)
-    assert rs.respondent_ids == ("r1", "r2")
-    assert [e.code for e in report.row_errors] == ["duplicate_id"]
+def test_strict_file_with_a_repeated_id_matches_the_per_cell_parser():
+    data = likert_csv(["r1,1,2,3", "r2,1,2,3", "r1,3,2,1", "r2,5,5,5"])
+    rs, report = strict_result(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION)
+    ref_rs, ref_report = parse_response_rows(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION)
+    assert report == ref_report
+    assert [(e.row, e.code) for e in report.row_errors] == \
+        [(3, "duplicate_id"), (4, "duplicate_id")]
+    assert rs.respondent_ids == ref_rs.respondent_ids == ("r1", "r2")
+    assert rs.values.tolist() == ref_rs.values.tolist()
+    with pytest.raises(DataError) as exc:
+        strict_result(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION, MissingPolicy.FAIL)
+    assert str(exc.value) == \
+        "row 3, column respondent_id: respondent id 'r1' repeats row 1 [duplicate_id]"
+
+
+def test_strict_str_input_takes_the_strict_case():
+    data = likert_csv(["r1,1,2,3", "r2,4,5,1"]).decode()
+    rs, report = strict_result(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION)
+    ref_rs, ref_report = parse_response_rows(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION)
+    assert report == ref_report and rs.respondent_ids == ref_rs.respondent_ids
+    assert rs.values.tolist() == ref_rs.values.tolist() == [[1, 2, 3], [4, 5, 1]]
 
 
 def test_header_mismatch_rejected(xyz_instrument):
@@ -143,9 +158,9 @@ def test_crlf_and_lf_both_accepted():
 
 
 @pytest.mark.parametrize("rows", [
-    ["r1,1,2,3", "r2,4,5,1"],      # canonical: bulk route
-    ["r1,1,2,3", "r2, 4,5,1"],     # padded cell: row-by-row route
-    ["r1,1,2,3", "r2,7,5,1"],      # rejected row: row-by-row route
+    ["r1,1,2,3", "r2,4,5,1"],      # strict file: the strict case
+    ["r1,1,2,3", "r2, 4,5,1"],     # padded cell: converted in bulk
+    ["r1,1,2,3", "r2,7,5,1"],      # rejected row: its diagnostic from _value_error
 ])
 def test_leading_byte_order_mark_is_skipped(rows):
     data = likert_csv(rows)
@@ -166,9 +181,9 @@ def test_importance_row_sum_99_rejected(xyz_instrument):
 
 
 def test_allocations_are_checked_once_per_parse(monkeypatch, xyz_instrument):
-    """Each bulk route checks the converted allocations once and builds its
-    ResponseSet without checking them again; a ResponseSet built directly
-    still checks every row."""
+    """The line route, strict case or not, checks the converted allocations
+    once and builds its ResponseSet without checking them again; a
+    ResponseSet built directly still checks every row."""
     calls = []
     real = ingest._invalid_allocations
 
@@ -179,7 +194,7 @@ def test_allocations_are_checked_once_per_parse(monkeypatch, xyz_instrument):
     monkeypatch.setattr(ingest, "_invalid_allocations", spy)
     clean = importance_csv(["r1,40,30,10,10,10", "r2,20,20,20,20,20"])
     dirty = importance_csv(["r1, 40,30,10,10,10", "r2,20,20,20,20,20", "r3,20,20,20,20,25"])
-    assert ingest._parse_canonical(clean, xyz_instrument, ResponseKind.IMPORTANCE) is not None
+    assert strict_result(clean, xyz_instrument, ResponseKind.IMPORTANCE) is not None
     calls.clear()
     for data, rows in ((clean, 2), (clean.decode(), 2), (dirty, 3)):
         rs, _ = parse_response_file(data, xyz_instrument, ResponseKind.IMPORTANCE)

@@ -1,9 +1,8 @@
-"""The routes of ``parse_response_file`` against the per-cell parser
-(``parse_response_rows``) they stand in for: the whole-file route for
-canonical bytes, and the line route for every other file and for all
-``str`` input, which converts plain lines in bulk, reads only the records
-of lines that hold a quote with csv.reader, and parses only the records it
-does not convert cell by cell.
+"""The line route of ``parse_response_file`` against the per-cell parser
+(``parse_response_rows``) it stands in for: its strict case reads a
+canonical file, bytes or ``str``, at once; otherwise it converts plain
+lines in bulk, reads only the records of lines that hold a quote with
+csv.reader, and parses only the records it does not convert cell by cell.
 
 Hypothesis starts from canonical files and applies the near misses a real
 export produces.  Whatever the bytes, every route must return the same
@@ -22,7 +21,7 @@ import re
 from unittest import mock
 
 import pytest
-from conftest import ALLOCATIONS, examples
+from conftest import ALLOCATIONS, examples, strict_result
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,8 +70,8 @@ def canonical_files(draw):
 
 #: A canonical data line: a respondent id of printable ASCII other than
 #: space, comma and double quote, then k cells of 1 to 18 digits.  The
-#: whole-file route checks this form with array arithmetic, as does the
-#: line route per line; both must accept exactly the lines it matches.
+#: line route's strict case checks this form for a whole file, and its
+#: bulk conversion line by line; both must accept exactly the lines it matches.
 CANONICAL_ROW = r"[!#-+\--~]+(?:,[0-9]{1,18}){%d}"
 
 #: A cell that the line route converts in bulk, once str.strip() has
@@ -198,8 +197,8 @@ def _outcome(parse, data, instrument, kind, policy):
             rs.respondent_ids, report)
 
 
-#: The helpers of the bulk routes, which the per-cell parser must not use.
-BULK_HELPERS = ("_parse_canonical", "_digit_values", "_rows_with", "_texts",
+#: The helpers of the line route, which the per-cell parser must not use.
+BULK_HELPERS = ("_digit_values", "_rows_with", "_texts",
                 "_invalid_rows", "_parse_lines", "_line_input", "_quoted_records", "_bulk_values",
                 "_strip_spans")
 
@@ -222,12 +221,13 @@ def _per_cell_only():
 @settings(max_examples=examples(200), deadline=None)
 @given(canonical_files(), st.lists(st.sampled_from(MUTATIONS), max_size=3), st.data())
 def test_bulk_route_matches_row_by_row_parser(case, names, data):
-    """parse_response_file on bytes (whole-file or line route) and on the
-    decoded text (always the line route) against the per-cell parser, which
-    runs the per-record checks on every csv.reader record."""
+    """parse_response_file on bytes and on the decoded text against the
+    per-cell parser, which runs the per-record checks on every csv.reader
+    record.  A canonical file takes the strict case either way."""
     instrument, kind, table, hi, eol, trailing = case
     canonical = _render(table, eol, trailing).encode("ascii")
-    assert ingest._parse_canonical(canonical, instrument, kind) is not None
+    for payload in (canonical, canonical.decode("ascii")):
+        assert strict_result(payload, instrument, kind) is not None
     mutated = _mutate(data.draw, table, hi, eol, trailing, names)
     payloads = [canonical, mutated]
     if len(table) > 2:  # a canonical file but for one repeated id
@@ -251,14 +251,14 @@ def test_bulk_route_matches_row_by_row_parser(case, names, data):
 
 @pytest.mark.parametrize("name", CELL_MUTATIONS)
 def test_cell_mutations_leave_the_bulk_route_except_leading_zeros(name):
-    """The bulk route declines every cell mutation the differential test
-    draws, so the row parser decides, except short leading zeros: those are
-    plain digits and read as the same value on both routes."""
+    """Every cell mutation the differential test draws leaves the strict
+    case, except short leading zeros: those are plain digits and read as
+    the same value on every route."""
     instrument = _instrument(3, 1, 5)
     table = [["respondent_id", "q1", "q2", "q3"], ["r1", "1", "2", "3"], ["r2", "4", "5", "1"]]
     table[2][2] = CELL_MUTATIONS[name](table[2][2], 5)
     data = _render(table, "\n", True).encode("utf-8")
-    bulk = ingest._parse_canonical(data, instrument, ResponseKind.EXPECTATION)
+    bulk = strict_result(data, instrument, ResponseKind.EXPECTATION)
     assert (bulk is not None) == (name == "leading_zeros")
     if bulk is not None:
         assert bulk[0].values.tolist() == [[1, 2, 3], [4, 5, 1]]
@@ -268,17 +268,18 @@ def test_field_over_the_csv_limit_takes_the_row_route():
     instrument = _instrument(1, 1, 5)
     long_id = "x" * (csv.field_size_limit() + 1)
     data = f"respondent_id,q1\nr1,1\n{long_id},2\n".encode("ascii")
-    assert ingest._parse_canonical(data, instrument, ResponseKind.EXPECTATION) is None
+    assert strict_result(data, instrument, ResponseKind.EXPECTATION) is None
     with pytest.raises(DataError, match="malformed CSV"):
         parse_response_file(data, instrument, ResponseKind.EXPECTATION)
-    # A first or last data line of limit - 1 bytes stays on the whole-file
-    # route; one of exactly the limit leaves it, for the same result.
+    # A first or last data line of limit - 1 bytes, its line end included,
+    # takes the strict case; one of exactly the limit leaves the line route,
+    # for the same result.
     for shortfall in (1, 0):
-        long_line = "x" * (csv.field_size_limit() - shortfall - 2) + ",2"
-        assert len(long_line) == csv.field_size_limit() - shortfall
+        long_line = "x" * (csv.field_size_limit() - shortfall - 3) + ",2"
+        assert len(long_line + "\n") == csv.field_size_limit() - shortfall
         for lines in ([long_line, "r1,1", "r2,3"], ["r1,1", "r2,3", long_line]):
             data = ("respondent_id,q1\n" + "\n".join(lines) + "\n").encode("ascii")
-            bulk = ingest._parse_canonical(data, instrument, ResponseKind.EXPECTATION)
+            bulk = strict_result(data, instrument, ResponseKind.EXPECTATION)
             assert (bulk is not None) == (shortfall == 1)
             rs, report = parse_response_file(data, instrument, ResponseKind.EXPECTATION)
             assert report.rejected_rows == 0
@@ -344,11 +345,11 @@ def near_canonical_lines(draw, k: int) -> str:
         flaw, line)
 
 
-def _assert_read_whole_iff_canonical(k: int, lines: list[str], trailing: bool) -> None:
-    """The whole-file route reads the file of ``lines`` (under a scale that
+def _assert_strict_iff_canonical(k: int, lines: list[str], trailing: bool) -> None:
+    """The strict case reads the file of ``lines`` (under a scale that
     holds every int64, so that no value is refused for its size) exactly
-    when every data line fullmatches ``CANONICAL_ROW`` and the ids are
-    distinct, and then to the values and ids that csv.reader reads."""
+    when every data line fullmatches ``CANONICAL_ROW``, and then to the
+    values and ids that csv.reader reads, the first row of each id kept."""
     instrument = build_instrument({
         "scale": {"min": 0, "max": 2**63 - 1},
         "items": [{"id": i, "prompt": f"q{i}", "dimension": "empathy", "kano": "must_be"}
@@ -356,18 +357,23 @@ def _assert_read_whole_iff_canonical(k: int, lines: list[str], trailing: bool) -
     })
     header = ",".join(["respondent_id", *(f"q{i}" for i in range(1, k + 1))])
     text = header + "\n" + "\n".join(lines) + ("\n" if trailing else "")
-    bulk = ingest._parse_canonical(text.encode("ascii"), instrument, ResponseKind.EXPECTATION)
+    if text == header + "\n":  # no data line: the strict case raises, as every route does
+        with pytest.raises(DataError, match="no valid rows"):
+            strict_result(text.encode("ascii"), instrument, ResponseKind.EXPECTATION)
+        return
+    bulk = strict_result(text.encode("ascii"), instrument, ResponseKind.EXPECTATION)
     # The route reads \r\n as \n, so the lines are those of the normalised text.
     body = text.replace("\r\n", "\n").partition("\n")[2].removesuffix("\n").split("\n")
     pattern = re.compile(CANONICAL_ROW % k)
-    canonical = all(pattern.fullmatch(line) for line in body)
-    distinct = len({line.partition(",")[0] for line in body}) == len(body)
-    assert (bulk is not None) == (canonical and distinct), text
+    assert (bulk is not None) == all(pattern.fullmatch(line) for line in body), text
     if bulk is not None:
         records = list(csv.reader(io.StringIO(text, newline="")))[1:]
-        assert bulk[0].respondent_ids == tuple(record[0] for record in records)
-        assert bulk[0].values.tolist() == [[int(cell) for cell in record[1:]]
-                                           for record in records]
+        kept: dict[str, list[int]] = {}
+        for record in records:
+            kept.setdefault(record[0], [int(cell) for cell in record[1:]])
+        assert bulk[0].respondent_ids == tuple(kept)
+        assert bulk[0].values.tolist() == list(kept.values())
+        assert bulk[1].rejected_rows == len(records) - len(kept)
 
 
 @settings(max_examples=examples(300), deadline=None)
@@ -375,11 +381,11 @@ def _assert_read_whole_iff_canonical(k: int, lines: list[str], trailing: bool) -
     lambda k: st.tuples(st.just(k), st.lists(near_canonical_lines(k), min_size=1, max_size=6))),
     st.booleans())
 def test_canonical_check_matches_the_row_pattern(case, trailing):
-    """The whole-file route's array checks against the pattern they stand
-    in for, on the drawn file and on each of its lines alone."""
+    """The strict case's array checks against the pattern they stand in
+    for, on the drawn file and on each of its lines alone."""
     k, lines = case
     for data_lines in [lines, *([line] for line in lines)]:
-        _assert_read_whole_iff_canonical(k, data_lines, trailing)
+        _assert_strict_iff_canonical(k, data_lines, trailing)
 
 
 def test_canonical_check_matches_the_row_pattern_on_every_byte():
@@ -390,8 +396,8 @@ def test_canonical_check_matches_the_row_pattern_on_every_byte():
             respondent_id = "ab"[:place] + char + "ab"[place:]
             cell = "12"[:place] + char + "12"[place:]
             for line in (f"{respondent_id},12,3", f"ab,{cell},3", f"ab,3,{cell}"):
-                _assert_read_whole_iff_canonical(2, [line, "x,1,2"], False)
-                _assert_read_whole_iff_canonical(2, ["x,1,2", line], False)
+                _assert_strict_iff_canonical(2, [line, "x,1,2"], False)
+                _assert_strict_iff_canonical(2, ["x,1,2", line], False)
 
 
 def _assert_bulk_iff_relaxed(k: int, lines: list[str], trailing: bool) -> None:
@@ -499,11 +505,11 @@ def test_canonical_file_never_parses_a_cell(monkeypatch, xyz_instrument):
     assert calls == []
     assert rs.n_respondents == 1000 and report.rejected_rows == 0
 
-    # Padded, signed and CRLF records send the file to the line route, which
-    # converts them in bulk as well; so does any str input.
+    # Padded, signed and CRLF records leave the strict case, and the line
+    # route converts them in bulk as well, bytes or str.
     dressed = data.replace(b"\nr0500,", b"\nr0500, ", 1).replace(b"\nr0600,", b"\nr0600,+", 1)
     dressed = dressed.replace(b"\nr0700,", b"\nr0700,\t", 1).replace(b"\nr0800", b"\r\nr0800", 1)
-    assert ingest._parse_canonical(dressed, xyz_instrument, ResponseKind.EXPECTATION) is None
+    assert strict_result(dressed, xyz_instrument, ResponseKind.EXPECTATION) is None
     for payload in (dressed, dressed.decode(), data.decode()):
         parsed, parsed_report = parse_response_file(payload, xyz_instrument,
                                                     ResponseKind.EXPECTATION)
@@ -515,9 +521,9 @@ def test_per_record_route_parses_only_non_canonical_records(monkeypatch, xyz_ins
     """On a mixed file the per-cell parser sees only the cells of the
     records that the line route does not convert in bulk: those of lines
     that hold a quote (one of them spans two lines), a bad cell (parsed up
-    to it), a missing cell, and a converted row whose value is out of the
-    scale; a wrong field count is rejected before any cell.  Padded, signed
-    and CRLF records never reach it, and csv.reader starts only at the
+    to it) and a missing cell; a wrong field count is rejected before any
+    cell.  Padded, signed and CRLF records, and a converted row whose value
+    is out of the scale, never reach it, and csv.reader starts only at the
     lines that hold a quote."""
     calls = _count_cell_parses(monkeypatch)
     starts: list[str] = []
@@ -536,7 +542,7 @@ def test_per_record_route_parses_only_non_canonical_records(monkeypatch, xyz_ins
     cells[15][4] = f" {cells[15][4]}\t"             # padded: converted in bulk
     cells[20][5] = f'"{cells[20][5]}"'              # quoted: read by csv.reader
     cells[30][2] = "x"                              # bad cell: parsed up to it
-    cells[40][17] = "6"                             # out of range: converted, then checked
+    cells[40][17] = "6"                             # out of range: converted, never parsed
     cells[50] = cells[50][:-1]                      # row_length: no cell parsed
     cells[70][9] = f'"{cells[70][9]}\n"'            # a quoted newline: one record, two lines
     cells[80][1] = ""                               # missing: the first cell parsed
@@ -546,8 +552,7 @@ def test_per_record_route_parses_only_non_canonical_records(monkeypatch, xyz_ins
     rs, report = parse_response_file(data, xyz_instrument, ResponseKind.EXPECTATION)
     unquoted = [row[:] for row in cells]
     unquoted[20][5], unquoted[70][9] = unquoted[20][5].strip('"'), unquoted[70][9].strip('"')
-    assert calls == [*unquoted[20][1:], *cells[30][1:3], *cells[40][1:], *unquoted[70][1:],
-                     cells[80][1]]
+    assert calls == [*unquoted[20][1:], *cells[30][1:3], *unquoted[70][1:], cells[80][1]]
     assert starts == [lines[20] + "\n", lines[70].partition("\n")[0] + "\n"]
     # Row numbers count records, so the two-line record shifts none of them.
     assert [(err.row, err.code) for err in report.row_errors] == \
