@@ -5,7 +5,7 @@ W ?= tall
 SEED ?= 1
 TIER1 = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
 
-.PHONY: help test test-deep test-ingest-deep bench-smoke bench loc
+.PHONY: help test test-deep test-ingest-deep bench-smoke bench loc digest
 
 help:
 	@echo "make test         tier-1 suite (tests/, default hypothesis profile)"
@@ -14,6 +14,7 @@ help:
 	@echo "make bench-smoke  perfbench smoke run at tiny sizes"
 	@echo "make bench        one benchmark run: W=<workload> (default tall) SEED=<n> (default 1)"
 	@echo "make loc          line counts of the source modules"
+	@echo "make digest       SHA-256 of every gap/report output on each workload: SEED=<n> (default 1)"
 
 test:
 	$(TIER1)
@@ -32,3 +33,6 @@ bench:
 
 loc:
 	@wc -l src/satmetric/*.py
+
+digest:
+	@PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) tools/digest.py --seed $(SEED)

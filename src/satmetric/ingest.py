@@ -17,9 +17,10 @@ errors.
 * Line route: bytes, and ``str`` input encoded to UTF-8 (with no byte-order
   mark removed).  Its strict case reads a strict file at once with array
   arithmetic over its bytes: no double quote, k commas to a line, no byte
-  outside ``!`` to ``~`` in the body but the line ends, every id non-empty,
-  every cell 1 to 18 digits and every row valid.  Any other file has all
-  its lines classified at once.  A line that holds a double quote starts a
+  outside ``!`` to ``~`` in the body but the line ends, every id non-empty
+  and every cell 1 to 18 digits; _value_error checks the values of each row
+  that fails the scale or allocation check.  Any other file has all its
+  lines classified at once.  A line that holds a double quote starts a
   record that csv.reader reads, which may span further lines; every other
   line is one record, split on commas.  A quote-free ASCII line whose id
   str.strip() leaves non-empty and whose cells it leaves as an optional
@@ -272,6 +273,17 @@ def _invalid_rows(values: np.ndarray, scale: LikertScale, kind: ResponseKind) ->
     return _invalid_allocations(values)
 
 
+def _refused(values: np.ndarray, valid: np.ndarray, rows: np.ndarray, expected: list[str],
+             scale: LikertScale, kind: ResponseKind) -> list[RowError]:
+    """The errors of the converted rows (``valid``) of ``values`` that fail
+    the scale or allocation check, which are cleared from ``valid``; ``rows``
+    holds the data-row numbers of ``values``."""
+    refused = valid & _invalid_rows(values, scale, kind)
+    valid &= ~refused
+    return [_value_error(cells, row, expected, scale, kind)
+            for cells, row in zip(values[refused].tolist(), rows[refused].tolist())]
+
+
 #: The ASCII bytes that str.strip() removes, but for the line ends: within
 #: a line's text, the padding a cell or an id may carry.
 _PAD = np.array([b < 0x80 and chr(b).isspace() and b not in b"\r\n" for b in range(256)])
@@ -309,16 +321,22 @@ def _parse_lines(
     odd = np.flatnonzero((raw - np.uint8(ord("!"))) > ord("~") - ord("!"))
     # A strict file: no quote, k commas to a line (the header holds k), and no
     # body byte outside "!" to "~" but the line ends.  Row i of the grid holds
-    # line i's commas if each line holds k of them, which the first-comma
-    # check and the cell widths that _digit_values checks ensure.
+    # line i's commas only if each line holds k of them, which the first-comma
+    # check and the cell widths that _digit_values checks ensure only when
+    # they hold on every line.  Line i is then data row i + 1.
     if (b'"' not in data and len(commas) == k * (len(starts) + 1)
             and len(odd) - np.searchsorted(odd, edges[1]) == (ends - stops).sum()):
         grid = commas[k:].reshape(-1, k)
         if (grid[:, 0] > starts).all():
             values, valid = _digit_values(raw, grid + 1, np.column_stack((grid[:, 1:], stops)))
-            if valid.all() and not _invalid_rows(values, instrument.scale, kind).any():
-                return _result(instrument, kind, policy, range(1, len(starts) + 1),
-                               _texts(raw, starts, grid[:, 0]), values, [])
+            if valid.all():
+                rows = np.arange(1, len(starts) + 1)
+                errors = _refused(values, valid, rows, expected, instrument.scale, kind)
+                if errors:  # keep the rows that pass
+                    rows, values, starts, grid = (a[valid] for a in (rows, values, starts, grid))
+                return _result(instrument, kind, policy,
+                               rows.tolist() if errors else range(1, len(starts) + 1),
+                               _texts(raw, starts, grid[:, 0]), values, errors)
 
     quoted = np.unique(np.searchsorted(ends, np.flatnonzero(raw == ord('"')), side="right"))
     read = _quoted_records(data, edges[1:].tolist(), quoted.tolist())
@@ -339,10 +357,7 @@ def _parse_lines(
         raw, starts[lines], stops[lines], commas[lead[lines, None] + np.arange(k)],
         odd[_PAD[raw[odd]]])
     first[lines[valid]] = False
-    refused = valid & _invalid_rows(values, instrument.scale, kind)
-    errors = [_value_error(cells, row, expected, instrument.scale, kind) for cells, row
-              in zip(values[refused].tolist(), numbers[lines[refused]].tolist())]
-    valid &= ~refused
+    errors = _refused(values, valid, numbers[lines], expected, instrument.scale, kind)
     lines, values = lines[valid], values[valid]
     ids = _texts(raw, id_lo[valid], id_hi[valid])
 

@@ -3,8 +3,9 @@
 An AnalysisReport bundles every analysis output in a fixed section order
 and serializes deterministically: JSON (round-trips losslessly), a CSV
 table bundle, Markdown, and minimal hand-constructed SVG bar/Pareto
-charts.  Timestamps live only in the metadata block and can be
-suppressed, making emitted bytes a pure function of the report.
+charts.  Each table is declared once, as Columns that the CSV bundle and
+Markdown both render.  Timestamps live only in the metadata block and can
+be suppressed, making emitted bytes a pure function of the report.
 """
 
 from __future__ import annotations
@@ -328,6 +329,63 @@ def report_from_dict(doc: Mapping) -> AnalysisReport:
     )
 
 
+# --- tables -----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Column:
+    """One column of a report table: its CSV header; its Markdown header, or
+    None for a column only the CSV shows; and the fixed-point digits of its
+    Markdown numbers, or None for their str()."""
+
+    csv: str
+    md: str | None = None
+    digits: int | None = None
+
+
+_DESCRIPTIVES = tuple(map(Column, (
+    "item_id", "label", "expectation_mean", "expectation_variance", "expectation_n",
+    "perception_mean", "perception_variance", "perception_n")))
+_OMITTED = (Column("item_id", "Item"), Column("adj_total_mean", "Adj. total mean", 3),
+            Column("adj_total_stdev", "Adj. total stdev", 3),
+            Column("item_adj_total_corr", "Item-total corr", 4),
+            Column("squared_multiple_corr", "Squared multiple corr", 4),
+            Column("alpha_if_deleted", "Alpha if deleted", 4))
+_RELIABILITY = (*map(Column, ("survey", "alpha", "threshold", "passes_gate", "n_items",
+                               "n_respondents")), *_OMITTED)
+_GAPS = (Column("dimension"), Column("level"), Column("item_id", "Item"),
+         Column("label", "Label"), Column("expectation_mean", "Expectation", 9),
+         Column("perception_mean", "Perception", 9), Column("gap", "Gap", 9),
+         Column("classification", "Verdict"),
+         *map(Column, ("importance", "unweighted_score", "weighted_score")))
+_KANO = (Column("rank", "Rank"), Column("item_id", "Item"), Column("label", "Label"),
+         Column("category", "Category"), Column("raw_contribution", "Raw contribution", 6),
+         Column("multiplier", "Multiplier", 2), Column("priority_score", "Score", 6))
+_PARETO = (Column("rank", "Rank"), Column("item", "Item"), Column("label", "Label"),
+           Column("magnitude", "Magnitude", 6), Column("cumulative", "Cumulative", 6),
+           Column("cumulative_pct", "Cumulative %", 4))
+
+
+def _values(obj) -> list:
+    """A result dataclass's field values, in declaration order."""
+    return [getattr(obj, name) for name in _field_names(type(obj))]
+
+
+def _gap_rows(report: AnalysisReport) -> list[list]:
+    """The gaps table's item rows, in the order of the item gaps."""
+    dimension_of = {item_id: d.dimension for d in report.gap_report.dimension_scores
+                    for item_id in d.item_ids}
+    return [[dimension_of.get(g.item_id, ""), "item", g.item_id,
+             report.item_labels.get(g.item_id, ""), g.expectation_mean, g.perception_mean,
+             g.gap, classify_satisfaction(g.gap).value, None, None, None]
+            for g in report.gap_report.item_gaps]
+
+
+def _kano_rows(report: AnalysisReport) -> list[list]:
+    return [[k.rank, k.item_id, report.item_labels.get(k.item_id, ""), k.category.value,
+             k.raw_contribution, k.multiplier, k.priority_score]
+            for k in report.kano_priorities]
+
+
 # --- CSV bundle -------------------------------------------------------------
 
 def format_cell(value) -> str:
@@ -359,111 +417,69 @@ def reliability_csv(surveys: Sequence[tuple[str, ReliabilityReport | None]]) -> 
         if rel is None:
             continue
         rows.append([survey, rel.alpha, rel.threshold, rel.passes_gate,
-                     rel.n_items, rel.n_respondents, None, None, None, None, None, None])
-        for o in rel.omitted:
-            rows.append([survey, None, None, None, None, None, o.item_id,
-                         o.adj_total_mean, o.adj_total_stdev, o.item_adj_total_corr,
-                         o.squared_multiple_corr, o.alpha_if_deleted])
-    return csv_bytes(
-        ["survey", "alpha", "threshold", "passes_gate", "n_items", "n_respondents",
-         "item_id", "adj_total_mean", "adj_total_stdev", "item_adj_total_corr",
-         "squared_multiple_corr", "alpha_if_deleted"],
-        rows,
-    )
+                     rel.n_items, rel.n_respondents, *[None] * len(_OMITTED)])
+        rows.extend([survey, None, None, None, None, None, *_values(o)] for o in rel.omitted)
+    return csv_bytes([c.csv for c in _RELIABILITY], rows)
 
 
 def _csv_tables(report: AnalysisReport) -> dict[str, bytes]:
-    tables: dict[str, bytes] = {}
     gr = report.gap_report
-
-    expect = {d.item_id: d for d in report.expectation_descriptives or ()}
-    perceive = {d.item_id: d for d in report.perception_descriptives or ()}
-    item_ids = [g.item_id for g in gr.item_gaps]
-    rows = []
-    for item_id in item_ids:
-        e, p = expect.get(item_id), perceive.get(item_id)
-        rows.append([
-            item_id,
-            report.item_labels.get(item_id, ""),
-            e.mean if e else None, e.variance if e else None, e.n if e else None,
-            p.mean if p else None, p.variance if p else None, p.n if p else None,
-        ])
-    tables["descriptives.csv"] = csv_bytes(
-        ["item_id", "label", "expectation_mean", "expectation_variance", "expectation_n",
-         "perception_mean", "perception_variance", "perception_n"],
-        rows,
-    )
-
-    tables["reliability.csv"] = reliability_csv((("expectation", gr.reliability_expectation),
-                                                 ("perception", gr.reliability_perception)))
-
-    gap_rows = []
-    dim_of_item = {}
-    for d in gr.dimension_scores:
-        for item_id in d.item_ids:
-            dim_of_item[item_id] = d
-    for g in gr.item_gaps:
-        d = dim_of_item.get(g.item_id)
-        gap_rows.append([
-            d.dimension if d else "", "item", g.item_id,
-            report.item_labels.get(g.item_id, ""),
-            g.expectation_mean, g.perception_mean, g.gap,
-            classify_satisfaction(g.gap).value, None, None, None,
-        ])
-    for d in gr.dimension_scores:
-        gap_rows.append([d.dimension, "dimension", None, "", None, None, None, "",
-                         d.importance, d.unweighted, d.weighted])
+    expect = {d.item_id: [d.mean, d.variance, d.n] for d in report.expectation_descriptives or ()}
+    perceive = {d.item_id: [d.mean, d.variance, d.n] for d in report.perception_descriptives or ()}
+    missing = [None, None, None]
+    gap_rows = _gap_rows(report)
+    gap_rows += [[d.dimension, "dimension", None, "", None, None, None, "",
+                  d.importance, d.unweighted, d.weighted] for d in gr.dimension_scores]
     gap_rows.append(["overall", "overall", None, "", None, None, None, "",
                      None, gr.unweighted_mean_of_dimensions, gr.overall_weighted_sum])
-    tables["gaps.csv"] = csv_bytes(
-        ["dimension", "level", "item_id", "label", "expectation_mean", "perception_mean",
-         "gap", "classification", "importance", "unweighted_score", "weighted_score"],
-        gap_rows,
-    )
-
+    tables = {
+        "descriptives.csv": csv_bytes([c.csv for c in _DESCRIPTIVES], [
+            [g.item_id, report.item_labels.get(g.item_id, ""),
+             *expect.get(g.item_id, missing), *perceive.get(g.item_id, missing)]
+            for g in gr.item_gaps]),
+        "reliability.csv": reliability_csv((("expectation", gr.reliability_expectation),
+                                            ("perception", gr.reliability_perception))),
+        "gaps.csv": csv_bytes([c.csv for c in _GAPS], gap_rows),
+    }
     if report.kano_priorities is not None:
-        tables["kano.csv"] = csv_bytes(
-            ["rank", "item_id", "label", "category", "raw_contribution",
-             "multiplier", "priority_score"],
-            [[k.rank, k.item_id, report.item_labels.get(k.item_id, ""), k.category.value,
-              k.raw_contribution, k.multiplier, k.priority_score]
-             for k in report.kano_priorities],
-        )
-
+        tables["kano.csv"] = csv_bytes([c.csv for c in _KANO], _kano_rows(report))
     if report.pareto is not None:
-        tables["pareto.csv"] = csv_bytes(
-            ["rank", "item", "label", "magnitude", "cumulative", "cumulative_pct"],
-            [[r.rank, r.item_id, r.label, r.magnitude, r.cumulative, r.cumulative_pct]
-             for r in report.pareto.rows],
-        )
-
+        tables["pareto.csv"] = csv_bytes([c.csv for c in _PARETO],
+                                         [_values(r) for r in report.pareto.rows])
     if report.hoq is not None:
         hoq = report.hoq
         header = ["customer_requirement", "importance"] + [t.id for t in hoq.tech_reqs]
-        rows = []
-        for cr, rel_row in zip(hoq.customer_reqs, hoq.relationships):
-            rows.append([cr.name, cr.importance, *[int(v) for v in rel_row]])
+        rows = [[cr.name, cr.importance, *[int(v) for v in rel_row]]
+                for cr, rel_row in zip(hoq.customer_reqs, hoq.relationships)]
         rows.append(["absolute_weight", None, *[t.absolute for t in hoq.importances]])
         rows.append(["relative_weight_pct", None, *[t.relative_pct for t in hoq.importances]])
         rows.append(["rank", None, *[t.rank for t in hoq.importances]])
         tables["hoq.csv"] = csv_bytes(header, rows)
-
     return tables
 
 
 # --- Markdown ---------------------------------------------------------------
 
-def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "|".join(" --- " for _ in header) + "|"]
+def _md_text(value) -> str:
+    """str(value) kept to one table cell: each | escaped, each CRLF, LF or CR a space."""
+    text = str(value).replace("|", r"\|").replace("\r\n", " ")
+    return text.replace("\r", " ").replace("\n", " ")
+
+
+def _md_table(columns: Sequence[Column], rows: Sequence[Sequence]) -> list[str]:
+    """The columns that have a Markdown header: numbers with ``digits`` in
+    fixed point, other values through _md_text, None as ``undefined``."""
+    shown = [(at, c.md, _md_text if c.digits is None else f"{{:.{c.digits}f}}".format)
+             for at, c in enumerate(columns) if c.md is not None]
+    lines = ["| " + " | ".join(md for _, md, _ in shown) + " |",
+             "|" + "|".join(" --- " for _ in shown) + "|"]
     for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
+        lines.append("| " + " | ".join(["undefined" if row[at] is None else text(row[at])
+                                        for at, _, text in shown]) + " |")
     return lines
 
 
-def _num(value, digits: int = 9) -> str:
-    if value is None:
-        return ""
+def _num(value: float, digits: int = 9) -> str:
     return f"{value:.{digits}f}"
 
 
@@ -494,33 +510,16 @@ def _markdown(report: AnalysisReport) -> bytes:
         lines.append(f"Cronbach's alpha = {_num(rel.alpha, 4)} over {rel.n_items} items, "
                      f"N = {rel.n_respondents}; {verdict} the > {rel.threshold} gate.")
         lines.append("")
-        lines.extend(_md_table(
-            ["Item", "Adj. total mean", "Adj. total stdev", "Item-total corr",
-             "Squared multiple corr", "Alpha if deleted"],
-            [[str(o.item_id), _num(o.adj_total_mean, 3), _num(o.adj_total_stdev, 3),
-              _num(o.item_adj_total_corr, 4) if o.item_adj_total_corr is not None else "undefined",
-              _num(o.squared_multiple_corr, 4) if o.squared_multiple_corr is not None else "undefined",
-              _num(o.alpha_if_deleted, 4) if o.alpha_if_deleted is not None else "undefined"]
-             for o in rel.omitted],
-        ))
+        lines.extend(_md_table(_OMITTED, [_values(o) for o in rel.omitted]))
         lines.append("")
 
     lines.append("## Gap analysis")
     lines.append("")
-    gaps_by_id = {g.item_id: g for g in gr.item_gaps}
+    gap_rows = {g.item_id: row for g, row in zip(gr.item_gaps, _gap_rows(report))}
     for d in gr.dimension_scores:
         lines.append(f"### {d.dimension.capitalize()}")
         lines.append("")
-        rows = []
-        for item_id in d.item_ids:
-            g = gaps_by_id[item_id]
-            rows.append([
-                f"{item_id}", report.item_labels.get(item_id, ""),
-                _num(g.expectation_mean), _num(g.perception_mean), _num(g.gap),
-                classify_satisfaction(g.gap).value,
-            ])
-        lines.extend(_md_table(
-            ["Item", "Label", "Expectation", "Perception", "Gap", "Verdict"], rows))
+        lines.extend(_md_table(_GAPS, [gap_rows[item_id] for item_id in d.item_ids]))
         lines.append("")
         lines.append(f"Average importance score: {_num(d.importance)} | "
                      f"unweighted score: {_num(d.unweighted)} | "
@@ -537,13 +536,7 @@ def _markdown(report: AnalysisReport) -> bytes:
     if report.kano_priorities:
         lines.append("## Improvement priorities (Kano-adjusted)")
         lines.append("")
-        lines.extend(_md_table(
-            ["Rank", "Item", "Label", "Category", "Raw contribution", "Multiplier", "Score"],
-            [[str(k.rank), str(k.item_id), report.item_labels.get(k.item_id, ""),
-              k.category.value, _num(k.raw_contribution, 6), _num(k.multiplier, 2),
-              _num(k.priority_score, 6)]
-             for k in report.kano_priorities],
-        ))
+        lines.extend(_md_table(_KANO, _kano_rows(report)))
         lines.append("")
 
     if report.pareto:
@@ -552,12 +545,7 @@ def _markdown(report: AnalysisReport) -> bytes:
         if report.pareto.is_empty:
             lines.append("No negative gaps: nothing to prioritize.")
         else:
-            lines.extend(_md_table(
-                ["Rank", "Item", "Label", "Magnitude", "Cumulative", "Cumulative %"],
-                [[str(r.rank), str(r.item_id), r.label, _num(r.magnitude, 6),
-                  _num(r.cumulative, 6), _num(r.cumulative_pct, 4)]
-                 for r in report.pareto.rows],
-            ))
+            lines.extend(_md_table(_PARETO, [_values(r) for r in report.pareto.rows]))
             lines.append("")
             lines.append(f"Vital few: first {report.pareto.vital_few_cutoff} row(s) reach "
                          f"{_num(report.pareto.threshold_pct, 1)}% of total dissatisfaction.")
@@ -566,12 +554,12 @@ def _markdown(report: AnalysisReport) -> bytes:
     if report.hoq:
         lines.append("## House of quality")
         lines.append("")
-        ranked = sorted(report.hoq.importances, key=lambda t: t.rank)
         names = {t.id: t.name for t in report.hoq.tech_reqs}
         lines.extend(_md_table(
-            ["Rank", "Technical requirement", "Absolute weight", "Relative %"],
-            [[str(t.rank), names[t.tech_id], _num(t.absolute, 6), _num(t.relative_pct, 4)]
-             for t in ranked],
+            (Column("rank", "Rank"), Column("name", "Technical requirement"),
+             Column("absolute", "Absolute weight", 6), Column("relative_pct", "Relative %", 4)),
+            [[t.rank, names[t.tech_id], t.absolute, t.relative_pct]
+             for t in sorted(report.hoq.importances, key=lambda t: t.rank)],
         ))
         lines.append("")
 

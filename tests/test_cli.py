@@ -1,5 +1,6 @@
 import codecs
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -335,6 +336,98 @@ class TestSynthCommand:
         assert rc == 1
 
 
+def _bundle_variants(xyz_dir) -> dict[str, list[str]]:
+    """The `gap` input arguments of three bundles: the case study, the case
+    study with HoQ and fishbone, and an importance-CSV run."""
+    (xyz_dir / "hoq.json").write_text(json.dumps(serialize_hoq(xyz.load_xyz_hoq())))
+    (xyz_dir / "fishbone.json").write_text(
+        json.dumps(serialize_fishbone(xyz.load_xyz_fishbone())))
+    # importance CSV route with one rejected row per file and a zero-variance
+    # item, so null/undefined cells and ROWS_REJECTED warnings round-trip
+    rng = np.random.default_rng(5)
+    header = "respondent_id," + ",".join(f"q{i}" for i in range(1, 18))
+    for name in ("ze.csv", "zp.csv"):
+        values = rng.integers(1, 6, size=(30, 17))
+        values[:, 3] = 4
+        rows = [f"r{i}," + ",".join(map(str, row)) for i, row in enumerate(values)]
+        (xyz_dir / name).write_text(
+            "\n".join([header, *rows, "bad," + ",".join(["9"] * 17)]) + "\n")
+    (xyz_dir / "zi.csv").write_text(
+        "respondent_id,tangibles,reliability,responsiveness,assurance,empathy\n"
+        "r1,10,40,25,15,10\nr2,20,30,20,15,15\nr3,10,10,10,10,10\n")
+    xyz_inputs = ["--expect", str(xyz_dir / "e.csv"), "--perceive", str(xyz_dir / "p.csv"),
+                  "--weights", str(xyz_dir / "weights.json")]
+    return {
+        "plain": xyz_inputs,
+        "hoq_fishbone": [*xyz_inputs, "--hoq", str(xyz_dir / "hoq.json"),
+                         "--fishbone", str(xyz_dir / "fishbone.json")],
+        "importance": ["--expect", str(xyz_dir / "ze.csv"),
+                       "--perceive", str(xyz_dir / "zp.csv"),
+                       "--importance", str(xyz_dir / "zi.csv")],
+    }
+
+
+#: SHA-256 per file of two `gap` bundles from _bundle_variants.  The tool
+#: version is part of the report JSON and Markdown, so a version change
+#: changes those two digests.
+PINNED_BUNDLES: dict[str, dict[str, str]] = {
+    "hoq_fishbone": {
+        "xyz.charts/dimension_gaps.svg":
+            "f446be7ff6ae8f260229cd25507ad09ba01ee3e91c91531285a1c2b10e0cd6a0",
+        "xyz.charts/dimension_weights.svg":
+            "27725a8923f605d109dd65781c845753200a427bb6692e87441b0fa3488b2bc2",
+        "xyz.charts/expectation_items.svg":
+            "3a444ebed19f0a8d70ea91de185923bec324ae1070caf0833fa0ab822d78eeac",
+        "xyz.charts/pareto.svg":
+            "17ed04606a955d55a319e5123695d41791bf3cd9452f5ed7340e5133e7e8bc98",
+        "xyz.charts/perception_items.svg":
+            "117969fe49e83d89673eb264bfccc46d6f7d44f5808dc0b44cf95eb1c329c49b",
+        "xyz.report.json":
+            "9909c62dafc4496586316ba3166da9dee784c213d317f4c8d35afaa790f52eca",
+        "xyz.report.md":
+            "5faf8cd1315e5092534aafb9e730fa8076dea26a434827488927a239f6f7734b",
+        "xyz.tables/descriptives.csv":
+            "9f2da3dd0254a77fd1040f51a8ed559089295d0b91568e7bf3a66893661aff03",
+        "xyz.tables/gaps.csv":
+            "258a1519911bf9ef8529f606f9cfa67fae65d481f3e95ba08bfa79829f621ade",
+        "xyz.tables/hoq.csv":
+            "1a5f641842a5560aa62e8f4545c91fd0feca8b5a585552069a3cdebb67b0091e",
+        "xyz.tables/kano.csv":
+            "10a0e465fe886ba7a4612e8df8ba1ab77584b7753e23c123a4c5eaf52432606e",
+        "xyz.tables/pareto.csv":
+            "077ef58cc2b0a0a66f06362c836e5f4899bedde0942bcccebddbdfaef28f4efd",
+        "xyz.tables/reliability.csv":
+            "d27817515be8d969aa62b2e112ba8fc7855d6012db84d1e6a4db17c1fa49c17c",
+    },
+    "importance": {
+        "xyz.charts/dimension_gaps.svg":
+            "de377cf6bb4de436cb948b78903980074e2b232189dd4d455fc8262ef3e24814",
+        "xyz.charts/dimension_weights.svg":
+            "decd989639a6073497981cd2aab17f750df75aabd21ddde590ac17f5e77c2c3a",
+        "xyz.charts/expectation_items.svg":
+            "29a8477078415af03778f6201148b0e436bc39867608ca00d6472a40c1d1aa8b",
+        "xyz.charts/pareto.svg":
+            "32c1b6c452eba61e838289e39154467f4bc781567ab3924c60c36218966a7f95",
+        "xyz.charts/perception_items.svg":
+            "0d4928024b2f88f11b77e51452abb2347b7ba9c45469e7b27416826ba7d372f9",
+        "xyz.report.json":
+            "18e6009ef820c191fd62e8d7a58f84fc5159487f2c01d34a567da4e9f1896a32",
+        "xyz.report.md":
+            "18241b80f41e9d815fb0d828799db141ba82b2febd842307107c86cc47add23c",
+        "xyz.tables/descriptives.csv":
+            "bc9e0062fd9033b10068d92e6c95b816d53594b76d86f23439816caae438c4ec",
+        "xyz.tables/gaps.csv":
+            "4de88c65c83074bba7de6997c3cd3ee93b89d1b2d31ce77d650ace17f202956f",
+        "xyz.tables/kano.csv":
+            "06143e2aebb9c95beb81adfba79298ebc5f26eb3b4e7c75fb0006bcb566d34e8",
+        "xyz.tables/pareto.csv":
+            "0c00fe19008d341177e70161b7db49d738322fcb929368b48ffe5ff08ccb44f4",
+        "xyz.tables/reliability.csv":
+            "cdfd6e44cf53630918b6d6d3ee6c9a7a39092dd125eccc11e30851ecab2c41a1",
+    },
+}
+
+
 class TestReportCommand:
     def test_reemit_from_saved_json(self, xyz_dir):
         assert main(["gap", "--instrument", str(xyz_dir / "xyz.json"),
@@ -353,32 +446,7 @@ class TestReportCommand:
     def test_reemitted_bundle_matches_original_bytes(self, xyz_dir):
         # computed values must survive the JSON round trip bit-exactly, so a
         # re-emitted bundle is byte-identical to the directly written one
-        (xyz_dir / "hoq.json").write_text(json.dumps(serialize_hoq(xyz.load_xyz_hoq())))
-        (xyz_dir / "fishbone.json").write_text(
-            json.dumps(serialize_fishbone(xyz.load_xyz_fishbone())))
-        # importance CSV route with one rejected row per file and a zero-variance
-        # item, so null/undefined cells and ROWS_REJECTED warnings round-trip
-        rng = np.random.default_rng(5)
-        header = "respondent_id," + ",".join(f"q{i}" for i in range(1, 18))
-        for name in ("ze.csv", "zp.csv"):
-            values = rng.integers(1, 6, size=(30, 17))
-            values[:, 3] = 4
-            rows = [f"r{i}," + ",".join(map(str, row)) for i, row in enumerate(values)]
-            (xyz_dir / name).write_text(
-                "\n".join([header, *rows, "bad," + ",".join(["9"] * 17)]) + "\n")
-        (xyz_dir / "zi.csv").write_text(
-            "respondent_id,tangibles,reliability,responsiveness,assurance,empathy\n"
-            "r1,10,40,25,15,10\nr2,20,30,20,15,15\nr3,10,10,10,10,10\n")
-        xyz_inputs = ["--expect", str(xyz_dir / "e.csv"), "--perceive", str(xyz_dir / "p.csv"),
-                      "--weights", str(xyz_dir / "weights.json")]
-        variants = {
-            "plain": xyz_inputs,
-            "hoq_fishbone": [*xyz_inputs, "--hoq", str(xyz_dir / "hoq.json"),
-                             "--fishbone", str(xyz_dir / "fishbone.json")],
-            "importance": ["--expect", str(xyz_dir / "ze.csv"),
-                           "--perceive", str(xyz_dir / "zp.csv"),
-                           "--importance", str(xyz_dir / "zi.csv")],
-        }
+        variants = _bundle_variants(xyz_dir)
         for variant, inputs in variants.items():
             orig_root, re_root = xyz_dir / variant / "orig", xyz_dir / variant / "re"
             assert main(["gap", "--instrument", str(xyz_dir / "xyz.json"), *inputs,
@@ -401,6 +469,20 @@ class TestReportCommand:
         assert b"ROWS_REJECTED" in importance_report
         assert b"undefined" in (xyz_dir / "importance" / "orig" / "xyz.report.md").read_bytes()
         assert (xyz_dir / "hoq_fishbone" / "orig" / "xyz.tables" / "hoq.csv").exists()
+
+    def test_bundle_bytes_are_pinned(self, xyz_dir):
+        # The SHA-256 of every file of two bundles: any change to a table's
+        # columns, number text or empty-cell text, to the Markdown prose or to
+        # a warning shows here.  "importance" holds undefined cells and
+        # ROWS_REJECTED; "hoq_fishbone" every optional section.
+        variants = _bundle_variants(xyz_dir)
+        for variant, pinned in PINNED_BUNDLES.items():
+            root = xyz_dir / variant
+            assert main(["gap", "--instrument", str(xyz_dir / "xyz.json"), *variants[variant],
+                         "--suppress-timestamp", "--out", str(root / "xyz")]) == 0
+            digests = {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in root.rglob("*") if p.is_file()}
+            assert digests == pinned, variant
 
     @pytest.mark.parametrize("payload", [
         b'{"metadata": {}}',

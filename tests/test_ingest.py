@@ -129,6 +129,43 @@ def test_strict_file_with_a_repeated_id_matches_the_per_cell_parser():
         "row 3, column respondent_id: respondent id 'r1' repeats row 1 [duplicate_id]"
 
 
+@pytest.mark.parametrize("policy", list(MissingPolicy))
+@pytest.mark.parametrize("kind, rows", [
+    (ResponseKind.EXPECTATION, ["r1,1,2,3", "r2,1,9,3", "r3,5,5,5", "r4,0,2,2"]),
+    (ResponseKind.IMPORTANCE, ["r1,40,30,10,10,10", "r2,22,18,20,20,20",
+                               "r3,20,20,20,20,20", "r4,100,0,0,0,5"]),
+], ids=["likert", "importance"])
+def test_strict_file_with_refused_rows_converts_once(monkeypatch, xyz_instrument, kind, rows,
+                                                     policy):
+    """A strict file whose only faults are values outside the scale or bad
+    allocations stays in the strict case: its digits are converted once,
+    and its result or error is the per-cell parser's."""
+    instrument = SMALL_INSTRUMENT if kind.is_likert else xyz_instrument
+    data = (likert_csv if kind.is_likert else importance_csv)(rows)
+    try:
+        reference = parse_response_rows(data, instrument, kind, policy)
+    except DataError as exc:
+        reference = str(exc)
+    calls = []
+    real = ingest._digit_values
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(ingest, "_digit_values", spy)
+    try:
+        rs, report = strict_result(data, instrument, kind, policy)
+    except DataError as exc:
+        assert str(exc) == reference
+    else:
+        ref_rs, ref_report = reference
+        assert report == ref_report and report.rejected_rows == 2
+        assert rs.respondent_ids == ref_rs.respondent_ids == ("r1", "r3")
+        assert rs.values.tolist() == ref_rs.values.tolist()
+    assert calls == [4]
+
+
 def test_strict_str_input_takes_the_strict_case():
     data = likert_csv(["r1,1,2,3", "r2,4,5,1"]).decode()
     rs, report = strict_result(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION)

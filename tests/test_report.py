@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +198,31 @@ class TestMarkdownAndCharts:
         assert "| Item | Label | Expectation | Perception | Gap | Verdict |" in text
         assert "## Gap analysis" in text
         assert "Average importance score: 39.695121951" in text
+
+    def test_markdown_cells_escape_pipes_and_line_breaks(self, full_report):
+        # The loaders accept any prompt, Pareto label or requirement name: a |
+        # or a line break in one must neither add a column nor split a row.
+        odd = "Staff | availability\nnext line\r\nand\rmore"
+        hoq = full_report.hoq
+        report = dataclasses.replace(
+            full_report,
+            item_labels={item_id: odd for item_id in full_report.item_labels},
+            pareto=dataclasses.replace(full_report.pareto, rows=tuple(
+                dataclasses.replace(r, label=odd) for r in full_report.pareto.rows)),
+            hoq=dataclasses.replace(hoq, tech_reqs=tuple(
+                dataclasses.replace(t, name=odd) for t in hoq.tech_reqs)))
+        text = emit(report, "markdown").decode()
+        assert "\r" not in text
+        tables = [[]]
+        for line in text.split("\n"):
+            if line.startswith("|"):
+                tables[-1].append(len(re.split(r"(?<!\\)\|", line)))
+            elif tables[-1]:
+                tables.append([])
+        assert all(len(set(cells)) == 1 for cells in tables if cells)
+        rows = (sum(len(d.item_ids) for d in report.gap_report.dimension_scores)
+                + len(report.kano_priorities) + len(report.pareto.rows) + len(hoq.tech_reqs))
+        assert text.count(r" Staff \| availability next line and more |") == rows
 
     def test_weight_chart_shows_reliability_tallest(self, full_report):
         charts = emit(full_report, "svg-charts")
