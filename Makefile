@@ -14,7 +14,8 @@ help:
 	@echo "make bench-smoke  perfbench smoke run at tiny sizes"
 	@echo "make bench        one benchmark run: W=<workload> (default tall) SEED=<n> (default 1)"
 	@echo "make loc          line counts of the source modules"
-	@echo "make digest       SHA-256 of every gap/report output on each workload: SEED=<n> (default 1)"
+	@echo "make digest       SHA-256 of every gap, report, validate, descriptives and reliability"
+	@echo "                  output on each workload: SEED=<n> (default 1)"
 
 test:
 	$(TIER1)

@@ -1,8 +1,10 @@
-"""End-to-end run of the command-line pipeline on synthetic raw data.
+"""End-to-end run of the pipeline on synthetic raw data.
 
 Generates expectation/perception CSVs whose column means equal the XYZ
-case-study aggregates exactly, runs the full `satmetric gap` pipeline on
-them, and shows that two runs with --suppress-timestamp are byte-identical.
+case-study aggregates exactly, runs the full pipeline on them once through
+the library (`pipeline.run` + `write_report`) and once through
+`satmetric gap --suppress-timestamp`, and shows that the two bundles are
+byte-identical.
 """
 
 import json
@@ -11,6 +13,8 @@ from pathlib import Path
 
 from satmetric.cli import main
 from satmetric.instrument import serialize_instrument
+from satmetric.pipeline import Config, Inputs, run
+from satmetric.report import write_report
 from satmetric.qfd import serialize_hoq
 from satmetric.rootcause import serialize_fishbone
 from satmetric import xyz
@@ -35,20 +39,25 @@ for kind, targets, seed, out in (("expectation", "e_targets.json", 1, "e.csv"),
 print("synthesized e.csv and p.csv (81 respondents each, exact target means)\n")
 
 
-def run_gap(stem: Path) -> int:
-    return main(["gap",
-                 "--instrument", str(work / "xyz.json"),
-                 "--expect", str(work / "e.csv"),
-                 "--perceive", str(work / "p.csv"),
-                 "--weights", str(work / "weights.json"),
-                 "--hoq", str(work / "hoq.json"),
-                 "--fishbone", str(work / "fishbone.json"),
-                 "--suppress-timestamp",
-                 "--out", str(stem)])
+inputs = Inputs(instrument=str(work / "xyz.json"),
+                expect=str(work / "e.csv"),
+                perceive=str(work / "p.csv"),
+                weights=str(work / "weights.json"),
+                hoq=str(work / "hoq.json"),
+                fishbone=str(work / "fishbone.json"))
+write_report(run(inputs, Config(), timestamp=False), work / "run1" / "xyz")
+print("run 1: pipeline.run + write_report")
 
-
-assert run_gap(work / "run1" / "xyz") == 0
-assert run_gap(work / "run2" / "xyz") == 0
+assert main(["gap",
+             "--instrument", inputs.instrument,
+             "--expect", inputs.expect,
+             "--perceive", inputs.perceive,
+             "--weights", inputs.weights,
+             "--hoq", inputs.hoq,
+             "--fishbone", inputs.fishbone,
+             "--suppress-timestamp",
+             "--out", str(work / "run2" / "xyz")]) == 0
+print("run 2: satmetric gap")
 
 doc = json.loads((work / "run1" / "xyz.report.json").read_text())
 overall = doc["gap_analysis"]["overall"]

@@ -1,4 +1,4 @@
-"""Command-line frontend.
+"""Command-line frontend: ``gap`` is a thin wrapper over ``satmetric.pipeline.run``.
 
 Exit codes: 0 success, 1 validation failure (bad data or failed strict
 gate), 2 usage error.  Diagnostics go to stderr; data and results go to
@@ -9,30 +9,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .errors import DefinitionError, SatmetricError
-from .ingest import MissingPolicy, ResponseKind, generate_synthetic, parse_response_file, \
-    serialize_response_set
+from .ingest import MissingPolicy, ResponseKind, generate_synthetic, serialize_response_set
 from .instrument import load_instrument
-from .kano import DEFAULT_MULTIPLIERS, parse_multiplier_spec, prioritize
+from .pipeline import Config, Inputs, gate_failure, run, surveys
 from .psychometrics import DEFAULT_ALPHA_THRESHOLD, VarianceMode, item_descriptives, \
     reliability_report
 from .qfd import load_hoq, roof_conflicts
-from .report import FORMATS, assemble, csv_bytes, parse_report, reliability_csv, write_report
-from .rootcause import DEFAULT_PARETO_THRESHOLD, dissatisfaction_contributions, load_fishbone, \
-    pareto
+from .report import FORMATS, csv_bytes, parse_report, reliability_csv, write_report
+from .rootcause import DEFAULT_PARETO_THRESHOLD
 from .schema import array, number, read_bytes, read_json
-from .servqual import compute_gap_report, importance_weights, normalize_weights, \
-    weights_from_means
-
-
-def _load_weights_file(path: str):
-    doc = read_json(path)
-    if isinstance(doc, dict) and "means" in doc:
-        return weights_from_means(doc["means"], n_respondents=doc.get("n_respondents"))
-    return weights_from_means(doc)
 
 
 def _write_out(payload: bytes, out: str | None) -> None:
@@ -43,20 +33,14 @@ def _write_out(payload: bytes, out: str | None) -> None:
         sys.stdout.write(payload.decode("utf-8"))
 
 
-def _parse_csv(args, instrument, kind: ResponseKind, path: str):
-    rs, vr = parse_response_file(read_bytes(path), instrument, kind,
-                                 MissingPolicy(args.missing_policy))
-    # One write per file: stderr is line-buffered, so a print per row would
-    # be a system call per row.
-    if vr.row_errors:
-        sys.stderr.write("".join(
-            f"{path}: row {err.row}, column {err.column}: {err.message} [{err.code}]\n"
-            for err in vr.row_errors))
-    return rs, vr
-
-
 def _add_instrument_arg(parser) -> None:
     parser.add_argument("--instrument", required=True, help="instrument definition JSON")
+
+
+def _add_survey_args(parser, required: bool = False) -> None:
+    _add_instrument_arg(parser)
+    parser.add_argument("--expect", required=required, help="expectation CSV")
+    parser.add_argument("--perceive", required=required, help="perception CSV")
 
 
 def _add_policy_arg(parser) -> None:
@@ -67,35 +51,24 @@ def _add_policy_arg(parser) -> None:
 
 def cmd_validate(args) -> int:
     instrument = load_instrument(args.instrument)
-    clean = True
-    any_file = False
-    for kind, path in ((ResponseKind.EXPECTATION, args.expect),
-                       (ResponseKind.PERCEPTION, args.perceive),
-                       (ResponseKind.IMPORTANCE, args.importance)):
-        if path is None:
-            continue
-        any_file = True
-        rs, vr = _parse_csv(args, instrument, kind, path)
+    rejected = []
+    for kind, path, _, vr in surveys(instrument, args.missing_policy,
+                                     args.expect, args.perceive, args.importance):
         print(f"{path}: {vr.accepted_rows} accepted, {vr.rejected_rows} rejected "
               f"({kind.value})")
-        if vr.rejected_rows:
-            clean = False
-    if not any_file:
+        rejected.append(vr.rejected_rows)
+    if not rejected:
         print("instrument OK; no response files given")
-    return 0 if clean else 1
+    return 1 if any(rejected) else 0
 
 
 def cmd_descriptives(args) -> int:
     instrument = load_instrument(args.instrument)
     mode = VarianceMode(args.variance_mode)
-    rows: list[list] = []
-    for kind, path in ((ResponseKind.EXPECTATION, args.expect),
-                       (ResponseKind.PERCEPTION, args.perceive)):
-        if path is None:
-            continue
-        rs, _ = _parse_csv(args, instrument, kind, path)
-        rows.extend([kind.value, d.item_id, d.mean, d.variance, d.n]
-                    for d in item_descriptives(rs, instrument, mode))
+    rows = [[kind.value, d.item_id, d.mean, d.variance, d.n]
+            for kind, _, rs, _ in surveys(instrument, args.missing_policy, args.expect,
+                                          args.perceive)
+            for d in item_descriptives(rs, instrument, mode)]
     if not rows:
         raise SatmetricError("provide --expect and/or --perceive")
     _write_out(csv_bytes(["survey", "item_id", "mean", "variance", "n"], rows), args.out)
@@ -106,97 +79,21 @@ def cmd_reliability(args) -> int:
     instrument = load_instrument(args.instrument)
     if args.expect is None and args.perceive is None:
         raise SatmetricError("provide --expect and/or --perceive")
-    surveys = []
-    for kind, path in ((ResponseKind.EXPECTATION, args.expect),
-                       (ResponseKind.PERCEPTION, args.perceive)):
-        if path is None:
-            continue
-        rs, _ = _parse_csv(args, instrument, kind, path)
+    results = []
+    for kind, _, rs, _ in surveys(instrument, args.missing_policy, args.expect, args.perceive):
         rel = reliability_report(rs, instrument, threshold=args.alpha_threshold)
-        surveys.append((kind.value, rel))
         if not rel.passes_gate:
-            print(f"{kind.value} survey alpha {rel.alpha:.4f} does not exceed "
-                  f"{rel.threshold}", file=sys.stderr)
-    _write_out(reliability_csv(surveys), args.out)
-    if args.strict_gate and not all(rel.passes_gate for _, rel in surveys):
-        return 1
-    return 0
+            print(gate_failure(kind.value, rel), file=sys.stderr)
+        results.append((kind.value, rel))
+    _write_out(reliability_csv(results), args.out)
+    return 1 if args.strict_gate and not all(rel.passes_gate for _, rel in results) else 0
 
 
 def cmd_gap(args) -> int:
-    instrument = load_instrument(args.instrument)
-    expect_rs, expect_vr = _parse_csv(args, instrument, ResponseKind.EXPECTATION, args.expect)
-    perceive_rs, perceive_vr = _parse_csv(args, instrument, ResponseKind.PERCEPTION,
-                                             args.perceive)
-    validation = {"expectation": expect_vr, "perception": perceive_vr}
-
-    if args.importance:
-        importance_rs, importance_vr = _parse_csv(args, instrument,
-                                                     ResponseKind.IMPORTANCE, args.importance)
-        weights = importance_weights(importance_rs)
-        validation["importance"] = importance_vr
-    else:
-        weights = _load_weights_file(args.weights)
-    if args.normalize_weights:
-        weights = normalize_weights(weights)
-
-    mode = VarianceMode(args.variance_mode)
-    expect_desc = item_descriptives(expect_rs, instrument, mode)
-    perceive_desc = item_descriptives(perceive_rs, instrument, mode)
-
-    rel_expect = reliability_report(expect_rs, instrument, threshold=args.alpha_threshold)
-    rel_perceive = reliability_report(perceive_rs, instrument, threshold=args.alpha_threshold)
-    if args.strict_gate and not (rel_expect.passes_gate and rel_perceive.passes_gate):
-        for name, rel in (("expectation", rel_expect), ("perception", rel_perceive)):
-            if not rel.passes_gate:
-                print(f"{name} survey alpha {rel.alpha:.4f} does not exceed "
-                      f"{rel.threshold}; refusing to emit scores under --strict-gate",
-                      file=sys.stderr)
-        return 1
-
-    gap_report = compute_gap_report(expect_desc, perceive_desc, weights, instrument,
-                                    reliability_expectation=rel_expect,
-                                    reliability_perception=rel_perceive)
-    multipliers = parse_multiplier_spec(args.kano_multipliers) if args.kano_multipliers \
-        else DEFAULT_MULTIPLIERS
-    priorities = prioritize(gap_report.item_gaps, weights, instrument, multipliers)
-    contributions = dissatisfaction_contributions(
-        gap_report.item_gaps, weights, instrument,
-        weighted=not args.unweighted_contributions)
-    pareto_table = pareto(contributions, threshold_pct=args.pareto_threshold)
-
-    hoq = load_hoq(args.hoq) if args.hoq else None
-    fishbone = load_fishbone(args.fishbone) if args.fishbone else None
-
-    config = {
-        "variance_mode": mode.value,
-        "alpha_threshold": args.alpha_threshold,
-        "strict_gate": bool(args.strict_gate),
-        "kano_multipliers": {c.value: v for c, v in multipliers.items()},
-        "pareto_threshold_pct": args.pareto_threshold,
-        "normalize_weights": bool(args.normalize_weights),
-        "contributions": "unweighted" if args.unweighted_contributions
-        else "importance_weighted",
-        "missing_policy": args.missing_policy,
-    }
-    report = assemble(
-        gap_report,
-        instrument=instrument,
-        expectation_descriptives=expect_desc,
-        perception_descriptives=perceive_desc,
-        importance_weights=weights,
-        kano_priorities=priorities,
-        pareto=pareto_table,
-        hoq=hoq,
-        fishbone=fishbone,
-        validation=validation,
-        config=config,
-        timestamp=not args.suppress_timestamp,
-    )
-    written = write_report(report, args.out, formats=args.formats)
-    for path in written:
-        print(path)
-    return 0
+    inputs, config = (cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+                      for cls in (Inputs, Config))
+    report = run(inputs, config, timestamp=not args.suppress_timestamp)
+    return 1 if report is None else _write(report, args)
 
 
 def cmd_qfd(args) -> int:
@@ -233,9 +130,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = parse_report(read_bytes(args.input))
-    written = write_report(report, args.out, formats=args.formats)
-    for path in written:
+    return _write(parse_report(read_bytes(args.input)), args)
+
+
+def _write(report, args) -> int:
+    """Write the report's ``--formats`` under ``--out``; print each path."""
+    for path in write_report(report, args.out, formats=args.formats):
         print(path)
     return 0
 
@@ -265,17 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate instrument and response files")
-    _add_instrument_arg(p)
-    p.add_argument("--expect", help="expectation CSV")
-    p.add_argument("--perceive", help="perception CSV")
+    _add_survey_args(p)
     p.add_argument("--importance", help="importance-allocation CSV")
     _add_policy_arg(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("descriptives", help="per-item means and variances")
-    _add_instrument_arg(p)
-    p.add_argument("--expect", help="expectation CSV")
-    p.add_argument("--perceive", help="perception CSV")
+    _add_survey_args(p)
     p.add_argument("--variance-mode", choices=[m.value for m in VarianceMode],
                    default=VarianceMode.POPULATION.value)
     p.add_argument("--out", help="write CSV here instead of stdout")
@@ -283,9 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_descriptives)
 
     p = sub.add_parser("reliability", help="Cronbach's alpha and omitted-item diagnostics")
-    _add_instrument_arg(p)
-    p.add_argument("--expect", help="expectation CSV")
-    p.add_argument("--perceive", help="perception CSV")
+    _add_survey_args(p)
     p.add_argument("--alpha-threshold", type=_finite_arg, default=DEFAULT_ALPHA_THRESHOLD)
     p.add_argument("--strict-gate", action="store_true",
                    help="exit 1 when a survey fails the alpha gate")
@@ -294,9 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reliability)
 
     p = sub.add_parser("gap", help="full gap-analysis pipeline (incl. Kano and Pareto)")
-    _add_instrument_arg(p)
-    p.add_argument("--expect", required=True, help="expectation CSV")
-    p.add_argument("--perceive", required=True, help="perception CSV")
+    _add_survey_args(p, required=True)
     weights_group = p.add_mutually_exclusive_group(required=True)
     weights_group.add_argument("--importance", help="importance-allocation CSV")
     weights_group.add_argument("--weights",

@@ -334,8 +334,7 @@ def _parse_lines(
                 errors = _refused(values, valid, rows, expected, instrument.scale, kind)
                 if errors:  # keep the rows that pass
                     rows, values, starts, grid = (a[valid] for a in (rows, values, starts, grid))
-                return _result(instrument, kind, policy,
-                               rows.tolist() if errors else range(1, len(starts) + 1),
+                return _result(instrument, kind, policy, rows,
                                _texts(raw, starts, grid[:, 0]), values, errors)
 
     quoted = np.unique(np.searchsorted(ends, np.flatnonzero(raw == ord('"')), side="right"))
@@ -384,7 +383,7 @@ def _parse_lines(
             merged.append(respondent_id)
             done = place
         ids = merged + ids[done:]
-    return _result(instrument, kind, policy, numbers[lines].tolist(), ids, values, errors)
+    return _result(instrument, kind, policy, numbers[lines], ids, values, errors)
 
 
 def _line_input(data: bytes | str, expected: list[str]) -> bytes | None:
@@ -582,7 +581,7 @@ def _result(
     instrument: SurveyInstrument,
     kind: ResponseKind,
     policy: MissingPolicy,
-    rows: Sequence[int],
+    rows: np.ndarray | Sequence[int],
     ids: list[str],
     values: np.ndarray,
     errors: list[RowError],
@@ -595,7 +594,7 @@ def _result(
     if len(set(ids)) != len(ids):
         first: dict[str, int] = {}
         keep: list[int] = []
-        for at, (row, respondent_id) in enumerate(zip(rows, ids)):
+        for at, (row, respondent_id) in enumerate(zip(np.asarray(rows).tolist(), ids)):
             if respondent_id in first:
                 errors.append(RowError(row, _ID_COLUMN, "duplicate_id",
                                        f"respondent id {respondent_id!r} repeats row "

@@ -4,8 +4,11 @@ An AnalysisReport bundles every analysis output in a fixed section order
 and serializes deterministically: JSON (round-trips losslessly), a CSV
 table bundle, Markdown, and minimal hand-constructed SVG bar/Pareto
 charts.  Each table is declared once, as Columns that the CSV bundle and
-Markdown both render.  Timestamps live only in the metadata block and can
-be suppressed, making emitted bytes a pure function of the report.
+Markdown both render.  Every string from outside the program goes through
+one helper per format: _md_text in a Markdown table cell, _md_prose in
+Markdown prose, _svg_text in a chart.  Timestamps live only in the
+metadata block and can be suppressed, making emitted bytes a pure function
+of the report.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -460,10 +464,26 @@ def _csv_tables(report: AnalysisReport) -> dict[str, bytes]:
 
 # --- Markdown ---------------------------------------------------------------
 
+_MD_OPENERS = frozenset("#-+*>|")  # what opens a heading, list item, quote or table row
+
+
+def _one_line(text: str) -> str:
+    """``text`` with each CRLF, LF or CR a space."""
+    return text.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
+
+
 def _md_text(value) -> str:
     """str(value) kept to one table cell: each | escaped, each CRLF, LF or CR a space."""
-    text = str(value).replace("|", r"\|").replace("\r\n", " ")
-    return text.replace("\r", " ").replace("\n", " ")
+    return _one_line(str(value)).replace("|", r"\|")
+
+
+def _md_prose(value) -> str:
+    """str(value) kept inside its line of prose: each CRLF, LF or CR a space,
+    and a leading #, -, +, *, > or | escaped, so that it opens no heading,
+    list item, quote or table row."""
+    text = _one_line(str(value))
+    at = len(text) - len(text.lstrip())
+    return text[:at] + "\\" + text[at:] if text[at:at + 1] in _MD_OPENERS else text
 
 
 def _md_table(columns: Sequence[Column], rows: Sequence[Sequence]) -> list[str]:
@@ -487,17 +507,18 @@ def _markdown(report: AnalysisReport) -> bytes:
     gr = report.gap_report
     lines: list[str] = ["# Service quality analysis report", ""]
     meta = report.metadata
-    lines.append(f"- Tool: {meta['tool']['name']} {meta['tool']['version']}")
+    lines.append(f"- Tool: {_md_prose(meta['tool']['name'])} "
+                 f"{_md_prose(meta['tool']['version'])}")
     if meta.get("generated_at"):
-        lines.append(f"- Generated: {meta['generated_at']}")
+        lines.append(f"- Generated: {_md_prose(meta['generated_at'])}")
     instrument_meta = meta.get("instrument")
     if instrument_meta:
-        lines.append(f"- Instrument: {instrument_meta['n_items']} items "
-                     f"(fingerprint {instrument_meta['fingerprint']})")
+        lines.append(f"- Instrument: {_md_prose(instrument_meta['n_items'])} items "
+                     f"(fingerprint {_md_prose(instrument_meta['fingerprint'])})")
     respondents = meta.get("respondents", {})
     parts = [f"{k}={v}" for k, v in respondents.items() if v is not None]
     if parts:
-        lines.append(f"- Respondents: {', '.join(parts)}")
+        lines.append(f"- Respondents: {_md_prose(', '.join(parts))}")
     lines.append("")
 
     for survey, rel in (("expectation", gr.reliability_expectation),
@@ -517,7 +538,7 @@ def _markdown(report: AnalysisReport) -> bytes:
     lines.append("")
     gap_rows = {g.item_id: row for g, row in zip(gr.item_gaps, _gap_rows(report))}
     for d in gr.dimension_scores:
-        lines.append(f"### {d.dimension.capitalize()}")
+        lines.append(f"### {_md_prose(d.dimension.capitalize())}")
         lines.append("")
         lines.extend(_md_table(_GAPS, [gap_rows[item_id] for item_id in d.item_ids]))
         lines.append("")
@@ -566,30 +587,30 @@ def _markdown(report: AnalysisReport) -> bytes:
     if report.fishbone:
         lines.append("## Cause-and-effect tree")
         lines.append("")
-        lines.append(f"Effect: {report.fishbone.effect}")
+        lines.append(f"Effect: {_md_prose(report.fishbone.effect)}")
         lines.append("")
         for branch in report.fishbone.branches:
-            lines.append(f"- **{branch.name}**"
+            lines.append(f"- **{_md_prose(branch.name)}**"
                          + (f" (items {', '.join(map(str, branch.item_ids))})"
                             if branch.item_ids else ""))
             for cause in branch.causes:
-                lines.append(f"  - {cause.text}")
+                lines.append(f"  - {_md_prose(cause.text)}")
                 for child in cause.children:
-                    lines.append(f"    - {child.text}")
+                    lines.append(f"    - {_md_prose(child.text)}")
         lines.append("")
         if report.branch_magnitudes:
             lines.append("Per-branch dissatisfaction (tool extension, summed from the "
                          "items annotated on each branch):")
             lines.append("")
             for name, magnitude in report.branch_magnitudes.items():
-                lines.append(f"- {name}: {_num(magnitude, 6)}")
+                lines.append(f"- {_md_prose(name)}: {_num(magnitude, 6)}")
             lines.append("")
 
     if report.warnings:
         lines.append("## Warnings")
         lines.append("")
         for w in report.warnings:
-            lines.append(f"- `{w.code}`: {w.message}")
+            lines.append(f"- `{_md_prose(w.code)}`: {_md_prose(w.message)}")
         lines.append("")
 
     return ("\n".join(lines).rstrip("\n") + "\n").encode("utf-8")
@@ -604,6 +625,19 @@ _PLOT_W = _CHART_W - _MARGIN_L - _MARGIN_R
 _PLOT_H = _CHART_H - _MARGIN_T - _MARGIN_B
 
 
+#: Characters that XML 1.0 forbids even as references.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
+def _svg_text(value) -> str:
+    """str(value) as SVG character data: &, < and > escaped as
+    xml.sax.saxutils.escape does (whose import, through urllib.request, would
+    cost a cold call ~45 ms), and each character that XML 1.0 forbids
+    replaced by U+FFFD."""
+    text = _NOT_XML.sub("\ufffd", str(value))
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _svg(title: str, body: Sequence[str]) -> bytes:
     """A chart document: white background, centred title, then ``body``."""
     return "\n".join([
@@ -611,7 +645,7 @@ def _svg(title: str, body: Sequence[str]) -> bytes:
         f'viewBox="0 0 {_CHART_W} {_CHART_H}">',
         f'<rect width="{_CHART_W}" height="{_CHART_H}" fill="white"/>',
         f'<text x="{_CHART_W / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'font-family="sans-serif" font-size="16">{_svg_text(title)}</text>',
         *body,
         "</svg>\n",
     ]).encode("utf-8")
@@ -642,7 +676,8 @@ def _bar_chart_svg(title: str, labels: Sequence[str], values: Sequence[float]) -
         parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{value_y:.2f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="10">{value:.2f}</text>')
         parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{_CHART_H - _MARGIN_B + 16:.2f}" '
-                     f'text-anchor="middle" font-family="sans-serif" font-size="10">{label}</text>')
+                     f'text-anchor="middle" font-family="sans-serif" font-size="10">'
+                     f'{_svg_text(label)}</text>')
     return _svg(title, parts)
 
 
@@ -664,7 +699,7 @@ def _pareto_chart_svg(table: ParetoTable) -> bytes:
         parts.append(f'<rect x="{x:.2f}" y="{base_y - height:.2f}" width="{bar_w:.2f}" '
                      f'height="{height:.2f}" fill="#4878a8"/>')
         parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{base_y + 16:.2f}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="10">{labels[idx]}</text>')
+                     f'font-family="sans-serif" font-size="10">{_svg_text(labels[idx])}</text>')
         cum_y = _MARGIN_T + (100.0 - row.cumulative_pct) / 100.0 * _PLOT_H
         points.append(f"{x + bar_w / 2:.2f},{cum_y:.2f}")
     if points:

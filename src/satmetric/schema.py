@@ -5,6 +5,7 @@ offending place, so malformed input lets no other exception out."""
 from __future__ import annotations
 
 import json
+import re
 import sys
 from numbers import Integral, Real
 from pathlib import Path
@@ -13,16 +14,24 @@ from typing import Iterable, Mapping
 from .errors import DefinitionError
 
 
+#: Where a string can get a lone surrogate: a ``\uD800``-``\uDFFF`` escape.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def _reject_constant(token: str):
     raise ValueError(f"{token} is not a finite number")
 
 
 def parse_json(data: bytes | str, name: str):
     """Decode UTF-8 JSON (a leading byte-order mark is skipped); the
-    ``NaN``/``Infinity`` literals are rejected."""
+    ``NaN``/``Infinity`` literals and strings that UTF-8 cannot encode (a
+    lone surrogate escape) are rejected."""
     try:
         text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
-        return json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant)
+        if _SURROGATE_ESCAPE.search(text):  # raises UnicodeEncodeError on a lone one
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise DefinitionError(f"{name} is not valid JSON ({exc})") from None
 

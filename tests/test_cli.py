@@ -3,6 +3,8 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +95,16 @@ class TestValidate:
         assert rc == 1
         assert "row 2, column q1" in captured.err
         assert "out_of_range" in captured.err
+
+    def test_each_summary_is_printed_before_the_next_file_is_read(self, workdir, capsys):
+        (workdir / "bad_header.csv").write_text("respondent_id,q1,q2,qX\nr1,4,4,4\n")
+        rc = main(["validate", "--instrument", str(workdir / "tiny.json"),
+                   "--expect", str(workdir / "good.csv"),
+                   "--perceive", str(workdir / "bad_header.csv")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == f"{workdir / 'good.csv'}: 4 accepted, 0 rejected (expectation)\n"
+        assert captured.err.startswith("error:")
 
     def test_row_diagnostics_of_a_file_are_one_write(self, workdir):
         class Writes(io.StringIO):
@@ -285,6 +297,38 @@ class TestGapPipeline:
         assert err.startswith("error:") and "overflow" in err
         assert "Traceback" not in err
         assert not (xyz_dir / "overflow").exists()
+
+    @pytest.mark.parametrize("bad", [["--hoq", "absent_hoq.json"],
+                                     ["--kano-multipliers", "must_be"]],
+                             ids=["hoq_path", "kano_spec"])
+    def test_row_diagnostics_precede_a_later_input_error(self, xyz_dir, capsys, bad):
+        """The CSVs are read (and their rejections written) before the HoQ
+        file is read and before the Kano spec is parsed."""
+        bad_row = "x99," + ",".join(["6"] + ["4"] * 16)
+        (xyz_dir / "e_dirty.csv").write_text((xyz_dir / "e.csv").read_text() + bad_row + "\n")
+        rc = main(["gap", "--instrument", str(xyz_dir / "xyz.json"),
+                   "--expect", str(xyz_dir / "e_dirty.csv"),
+                   "--perceive", str(xyz_dir / "p.csv"),
+                   "--weights", str(xyz_dir / "weights.json"),
+                   *bad, "--out", str(xyz_dir / "late" / "xyz")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 2
+        assert err[0].startswith(f"{xyz_dir / 'e_dirty.csv'}: row 82, column q1:")
+        assert err[1].startswith("error: cannot read absent_hoq.json" if bad[0] == "--hoq"
+                                 else "error: bad multiplier entry 'must_be'")
+
+    def test_strict_gate_refusal_reads_no_hoq(self, xyz_dir, capsys):
+        rc = main(["gap", "--instrument", str(xyz_dir / "xyz.json"),
+                   "--expect", str(xyz_dir / "e.csv"),
+                   "--perceive", str(xyz_dir / "p.csv"),
+                   "--weights", str(xyz_dir / "weights.json"),
+                   "--hoq", str(xyz_dir / "absent_hoq.json"), "--strict-gate",
+                   "--out", str(xyz_dir / "gated" / "xyz")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "refusing to emit scores under --strict-gate" in err
+        assert "error:" not in err
 
 
 class TestQfdCommand:
@@ -567,3 +611,83 @@ def test_gap_fuzz_over_csv_bytes_exits_cleanly(gap_fuzz_dir, data):
     assert "Traceback" not in err.getvalue()
     if rc == 1:
         assert err.getvalue().splitlines()[-1].startswith("error:")
+
+
+#: Characters that open Markdown blocks or break lines, and XML markup.
+HAZARDS = st.sampled_from(list("#->|*+<&\"'\\\r\n \t\x0b\x00"))
+#: Any text UTF-8 can encode: the JSON loaders reject a lone surrogate
+#: (tests/test_schema.py), so none reaches a report.
+OUTSIDE_TEXT = st.text(st.one_of(HAZARDS, st.characters(codec="utf-8")), min_size=1,
+                       max_size=12).filter(str.strip)
+
+
+def _markdown_shape(text: str):
+    """Line count, block markers at each line's start (heading levels,
+    bullets, quotes), and each table's rows with their unescaped pipes."""
+    lines = text.split("\n")
+    markers = [re.match(r"(?:\s*(?:#+|[-+*>])(?=\s|$))*", line).group().split()
+               for line in lines]
+    tables = [len(re.findall(r"(?<!\\)\|", line)) if line.startswith("|") else None
+              for line in lines]
+    return len(lines), markers, tables
+
+
+def _survey_bundle(d: Path, stem: str, label: str, effect: str, names: list[str],
+                   causes: list[str], dimensions: list[str], warning: str) -> Path:
+    """``gap`` with ``label`` as item 1's prompt and the fishbone texts, then
+    ``report`` on its saved JSON with ``dimensions`` and ``warning`` put in."""
+    doc = serialize_instrument(xyz.xyz_instrument())
+    doc["items"][0]["prompt"] = label
+    (d / f"{stem}.json").write_text(json.dumps(doc))
+    (d / f"{stem}.fishbone.json").write_text(json.dumps({"effect": effect, "branches": [
+        {"name": names[0], "items": [3, 4, 5],
+         "causes": [{"text": causes[0], "causes": [{"text": causes[1]}]}]},
+        {"name": names[1], "items": [1, 7]}]}))
+    assert main(["gap", "--instrument", str(d / f"{stem}.json"),
+                 "--expect", str(d / "e.csv"), "--perceive", str(d / "p.csv"),
+                 "--weights", str(d / "weights.json"),
+                 "--fishbone", str(d / f"{stem}.fishbone.json"), "--suppress-timestamp",
+                 "--out", str(d / stem / "gap")]) == 0
+    saved = json.loads((d / stem / "gap.report.json").read_text())
+    for dim, name in zip(saved["gap_analysis"]["dimensions"], dimensions):
+        dim["dimension"] = name
+    saved["importance_weights"]["means"] = dict(zip(
+        dimensions, saved["importance_weights"]["means"].values()))
+    for w in saved["warnings"]:
+        w["message"] = warning
+    (d / stem / "edited.json").write_text(json.dumps(saved))
+    assert main(["report", "--input", str(d / stem / "edited.json"),
+                 "--out", str(d / stem / "report")]) == 0
+    return d / stem
+
+
+@pytest.fixture(scope="module")
+def plain_shapes(gap_fuzz_dir):
+    """The Markdown shapes of ``gap`` and ``report`` with plain names."""
+    plain = _survey_bundle(gap_fuzz_dir, "plain", "x", "x", ["x", "y"], ["x", "x"],
+                           ["a", "b", "c", "d", "e"], "x")
+    return {part: _markdown_shape((plain / f"{part}.report.md").read_text())
+            for part in ("gap", "report")}
+
+
+@settings(max_examples=examples(25), deadline=None)
+@given(label=OUTSIDE_TEXT, effect=OUTSIDE_TEXT,
+       names=st.lists(OUTSIDE_TEXT, min_size=2, max_size=2, unique_by=str.strip),
+       causes=st.lists(OUTSIDE_TEXT, min_size=2, max_size=2),
+       dimensions=st.lists(OUTSIDE_TEXT, min_size=5, max_size=5, unique=True),
+       warning=OUTSIDE_TEXT)
+def test_outside_strings_keep_markdown_structure_and_svg_well_formed(
+        gap_fuzz_dir, plain_shapes, label, effect, names, causes, dimensions, warning):
+    """Item labels, fishbone texts, dimension names and warning messages of
+    any text, through ``gap`` and ``report``: the Markdown has the lines,
+    headings, list nesting and table shape of plain names, and every chart
+    parses as XML."""
+    drawn = _survey_bundle(gap_fuzz_dir, "drawn", label, effect, names, causes, dimensions,
+                           warning)
+    for part in ("gap", "report"):
+        assert _markdown_shape((drawn / f"{part}.report.md").read_text()) == \
+            plain_shapes[part], part
+        charts = sorted((drawn / f"{part}.charts").iterdir())
+        assert len(charts) == 5
+        for chart in charts:
+            xml.dom.minidom.parse(str(chart))

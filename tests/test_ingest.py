@@ -114,6 +114,19 @@ def test_fail_policy_raises_on_the_first_bad_row_duplicates_included(parse):
         "row 2, column respondent_id: respondent id is empty [empty_id]"
 
 
+@pytest.mark.parametrize("rows", [["r1,1,2,3", "r2,1,2,3", "r1,3,2,1"],
+                                  ["r1,1,2,3", "r2, 1,2,3", "r1,3,2,1"]],
+                         ids=["strict", "padded"])
+@pytest.mark.parametrize("parse", ALL_ROUTES, ids=["bytes", "str", "per_cell"])
+def test_duplicate_id_rows_are_python_ints(parse, rows):
+    """The line route hands its row numbers on as an int array; the row of
+    a duplicate id's error is still a Python int on every route."""
+    _, report = parse(likert_csv(rows), SMALL_INSTRUMENT, ResponseKind.EXPECTATION,
+                      MissingPolicy.DROP_ROW)
+    assert [(type(e.row), e.row, e.code) for e in report.row_errors] == \
+        [(int, 3, "duplicate_id")]
+
+
 def test_strict_file_with_a_repeated_id_matches_the_per_cell_parser():
     data = likert_csv(["r1,1,2,3", "r2,1,2,3", "r1,3,2,1", "r2,5,5,5"])
     rs, report = strict_result(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION)

@@ -88,6 +88,8 @@ LIBRARY_ESCAPES = {
     "weights_string": lambda tmp: weights_from_means({**MEANS, "empathy": "ten"}),
     "weights_nan": lambda tmp: weights_from_means({**MEANS, "empathy": math.nan}),
     "multiplier_nan": lambda tmp: resolve_multipliers({"must_be": math.nan}),
+    "fishbone_lone_surrogate": lambda tmp: load_fishbone(_file(tmp, "f.json", _with(
+        FISHBONE, effect="late \ud800 repairs"))),
 }
 
 
@@ -112,6 +114,14 @@ def _report_with_bad_alpha(tmp_path: Path) -> list[str]:
             "--formats", "json,csv,markdown", "--out", str(tmp_path / "re" / "r")]
 
 
+def _report_with_lone_surrogate(tmp_path: Path) -> list[str]:
+    assert main(_gap(tmp_path, "--formats", "json")) == 0
+    doc = json.loads((tmp_path / "out" / "r.report.json").read_text())
+    doc["metadata"]["tool"]["name"] = "\udc00"
+    return ["report", "--input", _file(tmp_path, "saved.json", doc),
+            "--out", str(tmp_path / "re" / "r")]
+
+
 CLI_ESCAPES = {
     "gap_nan_weights": (1, lambda tmp: _gap(
         tmp, weights=json.dumps({**MEANS, "empathy": math.nan}).encode())),
@@ -122,6 +132,7 @@ CLI_ESCAPES = {
     "synth_string_targets": (1, lambda tmp: _synth(
         tmp, "--targets", _file(tmp, "t.json", ["a", 4, 4, 4, 4]))),
     "report_string_alpha": (1, _report_with_bad_alpha),
+    "report_lone_surrogate": (1, _report_with_lone_surrogate),
 }
 
 
@@ -140,6 +151,11 @@ def test_malformed_input_is_rejected_through_satmetric_error(case, tmp_path, cap
     assert "Traceback" not in err
     if case == "report_string_alpha":  # rendering fails before any file is written
         assert not (tmp_path / "re").exists()
+
+
+def test_surrogate_pair_escapes_still_decode():
+    assert satmetric.schema.parse_json(b'["\\ud83d\\ude00", "\\\\ud800"]', "doc") == \
+        ["\U0001f600", "\\ud800"]
 
 
 def test_valid_documents_still_build():

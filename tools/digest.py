@@ -1,10 +1,12 @@
-"""Print a SHA-256 for every output of `satmetric gap` on the benchmark workloads.
+"""Print a SHA-256 for every output of the CLI's survey subcommands on the benchmark workloads.
 
 For each workload of ``perfbench/workloads.py`` at the given seed, the script
-runs ``satmetric gap`` with the default flags and again with
-``--unweighted-contributions --kano-multipliers must_be=3,delighter=0.5``,
-then re-emits each saved report with ``satmetric report``.  It prints one
-line per output file and per call's stdout, stderr and exit code.  Every
+runs ``satmetric gap`` with the default flags, again with
+``--unweighted-contributions --kano-multipliers must_be=3,delighter=0.5`` and
+again with ``--strict-gate``, then re-emits each saved report with
+``satmetric report``.  On the same inputs it runs ``validate``,
+``descriptives``, and ``reliability`` with and without ``--strict-gate``.  It
+prints one line per output file and per call's stdout, stderr and exit code.  Every
 path is relative to a temporary directory, so two checkouts give the same
 lines exactly when their outputs are byte-identical:
 
@@ -35,6 +37,14 @@ from satmetric import cli  # noqa: E402
 VARIANTS = {
     "default": [],
     "flags": ["--unweighted-contributions", "--kano-multipliers", "must_be=3,delighter=0.5"],
+    "strict": ["--strict-gate"],
+}
+#: Survey subcommand -> the gap options it takes, and whether it writes ``--out``.
+SURVEY_COMMANDS = {
+    "validate": (("--instrument", "--expect", "--perceive", "--importance",
+                  "--missing-policy"), False),
+    "descriptives": (("--instrument", "--expect", "--perceive", "--missing-policy"), True),
+    "reliability": (("--instrument", "--expect", "--perceive", "--missing-policy"), True),
 }
 
 
@@ -66,10 +76,23 @@ def digest(name: str, seed: int) -> list[str]:
     for variant, flags in VARIANTS.items():
         run = Path(name) / variant
         lines += _call(f"{run}/gap", [*gap, *flags, "--out", str(run / "gap" / "report")])
-        lines += _call(f"{run}/report", ["report", "--input",
-                                         str(run / "gap" / "report.report.json"),
-                                         "--out", str(run / "report" / "report")])
+        saved = run / "gap" / "report.report.json"
+        if saved.exists():
+            lines += _call(f"{run}/report", ["report", "--input", str(saved),
+                                             "--out", str(run / "report" / "report")])
         lines += _files(run / "gap") + _files(run / "report")
+    for command, (takes, writes) in SURVEY_COMMANDS.items():
+        argv = [command]
+        for at, option in enumerate(gap):
+            if option in takes:
+                argv += gap[at:at + 2]
+        for variant, flags in (("default", []), ("strict", ["--strict-gate"])):
+            if flags and command != "reliability":
+                continue
+            run = Path(name) / command / variant
+            out = ["--out", str(run / "out.csv")] if writes else []
+            run.mkdir(parents=True)
+            lines += _call(str(run), [*argv, *flags, *out]) + _files(run)
     return lines
 
 
