@@ -5,12 +5,13 @@ W ?= tall
 SEED ?= 1
 TIER1 = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
 
-.PHONY: help test test-deep test-ingest-deep bench-smoke bench loc digest
+.PHONY: help test test-deep test-ingest-deep test-psych-deep bench-smoke bench loc digest
 
 help:
 	@echo "make test         tier-1 suite (tests/, default hypothesis profile)"
 	@echo "make test-deep    the same suite with every property test on 10x the examples"
 	@echo "make test-ingest-deep  the ingest route tests alone, on 10x the examples"
+	@echo "make test-psych-deep   the psychometrics and acceptance tests alone, on 10x the examples"
 	@echo "make bench-smoke  perfbench smoke run at tiny sizes"
 	@echo "make bench        one benchmark run: W=<workload> (default tall) SEED=<n> (default 1)"
 	@echo "make loc          line counts of the source modules"
@@ -25,6 +26,9 @@ test-deep:
 
 test-ingest-deep:
 	HYPOTHESIS_PROFILE=deep $(TIER1) tests/test_ingest.py tests/test_ingest_routes.py
+
+test-psych-deep:
+	HYPOTHESIS_PROFILE=deep $(TIER1) tests/test_psychometrics.py tests/test_acceptance.py
 
 bench-smoke:
 	$(PYTHON) -m pytest -q perfbench

@@ -8,7 +8,7 @@ root-cause tables, with deterministic JSON / CSV / Markdown / SVG output.
 
 __version__ = "0.1.0"
 
-from .errors import ComputationError, DataError, DefinitionError, SatmetricError
+from .errors import ComputationError, ConfigError, DataError, DefinitionError, SatmetricError
 from .instrument import (
     DIMENSION_ORDER,
     Item,

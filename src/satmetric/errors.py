@@ -10,6 +10,10 @@ class DefinitionError(SatmetricError):
     fishbone) is malformed or violates its schema."""
 
 
+class ConfigError(SatmetricError):
+    """An analysis setting is not one of its allowed values."""
+
+
 class DataError(SatmetricError):
     """Response data cannot be ingested or generated: malformed file,
     header mismatch, zero accepted rows, infeasible synthesis target."""

@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from enum import Enum
 from typing import Iterator
 
-from .errors import SatmetricError
+from .errors import ConfigError, SatmetricError
 from .ingest import MissingPolicy, ResponseKind, ResponseSet, ValidationReport, \
     parse_response_file
 from .instrument import SurveyInstrument, load_instrument
@@ -50,12 +51,21 @@ class Config:
     missing_policy: MissingPolicy | str = MissingPolicy.DROP_ROW
 
 
+def _setting(kind: type[Enum], value, name: str):
+    """``value`` as a member of ``kind``, or a ConfigError naming the allowed values."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(member.value for member in kind)
+        raise ConfigError(f"{name} {value!r} is not one of: {allowed}") from None
+
+
 def surveys(instrument: SurveyInstrument, policy: MissingPolicy | str, *paths: str | None,
             ) -> Iterator[tuple[ResponseKind, str, ResponseSet, ValidationReport]]:
     """Read the CSVs at ``paths`` (expectation, perception, importance; None
     for one not given), yielding each one's kind, path, responses and validation
     once its row diagnostics are on stderr, in one write rather than one per row."""
-    policy = MissingPolicy(policy)
+    policy = _setting(MissingPolicy, policy, "missing_policy")
     for kind, path in zip(ResponseKind, paths):
         if path is None:
             continue
@@ -86,7 +96,8 @@ def run(inputs: Inputs, config: Config = Config(), timestamp=True) -> AnalysisRe
             (inputs.importance is None) == (inputs.weights is None):
         raise SatmetricError("the gap analysis needs an expectation CSV, a perception CSV "
                              "and exactly one of an importance CSV and a weights file")
-    mode, policy = VarianceMode(config.variance_mode), MissingPolicy(config.missing_policy)
+    mode = _setting(VarianceMode, config.variance_mode, "variance_mode")
+    policy = _setting(MissingPolicy, config.missing_policy, "missing_policy")
     instrument = load_instrument(inputs.instrument)
     read = {kind.value: (responses, validation) for kind, _, responses, validation in surveys(
         instrument, policy, inputs.expect, inputs.perceive, inputs.importance)}

@@ -5,10 +5,21 @@ diagnostics, and the alpha reliability gate.  Alpha internals use the
 sample (N-1) variance convention; item descriptives default to the
 population (/N) convention with sample selectable.  Undefined statistics
 are reported as None, never as silent NaN.
+
+Each statistic is a ratio of moments of the N x k matrix X: with S its
+column sums, M = N*X'X - S S' is N^2 times the covariance matrix, an item's
+variance is M_ii / (N*(N-ddof)) and alpha k*(sum M - tr M) / ((k-1)*sum M).
+Integer input inside a guard (N*max|x|**2 <= 2**53, N*k*max|x| <= 2**31)
+takes the exact route: int64 sums, X'X from float64 BLAS products that stay
+exact, and one rounding of a ratio of Python integers per statistic, so
+variances and means are correctly rounded and the rest is within 4 ulp.
+Other input has the centered Gram matrix as M, and a NaN, an infinity or an
+overflow there raises ComputationError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -72,15 +83,42 @@ class ReliabilityReport:
 
 
 def _as_matrix(matrix) -> np.ndarray:
-    """``matrix`` as a C-contiguous float array: numpy sums a row-major and a
-    column-major copy in different orders, so the layout would otherwise
-    change the last bits of every statistic."""
-    m = np.asarray(matrix, dtype=float, order="C")
+    """``matrix`` as C-contiguous int64 inside the exact route's guard, else finite float64."""
+    m = np.asarray(matrix)
     if m.ndim != 2:
         raise ComputationError("expected a 2-D N x k matrix")
+    if m.dtype.kind in "biu" and m.size:
+        peak = max(-int(m.min()), int(m.max()))
+        if len(m) * peak * peak <= 2**53 and m.size * peak <= 2**31:
+            return np.ascontiguousarray(m, dtype=np.int64)
+    m = np.ascontiguousarray(m, dtype=float)
+    _finite(m)
     return m
 
 
+def _finite(*values) -> None:
+    if not all(np.isfinite(v).all() for v in values):
+        raise ComputationError("the matrix holds a NaN or an infinity, or its moments overflow")
+
+
+def _moments(m: np.ndarray, cross: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
+    """Column sums S, M's diagonal (all of M if ``cross``) and M's scale N, or 1 if float."""
+    n = len(m)
+    if m.dtype.kind == "i":
+        sums = np.einsum("ij->j", m)  # exact in any order, and twice as fast as sum
+        if cross:  # X'X in float64 blocks of about 2**16 cells: exact, no N x k float copy
+            blocks = (b.astype(float) for b in np.array_split(m, m.size // 2**16 + 1))
+            gram = sum(b.T @ b for b in blocks).astype(np.int64)
+            return sums, n * gram - np.outer(sums, sums), n
+        return sums, n * np.einsum("ij,ij->j", m, m) - sums * sums, n
+    sums = m.sum(axis=0)
+    centered = m - sums / n
+    moments = centered.T @ centered if cross else (centered * centered).sum(axis=0)
+    _finite(sums, moments)
+    return sums, moments, 1
+
+
+@np.errstate(all="ignore")  # _finite reports overflow
 def item_descriptives(
     rs: ResponseSet,
     instrument: SurveyInstrument,
@@ -94,35 +132,20 @@ def item_descriptives(
             f"response set has {rs.n_columns} columns but instrument has "
             f"{instrument.n_items} items"
         )
-    values = rs.values
-    n = rs.n_respondents
-    sums = values.sum(axis=0)
-    means = sums / n
-    if n > variance_mode.ddof:
-        variances = [float(v) for v in values.var(axis=0, ddof=variance_mode.ddof)]
-    else:
-        variances = [None] * instrument.n_items
-    out = []
-    for item, mean, var in zip(instrument.items, means, variances):
-        out.append(ItemDescriptives(item_id=item.id, mean=float(mean),
-                                    variance=var, n=n))
-    return out
+    n, ddof = rs.n_respondents, variance_mode.ddof
+    sums, squares, scale = _moments(_as_matrix(rs.values))
+    return [ItemDescriptives(item_id=item.id, mean=s / n,
+                             variance=d / (scale * (n - ddof)) if n > ddof else None, n=n)
+            for item, s, d in zip(instrument.items, sums.tolist(), squares.tolist())]
 
 
-def _alpha(k: int, item_var_sum: float, total_var: float) -> float | None:
-    """Alpha of k items from the sum of their sample variances and the sample
-    variance of their total; None when that total variance is zero."""
-    if total_var == 0.0:
-        return None
-    return (k / (k - 1)) * (1.0 - item_var_sum / total_var)
-
-
+@np.errstate(all="ignore")  # _finite reports overflow
 def cronbach_alpha(matrix) -> float:
     """Cronbach's alpha: (k/(k-1)) * (1 - sum of item variances / variance
     of the total score), sample-variance convention throughout.
 
-    Raises ComputationError when k < 2, N < 2, or the total-score variance
-    is zero (alpha undefined).
+    Raises ComputationError when k < 2, N < 2, the total-score variance
+    is zero (alpha undefined), or the matrix or its moments are not finite.
     """
     m = _as_matrix(matrix)
     n, k = m.shape
@@ -130,10 +153,21 @@ def cronbach_alpha(matrix) -> float:
         raise ComputationError(f"alpha requires at least 2 items, got {k}")
     if n < 2:
         raise ComputationError(f"alpha requires at least 2 respondents, got {n}")
-    alpha = _alpha(k, float(m.var(axis=0, ddof=1).sum()), float(m.sum(axis=1).var(ddof=1)))
-    if alpha is None:
+    trace = sum(_moments(m)[1].tolist())
+    (total,) = _moments(m.sum(axis=1)[:, None])[1].tolist()  # the row totals' moment
+    if total == 0:
         raise ComputationError("total-score variance is zero; alpha is undefined")
+    alpha = k * (total - trace) / ((k - 1) * total)
+    _finite(alpha)
     return alpha
+
+
+#: Smallest ratio of the least to the largest eigenvalue of the item
+#: correlation matrix R for which SMC is read off R's inverse; at or below it
+#: R counts as rank-deficient and each item is regressed on the others.  On
+#: near-collinear matrices the two routes differed by about 2e-17 / ratio, so
+#: at 1e-6 they agree to ~2e-11, well inside the 1e-9 the tests hold them to.
+_SMC_MIN_RCOND = 1e-6
 
 
 def _squared_multiple_corr(y: np.ndarray, others: np.ndarray) -> float | None:
@@ -150,30 +184,14 @@ def _squared_multiple_corr(y: np.ndarray, others: np.ndarray) -> float | None:
     return min(1.0, max(0.0, r2))
 
 
-#: Smallest ratio of the least to the largest eigenvalue of the item
-#: correlation matrix R for which SMC is read off R's inverse; at or below it
-#: R counts as rank-deficient and each item is regressed on the others.  On
-#: near-collinear matrices the two routes differed by about 2e-17 / ratio, so
-#: at 1e-6 they agree to ~2e-11, well inside the 1e-9 the tests hold them to.
-_SMC_MIN_RCOND = 1e-6
-
-
-def _squared_multiple_corrs(m: np.ndarray, item_ss: np.ndarray) -> list[float | None] | None:
-    """SMC of every item from one correlation matrix R over the non-constant
-    items (those whose centered sum of squares ``item_ss`` is not zero):
-    ``1 - 1/(R^-1)_ii``, clipped to [0, 1]; constant items get None.
-    Returns None (no answer) when fewer than two items vary or R is not
-    finite or is rank-deficient."""
-    varying = np.flatnonzero(item_ss != 0.0).tolist()
-    if len(varying) < 2:
-        return None
-    with np.errstate(all="ignore"):  # overflow shows up as a non-finite R
-        x = m[:, varying]  # a copy: fancy indexing
-        x -= x.mean(axis=0)
-        cross = x.T @ x
-        scale = np.sqrt(np.diag(cross))
-        corr = cross / np.outer(scale, scale)
-    if not np.isfinite(corr).all():
+def _squared_multiple_corrs(cross: np.ndarray, varying: list[int]) -> dict[int, float] | None:
+    """SMC of each ``varying`` (non-constant) item by index, ``1 - 1/(R^-1)_ii``
+    clipped to [0, 1] for R = M / sqrt(diag M diag M'); None when fewer than
+    two items vary or R is not finite or is rank-deficient."""
+    sub = cross[np.ix_(varying, varying)]
+    scale = np.sqrt(sub.diagonal().astype(float))
+    corr = sub / np.outer(scale, scale)  # an underflowing scale makes R non-finite
+    if len(varying) < 2 or not np.isfinite(corr).all():
         return None
     try:
         eigvals, eigvecs = np.linalg.eigh(corr)
@@ -182,12 +200,10 @@ def _squared_multiple_corrs(m: np.ndarray, item_ss: np.ndarray) -> list[float | 
     if not eigvals[0] > _SMC_MIN_RCOND * eigvals[-1]:
         return None
     inverse_diag = (eigvecs ** 2) @ (1.0 / eigvals)
-    smc: list[float | None] = [None] * m.shape[1]
-    for i, r2 in zip(varying, np.clip(1.0 - 1.0 / inverse_diag, 0.0, 1.0)):
-        smc[i] = float(r2)
-    return smc
+    return dict(zip(varying, np.clip(1.0 - 1.0 / inverse_diag, 0.0, 1.0).tolist()))
 
 
+@np.errstate(all="ignore")  # _finite reports overflow
 def omitted_item_stats(matrix, item_ids: Sequence[int] | None = None) -> list[OmittedItemStats]:
     """Per-item omitted diagnostics over an N x k matrix (k >= 3, N >= 2).
 
@@ -199,15 +215,14 @@ def omitted_item_stats(matrix, item_ids: Sequence[int] | None = None) -> list[Om
     items, SMC_i = 1 - 1/(R^-1)_ii, R the correlation matrix of the
     non-constant items (Guttman); a constant item's SMC is None.
 
-    One pass over k x N arrays gives every item's adjusted total, its mean
-    and variance, the item's sum of squares and the item-rest covariance,
-    and R is computed once: the cost is O(N*k^2 + k^3) where a per-item
-    regression would cost O(N*k^3), and only the assembly of the results
-    loops over items.  When fewer than two items vary, or R is not finite
-    or is rank-deficient (least/largest eigenvalue <= 1e-6: N <= k,
-    duplicated items, an item that is a linear combination of others), SMC
-    is instead the R-squared of a least-squares regression of each item on
-    all the other items.
+    With r_i the sum of M's row i, A_i's moment is sum M - 2*r_i + M_ii,
+    its moment with x_i r_i - M_ii and mean(A_i) (sum S - S_i) / N; on the
+    float route an item whose A_i moment cancels to under 1/64 of N*(sum of
+    stdevs)**2 takes A_i from its columns.  SMC takes one eigendecomposition
+    of R, M scaled to unit diagonal, or when fewer than two items vary or R
+    is not finite or is rank-deficient (least/largest eigenvalue <= 1e-6:
+    N <= k, duplicated items, an item that is a linear combination of
+    others), a least-squares regression of each item on the others.
     """
     m = _as_matrix(matrix)
     n, k = m.shape
@@ -215,47 +230,31 @@ def omitted_item_stats(matrix, item_ids: Sequence[int] | None = None) -> list[Om
         raise ComputationError(f"omitted-item statistics require at least 3 items, got {k}")
     if n < 2:
         raise ComputationError(f"omitted-item statistics require at least 2 respondents, got {n}")
-    if item_ids is None:
-        ids = list(range(1, k + 1))
-    else:
-        ids = list(item_ids)
-        if len(ids) != k:
-            raise ComputationError("item_ids length must match the column count")
-    # Row i of ``items`` is item i and row i of ``adj`` its adjusted total,
-    # each then centered.  numpy sums a C-contiguous row in the order it
-    # sums the 1-D column, so every statistic keeps the bits of the
-    # per-item formula; a k x N array in F order would not.
-    total = m.sum(axis=1)
-    item_vars = m.var(axis=0, ddof=1)
-    items = m.T.copy()
-    items -= items.mean(axis=1, keepdims=True)
-    item_ss = (items * items).sum(axis=1)
-    adj = np.subtract(total, m.T, order="C")
-    adj_means = adj.mean(axis=1)
-    adj -= adj_means[:, None]
-    adj_vars = (adj * adj).sum(axis=1) / (n - 1)
-    adj_sds = np.sqrt(adj_vars)
-    item_sds = np.sqrt(item_ss / (n - 1))
-    adj *= items
-    covs = adj.sum(axis=1) / (n - 1)
-    del items, adj
-    smc = _squared_multiple_corrs(m, item_ss)
-    out: list[OmittedItemStats] = []
-    for i in range(k):
-        defined = item_sds[i] != 0.0 and adj_sds[i] != 0.0
-        out.append(
-            OmittedItemStats(
-                item_id=ids[i],
-                adj_total_mean=float(adj_means[i]),
-                adj_total_stdev=float(adj_sds[i]),
-                item_adj_total_corr=min(1.0, max(-1.0, float(
-                    covs[i] / (item_sds[i] * adj_sds[i])))) if defined else None,
-                squared_multiple_corr=smc[i] if smc is not None
-                else _squared_multiple_corr(m[:, i], np.delete(m, i, axis=1)),
-                alpha_if_deleted=_alpha(k - 1, float(np.delete(item_vars, i).sum()),
-                                        float(adj_vars[i])),
-            )
-        )
+    ids = list(range(1, k + 1) if item_ids is None else item_ids)
+    if len(ids) != k:
+        raise ComputationError("item_ids length must match the column count")
+    sums, cross, scale = _moments(m, cross=True)
+    diag, rows, sums = cross.diagonal().tolist(), cross.sum(axis=1).tolist(), sums.tolist()
+    total, trace, sum_s = sum(rows), sum(diag), sum(sums)
+    # per item: M of the adjusted total, M of the item-rest pair, trace of the others
+    parts = [(total - 2 * r + d, r - d, trace - d) for r, d in zip(rows, diag)]
+    bound = 0 if m.dtype.kind == "i" else math.fsum(map(math.sqrt, diag)) ** 2 / 64
+    for i in [i for i, part in enumerate(parts) if part[0] < bound]:
+        pair = np.column_stack([m[:, i], m[:, np.arange(k) != i].sum(axis=1)])
+        (_, cov), (_, adj) = _moments(pair, cross=True)[1].tolist()
+        parts[i] = (adj, cov, math.fsum(diag[:i] + diag[i + 1:]))
+    smc = _squared_multiple_corrs(cross, [i for i, d in enumerate(diag) if d != 0])
+    out = [OmittedItemStats(
+        item_id=ids[i],
+        adj_total_mean=(sum_s - sums[i]) / n,
+        adj_total_stdev=math.sqrt(adj / (scale * (n - 1))),
+        item_adj_total_corr=None if adj == 0 or diag[i] == 0
+        else min(1.0, max(-1.0, cov / math.sqrt(diag[i]) / math.sqrt(adj))),
+        squared_multiple_corr=smc.get(i) if smc is not None
+        else _squared_multiple_corr(m[:, i], m[:, np.arange(k) != i]),
+        alpha_if_deleted=None if adj == 0 else (k - 1) * (adj - others) / ((k - 2) * adj),
+    ) for i, (adj, cov, others) in enumerate(parts)]
+    _finite([[s.adj_total_mean, s.adj_total_stdev, s.alpha_if_deleted or 0.0] for s in out])
     return out
 
 

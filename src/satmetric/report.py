@@ -465,6 +465,9 @@ def _csv_tables(report: AnalysisReport) -> dict[str, bytes]:
 # --- Markdown ---------------------------------------------------------------
 
 _MD_OPENERS = frozenset("#-+*>|")  # what opens a heading, list item, quote or table row
+#: The number of an ordered-list opener such as ``1.`` or ``12)``: 1-9 digits
+#: before a ``.`` or ``)`` that a space, a tab or the end of the text follows.
+_MD_ORDERED = re.compile(r"[0-9]{1,9}(?=[.)](?:[ \t]|$))")
 
 
 def _one_line(text: str) -> str:
@@ -479,11 +482,15 @@ def _md_text(value) -> str:
 
 def _md_prose(value) -> str:
     """str(value) kept inside its line of prose: each CRLF, LF or CR a space,
-    and a leading #, -, +, *, > or | escaped, so that it opens no heading,
+    and a leading #, -, +, *, > or | or the ``.``/``)`` of a leading
+    ordered-list number (``1\\. x``) escaped, so that it opens no heading,
     list item, quote or table row."""
     text = _one_line(str(value))
     at = len(text) - len(text.lstrip())
-    return text[:at] + "\\" + text[at:] if text[at:at + 1] in _MD_OPENERS else text
+    if text[at:at + 1] in _MD_OPENERS:
+        return text[:at] + "\\" + text[at:]
+    number = _MD_ORDERED.match(text, at)
+    return text if number is None else text[:number.end()] + "\\" + text[number.end():]
 
 
 def _md_table(columns: Sequence[Column], rows: Sequence[Sequence]) -> list[str]:

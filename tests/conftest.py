@@ -8,8 +8,11 @@ examples."""
 from __future__ import annotations
 
 import csv
+import decimal
 import json
+import math
 import os
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -157,6 +160,60 @@ def omitted_item_stats_oracle(matrix: np.ndarray) -> list[OmittedItemStats]:
             alpha_if_deleted=alpha_del,
         ))
     return out
+
+
+def _float_sqrt(q: Fraction) -> float:
+    """sqrt(q) to 50 significant digits, then rounded to float."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        return float((decimal.Decimal(q.numerator) / q.denominator).sqrt())
+
+
+def exact_statistics(matrix: np.ndarray) -> dict:
+    """Every statistic of an integer N x k matrix (k >= 3) as its exact
+    value rounded once to float, from Python-integer sums and ``Fraction``
+    arithmetic: ``means``, ``variances`` (by ddof 0 and 1), ``alpha`` (None
+    when the total score is constant) and, per item, the omitted fields of
+    ``OmittedItemStats`` but SMC (None where undefined)."""
+    columns = np.asarray(matrix).T.tolist()
+    n, k = len(columns[0]), len(columns)
+    totals = [sum(row) for row in zip(*columns)]
+    sum_t = sum(totals)
+
+    def variance(s: int, q: int, ddof: int) -> Fraction:
+        return Fraction(n * q - s * s, n * (n - ddof))
+
+    def alpha(items: int, trace: Fraction, total: Fraction) -> float | None:
+        return None if total == 0 else float(Fraction(items, items - 1) * (1 - trace / total))
+
+    sums = [sum(c) for c in columns]
+    squares = [sum(x * x for x in c) for c in columns]
+    item_vars = [variance(s, q, 1) for s, q in zip(sums, squares)]
+    omitted = []
+    for s, c, var in zip(sums, columns, item_vars):
+        adj = [t - x for t, x in zip(totals, c)]
+        adj_var = variance(sum_t - s, sum(a * a for a in adj), 1)
+        cov = Fraction(n * sum(x * a for x, a in zip(c, adj)) - s * (sum_t - s), n * (n - 1))
+        corr = None
+        if var != 0 and adj_var != 0:
+            corr = math.copysign(_float_sqrt(cov * cov / (var * adj_var)), cov)
+        omitted.append({
+            "adj_total_mean": float(Fraction(sum_t - s, n)),
+            "adj_total_stdev": _float_sqrt(adj_var),
+            "item_adj_total_corr": corr,
+            "alpha_if_deleted": alpha(k - 1, sum(item_vars) - var, adj_var),
+        })
+    return {
+        "means": [float(Fraction(s, n)) for s in sums],
+        "variances": {ddof: [float(variance(s, q, ddof)) for s, q in zip(sums, squares)]
+                      for ddof in (0, 1)},
+        "alpha": alpha(k, sum(item_vars), variance(sum_t, sum(t * t for t in totals), 1)),
+        "omitted": omitted,
+    }
+
+
+def ulps(got: float, exact: float) -> float:
+    """|got - exact| in units in the last place of ``exact``."""
+    return 0.0 if got == exact else abs(got - exact) / math.ulp(exact)
 
 
 @pytest.fixture(scope="session")

@@ -427,11 +427,11 @@ PINNED_BUNDLES: dict[str, dict[str, str]] = {
         "xyz.charts/perception_items.svg":
             "117969fe49e83d89673eb264bfccc46d6f7d44f5808dc0b44cf95eb1c329c49b",
         "xyz.report.json":
-            "9909c62dafc4496586316ba3166da9dee784c213d317f4c8d35afaa790f52eca",
+            "511db22e8059413412ba22f8aad29edcf81faf99b4453e318f6426db6973268f",
         "xyz.report.md":
             "5faf8cd1315e5092534aafb9e730fa8076dea26a434827488927a239f6f7734b",
         "xyz.tables/descriptives.csv":
-            "9f2da3dd0254a77fd1040f51a8ed559089295d0b91568e7bf3a66893661aff03",
+            "c377dfb8758255128c444086b0d45c2d88e42cf05aa2795a9277abf26683d58d",
         "xyz.tables/gaps.csv":
             "258a1519911bf9ef8529f606f9cfa67fae65d481f3e95ba08bfa79829f621ade",
         "xyz.tables/hoq.csv":
@@ -441,7 +441,7 @@ PINNED_BUNDLES: dict[str, dict[str, str]] = {
         "xyz.tables/pareto.csv":
             "077ef58cc2b0a0a66f06362c836e5f4899bedde0942bcccebddbdfaef28f4efd",
         "xyz.tables/reliability.csv":
-            "d27817515be8d969aa62b2e112ba8fc7855d6012db84d1e6a4db17c1fa49c17c",
+            "b1199fd615e613bb28d181b634908f2bc60ff4f4c54cad5484bc2d868652e712",
     },
     "importance": {
         "xyz.charts/dimension_gaps.svg":
@@ -455,11 +455,11 @@ PINNED_BUNDLES: dict[str, dict[str, str]] = {
         "xyz.charts/perception_items.svg":
             "0d4928024b2f88f11b77e51452abb2347b7ba9c45469e7b27416826ba7d372f9",
         "xyz.report.json":
-            "18e6009ef820c191fd62e8d7a58f84fc5159487f2c01d34a567da4e9f1896a32",
+            "bd0aeccebb0193d8d1b236ca560d9b3085a1c595ff58ef083e0f37544687b491",
         "xyz.report.md":
             "18241b80f41e9d815fb0d828799db141ba82b2febd842307107c86cc47add23c",
         "xyz.tables/descriptives.csv":
-            "bc9e0062fd9033b10068d92e6c95b816d53594b76d86f23439816caae438c4ec",
+            "9b95452ba06a674a9265812a93d28ffc6935e2c17d376cf140128a493807210f",
         "xyz.tables/gaps.csv":
             "4de88c65c83074bba7de6997c3cd3ee93b89d1b2d31ce77d650ace17f202956f",
         "xyz.tables/kano.csv":
@@ -467,7 +467,7 @@ PINNED_BUNDLES: dict[str, dict[str, str]] = {
         "xyz.tables/pareto.csv":
             "0c00fe19008d341177e70161b7db49d738322fcb929368b48ffe5ff08ccb44f4",
         "xyz.tables/reliability.csv":
-            "cdfd6e44cf53630918b6d6d3ee6c9a7a39092dd125eccc11e30851ecab2c41a1",
+            "69cb7b2c0828a32e751605d6d71629a932f67c611c635f562d92f3cae00149ff",
     },
 }
 
@@ -615,17 +615,25 @@ def test_gap_fuzz_over_csv_bytes_exits_cleanly(gap_fuzz_dir, data):
 
 #: Characters that open Markdown blocks or break lines, and XML markup.
 HAZARDS = st.sampled_from(list("#->|*+<&\"'\\\r\n \t\x0b\x00"))
+#: Text that opens with an ordered-list number, such as "1. x", "12)" or
+#: "0.1.0" (a version, which opens nothing).
+ORDERED_OPENERS = st.tuples(
+    st.sampled_from(["", " "]), st.from_regex(r"[0-9]{1,10}[.)]", fullmatch=True),
+    st.sampled_from(["", " ", "\t", " x", "1.0"])).map("".join)
 #: Any text UTF-8 can encode: the JSON loaders reject a lone surrogate
 #: (tests/test_schema.py), so none reaches a report.
-OUTSIDE_TEXT = st.text(st.one_of(HAZARDS, st.characters(codec="utf-8")), min_size=1,
-                       max_size=12).filter(str.strip)
+OUTSIDE_TEXT = st.one_of(
+    st.text(st.one_of(HAZARDS, st.characters(codec="utf-8")), min_size=1,
+            max_size=12).filter(str.strip),
+    ORDERED_OPENERS)
 
 
 def _markdown_shape(text: str):
     """Line count, block markers at each line's start (heading levels,
-    bullets, quotes), and each table's rows with their unescaped pipes."""
+    bullets, ordered-list numbers, quotes), and each table's rows with their
+    unescaped pipes."""
     lines = text.split("\n")
-    markers = [re.match(r"(?:\s*(?:#+|[-+*>])(?=\s|$))*", line).group().split()
+    markers = [re.match(r"(?:\s*(?:#+|[-+*>]|[0-9]{1,9}[.)])(?=\s|$))*", line).group().split()
                for line in lines]
     tables = [len(re.findall(r"(?<!\\)\|", line)) if line.startswith("|") else None
               for line in lines]

@@ -4,10 +4,10 @@ import pytest
 
 from satmetric import xyz
 from satmetric.cli import main
-from satmetric.errors import SatmetricError
+from satmetric.errors import ConfigError, SatmetricError
 from satmetric.ingest import ResponseKind, generate_synthetic, serialize_response_set
 from satmetric.instrument import serialize_instrument
-from satmetric.pipeline import Config, Inputs, run
+from satmetric.pipeline import Config, Inputs, run, surveys
 from satmetric.report import write_report
 
 
@@ -34,6 +34,20 @@ def test_incomplete_inputs_raise_a_satmetric_error(paths):
     """The check comes before any file is read, so the paths need not exist."""
     with pytest.raises(SatmetricError, match="the gap analysis needs"):
         run(Inputs(instrument="xyz.json", expect="e.csv", **paths), Config())
+
+
+@pytest.mark.parametrize("setting, allowed", [
+    ("variance_mode", "population, sample"),
+    ("missing_policy", "drop_row, fail"),
+])
+def test_bad_setting_raises_a_config_error_naming_the_choices(study, setting, allowed):
+    inputs = Inputs(instrument=str(study / "xyz.json"), expect=str(study / "e.csv"),
+                    perceive=str(study / "p.csv"), weights=str(study / "weights.json"))
+    with pytest.raises(ConfigError, match=f"^{setting} 'bogus' is not one of: {allowed}$"):
+        run(inputs, Config(**{setting: "bogus"}))
+    if setting == "missing_policy":
+        with pytest.raises(ConfigError, match=allowed):
+            next(surveys(xyz.xyz_instrument(), "bogus", inputs.expect))
 
 
 def test_run_and_write_report_match_the_cli(study, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import alpha_covariance_oracle, examples, omitted_item_stats_oracle
+from conftest import alpha_covariance_oracle, exact_statistics, examples, \
+    omitted_item_stats_oracle, ulps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -130,6 +131,23 @@ class TestCronbachAlpha:
             alpha_covariance_oracle(matrix), abs=1e-12)
 
 
+@pytest.mark.parametrize("function", [cronbach_alpha, omitted_item_stats])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_is_rejected(function, value, capfd):
+    matrix = ORACLE_MATRIX.copy()
+    matrix[1, 2] = value
+    with pytest.raises(ComputationError, match="NaN or an infinity"):
+        function(matrix)
+    assert capfd.readouterr().err == ""  # no LAPACK complaint either
+
+
+@pytest.mark.parametrize("function", [cronbach_alpha, omitted_item_stats])
+def test_overflowing_moments_are_rejected(function, capfd):
+    with pytest.raises(ComputationError, match="moments overflow"):
+        function(ORACLE_MATRIX * 1e200)
+    assert capfd.readouterr().err == ""
+
+
 class TestOmittedItemStats:
     def test_alpha_if_deleted_matches_column_deleted_alpha(self):
         stats = omitted_item_stats(ORACLE_MATRIX)
@@ -220,8 +238,7 @@ def test_descriptives_recover_synthetic_targets():
 
 
 SHAPES = st.tuples(st.integers(2, 12), st.integers(3, 8))
-LIKERT_MATRICES = arrays(np.int64, SHAPES, elements=st.integers(1, 5)).map(
-    lambda a: a.astype(float))
+LIKERT_MATRICES = arrays(np.int64, SHAPES, elements=st.integers(1, 5))
 # half-precision values, from 2**-24 to 65504 and of both signs: every row sum
 # is exact in float64, so an adjusted total is the same number however it is
 # summed, and an exactly constant one is constant on both routes
@@ -240,11 +257,11 @@ def _duplicate(m):
 
 
 def _constant(m):
-    return np.column_stack([m, np.full(len(m), 3.0)])
+    return np.column_stack([m, np.full(len(m), 3)])
 
 
 def _one_varying(m):
-    return np.column_stack([m[:, :1], np.full((len(m), 2), 4.0)])
+    return np.column_stack([m[:, :1], np.full((len(m), 2), 4)])
 
 
 def _sum_of_others(m):
@@ -262,30 +279,103 @@ OMITTED_CASES = {
     "item_is_sum_of_others": (LIKERT_MATRICES.map(_sum_of_others), True),
 }
 
+#: The exact route's bounds in ulps of the exact value; means and variances
+#: are correctly rounded (0 ulps from the rounded exact value).
+ULP_BOUNDS = {"adj_total_mean": 0, "adj_total_stdev": 4, "item_adj_total_corr": 4,
+              "alpha_if_deleted": 2}
+
+
+def assert_within_ulp_bounds(matrix: np.ndarray) -> None:
+    """Every statistic of an integer matrix against its exact value."""
+    exact = exact_statistics(matrix)
+    rs, instrument = make_response_set(matrix), tiny_instrument(matrix.shape[1])
+    for mode in VarianceMode:
+        descriptives = item_descriptives(rs, instrument, mode)
+        assert [d.mean for d in descriptives] == exact["means"]
+        assert [d.variance for d in descriptives] == exact["variances"][mode.ddof]
+    if exact["alpha"] is None:
+        with pytest.raises(ComputationError, match="variance is zero"):
+            cronbach_alpha(matrix)
+    else:
+        assert ulps(cronbach_alpha(matrix), exact["alpha"]) <= 2
+    for got, want in zip(omitted_item_stats(matrix), exact["omitted"], strict=True):
+        for name, bound in ULP_BOUNDS.items():
+            a, b = getattr(got, name), want[name]
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert ulps(a, b) <= bound, (name, a, b)
+
+
+def _factor_matrix(n: int, k: int, seed: int) -> np.ndarray:
+    """1-5 responses that share one latent factor, as a survey's items do."""
+    rng = np.random.default_rng(seed)
+    latent = rng.normal(size=(n, 1))
+    return np.clip(np.rint(3 + latent + rng.normal(size=(n, k))), 1, 5).astype(np.int64)
+
+
+@pytest.mark.parametrize("n, k", [(50_000, 17), (1_000, 150)])
+def test_exact_route_on_survey_sized_matrices(n, k):
+    assert_within_ulp_bounds(_factor_matrix(n, k, seed=n + k))
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(arrays(np.int64, SHAPES, elements=st.integers(-9, 9)))
+def test_exact_route_on_small_integer_matrices(matrix):
+    assert_within_ulp_bounds(matrix)
+
+
+@pytest.mark.parametrize("n, k, peak", [
+    (8, 4, 2**25),     # N * peak**2 == 2**53
+    (2**13, 4, 2**16),  # N * k * peak == 2**31
+])
+def test_exact_route_guard_boundary(n, k, peak):
+    """At each limit of the guard the int64 route is taken, one past it the
+    float route; both agree with the exact values to 1e-12 relative."""
+    rng = np.random.default_rng(n)
+    base = np.clip(np.rint(peak / 3 * (rng.normal(size=(n, 1)) + rng.normal(size=(n, k)))),
+                   -peak, peak).astype(np.int64)
+    for top, dtype in ((peak, np.int64), (peak + 1, np.float64)):
+        matrix = base.copy()
+        matrix[0, 0] = top
+        assert psychometrics._as_matrix(matrix).dtype == dtype
+        exact = exact_statistics(matrix)
+        rs = make_response_set(matrix)
+        for mode in VarianceMode:
+            descriptives = item_descriptives(rs, tiny_instrument(k), mode)
+            assert [d.mean for d in descriptives] == pytest.approx(exact["means"], rel=1e-12)
+            assert [d.variance for d in descriptives] == pytest.approx(
+                exact["variances"][mode.ddof], rel=1e-12)
+        assert cronbach_alpha(matrix) == pytest.approx(exact["alpha"], rel=1e-12)
+        for got, want in zip(omitted_item_stats(matrix), exact["omitted"], strict=True):
+            for name, b in want.items():
+                assert getattr(got, name) == pytest.approx(b, rel=1e-12), name
+
 
 @pytest.mark.parametrize("case", OMITTED_CASES)
 @settings(max_examples=examples(100), deadline=None)
 @given(data=st.data())
 def test_omitted_item_stats_matches_per_item_oracle(case, data):
-    """The closed form against the per-item loop it replaces: the same None
-    pattern; SMC to the regression tolerance; the other fields exactly on
-    integer matrices, to 1e-12 relative on float matrices."""
+    """The closed form against the per-item loop it replaces, on the matrix
+    and, for an integer one, on its float copy: the same None pattern; SMC
+    to the regression tolerance; the other fields to 1e-12 relative.  An
+    integer matrix's fields also keep the exact route's ulp bounds."""
     strategy, exact = OMITTED_CASES[case]
     matrix = data.draw(strategy, label="matrix")
-    for got, want in zip(omitted_item_stats(matrix), omitted_item_stats_oracle(matrix),
-                         strict=True):
-        for name in ("adj_total_mean", "adj_total_stdev", "item_adj_total_corr",
-                     "squared_multiple_corr", "alpha_if_deleted"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a is None) == (b is None), name
-            if a is None:
-                continue
-            if name == "squared_multiple_corr":
-                assert a == pytest.approx(b, abs=1e-9), name
-            elif exact:
-                assert a == b, name
-            else:
-                assert a == pytest.approx(b, rel=1e-12, abs=1e-12), name
+    oracle = omitted_item_stats_oracle(matrix)
+    for values in (matrix, matrix.astype(float)) if exact else (matrix,):
+        for got, want in zip(omitted_item_stats(values), oracle, strict=True):
+            for name in ("adj_total_mean", "adj_total_stdev", "item_adj_total_corr",
+                         "squared_multiple_corr", "alpha_if_deleted"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None) == (b is None), name
+                if a is None:
+                    continue
+                if name == "squared_multiple_corr":
+                    assert a == pytest.approx(b, abs=1e-9), name
+                else:
+                    assert a == pytest.approx(b, rel=1e-12, abs=1e-12), name
+    if exact:
+        assert_within_ulp_bounds(matrix)
 
 
 def test_full_rank_matrix_needs_no_per_item_alpha_or_regression(monkeypatch):

@@ -20,6 +20,7 @@ from satmetric.report import (
     WARN_IMPORTANCE_DRIFT,
     WARN_RELIABILITY_GATE,
     WARN_ROWS_REJECTED,
+    _md_prose,
     assemble,
     emit,
     parse_report,
@@ -333,3 +334,17 @@ def test_leaf_mutation_fuzz_only_satmetric_errors_escape(saved_reports, name, da
             emit(report, fmt)
         except SatmetricError:
             pass
+
+
+@pytest.mark.parametrize("text, prose", [
+    ("1. x", "1\\. x"),
+    ("12) x", "12\\) x"),
+    ("  3.", "  3\\."),
+    ("4.\tx", "4\\.\tx"),
+    ("0.1.0", "0.1.0"),
+    ("1.x", "1.x"),
+    ("1234567890. x", "1234567890. x"),
+    ("x 1. y", "x 1. y"),
+])
+def test_md_prose_escapes_ordered_list_openers_only(text, prose):
+    assert _md_prose(text) == prose
