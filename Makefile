@@ -5,7 +5,8 @@ W ?= tall
 SEED ?= 1
 TIER1 = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
 
-.PHONY: help test test-deep test-ingest-deep test-psych-deep bench-smoke bench loc digest
+.PHONY: help test test-deep test-ingest-deep test-psych-deep bench-smoke bench loc digest \
+	digest-diff
 
 help:
 	@echo "make test         tier-1 suite (tests/, default hypothesis profile)"
@@ -17,6 +18,8 @@ help:
 	@echo "make loc          line counts of the source modules"
 	@echo "make digest       SHA-256 of every gap, report, validate, descriptives and reliability"
 	@echo "                  output on each workload: SEED=<n> (default 1)"
+	@echo "make digest-diff  make digest at git revision BASE=<rev> and on the working tree;"
+	@echo "                  prints the diff and fails on any difference: SEED=<n> (default 1)"
 
 test:
 	$(TIER1)
@@ -41,3 +44,13 @@ loc:
 
 digest:
 	@PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) tools/digest.py --seed $(SEED)
+
+# BASE is exported with git archive, so uncommitted changes count on the
+# working-tree side only.
+digest-diff:
+	@test -n "$(BASE)" || { echo "usage: make digest-diff BASE=<rev> [SEED=<n>]" >&2; exit 2; }
+	@base=$$(mktemp -d) && trap 'rm -rf "$$base"' EXIT && \
+	git archive "$(BASE)" | tar -x -C "$$base" && \
+	(cd "$$base" && PYTHONPATH=src $(PYTHON) tools/digest.py --seed $(SEED)) > "$$base/digest.txt" && \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) tools/digest.py --seed $(SEED) \
+		| diff "$$base/digest.txt" - && echo "no difference from $(BASE) at SEED=$(SEED)"

@@ -20,18 +20,20 @@ errors.
   outside ``!`` to ``~`` in the body but the line ends, every id non-empty
   and every cell 1 to 18 digits; _value_error checks the values of each row
   that fails the scale or allocation check.  Any other file has all its
-  lines classified at once.  A line that holds a double quote starts a
-  record that csv.reader reads, which may span further lines; every other
-  line is one record, split on commas.  A quote-free ASCII line whose id
-  str.strip() leaves non-empty and whose cells it leaves as an optional
-  sign and 1 to 18 digits is converted in bulk; _value_error checks the
-  values of each converted row.  The rest go through _check_record, which
-  parses their cells and calls _value_error, so every row diagnostic but
+  lines classified at once, and each line is one record.  A line that
+  holds a double quote is read by csv.reader; every other line is split
+  on commas.  A quote-free ASCII line whose id str.strip() leaves
+  non-empty and whose cells it leaves as an optional sign and 1 to 18
+  digits is converted in bulk; _value_error checks the values of each
+  converted row.  The rest go through _check_record, which parses their
+  cells and calls _value_error, so every row diagnostic but
   ``duplicate_id`` comes from these two.  The route declines input that is
   not UTF-8, holds a NUL byte or a carriage return not followed by a
   newline, is empty, has a header line that holds a double quote or does
-  not match, or has a line of csv.field_size_limit() bytes or more, line
-  end included.
+  not match, has a line of csv.field_size_limit() bytes or more, line end
+  included, or has an id or a cell whose quotes take in a line end: a
+  quoted record that spans lines, or a last line whose quote is not closed
+  before its newline.
 * Per-cell: parse_response_rows reads every record with csv.reader and
   checks it cell by cell.  It reads every input the line route declines.
 
@@ -108,11 +110,14 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ResponseSet:
-    """Validated N x k integer response matrix of one kind.
+    """N x k integer response matrix of one kind, N >= 1, one respondent id
+    per row.  ``values`` is read-only.
 
-    For Likert kinds k equals the instrument item count and every cell lies
-    within the scale; for importance k is 5 and every row allocates exactly
-    100 points in multiples of five.  ``values`` is read-only.
+    The constructor checks the shape, the id count and, for importance (k
+    is 5), that every row allocates exactly 100 points in multiples of
+    five.  It does not check Likert cells against a scale:
+    parse_response_file rejects the rows outside it, and generate_synthetic
+    stays within it by construction.
     """
 
     kind: ResponseKind
@@ -296,9 +301,8 @@ def _parse_lines(
     policy: MissingPolicy,
 ) -> tuple[ResponseSet, ValidationReport] | None:
     """Line route (see the module docstring): the result of
-    parse_response_rows, or None for an input it declines.  A record's row
-    number counts the records before it, so it differs from its line
-    number only after a record of several lines."""
+    parse_response_rows, or None for an input it declines.  Data line i
+    (from 0) is data row i + 1."""
     expected = _expected_header(instrument, kind)
     data = _line_input(data, expected)
     if data is None:
@@ -323,7 +327,7 @@ def _parse_lines(
     # body byte outside "!" to "~" but the line ends.  Row i of the grid holds
     # line i's commas only if each line holds k of them, which the first-comma
     # check and the cell widths that _digit_values checks ensure only when
-    # they hold on every line.  Line i is then data row i + 1.
+    # they hold on every line.
     if (b'"' not in data and len(commas) == k * (len(starts) + 1)
             and len(odd) - np.searchsorted(odd, edges[1]) == (ends - stops).sum()):
         grid = commas[k:].reshape(-1, k)
@@ -337,37 +341,33 @@ def _parse_lines(
                 return _result(instrument, kind, policy, rows,
                                _texts(raw, starts, grid[:, 0]), values, errors)
 
-    quoted = np.unique(np.searchsorted(ends, np.flatnonzero(raw == ord('"')), side="right"))
-    read = _quoted_records(data, edges[1:].tolist(), quoted.tolist())
-    if read is None:
-        return None
-    records, later = read
-    first = np.ones(len(starts), dtype=bool)  # the first line of a record
-    first[later] = False
-    numbers = np.cumsum(first)  # each line's data-row number, if it is first
-
+    quoted = np.zeros(len(starts), dtype=bool)  # the lines that hold a quote
+    quoted[np.searchsorted(ends, np.flatnonzero(raw == ord('"')), side="right")] = True
     lead = np.searchsorted(commas, starts)
-    plain = first & (np.searchsorted(commas, stops) - lead == k)
-    plain[quoted] = False
+    plain = ~quoted & (np.searchsorted(commas, stops) - lead == k)
     high = odd[raw[odd] > 0x7F]
     plain &= np.searchsorted(high, stops) == np.searchsorted(high, starts)
     lines = np.flatnonzero(plain)
     values, valid, id_lo, id_hi = _bulk_values(
         raw, starts[lines], stops[lines], commas[lead[lines, None] + np.arange(k)],
         odd[_PAD[raw[odd]]])
-    first[lines[valid]] = False
-    errors = _refused(values, valid, numbers[lines], expected, instrument.scale, kind)
+    converted = np.zeros(len(starts), dtype=bool)
+    converted[lines[valid]] = True
+    errors = _refused(values, valid, lines + 1, expected, instrument.scale, kind)
     lines, values = lines[valid], values[valid]
     ids = _texts(raw, id_lo[valid], id_hi[valid])
 
-    rest = np.flatnonzero(first)
+    rest = np.flatnonzero(~converted)
     checked = []
-    for at, start, stop, row in zip(rest.tolist(), starts[rest].tolist(),
-                                    stops[rest].tolist(), numbers[rest].tolist()):
-        record = records.get(at)
-        if record is None:
+    for at, start, stop, end in zip(rest.tolist(), starts[rest].tolist(),
+                                    stops[rest].tolist(), ends[rest].tolist()):
+        if quoted[at]:
+            record = next(csv.reader([data[start:end].decode("utf-8")]))
+            if record[-1].endswith("\n"):  # a quote still open at the line end
+                return None
+        else:
             record = data[start:stop].decode("utf-8").split(",")
-        outcome = _check_record(record, row, expected, instrument.scale, kind)
+        outcome = _check_record(record, at + 1, expected, instrument.scale, kind)
         if isinstance(outcome, RowError):
             errors.append(outcome)
         elif outcome is not None:
@@ -383,7 +383,7 @@ def _parse_lines(
             merged.append(respondent_id)
             done = place
         ids = merged + ids[done:]
-    return _result(instrument, kind, policy, numbers[lines], ids, values, errors)
+    return _result(instrument, kind, policy, lines + 1, ids, values, errors)
 
 
 def _line_input(data: bytes | str, expected: list[str]) -> bytes | None:
@@ -410,30 +410,6 @@ def _line_input(data: bytes | str, expected: list[str]) -> bytes | None:
     if b'"' in head or [cell.strip() for cell in head.decode("utf-8").split(",")] != expected:
         return None
     return data
-
-
-def _quoted_records(
-    data: bytes, edges: list[int], quoted: list[int],
-) -> tuple[dict[int, list[str]], list[int]] | None:
-    """The record that csv.reader reads from each line in ``quoted`` (line i
-    is data[edges[i]:edges[i + 1]]), in order, skipping the lines that an
-    earlier record took; and the lines the records took after their first.
-    None if csv.reader raises."""
-    records: dict[int, list[str]] = {}
-    later: list[int] = []
-    taken = 0
-    for line in quoted:
-        if line < taken:
-            continue
-        reader = csv.reader(data[edges[at]:edges[at + 1]].decode("utf-8")
-                            for at in range(line, len(edges) - 1))
-        try:
-            records[line] = next(reader)
-        except csv.Error:
-            return None
-        taken = line + reader.line_num
-        later.extend(range(line + 1, taken))
-    return records, later
 
 
 def _bulk_values(

@@ -71,14 +71,12 @@ class Item:
 class SurveyInstrument:
     """Ordered item list plus its rating scale.
 
-    ``dimension_order`` always carries the full five-dimension set; an
-    instrument may leave a dimension empty, but gap analysis later requires
-    at least one item per dimension.
+    An instrument may leave any of the five dimensions empty, but gap
+    analysis later requires at least one item per dimension.
     """
 
     items: tuple[Item, ...]
     scale: LikertScale = field(default_factory=LikertScale)
-    dimension_order: tuple[str, ...] = DIMENSION_ORDER
 
     def __post_init__(self) -> None:
         if not self.items:
@@ -88,13 +86,11 @@ class SurveyInstrument:
             if item.id in seen:
                 raise DefinitionError(f"duplicate item id {item.id} at position {pos}")
             seen.add(item.id)
-        if tuple(self.dimension_order) != DIMENSION_ORDER:
-            missing = set(DIMENSION_ORDER) - set(self.dimension_order)
-            raise DefinitionError(
-                "dimension_order must be the five service-quality dimensions "
-                f"{DIMENSION_ORDER}; missing {sorted(missing)}" if missing else
-                f"dimension_order must equal {DIMENSION_ORDER}"
-            )
+
+    @property
+    def dimension_order(self) -> tuple[str, ...]:
+        """The five service-quality dimensions in report order: DIMENSION_ORDER."""
+        return DIMENSION_ORDER
 
     @property
     def n_items(self) -> int:
@@ -114,7 +110,7 @@ class SurveyInstrument:
         return tuple(it for it in self.items if it.dimension == dimension)
 
     def dimension_item_counts(self) -> dict[str, int]:
-        return {d: len(self.items_for_dimension(d)) for d in self.dimension_order}
+        return {d: len(self.items_for_dimension(d)) for d in DIMENSION_ORDER}
 
     def fingerprint(self) -> str:
         """Stable hex digest of the canonical serialized form."""

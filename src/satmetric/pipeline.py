@@ -60,6 +60,25 @@ def _setting(kind: type[Enum], value, name: str):
         raise ConfigError(f"{name} {value!r} is not one of: {allowed}") from None
 
 
+#: The type of each Config field that is not an enum setting, and its name
+#: in the error.  A bool is not a number here.
+_FIELD_TYPES = {
+    "alpha_threshold": ((int, float), "a number"),
+    "strict_gate": (bool, "a bool"),
+    "kano_multipliers": ((str, type(None)), "a string or None"),
+    "pareto_threshold": ((int, float), "a number"),
+    "normalize_weights": (bool, "a bool"),
+    "unweighted_contributions": (bool, "a bool"),
+}
+
+
+def _check_types(config: Config) -> None:
+    for name, (types, noun) in _FIELD_TYPES.items():
+        value = getattr(config, name)
+        if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+            raise ConfigError(f"{name} must be {noun}, got {value!r}")
+
+
 def surveys(instrument: SurveyInstrument, policy: MissingPolicy | str, *paths: str | None,
             ) -> Iterator[tuple[ResponseKind, str, ResponseSet, ValidationReport]]:
     """Read the CSVs at ``paths`` (expectation, perception, importance; None
@@ -96,6 +115,7 @@ def run(inputs: Inputs, config: Config = Config(), timestamp=True) -> AnalysisRe
             (inputs.importance is None) == (inputs.weights is None):
         raise SatmetricError("the gap analysis needs an expectation CSV, a perception CSV "
                              "and exactly one of an importance CSV and a weights file")
+    _check_types(config)
     mode = _setting(VarianceMode, config.variance_mode, "variance_mode")
     policy = _setting(MissingPolicy, config.missing_policy, "missing_policy")
     instrument = load_instrument(inputs.instrument)

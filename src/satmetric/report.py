@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 from . import __version__
 from .errors import DefinitionError
 from .ingest import ValidationReport
-from .instrument import KanoCategory, SurveyInstrument
+from .instrument import DIMENSION_ORDER, KanoCategory, SurveyInstrument
 from .kano import KanoPriority
 from .psychometrics import ItemDescriptives, OmittedItemStats, ReliabilityReport
 from .qfd import HouseOfQuality, build_hoq, serialize_hoq
@@ -153,7 +153,7 @@ def assemble(
         metadata["instrument"] = {
             "fingerprint": instrument.fingerprint(),
             "n_items": instrument.n_items,
-            "dimension_order": list(instrument.dimension_order),
+            "dimension_order": list(DIMENSION_ORDER),
             "items_per_dimension": instrument.dimension_item_counts(),
         }
         item_labels = {item.id: item.prompt for item in instrument.items}

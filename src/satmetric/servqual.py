@@ -159,11 +159,11 @@ def dimension_scores(
     instrument: SurveyInstrument,
 ) -> list[DimensionScore]:
     """Average gap per dimension and its importance-weighted counterpart,
-    in the instrument's dimension order.  Every dimension must have at
+    in DIMENSION_ORDER.  Every dimension must have at
     least one item."""
     gap_by_id = {g.item_id: g.gap for g in gaps}
     scores: list[DimensionScore] = []
-    for dimension in instrument.dimension_order:
+    for dimension in DIMENSION_ORDER:
         members = instrument.items_for_dimension(dimension)
         if not members:
             raise ComputationError(f"dimension {dimension!r} has no items; gap analysis "

@@ -199,8 +199,7 @@ def _outcome(parse, data, instrument, kind, policy):
 
 #: The helpers of the line route, which the per-cell parser must not use.
 BULK_HELPERS = ("_digit_values", "_rows_with", "_texts",
-                "_invalid_rows", "_parse_lines", "_line_input", "_quoted_records", "_bulk_values",
-                "_strip_spans")
+                "_invalid_rows", "_parse_lines", "_line_input", "_bulk_values", "_strip_spans")
 
 
 def _refuser(name: str):
@@ -408,8 +407,9 @@ def _assert_bulk_iff_relaxed(k: int, lines: list[str], trailing: bool) -> None:
     bulk exactly the records that are one quote-free ASCII line whose id
     str.strip() leaves non-empty and whose cells it leaves as RELAXED_CELL,
     every line that fullmatches CANONICAL_ROW among them; it sends every
-    other record to _check_record, declines exactly the inputs with a NUL
-    or a \\r outside a \\r\\n, and otherwise gives the per-cell result."""
+    other record to _check_record, declines exactly the inputs with a NUL,
+    a \\r outside a \\r\\n or a quoted record that spans lines (a cell
+    that holds a line end), and gives the per-cell result either way."""
     instrument = build_instrument({
         "scale": {"min": -(2**63 - 1), "max": 2**63 - 1},
         "items": [{"id": i, "prompt": f"q{i}", "dimension": "empathy", "kano": "must_be"}
@@ -430,11 +430,17 @@ def _assert_bulk_iff_relaxed(k: int, lines: list[str], trailing: bool) -> None:
                                       ResponseKind.EXPECTATION, MissingPolicy.DROP_ROW)
         except DataError:
             got = ()
-    declined = "\x00" in text or "\r" in text.replace("\r\n", "")
+    body = text.partition("\n")[2]
+    records = csv.reader(io.StringIO(body, newline=""))
+    declined = ("\x00" in text or "\r" in text.replace("\r\n", "")
+                or any("\n" in cell for record in records for cell in record))
     assert (got is None) == declined, text
+    assert _outcome(parse_response_file, text, instrument, ResponseKind.EXPECTATION,
+                    MissingPolicy.DROP_ROW) == \
+        _outcome(parse_response_rows, text, instrument, ResponseKind.EXPECTATION,
+                 MissingPolicy.DROP_ROW)
     if declined:
         return
-    body = text.partition("\n")[2]
     physical = body.split("\n")
     canonical = re.compile(CANONICAL_ROW % k)
     reader = csv.reader(io.StringIO(body, newline=""))
@@ -449,10 +455,6 @@ def _assert_bulk_iff_relaxed(k: int, lines: list[str], trailing: bool) -> None:
             assert number in bulk, text
         taken = reader.line_num
     assert set(range(1, number + 1)) - set(checked) == bulk, text
-    assert _outcome(parse_response_file, text, instrument, ResponseKind.EXPECTATION,
-                    MissingPolicy.DROP_ROW) == \
-        _outcome(parse_response_rows, text, instrument, ResponseKind.EXPECTATION,
-                 MissingPolicy.DROP_ROW)
 
 
 @settings(max_examples=examples(300), deadline=None)
@@ -521,12 +523,11 @@ def test_canonical_file_never_parses_a_cell(monkeypatch, xyz_instrument):
 
 def test_per_record_route_parses_only_non_canonical_records(monkeypatch, xyz_instrument):
     """On a mixed file the per-cell parser sees only the cells of the
-    records that the line route does not convert in bulk: those of lines
-    that hold a quote (one of them spans two lines), a bad cell (parsed up
-    to it) and a missing cell; a wrong field count is rejected before any
-    cell.  Padded, signed and CRLF records, and a converted row whose value
-    is out of the scale, never reach it, and csv.reader starts only at the
-    lines that hold a quote."""
+    records that the line route does not convert in bulk: those of a line
+    that holds a quote, a bad cell (parsed up to it) and a missing cell; a
+    wrong field count is rejected before any cell.  Padded, signed and CRLF
+    records, and a converted row whose value is out of the scale, never
+    reach it, and csv.reader starts only at the line that holds a quote."""
     calls = _count_cell_parses(monkeypatch)
     starts: list[str] = []
     real_reader = csv.reader
@@ -546,20 +547,45 @@ def test_per_record_route_parses_only_non_canonical_records(monkeypatch, xyz_ins
     cells[30][2] = "x"                              # bad cell: parsed up to it
     cells[40][17] = "6"                             # out of range: converted, never parsed
     cells[50] = cells[50][:-1]                      # row_length: no cell parsed
-    cells[70][9] = f'"{cells[70][9]}\n"'            # a quoted newline: one record, two lines
     cells[80][1] = ""                               # missing: the first cell parsed
     lines = [",".join(row) for row in cells]
     lines[60] += "\r"                               # CRLF: converted in bulk
     data = (header + "\n" + "\n".join(lines) + "\n").encode()
     rs, report = parse_response_file(data, xyz_instrument, ResponseKind.EXPECTATION)
     unquoted = [row[:] for row in cells]
-    unquoted[20][5], unquoted[70][9] = unquoted[20][5].strip('"'), unquoted[70][9].strip('"')
-    assert calls == [*unquoted[20][1:], *cells[30][1:3], *unquoted[70][1:], cells[80][1]]
-    assert starts == [lines[20] + "\n", lines[70].partition("\n")[0] + "\n"]
-    # Row numbers count records, so the two-line record shifts none of them.
+    unquoted[20][5] = unquoted[20][5].strip('"')
+    assert calls == [*unquoted[20][1:], *cells[30][1:3], cells[80][1]]
+    assert starts == [lines[20] + "\n"]
     assert [(err.row, err.code) for err in report.row_errors] == \
         [(31, "not_an_integer"), (41, "out_of_range"), (51, "row_length"), (81, "missing")]
     assert rs.respondent_ids == tuple(row[0] for at, row in enumerate(cells)
                                       if at not in (30, 40, 50, 80))
-    assert rs.values[rs.respondent_ids.index(cells[70][0])].tolist() == \
-        [int(cell) for cell in unquoted[70][1:]]
+
+
+@pytest.mark.parametrize("column", [0, 9], ids=["id", "cell"])
+def test_quoted_record_over_two_lines_takes_the_per_cell_route(column, xyz_instrument):
+    """A quoted id or cell that holds a line end makes its record span two
+    lines: the line route declines the file, and parse_response_rows, which
+    numbers the rows after it by record, reads it.  The same file with the
+    quoted value on one line stays on the line route."""
+    header, rows = _xyz_rows(200)
+    cells = [row.split(",") for row in rows]
+    cells[80][1] = ""  # missing: rejected after the quoted record
+    for spans in (True, False):
+        value = cells[70][column]
+        quoted = [row[:] for row in cells]
+        quoted[70][column] = f'"{value[:1]}\n{value[1:]}"' if spans else f'"{value}"'
+        data = (header + "\n" + "\n".join(",".join(row) for row in quoted) + "\n").encode()
+        for payload in (data, data.decode()):
+            line_route = ingest._parse_lines(payload, xyz_instrument, ResponseKind.EXPECTATION,
+                                             MissingPolicy.DROP_ROW)
+            assert (line_route is None) == spans
+            for policy in MissingPolicy:
+                reference = _outcome(parse_response_rows, payload, xyz_instrument,
+                                     ResponseKind.EXPECTATION, policy)
+                assert _outcome(parse_response_file, payload, xyz_instrument,
+                                ResponseKind.EXPECTATION, policy) == reference
+            rs, report = parse_response_file(payload, xyz_instrument, ResponseKind.EXPECTATION)
+            assert [(err.row, err.code) for err in report.row_errors] == [(81, "missing")]
+            assert rs.respondent_ids[70] == quoted[70][0].strip('"')
+            assert rs.values[70].tolist() == [int(cell.strip('"')) for cell in quoted[70][1:]]

@@ -50,6 +50,22 @@ def test_bad_setting_raises_a_config_error_naming_the_choices(study, setting, al
             next(surveys(xyz.xyz_instrument(), "bogus", inputs.expect))
 
 
+@pytest.mark.parametrize("setting, value, noun", [
+    ("alpha_threshold", "x", "a number"),
+    ("alpha_threshold", True, "a number"),
+    ("pareto_threshold", "x", "a number"),
+    ("kano_multipliers", 5, "a string or None"),
+    ("strict_gate", "no", "a bool"),
+    ("normalize_weights", 1, "a bool"),
+    ("unweighted_contributions", None, "a bool"),
+])
+def test_wrongly_typed_setting_raises_a_config_error_naming_it(setting, value, noun):
+    """The check comes before any file is read, so the paths need not exist."""
+    inputs = Inputs(instrument="xyz.json", expect="e.csv", perceive="p.csv", weights="w.json")
+    with pytest.raises(ConfigError, match=f"^{setting} must be {noun}, got {value!r}$"):
+        run(inputs, Config(**{setting: value}))
+
+
 def test_run_and_write_report_match_the_cli(study, capsys):
     inputs = Inputs(instrument=str(study / "xyz.json"), expect=str(study / "e.csv"),
                     perceive=str(study / "p.csv"), weights=str(study / "weights.json"))
