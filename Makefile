@@ -16,10 +16,10 @@ help:
 	@echo "make bench-smoke  perfbench smoke run at tiny sizes"
 	@echo "make bench        one benchmark run: W=<workload> (default tall) SEED=<n> (default 1)"
 	@echo "make loc          line counts of the source modules"
-	@echo "make digest       SHA-256 of every gap, report, validate, descriptives and reliability"
-	@echo "                  output on each workload: SEED=<n> (default 1)"
-	@echo "make digest-diff  make digest at git revision BASE=<rev> and on the working tree;"
-	@echo "                  prints the diff and fails on any difference: SEED=<n> (default 1)"
+	@echo "make digest       SHA-256 of every gap, report, validate, descriptives, reliability"
+	@echo "                  and qfd output on each workload: SEED=<n> (default 1)"
+	@echo "make digest-diff  make digest with the src/ of git revision BASE=<rev> and of the"
+	@echo "                  working tree; prints the diff and fails on any difference: SEED=<n>"
 
 test:
 	$(TIER1)
@@ -45,12 +45,13 @@ loc:
 digest:
 	@PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) tools/digest.py --seed $(SEED)
 
-# BASE is exported with git archive, so uncommitted changes count on the
-# working-tree side only.
+# Only src/ is taken from BASE: both sides run this tree's tools/digest.py and
+# perfbench workloads, so a digest that gains lines still compares cleanly.
+# Uncommitted changes count on the working-tree side only.
 digest-diff:
 	@test -n "$(BASE)" || { echo "usage: make digest-diff BASE=<rev> [SEED=<n>]" >&2; exit 2; }
 	@base=$$(mktemp -d) && trap 'rm -rf "$$base"' EXIT && \
-	git archive "$(BASE)" | tar -x -C "$$base" && \
-	(cd "$$base" && PYTHONPATH=src $(PYTHON) tools/digest.py --seed $(SEED)) > "$$base/digest.txt" && \
+	git archive "$(BASE)" src | tar -x -C "$$base" && \
+	PYTHONPATH="$$base/src" $(PYTHON) tools/digest.py --seed $(SEED) > "$$base/digest.txt" && \
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) tools/digest.py --seed $(SEED) \
 		| diff "$$base/digest.txt" - && echo "no difference from $(BASE) at SEED=$(SEED)"

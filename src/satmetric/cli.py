@@ -148,7 +148,12 @@ def _finite_arg(value: str) -> float:
 
 
 def _formats_arg(value: str) -> list[str]:
+    """The named formats; empty items are skipped, and ``write_report`` writes
+    a repeated one once."""
     formats = [v.strip() for v in value.split(",") if v.strip()]
+    if not formats:
+        raise argparse.ArgumentTypeError(
+            f"no format named (expected any of: {', '.join(FORMATS)})")
     for fmt in formats:
         if fmt not in FORMATS:
             raise argparse.ArgumentTypeError(

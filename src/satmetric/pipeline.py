@@ -60,13 +60,14 @@ def _setting(kind: type[Enum], value, name: str):
         raise ConfigError(f"{name} {value!r} is not one of: {allowed}") from None
 
 
+_NUMBER = (int, float)
 #: The type of each Config field that is not an enum setting, and its name
-#: in the error.  A bool is not a number here.
+#: in the error.  A bool is not a number here, and a number must be finite.
 _FIELD_TYPES = {
-    "alpha_threshold": ((int, float), "a number"),
+    "alpha_threshold": (_NUMBER, "a number"),
     "strict_gate": (bool, "a bool"),
     "kano_multipliers": ((str, type(None)), "a string or None"),
-    "pareto_threshold": ((int, float), "a number"),
+    "pareto_threshold": (_NUMBER, "a number"),
     "normalize_weights": (bool, "a bool"),
     "unweighted_contributions": (bool, "a bool"),
 }
@@ -77,6 +78,8 @@ def _check_types(config: Config) -> None:
         value = getattr(config, name)
         if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
             raise ConfigError(f"{name} must be {noun}, got {value!r}")
+        if types is _NUMBER and not abs(value) <= sys.float_info.max:  # False for NaN
+            raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 def surveys(instrument: SurveyInstrument, policy: MissingPolicy | str, *paths: str | None,

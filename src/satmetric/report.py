@@ -1,14 +1,16 @@
 """Report assembly and serialization.
 
-An AnalysisReport bundles every analysis output in a fixed section order
-and serializes deterministically: JSON (round-trips losslessly), a CSV
-table bundle, Markdown, and minimal hand-constructed SVG bar/Pareto
-charts.  Each table is declared once, as Columns that the CSV bundle and
-Markdown both render.  Every string from outside the program goes through
-one helper per format: _md_text in a Markdown table cell, _md_prose in
-Markdown prose, _svg_text in a chart.  Timestamps live only in the
-metadata block and can be suppressed, making emitted bytes a pure function
-of the report.
+An AnalysisReport bundles every analysis output in a fixed section order and
+serializes deterministically to each format in FORMATS, the one table of
+format names, file suffixes and renderers: JSON (round-trips losslessly), a
+CSV table bundle, Markdown, and SVG charts whose bars, the Pareto chart's
+too, come from one renderer.  Each table is declared once, as Columns that
+the CSV bundle and Markdown both render.  Every string from outside the
+program goes through one helper per format: _md_text in a Markdown table
+cell, _md_prose in Markdown prose, _svg_text in a chart.  Saved JSON is read
+back by _read, which checks every field against its dataclass annotation.
+Timestamps live only in the metadata block and can be suppressed, making
+emitted bytes a pure function of the report.
 """
 
 from __future__ import annotations
@@ -17,33 +19,26 @@ import csv
 import io
 import json
 import re
+from collections import abc
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .errors import DefinitionError
 from .ingest import ValidationReport
-from .instrument import DIMENSION_ORDER, KanoCategory, SurveyInstrument
+from .instrument import DIMENSION_ORDER, SurveyInstrument
 from .kano import KanoPriority
-from .psychometrics import ItemDescriptives, OmittedItemStats, ReliabilityReport
+from .psychometrics import ItemDescriptives, ReliabilityReport
 from .qfd import HouseOfQuality, build_hoq, serialize_hoq
-from .rootcause import FishboneTree, ParetoRow, ParetoTable, branch_magnitudes, \
-    build_fishbone, serialize_fishbone
-from .schema import array, fields as check_fields, integer, mapping, number, parse_json, \
-    string
-from .servqual import (
-    DimensionScore,
-    GapReport,
-    ImportanceWeights,
-    ItemGap,
-    classify_satisfaction,
-)
-
-FORMATS = ("json", "csv", "markdown", "svg-charts")
+from .rootcause import FishboneTree, ParetoTable, branch_magnitudes, build_fishbone, \
+    serialize_fishbone
+from .schema import array, boolean, fields as check_fields, integer, mapping, number, \
+    parse_json, string
+from .servqual import GapReport, ImportanceWeights, classify_satisfaction
 
 WARN_RELIABILITY_GATE = "RELIABILITY_GATE_FAILED"
 WARN_IMPORTANCE_DRIFT = "IMPORTANCE_SUM_DRIFT"
@@ -237,24 +232,41 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
-_FIELD_CHECKS = {"float": number, "int": integer, "str": string}
+_SCALARS = {float: number, int: integer, str: string, bool: boolean}
+_hints = cache(get_type_hints)  # a class's annotations, resolved on its first read
+#: A JSON object key that names an int: the text str() writes for it.
+_INT_KEY = re.compile(r"0|-?[1-9][0-9]*")
 
 
-def _build(cls, doc: Mapping, **built):
-    """``cls(**doc, **built)`` after checking each field of ``doc`` whose (string)
-    annotation is ``float``, ``int`` or ``str``; ``X | None`` fields may hold None."""
-    for f in fields(cls):
-        base, _, optional = f.type.partition(" | ")
-        if base in _FIELD_CHECKS and f.name in doc and not (optional and doc[f.name] is None):
-            _FIELD_CHECKS[base](doc[f.name], f"report {cls.__name__}.{f.name}")
-    return cls(**{**doc, **built})
+def _int_key(key, context: str) -> int:
+    if not (isinstance(key, str) and _INT_KEY.fullmatch(key)):
+        raise DefinitionError(f"{context} key {key!r} must be an integer as str() writes it")
+    return int(key)
 
 
-def _numbers(doc, context: str) -> Mapping:
-    """A name -> finite number object, returned as given."""
-    for key, value in mapping(doc, context).items():
-        number(value, f"{context}[{key!r}]")
-    return doc
+def _read(tp, value, context: str):
+    """``value`` checked against the annotation ``tp`` (``X | None``, ``tuple[X, ...]``,
+    ``Mapping[str | int, X]``, an enum, a result dataclass or a scalar) and built
+    into it; scalars are returned as given, so a re-emitted report keeps its bytes."""
+    if tp in _SCALARS:
+        _SCALARS[tp](value, context)
+        return value
+    origin, args = get_origin(tp), get_args(tp)
+    if type(None) in args:
+        return None if value is None else _read(args[0], value, context)
+    if origin is tuple:
+        return tuple(_read(args[0], v, f"{context}[{at}]")
+                     for at, v in enumerate(array(value, context)))
+    if origin is abc.Mapping:
+        key = _int_key if args[0] is int else string
+        return {key(k, context): _read(args[1], v, f"{context}[{k!r}]")
+                for k, v in mapping(value, context).items()}
+    if is_dataclass(tp):
+        hints = _hints(tp)
+        check_fields(value, context, hints)
+        return tp(**{name: _read(hints[name], v, f"{context}.{name}")
+                     for name, v in value.items()})
+    return tp(value)  # an enum member
 
 
 def _metadata(meta) -> dict:
@@ -273,64 +285,39 @@ def _metadata(meta) -> dict:
 
 def report_from_dict(doc: Mapping) -> AnalysisReport:
     """Rebuild an AnalysisReport from its JSON form (inverse of
-    report_to_dict up to tuple/list normalization)."""
-    def rows(cls, docs):
-        return tuple(_build(cls, d) for d in docs) if docs is not None else None
-
-    def reliability(d):
-        return _build(ReliabilityReport, d, omitted=rows(
-            OmittedItemStats, array(d["omitted"], "report reliability omitted"))) \
-            if d is not None else None
-
-    ga = doc["gap_analysis"]
-    overall = ga["overall"]
-    item_gaps = tuple(_build(ItemGap, {k: v for k, v in g.items() if k != "classification"})
-                      for g in ga["items"])
-    gap_ids = {g.item_id for g in item_gaps}
-
-    def item_ids(d):
-        ids = tuple(integer(i, "report DimensionScore.item_ids entry")
-                    for i in array(d["item_ids"], "report DimensionScore.item_ids"))
-        unknown = [i for i in ids if i not in gap_ids]
+    report_to_dict up to tuple/list normalization): each field is read by
+    _read, and an error names it by its path in the AnalysisReport."""
+    ga, descriptives, hoq = doc["gap_analysis"], doc["descriptives"], doc.get("hoq")
+    read = {name: _read(_hints(AnalysisReport)[name], value, f"report {name}") for name, value in {
+        "gap_report": {
+            "item_gaps": [{k: v for k, v in mapping(g, "report gap item").items()
+                           if k != "classification"} for g in array(ga["items"], "report items")],
+            "dimension_scores": ga["dimensions"],
+            "overall_weighted_sum": ga["overall"]["weighted_sum"],
+            "overall_weighted_mean": ga["overall"]["weighted_mean"],
+            "unweighted_mean_of_dimensions": ga["overall"]["unweighted_mean_of_dimensions"],
+            "reliability_expectation": doc["reliability"]["expectation"],
+            "reliability_perception": doc["reliability"]["perception"]},
+        "expectation_descriptives": descriptives["expectation"],
+        "perception_descriptives": descriptives["perception"],
+        "importance_weights": doc.get("importance_weights"),
+        "kano_priorities": doc.get("kano"),
+        "pareto": doc.get("pareto"),
+        "branch_magnitudes": doc.get("fishbone_branch_magnitudes"),
+        "item_labels": doc.get("item_labels", {}),
+        "warnings": doc.get("warnings", []),
+    }.items()}
+    gap_ids = {g.item_id for g in read["gap_report"].item_gaps}
+    for d in read["gap_report"].dimension_scores:
+        unknown = [i for i in d.item_ids if i not in gap_ids]
         if unknown:
-            raise DefinitionError(f"report dimension {d.get('dimension')!r} lists items "
+            raise DefinitionError(f"report dimension {d.dimension!r} lists items "
                                   f"{unknown} that have no gap row")
-        return ids
-
-    gap_report = _build(
-        GapReport,
-        {"overall_weighted_sum": overall["weighted_sum"],
-         "overall_weighted_mean": overall["weighted_mean"],
-         "unweighted_mean_of_dimensions": overall["unweighted_mean_of_dimensions"]},
-        item_gaps=item_gaps,
-        dimension_scores=tuple(_build(DimensionScore, d, item_ids=item_ids(d))
-                               for d in ga["dimensions"]),
-        reliability_expectation=reliability(doc["reliability"]["expectation"]),
-        reliability_perception=reliability(doc["reliability"]["perception"]),
-    )
-    descriptives = doc["descriptives"]
-    weights, kano, pareto_doc = doc.get("importance_weights"), doc.get("kano"), doc.get("pareto")
-    hoq, fishbone = doc.get("hoq"), doc.get("fishbone")
-    magnitudes = doc.get("fishbone_branch_magnitudes")
-    labels = mapping(doc.get("item_labels", {}), "report item_labels")
     return AnalysisReport(
         metadata=_metadata(doc["metadata"]),
-        gap_report=gap_report,
-        expectation_descriptives=rows(ItemDescriptives, descriptives["expectation"]),
-        perception_descriptives=rows(ItemDescriptives, descriptives["perception"]),
-        importance_weights=_build(ImportanceWeights, weights, means=_numbers(
-            weights["means"], "report importance_weights.means")) if weights else None,
-        kano_priorities=tuple(_build(KanoPriority, k, category=KanoCategory(k["category"]))
-                              for k in kano) if kano else None,
-        pareto=_build(ParetoTable, pareto_doc, rows=rows(
-            ParetoRow, array(pareto_doc["rows"], "report pareto rows"))) if pareto_doc else None,
         hoq=build_hoq({k: v for k, v in hoq.items() if k != "computed"}) if hoq else None,
-        fishbone=build_fishbone(fishbone) if fishbone else None,
-        branch_magnitudes=_numbers(magnitudes, "report fishbone_branch_magnitudes")
-        if magnitudes is not None else None,
-        item_labels={int(k): string(v, f"report item_labels[{k!r}]") for k, v in labels.items()},
-        warnings=tuple(_build(ReportWarning, w) for w in doc.get("warnings", [])),
-    )
+        fishbone=build_fishbone(doc["fishbone"]) if doc.get("fishbone") else None,
+        **read)
 
 
 # --- tables -----------------------------------------------------------------
@@ -445,7 +432,7 @@ def _csv_tables(report: AnalysisReport) -> dict[str, bytes]:
                                             ("perception", gr.reliability_perception))),
         "gaps.csv": csv_bytes([c.csv for c in _GAPS], gap_rows),
     }
-    if report.kano_priorities is not None:
+    if report.kano_priorities:
         tables["kano.csv"] = csv_bytes([c.csv for c in _KANO], _kano_rows(report))
     if report.pareto is not None:
         tables["pareto.csv"] = csv_bytes([c.csv for c in _PARETO],
@@ -658,9 +645,17 @@ def _svg(title: str, body: Sequence[str]) -> bytes:
     ]).encode("utf-8")
 
 
-def _bar_chart_svg(title: str, labels: Sequence[str], values: Sequence[float]) -> bytes:
-    """Minimal deterministic vertical bar chart (positive and negative bars)."""
-    top = max([*values, 0.0])
+def _rule(y, style: str = 'stroke="black" stroke-width="1"') -> str:
+    """A horizontal line across the plot at ``y``, written as given."""
+    return f'<line x1="{_MARGIN_L}" y1="{y}" x2="{_CHART_W - _MARGIN_R}" y2="{y}" {style}/>'
+
+
+def _bars(labels: Sequence[str], values: Sequence[float], floor: float = 0.0,
+          value_labels: bool = True) -> tuple[float, list[str], list[float]]:
+    """Vertical bars from min(values, 0) up to max(values, floor), each with
+    its label and, if ``value_labels``, its value: the zero line's y, the
+    bars and the x of each bar's centre."""
+    top = max([*values, floor])
     bottom = min([*values, 0.0])
     span = (top - bottom) or 1.0
     slot = _PLOT_W / max(len(values), 1)
@@ -670,59 +665,50 @@ def _bar_chart_svg(title: str, labels: Sequence[str], values: Sequence[float]) -
         return _MARGIN_T + (top - value) / span * _PLOT_H
 
     zero_y = y_of(0.0)
-    parts = [f'<line x1="{_MARGIN_L}" y1="{zero_y:.2f}" x2="{_CHART_W - _MARGIN_R}" '
-             f'y2="{zero_y:.2f}" stroke="black" stroke-width="1"/>']
+    parts, centres = [], []
     for idx, (label, value) in enumerate(zip(labels, values)):
         x = _MARGIN_L + idx * slot + (slot - bar_w) / 2
         y = min(zero_y, y_of(value))
         height = abs(y_of(value) - zero_y)
-        fill = "#4878a8" if value >= 0 else "#b0413e"
-        parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
-                     f'height="{height:.2f}" fill="{fill}"/>')
-        value_y = y - 4 if value >= 0 else y + height + 14
-        parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{value_y:.2f}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="10">{value:.2f}</text>')
-        parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{_CHART_H - _MARGIN_B + 16:.2f}" '
+        centres.append(x + bar_w / 2)
+        parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" height="{height:.2f}" '
+                     f'fill="{"#4878a8" if value >= 0 else "#b0413e"}"/>')
+        if value_labels:
+            value_y = y - 4 if value >= 0 else y + height + 14
+            parts.append(f'<text x="{centres[-1]:.2f}" y="{value_y:.2f}" text-anchor="middle" '
+                         f'font-family="sans-serif" font-size="10">{value:.2f}</text>')
+        parts.append(f'<text x="{centres[-1]:.2f}" y="{_CHART_H - _MARGIN_B + 16:.2f}" '
                      f'text-anchor="middle" font-family="sans-serif" font-size="10">'
                      f'{_svg_text(label)}</text>')
-    return _svg(title, parts)
+    return zero_y, parts, centres
+
+
+def _bar_chart_svg(title: str, labels: Sequence[str], values: Sequence[float]) -> bytes:
+    """Minimal deterministic vertical bar chart (positive and negative bars)."""
+    zero_y, bars, _ = _bars(labels, values)
+    return _svg(title, [_rule(f"{zero_y:.2f}"), *bars])
 
 
 def _pareto_chart_svg(table: ParetoTable) -> bytes:
-    """Bars of magnitudes with the cumulative-percentage polyline."""
-    rows = table.rows
-    labels = [str(r.item_id) for r in rows]
-    values = [r.magnitude for r in rows]
-    top = max([*values, 1e-12])
-    slot = _PLOT_W / max(len(values), 1)
-    bar_w = slot * 0.7
-    base_y = _CHART_H - _MARGIN_B
-    parts = [f'<line x1="{_MARGIN_L}" y1="{base_y}" x2="{_CHART_W - _MARGIN_R}" '
-             f'y2="{base_y}" stroke="black" stroke-width="1"/>']
-    points = []
-    for idx, row in enumerate(rows):
-        x = _MARGIN_L + idx * slot + (slot - bar_w) / 2
-        height = row.magnitude / top * _PLOT_H
-        parts.append(f'<rect x="{x:.2f}" y="{base_y - height:.2f}" width="{bar_w:.2f}" '
-                     f'height="{height:.2f}" fill="#4878a8"/>')
-        parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{base_y + 16:.2f}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="10">{_svg_text(labels[idx])}</text>')
-        cum_y = _MARGIN_T + (100.0 - row.cumulative_pct) / 100.0 * _PLOT_H
-        points.append(f"{x + bar_w / 2:.2f},{cum_y:.2f}")
-    if points:
-        parts.append(f'<polyline points="{" ".join(points)}" fill="none" '
-                     f'stroke="#b0413e" stroke-width="2"/>')
+    """A non-empty table's magnitudes as bars without value labels, its
+    cumulative-percentage polyline and, once a row reaches it, its threshold."""
+    _, parts, centres = _bars([str(r.item_id) for r in table.rows],
+                              [r.magnitude for r in table.rows], floor=1e-12, value_labels=False)
+    parts.insert(0, _rule(_CHART_H - _MARGIN_B))
+    points = [f"{x:.2f},{_MARGIN_T + (100.0 - r.cumulative_pct) / 100.0 * _PLOT_H:.2f}"
+              for x, r in zip(centres, table.rows)]
+    parts.append(f'<polyline points="{" ".join(points)}" fill="none" '
+                 f'stroke="#b0413e" stroke-width="2"/>')
     if table.vital_few_cutoff is not None:
         threshold_y = _MARGIN_T + (100.0 - table.threshold_pct) / 100.0 * _PLOT_H
-        parts.append(f'<line x1="{_MARGIN_L}" y1="{threshold_y:.2f}" '
-                     f'x2="{_CHART_W - _MARGIN_R}" y2="{threshold_y:.2f}" '
-                     f'stroke="#b0413e" stroke-width="1" stroke-dasharray="4 3"/>')
+        parts.append(_rule(f"{threshold_y:.2f}",
+                           'stroke="#b0413e" stroke-width="1" stroke-dasharray="4 3"'))
     return _svg("Dissatisfaction Pareto", parts)
 
 
 def _svg_charts(report: AnalysisReport) -> dict[str, bytes]:
     charts: dict[str, bytes] = {}
-    gr = report.gap_report
+    dims = report.gap_report.dimension_scores
     for name, title, desc in (
         ("expectation_items.svg", "Expected level per item", report.expectation_descriptives),
         ("perception_items.svg", "Perceived level per item", report.perception_descriptives),
@@ -731,16 +717,11 @@ def _svg_charts(report: AnalysisReport) -> dict[str, bytes]:
             charts[name] = _bar_chart_svg(title, [str(d.item_id) for d in desc],
                                           [d.mean for d in desc])
     if report.importance_weights:
+        means = report.importance_weights.means
         charts["dimension_weights.svg"] = _bar_chart_svg(
-            "Dimension importance weight",
-            list(report.importance_weights.means.keys()),
-            list(report.importance_weights.means.values()),
-        )
+            "Dimension importance weight", list(means), list(means.values()))
     charts["dimension_gaps.svg"] = _bar_chart_svg(
-        "Weighted dimension score",
-        [d.dimension for d in gr.dimension_scores],
-        [d.weighted for d in gr.dimension_scores],
-    )
+        "Weighted dimension score", [d.dimension for d in dims], [d.weighted for d in dims])
     if report.pareto and not report.pareto.is_empty:
         charts["pareto.svg"] = _pareto_chart_svg(report.pareto)
     return charts
@@ -748,46 +729,45 @@ def _svg_charts(report: AnalysisReport) -> dict[str, bytes]:
 
 # --- emit --------------------------------------------------------------------
 
+def _json(report: AnalysisReport) -> bytes:
+    return (json.dumps(report_to_dict(report), indent=2, ensure_ascii=False, allow_nan=False)
+            + "\n").encode("utf-8")
+
+
+#: Each report format: the suffix of its file or directory after the stem, and its renderer.
+FORMATS = {"json": (".report.json", _json), "csv": (".tables", _csv_tables),
+           "markdown": (".report.md", _markdown), "svg-charts": (".charts", _svg_charts)}
+
+
 def emit(report: AnalysisReport, format: str):
     """Serialize a report: bytes for ``json``/``markdown``, a relative
     filename -> bytes mapping for the ``csv`` and ``svg-charts`` bundles."""
-    if format == "json":
-        doc = report_to_dict(report)
-        return (json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False)
-                + "\n").encode("utf-8")
-    if format == "markdown":
-        return _markdown(report)
-    if format == "csv":
-        return _csv_tables(report)
-    if format == "svg-charts":
-        return _svg_charts(report)
-    raise DefinitionError(f"unknown report format {format!r} (expected one of {FORMATS})")
+    if format not in FORMATS:
+        raise DefinitionError(
+            f"unknown report format {format!r} (expected one of {tuple(FORMATS)})")
+    return FORMATS[format][1](report)
 
 
 def parse_report(data: bytes | str) -> AnalysisReport:
     """Parse report JSON bytes back into an AnalysisReport."""
-    doc = parse_json(data, "report")
     try:
-        return report_from_dict(doc)
+        return report_from_dict(parse_json(data, "report"))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DefinitionError(
             f"report JSON does not have the report shape ({type(exc).__name__}: {exc})"
         ) from None
 
 
-_SUFFIXES = {"json": ".report.json", "markdown": ".report.md", "csv": ".tables",
-             "svg-charts": ".charts"}
-
-
-def write_report(report: AnalysisReport, stem, formats: Sequence[str] = FORMATS) -> list[str]:
+def write_report(report: AnalysisReport, stem, formats: Iterable[str] = FORMATS) -> list[str]:
     """Write ``<stem>.report.json``, ``<stem>.report.md``, ``<stem>.tables/``
-    and ``<stem>.charts/`` for the requested formats; returns written paths."""
+    and ``<stem>.charts/`` for the requested formats, each once, and only once
+    every one has rendered; returns written paths."""
     stem = Path(stem)
-    payloads = [(fmt, emit(report, fmt)) for fmt in formats]  # a failed render writes nothing
+    payloads = [(fmt, emit(report, fmt)) for fmt in dict.fromkeys(formats)]
     stem.parent.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
     for fmt, payload in payloads:
-        target = stem.with_name(stem.name + _SUFFIXES[fmt])
+        target = stem.with_name(stem.name + FORMATS[fmt][0])
         if isinstance(payload, bytes):
             files = {target: payload}
         else:

@@ -85,6 +85,12 @@ def string(value, context: str) -> str:
     return value
 
 
+def boolean(value, context: str) -> bool:
+    if not isinstance(value, bool):
+        raise DefinitionError(f"{context} must be true or false, got {value!r}")
+    return value
+
+
 def mapping(value, context: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise DefinitionError(f"{context} must be an object")

@@ -546,6 +546,39 @@ class TestReportCommand:
         assert main(["report", "--input", "x.json", "--formats", "pdf", "--out", "y"]) == 2
 
 
+def _formats_argv(xyz_dir, command: str, out: Path) -> list[str]:
+    """A `gap` or `report` call on the case study writing under ``out``."""
+    gap = ["gap", "--instrument", str(xyz_dir / "xyz.json"), "--expect", str(xyz_dir / "e.csv"),
+           "--perceive", str(xyz_dir / "p.csv"), "--weights", str(xyz_dir / "weights.json"),
+           "--suppress-timestamp"]
+    if command == "gap":
+        return [*gap, "--out", str(out / "xyz")]
+    saved = xyz_dir / "saved" / "xyz"
+    assert main([*gap, "--formats", "json", "--out", str(saved)]) == 0
+    return ["report", "--input", f"{saved}.report.json", "--out", str(out / "xyz")]
+
+
+@pytest.mark.parametrize("command", ["gap", "report"])
+@pytest.mark.parametrize("formats", [",", "", " , ,"], ids=["comma", "empty", "blank_items"])
+def test_formats_naming_none_is_a_usage_error(xyz_dir, capsys, command, formats):
+    argv = _formats_argv(xyz_dir, command, xyz_dir / "out")
+    capsys.readouterr()
+    assert main([*argv, "--formats", formats]) == 2
+    assert "--formats: no format named" in capsys.readouterr().err
+    assert not (xyz_dir / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gap", "report"])
+def test_repeated_format_is_written_and_printed_once(xyz_dir, capsys, command):
+    argv = _formats_argv(xyz_dir, command, xyz_dir / "out")
+    capsys.readouterr()
+    assert main([*argv, "--formats", "json, markdown,json,markdown ,"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        str(xyz_dir / "out" / "xyz.report.json"), str(xyz_dir / "out" / "xyz.report.md")]
+    assert sorted(p.name for p in (xyz_dir / "out").iterdir()) == ["xyz.report.json",
+                                                                   "xyz.report.md"]
+
+
 @pytest.fixture(scope="module")
 def gap_fuzz_dir(tmp_path_factory):
     """Small valid gap inputs on the XYZ instrument: 12-row expectation and

@@ -66,6 +66,16 @@ def test_wrongly_typed_setting_raises_a_config_error_naming_it(setting, value, n
         run(inputs, Config(**{setting: value}))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("setting", ["alpha_threshold", "pareto_threshold"])
+def test_non_finite_threshold_raises_a_config_error_naming_it(setting, value):
+    """Refused before any file is read (the paths do not exist), so a NaN gate
+    never reaches the report, whose JSON cannot hold it."""
+    inputs = Inputs(instrument="xyz.json", expect="e.csv", perceive="p.csv", weights="w.json")
+    with pytest.raises(ConfigError, match=f"^{setting} must be finite, got {value!r}$"):
+        run(inputs, Config(**{setting: value}))
+
+
 def test_run_and_write_report_match_the_cli(study, capsys):
     inputs = Inputs(instrument=str(study / "xyz.json"), expect=str(study / "e.csv"),
                     perceive=str(study / "p.csv"), weights=str(study / "weights.json"))

@@ -21,13 +21,15 @@ from satmetric.report import (
     WARN_RELIABILITY_GATE,
     WARN_ROWS_REJECTED,
     _md_prose,
+    _pareto_chart_svg,
     assemble,
     emit,
     parse_report,
     report_to_dict,
     write_report,
 )
-from satmetric.rootcause import dissatisfaction_contributions, pareto, serialize_fishbone
+from satmetric.rootcause import Contribution, dissatisfaction_contributions, pareto, \
+    serialize_fishbone
 from satmetric.servqual import compute_gap_report, item_gaps
 from satmetric import xyz
 
@@ -240,6 +242,16 @@ class TestMarkdownAndCharts:
         for payload in charts.values():
             assert payload.startswith(b"<svg ")
 
+    def test_pareto_bars_of_zero_magnitude_stand_on_the_baseline(self):
+        """Zero magnitudes (items of a dimension weighted 0) draw no height at
+        the baseline, not at the top of the plot as a bar chart of zeros does."""
+        svg = _pareto_chart_svg(pareto([Contribution(1, "a", 0.0), Contribution(2, "b", 0.0)]))
+        lines = svg.decode().splitlines()
+        assert lines[3] == ('<line x1="60" y1="290" x2="690" y2="290" stroke="black" '
+                            'stroke-width="1"/>')
+        bars = [line for line in lines if line.startswith("<rect x=")]
+        assert len(bars) == 2 and all('y="290.00"' in b and 'height="0.00"' in b for b in bars)
+
 
 class TestDeterminism:
     def test_emit_is_pure(self, full_report):
@@ -334,6 +346,80 @@ def test_leaf_mutation_fuzz_only_satmetric_errors_escape(saved_reports, name, da
             emit(report, fmt)
         except SatmetricError:
             pass
+
+
+#: The sections that report_from_dict reads against the annotations of
+#: their result dataclasses.
+TYPED_SECTIONS = frozenset({"descriptives", "reliability", "importance_weights", "gap_analysis",
+                            "kano", "pareto", "fishbone_branch_magnitudes", "item_labels",
+                            "warnings"})
+#: The objects among them whose keys are data (item ids, dimension and branch names).
+KEYED_BY_DATA = frozenset({("item_labels",), ("importance_weights", "means"),
+                           ("fishbone_branch_magnitudes",)})
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _kind(value) -> str:
+    """A JSON value's kind; an int and a float are both a number."""
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+@pytest.mark.parametrize("name", ["demo07", "importance_csv"])
+@settings(max_examples=examples(200), deadline=None)
+@given(data=st.data(), value=JSON_VALUES)
+def test_accepted_leaf_mutation_keeps_the_leaf_kind(saved_reports, name, data, value):
+    """A non-null leaf of a typed section set to any JSON value: when the
+    report still parses, the new value is null or of the old leaf's kind.
+    The leaf is drawn by its shape (list indices and data keys ignored)
+    first, so a field that the report holds once, such as ``passes_gate``,
+    is drawn as often as a field of every row."""
+    doc, leaves = saved_reports[name]
+    shapes: dict[tuple, list[tuple]] = {}
+    for path in leaves:
+        if path[0] in TYPED_SECTIONS and path[-1] != "classification" \
+                and _at(doc, path) is not None:
+            shape = tuple("*" if isinstance(key, int) or path[:at] in KEYED_BY_DATA else key
+                          for at, key in enumerate(path))
+            shapes.setdefault(shape, []).append(path)
+    shape = data.draw(st.sampled_from(list(shapes)), label="shape")
+    path = data.draw(st.sampled_from(shapes[shape]), label="path")
+    try:
+        parse_report(json.dumps(replace_at(doc, path, value)))
+    except SatmetricError:
+        return
+    assert value is None or _kind(value) == _kind(_at(doc, path)), path
+
+
+GATE = ("reliability", "perception", "passes_gate")
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (GATE, "yes", "gap_report.reliability_perception.passes_gate must be true or false, "
+                  "got 'yes'"),
+    (GATE, 0, "gap_report.reliability_perception.passes_gate must be true or false, got 0"),
+    (GATE, None, "gap_report.reliability_perception.passes_gate must be true or false, "
+                 "got None"),
+    (("kano", 2, "note"), "x", "kano_priorities[2]: unknown fields ['note']"),
+], ids=["passes_gate_text", "passes_gate_zero", "passes_gate_null", "unknown_field"])
+def test_refused_field_is_named_by_its_place(saved_reports, path, value, message):
+    doc, _ = saved_reports["demo07"]
+    with pytest.raises(DefinitionError, match=f"^report {re.escape(message)}$"):
+        parse_report(json.dumps(replace_at(doc, path, value)))
+
+
+@pytest.mark.parametrize("key", ["1_0", " 1", "+1", "01", "1 ", "-0", "1.0", "x", ""])
+def test_item_label_key_must_be_an_integer_as_str_writes_it(saved_reports, key):
+    """A key such as "1_0" that int() reads as 10 would merge with "10"."""
+    doc, _ = saved_reports["demo07"]
+    labels = {**doc["item_labels"], key: "another label"}
+    with pytest.raises(DefinitionError, match=f"item_labels key {re.escape(repr(key))} must "
+                                              r"be an integer as str\(\) writes it"):
+        parse_report(json.dumps({**doc, "item_labels": labels}))
 
 
 @pytest.mark.parametrize("text, prose", [

@@ -4,18 +4,21 @@ For each workload of ``perfbench/workloads.py`` at the given seed, the script
 runs ``satmetric gap`` with the default flags, again with
 ``--unweighted-contributions --kano-multipliers must_be=3,delighter=0.5`` and
 again with ``--strict-gate``, then re-emits each saved report with
-``satmetric report``.  On the same inputs it runs ``validate``,
-``descriptives``, and ``reliability`` with and without ``--strict-gate``.  It
-prints one line per output file and per call's stdout, stderr and exit code.  Every
-path is relative to a temporary directory, so two checkouts give the same
-lines exactly when their outputs are byte-identical:
+``satmetric report``, in every format and in ``markdown,svg-charts`` alone.
+On the same inputs it runs ``validate``, ``descriptives``, and
+``reliability`` with and without ``--strict-gate``, and ``qfd`` with and
+without ``--show-conflicts`` on the workload's ``--hoq`` file, if it has
+one.  It prints one line per output file and per call's stdout, stderr and
+exit code.  Every path is relative to a temporary directory, so two source
+trees give the same lines exactly when their outputs are byte-identical:
 
-    make digest SEED=5 > before.txt     # in one checkout
-    make digest SEED=5 > after.txt      # in the other
+    PYTHONPATH=/elsewhere/src python3 tools/digest.py --seed 5 > before.txt
+    PYTHONPATH=src python3 tools/digest.py --seed 5 > after.txt
     diff before.txt after.txt
 
-Run from the repository root with ``src`` on ``PYTHONPATH`` (``make digest``
-does both).
+``make digest-diff BASE=<rev> SEED=5`` does this with the ``src`` of a git
+revision on the first line.  Run from the repository root (``make digest``
+runs it on this checkout's ``src``).
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ VARIANTS = {
     "flags": ["--unweighted-contributions", "--kano-multipliers", "must_be=3,delighter=0.5"],
     "strict": ["--strict-gate"],
 }
+#: Output directory of each ``satmetric report`` re-emit -> its ``--formats`` flags.
+REEMITS = {"report": [], "report_md_svg": ["--formats", "markdown,svg-charts"]}
 #: Survey subcommand -> the gap options it takes, and whether it writes ``--out``.
 SURVEY_COMMANDS = {
     "validate": (("--instrument", "--expect", "--perceive", "--importance",
@@ -78,9 +83,12 @@ def digest(name: str, seed: int) -> list[str]:
         lines += _call(f"{run}/gap", [*gap, *flags, "--out", str(run / "gap" / "report")])
         saved = run / "gap" / "report.report.json"
         if saved.exists():
-            lines += _call(f"{run}/report", ["report", "--input", str(saved),
-                                             "--out", str(run / "report" / "report")])
-        lines += _files(run / "gap") + _files(run / "report")
+            for out, formats in REEMITS.items():
+                lines += _call(f"{run}/{out}", ["report", "--input", str(saved), *formats,
+                                                "--out", str(run / out / "report")])
+        lines += _files(run / "gap")
+        for out in REEMITS:
+            lines += _files(run / out)
     for command, (takes, writes) in SURVEY_COMMANDS.items():
         argv = [command]
         for at, option in enumerate(gap):
@@ -93,6 +101,13 @@ def digest(name: str, seed: int) -> list[str]:
             out = ["--out", str(run / "out.csv")] if writes else []
             run.mkdir(parents=True)
             lines += _call(str(run), [*argv, *flags, *out]) + _files(run)
+    if "--hoq" in gap:
+        hoq = gap[gap.index("--hoq") + 1]
+        for variant, flags in (("default", []), ("conflicts", ["--show-conflicts"])):
+            run = Path(name) / "qfd" / variant
+            run.mkdir(parents=True)
+            lines += _call(str(run), ["qfd", "--hoq", hoq, *flags,
+                                      "--out", str(run / "out.csv")]) + _files(run)
     return lines
 
 
