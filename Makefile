@@ -17,7 +17,9 @@ help:
 	@echo "make bench        one benchmark run: W=<workload> (default tall) SEED=<n> (default 1)"
 	@echo "make loc          line counts of the source modules"
 	@echo "make digest       SHA-256 of every gap, report, validate, descriptives, reliability"
-	@echo "                  and qfd output on each workload: SEED=<n> (default 1)"
+	@echo "                  and qfd output on each workload: SEED=<n> (default 1); gap runs"
+	@echo "                  also with --normalize-weights --variance-mode sample"
+	@echo "                  --pareto-threshold 50, descriptives with --variance-mode sample"
 	@echo "make digest-diff  make digest with the src/ of git revision BASE=<rev> and of the"
 	@echo "                  working tree; prints the diff and fails on any difference: SEED=<n>"
 

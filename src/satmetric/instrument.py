@@ -1,7 +1,9 @@
 """Survey instrument schema: dimensions, items, scales, Kano categories.
 
 An instrument is the fixed frame every computation is keyed to.  Item order
-is the canonical computation and serialization order.  Instruments are
+is the canonical computation and serialization order.  A definition document
+is read by schema.read through these dataclasses' annotations; their
+constructors make the checks that the types do not.  Instruments are
 immutable after construction and safe to share between threads.
 """
 
@@ -9,12 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DefinitionError
-from .schema import array, document, fields, integer, read_json
+from .schema import hints, read, read_json
 
 #: The five service-quality dimensions, in canonical reporting order.
 DIMENSION_ORDER: tuple[str, ...] = (
@@ -80,11 +83,11 @@ class SurveyInstrument:
 
     def __post_init__(self) -> None:
         if not self.items:
-            raise DefinitionError("instrument must contain at least one item")
+            raise DefinitionError("instrument items must not be empty")
         seen: set[int] = set()
         for pos, item in enumerate(self.items, start=1):
             if item.id in seen:
-                raise DefinitionError(f"duplicate item id {item.id} at position {pos}")
+                raise DefinitionError(f"item at position {pos}: duplicate id {item.id}")
             seen.add(item.id)
 
     @property
@@ -114,6 +117,10 @@ class SurveyInstrument:
 
     def fingerprint(self) -> str:
         """Stable hex digest of the canonical serialized form."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:  # an instrument is immutable: hash it once
         canonical = json.dumps(serialize_instrument(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
@@ -168,58 +175,9 @@ def master_catalog() -> tuple[Item, ...]:
 
 
 def build_instrument(config: Mapping) -> SurveyInstrument:
-    """Validate an instrument-definition document and build the instrument.
-
-    The document shape is ``{"scale": {"min": 1, "max": 5}, "items": [...]}``
-    with items ``{"id", "prompt", "dimension", "kano", "source_key"?}``.
-    Unknown fields are rejected.  Errors name the offending item position.
-    """
-    document(config, "instrument", {"scale", "items"})
-    scale_doc = config.get("scale", {})
-    document(scale_doc, "scale", {"min", "max", "anchor_low", "anchor_high"})
-    for bound in ("min", "max"):
-        if bound in scale_doc:
-            integer(scale_doc[bound], f"scale {bound}")
-    scale = LikertScale(**scale_doc)
-
-    raw_items = array(config.get("items"), "'items'")
-    if not raw_items:
-        raise DefinitionError("'items' must not be empty")
-
-    items: list[Item] = []
-    seen_ids: set[int] = set()
-    for pos, doc in enumerate(raw_items, start=1):
-        fields(doc, f"item at position {pos}", {"id", "prompt", "dimension", "kano", "source_key"},
-               required=("id", "prompt", "dimension", "kano"))
-        item_id = doc["id"]
-        if not isinstance(item_id, int) or isinstance(item_id, bool) or item_id < 1:
-            raise DefinitionError(f"item at position {pos}: id must be a positive integer")
-        if item_id in seen_ids:
-            raise DefinitionError(f"item at position {pos}: duplicate id {item_id}")
-        seen_ids.add(item_id)
-        dimension = doc["dimension"]
-        if dimension not in DIMENSION_ORDER:
-            raise DefinitionError(
-                f"item at position {pos}: unknown dimension {dimension!r} "
-                f"(expected one of {', '.join(DIMENSION_ORDER)})"
-            )
-        try:
-            kano = KanoCategory(doc["kano"])
-        except ValueError:
-            raise DefinitionError(
-                f"item at position {pos}: unknown Kano token {doc['kano']!r} "
-                f"(expected one of {', '.join(c.value for c in KanoCategory)})"
-            ) from None
-        items.append(
-            Item(
-                id=item_id,
-                prompt=str(doc["prompt"]),
-                dimension=dimension,
-                kano=kano,
-                source_key=doc.get("source_key"),
-            )
-        )
-    return SurveyInstrument(items=tuple(items), scale=scale)
+    """Read an instrument-definition document, the shape :func:`serialize_instrument`
+    writes, through the annotations of SurveyInstrument, LikertScale and Item."""
+    return read(SurveyInstrument, config, "instrument")
 
 
 def select_items(catalog: Sequence[Item], keys: Iterable[str]) -> SurveyInstrument:
@@ -231,15 +189,7 @@ def select_items(catalog: Sequence[Item], keys: Iterable[str]) -> SurveyInstrume
         source = by_key.get(key)
         if source is None:
             raise DefinitionError(f"unknown catalog key {key!r} (selection position {pos})")
-        items.append(
-            Item(
-                id=pos,
-                prompt=source.prompt,
-                dimension=source.dimension,
-                kano=source.kano,
-                source_key=source.source_key,
-            )
-        )
+        items.append(replace(source, id=pos))
     if not items:
         raise DefinitionError("selection must contain at least one key")
     return SurveyInstrument(items=tuple(items))
@@ -247,25 +197,12 @@ def select_items(catalog: Sequence[Item], keys: Iterable[str]) -> SurveyInstrume
 
 def serialize_instrument(instrument: SurveyInstrument) -> dict:
     """Serialize to the definition-document shape accepted by
-    :func:`build_instrument` (round-trips to an identical instrument)."""
-    return {
-        "scale": {
-            "min": instrument.scale.min,
-            "max": instrument.scale.max,
-            "anchor_low": instrument.scale.anchor_low,
-            "anchor_high": instrument.scale.anchor_high,
-        },
-        "items": [
-            {
-                "id": it.id,
-                "prompt": it.prompt,
-                "dimension": it.dimension,
-                "kano": it.kano.value,
-                **({"source_key": it.source_key} if it.source_key is not None else {}),
-            }
-            for it in instrument.items
-        ],
-    }
+    :func:`build_instrument` (round-trips to an identical instrument): each
+    record's fields in declaration order, an absent source key left out."""
+    def record(obj) -> dict:
+        return {name: value.value if isinstance(value, Enum) else value
+                for name in hints(type(obj)) if (value := getattr(obj, name)) is not None}
+    return {"scale": record(instrument.scale), "items": [record(it) for it in instrument.items]}
 
 
 def load_instrument(path) -> SurveyInstrument:

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ComputationError, DefinitionError
-from .schema import array, document, fields, integer, number, read_json
+from .schema import array, document, fields, integer, number, read_json, string
 
 STRENGTH_VALUES = (0, 1, 3, 9)
 ROOF_SIGNS = ("positive", "negative")
@@ -108,18 +108,19 @@ def _compute_importances(
 
 
 def _requirements(docs, label: str, allowed: set[str], required=()):
-    """(id, record) pairs of a requirement list; ids are non-empty and unique,
-    and at least one requirement is required."""
+    """(id, name, record) of each requirement in a list; ids are non-empty
+    and unique strings, a name is a string and defaults to the id, and at
+    least one requirement is required."""
     seen: set[str] = set()
     for pos, doc in enumerate(array(docs, f"{label} list"), start=1):
         fields(doc, f"{label} at position {pos}", allowed, required)
-        req_id = str(doc.get("id", ""))
+        req_id = string(doc.get("id", ""), f"{label} at position {pos}: id")
         if not req_id:
             raise DefinitionError(f"{label} at position {pos}: missing id")
         if req_id in seen:
             raise DefinitionError(f"duplicate {label} id {req_id!r}")
         seen.add(req_id)
-        yield req_id, doc
+        yield req_id, string(doc.get("name", req_id), f"{label} {req_id!r}: name"), doc
     if not seen:
         raise DefinitionError(f"at least one {label} is required")
 
@@ -134,15 +135,16 @@ def build_hoq(definition: Mapping) -> HouseOfQuality:
              required=("customer_reqs", "tech_reqs", "relationships"))
 
     customer_reqs = [
-        CustomerRequirement(id=cr_id, name=str(doc.get("name", cr_id)), importance=number(
+        CustomerRequirement(id=cr_id, name=name, importance=number(
             doc["importance"], f"customer requirement {cr_id!r}: importance"))
-        for cr_id, doc in _requirements(definition["customer_reqs"], "customer requirement",
-                                        {"id", "name", "importance"}, required=("importance",))
+        for cr_id, name, doc in _requirements(
+            definition["customer_reqs"], "customer requirement", {"id", "name", "importance"},
+            required=("importance",))
     ]
     tech_reqs = [
-        TechnicalRequirement(id=tr_id, name=str(doc.get("name", tr_id)))
-        for tr_id, doc in _requirements(definition["tech_reqs"], "technical requirement",
-                                        {"id", "name"})
+        TechnicalRequirement(id=tr_id, name=name)
+        for tr_id, name, _ in _requirements(definition["tech_reqs"], "technical requirement",
+                                            {"id", "name"})
     ]
 
     rows = array(definition["relationships"], "relationships")

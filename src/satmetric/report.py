@@ -8,7 +8,8 @@ too, come from one renderer.  Each table is declared once, as Columns that
 the CSV bundle and Markdown both render.  Every string from outside the
 program goes through one helper per format: _md_text in a Markdown table
 cell, _md_prose in Markdown prose, _svg_text in a chart.  Saved JSON is read
-back by _read, which checks every field against its dataclass annotation.
+back by schema.read through the result dataclasses' annotations; report_from_dict
+adds the JSON layout, item cross-references and derived-field agreement.
 Timestamps live only in the metadata block and can be suppressed, making
 emitted bytes a pure function of the report.
 """
@@ -19,13 +20,11 @@ import csv
 import io
 import json
 import re
-from collections import abc
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from functools import cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .errors import DefinitionError
@@ -36,8 +35,7 @@ from .psychometrics import ItemDescriptives, ReliabilityReport
 from .qfd import HouseOfQuality, build_hoq, serialize_hoq
 from .rootcause import FishboneTree, ParetoTable, branch_magnitudes, build_fishbone, \
     serialize_fishbone
-from .schema import array, boolean, fields as check_fields, integer, mapping, number, \
-    parse_json, string
+from .schema import array, fields, hints, mapping, number, parse_json, read
 from .servqual import GapReport, ImportanceWeights, classify_satisfaction
 
 WARN_RELIABILITY_GATE = "RELIABILITY_GATE_FAILED"
@@ -171,18 +169,13 @@ def assemble(
 
 # --- JSON ------------------------------------------------------------------
 
-@cache
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
 def _record(obj) -> dict | None:
     """A result dataclass as a JSON-ready dict: fields in declaration order,
     enums as their values, tuples (of dataclasses) as lists (of records)."""
     if obj is None:
         return None
     doc = {}
-    for name in _field_names(type(obj)):
+    for name in hints(type(obj)):
         value = getattr(obj, name)
         if isinstance(value, tuple):
             value = [_record(v) if is_dataclass(v) else v for v in value]
@@ -232,63 +225,49 @@ def report_to_dict(report: AnalysisReport) -> dict:
     }
 
 
-_SCALARS = {float: number, int: integer, str: string, bool: boolean}
-_hints = cache(get_type_hints)  # a class's annotations, resolved on its first read
-#: A JSON object key that names an int: the text str() writes for it.
-_INT_KEY = re.compile(r"0|-?[1-9][0-9]*")
-
-
-def _int_key(key, context: str) -> int:
-    if not (isinstance(key, str) and _INT_KEY.fullmatch(key)):
-        raise DefinitionError(f"{context} key {key!r} must be an integer as str() writes it")
-    return int(key)
-
-
-def _read(tp, value, context: str):
-    """``value`` checked against the annotation ``tp`` (``X | None``, ``tuple[X, ...]``,
-    ``Mapping[str | int, X]``, an enum, a result dataclass or a scalar) and built
-    into it; scalars are returned as given, so a re-emitted report keeps its bytes."""
-    if tp in _SCALARS:
-        _SCALARS[tp](value, context)
-        return value
-    origin, args = get_origin(tp), get_args(tp)
-    if type(None) in args:
-        return None if value is None else _read(args[0], value, context)
-    if origin is tuple:
-        return tuple(_read(args[0], v, f"{context}[{at}]")
-                     for at, v in enumerate(array(value, context)))
-    if origin is abc.Mapping:
-        key = _int_key if args[0] is int else string
-        return {key(k, context): _read(args[1], v, f"{context}[{k!r}]")
-                for k, v in mapping(value, context).items()}
-    if is_dataclass(tp):
-        hints = _hints(tp)
-        check_fields(value, context, hints)
-        return tp(**{name: _read(hints[name], v, f"{context}.{name}")
-                     for name, v in value.items()})
-    return tp(value)  # an enum member
-
-
 def _metadata(meta) -> dict:
     """The metadata block, checked to the shape ``assemble`` writes."""
-    check_fields(meta, "report metadata",
-                 {"tool", "generated_at", "instrument", "respondents", "config"}, ("tool",))
-    check_fields(meta["tool"], "report metadata.tool", {"name", "version"}, ("name", "version"))
-    check_fields(meta.get("respondents", {}), "report metadata.respondents",
-                 {"expectation", "perception", "importance"})
+    fields(meta, "report metadata",
+           {"tool", "generated_at", "instrument", "respondents", "config"}, ("tool",))
+    fields(meta["tool"], "report metadata.tool", {"name", "version"}, ("name", "version"))
+    fields(meta.get("respondents", {}), "report metadata.respondents",
+           {"expectation", "perception", "importance"})
     if meta.get("instrument"):
-        check_fields(meta["instrument"], "report metadata.instrument",
-                     {"fingerprint", "n_items", "dimension_order", "items_per_dimension"},
-                     ("fingerprint", "n_items"))
+        fields(meta["instrument"], "report metadata.instrument",
+               {"fingerprint", "n_items", "dimension_order", "items_per_dimension"},
+               ("fingerprint", "n_items"))
     return dict(meta)
+
+
+def _check_derived(gap: GapReport, kano, pareto: ParetoTable | None) -> None:
+    """Refuse a derived field that disagrees with its sources.  Sums and
+    cumulative_pct are not recomputed: sum() rounds differently from Python
+    3.12 on, so a report saved on another version may differ in the last bit."""
+    for name in ("reliability_expectation", "reliability_perception"):
+        r = getattr(gap, name)
+        if r is not None and r.passes_gate != (r.alpha > r.threshold):
+            raise DefinitionError(f"report gap_report.{name}.passes_gate {r.passes_gate} disagrees "
+                                  f"with alpha {r.alpha} against threshold {r.threshold}")
+    rows = pareto.rows if pareto else ()
+    for name, records in (("kano_priorities", kano or ()), ("pareto.rows", rows)):
+        for at, record in enumerate(records):
+            if record.rank != at + 1:
+                raise DefinitionError(f"report {name}[{at}].rank must be {at + 1}, "
+                                      f"got {record.rank}")
+    for at, row in enumerate(rows):
+        number(row.magnitude, f"report pareto.rows[{at}].magnitude", minimum=0)
+    if pareto and pareto.vital_few_cutoff not in (range(1, len(rows) + 1) if rows else (None,)):
+        raise DefinitionError(f"report pareto.vital_few_cutoff must be "
+                              f"{f'1 to {len(rows)}' if rows else 'null'} for {len(rows)} rows, "
+                              f"got {pareto.vital_few_cutoff!r}")
 
 
 def report_from_dict(doc: Mapping) -> AnalysisReport:
     """Rebuild an AnalysisReport from its JSON form (inverse of
     report_to_dict up to tuple/list normalization): each field is read by
-    _read, and an error names it by its path in the AnalysisReport."""
+    schema.read, and an error names it by its path in the AnalysisReport."""
     ga, descriptives, hoq = doc["gap_analysis"], doc["descriptives"], doc.get("hoq")
-    read = {name: _read(_hints(AnalysisReport)[name], value, f"report {name}") for name, value in {
+    parsed = {name: read(hints(AnalysisReport)[name], value, f"report {name}") for name, value in {
         "gap_report": {
             "item_gaps": [{k: v for k, v in mapping(g, "report gap item").items()
                            if k != "classification"} for g in array(ga["items"], "report items")],
@@ -307,17 +286,18 @@ def report_from_dict(doc: Mapping) -> AnalysisReport:
         "item_labels": doc.get("item_labels", {}),
         "warnings": doc.get("warnings", []),
     }.items()}
-    gap_ids = {g.item_id for g in read["gap_report"].item_gaps}
-    for d in read["gap_report"].dimension_scores:
+    gap_ids = {g.item_id for g in parsed["gap_report"].item_gaps}
+    for d in parsed["gap_report"].dimension_scores:
         unknown = [i for i in d.item_ids if i not in gap_ids]
         if unknown:
             raise DefinitionError(f"report dimension {d.dimension!r} lists items "
                                   f"{unknown} that have no gap row")
+    _check_derived(parsed["gap_report"], parsed["kano_priorities"], parsed["pareto"])
     return AnalysisReport(
         metadata=_metadata(doc["metadata"]),
         hoq=build_hoq({k: v for k, v in hoq.items() if k != "computed"}) if hoq else None,
         fishbone=build_fishbone(doc["fishbone"]) if doc.get("fishbone") else None,
-        **read)
+        **parsed)
 
 
 # --- tables -----------------------------------------------------------------
@@ -358,7 +338,7 @@ _PARETO = (Column("rank", "Rank"), Column("item", "Item"), Column("label", "Labe
 
 def _values(obj) -> list:
     """A result dataclass's field values, in declaration order."""
-    return [getattr(obj, name) for name in _field_names(type(obj))]
+    return [getattr(obj, name) for name in hints(type(obj))]
 
 
 def _gap_rows(report: AnalysisReport) -> list[list]:

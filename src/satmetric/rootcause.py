@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .errors import DefinitionError
 from .instrument import SurveyInstrument
-from .schema import array, document, fields, integer, read_json
+from .schema import array, document, fields, integer, read_json, string
 from .servqual import ImportanceWeights, ItemGap
 
 DEFAULT_PARETO_THRESHOLD = 80.0
@@ -148,7 +148,8 @@ def _parse_causes(docs, depth: int, context: str) -> tuple[FishboneCause, ...]:
             continue
         fields(doc, f"{context} cause {pos}", {"text", "causes"}, required=("text",))
         children = _parse_causes(doc.get("causes", []), depth + 1, f"{context} cause {pos}")
-        causes.append(FishboneCause(text=str(doc["text"]), children=children))
+        text = string(doc["text"], f"{context} cause {pos}: text")
+        causes.append(FishboneCause(text=text, children=children))
     return tuple(causes)
 
 
@@ -157,14 +158,14 @@ def build_fishbone(definition: Mapping) -> FishboneTree:
     branches, each with an optional cause tree (at most 3 levels) and an
     optional item-id annotation used for per-branch magnitude summaries."""
     document(definition, "fishbone", {"effect", "branches"})
-    effect = str(definition.get("effect", "")).strip()
+    effect = string(definition.get("effect", ""), "fishbone effect").strip()
     if not effect:
         raise DefinitionError("fishbone effect must be a non-empty string")
     branches: list[FishboneBranch] = []
     seen: set[str] = set()
     for pos, doc in enumerate(array(definition.get("branches", []), "branches"), start=1):
         fields(doc, f"branch {pos}", {"name", "causes", "items"}, required=("name",))
-        name = str(doc["name"]).strip()
+        name = string(doc["name"], f"branch {pos}: name").strip()
         if not name:
             raise DefinitionError(f"branch {pos}: name must be non-empty")
         if name in seen:

@@ -1,15 +1,22 @@
-"""Input boundary: every JSON document is decoded here, and the loaders take
-every field through these checks.  Each raises DefinitionError naming the
-offending place, so malformed input lets no other exception out."""
+"""Input boundary: every JSON document is decoded here and every record read
+here.  A record shaped like its dataclass (an instrument, a saved report's
+results) is read by :func:`read` through the dataclass's annotations; the
+other loaders take each field through the checks below.  Each raises
+DefinitionError naming the offending place, so malformed input lets no
+other exception out."""
 
 from __future__ import annotations
 
 import json
 import re
 import sys
+from collections.abc import Iterable, Mapping
+from dataclasses import MISSING, fields as dataclass_fields, is_dataclass
+from enum import EnumMeta
+from functools import cache
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import DefinitionError
 
@@ -114,3 +121,52 @@ def integer(value, context: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise DefinitionError(f"{context} must be >= {minimum}, got {value}")
     return int(value)
+
+
+_SCALARS = {float: number, int: integer, str: string, bool: boolean}
+#: A JSON object key that names an int: the text str() writes for it.
+_INT_KEY = re.compile(r"0|-?[1-9][0-9]*")
+#: A dataclass's annotations, resolved on its first read.
+hints = cache(get_type_hints)
+
+
+@cache
+def _required(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclass_fields(cls)
+                 if f.default is MISSING and f.default_factory is MISSING)
+
+
+def _int_key(key, context: str) -> int:
+    if not (isinstance(key, str) and _INT_KEY.fullmatch(key)):
+        raise DefinitionError(f"{context} key {key!r} must be an integer as str() writes it")
+    return int(key)
+
+
+def read(tp, value, context: str):
+    """``value`` read as the annotation ``tp``: a scalar (returned as given), an
+    enum, a dataclass (no unknown key, no missing field without a default; its
+    constructor makes the checks not about types), ``X | None``, ``tuple[X, ...]``
+    or ``Mapping[str | int, X]``.  Errors give the path (``instrument.items[2].kano``)."""
+    if tp in _SCALARS:
+        _SCALARS[tp](value, context)
+        return value
+    if isinstance(tp, EnumMeta):
+        try:
+            return tp(value)
+        except ValueError:
+            raise DefinitionError(f"{context} {value!r} is not one of: "
+                                  f"{', '.join(member.value for member in tp)}") from None
+    if is_dataclass(tp):
+        types = hints(tp)
+        fields(value, context, types, _required(tp))
+        return tp(**{name: read(types[name], v, f"{context}.{name}")
+                     for name, v in value.items()})
+    origin, args = get_origin(tp), get_args(tp)
+    if type(None) in args:
+        return None if value is None else read(args[0], value, context)
+    if origin is tuple:
+        return tuple(read(args[0], v, f"{context}[{at}]")
+                     for at, v in enumerate(array(value, context)))
+    key = _int_key if args[0] is int else string  # a Mapping
+    return {key(k, context): read(args[1], v, f"{context}[{k!r}]")
+            for k, v in mapping(value, context).items()}

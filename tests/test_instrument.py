@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -92,7 +93,9 @@ def test_duplicate_id_rejected_with_position():
 
 @pytest.mark.parametrize("mutation, match", [
     ({"dimension": "speed"}, "unknown dimension"),
-    ({"kano": "mandatory"}, "unknown Kano token"),
+    # The explicit id keeps this case's test name stable.
+    pytest.param({"kano": "mandatory"}, r"instrument\.items\[0\]\.kano 'mandatory' is not one of: "
+                 "must_be, performance", id="mutation1-unknown Kano token"),
     ({"id": 0}, "positive integer"),
 ])
 def test_bad_item_fields_rejected(mutation, match):
@@ -108,9 +111,9 @@ def test_empty_item_list_rejected():
 
 
 def test_unknown_fields_rejected():
-    with pytest.raises(DefinitionError, match="unknown instrument fields"):
+    with pytest.raises(DefinitionError, match=r"instrument: unknown fields \['extra'\]"):
         build_instrument({"scale": {}, "items": [], "extra": 1})
-    with pytest.raises(DefinitionError, match="unknown scale fields"):
+    with pytest.raises(DefinitionError, match=r"instrument\.scale: unknown fields \['step'\]"):
         build_instrument({
             "scale": {"min": 1, "max": 5, "step": 2},
             "items": [{"id": 1, "prompt": "a", "dimension": "empathy", "kano": "must_be"}],
@@ -121,6 +124,26 @@ def test_unknown_fields_rejected():
             "items": [{"id": 1, "prompt": "a", "dimension": "empathy",
                        "kano": "must_be", "note": "x"}],
         })
+
+
+ITEM = {"id": 1, "prompt": "a", "dimension": "empathy", "kano": "must_be"}
+
+
+@pytest.mark.parametrize("item, scale, message", [
+    ({"prompt": {"x": 1}}, {}, "instrument.items[0].prompt must be a string, got {'x': 1}"),
+    ({"source_key": 5}, {}, "instrument.items[0].source_key must be a string, got 5"),
+    ({}, {"anchor_low": [1]}, "instrument.scale.anchor_low must be a string, got [1]"),
+], ids=["prompt", "source_key", "anchor_low"])
+def test_text_fields_must_be_strings(item, scale, message):
+    """A non-string text field is refused, not turned into text by str()."""
+    with pytest.raises(DefinitionError, match=f"^{re.escape(message)}$"):
+        build_instrument({"scale": {"min": 1, "max": 5, **scale}, "items": [{**ITEM, **item}]})
+
+
+def test_missing_item_field_is_named_with_its_path():
+    item = {k: v for k, v in ITEM.items() if k != "prompt"}
+    with pytest.raises(DefinitionError, match=r"^instrument\.items\[0\]: missing field 'prompt'$"):
+        build_instrument({"items": [item]})
 
 
 def test_serialize_round_trips_identically(xyz_instrument):

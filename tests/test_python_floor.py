@@ -1,10 +1,12 @@
 """The oldest Python that ``pyproject.toml`` allows, 3.10, must byte-compile
-every source file and compile every regular expression in ``src``.
+every source file, compile every regular expression in ``src`` and read the
+bundled instrument through its dataclass annotations (3.10 takes
+``tuple[int, ...]`` for a class, which a reader must not dispatch on).
 
-The suite runs on one interpreter, so this test looks for a 3.10 one:
+The suite runs on one interpreter, so these tests look for a 3.10 one:
 ``$SATMETRIC_PYTHON310``, then ``python3.10`` on the PATH, then a pyenv
 3.10 install.  The checks run there with the standard library only.
-Without a 3.10 interpreter the test skips and says so.
+Without a 3.10 interpreter the tests skip and say so.
 """
 
 from __future__ import annotations
@@ -42,6 +44,19 @@ for pattern in patterns:
     except re.error as exc:
         bad.append([pattern, str(exc)])
 print(json.dumps(bad))
+"""
+
+
+#: Reads the bundled instrument through a package stub over ``src/satmetric``,
+#: so that the package's numpy-importing ``__init__`` does not run.
+READ_INSTRUMENT = """
+import json, sys, types
+package = types.ModuleType("satmetric")
+package.__path__ = [sys.argv[1]]
+sys.modules["satmetric"] = package
+from satmetric.instrument import load_instrument
+instrument = load_instrument(sys.argv[1] + "/data/xyz_instrument.json")
+print(json.dumps([instrument.n_items, instrument.fingerprint()]))
 """
 
 
@@ -123,11 +138,16 @@ def test_regex_literals_are_found(tmp_path):
     assert patterns == [r"[a-z]+(?:,[0-9]{1,18}){%d}" % SAMPLE_K, "[0-9]+", "[a-z]+"]
 
 
-def test_sources_and_patterns_compile_on_python_3_10(tmp_path):
+def _python310_or_skip() -> str:
     python = _python310()
     if python is None:
         pytest.skip("no Python 3.10 interpreter found (set SATMETRIC_PYTHON310, put "
                     "python3.10 on the PATH or install 3.10 with pyenv)")
+    return python
+
+
+def test_sources_and_patterns_compile_on_python_3_10(tmp_path):
+    python = _python310_or_skip()
     files = [str(path) for path in sorted(SRC.glob("*.py"))]
     patterns = [*_regex_literals(), CANARY]
     done = subprocess.run([python, "-I", "-c", CHECK], capture_output=True, text=True,
@@ -136,3 +156,10 @@ def test_sources_and_patterns_compile_on_python_3_10(tmp_path):
     bad = json.loads(done.stdout)
     assert [item for item, _ in bad] == [CANARY], bad
     assert len(files) >= 10
+
+
+def test_instrument_reads_on_python_3_10(xyz_instrument):
+    done = subprocess.run([_python310_or_skip(), "-I", "-c", READ_INSTRUMENT, str(SRC)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [17, xyz_instrument.fingerprint()]

@@ -405,11 +405,56 @@ GATE = ("reliability", "perception", "passes_gate")
     (GATE, None, "gap_report.reliability_perception.passes_gate must be true or false, "
                  "got None"),
     (("kano", 2, "note"), "x", "kano_priorities[2]: unknown fields ['note']"),
-], ids=["passes_gate_text", "passes_gate_zero", "passes_gate_null", "unknown_field"])
+    (("kano", 1, "category"), "mandatory", "kano_priorities[1].category 'mandatory' is not "
+                                           "one of: must_be, performance, delighter, indifferent"),
+], ids=["passes_gate_text", "passes_gate_zero", "passes_gate_null", "unknown_field",
+        "kano_category"])
 def test_refused_field_is_named_by_its_place(saved_reports, path, value, message):
     doc, _ = saved_reports["demo07"]
     with pytest.raises(DefinitionError, match=f"^report {re.escape(message)}$"):
         parse_report(json.dumps(replace_at(doc, path, value)))
+
+
+def test_missing_field_is_named_by_its_place(saved_reports):
+    doc = json.loads(json.dumps(saved_reports["demo07"][0]))
+    del doc["reliability"]["perception"]["alpha"]
+    with pytest.raises(DefinitionError, match=r"^report gap_report\.reliability_perception: "
+                                              r"missing field 'alpha'$"):
+        parse_report(json.dumps(doc))
+
+
+ROWS = ("pareto", "rows")
+CUTOFF = ("pareto", "vital_few_cutoff")
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({GATE: True, ("reliability", "perception", "alpha"): 0.14},
+     "gap_report.reliability_perception.passes_gate True disagrees with alpha 0.14 against "
+     "threshold 0.6"),
+    ({GATE: False, ("reliability", "perception", "alpha"): 0.9},
+     "gap_report.reliability_perception.passes_gate False disagrees with alpha 0.9 against "
+     "threshold 0.6"),
+    ({(*ROWS, 0, "magnitude"): -5}, "pareto.rows[0].magnitude must be >= 0, got -5.0"),
+    ({("kano", 0, "rank"): 7}, "kano_priorities[0].rank must be 1, got 7"),
+    ({(*ROWS, 1, "rank"): 1}, "pareto.rows[1].rank must be 2, got 1"),
+    ({CUTOFF: None}, "pareto.vital_few_cutoff must be 1 to {n} for {n} rows, got None"),
+    ({CUTOFF: 0}, "pareto.vital_few_cutoff must be 1 to {n} for {n} rows, got 0"),
+    (lambda n: {CUTOFF: n + 1}, "pareto.vital_few_cutoff must be 1 to {n} for {n} rows, "
+                                "got {past}"),
+    ({ROWS: [], CUTOFF: 1}, "pareto.vital_few_cutoff must be null for 0 rows, got 1"),
+], ids=["gate_true", "gate_false", "negative_magnitude", "kano_rank", "pareto_rank",
+        "cutoff_null", "cutoff_zero", "cutoff_past_end", "cutoff_on_empty_table"])
+def test_derived_field_must_agree_with_its_sources(saved_reports, edits, message):
+    """A passes_gate, rank, magnitude or vital-few cutoff that the rest of
+    the report contradicts is refused."""
+    doc, _ = saved_reports["demo07"]
+    n = len(doc["pareto"]["rows"])
+    assert n >= 2 and doc["reliability"]["perception"]["threshold"] == 0.6
+    for path, value in (edits(n) if callable(edits) else edits).items():
+        doc = replace_at(doc, path, value)
+    message = message.format(n=n, past=n + 1)
+    with pytest.raises(DefinitionError, match=f"^report {re.escape(message)}$"):
+        parse_report(json.dumps(doc))
 
 
 @pytest.mark.parametrize("key", ["1_0", " 1", "+1", "01", "1 ", "-0", "1.0", "x", ""])

@@ -158,6 +158,23 @@ def test_surrogate_pair_escapes_still_decode():
         ["\U0001f600", "\\ud800"]
 
 
+@pytest.mark.parametrize("build, doc, message", [
+    (build_hoq, _with(HOQ, customer_reqs=[{"id": ["c1"], "importance": 1}]),
+     "customer requirement at position 1: id must be a string, got ['c1']"),
+    (build_hoq, _with(HOQ, tech_reqs=[{"id": "t1", "name": None}, {"id": "t2"}]),
+     "technical requirement 't1': name must be a string, got None"),
+    (build_fishbone, {"effect": True}, "fishbone effect must be a string, got True"),
+    (build_fishbone, _branch(name=["late"]), "branch 1: name must be a string, got ['late']"),
+    (build_fishbone, _branch(causes=[{"text": None}]),
+     "branch 'b' cause 1: text must be a string, got None"),
+], ids=["requirement_id", "requirement_name", "fishbone_effect", "branch_name", "cause_text"])
+def test_text_fields_must_be_json_strings(build, doc, message):
+    """A text field is refused unless it is a JSON string, not turned into
+    text by str() ("['late']", "None", "True")."""
+    with pytest.raises(DefinitionError, match=f"^{re.escape(message)}$"):
+        build(doc)
+
+
 def test_valid_documents_still_build():
     assert build_instrument(INSTRUMENT).n_items == 5
     assert [t.rank for t in build_hoq(HOQ).importances] == [1, 2]

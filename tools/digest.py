@@ -2,10 +2,12 @@
 
 For each workload of ``perfbench/workloads.py`` at the given seed, the script
 runs ``satmetric gap`` with the default flags, again with
-``--unweighted-contributions --kano-multipliers must_be=3,delighter=0.5`` and
-again with ``--strict-gate``, then re-emits each saved report with
-``satmetric report``, in every format and in ``markdown,svg-charts`` alone.
-On the same inputs it runs ``validate``, ``descriptives``, and
+``--unweighted-contributions --kano-multipliers must_be=3,delighter=0.5``,
+again with ``--strict-gate`` and again with ``--normalize-weights
+--variance-mode sample --pareto-threshold 50``, then re-emits each saved
+report with ``satmetric report``, in every format and in
+``markdown,svg-charts`` alone.  On the same inputs it runs ``validate``,
+``descriptives`` with and without ``--variance-mode sample``,
 ``reliability`` with and without ``--strict-gate``, and ``qfd`` with and
 without ``--show-conflicts`` on the workload's ``--hoq`` file, if it has
 one.  It prints one line per output file and per call's stdout, stderr and
@@ -41,15 +43,19 @@ VARIANTS = {
     "default": [],
     "flags": ["--unweighted-contributions", "--kano-multipliers", "must_be=3,delighter=0.5"],
     "strict": ["--strict-gate"],
+    "options": ["--normalize-weights", "--variance-mode", "sample", "--pareto-threshold", "50"],
 }
 #: Output directory of each ``satmetric report`` re-emit -> its ``--formats`` flags.
 REEMITS = {"report": [], "report_md_svg": ["--formats", "markdown,svg-charts"]}
-#: Survey subcommand -> the gap options it takes, and whether it writes ``--out``.
+#: Survey subcommand -> the gap options it takes, whether it writes ``--out``, and
+#: the flags of each run besides the default one.
 SURVEY_COMMANDS = {
     "validate": (("--instrument", "--expect", "--perceive", "--importance",
-                  "--missing-policy"), False),
-    "descriptives": (("--instrument", "--expect", "--perceive", "--missing-policy"), True),
-    "reliability": (("--instrument", "--expect", "--perceive", "--missing-policy"), True),
+                  "--missing-policy"), False, {}),
+    "descriptives": (("--instrument", "--expect", "--perceive", "--missing-policy"), True,
+                     {"sample": ["--variance-mode", "sample"]}),
+    "reliability": (("--instrument", "--expect", "--perceive", "--missing-policy"), True,
+                    {"strict": ["--strict-gate"]}),
 }
 
 
@@ -89,14 +95,12 @@ def digest(name: str, seed: int) -> list[str]:
         lines += _files(run / "gap")
         for out in REEMITS:
             lines += _files(run / out)
-    for command, (takes, writes) in SURVEY_COMMANDS.items():
+    for command, (takes, writes, variants) in SURVEY_COMMANDS.items():
         argv = [command]
         for at, option in enumerate(gap):
             if option in takes:
                 argv += gap[at:at + 2]
-        for variant, flags in (("default", []), ("strict", ["--strict-gate"])):
-            if flags and command != "reliability":
-                continue
+        for variant, flags in {"default": [], **variants}.items():
             run = Path(name) / command / variant
             out = ["--out", str(run / "out.csv")] if writes else []
             run.mkdir(parents=True)
