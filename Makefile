@@ -19,7 +19,8 @@ help:
 	@echo "make digest       SHA-256 of every gap, report, validate, descriptives, reliability"
 	@echo "                  and qfd output on each workload: SEED=<n> (default 1); gap runs"
 	@echo "                  also with --normalize-weights --variance-mode sample"
-	@echo "                  --pareto-threshold 50, descriptives with --variance-mode sample"
+	@echo "                  --pareto-threshold 50 and, on xyz_batch, with the weights file as"
+	@echo "                  a bare means object; descriptives with --variance-mode sample"
 	@echo "make digest-diff  make digest with the src/ of git revision BASE=<rev> and of the"
 	@echo "                  working tree; prints the diff and fails on any difference: SEED=<n>"
 

@@ -22,7 +22,7 @@ from .psychometrics import DEFAULT_ALPHA_THRESHOLD, VarianceMode, item_descripti
 from .qfd import load_hoq, roof_conflicts
 from .report import FORMATS, csv_bytes, parse_report, reliability_csv, write_report
 from .rootcause import DEFAULT_PARETO_THRESHOLD
-from .schema import array, number, read_bytes, read_json
+from .schema import number, read, read_bytes, read_json
 
 
 def _write_out(payload: bytes, out: str | None) -> None:
@@ -113,13 +113,13 @@ def cmd_qfd(args) -> int:
 def cmd_synth(args) -> int:
     instrument = load_instrument(args.instrument)
     if args.targets:
-        targets = array(read_json(args.targets), f"{args.targets}: target means")
+        targets = read_json(args.targets)
     else:
         try:
             targets = [float(v) for v in args.means.split(",")]
         except ValueError:
             raise SatmetricError(f"bad --means list {args.means!r}") from None
-    targets = [number(t, f"target mean {pos}") for pos, t in enumerate(targets, start=1)]
+    targets = [float(t) for t in read(tuple[float, ...], targets, "targets")]
     if len(targets) != instrument.n_items:
         raise SatmetricError(f"{len(targets)} target means for {instrument.n_items} items")
     rs = generate_synthetic(targets, args.n, instrument.scale, seed=args.seed,

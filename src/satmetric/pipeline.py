@@ -8,7 +8,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .errors import ConfigError, SatmetricError
 from .ingest import MissingPolicy, ResponseKind, ResponseSet, ValidationReport, \
@@ -21,7 +21,7 @@ from .qfd import load_hoq
 from .report import AnalysisReport, assemble
 from .rootcause import DEFAULT_PARETO_THRESHOLD, dissatisfaction_contributions, load_fishbone, \
     pareto
-from .schema import read_bytes, read_json
+from .schema import read, read_bytes, read_json
 from .servqual import compute_gap_report, importance_weights, normalize_weights, \
     weights_from_means
 
@@ -103,11 +103,18 @@ def gate_failure(survey: str, rel: ReliabilityReport) -> str:
     return f"{survey} survey alpha {rel.alpha:.4f} does not exceed {rel.threshold}"
 
 
+@dataclass(frozen=True)
+class WeightsDoc:
+    """A weights file, unless it holds the bare ``means`` object alone."""
+    means: Mapping[str, float]
+    n_respondents: int | None = None
+
+
 def _load_weights_file(path: str):
     doc = read_json(path)
-    if isinstance(doc, dict) and "means" in doc:
-        return weights_from_means(doc["means"], n_respondents=doc.get("n_respondents"))
-    return weights_from_means(doc)
+    doc = read(WeightsDoc, doc if isinstance(doc, dict) and "means" in doc else {"means": doc},
+               "weights")
+    return weights_from_means(doc.means, n_respondents=doc.n_respondents)
 
 
 def run(inputs: Inputs, config: Config = Config(), timestamp=True) -> AnalysisReport | None:
@@ -122,15 +129,15 @@ def run(inputs: Inputs, config: Config = Config(), timestamp=True) -> AnalysisRe
     mode = _setting(VarianceMode, config.variance_mode, "variance_mode")
     policy = _setting(MissingPolicy, config.missing_policy, "missing_policy")
     instrument = load_instrument(inputs.instrument)
-    read = {kind.value: (responses, validation) for kind, _, responses, validation in surveys(
+    parsed = {kind.value: (responses, validation) for kind, _, responses, validation in surveys(
         instrument, policy, inputs.expect, inputs.perceive, inputs.importance)}
-    weights = importance_weights(read["importance"][0]) if inputs.importance \
+    weights = importance_weights(parsed["importance"][0]) if inputs.importance \
         else _load_weights_file(inputs.weights)
     if config.normalize_weights:
         weights = normalize_weights(weights)
     likert = ("expectation", "perception")
-    descriptives = [item_descriptives(read[s][0], instrument, mode) for s in likert]
-    reliability = [reliability_report(read[s][0], instrument, threshold=config.alpha_threshold)
+    descriptives = [item_descriptives(parsed[s][0], instrument, mode) for s in likert]
+    reliability = [reliability_report(parsed[s][0], instrument, threshold=config.alpha_threshold)
                    for s in likert]
     failed = [gate_failure(s, rel) for s, rel in zip(likert, reliability) if not rel.passes_gate]
     if config.strict_gate and failed:
@@ -150,7 +157,7 @@ def run(inputs: Inputs, config: Config = Config(), timestamp=True) -> AnalysisRe
         kano_priorities=priorities, pareto=pareto_table,
         hoq=load_hoq(inputs.hoq) if inputs.hoq else None,
         fishbone=load_fishbone(inputs.fishbone) if inputs.fishbone else None,
-        validation={name: validation for name, (_, validation) in read.items()},
+        validation={name: validation for name, (_, validation) in parsed.items()},
         config={"variance_mode": mode.value, "alpha_threshold": config.alpha_threshold,
                 "strict_gate": bool(config.strict_gate),
                 "kano_multipliers": {c.value: v for c, v in multipliers.items()},

@@ -15,12 +15,10 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ComputationError, DefinitionError
-from .schema import array, document, fields, integer, number, read_json, string
+from .schema import read, read_json
 
 STRENGTH_VALUES = (0, 1, 3, 9)
 ROOF_SIGNS = ("positive", "negative")
-
-_TOP_KEYS = {"customer_reqs", "tech_reqs", "relationships", "roof", "benchmarks", "ctq_tree"}
 
 
 @dataclass(frozen=True)
@@ -48,6 +46,28 @@ class RoofEntry:
     i: int
     j: int
     sign: str
+
+
+@dataclass(frozen=True)
+class RequirementDoc:
+    """A requirement as its JSON writes it: the name defaults to the id."""
+    id: str
+    name: str | None = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class CustomerRequirementDoc(RequirementDoc):
+    importance: float
+
+
+@dataclass(frozen=True)
+class HouseOfQualityDoc:
+    customer_reqs: tuple[CustomerRequirementDoc, ...]
+    tech_reqs: tuple[RequirementDoc, ...]
+    relationships: tuple[tuple[int, ...], ...]
+    roof: tuple[RoofEntry, ...] = ()
+    benchmarks: object = None
+    ctq_tree: object = None
 
 
 @dataclass(frozen=True)
@@ -95,34 +115,10 @@ def _compute_importances(
     ranks = [0] * len(tech_reqs)
     for rank, j in enumerate(order, start=1):
         ranks[j] = rank
-    computed = tuple(
-        TechnicalImportance(
-            tech_id=tech_reqs[j].id,
-            absolute=float(absolute[j]),
-            relative_pct=float(relative[j]),
-            rank=ranks[j],
-        )
-        for j in range(len(tech_reqs))
-    )
+    computed = tuple(TechnicalImportance(tech_id=tech_reqs[j].id, absolute=float(absolute[j]),
+                                         relative_pct=float(relative[j]), rank=ranks[j])
+                     for j in range(len(tech_reqs)))
     return computed, degenerate
-
-
-def _requirements(docs, label: str, allowed: set[str], required=()):
-    """(id, name, record) of each requirement in a list; ids are non-empty
-    and unique strings, a name is a string and defaults to the id, and at
-    least one requirement is required."""
-    seen: set[str] = set()
-    for pos, doc in enumerate(array(docs, f"{label} list"), start=1):
-        fields(doc, f"{label} at position {pos}", allowed, required)
-        req_id = string(doc.get("id", ""), f"{label} at position {pos}: id")
-        if not req_id:
-            raise DefinitionError(f"{label} at position {pos}: missing id")
-        if req_id in seen:
-            raise DefinitionError(f"duplicate {label} id {req_id!r}")
-        seen.add(req_id)
-        yield req_id, string(doc.get("name", req_id), f"{label} {req_id!r}: name"), doc
-    if not seen:
-        raise DefinitionError(f"at least one {label} is required")
 
 
 def build_hoq(definition: Mapping) -> HouseOfQuality:
@@ -131,75 +127,59 @@ def build_hoq(definition: Mapping) -> HouseOfQuality:
     ``benchmarks`` and ``ctq_tree`` are opaque annotations: accepted,
     echoed in reports, never computed on.
     """
-    document(definition, "house-of-quality", _TOP_KEYS,
-             required=("customer_reqs", "tech_reqs", "relationships"))
+    doc = read(HouseOfQualityDoc, definition, "hoq")
+    for key, reqs in (("customer_reqs", doc.customer_reqs), ("tech_reqs", doc.tech_reqs)):
+        if not reqs:
+            raise DefinitionError(f"hoq.{key} must hold at least one requirement")
+        seen: set[str] = set()
+        for at, req in enumerate(reqs):
+            if not req.id or req.id in seen:
+                raise DefinitionError(f"hoq.{key}[{at}].id {req.id!r} is "
+                                      + ("a duplicate" if req.id else "empty"))
+            seen.add(req.id)
+    customer_reqs = tuple(CustomerRequirement(id=r.id, name=r.id if r.name is None else r.name,
+                                              importance=float(r.importance))
+                          for r in doc.customer_reqs)
+    tech_reqs = tuple(TechnicalRequirement(id=r.id, name=r.id if r.name is None else r.name)
+                      for r in doc.tech_reqs)
 
-    customer_reqs = [
-        CustomerRequirement(id=cr_id, name=name, importance=number(
-            doc["importance"], f"customer requirement {cr_id!r}: importance"))
-        for cr_id, name, doc in _requirements(
-            definition["customer_reqs"], "customer requirement", {"id", "name", "importance"},
-            required=("importance",))
-    ]
-    tech_reqs = [
-        TechnicalRequirement(id=tr_id, name=name)
-        for tr_id, name, _ in _requirements(definition["tech_reqs"], "technical requirement",
-                                            {"id", "name"})
-    ]
-
-    rows = array(definition["relationships"], "relationships")
+    rows = doc.relationships
     if len(rows) != len(customer_reqs):
-        raise DefinitionError(
-            f"relationship matrix has {len(rows)} rows but there are "
-            f"{len(customer_reqs)} customer requirements"
-        )
-    matrix = np.zeros((len(customer_reqs), len(tech_reqs)), dtype=np.int64)
+        raise DefinitionError(f"hoq.relationships has {len(rows)} rows but there are "
+                              f"{len(customer_reqs)} customer requirements")
     for i, row in enumerate(rows):
-        if len(array(row, f"relationship row {i}")) != len(tech_reqs):
-            raise DefinitionError(
-                f"relationship row {i} has {len(row)} cells but there are "
-                f"{len(tech_reqs)} technical requirements"
-            )
+        if len(row) != len(tech_reqs):
+            raise DefinitionError(f"hoq.relationships[{i}] has {len(row)} cells but there are "
+                                  f"{len(tech_reqs)} technical requirements")
         for j, cell in enumerate(row):
-            if not isinstance(cell, int) or isinstance(cell, bool) or cell not in STRENGTH_VALUES:
-                raise DefinitionError(
-                    f"relationship cell ({i}, {j}) = {cell!r} is not a legal "
-                    f"strength (expected one of {STRENGTH_VALUES})"
-                )
-            matrix[i, j] = cell
+            if cell not in STRENGTH_VALUES:
+                raise DefinitionError(f"hoq.relationships[{i}][{j}] {cell!r} is not a legal "
+                                      f"strength (expected one of {STRENGTH_VALUES})")
+    matrix = np.array(rows, dtype=np.int64)
     matrix.setflags(write=False)
 
     roof: list[RoofEntry] = []
-    seen_pairs: set[tuple[int, int]] = set()
-    for pos, doc in enumerate(array(definition.get("roof", []), "roof"), start=1):
-        context = f"roof entry {pos}"
-        fields(doc, context, {"i", "j", "sign"}, required=("i", "j", "sign"))
-        i, j = integer(doc["i"], f"{context}: i"), integer(doc["j"], f"{context}: j")
-        sign = doc["sign"]
-        if sign not in ROOF_SIGNS:
-            raise DefinitionError(f"roof entry {pos}: sign must be one of {ROOF_SIGNS}")
+    pairs: set[tuple[int, int]] = set()
+    for at, entry in enumerate(doc.roof):
+        context = f"hoq.roof[{at}]"
+        if entry.sign not in ROOF_SIGNS:
+            raise DefinitionError(f"{context}.sign must be one of {ROOF_SIGNS}, "
+                                  f"got {entry.sign!r}")
+        i, j = min(entry.i, entry.j), max(entry.i, entry.j)
         if i == j:
-            raise DefinitionError(f"roof entry {pos}: i and j must differ")
-        i, j = min(i, j), max(i, j)
-        if not (0 <= i < len(tech_reqs) and 0 <= j < len(tech_reqs)):
-            raise DefinitionError(f"roof entry {pos}: indices out of range")
-        if (i, j) in seen_pairs:
-            raise DefinitionError(f"roof entry {pos}: duplicate pair ({i}, {j})")
-        seen_pairs.add((i, j))
-        roof.append(RoofEntry(i=i, j=j, sign=sign))
+            raise DefinitionError(f"{context}: i and j must differ")
+        if not (0 <= i and j < len(tech_reqs)):
+            raise DefinitionError(f"{context}: indices out of range")
+        if (i, j) in pairs:
+            raise DefinitionError(f"{context}: duplicate pair ({i}, {j})")
+        pairs.add((i, j))
+        roof.append(RoofEntry(i=i, j=j, sign=entry.sign))
     roof.sort(key=lambda e: (e.i, e.j))
 
-    computed, degenerate = _compute_importances(tuple(customer_reqs), tuple(tech_reqs), matrix)
-    return HouseOfQuality(
-        customer_reqs=tuple(customer_reqs),
-        tech_reqs=tuple(tech_reqs),
-        relationships=matrix,
-        roof=tuple(roof),
-        importances=computed,
-        degenerate=degenerate,
-        benchmarks=definition.get("benchmarks"),
-        ctq_tree=definition.get("ctq_tree"),
-    )
+    computed, degenerate = _compute_importances(customer_reqs, tech_reqs, matrix)
+    return HouseOfQuality(customer_reqs=customer_reqs, tech_reqs=tech_reqs, relationships=matrix,
+                          roof=tuple(roof), importances=computed, degenerate=degenerate,
+                          benchmarks=doc.benchmarks, ctq_tree=doc.ctq_tree)
 
 
 def roof_conflicts(hoq: HouseOfQuality) -> list[tuple[str, str]]:
@@ -220,10 +200,8 @@ def load_hoq(path) -> HouseOfQuality:
 def serialize_hoq(hoq: HouseOfQuality) -> dict:
     """Serialize back to the definition-document shape (round-trips)."""
     doc: dict = {
-        "customer_reqs": [
-            {"id": cr.id, "name": cr.name, "importance": cr.importance}
-            for cr in hoq.customer_reqs
-        ],
+        "customer_reqs": [{"id": cr.id, "name": cr.name, "importance": cr.importance}
+                          for cr in hoq.customer_reqs],
         "tech_reqs": [{"id": tr.id, "name": tr.name} for tr in hoq.tech_reqs],
         "relationships": [[int(v) for v in row] for row in hoq.relationships],
         "roof": [{"i": e.i, "j": e.j, "sign": e.sign} for e in hoq.roof],

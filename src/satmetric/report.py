@@ -35,7 +35,7 @@ from .psychometrics import ItemDescriptives, ReliabilityReport
 from .qfd import HouseOfQuality, build_hoq, serialize_hoq
 from .rootcause import FishboneTree, ParetoTable, branch_magnitudes, build_fishbone, \
     serialize_fishbone
-from .schema import array, fields, hints, mapping, number, parse_json, read
+from .schema import array, hints, mapping, number, parse_json, read
 from .servqual import GapReport, ImportanceWeights, classify_satisfaction
 
 WARN_RELIABILITY_GATE = "RELIABILITY_GATE_FAILED"
@@ -51,8 +51,40 @@ class ReportWarning:
 
 
 @dataclass(frozen=True)
+class Tool:
+    name: str
+    version: str
+
+
+@dataclass(frozen=True)
+class InstrumentSummary:
+    fingerprint: str
+    n_items: int
+    dimension_order: tuple[str, ...]
+    items_per_dimension: Mapping[str, int]
+
+
+@dataclass(frozen=True)
+class RespondentCounts:
+    expectation: int | None
+    perception: int | None
+    importance: int | None
+
+
+@dataclass(frozen=True)
+class ReportMetadata:
+    """Where a report came from; ``generated_at`` is None without a timestamp."""
+
+    tool: Tool
+    generated_at: str | None
+    instrument: InstrumentSummary | None
+    respondents: RespondentCounts
+    config: Mapping[str, object]
+
+
+@dataclass(frozen=True)
 class AnalysisReport:
-    metadata: dict
+    metadata: ReportMetadata
     gap_report: GapReport
     expectation_descriptives: tuple[ItemDescriptives, ...] | None = None
     perception_descriptives: tuple[ItemDescriptives, ...] | None = None
@@ -128,31 +160,20 @@ def assemble(
             and any(b.item_ids for b in fishbone.branches):
         branch_sums = branch_magnitudes(fishbone, pareto.rows)
 
-    metadata: dict = {
-        "tool": {"name": "satmetric", "version": __version__},
-        "generated_at": (
-            datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ") if timestamp else None
-        ),
-        "instrument": None,
-        "respondents": {
-            "expectation": expectation_descriptives[0].n if expectation_descriptives else None,
-            "perception": perception_descriptives[0].n if perception_descriptives else None,
-            "importance": importance_weights.n_respondents if importance_weights else None,
-        },
-        "config": dict(config) if config else {},
-    }
-    item_labels: dict[int, str] = {}
-    if instrument is not None:
-        metadata["instrument"] = {
-            "fingerprint": instrument.fingerprint(),
-            "n_items": instrument.n_items,
-            "dimension_order": list(DIMENSION_ORDER),
-            "items_per_dimension": instrument.dimension_item_counts(),
-        }
-        item_labels = {item.id: item.prompt for item in instrument.items}
-
     return AnalysisReport(
-        metadata=metadata,
+        metadata=ReportMetadata(
+            tool=Tool(name="satmetric", version=__version__),
+            generated_at=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+            if timestamp else None,
+            instrument=InstrumentSummary(
+                fingerprint=instrument.fingerprint(), n_items=instrument.n_items,
+                dimension_order=DIMENSION_ORDER,
+                items_per_dimension=instrument.dimension_item_counts()) if instrument else None,
+            respondents=RespondentCounts(
+                expectation=expectation_descriptives[0].n if expectation_descriptives else None,
+                perception=perception_descriptives[0].n if perception_descriptives else None,
+                importance=importance_weights.n_respondents if importance_weights else None),
+            config=dict(config) if config else {}),
         gap_report=gap_report,
         expectation_descriptives=tuple(expectation_descriptives) if expectation_descriptives else None,
         perception_descriptives=tuple(perception_descriptives) if perception_descriptives else None,
@@ -162,43 +183,41 @@ def assemble(
         hoq=hoq,
         fishbone=fishbone,
         branch_magnitudes=branch_sums,
-        item_labels=item_labels,
+        item_labels={item.id: item.prompt for item in instrument.items} if instrument else {},
         warnings=tuple(warnings),
     )
 
 
 # --- JSON ------------------------------------------------------------------
 
-def _record(obj) -> dict | None:
-    """A result dataclass as a JSON-ready dict: fields in declaration order,
-    enums as their values, tuples (of dataclasses) as lists (of records)."""
-    if obj is None:
-        return None
-    doc = {}
-    for name in hints(type(obj)):
-        value = getattr(obj, name)
-        if isinstance(value, tuple):
-            value = [_record(v) if is_dataclass(v) else v for v in value]
-        elif isinstance(value, Enum):
-            value = value.value
-        doc[name] = value
-    return doc
+#: The types of the values that _record returns as they are: most of them.
+_PLAIN = frozenset((float, int, str, bool, type(None)))
+
+
+def _record(value):
+    """``value`` as JSON-ready data: a result dataclass as a dict of its fields
+    in declaration order, a tuple as a list, an enum as its value."""
+    if type(value) in _PLAIN:
+        return value
+    if is_dataclass(value):
+        return {name: _record(getattr(value, name)) for name in hints(type(value))}
+    if isinstance(value, tuple):
+        return [_record(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
 
 
 def _records(objs) -> list[dict] | None:
-    return [_record(o) for o in objs] if objs else None
+    return _record(objs) if objs else None
 
 
 def report_to_dict(report: AnalysisReport) -> dict:
     """Serialize to a plain JSON-ready dict with fixed section order."""
     gr = report.gap_report
-    hoq = None
-    if report.hoq:
-        hoq = serialize_hoq(report.hoq)
-        hoq["computed"] = {"degenerate": report.hoq.degenerate,
-                           "technical_importance": [_record(t) for t in report.hoq.importances]}
+    hoq = report.hoq and {**serialize_hoq(report.hoq), "computed": {
+        "degenerate": report.hoq.degenerate,
+        "technical_importance": _record(report.hoq.importances)}}
     return {
-        "metadata": report.metadata,
+        "metadata": _record(report.metadata),
         "descriptives": {"expectation": _records(report.expectation_descriptives),
                          "perception": _records(report.perception_descriptives)},
         "reliability": {"expectation": _record(gr.reliability_expectation),
@@ -207,7 +226,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "gap_analysis": {
             "items": [{**_record(g), "classification": classify_satisfaction(g.gap).value}
                       for g in gr.item_gaps],
-            "dimensions": [_record(d) for d in gr.dimension_scores],
+            "dimensions": _record(gr.dimension_scores),
             "overall": {
                 "weighted_sum": gr.overall_weighted_sum,
                 "weighted_mean": gr.overall_weighted_mean,
@@ -221,22 +240,8 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "fishbone_branch_magnitudes": dict(report.branch_magnitudes)
         if report.branch_magnitudes is not None else None,
         "item_labels": {str(k): v for k, v in report.item_labels.items()},
-        "warnings": [_record(w) for w in report.warnings],
+        "warnings": _record(report.warnings),
     }
-
-
-def _metadata(meta) -> dict:
-    """The metadata block, checked to the shape ``assemble`` writes."""
-    fields(meta, "report metadata",
-           {"tool", "generated_at", "instrument", "respondents", "config"}, ("tool",))
-    fields(meta["tool"], "report metadata.tool", {"name", "version"}, ("name", "version"))
-    fields(meta.get("respondents", {}), "report metadata.respondents",
-           {"expectation", "perception", "importance"})
-    if meta.get("instrument"):
-        fields(meta["instrument"], "report metadata.instrument",
-               {"fingerprint", "n_items", "dimension_order", "items_per_dimension"},
-               ("fingerprint", "n_items"))
-    return dict(meta)
 
 
 def _check_derived(gap: GapReport, kano, pareto: ParetoTable | None) -> None:
@@ -268,6 +273,7 @@ def report_from_dict(doc: Mapping) -> AnalysisReport:
     schema.read, and an error names it by its path in the AnalysisReport."""
     ga, descriptives, hoq = doc["gap_analysis"], doc["descriptives"], doc.get("hoq")
     parsed = {name: read(hints(AnalysisReport)[name], value, f"report {name}") for name, value in {
+        "metadata": doc["metadata"],
         "gap_report": {
             "item_gaps": [{k: v for k, v in mapping(g, "report gap item").items()
                            if k != "classification"} for g in array(ga["items"], "report items")],
@@ -294,7 +300,6 @@ def report_from_dict(doc: Mapping) -> AnalysisReport:
                                   f"{unknown} that have no gap row")
     _check_derived(parsed["gap_report"], parsed["kano_priorities"], parsed["pareto"])
     return AnalysisReport(
-        metadata=_metadata(doc["metadata"]),
         hoq=build_hoq({k: v for k, v in hoq.items() if k != "computed"}) if hoq else None,
         fishbone=build_fishbone(doc["fishbone"]) if doc.get("fishbone") else None,
         **parsed)
@@ -481,16 +486,13 @@ def _markdown(report: AnalysisReport) -> bytes:
     gr = report.gap_report
     lines: list[str] = ["# Service quality analysis report", ""]
     meta = report.metadata
-    lines.append(f"- Tool: {_md_prose(meta['tool']['name'])} "
-                 f"{_md_prose(meta['tool']['version'])}")
-    if meta.get("generated_at"):
-        lines.append(f"- Generated: {_md_prose(meta['generated_at'])}")
-    instrument_meta = meta.get("instrument")
-    if instrument_meta:
-        lines.append(f"- Instrument: {_md_prose(instrument_meta['n_items'])} items "
-                     f"(fingerprint {_md_prose(instrument_meta['fingerprint'])})")
-    respondents = meta.get("respondents", {})
-    parts = [f"{k}={v}" for k, v in respondents.items() if v is not None]
+    lines.append(f"- Tool: {_md_prose(meta.tool.name)} {_md_prose(meta.tool.version)}")
+    if meta.generated_at:
+        lines.append(f"- Generated: {_md_prose(meta.generated_at)}")
+    if meta.instrument:
+        lines.append(f"- Instrument: {meta.instrument.n_items} items "
+                     f"(fingerprint {_md_prose(meta.instrument.fingerprint)})")
+    parts = [f"{k}={v}" for k, v in _record(meta.respondents).items() if v is not None]
     if parts:
         lines.append(f"- Respondents: {_md_prose(', '.join(parts))}")
     lines.append("")

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .errors import DefinitionError
 from .instrument import SurveyInstrument
-from .schema import array, document, fields, integer, read_json, string
+from .schema import read, read_json
 from .servqual import ImportanceWeights, ItemGap
 
 DEFAULT_PARETO_THRESHOLD = 80.0
@@ -137,44 +137,58 @@ class FishboneTree:
     branches: tuple[FishboneBranch, ...] = ()
 
 
-def _parse_causes(docs, depth: int, context: str) -> tuple[FishboneCause, ...]:
-    docs = array(docs, f"{context} causes")
+@dataclass(frozen=True)
+class CauseDoc:
+    """A cause as its JSON writes it; a cause may also be a bare string.  The
+    causes below a branch are read a level at a time (``_causes``), so that no
+    read goes below MAX_FISHBONE_DEPTH however deep a tree nests."""
+    text: str
+    causes: tuple[object, ...] = ()
+
+
+@dataclass(frozen=True)
+class BranchDoc:
+    name: str
+    causes: tuple[object, ...] = ()
+    items: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
+class FishboneDoc:
+    effect: str
+    branches: tuple[BranchDoc, ...] = ()
+
+
+_CAUSES = tuple[CauseDoc | str, ...]
+
+
+def _causes(docs: tuple[object, ...], context: str, depth: int = 2) -> tuple[FishboneCause, ...]:
     if docs and depth > MAX_FISHBONE_DEPTH:
         raise DefinitionError(f"{context}: cause tree deeper than {MAX_FISHBONE_DEPTH} levels")
-    causes: list[FishboneCause] = []
-    for pos, doc in enumerate(docs, start=1):
-        if isinstance(doc, str):
-            causes.append(FishboneCause(text=doc))
-            continue
-        fields(doc, f"{context} cause {pos}", {"text", "causes"}, required=("text",))
-        children = _parse_causes(doc.get("causes", []), depth + 1, f"{context} cause {pos}")
-        text = string(doc["text"], f"{context} cause {pos}: text")
-        causes.append(FishboneCause(text=text, children=children))
-    return tuple(causes)
+    return tuple(FishboneCause(text=doc) if isinstance(doc, str) else FishboneCause(
+        text=doc.text, children=_causes(doc.causes, f"{context}[{at}].causes", depth + 1))
+        for at, doc in enumerate(read(_CAUSES, docs, context)))
 
 
 def build_fishbone(definition: Mapping) -> FishboneTree:
     """Validate a fishbone definition: non-empty effect, uniquely named
     branches, each with an optional cause tree (at most 3 levels) and an
     optional item-id annotation used for per-branch magnitude summaries."""
-    document(definition, "fishbone", {"effect", "branches"})
-    effect = string(definition.get("effect", ""), "fishbone effect").strip()
+    doc = read(FishboneDoc, definition, "fishbone")
+    effect = doc.effect.strip()
     if not effect:
-        raise DefinitionError("fishbone effect must be a non-empty string")
+        raise DefinitionError("fishbone.effect must be non-empty")
     branches: list[FishboneBranch] = []
     seen: set[str] = set()
-    for pos, doc in enumerate(array(definition.get("branches", []), "branches"), start=1):
-        fields(doc, f"branch {pos}", {"name", "causes", "items"}, required=("name",))
-        name = string(doc["name"], f"branch {pos}: name").strip()
+    for at, branch in enumerate(doc.branches):
+        name = branch.name.strip()
         if not name:
-            raise DefinitionError(f"branch {pos}: name must be non-empty")
+            raise DefinitionError(f"fishbone.branches[{at}].name must be non-empty")
         if name in seen:
-            raise DefinitionError(f"duplicate branch name {name!r}")
+            raise DefinitionError(f"fishbone.branches[{at}]: duplicate branch name {name!r}")
         seen.add(name)
-        causes = _parse_causes(doc.get("causes", []), 2, f"branch {name!r}")
-        item_ids = tuple(integer(i, f"branch {name!r} item") for i in
-                         array(doc.get("items", []), f"branch {name!r} items"))
-        branches.append(FishboneBranch(name=name, causes=causes, item_ids=item_ids))
+        causes = _causes(branch.causes, f"fishbone.branches[{at}].causes")
+        branches.append(FishboneBranch(name=name, causes=causes, item_ids=branch.items))
     return FishboneTree(effect=effect, branches=tuple(branches))
 
 
@@ -200,21 +214,14 @@ def load_fishbone(path) -> FishboneTree:
 
 
 def serialize_fishbone(tree: FishboneTree) -> dict:
-    """Serialize back to the definition-document shape (round-trips)."""
+    """Serialize back to the definition-document shape (round-trips); an empty
+    ``causes`` or ``items`` list is left out."""
 
-    def cause_doc(cause: FishboneCause):
-        if not cause.children:
-            return {"text": cause.text}
-        return {"text": cause.text, "causes": [cause_doc(c) for c in cause.children]}
+    def cause_docs(causes: tuple[FishboneCause, ...]) -> dict:
+        return {"causes": [{"text": c.text, **cause_docs(c.children)} for c in causes]} \
+            if causes else {}
 
-    return {
-        "effect": tree.effect,
-        "branches": [
-            {
-                "name": b.name,
-                **({"causes": [cause_doc(c) for c in b.causes]} if b.causes else {}),
-                **({"items": list(b.item_ids)} if b.item_ids else {}),
-            }
-            for b in tree.branches
-        ],
-    }
+    return {"effect": tree.effect,
+            "branches": [{"name": b.name, **cause_docs(b.causes),
+                          **({"items": list(b.item_ids)} if b.item_ids else {})}
+                         for b in tree.branches]}

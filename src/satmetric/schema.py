@@ -1,22 +1,23 @@
 """Input boundary: every JSON document is decoded here and every record read
-here.  A record shaped like its dataclass (an instrument, a saved report's
-results) is read by :func:`read` through the dataclass's annotations; the
-other loaders take each field through the checks below.  Each raises
-DefinitionError naming the offending place, so malformed input lets no
-other exception out."""
+here.  Each document (an instrument, a weights, house-of-quality or fishbone
+file, a saved report) is read by :func:`read` through the annotations of a
+dataclass shaped like its JSON; the loaders keep only the checks that are not
+about types.  Each raises DefinitionError naming the offending place by its
+path, so malformed input lets no other exception out."""
 
 from __future__ import annotations
 
 import json
 import re
 import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Container, Iterable, Mapping
 from dataclasses import MISSING, fields as dataclass_fields, is_dataclass
 from enum import EnumMeta
 from functools import cache
 from numbers import Integral, Real
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .errors import DefinitionError
 
@@ -54,30 +55,15 @@ def read_json(path):
     return parse_json(read_bytes(path), str(path))
 
 
-def _check(doc, allowed: Iterable[str], required: Iterable[str],
-           not_object: str, unknown: str, missing: str) -> None:
-    if not isinstance(doc, Mapping):
-        raise DefinitionError(not_object)
-    extra = sorted(set(doc) - set(allowed), key=str)
+def fields(doc, context: str, allowed: Container[str], required: Iterable[str] = ()) -> None:
+    """Check a record: an object with keys only from ``allowed`` and every
+    ``required`` key ("instrument.items[2]: unknown fields ['note']")."""
+    extra = [key for key in mapping(doc, context) if key not in allowed]
     if extra:
-        raise DefinitionError(unknown + str(extra))
+        raise DefinitionError(f"{context}: unknown fields {sorted(extra, key=str)}")
     absent = [key for key in required if key not in doc]
     if absent:
-        raise DefinitionError(missing + repr(absent[0]))
-
-
-def document(doc, kind: str, allowed: Iterable[str], required: Iterable[str] = ()) -> None:
-    """Check a document or section: an object with keys only from ``allowed``
-    and every ``required`` key ("unknown instrument fields: ['extra']")."""
-    _check(doc, allowed, required, f"{kind} definition must be a JSON object",
-           f"unknown {kind} fields: ", f"missing {kind} field ")
-
-
-def fields(doc, context: str, allowed: Iterable[str], required: Iterable[str] = ()) -> None:
-    """Check a record as :func:`document` does; errors start with its
-    location ("item at position 3: unknown fields ['note']")."""
-    _check(doc, allowed, required, f"{context} must be an object",
-           f"{context}: unknown fields ", f"{context}: missing field ")
+        raise DefinitionError(f"{context}: missing field {absent[0]!r}")
 
 
 def array(value, context: str) -> list | tuple:
@@ -106,7 +92,7 @@ def mapping(value, context: str) -> Mapping:
 
 def number(value, context: str, minimum: float | None = None) -> float:
     """``value`` as a float: a finite real number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Real) \
+    if not (type(value) in (float, int) or isinstance(value, Real) and type(value) is not bool) \
             or not abs(value) <= sys.float_info.max:  # False for NaN
         raise DefinitionError(f"{context} must be a finite number, got {value!r}")
     if minimum is not None and value < minimum:
@@ -116,7 +102,7 @@ def number(value, context: str, minimum: float | None = None) -> float:
 
 def integer(value, context: str, minimum: int | None = None) -> int:
     """``value`` as an int: an integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    if not (type(value) is int or isinstance(value, Integral) and type(value) is not bool):
         raise DefinitionError(f"{context} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise DefinitionError(f"{context} must be >= {minimum}, got {value}")
@@ -130,43 +116,61 @@ _INT_KEY = re.compile(r"0|-?[1-9][0-9]*")
 hints = cache(get_type_hints)
 
 
-@cache
-def _required(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclass_fields(cls)
-                 if f.default is MISSING and f.default_factory is MISSING)
-
-
 def _int_key(key, context: str) -> int:
     if not (isinstance(key, str) and _INT_KEY.fullmatch(key)):
         raise DefinitionError(f"{context} key {key!r} must be an integer as str() writes it")
     return int(key)
 
 
-def read(tp, value, context: str):
-    """``value`` read as the annotation ``tp``: a scalar (returned as given), an
-    enum, a dataclass (no unknown key, no missing field without a default; its
-    constructor makes the checks not about types), ``X | None``, ``tuple[X, ...]``
-    or ``Mapping[str | int, X]``.  Errors give the path (``instrument.items[2].kano``)."""
+@cache
+def _form(tp) -> tuple[str, object]:
+    """How :func:`read` takes the annotation ``tp``, worked out on its first read."""
     if tp in _SCALARS:
-        _SCALARS[tp](value, context)
-        return value
+        return "scalar", _SCALARS[tp]
     if isinstance(tp, EnumMeta):
+        return "enum", None
+    if is_dataclass(tp):
+        return "record", (hints(tp), [f.name for f in dataclass_fields(tp)
+                                      if f.default is MISSING and f.default_factory is MISSING])
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):  # X | Y or Optional[X]: has None, has str, the other
+        return "union", (type(None) in args, str in args,
+                         next((a for a in args if a not in (str, type(None))), str))
+    return ("tuple", args[0]) if origin is tuple else ("mapping", args)
+
+
+def read(tp, value, context: str):
+    """``value`` read as the annotation ``tp``: ``object`` or a scalar (returned
+    as given), an enum, a dataclass (no unknown key, no missing field without a
+    default; its constructor makes the checks not about types), a union of
+    ``None``, ``str`` and one other type (the member is chosen by the value's
+    JSON kind), ``tuple[X, ...]`` or ``Mapping[str | int, X]``.  Errors give
+    the path (``instrument.items[2].kano``)."""
+    if tp is object:
+        return value
+    form, detail = _form(tp)
+    if form == "scalar":
+        detail(value, context)
+        return value
+    if form == "enum":
         try:
             return tp(value)
         except ValueError:
             raise DefinitionError(f"{context} {value!r} is not one of: "
                                   f"{', '.join(member.value for member in tp)}") from None
-    if is_dataclass(tp):
-        types = hints(tp)
-        fields(value, context, types, _required(tp))
+    if form == "record":
+        types, required = detail
+        fields(value, context, types, required)
         return tp(**{name: read(types[name], v, f"{context}.{name}")
                      for name, v in value.items()})
-    origin, args = get_origin(tp), get_args(tp)
-    if type(None) in args:
-        return None if value is None else read(args[0], value, context)
-    if origin is tuple:
-        return tuple(read(args[0], v, f"{context}[{at}]")
+    if form == "union":
+        optional, text, other = detail
+        if value is None and optional or isinstance(value, str) and text:
+            return value
+        return read(other, value, context)
+    if form == "tuple":
+        return tuple(read(detail, v, f"{context}[{at}]")
                      for at, v in enumerate(array(value, context)))
-    key = _int_key if args[0] is int else string  # a Mapping
-    return {key(k, context): read(args[1], v, f"{context}[{k!r}]")
+    key = _int_key if detail[0] is int else string  # a Mapping
+    return {key(k, context): read(detail[1], v, f"{context}[{k!r}]")
             for k, v in mapping(value, context).items()}

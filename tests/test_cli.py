@@ -374,6 +374,13 @@ class TestSynthCommand:
         assert rc == 1
         assert "not an integer" in capsys.readouterr().err
 
+    def test_non_number_target_is_refused_by_its_place(self, workdir, capsys):
+        (workdir / "targets.json").write_text(json.dumps([4, "4", 3]))
+        rc = main(["synth", "--instrument", str(workdir / "tiny.json"),
+                   "--targets", str(workdir / "targets.json"), "--n", "4"])
+        assert rc == 1
+        assert "error: targets[1] must be a finite number, got '4'" in capsys.readouterr().err
+
     def test_target_count_must_match_instrument(self, workdir, capsys):
         rc = main(["synth", "--instrument", str(workdir / "tiny.json"),
                    "--means", "4,4", "--n", "10"])

@@ -1,14 +1,16 @@
 import json
+import re
 
 import pytest
 
 from satmetric import xyz
 from satmetric.cli import main
-from satmetric.errors import ConfigError, SatmetricError
+from satmetric.errors import ConfigError, DefinitionError, SatmetricError
 from satmetric.ingest import ResponseKind, generate_synthetic, serialize_response_set
 from satmetric.instrument import serialize_instrument
 from satmetric.pipeline import Config, Inputs, run, surveys
 from satmetric.report import write_report
+from satmetric.servqual import weights_from_means
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +96,32 @@ def test_run_and_write_report_match_the_cli(study, capsys):
     # synthetic columns are independent, so both surveys fail the 0.6 gate
     assert run(inputs, Config(strict_gate=True)) is None
     assert capsys.readouterr().err.count("refusing to emit scores") == 2
+
+
+def _with_weights(study, tmp_path, doc) -> Inputs:
+    (tmp_path / "w.json").write_text(json.dumps(doc))
+    return Inputs(instrument=str(study / "xyz.json"), expect=str(study / "e.csv"),
+                  perceive=str(study / "p.csv"), weights=str(tmp_path / "w.json"))
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"n_respondent": 82}, "n_respondent"),
+    ({"n_respondents": 82, "note": "x"}, "note"),
+], ids=["misspelt_count", "note"])
+def test_weights_file_with_an_unknown_key_is_refused(study, tmp_path, extra, key):
+    """A misspelt ``n_respondents`` would leave the report's importance count null."""
+    inputs = _with_weights(study, tmp_path, {"means": xyz.importance_means(), **extra})
+    with pytest.raises(DefinitionError,
+                       match=f"^weights: unknown fields {re.escape(str([key]))}$"):
+        run(inputs, timestamp=False)
+
+
+@pytest.mark.parametrize("doc, n", [
+    (xyz.importance_means(), None),
+    ({"means": xyz.importance_means()}, None),
+    ({"means": xyz.importance_means(), "n_respondents": 82}, 82),
+], ids=["bare_means", "means", "means_and_count"])
+def test_weights_file_shapes_give_the_weights_of_their_means(study, tmp_path, doc, n):
+    report = run(_with_weights(study, tmp_path, doc), timestamp=False)
+    assert report.importance_weights == weights_from_means(xyz.importance_means(), n)
+    assert report.metadata.respondents.importance == n

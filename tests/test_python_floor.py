@@ -1,7 +1,9 @@
 """The oldest Python that ``pyproject.toml`` allows, 3.10, must byte-compile
-every source file, compile every regular expression in ``src`` and read the
+every source file, compile every regular expression in ``src``, read the
 bundled instrument through its dataclass annotations (3.10 takes
-``tuple[int, ...]`` for a class, which a reader must not dispatch on).
+``tuple[int, ...]`` for a class, which a reader must not dispatch on) and
+read a record whose fields are unions (``X | str`` is a ``types.UnionType``)
+or ``object``.
 
 The suite runs on one interpreter, so these tests look for a 3.10 one:
 ``$SATMETRIC_PYTHON310``, then ``python3.10`` on the PATH, then a pyenv
@@ -57,6 +59,38 @@ sys.modules["satmetric"] = package
 from satmetric.instrument import load_instrument
 instrument = load_instrument(sys.argv[1] + "/data/xyz_instrument.json")
 print(json.dumps([instrument.n_items, instrument.fingerprint()]))
+"""
+
+
+#: Reads a record annotated ``tuple[Cause | str, ...]``, ``object`` and
+#: ``Optional[int]`` through the package stub, with ``schema`` alone: the
+#: modules whose documents have such fields import numpy.
+READ_UNION = """
+from __future__ import annotations
+import json, sys, types
+from dataclasses import dataclass
+from typing import Optional
+package = types.ModuleType("satmetric")
+package.__path__ = [sys.argv[1]]
+sys.modules["satmetric"] = package
+from satmetric.errors import DefinitionError
+from satmetric.schema import read
+
+@dataclass(frozen=True)
+class Cause:
+    text: str
+    causes: tuple[Cause | str, ...] = ()
+    note: object = None
+    count: Optional[int] = None
+
+cause = read(Cause, {"text": "a", "count": 2,
+                     "causes": ["b", {"text": "c", "note": {"x": [1]}}]}, "cause")
+try:
+    read(Cause, {"text": "a", "causes": [5]}, "cause")
+except DefinitionError as exc:
+    refused = str(exc)
+print(json.dumps([cause.count, cause.causes[0], cause.causes[1].text, cause.causes[1].note,
+                  refused]))
 """
 
 
@@ -163,3 +197,11 @@ def test_instrument_reads_on_python_3_10(xyz_instrument):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [17, xyz_instrument.fingerprint()]
+
+
+def test_union_and_object_fields_read_on_python_3_10():
+    done = subprocess.run([_python310_or_skip(), "-I", "-c", READ_UNION, str(SRC)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [2, "b", "c", {"x": [1]},
+                                       "cause.causes[0] must be an object"]

@@ -75,13 +75,15 @@ class TestValidation:
             })
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(DefinitionError, match="duplicate customer requirement"):
+        with pytest.raises(DefinitionError,
+                           match=r"^hoq\.customer_reqs\[1\]\.id 'c' is a duplicate$"):
             build_hoq({
                 "customer_reqs": [{"id": "c", "importance": 1}, {"id": "c", "importance": 2}],
                 "tech_reqs": [{"id": "t1"}],
                 "relationships": [[1], [3]],
             })
-        with pytest.raises(DefinitionError, match="duplicate technical requirement"):
+        with pytest.raises(DefinitionError,
+                           match=r"^hoq\.tech_reqs\[1\]\.id 't' is a duplicate$"):
             build_hoq({
                 "customer_reqs": [{"id": "c", "importance": 1}],
                 "tech_reqs": [{"id": "t", "name": "a"}, {"id": "t", "name": "b"}],
@@ -89,7 +91,7 @@ class TestValidation:
             })
 
     def test_unknown_fields_rejected(self):
-        with pytest.raises(DefinitionError, match="unknown house-of-quality fields"):
+        with pytest.raises(DefinitionError, match=r"^hoq: unknown fields \['extra_field'\]$"):
             simple_hoq([1], [[1]], extra_field=True)
 
     def test_negative_importance_rejected(self):

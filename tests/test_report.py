@@ -28,8 +28,9 @@ from satmetric.report import (
     report_to_dict,
     write_report,
 )
-from satmetric.rootcause import Contribution, dissatisfaction_contributions, pareto, \
-    serialize_fishbone
+from satmetric.rootcause import Contribution, build_fishbone, dissatisfaction_contributions, \
+    pareto, serialize_fishbone
+from satmetric.schema import parse_json
 from satmetric.servqual import compute_gap_report, item_gaps
 from satmetric import xyz
 
@@ -407,8 +408,16 @@ GATE = ("reliability", "perception", "passes_gate")
     (("kano", 2, "note"), "x", "kano_priorities[2]: unknown fields ['note']"),
     (("kano", 1, "category"), "mandatory", "kano_priorities[1].category 'mandatory' is not "
                                            "one of: must_be, performance, delighter, indifferent"),
+    (("metadata", "tool", "name"), 5, "metadata.tool.name must be a string, got 5"),
+    (("metadata", "instrument", "n_items"), "x",
+     "metadata.instrument.n_items must be an integer, got 'x'"),
+    (("metadata", "respondents", "expectation"), "eighty",
+     "metadata.respondents.expectation must be an integer, got 'eighty'"),
+    (("metadata", "generated_at"), {"a": 1}, "metadata.generated_at must be a string, "
+                                             "got {'a': 1}"),
 ], ids=["passes_gate_text", "passes_gate_zero", "passes_gate_null", "unknown_field",
-        "kano_category"])
+        "kano_category", "tool_name", "instrument_n_items", "respondents_expectation",
+        "generated_at"])
 def test_refused_field_is_named_by_its_place(saved_reports, path, value, message):
     doc, _ = saved_reports["demo07"]
     with pytest.raises(DefinitionError, match=f"^report {re.escape(message)}$"):
@@ -421,6 +430,23 @@ def test_missing_field_is_named_by_its_place(saved_reports):
     with pytest.raises(DefinitionError, match=r"^report gap_report\.reliability_perception: "
                                               r"missing field 'alpha'$"):
         parse_report(json.dumps(doc))
+
+
+def test_deep_cause_tree_is_refused_by_its_depth(saved_reports, tmp_path, capsys):
+    """A cause tree nested 300 levels is refused as too deep by the builder and
+    by ``satmetric report``, not by the stack of a reader recursing through it."""
+    cause = {"text": "0"}
+    for level in range(1, 300):
+        cause = {"text": str(level), "causes": [cause]}
+    fishbone = {"effect": "e", "branches": [{"name": "b", "causes": [cause]}]}
+    with pytest.raises(DefinitionError, match="deeper than"):
+        build_fishbone(parse_json(json.dumps(fishbone), "fishbone"))
+    doc, _ = saved_reports["demo07"]
+    (tmp_path / "deep.json").write_text(json.dumps({**doc, "fishbone": fishbone}))
+    assert main(["report", "--input", str(tmp_path / "deep.json"),
+                 "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert "deeper than" in err and "Traceback" not in err
 
 
 ROWS = ("pareto", "rows")

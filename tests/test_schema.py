@@ -160,13 +160,14 @@ def test_surrogate_pair_escapes_still_decode():
 
 @pytest.mark.parametrize("build, doc, message", [
     (build_hoq, _with(HOQ, customer_reqs=[{"id": ["c1"], "importance": 1}]),
-     "customer requirement at position 1: id must be a string, got ['c1']"),
-    (build_hoq, _with(HOQ, tech_reqs=[{"id": "t1", "name": None}, {"id": "t2"}]),
-     "technical requirement 't1': name must be a string, got None"),
-    (build_fishbone, {"effect": True}, "fishbone effect must be a string, got True"),
-    (build_fishbone, _branch(name=["late"]), "branch 1: name must be a string, got ['late']"),
+     "hoq.customer_reqs[0].id must be a string, got ['c1']"),
+    (build_hoq, _with(HOQ, tech_reqs=[{"id": "t1", "name": ["x"]}, {"id": "t2"}]),
+     "hoq.tech_reqs[0].name must be a string, got ['x']"),
+    (build_fishbone, {"effect": True}, "fishbone.effect must be a string, got True"),
+    (build_fishbone, _branch(name=["late"]),
+     "fishbone.branches[0].name must be a string, got ['late']"),
     (build_fishbone, _branch(causes=[{"text": None}]),
-     "branch 'b' cause 1: text must be a string, got None"),
+     "fishbone.branches[0].causes[0].text must be a string, got None"),
 ], ids=["requirement_id", "requirement_name", "fishbone_effect", "branch_name", "cause_text"])
 def test_text_fields_must_be_json_strings(build, doc, message):
     """A text field is refused unless it is a JSON string, not turned into

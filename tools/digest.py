@@ -6,7 +6,8 @@ runs ``satmetric gap`` with the default flags, again with
 again with ``--strict-gate`` and again with ``--normalize-weights
 --variance-mode sample --pareto-threshold 50``, then re-emits each saved
 report with ``satmetric report``, in every format and in
-``markdown,svg-charts`` alone.  On the same inputs it runs ``validate``,
+``markdown,svg-charts`` alone.  On ``xyz_batch`` it also runs ``gap`` with the
+weights file rewritten as the bare means object.  On the same inputs it runs ``validate``,
 ``descriptives`` with and without ``--variance-mode sample``,
 ``reliability`` with and without ``--strict-gate``, and ``qfd`` with and
 without ``--show-conflicts`` on the workload's ``--hoq`` file, if it has
@@ -29,6 +30,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -95,6 +97,13 @@ def digest(name: str, seed: int) -> list[str]:
         lines += _files(run / "gap")
         for out in REEMITS:
             lines += _files(run / out)
+    if name == "xyz_batch":  # the weights file again, as the bare means object
+        weights = Path(gap[gap.index("--weights") + 1])
+        bare = weights.with_name("bare_weights.json")
+        bare.write_text(json.dumps(json.loads(weights.read_text())["means"]))
+        run = Path(name) / "bare_weights"
+        argv = [str(bare) if option == str(weights) else option for option in gap]
+        lines += _call(f"{run}/gap", [*argv, "--out", str(run / "report")]) + _files(run)
     for command, (takes, writes, variants) in SURVEY_COMMANDS.items():
         argv = [command]
         for at, option in enumerate(gap):
