@@ -18,22 +18,22 @@ errors.
   mark removed).  Its strict case reads a strict file at once with array
   arithmetic over its bytes: no double quote, k commas to a line, no byte
   outside ``!`` to ``~`` in the body but the line ends, every id non-empty
-  and every cell 1 to 18 digits; _value_error checks the values of each row
-  that fails the scale or allocation check.  Any other file has all its
-  lines classified at once, and each line is one record.  A line that
-  holds a double quote is read by csv.reader; every other line is split
-  on commas.  A quote-free ASCII line whose id str.strip() leaves
-  non-empty and whose cells it leaves as an optional sign and 1 to 18
-  digits is converted in bulk; _value_error checks the values of each
-  converted row.  The rest go through _check_record, which parses their
-  cells and calls _value_error, so every row diagnostic but
-  ``duplicate_id`` comes from these two.  The route declines input that is
-  not UTF-8, holds a NUL byte or a carriage return not followed by a
-  newline, is empty, has a header line that holds a double quote or does
-  not match, has a line of csv.field_size_limit() bytes or more, line end
-  included, or has an id or a cell whose quotes take in a line end: a
-  quoted record that spans lines, or a last line whose quote is not closed
-  before its newline.
+  and every cell 1 to 18 digits.  Any other file has all its lines
+  classified at once, and each line is one record.  An ASCII line whose
+  double quotes all wrap a field (as its first and last byte) is read as
+  csv.reader reads it, its comma split without those quotes, with array
+  arithmetic too, and so is its diagnostic: blank, ``row_length``,
+  ``empty_id``, or its first cell that str.strip() does not leave as an
+  optional sign and 1 to 18 digits; _refused checks the values of the
+  rows it converts.  Any other line (non-ASCII or with another quote) and
+  a row whose first such cell is longer digits go through csv.reader and
+  _check_record, which every row diagnostic but ``duplicate_id`` matches.
+  The route declines input that is not UTF-8, holds a NUL byte or a
+  carriage return not followed by a newline, is empty, has a header line
+  that holds a double quote or does not match, has a line of
+  csv.field_size_limit() bytes or more, line end included, or has an id or
+  a cell whose quotes take in a line end: a quoted record that spans
+  lines, or a last line whose quote is not closed before its newline.
 * Per-cell: parse_response_rows reads every record with csv.reader and
   checks it cell by cell.  It reads every input the line route declines.
 
@@ -136,7 +136,7 @@ class ResponseSet:
         if self.kind is ResponseKind.IMPORTANCE:
             if values.shape[1] != len(IMPORTANCE_COLUMNS):
                 raise DataError("importance matrix must have exactly 5 columns")
-            bad = np.flatnonzero(_invalid_allocations(values))
+            bad = np.flatnonzero(_invalid_allocations(values).any(axis=0))
             if bad.size:
                 violation = validate_importance_row([int(v) for v in values[bad[0]]])
                 raise DataError(f"importance row {bad[0] + 1} violates {violation}")
@@ -169,11 +169,23 @@ def validate_importance_row(row: Sequence[int]) -> str | None:
     return None
 
 
+#: The message of each violation code of validate_importance_row, in the
+#: order it checks them; ``{sum}`` is the allocation's sum.
+_ALLOCATION_MESSAGES = {
+    "sum_not_100": "allocation sums to {sum}, expected 100",
+    "out_of_range": "allocation values must lie in [0, 100]",
+    "not_multiple_of_five": "allocation values must be multiples of five",
+}
+_OUT_OF_SCALE = "value {value} outside scale [{scale.min}, {scale.max}]"
+
+
 def _invalid_allocations(values: np.ndarray) -> np.ndarray:
-    """Row mask of an N x 5 integer matrix: True where
-    validate_importance_row would report a violation."""
-    out_of_step = (values < 0) | (values > IMPORTANCE_TOTAL) | (values % IMPORTANCE_STEP != 0)
-    return out_of_step.any(axis=1) | (values.sum(axis=1) != IMPORTANCE_TOTAL)
+    """3 x N mask of an N x 5 integer matrix: row c is True where
+    validate_importance_row finds the c-th violation of _ALLOCATION_MESSAGES
+    (the int64 sum of five values of at most 18 digits is exact)."""
+    return np.stack((values.sum(axis=1) != IMPORTANCE_TOTAL,
+                     ((values < 0) | (values > IMPORTANCE_TOTAL)).any(axis=1),
+                     (values % IMPORTANCE_STEP != 0).any(axis=1)))
 
 
 def _expected_header(instrument: SurveyInstrument, kind: ResponseKind) -> list[str]:
@@ -221,19 +233,19 @@ def _digit_values(
     raw: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The N x k values of the cells ``raw[starts:ends]`` (elementwise) and
-    the mask of the rows whose every cell is 1 to 18 digits (an int64 holds
-    every 18-digit number); the values of other rows are meaningless.
-    Advances ``starts`` and overwrites ``ends``: each large temporary is
-    paid for in page faults, so callers hand over theirs."""
+    the mask of the cells that are not 1 to 18 digits (an int64 holds every
+    18-digit number), whose values are meaningless.  Advances ``starts``
+    and overwrites ``ends``: each large temporary is paid for in page
+    faults, so callers hand over theirs."""
     widths = np.subtract(ends, starts, out=ends)
-    valid = ~_rows_with((widths < 1) | (widths > 18))
-    widths[~valid] = 0
+    np.copyto(widths, 0, where=(widths < 1) | (widths > 18))
     widths = widths.astype(np.int8)
     # Horner's rule, one gather per digit place: several times faster than
-    # converting the split cells with astype.  Every cell of a valid row
-    # has a first digit; the later places update only the cells that have
-    # them.  A gather past the end of ``raw`` reads its last byte, unused.
+    # converting the split cells with astype.  Every cell of good width has
+    # a first digit; the later places update only the cells that have them.
+    # A gather past the end of ``raw`` reads its last byte, unused.
     worst = raw.take(starts, mode="clip") - ord("0")  # other bytes wrap above 9
+    np.maximum(worst, 10, out=worst, where=widths == 0)  # and so does a bad width
     values = worst.astype(np.int64)
     for place in range(1, int(widths.max(initial=0))):
         starts += 1
@@ -242,8 +254,7 @@ def _digit_values(
         np.maximum(worst, digits, out=worst, where=has)
         np.multiply(values, 10, out=values, where=has)
         np.add(values, digits, out=values, where=has)
-    valid &= ~_rows_with(worst > 9)
-    return values, valid
+    return values, worst > 9
 
 
 def _rows_with(cells: np.ndarray) -> np.ndarray:
@@ -270,23 +281,28 @@ def _texts(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
     return text.tobytes().decode("ascii").split("\n")[:-1]
 
 
-def _invalid_rows(values: np.ndarray, scale: LikertScale, kind: ResponseKind) -> np.ndarray:
-    """Row mask: True where a row of values is outside the Likert scale or,
-    for importance, not a valid allocation."""
-    if kind.is_likert:
-        return _rows_with((values < scale.min) | (values > scale.max))
-    return _invalid_allocations(values)
-
-
 def _refused(values: np.ndarray, valid: np.ndarray, rows: np.ndarray, expected: list[str],
              scale: LikertScale, kind: ResponseKind) -> list[RowError]:
-    """The errors of the converted rows (``valid``) of ``values`` that fail
-    the scale or allocation check, which are cleared from ``valid``; ``rows``
-    holds the data-row numbers of ``values``."""
-    refused = valid & _invalid_rows(values, scale, kind)
-    valid &= ~refused
-    return [_value_error(cells, row, expected, scale, kind)
-            for cells, row in zip(values[refused].tolist(), rows[refused].tolist())]
+    """The errors that _value_error gives the converted rows (``valid``) of
+    ``values`` that fail the scale or allocation check, found with array
+    operations; those rows are cleared from ``valid``.  ``rows`` holds the
+    data-row numbers of ``values``."""
+    if kind.is_likert:
+        outside = (values < scale.min) | (values > scale.max)
+        refused = np.flatnonzero(valid & _rows_with(outside))
+        columns = outside[refused].argmax(axis=1)  # the first cell outside
+        found = [(expected[column + 1], "out_of_range",
+                  _OUT_OF_SCALE.format(value=value, scale=scale))
+                 for column, value in zip(columns.tolist(), values[refused, columns].tolist())]
+    else:
+        failed = _invalid_allocations(values)
+        refused = np.flatnonzero(valid & failed.any(axis=0))
+        codes = list(_ALLOCATION_MESSAGES)
+        found = [("*", codes[at], _ALLOCATION_MESSAGES[codes[at]].format(sum=total))
+                 for at, total in zip(failed[:, refused].argmax(axis=0).tolist(),
+                                      values[refused].sum(axis=1).tolist())]
+    valid[refused] = False
+    return [RowError(row, *error) for row, error in zip(rows[refused].tolist(), found)]
 
 
 #: The ASCII bytes that str.strip() removes, but for the line ends: within
@@ -308,21 +324,24 @@ def _parse_lines(
     if data is None:
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
+    # Sparse offsets of the bytes outside "!" to "~" (the subtraction wraps
+    # below "!"): the line ends, the padding and the non-ASCII bytes are among them.
+    odd = np.flatnonzero((raw - np.uint8(ord("!"))) > ord("~") - ord("!"))
+    returns = odd[raw[odd] == ord("\r")]
+    if (raw.take(returns + 1, mode="clip") != ord("\n")).any():
+        return None
     edges = np.append(0, np.flatnonzero(raw == ord("\n")) + 1)
     if edges[-1] < len(raw):
         edges = np.append(edges, len(raw))
     if np.diff(edges).max() >= csv.field_size_limit():
         return None
     # Data line i is raw[starts[i]:ends[i]], line end included, and its text
-    # is raw[starts[i]:stops[i]].  Every \r precedes a \n.
+    # is raw[starts[i]:stops[i]].
     starts, ends = edges[1:-1], edges[2:]
     stops = ends - (raw[ends - 1] == ord("\n"))
     stops -= raw[stops - 1] == ord("\r")
     k = len(expected) - 1
     commas = np.flatnonzero(raw == ord(","))
-    # Sparse offsets of the bytes outside "!" to "~" (the subtraction wraps
-    # below "!"): the padding and the non-ASCII bytes are among them.
-    odd = np.flatnonzero((raw - np.uint8(ord("!"))) > ord("~") - ord("!"))
     # A strict file: no quote, k commas to a line (the header holds k), and no
     # body byte outside "!" to "~" but the line ends.  Row i of the grid holds
     # line i's commas only if each line holds k of them, which the first-comma
@@ -332,41 +351,61 @@ def _parse_lines(
             and len(odd) - np.searchsorted(odd, edges[1]) == (ends - stops).sum()):
         grid = commas[k:].reshape(-1, k)
         if (grid[:, 0] > starts).all():
-            values, valid = _digit_values(raw, grid + 1, np.column_stack((grid[:, 1:], stops)))
-            if valid.all():
+            values, bad = _digit_values(raw, grid + 1, np.column_stack((grid[:, 1:], stops)))
+            if not bad.any():
                 rows = np.arange(1, len(starts) + 1)
+                valid = np.ones(len(rows), dtype=bool)
                 errors = _refused(values, valid, rows, expected, instrument.scale, kind)
                 if errors:  # keep the rows that pass
                     rows, values, starts, grid = (a[valid] for a in (rows, values, starts, grid))
                 return _result(instrument, kind, policy, rows,
                                _texts(raw, starts, grid[:, 0]), values, errors)
 
-    quoted = np.zeros(len(starts), dtype=bool)  # the lines that hold a quote
-    quoted[np.searchsorted(ends, np.flatnonzero(raw == ord('"')), side="right")] = True
-    lead = np.searchsorted(commas, starts)
-    plain = ~quoted & (np.searchsorted(commas, stops) - lead == k)
+    # The lines that csv.reader reads: non-ASCII, or with a quote that wraps no field.
     high = odd[raw[odd] > 0x7F]
-    plain &= np.searchsorted(high, stops) == np.searchsorted(high, starts)
-    lines = np.flatnonzero(plain)
-    values, valid, id_lo, id_hi = _bulk_values(
+    hard = np.searchsorted(high, stops) != np.searchsorted(high, starts)
+    quoted, loose = _quotes(raw, edges, commas)
+    hard[loose] = True
+    pad = odd[_PAD[raw[odd]]]
+    lead = np.searchsorted(commas, starts)
+    fields = np.searchsorted(commas, stops) - lead + 1
+    # A blank line holds only padding, commas and quotes.
+    easy = ~hard & (stops - starts - quoted - fields + 1
+                     > np.searchsorted(pad, stops) - np.searchsorted(pad, starts))
+    short = np.flatnonzero(easy & (fields != k + 1))
+    errors = [RowError(at + 1, "*", "row_length", f"expected {k + 1} fields, got {count}")
+              for at, count in zip(short.tolist(), fields[short].tolist())]
+    lines = np.flatnonzero(easy & (fields == k + 1))
+    values, bad, id_lo, id_hi = _bulk_values(
         raw, starts[lines], stops[lines], commas[lead[lines, None] + np.arange(k)],
-        odd[_PAD[raw[odd]]])
-    converted = np.zeros(len(starts), dtype=bool)
-    converted[lines[valid]] = True
-    errors = _refused(values, valid, lines + 1, expected, instrument.scale, kind)
+        quoted[lines] > 0, pad)
+    valid = id_hi > id_lo
+    errors += [RowError(at + 1, _ID_COLUMN, "empty_id", "respondent id is empty")
+               for at in lines[~valid].tolist()]
+    broken = np.flatnonzero(valid & _rows_with(bad))
+    valid[broken] = False
+    cells = bad[broken].argmax(axis=1)  # the first bad cell of each row
+    at = lead[lines[broken]] + cells  # the comma before it
+    for line_at, cell, lo, hi in zip(
+            lines[broken].tolist(), cells.tolist(), (commas[at] + 1).tolist(),
+            np.where(cells < k - 1, commas.take(at + 1, mode="clip"),
+                     stops[lines[broken]]).tolist()):
+        text = data[lo:hi].decode("ascii")
+        text = (text[1:-1] if text[:1] == '"' else text).strip()
+        if _INT_CELL.fullmatch(text):  # more than 18 digits
+            hard[line_at] = True
+        else:
+            errors.append(_cell_error(line_at + 1, expected[cell + 1], text))
+    errors += _refused(values, valid, lines + 1, expected, instrument.scale, kind)
     lines, values = lines[valid], values[valid]
     ids = _texts(raw, id_lo[valid], id_hi[valid])
 
-    rest = np.flatnonzero(~converted)
     checked = []
-    for at, start, stop, end in zip(rest.tolist(), starts[rest].tolist(),
-                                    stops[rest].tolist(), ends[rest].tolist()):
-        if quoted[at]:
-            record = next(csv.reader([data[start:end].decode("utf-8")]))
-            if record[-1].endswith("\n"):  # a quote still open at the line end
-                return None
-        else:
-            record = data[start:stop].decode("utf-8").split(",")
+    rest = np.flatnonzero(hard)
+    for at, start, end in zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist()):
+        record = next(csv.reader([data[start:end].decode("utf-8")]))
+        if record[-1].endswith("\n"):  # a quote still open at the line end
+            return None
         outcome = _check_record(record, at + 1, expected, instrument.scale, kind)
         if isinstance(outcome, RowError):
             errors.append(outcome)
@@ -374,23 +413,19 @@ def _parse_lines(
             checked.append((at, record[0].strip(), outcome))
     if checked:  # merge them into the converted rows, in line order
         more_lines, more_ids, more_values = zip(*checked)
-        places = np.searchsorted(lines, more_lines)
-        lines = np.insert(lines, places, more_lines)
-        values = np.insert(values, places, more_values, axis=0)
-        merged, done = [], 0
-        for place, respondent_id in zip(places.tolist(), more_ids):
-            merged += ids[done:place]
-            merged.append(respondent_id)
-            done = place
-        ids = merged + ids[done:]
+        lines = np.concatenate((lines, more_lines))
+        order = np.argsort(lines, kind="stable")
+        values = np.concatenate((values, np.array(more_values, dtype=np.int64)))[order]
+        lines = lines[order]
+        ids = np.array(ids + list(more_ids), dtype=object)[order].tolist()
     return _result(instrument, kind, policy, lines + 1, ids, values, errors)
 
 
 def _line_input(data: bytes | str, expected: list[str]) -> bytes | None:
     """The UTF-8 bytes of ``data`` (a byte-order mark removed from bytes),
-    or None unless they are valid, non-empty, free of NUL bytes and of
-    carriage returns outside ``\r\n``, and start with a header line that
-    holds no double quote and matches ``expected`` once stripped."""
+    or None unless they are valid, non-empty, free of NUL bytes, and start
+    with a header line that holds no double quote and matches ``expected``
+    once stripped."""
     if isinstance(data, str):
         try:
             data = data.encode("utf-8")
@@ -398,8 +433,7 @@ def _line_input(data: bytes | str, expected: list[str]) -> bytes | None:
             return None
     else:
         data = data.removeprefix(codecs.BOM_UTF8)
-    if not data or b"\0" in data or (
-            b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+    if not data or b"\0" in data:
         return None
     if not data.isascii():
         try:
@@ -412,20 +446,50 @@ def _line_input(data: bytes | str, expected: list[str]) -> bytes | None:
     return data
 
 
+def _quotes(raw: np.ndarray, edges: np.ndarray, commas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The quote count of each data line raw[edges[i + 1]:edges[i + 2]], and
+    the lines that hold a quote that does not wrap a field: two quotes wrap
+    one when they are its first and last byte and it holds no other quote."""
+    quotes = np.flatnonzero(raw == ord('"'))
+    before, after = raw[quotes - 1], raw.take(quotes + 1, mode="clip")
+    # The quotes that start a field, and those that end one: before a comma,
+    # a line end (every \r is one) or the end of the file.
+    first = (before == ord(",")) | (before == ord("\n"))
+    last = (after == ord(",")) | (after == ord("\r")) | (after == ord("\n"))
+    last[-1:] |= quotes[-1:] == len(raw) - 1
+    # Quotes i and i + 1 wrap a field when no comma or line end lies between
+    # them; a quote in two such pairs would be a field of its own.
+    opens = np.flatnonzero(first[:-1] & last[1:])
+    lo, hi = quotes[opens], quotes[opens + 1]
+    comma = np.searchsorted(commas, lo)
+    opens = opens[((comma == len(commas)) | (commas.take(comma, mode="clip") > hi))
+                  & (hi < edges[np.searchsorted(edges, lo, side="right")])]
+    wraps = np.zeros(len(quotes), dtype=bool)
+    wraps[opens] = wraps[opens + 1] = True
+    return (np.diff(np.searchsorted(quotes, edges[1:])),
+            np.searchsorted(edges, quotes[~wraps], side="right") - 2)
+
+
 def _bulk_values(
     raw: np.ndarray, starts: np.ndarray, stops: np.ndarray, commas: np.ndarray,
-    pad: np.ndarray,
+    quoted: np.ndarray, pad: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Convert the quote-free ASCII lines ``raw[starts:stops]``, whose N x k
-    comma offsets are ``commas`` (consumed); ``pad`` holds the sorted
-    offsets of the _PAD bytes.  A line converts when str.strip() leaves its
-    id non-empty and each of its cells as an optional sign and 1 to 18
-    digits.  Returns the values, the mask of the lines that convert, and
-    the bounds of their stripped ids."""
+    """Read the ASCII lines ``raw[starts:stops]``, whose N x k comma offsets
+    are ``commas`` (consumed) and whose quotes all wrap a field; ``quoted``
+    marks the lines that hold a quote, and ``pad`` holds the sorted offsets
+    of the _PAD bytes.  Each id and cell loses its quotes, as csv.reader
+    reads it, and is narrowed as str.strip() narrows it; each cell is read
+    as an optional sign and 1 to 18 digits.  Returns the values, the mask of
+    the cells that are not, and the bounds of the stripped ids."""
     id_lo, id_hi = starts.copy(), commas[:, 0].copy()
     hi = np.empty_like(commas)
     hi[:, :-1], hi[:, -1] = commas[:, 1:], stops
     lo = np.add(commas, 1, out=commas)
+    quoted = np.flatnonzero(quoted)
+    for first, last in ((id_lo, id_hi), (lo, hi)):
+        wrapped = raw.take(first[quoted], mode="clip") == ord('"')
+        first[quoted] += wrapped
+        last[quoted] -= wrapped
     padded = np.flatnonzero(np.searchsorted(pad, stops) > np.searchsorted(pad, starts))
     if padded.size:
         id_lo[padded], id_hi[padded] = _strip_spans(id_lo[padded], id_hi[padded], pad)
@@ -433,10 +497,9 @@ def _bulk_values(
     sign = raw.take(lo, mode="clip")
     negative = sign == ord("-")
     lo += negative | (sign == ord("+"))
-    values, valid = _digit_values(raw, lo, hi)
+    values, bad = _digit_values(raw, lo, hi)
     np.negative(values, out=values, where=negative)
-    valid &= id_hi > id_lo
-    return values, valid, id_lo, id_hi
+    return values, bad, id_lo, id_hi
 
 
 def _strip_spans(
@@ -525,10 +588,15 @@ def _check_record(
     for col_name, cell in zip(expected[1:], raw[1:]):
         value = _parse_int_cell(cell)
         if value is None:
-            code = "missing" if not cell.strip() else "not_an_integer"
-            return RowError(row, col_name, code, f"cell {cell.strip()!r} is not a plain integer")
+            return _cell_error(row, col_name, cell.strip())
         values.append(value)
     return _value_error(values, row, expected, scale, kind) or values
+
+
+def _cell_error(row: int, column: str, text: str) -> RowError:
+    """The error of a cell that str.strip() leaves as ``text``, not an integer."""
+    return RowError(row, column, "not_an_integer" if text else "missing",
+                    f"cell {text!r} is not a plain integer")
 
 
 def _value_error(
@@ -540,17 +608,12 @@ def _value_error(
         for col_name, value in zip(expected[1:], values):
             if value < scale.min or value > scale.max:
                 return RowError(row, col_name, "out_of_range",
-                                f"value {value} outside scale [{scale.min}, {scale.max}]")
+                                _OUT_OF_SCALE.format(value=value, scale=scale))
         return None
     violation = validate_importance_row(values)
     if violation is None:
         return None
-    messages = {
-        "sum_not_100": f"allocation sums to {sum(values)}, expected 100",
-        "out_of_range": "allocation values must lie in [0, 100]",
-        "not_multiple_of_five": "allocation values must be multiples of five",
-    }
-    return RowError(row, "*", violation, messages[violation])
+    return RowError(row, "*", violation, _ALLOCATION_MESSAGES[violation].format(sum=sum(values)))
 
 
 def _result(

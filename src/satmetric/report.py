@@ -206,10 +206,6 @@ def _record(value):
     return value.value if isinstance(value, Enum) else value
 
 
-def _records(objs) -> list[dict] | None:
-    return _record(objs) if objs else None
-
-
 def report_to_dict(report: AnalysisReport) -> dict:
     """Serialize to a plain JSON-ready dict with fixed section order."""
     gr = report.gap_report
@@ -218,8 +214,8 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "technical_importance": _record(report.hoq.importances)}}
     return {
         "metadata": _record(report.metadata),
-        "descriptives": {"expectation": _records(report.expectation_descriptives),
-                         "perception": _records(report.perception_descriptives)},
+        "descriptives": {"expectation": _record(report.expectation_descriptives),
+                         "perception": _record(report.perception_descriptives)},
         "reliability": {"expectation": _record(gr.reliability_expectation),
                         "perception": _record(gr.reliability_perception)},
         "importance_weights": _record(report.importance_weights),
@@ -233,7 +229,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
                 "unweighted_mean_of_dimensions": gr.unweighted_mean_of_dimensions,
             },
         },
-        "kano": _records(report.kano_priorities),
+        "kano": _record(report.kano_priorities),
         "pareto": _record(report.pareto),
         "hoq": hoq,
         "fishbone": serialize_fishbone(report.fishbone) if report.fishbone else None,
@@ -271,7 +267,7 @@ def report_from_dict(doc: Mapping) -> AnalysisReport:
     """Rebuild an AnalysisReport from its JSON form (inverse of
     report_to_dict up to tuple/list normalization): each field is read by
     schema.read, and an error names it by its path in the AnalysisReport."""
-    ga, descriptives, hoq = doc["gap_analysis"], doc["descriptives"], doc.get("hoq")
+    ga, descriptives = doc["gap_analysis"], doc["descriptives"]
     parsed = {name: read(hints(AnalysisReport)[name], value, f"report {name}") for name, value in {
         "metadata": doc["metadata"],
         "gap_report": {
@@ -300,9 +296,21 @@ def report_from_dict(doc: Mapping) -> AnalysisReport:
                                   f"{unknown} that have no gap row")
     _check_derived(parsed["gap_report"], parsed["kano_priorities"], parsed["pareto"])
     return AnalysisReport(
-        hoq=build_hoq({k: v for k, v in hoq.items() if k != "computed"}) if hoq else None,
-        fishbone=build_fishbone(doc["fishbone"]) if doc.get("fishbone") else None,
+        hoq=_section(lambda hoq: build_hoq({k: v for k, v in hoq.items() if k != "computed"}),
+                     doc.get("hoq"), "hoq"),
+        fishbone=_section(build_fishbone, doc.get("fishbone"), "fishbone"),
         **parsed)
+
+
+def _section(build, value, name: str):
+    """``build`` applied to the report section ``name``, an object or null
+    (None), with its errors named by their place in the report."""
+    if value is None:
+        return None
+    try:
+        return build(mapping(value, name))
+    except DefinitionError as exc:
+        raise DefinitionError(f"report {exc}") from None
 
 
 # --- tables -----------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The line route of ``parse_response_file`` against the per-cell parser
 (``parse_response_rows``) it stands in for: its strict case reads a
-canonical file, bytes or ``str``, at once; otherwise it converts plain
-lines in bulk, reads only the records of lines that hold a quote with
-csv.reader, and parses only the records it does not convert cell by cell.
+canonical file, bytes or ``str``, at once; otherwise it reads every ASCII
+line whose quotes all wrap a field from arrays, diagnostics included, and
+only the other records with csv.reader and the per-cell checks.
 
 Hypothesis starts from canonical files and applies the near misses a real
 export produces.  Whatever the bytes, every route must return the same
@@ -17,6 +17,7 @@ import contextlib
 import csv
 import io
 import itertools
+import random
 import re
 from unittest import mock
 
@@ -103,10 +104,17 @@ CELL_MUTATIONS = {
     "doubled_quote": lambda cell, hi: f'"{cell}"""',
     "nul": lambda cell, hi: f"{cell}\x00",
     "inner_cr": lambda cell, hi: f"{cell}\r{cell}",
+    "pad_before_quote": lambda cell, hi: f' "{cell}"',
+    "pad_after_quote": lambda cell, hi: f'"{cell}" ',
+    "pad_inside_quote": lambda cell, hi: f'" {cell}\t"',
+    "empty_quote": lambda cell, hi: '""',
+    "quoted_comma": lambda cell, hi: '"1,2"',
+    "quoted_sign": lambda cell, hi: f'"+{cell}"',
 }
 ROW_MUTATIONS = ("add_field", "drop_field", "empty_id", "blank_id", "duplicate_id",
                  "padded_duplicate_id", "padded_id", "whitespace_padded_id", "non_ascii_id",
-                 "blank_line", "whitespace_line", "blank_fields_line", "quoted_id_closing_later",
+                 "blank_line", "whitespace_line", "blank_fields_line", "quoted_blank_line",
+                 "quoted_id", "quoted_id_closing_later",
                  "unterminated_quote", "pad_header", "quote_header", "header_case")
 FILE_MUTATIONS = ("bare_cr", "mixed_crlf", "extra_trailing_newlines", "bom", "double_bom",
                   "invalid_utf8")
@@ -151,10 +159,14 @@ def _mutate(draw, table, hi, eol, trailing, names) -> bytes:
             row[0] = f"\t{row[0]} \x1f"
         elif name == "non_ascii_id":
             row[0] = f"{row[0]}é"
-        elif name in ("blank_line", "whitespace_line", "blank_fields_line"):
+        elif name in ("blank_line", "whitespace_line", "blank_fields_line",
+                      "quoted_blank_line"):
             table.insert(r, {"blank_line": [], "whitespace_line": [" \t"],
-                             "blank_fields_line": [" ", " ", ""]}[name])
+                             "blank_fields_line": [" ", " ", ""],
+                             "quoted_blank_line": ['""', '""']}[name])
             ends.insert(r, eol)
+        elif name == "quoted_id":
+            row[0] = f'"{row[0]}"'
         elif name == "quoted_id_closing_later":
             row[0] = f'"{row[0]}'
             later = r + draw(st.integers(1, 2))
@@ -198,14 +210,28 @@ def _outcome(parse, data, instrument, kind, policy):
 
 
 #: The helpers of the line route, which the per-cell parser must not use.
-BULK_HELPERS = ("_digit_values", "_rows_with", "_texts",
-                "_invalid_rows", "_parse_lines", "_line_input", "_bulk_values", "_strip_spans")
+BULK_HELPERS = ("_digit_values", "_rows_with", "_texts", "_refused", "_invalid_allocations",
+                "_parse_lines", "_line_input", "_quotes", "_bulk_values", "_strip_spans")
 
 
 def _refuser(name: str):
     def refuse(*args):
         raise AssertionError(f"the per-cell parser used {name}")
     return refuse
+
+
+@contextlib.contextmanager
+def _checked_rows():
+    """While active, the list of the data rows that reach _check_record."""
+    rows: list[int] = []
+    real = ingest._check_record
+
+    def spy(raw, row, *args):
+        rows.append(row)
+        return real(raw, row, *args)
+
+    with mock.patch.object(ingest, "_check_record", spy):
+        yield rows
 
 
 @contextlib.contextmanager
@@ -297,7 +323,8 @@ DIGITS = st.integers(1, 18).flatmap(
 PADDING = st.text(alphabet=" \t\x0b\x0c\x1c\x1d\x1e\x1f", max_size=3)
 LINE_FLAWS = ("any_id", "odd_id_byte", "empty_id", "fewer_cells", "more_cells", "empty_cell",
               "long_cell", "odd_cell_byte", "lead_comma", "trail_comma", "empty_line",
-              "padded_id", "padded_cell", "signed_cell", "blank_cell")
+              "padded_id", "padded_cell", "signed_cell", "blank_cell", "quoted_id",
+              "quoted_cell")
 
 
 def _insert(draw, text: str) -> str:
@@ -311,8 +338,9 @@ def near_canonical_lines(draw, k: int) -> str:
     flaw: an id of any ASCII characters, one such character in an id or a
     cell, an empty id, k - 1 or k + 1 cells, an empty cell, a cell of 19
     digits that fits an int64, a leading or trailing comma, an empty line,
-    padding around the id or a cell, a signed cell, or a cell of padding
-    alone.  Some flaws still draw a canonical line."""
+    padding around the id or a cell, a signed cell, a cell of padding
+    alone, or quotes around the id or a padded cell.  Some flaws still draw
+    a canonical line."""
     respondent_id = draw(st.text(alphabet="abz09_.#~!+-", min_size=1, max_size=4))
     cells = draw(st.lists(DIGITS, min_size=k, max_size=k))
     flaw = draw(st.sampled_from(LINE_FLAWS)) if draw(st.integers(0, 2)) == 0 else None
@@ -341,6 +369,10 @@ def near_canonical_lines(draw, k: int) -> str:
         cells[at] = draw(st.sampled_from("+-")) + cells[at]
     elif flaw == "blank_cell":
         cells[at] = draw(PADDING)
+    elif flaw == "quoted_id":
+        respondent_id = f'"{respondent_id}"'
+    elif flaw == "quoted_cell":
+        cells[at] = f'"{draw(PADDING)}{cells[at]}{draw(PADDING)}"'
     line = ",".join([respondent_id, *cells])
     return {"lead_comma": "," + line, "trail_comma": line + ",", "empty_line": ""}.get(
         flaw, line)
@@ -401,15 +433,27 @@ def test_canonical_check_matches_the_row_pattern_on_every_byte():
                 _assert_strict_iff_canonical(2, ["x,1,2", line], False)
 
 
+#: A cell that _parse_int_cell reads, once str.strip() has removed its padding.
+INT_CELL = re.compile(r"[+-]?[0-9]+")
+
+
+def _wraps(line: str) -> bool:
+    """Every double quote of ``line`` is the first or the last byte of a
+    comma-split field that holds no other quote."""
+    return all('"' not in field or len(field) > 1 and field[0] == field[-1] == '"'
+               and '"' not in field[1:-1] for field in line.split(","))
+
+
 def _assert_bulk_iff_relaxed(k: int, lines: list[str], trailing: bool) -> None:
     """The line route, on the file of ``lines`` (under a scale that holds
-    every int64, so that no value is refused for its size), converts in
-    bulk exactly the records that are one quote-free ASCII line whose id
-    str.strip() leaves non-empty and whose cells it leaves as RELAXED_CELL,
-    every line that fullmatches CANONICAL_ROW among them; it sends every
-    other record to _check_record, declines exactly the inputs with a NUL,
-    a \\r outside a \\r\\n or a quoted record that spans lines (a cell
-    that holds a line end), and gives the per-cell result either way."""
+    every int64, so that no value is refused for its size), reads from
+    arrays every record of one ASCII line whose quotes all wrap a field,
+    every line that fullmatches CANONICAL_ROW among them, unless its first
+    cell that str.strip() does not leave as RELAXED_CELL is a longer run of
+    digits; it sends exactly the other records to _check_record, declines
+    exactly the inputs with a NUL, a \\r outside a \\r\\n or a quoted
+    record that spans lines (a cell that holds a line end), and gives the
+    per-cell result either way."""
     instrument = build_instrument({
         "scale": {"min": -(2**63 - 1), "max": 2**63 - 1},
         "items": [{"id": i, "prompt": f"q{i}", "dimension": "empathy", "kano": "must_be"}
@@ -417,14 +461,7 @@ def _assert_bulk_iff_relaxed(k: int, lines: list[str], trailing: bool) -> None:
     })
     header = ",".join(["respondent_id", *(f"q{i}" for i in range(1, k + 1))])
     text = header + "\n" + "\n".join(lines) + ("\n" if trailing else "")
-    checked: list[int] = []
-    real = ingest._check_record
-
-    def spy(raw, row, *args):
-        checked.append(row)
-        return real(raw, row, *args)
-
-    with mock.patch.object(ingest, "_check_record", spy):
+    with _checked_rows() as checked:
         try:
             got = ingest._parse_lines(text.encode("ascii"), instrument,
                                       ResponseKind.EXPECTATION, MissingPolicy.DROP_ROW)
@@ -441,20 +478,19 @@ def _assert_bulk_iff_relaxed(k: int, lines: list[str], trailing: bool) -> None:
                  MissingPolicy.DROP_ROW)
     if declined:
         return
-    physical = body.split("\n")
     canonical = re.compile(CANONICAL_ROW % k)
-    reader = csv.reader(io.StringIO(body, newline=""))
-    bulk, taken, number = set(), 0, 0
-    for number, record in enumerate(reader, start=1):
-        line = physical[taken]
-        if (reader.line_num == taken + 1 and '"' not in line and line.isascii()
-                and len(record) == k + 1 and record[0].strip()
-                and all(RELAXED_CELL.fullmatch(cell.strip()) for cell in record[1:])):
-            bulk.add(number)
-        if canonical.fullmatch(line.removesuffix("\r")):
-            assert number in bulk, text
-        taken = reader.line_num
-    assert set(range(1, number + 1)) - set(checked) == bulk, text
+    reached = set()
+    for number, (line, record) in enumerate(
+            zip(body.split("\n"), csv.reader(io.StringIO(body, newline=""))), start=1):
+        line = line.removesuffix("\r")
+        bad = [cell.strip() for cell in record[1:] if not RELAXED_CELL.fullmatch(cell.strip())]
+        if not (line.isascii() and _wraps(line)) or (
+                any(cell.strip() for cell in record) and len(record) == k + 1
+                and record[0].strip() and bad and INT_CELL.fullmatch(bad[0])):
+            reached.add(number)
+        if canonical.fullmatch(line):
+            assert number not in reached, text
+    assert set(checked) == reached, text
 
 
 @settings(max_examples=examples(300), deadline=None)
@@ -522,12 +558,12 @@ def test_canonical_file_never_parses_a_cell(monkeypatch, xyz_instrument):
 
 
 def test_per_record_route_parses_only_non_canonical_records(monkeypatch, xyz_instrument):
-    """On a mixed file the per-cell parser sees only the cells of the
-    records that the line route does not convert in bulk: those of a line
-    that holds a quote, a bad cell (parsed up to it) and a missing cell; a
-    wrong field count is rejected before any cell.  Padded, signed and CRLF
-    records, and a converted row whose value is out of the scale, never
-    reach it, and csv.reader starts only at the line that holds a quote."""
+    """On a mixed file csv.reader and the per-cell parser see only the
+    records that the line route does not read from arrays: a line with a
+    quote that wraps no field, a non-ASCII line and a row whose first cell
+    that is not 1 to 18 digits is longer digits.  Signed, padded, quoted and
+    CRLF records, bad, missing and out-of-range cells, a wrong field count,
+    an empty quoted id and a blank quoted line never reach them."""
     calls = _count_cell_parses(monkeypatch)
     starts: list[str] = []
     real_reader = csv.reader
@@ -543,23 +579,50 @@ def test_per_record_route_parses_only_non_canonical_records(monkeypatch, xyz_ins
     cells = [row.split(",") for row in rows]
     cells[10][3] = "+" + cells[10][3]               # signed: converted in bulk
     cells[15][4] = f" {cells[15][4]}\t"             # padded: converted in bulk
-    cells[20][5] = f'"{cells[20][5]}"'              # quoted: read by csv.reader
-    cells[30][2] = "x"                              # bad cell: parsed up to it
-    cells[40][17] = "6"                             # out of range: converted, never parsed
-    cells[50] = cells[50][:-1]                      # row_length: no cell parsed
-    cells[80][1] = ""                               # missing: the first cell parsed
-    lines = [",".join(row) for row in cells]
+    cells[20][5] = f'" {cells[20][5]}"'             # quoted: converted in bulk
+    cells[25][5] = f'"{cells[25][5]}" '             # padding after a quote: csv.reader
+    cells[30][2] = "x"                              # bad cell: from arrays
+    cells[35][0] += "\u00e9"                        # non-ASCII: csv.reader
+    cells[40][17] = "6"                             # out of range: converted, refused
+    cells[45][3] = "0" * 20 + cells[45][3]          # 21 digits: csv.reader
+    cells[50] = cells[50][:-1]                      # row_length: from arrays
+    cells[55][0] = '""'                             # empty_id: from arrays
+    cells[80][1] = ""                               # missing: from arrays
+    lines = [",".join(row) for row in cells] + ['"",""']  # and a blank line
     lines[60] += "\r"                               # CRLF: converted in bulk
     data = (header + "\n" + "\n".join(lines) + "\n").encode()
     rs, report = parse_response_file(data, xyz_instrument, ResponseKind.EXPECTATION)
-    unquoted = [row[:] for row in cells]
-    unquoted[20][5] = unquoted[20][5].strip('"')
-    assert calls == [*unquoted[20][1:], *cells[30][1:3], cells[80][1]]
-    assert starts == [lines[20] + "\n"]
+    read = [row[:] for row in cells]
+    read[25][5] = read[25][5].replace('"', "")
+    assert calls == [*read[25][1:], *read[35][1:], *read[45][1:]]
+    assert starts == [lines[at] + "\n" for at in (25, 35, 45)]
     assert [(err.row, err.code) for err in report.row_errors] == \
-        [(31, "not_an_integer"), (41, "out_of_range"), (51, "row_length"), (81, "missing")]
+        [(31, "not_an_integer"), (41, "out_of_range"), (51, "row_length"), (56, "empty_id"),
+         (81, "missing")]
     assert rs.respondent_ids == tuple(row[0] for at, row in enumerate(cells)
-                                      if at not in (30, 40, 50, 80))
+                                      if at not in (30, 40, 50, 55, 80))
+    assert rs.values[20].tolist() == [int(cell.strip('" ')) for cell in cells[20][1:]]
+
+
+@pytest.mark.parametrize("cells, column, code, checked", [
+    (["1", "x", "2", "", "3"], "q2", "not_an_integer", False),
+    (["1", " ", "x", "3", "4"], "q2", "missing", False),
+    (["1", "2", '"3.0"', "9" * 19, ""], "q3", "not_an_integer", False),
+    (["1", "0" * 19 + "2", "x", "", "3"], "q3", "not_an_integer", True),
+], ids=["bad_then_missing", "missing_then_bad", "quoted_then_long", "long_then_bad"])
+def test_first_bad_cell_gives_the_diagnostic(cells, column, code, checked):
+    """A row with several bad cells is rejected for the first, from arrays
+    unless a longer run of digits comes before it."""
+    instrument = _instrument(5, 1, 5)
+    data = ("respondent_id,q1,q2,q3,q4,q5\nr1,1,2,3,4,5\nr2," + ",".join(cells) + "\n").encode()
+    with _checked_rows() as calls:
+        _, report = parse_response_file(data, instrument, ResponseKind.EXPECTATION)
+    assert [(err.row, err.column, err.code) for err in report.row_errors] == [(2, column, code)]
+    assert calls == ([2] if checked else [])
+    assert _outcome(parse_response_file, data, instrument, ResponseKind.EXPECTATION,
+                    MissingPolicy.DROP_ROW) == \
+        _outcome(parse_response_rows, data, instrument, ResponseKind.EXPECTATION,
+                 MissingPolicy.DROP_ROW)
 
 
 @pytest.mark.parametrize("column", [0, 9], ids=["id", "cell"])
@@ -589,3 +652,60 @@ def test_quoted_record_over_two_lines_takes_the_per_cell_route(column, xyz_instr
             assert [(err.row, err.code) for err in report.row_errors] == [(81, "missing")]
             assert rs.respondent_ids[70] == quoted[70][0].strip('"')
             assert rs.values[70].tolist() == [int(cell.strip('"')) for cell in quoted[70][1:]]
+
+
+#: Cells and allocation rows that trip one rejection code each, and accepted
+#: spellings of a valid cell, as survey tools export them.
+BAD_CELLS = {"missing": "", "not_an_integer": "3.0", "out_of_range": "6"}
+BAD_ALLOCATIONS = {"out_of_range": ["105", "-5", "0", "0", "0"],
+                   "sum_not_100": ["20", "20", "20", "20", "25"],
+                   "not_multiple_of_five": ["22", "18", "20", "20", "20"]}
+DRESSED = ('"{}"', " {} ", "+{}", "{}\t")
+
+
+def _dirty_export(rng: random.Random, kind: ResponseKind, n: int) -> tuple[bytes, set[str]]:
+    """An export of n rows and the codes of its rejected rows: about 2 % of
+    the rows per code, one cell of a tenth of the others quoted, padded or
+    signed, one line in 20 ended by \\r\\n and one blank line per 200."""
+    if kind.is_likert:
+        header = ["respondent_id"] + [f"q{i}" for i in range(1, 18)]
+        rows = [[str(rng.randint(1, 5)) for _ in range(17)] for _ in range(n)]
+        codes = ["missing", "not_an_integer", "out_of_range", "row_length"]
+    else:
+        header = ["respondent_id", *IMPORTANCE_COLUMNS]
+        rows = [[str(5 * sum(rng.randrange(5) == c for _ in range(20))) for c in range(5)]
+                for _ in range(n)]
+        codes = ["missing", "not_an_integer", *BAD_ALLOCATIONS, "row_length"]
+    for row in rows:
+        draw = rng.random()
+        code = codes[int(draw / 0.02)] if draw < 0.02 * len(codes) else None
+        if code == "row_length":
+            row.pop()
+        elif code in BAD_ALLOCATIONS and not kind.is_likert:
+            row[:] = BAD_ALLOCATIONS[code]
+        elif code is not None:
+            row[rng.randrange(len(row))] = BAD_CELLS[code]
+        elif rng.random() < 0.1:
+            at = rng.randrange(len(row))
+            row[at] = rng.choice(DRESSED).format(row[at])
+    lines = [",".join(header)] + [",".join([f"r{r:06d}", *row]) + "\r" * (rng.random() < 0.05)
+                                  for r, row in enumerate(rows, start=1)]
+    for at in sorted(rng.sample(range(2, len(lines)), n // 200), reverse=True):
+        lines.insert(at, "")
+    return ("\n".join(lines) + "\n").encode("ascii"), set(codes)
+
+
+@pytest.mark.parametrize("kind", list(ResponseKind))
+def test_dirty_export_is_read_from_arrays(kind, xyz_instrument):
+    """A dirty survey export of 2,000 rows, every rejection code among them,
+    gives the per-cell parser's result under both policies without a single
+    record reaching the per-cell checks."""
+    data, codes = _dirty_export(random.Random(17), kind, 2000)
+    for policy in MissingPolicy:
+        with _per_cell_only():
+            reference = _outcome(parse_response_rows, data, xyz_instrument, kind, policy)
+        with _checked_rows() as checked:
+            assert _outcome(parse_response_file, data, xyz_instrument, kind, policy) == reference
+        assert checked == []
+        if policy is MissingPolicy.DROP_ROW:
+            assert {err.code for err in reference[-1].row_errors} == codes

@@ -415,13 +415,30 @@ GATE = ("reliability", "perception", "passes_gate")
      "metadata.respondents.expectation must be an integer, got 'eighty'"),
     (("metadata", "generated_at"), {"a": 1}, "metadata.generated_at must be a string, "
                                              "got {'a': 1}"),
+    (("hoq",), [1], "hoq must be an object"),
+    (("hoq", "customer_reqs", 0, "importance"), "high",
+     "hoq.customer_reqs[0].importance must be a finite number, got 'high'"),
+    (("hoq", "relationships", 0, 0), 2, "hoq.relationships[0][0] 2 is not a legal strength "
+                                        "(expected one of (0, 1, 3, 9))"),
+    (("fishbone",), "x", "fishbone must be an object"),
+    (("fishbone", "effect"), 5, "fishbone.effect must be a string, got 5"),
+    (("fishbone", "branches", 0, "name"), " ", "fishbone.branches[0].name must be non-empty"),
 ], ids=["passes_gate_text", "passes_gate_zero", "passes_gate_null", "unknown_field",
         "kano_category", "tool_name", "instrument_n_items", "respondents_expectation",
-        "generated_at"])
+        "generated_at", "hoq_not_an_object", "hoq_importance", "hoq_strength",
+        "fishbone_not_an_object", "fishbone_effect", "fishbone_branch_name"])
 def test_refused_field_is_named_by_its_place(saved_reports, path, value, message):
     doc, _ = saved_reports["demo07"]
     with pytest.raises(DefinitionError, match=f"^report {re.escape(message)}$"):
         parse_report(json.dumps(replace_at(doc, path, value)))
+
+
+@pytest.mark.parametrize("path", [("kano",), ("descriptives", "expectation"),
+                                  ("descriptives", "perception")])
+def test_empty_list_is_re_emitted_as_read(saved_reports, path):
+    """A section that a saved report holds as an empty list stays one, not null."""
+    doc = replace_at(saved_reports["demo07"][0], path, [])
+    assert _at(json.loads(emit(parse_report(json.dumps(doc)), "json")), path) == []
 
 
 def test_missing_field_is_named_by_its_place(saved_reports):
