@@ -3,10 +3,11 @@
 PYTHON ?= python3
 W ?= tall
 SEED ?= 1
+PAIRS ?= 10
 TIER1 = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
 
-.PHONY: help test test-deep test-ingest-deep test-psych-deep bench-smoke bench loc digest \
-	digest-diff
+.PHONY: help test test-deep test-ingest-deep test-psych-deep bench-smoke bench bench-pair loc \
+	digest digest-diff
 
 help:
 	@echo "make test         tier-1 suite (tests/, default hypothesis profile)"
@@ -15,6 +16,10 @@ help:
 	@echo "make test-psych-deep   the psychometrics and acceptance tests alone, on 10x the examples"
 	@echo "make bench-smoke  perfbench smoke run at tiny sizes"
 	@echo "make bench        one benchmark run: W=<workload> (default tall) SEED=<n> (default 1)"
+	@echo "make bench-pair   benchmark pairs, src/ of git revision BASE=<rev> against the working"
+	@echo "                  tree, alternating which runs first: W=<workload> PAIRS=<n> (default"
+	@echo "                  10) SEED=<s> (pair i uses SEED+i); prints each end-to-end metric's"
+	@echo "                  medians, base quartiles and the pairs in which the change read lower"
 	@echo "make loc          line counts of the source modules"
 	@echo "make digest       SHA-256 of every gap, report, validate, descriptives, reliability"
 	@echo "                  and qfd output on each workload: SEED=<n> (default 1); gap runs"
@@ -41,6 +46,10 @@ bench-smoke:
 
 bench:
 	$(PYTHON) perfbench/run.py --workload $(W) --seed $(SEED) --trace 0
+
+bench-pair:
+	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [W=<workload>] [PAIRS=<n>] [SEED=<s>]" >&2; exit 2; }
+	$(PYTHON) tools/bench_pair.py --base $(BASE) --workload $(W) --pairs $(PAIRS) --seed $(SEED)
 
 loc:
 	@wc -l src/satmetric/*.py

@@ -34,6 +34,12 @@ errors.
   csv.field_size_limit() bytes or more, line end included, or has an id or
   a cell whose quotes take in a line end: a quoted record that spans
   lines, or a last line whose quote is not closed before its newline.
+  Every byte costs the passes that find the commas, the quotes and the
+  bytes outside ``!`` to ``~``; every line its comma count and one search
+  of its bounds among the padding, quote and non-ASCII offsets; every cell
+  its first digit.  The rest is paid only where its feature occurs: a later
+  digit place by the cells that wide, a sign by the cells whose first digit
+  fails, stripping by padded lines, and a diagnostic by the row it rejects.
 * Per-cell: parse_response_rows reads every record with csv.reader and
   checks it cell by cell.  It reads every input the line route declines.
 
@@ -176,7 +182,7 @@ _ALLOCATION_MESSAGES = {
     "out_of_range": "allocation values must lie in [0, 100]",
     "not_multiple_of_five": "allocation values must be multiples of five",
 }
-_OUT_OF_SCALE = "value {value} outside scale [{scale.min}, {scale.max}]"
+_OUT_OF_SCALE = "value {} outside scale [{scale.min}, {scale.max}]"
 
 
 def _invalid_allocations(values: np.ndarray) -> np.ndarray:
@@ -184,8 +190,8 @@ def _invalid_allocations(values: np.ndarray) -> np.ndarray:
     validate_importance_row finds the c-th violation of _ALLOCATION_MESSAGES
     (the int64 sum of five values of at most 18 digits is exact)."""
     return np.stack((values.sum(axis=1) != IMPORTANCE_TOTAL,
-                     ((values < 0) | (values > IMPORTANCE_TOTAL)).any(axis=1),
-                     (values % IMPORTANCE_STEP != 0).any(axis=1)))
+                     _rows_with((values < 0) | (values > IMPORTANCE_TOTAL)),
+                     _rows_with(values % IMPORTANCE_STEP != 0)))
 
 
 def _expected_header(instrument: SurveyInstrument, kind: ResponseKind) -> list[str]:
@@ -232,28 +238,30 @@ _ID_COLUMN = "respondent_id"
 def _digit_values(
     raw: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The N x k values of the cells ``raw[starts:ends]`` (elementwise) and
-    the mask of the cells that are not 1 to 18 digits (an int64 holds every
-    18-digit number), whose values are meaningless.  Advances ``starts``
-    and overwrites ``ends``: each large temporary is paid for in page
+    """The values of the cells ``raw[starts:ends]`` (elementwise, any shape)
+    and the mask of the cells that are not 1 to 18 digits (an int64 holds
+    every 18-digit number), whose values are meaningless.  Overwrites
+    ``ends`` with the cell widths: each large temporary is paid for in page
     faults, so callers hand over theirs."""
     widths = np.subtract(ends, starts, out=ends)
-    np.copyto(widths, 0, where=(widths < 1) | (widths > 18))
-    widths = widths.astype(np.int8)
+    misfit = (widths < 1) | (widths > 18)
+    narrow = widths.astype(np.int8)  # a width that wraps is a misfit, set to 0
+    np.copyto(narrow, 0, where=misfit)
     # Horner's rule, one gather per digit place: several times faster than
     # converting the split cells with astype.  Every cell of good width has
-    # a first digit; the later places update only the cells that have them.
-    # A gather past the end of ``raw`` reads its last byte, unused.
+    # a first digit, and a gather past the end of ``raw`` reads its last
+    # byte, unused.  The later places read only the cells that have them.
     worst = raw.take(starts, mode="clip") - ord("0")  # other bytes wrap above 9
-    np.maximum(worst, 10, out=worst, where=widths == 0)  # and so does a bad width
+    np.maximum(worst, 10, out=worst, where=misfit)  # and so does a bad width
     values = worst.astype(np.int64)
-    for place in range(1, int(widths.max(initial=0))):
-        starts += 1
-        has = widths > place
-        digits = raw.take(starts, mode="clip") - ord("0")
-        np.maximum(worst, digits, out=worst, where=has)
-        np.multiply(values, 10, out=values, where=has)
-        np.add(values, digits, out=values, where=has)
+    cells = np.flatnonzero(narrow > 1) if narrow.max(initial=0) > 1 else []
+    place = 1
+    while len(cells):
+        digits = raw.take(starts.take(cells) + place) - ord("0")
+        values.put(cells, values.take(cells) * 10 + digits)
+        worst.put(cells, np.maximum(worst.take(cells), digits))
+        place += 1
+        cells = cells[narrow.take(cells) > place]
     return values, worst > 9
 
 
@@ -267,8 +275,8 @@ def _rows_with(cells: np.ndarray) -> np.ndarray:
 
 def _texts(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
     """The ASCII text of each span ``raw[starts:ends]``, none of which holds
-    a newline: one gather takes each span and the byte at its end, which
-    becomes the newline that one split cuts at."""
+    a newline: one gather takes each span and the byte at its end (clipped to
+    ``raw``), which becomes the newline that one split cuts at."""
     if not len(starts):
         return []
     stops = np.cumsum(ends - starts + 1)
@@ -276,7 +284,7 @@ def _texts(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
     # end of each span to the start of the next: one array, summed in place.
     steps = np.ones(stops[-1], dtype=np.int64)
     steps[0], steps[stops[:-1]] = starts[0], starts[1:] - ends[:-1]
-    text = raw[np.cumsum(steps, out=steps)]
+    text = raw.take(np.cumsum(steps, out=steps), mode="clip")
     text[stops - 1] = ord("\n")
     return text.tobytes().decode("ascii").split("\n")[:-1]
 
@@ -291,18 +299,21 @@ def _refused(values: np.ndarray, valid: np.ndarray, rows: np.ndarray, expected: 
         outside = (values < scale.min) | (values > scale.max)
         refused = np.flatnonzero(valid & _rows_with(outside))
         columns = outside[refused].argmax(axis=1)  # the first cell outside
-        found = [(expected[column + 1], "out_of_range",
-                  _OUT_OF_SCALE.format(value=value, scale=scale))
-                 for column, value in zip(columns.tolist(), values[refused, columns].tolist())]
+        message = _OUT_OF_SCALE.format("{}", scale=scale)
+        errors = [RowError(row, expected[column + 1], "out_of_range", message.format(value))
+                  for row, column, value in zip(rows[refused].tolist(), columns.tolist(),
+                                                values[refused, columns].tolist())]
     else:
         failed = _invalid_allocations(values)
         refused = np.flatnonzero(valid & failed.any(axis=0))
-        codes = list(_ALLOCATION_MESSAGES)
-        found = [("*", codes[at], _ALLOCATION_MESSAGES[codes[at]].format(sum=total))
-                 for at, total in zip(failed[:, refused].argmax(axis=0).tolist(),
-                                      values[refused].sum(axis=1).tolist())]
+        codes = list(_ALLOCATION_MESSAGES.items())
+        errors = [RowError(row, "*", code, message.format(sum=total))
+                  for row, (code, message), total in zip(
+                      rows[refused].tolist(),
+                      (codes[at] for at in failed[:, refused].argmax(axis=0).tolist()),
+                      values[refused].sum(axis=1).tolist())]
     valid[refused] = False
-    return [RowError(row, *error) for row, error in zip(rows[refused].tolist(), found)]
+    return errors
 
 
 #: The ASCII bytes that str.strip() removes, but for the line ends: within
@@ -327,10 +338,10 @@ def _parse_lines(
     # Sparse offsets of the bytes outside "!" to "~" (the subtraction wraps
     # below "!"): the line ends, the padding and the non-ASCII bytes are among them.
     odd = np.flatnonzero((raw - np.uint8(ord("!"))) > ord("~") - ord("!"))
-    returns = odd[raw[odd] == ord("\r")]
-    if (raw.take(returns + 1, mode="clip") != ord("\n")).any():
+    kinds = raw[odd]
+    if (raw.take(odd[kinds == ord("\r")] + 1, mode="clip") != ord("\n")).any():
         return None
-    edges = np.append(0, np.flatnonzero(raw == ord("\n")) + 1)
+    edges = np.append(0, odd[kinds == ord("\n")] + 1)
     if edges[-1] < len(raw):
         edges = np.append(edges, len(raw))
     if np.diff(edges).max() >= csv.field_size_limit():
@@ -362,40 +373,40 @@ def _parse_lines(
                                _texts(raw, starts, grid[:, 0]), values, errors)
 
     # The lines that csv.reader reads: non-ASCII, or with a quote that wraps no field.
-    high = odd[raw[odd] > 0x7F]
-    hard = np.searchsorted(high, stops) != np.searchsorted(high, starts)
+    hard = _per_line(odd[kinds > 0x7F], edges) > 0
     quoted, loose = _quotes(raw, edges, commas)
     hard[loose] = True
-    pad = odd[_PAD[raw[odd]]]
-    lead = np.searchsorted(commas, starts)
-    fields = np.searchsorted(commas, stops) - lead + 1
+    pad = odd[_PAD[kinds]]
+    pads = _per_line(pad, edges)
+    lead = np.searchsorted(commas, edges[1:])  # no comma lies between a stop and an end
+    fields = np.diff(lead) + 1
     # A blank line holds only padding, commas and quotes.
-    easy = ~hard & (stops - starts - quoted - fields + 1
-                     > np.searchsorted(pad, stops) - np.searchsorted(pad, starts))
+    easy = ~hard & (stops - starts - quoted - fields + 1 > pads)
     short = np.flatnonzero(easy & (fields != k + 1))
     errors = [RowError(at + 1, "*", "row_length", f"expected {k + 1} fields, got {count}")
               for at, count in zip(short.tolist(), fields[short].tolist())]
     lines = np.flatnonzero(easy & (fields == k + 1))
-    values, bad, id_lo, id_hi = _bulk_values(
-        raw, starts[lines], stops[lines], commas[lead[lines, None] + np.arange(k)],
-        quoted[lines] > 0, pad)
+    # The k commas of line lines[i]: the window of k from its first (the header holds k).
+    values, bad, id_lo, id_hi, lo, widths = _bulk_values(
+        raw, starts[lines], stops[lines],
+        np.lib.stride_tricks.sliding_window_view(commas, k)[lead[lines]],
+        quoted[lines] > 0, pads[lines] > 0, pad)
     valid = id_hi > id_lo
     errors += [RowError(at + 1, _ID_COLUMN, "empty_id", "respondent id is empty")
                for at in lines[~valid].tolist()]
     broken = np.flatnonzero(valid & _rows_with(bad))
     valid[broken] = False
     cells = bad[broken].argmax(axis=1)  # the first bad cell of each row
-    at = lead[lines[broken]] + cells  # the comma before it
-    for line_at, cell, lo, hi in zip(
-            lines[broken].tolist(), cells.tolist(), (commas[at] + 1).tolist(),
-            np.where(cells < k - 1, commas.take(at + 1, mode="clip"),
-                     stops[lines[broken]]).tolist()):
-        text = data[lo:hi].decode("ascii")
-        text = (text[1:-1] if text[:1] == '"' else text).strip()
-        if _INT_CELL.fullmatch(text):  # more than 18 digits
-            hard[line_at] = True
-        else:
-            errors.append(_cell_error(line_at + 1, expected[cell + 1], text))
+    width = np.maximum(widths[broken, cells], 0)  # an all-pad cell has hi < lo
+    first = lo[broken, cells]
+    del lo, widths  # let go of two N x k arrays
+    texts = _texts(raw, first, first + width)
+    for at in np.flatnonzero(width > 18).tolist():
+        if _INT_CELL.fullmatch(texts[at]):  # more than 18 digits
+            hard[lines[broken[at]]] = True
+            texts[at] = None
+    errors += [_cell_error(at + 1, expected[cell + 1], text) for at, cell, text in
+               zip(lines[broken].tolist(), cells.tolist(), texts) if text is not None]
     errors += _refused(values, valid, lines + 1, expected, instrument.scale, kind)
     lines, values = lines[valid], values[valid]
     ids = _texts(raw, id_lo[valid], id_hi[valid])
@@ -446,41 +457,48 @@ def _line_input(data: bytes | str, expected: list[str]) -> bytes | None:
     return data
 
 
+def _per_line(offsets: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """How many of the sorted byte ``offsets`` lie on each data line
+    raw[edges[i + 1]:edges[i + 2]]."""
+    return np.diff(np.searchsorted(offsets, edges[1:]))
+
+
 def _quotes(raw: np.ndarray, edges: np.ndarray, commas: np.ndarray) -> tuple[np.ndarray, ...]:
     """The quote count of each data line raw[edges[i + 1]:edges[i + 2]], and
     the lines that hold a quote that does not wrap a field: two quotes wrap
-    one when they are its first and last byte and it holds no other quote."""
+    one when they are its first and last byte and it holds no other quote.
+    An array with an entry per quote goes once used: a file may be all quotes."""
     quotes = np.flatnonzero(raw == ord('"'))
-    before, after = raw[quotes - 1], raw.take(quotes + 1, mode="clip")
     # The quotes that start a field, and those that end one: before a comma,
     # a line end (every \r is one) or the end of the file.
-    first = (before == ord(",")) | (before == ord("\n"))
-    last = (after == ord(",")) | (after == ord("\r")) | (after == ord("\n"))
+    first = np.isin(raw[quotes - 1], (ord(","), ord("\n")))
+    last = np.isin(raw.take(quotes + 1, mode="clip"), (ord(","), ord("\r"), ord("\n")))
     last[-1:] |= quotes[-1:] == len(raw) - 1
     # Quotes i and i + 1 wrap a field when no comma or line end lies between
     # them; a quote in two such pairs would be a field of its own.
     opens = np.flatnonzero(first[:-1] & last[1:])
-    lo, hi = quotes[opens], quotes[opens + 1]
-    comma = np.searchsorted(commas, lo)
-    opens = opens[((comma == len(commas)) | (commas.take(comma, mode="clip") > hi))
-                  & (hi < edges[np.searchsorted(edges, lo, side="right")])]
+    del first, last
+    for bounds, side in ((commas, "left"), (edges, "right")):
+        opens = opens[np.searchsorted(bounds, quotes[opens], side)
+                      == np.searchsorted(bounds, quotes[1:][opens], side)]
     wraps = np.zeros(len(quotes), dtype=bool)
-    wraps[opens] = wraps[opens + 1] = True
-    return (np.diff(np.searchsorted(quotes, edges[1:])),
+    wraps[opens] = wraps[1:][opens] = True
+    return (_per_line(quotes, edges),
             np.searchsorted(edges, quotes[~wraps], side="right") - 2)
 
 
 def _bulk_values(
     raw: np.ndarray, starts: np.ndarray, stops: np.ndarray, commas: np.ndarray,
-    quoted: np.ndarray, pad: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    quoted: np.ndarray, padded: np.ndarray, pad: np.ndarray,
+) -> tuple[np.ndarray, ...]:
     """Read the ASCII lines ``raw[starts:stops]``, whose N x k comma offsets
     are ``commas`` (consumed) and whose quotes all wrap a field; ``quoted``
-    marks the lines that hold a quote, and ``pad`` holds the sorted offsets
-    of the _PAD bytes.  Each id and cell loses its quotes, as csv.reader
-    reads it, and is narrowed as str.strip() narrows it; each cell is read
-    as an optional sign and 1 to 18 digits.  Returns the values, the mask of
-    the cells that are not, and the bounds of the stripped ids."""
+    and ``padded`` mark the lines that hold a quote and a _PAD byte, and
+    ``pad`` holds the sorted offsets of the _PAD bytes.  Each id and cell
+    loses its quotes, as csv.reader reads it, and is narrowed as str.strip()
+    narrows it; each cell is read as an optional sign and 1 to 18 digits.
+    Returns the values, the mask of the cells that are not, the bounds of
+    the stripped ids, and the starts and widths of the stripped cells."""
     id_lo, id_hi = starts.copy(), commas[:, 0].copy()
     hi = np.empty_like(commas)
     hi[:, :-1], hi[:, -1] = commas[:, 1:], stops
@@ -490,16 +508,19 @@ def _bulk_values(
         wrapped = raw.take(first[quoted], mode="clip") == ord('"')
         first[quoted] += wrapped
         last[quoted] -= wrapped
-    padded = np.flatnonzero(np.searchsorted(pad, stops) > np.searchsorted(pad, starts))
+    padded = np.flatnonzero(padded)
     if padded.size:
         id_lo[padded], id_hi[padded] = _strip_spans(id_lo[padded], id_hi[padded], pad)
         lo[padded], hi[padded] = _strip_spans(lo[padded], hi[padded], pad)
-    sign = raw.take(lo, mode="clip")
-    negative = sign == ord("-")
-    lo += negative | (sign == ord("+"))
     values, bad = _digit_values(raw, lo, hi)
-    np.negative(values, out=values, where=negative)
-    return values, bad, id_lo, id_hi
+    # A sign fails the first digit: read those cells again without it.
+    cells = np.flatnonzero(bad)
+    cells = cells[np.isin(raw.take(lo.take(cells), mode="clip"), (ord("+"), ord("-")))]
+    start = lo.take(cells) + 1
+    magnitude, wrong = _digit_values(raw, start, start + hi.take(cells) - 1)
+    values.put(cells, np.where(raw[start - 1] == ord("-"), -magnitude, magnitude))
+    bad.put(cells, wrong)
+    return values, bad, id_lo, id_hi, lo, hi
 
 
 def _strip_spans(
@@ -608,7 +629,7 @@ def _value_error(
         for col_name, value in zip(expected[1:], values):
             if value < scale.min or value > scale.max:
                 return RowError(row, col_name, "out_of_range",
-                                _OUT_OF_SCALE.format(value=value, scale=scale))
+                                _OUT_OF_SCALE.format(value, scale=scale))
         return None
     violation = validate_importance_row(values)
     if violation is None:

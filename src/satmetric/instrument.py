@@ -38,7 +38,8 @@ class KanoCategory(str, Enum):
 
 @dataclass(frozen=True)
 class LikertScale:
-    """Integer rating scale; every response value must lie in [min, max]."""
+    """Integer rating scale; every response value must lie in [min, max].
+    Both bounds fit an int64, so every accepted value does too."""
 
     min: int = 1
     max: int = 5
@@ -48,6 +49,9 @@ class LikertScale:
     def __post_init__(self) -> None:
         if self.min >= self.max:
             raise DefinitionError(f"scale min must be < max, got [{self.min}, {self.max}]")
+        if self.min < -(2**63) or self.max > 2**63 - 1:
+            raise DefinitionError(f"scale [{self.min}, {self.max}] does not fit an int64: "
+                                  f"its bounds must lie in [{-(2**63)}, {2**63 - 1}]")
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,29 @@ def test_out_of_range_fails_fast_under_fail_policy():
                             policy=MissingPolicy.FAIL)
 
 
+@pytest.mark.parametrize("parse", [parse_response_file, parse_response_rows])
+@pytest.mark.parametrize("policy", list(MissingPolicy))
+def test_widest_scale_refuses_values_beyond_int64(parse, policy):
+    """Under the widest scale an int64 holds, a value one past either bound
+    is out of range on both routes, not an OverflowError."""
+    instrument = build_instrument({
+        "scale": {"min": -(2**63), "max": 2**63 - 1},
+        "items": [{"id": 1, "prompt": "a", "dimension": "empathy", "kano": "must_be"}],
+    })
+    data = ("respondent_id,q1\nr1,11111111111111111111\nr2,9223372036854775807\n"
+            "r3,-9223372036854775809\nr4,-9223372036854775808\n").encode()
+    if policy is MissingPolicy.FAIL:
+        with pytest.raises(DataError, match=r"row 1, column q1: value 11111111111111111111 "
+                                            r"outside scale \[-9223372036854775808, "
+                                            r"9223372036854775807\] \[out_of_range\]"):
+            parse(data, instrument, ResponseKind.EXPECTATION, policy)
+        return
+    rs, report = parse(data, instrument, ResponseKind.EXPECTATION, policy)
+    assert [(err.row, err.code) for err in report.row_errors] == \
+        [(1, "out_of_range"), (3, "out_of_range")]
+    assert rs.values.tolist() == [[2**63 - 1], [-(2**63)]]
+
+
 def test_missing_and_decimal_cells_rejected():
     data = likert_csv(["r1,1,,3", "r2,2.0,3,3", "r3,1,2,3"])
     rs, report = parse_response_file(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION)
@@ -185,6 +208,14 @@ def test_strict_str_input_takes_the_strict_case():
     ref_rs, ref_report = parse_response_rows(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION)
     assert report == ref_report and rs.respondent_ids == ref_rs.respondent_ids
     assert rs.values.tolist() == ref_rs.values.tolist() == [[1, 2, 3], [4, 5, 1]]
+
+
+def test_texts_reads_spans_up_to_the_end_of_the_data():
+    """_texts gathers the byte after each span; after the last byte of the
+    data there is none."""
+    raw = np.frombuffer(b"ab,cd", np.uint8)
+    assert ingest._texts(raw, np.array([3]), np.array([5])) == ["cd"]
+    assert ingest._texts(raw, np.array([0, 3, 5]), np.array([2, 5, 5])) == ["ab", "cd", ""]
 
 
 def test_header_mismatch_rejected(xyz_instrument):

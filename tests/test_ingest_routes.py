@@ -111,7 +111,12 @@ CELL_MUTATIONS = {
     "quoted_comma": lambda cell, hi: '"1,2"',
     "quoted_sign": lambda cell, hi: f'"+{cell}"',
 }
-ROW_MUTATIONS = ("add_field", "drop_field", "empty_id", "blank_id", "duplicate_id",
+#: Cells of these digit counts, the widths around the 18 that the line
+#: route converts itself, each drawn with or without a sign and put in a row
+#: that also holds a quoted or padded cell.
+WIDE_CELLS = {f"digits_{width}": width for width in (2, 17, 18, 19, 25)}
+DRESSINGS = ('"{}"', " {} ", "{}\t", '" {}\t"')
+ROW_MUTATIONS = (*WIDE_CELLS, "add_field", "drop_field", "empty_id", "blank_id", "duplicate_id",
                  "padded_duplicate_id", "padded_id", "whitespace_padded_id", "non_ascii_id",
                  "blank_line", "whitespace_line", "blank_fields_line", "quoted_blank_line",
                  "quoted_id", "quoted_id_closing_later",
@@ -141,6 +146,14 @@ def _mutate(draw, table, hi, eol, trailing, names) -> bytes:
             if len(row) > 1:
                 c = draw(st.integers(1, len(row) - 1))
                 row[c] = CELL_MUTATIONS[name](row[c], hi)
+        elif name in WIDE_CELLS:
+            if len(row) > 1:
+                c, d = (draw(st.integers(1, len(row) - 1)) for _ in range(2))
+                width = WIDE_CELLS[name]
+                digits = draw(st.one_of(st.just(row[c].zfill(width)), st.text(
+                    alphabet="0123456789", min_size=width, max_size=width)))
+                row[c] = draw(st.sampled_from(["", "+", "-"])) + digits
+                row[d] = draw(st.sampled_from(DRESSINGS)).format(row[d])
         elif name == "add_field":
             row.append("1")
         elif name == "drop_field":
@@ -623,6 +636,61 @@ def test_first_bad_cell_gives_the_diagnostic(cells, column, code, checked):
                     MissingPolicy.DROP_ROW) == \
         _outcome(parse_response_rows, data, instrument, ResponseKind.EXPECTATION,
                  MissingPolicy.DROP_ROW)
+
+
+def _assert_routes_agree(data, instrument, kind=ResponseKind.EXPECTATION):
+    """parse_response_file gives the per-cell parser's outcome under both policies."""
+    for policy in MissingPolicy:
+        with _per_cell_only():
+            reference = _outcome(parse_response_rows, data, instrument, kind, policy)
+        assert _outcome(parse_response_file, data, instrument, kind, policy) == reference, data
+
+
+@pytest.mark.parametrize("dressing", DRESSINGS)
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+@pytest.mark.parametrize("width", sorted(WIDE_CELLS.values()))
+def test_wide_cell_beside_a_dressed_cell(width, sign, dressing):
+    """A cell of each width around 18 digits, signed or not, in a row with a
+    quoted or padded cell: zero-padded to a value in the scale, and all
+    nines, which lies outside it."""
+    instrument = _instrument(3, -5, 5)
+    for digits in ("3".zfill(width), "9" * width):
+        rows = ["r1,1,2,3", f"r2,{sign}{digits},{dressing.format(4)},5", "r3,5,4,3"]
+        _assert_routes_agree(("respondent_id,q1,q2,q3\n" + "\n".join(rows)).encode(),
+                             instrument)
+
+
+@pytest.mark.parametrize("cell", ["x", "3.0", "", " ", '"x"', '" "', "+", "1 2", "9" * 25,
+                                  "+" + "0" * 18 + "4"])
+@pytest.mark.parametrize("kind", list(ResponseKind))
+def test_bad_last_cell_at_the_end_of_the_file(cell, kind, xyz_instrument):
+    """The last cell of a file without a final newline, bad: its diagnostic
+    comes from arrays, and a longer run of digits goes to the per-cell checks."""
+    if kind.is_likert:
+        instrument, rows = _instrument(3, 1, 5), ["r1,1,2,3", "r2,4,5," + cell]
+    else:
+        instrument, rows = xyz_instrument, ["r1,20,20,20,20,20", "r2,20,20,20,20," + cell]
+    header = ",".join(ingest._expected_header(instrument, kind))
+    data = (header + "\n" + "\n".join(rows)).encode()
+    _assert_routes_agree(data, instrument, kind)
+    with _checked_rows() as checked:
+        parse_response_file(data, instrument, kind)
+    assert checked == ([2] if cell.lstrip("+").isdigit() else [])
+
+
+@pytest.mark.parametrize("digits", ["0" * 17 + "4", "9" * 18, "1" + "0" * 17])
+def test_one_wide_cell_among_one_digit_cells(digits, xyz_instrument):
+    """A file of one-digit cells but for one of 18 digits stays in the strict
+    case; signed, it takes the line route's conversion of signed cells."""
+    header, rows = _xyz_rows(300)
+    cells = [row.split(",") for row in rows]
+    cells[150][9] = digits
+    data = (header + "\n" + "\n".join(",".join(row) for row in cells) + "\n").encode()
+    assert strict_result(data, xyz_instrument, ResponseKind.EXPECTATION) is not None
+    for payload in (data, data.replace(b"," + digits.encode(), b",+" + digits.encode())):
+        _assert_routes_agree(payload, xyz_instrument)
+    rs, report = parse_response_file(data, xyz_instrument, ResponseKind.EXPECTATION)
+    assert (rs.values[150, 8] == 4) if digits.endswith("4") else report.rejected_rows == 1
 
 
 @pytest.mark.parametrize("column", [0, 9], ids=["id", "cell"])

@@ -7,7 +7,9 @@ from satmetric.errors import DefinitionError
 from satmetric.instrument import (
     DIMENSION_ORDER,
     KanoCategory,
+    LikertScale,
     build_instrument,
+    load_instrument,
     master_catalog,
     select_items,
     serialize_instrument,
@@ -103,6 +105,22 @@ def test_bad_item_fields_rejected(mutation, match):
     item.update(mutation)
     with pytest.raises(DefinitionError, match=match):
         build_instrument({"scale": {"min": 1, "max": 5}, "items": [item]})
+
+
+@pytest.mark.parametrize("bounds", [(1, 10**30), (-(2**63) - 1, 5), (-(10**20), 10**20)],
+                         ids=["max", "min", "both"])
+def test_scale_beyond_int64_rejected(bounds, tmp_path):
+    """A response matrix is int64, so a scale wider than it is refused where
+    the instrument is built, from JSON or directly, before any file is read."""
+    lo, hi = bounds
+    message = rf"scale \[{lo}, {hi}\] does not fit an int64"
+    path = tmp_path / "instrument.json"
+    path.write_text(json.dumps({"scale": {"min": lo, "max": hi}, "items": [ITEM]}))
+    with pytest.raises(DefinitionError, match=message):
+        load_instrument(path)
+    with pytest.raises(DefinitionError, match=message):
+        LikertScale(min=lo, max=hi)
+    assert LikertScale(min=-(2**63), max=2**63 - 1).max == 2**63 - 1  # the widest allowed
 
 
 def test_empty_item_list_rejected():
