@@ -37,9 +37,12 @@ errors.
   Every byte costs the passes that find the commas, the quotes and the
   bytes outside ``!`` to ``~``; every line its comma count and one search
   of its bounds among the padding, quote and non-ASCII offsets; every cell
-  its first digit.  The rest is paid only where its feature occurs: a later
-  digit place by the cells that wide, a sign by the cells whose first digit
-  fails, stripping by padded lines, and a diagnostic by the row it rejects.
+  its first digit; every id of up to 8 bytes one uint64 key, which checks
+  repeats and is decoded into the ids when they are first read.  The rest is
+  paid only where its feature occurs: a later digit place by the cells that
+  wide, a sign by the cells whose first digit fails, stripping by padded
+  lines, a diagnostic by the row it rejects, and decoding at once by a file
+  with a wider id, a repeated id or a row read by csv.reader.
 * Per-cell: parse_response_rows reads every record with csv.reader and
   checks it cell by cell.  It reads every input the line route declines.
 
@@ -55,6 +58,7 @@ import io
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -123,7 +127,8 @@ class ResponseSet:
     is 5), that every row allocates exactly 100 points in multiples of
     five.  It does not check Likert cells against a scale:
     parse_response_file rejects the rows outside it, and generate_synthetic
-    stays within it by construction.
+    stays within it by construction.  A set that the line route builds
+    holds its ids as _id_keys and decodes them when they are first read.
     """
 
     kind: ResponseKind
@@ -146,6 +151,14 @@ class ResponseSet:
             if bad.size:
                 violation = validate_importance_row([int(v) for v in values[bad[0]]])
                 raise DataError(f"importance row {bad[0] + 1} violates {violation}")
+
+    def __getattr__(self, name: str):
+        # Only for an unset attribute: a copy under construction raises at once.
+        if name != "respondent_ids" or "_id_keys" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ids = tuple(_key_texts(vars(self)["_id_keys"]))
+        object.__setattr__(self, "respondent_ids", ids)
+        return ids
 
     @property
     def n_respondents(self) -> int:
@@ -205,11 +218,18 @@ _INT_CELL = re.compile(r"[+-]?[0-9]+")
 
 def _parse_int_cell(cell: str) -> int | None:
     """Strict ASCII integer parse; decimals, underscores, and other noise
-    are rejected."""
+    are rejected, and so is an integer of more significant digits than
+    int() reads (sys.get_int_max_str_digits())."""
     text = cell.strip()
     if not text or not _INT_CELL.fullmatch(text):
         return None
-    return int(text, 10)
+    try:
+        return int(text, 10)
+    except ValueError:  # over the digit limit, maybe only by its leading zeros
+        digits = text.lstrip("+-").lstrip("0") or "0"
+        if len(digits) > sys.get_int_max_str_digits():
+            return None
+        return int(text[0] + digits if text[0] == "-" else digits)
 
 
 def parse_response_file(
@@ -287,6 +307,27 @@ def _texts(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
     text = raw.take(np.cumsum(steps, out=steps), mode="clip")
     text[stops - 1] = ord("\n")
     return text.tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _id_keys(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | list[str]:
+    """The ASCII ids ``raw[lo:hi]``, none empty, ``raw`` 8 bytes or more (a
+    header holds 13): as uint64 keys, each id's bytes little-endian and
+    zero-padded to 8, when none is wider than 8 bytes, else as _texts.  A
+    key is one id only, as the line route declines NUL bytes."""
+    widths = hi - lo
+    if widths.max(initial=0) > 8:
+        return _texts(raw, lo, hi)
+    # An 8-byte word starts at each offset; an id in the last 7 bytes reads
+    # the last word and shifts its first byte down.
+    words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
+    at = np.minimum(lo, len(words) - 1)
+    keep = np.uint64(2**64 - 1) >> (64 - 8 * widths).astype(np.uint64)
+    return (words[at] >> (8 * (lo - at)).astype(np.uint64)) & keep
+
+
+def _key_texts(keys: np.ndarray) -> list[str]:
+    """The ids of _id_keys' ``keys``, in order (an S8 item drops its zero padding)."""
+    return [key.decode("ascii") for key in keys.astype("<u8").view("S8").tolist()]
 
 
 def _refused(values: np.ndarray, valid: np.ndarray, rows: np.ndarray, expected: list[str],
@@ -370,7 +411,7 @@ def _parse_lines(
                 if errors:  # keep the rows that pass
                     rows, values, starts, grid = (a[valid] for a in (rows, values, starts, grid))
                 return _result(instrument, kind, policy, rows,
-                               _texts(raw, starts, grid[:, 0]), values, errors)
+                               _id_keys(raw, starts, grid[:, 0]), values, errors)
 
     # The lines that csv.reader reads: non-ASCII, or with a quote that wraps no field.
     hard = _per_line(odd[kinds > 0x7F], edges) > 0
@@ -408,8 +449,7 @@ def _parse_lines(
     errors += [_cell_error(at + 1, expected[cell + 1], text) for at, cell, text in
                zip(lines[broken].tolist(), cells.tolist(), texts) if text is not None]
     errors += _refused(values, valid, lines + 1, expected, instrument.scale, kind)
-    lines, values = lines[valid], values[valid]
-    ids = _texts(raw, id_lo[valid], id_hi[valid])
+    lines, values, id_lo, id_hi = lines[valid], values[valid], id_lo[valid], id_hi[valid]
 
     checked = []
     rest = np.flatnonzero(hard)
@@ -422,6 +462,7 @@ def _parse_lines(
             errors.append(outcome)
         elif outcome is not None:
             checked.append((at, record[0].strip(), outcome))
+    ids = (_texts if checked else _id_keys)(raw, id_lo, id_hi)
     if checked:  # merge them into the converted rows, in line order
         more_lines, more_ids, more_values = zip(*checked)
         lines = np.concatenate((lines, more_lines))
@@ -615,7 +656,12 @@ def _check_record(
 
 
 def _cell_error(row: int, column: str, text: str) -> RowError:
-    """The error of a cell that str.strip() leaves as ``text``, not an integer."""
+    """The error of a cell that str.strip() leaves as ``text``, which
+    _parse_int_cell does not read: not an integer, or one of too many digits."""
+    if _INT_CELL.fullmatch(text):
+        digits = len(text.lstrip("+-").lstrip("0"))
+        return RowError(row, column, "out_of_range", f"value of {digits} digits exceeds "
+                        f"the {sys.get_int_max_str_digits()}-digit integer limit")
     return RowError(row, column, "not_an_integer" if text else "missing",
                     f"cell {text!r} is not a plain integer")
 
@@ -634,7 +680,11 @@ def _value_error(
     violation = validate_importance_row(values)
     if violation is None:
         return None
-    return RowError(row, "*", violation, _ALLOCATION_MESSAGES[violation].format(sum=sum(values)))
+    try:
+        total = str(sum(values))
+    except ValueError:  # more digits than str() writes
+        total = f"a number of more than {sys.get_int_max_str_digits()} digits"
+    return RowError(row, "*", violation, _ALLOCATION_MESSAGES[violation].format(sum=total))
 
 
 def _result(
@@ -642,16 +692,18 @@ def _result(
     kind: ResponseKind,
     policy: MissingPolicy,
     rows: np.ndarray | Sequence[int],
-    ids: list[str],
+    ids: list[str] | np.ndarray,
     values: np.ndarray,
     errors: list[RowError],
 ) -> tuple[ResponseSet, ValidationReport]:
-    """Finish a parse from its accepted rows (data-row numbers, ids and
-    values, in file order) and the errors of the rejected ones, in any
-    order: reject each accepted row whose id an earlier accepted row holds,
-    put the errors in file order, then raise the first under policy fail,
-    else build the result."""
-    if len(set(ids)) != len(ids):
+    """Finish a parse from its accepted rows (data-row numbers, ids or their
+    _id_keys, and values, in file order) and the errors of the rejected
+    ones, in any order: reject each accepted row whose id an earlier
+    accepted row holds, put the errors in file order, then raise the first
+    under policy fail, else build the result."""
+    if isinstance(ids, np.ndarray) and (np.diff(np.sort(ids)) == 0).any():  # a repeated key
+        ids = _key_texts(ids)
+    if isinstance(ids, list) and len(set(ids)) != len(ids):
         first: dict[str, int] = {}
         keep: list[int] = []
         for at, (row, respondent_id) in enumerate(zip(np.asarray(rows).tolist(), ids)):
@@ -668,7 +720,7 @@ def _result(
     if errors and policy is MissingPolicy.FAIL:
         err = errors[0]
         raise DataError(f"row {err.row}, column {err.column}: {err.message} [{err.code}]")
-    if not ids:
+    if not len(ids):
         raise DataError(f"no valid rows in {kind.value} file ({len(errors)} rejected)")
     response_set = _validated_set(instrument, kind, values, ids)
     report = ValidationReport(row_errors=tuple(errors), accepted_rows=len(ids),
@@ -677,17 +729,19 @@ def _result(
 
 
 def _validated_set(
-    instrument: SurveyInstrument, kind: ResponseKind, values: np.ndarray, ids: list[str],
+    instrument: SurveyInstrument, kind: ResponseKind, values: np.ndarray, ids: list | np.ndarray,
 ) -> ResponseSet:
     """The ResponseSet of the rows that a route has checked, at least one:
-    ``values`` is the route's own matrix, one row per id.  It skips the
-    constructor, whose copy of ``values`` costs page faults in this and
-    later stages and whose allocation check would check every row again."""
+    ``values`` is the route's own matrix, one row per id or _id_keys key,
+    which the set keeps until its ids are read.  It skips the constructor,
+    whose copy of ``values`` costs page faults in this and later stages and
+    whose allocation check would check every row again."""
     values = np.ascontiguousarray(values, dtype=np.int64)
     values.setflags(write=False)
     response_set = object.__new__(ResponseSet)
+    named = ("_id_keys", ids) if isinstance(ids, np.ndarray) else ("respondent_ids", tuple(ids))
     for name, value in (("kind", kind), ("instrument_ref", instrument.fingerprint()),
-                        ("values", values), ("respondent_ids", tuple(ids))):
+                        ("values", values), named):
         object.__setattr__(response_set, name, value)
     return response_set
 

@@ -14,7 +14,10 @@ takes the exact route: int64 sums, X'X from float64 BLAS products that stay
 exact, and one rounding of a ratio of Python integers per statistic, so
 variances and means are correctly rounded and the rest is within 4 ulp.
 Other input has the centered Gram matrix as M, and a NaN, an infinity or an
-overflow there raises ComputationError.
+overflow there raises ComputationError.  A ResponseSet on the exact route has
+all of M computed once and kept on it, and each of its statistics reads that
+M: descriptives S and M's diagonal, alpha its trace and its sum, which is the
+row totals' moment, and the omitted-item fields the rest.
 """
 
 from __future__ import annotations
@@ -101,6 +104,22 @@ def _finite(*values) -> None:
         raise ComputationError("the matrix holds a NaN or an infinity, or its moments overflow")
 
 
+def _unpack(matrix) -> tuple[np.ndarray, tuple | None]:
+    """The matrix of a statistic's argument and, for a ResponseSet on the
+    exact route, its _moments(m, cross=True), made on first use and kept on
+    the set, whose values are read-only."""
+    if not isinstance(matrix, ResponseSet):
+        return _as_matrix(matrix), None
+    shared = vars(matrix).get("_moments")
+    if shared is None:
+        m = _as_matrix(matrix.values)
+        if m.dtype.kind != "i":
+            return m, None
+        shared = m, _moments(m, cross=True)
+        object.__setattr__(matrix, "_moments", shared)
+    return shared
+
+
 def _moments(m: np.ndarray, cross: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
     """Column sums S, M's diagonal (all of M if ``cross``) and M's scale N, or 1 if float."""
     n = len(m)
@@ -133,7 +152,9 @@ def item_descriptives(
             f"{instrument.n_items} items"
         )
     n, ddof = rs.n_respondents, variance_mode.ddof
-    sums, squares, scale = _moments(_as_matrix(rs.values))
+    m, shared = _unpack(rs)
+    sums, squares, scale = _moments(m) if shared is None else \
+        (shared[0], shared[1].diagonal(), shared[2])
     return [ItemDescriptives(item_id=item.id, mean=s / n,
                              variance=d / (scale * (n - ddof)) if n > ddof else None, n=n)
             for item, s, d in zip(instrument.items, sums.tolist(), squares.tolist())]
@@ -142,19 +163,23 @@ def item_descriptives(
 @np.errstate(all="ignore")  # _finite reports overflow
 def cronbach_alpha(matrix) -> float:
     """Cronbach's alpha: (k/(k-1)) * (1 - sum of item variances / variance
-    of the total score), sample-variance convention throughout.
+    of the total score), sample-variance convention throughout.  ``matrix``
+    is an N x k matrix or, as in omitted_item_stats, a ResponseSet.
 
     Raises ComputationError when k < 2, N < 2, the total-score variance
     is zero (alpha undefined), or the matrix or its moments are not finite.
     """
-    m = _as_matrix(matrix)
+    m, shared = _unpack(matrix)
     n, k = m.shape
     if k < 2:
         raise ComputationError(f"alpha requires at least 2 items, got {k}")
     if n < 2:
         raise ComputationError(f"alpha requires at least 2 respondents, got {n}")
-    trace = sum(_moments(m)[1].tolist())
-    (total,) = _moments(m.sum(axis=1)[:, None])[1].tolist()  # the row totals' moment
+    if shared is None:
+        trace = sum(_moments(m)[1].tolist())
+        (total,) = _moments(m.sum(axis=1)[:, None])[1].tolist()  # the row totals' moment
+    else:  # the same integers
+        trace, total = sum(shared[1].diagonal().tolist()), sum(shared[1].sum(axis=1).tolist())
     if total == 0:
         raise ComputationError("total-score variance is zero; alpha is undefined")
     alpha = k * (total - trace) / ((k - 1) * total)
@@ -224,7 +249,7 @@ def omitted_item_stats(matrix, item_ids: Sequence[int] | None = None) -> list[Om
     N <= k, duplicated items, an item that is a linear combination of
     others), a least-squares regression of each item on the others.
     """
-    m = _as_matrix(matrix)
+    m, shared = _unpack(matrix)
     n, k = m.shape
     if k < 3:
         raise ComputationError(f"omitted-item statistics require at least 3 items, got {k}")
@@ -233,7 +258,7 @@ def omitted_item_stats(matrix, item_ids: Sequence[int] | None = None) -> list[Om
     ids = list(range(1, k + 1) if item_ids is None else item_ids)
     if len(ids) != k:
         raise ComputationError("item_ids length must match the column count")
-    sums, cross, scale = _moments(m, cross=True)
+    sums, cross, scale = shared or _moments(m, cross=True)
     diag, rows, sums = cross.diagonal().tolist(), cross.sum(axis=1).tolist(), sums.tolist()
     total, trace, sum_s = sum(rows), sum(diag), sum(sums)
     # per item: M of the adjusted total, M of the item-rest pair, trace of the others
@@ -270,8 +295,8 @@ def reliability_report(
 ) -> ReliabilityReport:
     """Alpha, per-item omitted diagnostics, and the gate verdict for one
     survey (requires >= 3 items so alpha-if-deleted stays defined)."""
-    alpha = cronbach_alpha(rs.values)
-    omitted = omitted_item_stats(rs.values, item_ids=instrument.item_ids)
+    alpha = cronbach_alpha(rs)
+    omitted = omitted_item_stats(rs, item_ids=instrument.item_ids)
     return ReliabilityReport(
         alpha=alpha,
         n_items=rs.n_columns,

@@ -129,6 +129,19 @@ class TestValidate:
                  "[duplicate_id]\n"]
         assert err.chunks == ["".join(lines)] * 2
 
+    @pytest.mark.parametrize("policy", ["drop_row", "fail"])
+    def test_cell_over_the_int_digit_limit_is_a_row_diagnostic(self, workdir, capsys, policy):
+        """Not a ValueError traceback: a row diagnostic, or under policy
+        fail the DataError of that row."""
+        huge = workdir / "huge.csv"
+        huge.write_text(f"respondent_id,q1,q2,q3\nr1,4,4,4\nr2,4,{'8' * 5000},4\n")
+        rc = main(["validate", "--instrument", str(workdir / "tiny.json"),
+                   "--expect", str(huge), "--missing-policy", policy])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "row 2, column q2: value of 5000 digits exceeds the" in err
+        assert "[out_of_range]" in err and "Traceback" not in err
+
     def test_importance_sum_violation_diagnosed(self, workdir, capsys):
         imp = workdir / "imp.csv"
         imp.write_text(

@@ -1,4 +1,5 @@
 import codecs
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from satmetric.ingest import (
     MissingPolicy,
     ResponseKind,
     ResponseSet,
+    RowError,
     generate_synthetic,
     parse_response_file,
     parse_response_rows,
@@ -103,6 +105,45 @@ ALL_ROUTES = (
     lambda data, *args: parse_response_file(data.decode(), *args),
     lambda data, *args: parse_response_rows(data, *args),
 )
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("parse", ALL_ROUTES, ids=["bytes", "str", "per_cell"])
+def test_cell_over_the_int_digit_limit_gets_a_row_diagnostic(parse):
+    """A cell of more significant digits than int() reads is out of range on
+    every route, and fails the parse under policy fail; leading zeros past
+    the limit still read, and a cell at the limit keeps its message."""
+    at_limit = "9" * LIMIT
+    data = likert_csv([f"r1,1,-{'7' * (LIMIT + 700)},x", f"r2,{'0' * LIMIT}3,2,1",
+                       f"r3,1,{at_limit},2", f"r4,2,+{'0' * 9}{'1' * (LIMIT + 1)},3"])
+    rs, report = parse(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION, MissingPolicy.DROP_ROW)
+    assert rs.respondent_ids == ("r2",) and rs.values.tolist() == [[3, 2, 1]]
+    too_long = "value of {} digits exceeds the " + f"{LIMIT}-digit integer limit"
+    assert report.row_errors == (
+        RowError(1, "q2", "out_of_range", too_long.format(LIMIT + 700)),
+        RowError(3, "q2", "out_of_range", f"value {at_limit} outside scale [1, 5]"),
+        RowError(4, "q2", "out_of_range", too_long.format(LIMIT + 1)))
+    with pytest.raises(DataError, match=r"^row 1, column q2: value of \d+ digits exceeds"):
+        parse(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION, MissingPolicy.FAIL)
+
+
+@pytest.mark.parametrize("parse", ALL_ROUTES, ids=["bytes", "str", "per_cell"])
+def test_allocation_sum_over_the_int_digit_limit_is_not_written_out(parse):
+    """Five cells at the digit limit sum to one digit more, which str()
+    refuses: the message says so; a sum within the limit is written out."""
+    nines, ten = "9" * LIMIT, "1" + "0" * (LIMIT - 1)
+    data = importance_csv([",".join(["a", *[nines] * 5]), ",".join(["b", ten, *"0000"]),
+                           "c,20,20,20,20,20"])
+    rs, report = parse(data, SMALL_INSTRUMENT, ResponseKind.IMPORTANCE, MissingPolicy.DROP_ROW)
+    assert rs.respondent_ids == ("c",)
+    assert report.row_errors == (
+        RowError(1, "*", "sum_not_100",
+                 f"allocation sums to a number of more than {LIMIT} digits, expected 100"),
+        RowError(2, "*", "sum_not_100", f"allocation sums to {ten}, expected 100"))
+    with pytest.raises(DataError, match="^row 1, column [*]: allocation sums to a number of"):
+        parse(data, SMALL_INSTRUMENT, ResponseKind.IMPORTANCE, MissingPolicy.FAIL)
 
 
 @pytest.mark.parametrize("parse", ALL_ROUTES, ids=["bytes", "str", "per_cell"])

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import copy
 import csv
 import io
 import itertools
+import pickle
 import random
 import re
 from unittest import mock
@@ -224,7 +226,8 @@ def _outcome(parse, data, instrument, kind, policy):
 
 #: The helpers of the line route, which the per-cell parser must not use.
 BULK_HELPERS = ("_digit_values", "_rows_with", "_texts", "_refused", "_invalid_allocations",
-                "_parse_lines", "_line_input", "_quotes", "_bulk_values", "_strip_spans")
+                "_parse_lines", "_line_input", "_quotes", "_bulk_values", "_strip_spans",
+                "_id_keys", "_key_texts")
 
 
 def _refuser(name: str):
@@ -777,3 +780,86 @@ def test_dirty_export_is_read_from_arrays(kind, xyz_instrument):
         assert checked == []
         if policy is MissingPolicy.DROP_ROW:
             assert {err.code for err in reference[-1].row_errors} == codes
+
+
+#: Ids around the 8 bytes that one key holds: 1 to 8 bytes, pairs that
+#: differ only in byte 8, and wider ids that share their first 8 bytes.
+ID_SEEDS = ("a", "Z9", "r000001", "abcdefgh", "abcdefgi", "abcdefghX", "abcdefghY",
+            "abcdefgiX", "#+!~.-_@", "r0000001234")
+#: The ways an id is written that leave the same id once read: padded,
+#: quoted, or both.
+ID_DRESSINGS = ("{}", " {} ", "\t{}", '"{}"', '" {}"', '"{} "')
+
+
+@st.composite
+def id_files(draw):
+    """(instrument, kind, file bytes, whether a non-ASCII line makes the
+    line route read a row with csv.reader): every data row valid but for
+    its id, which may repeat another once stripped."""
+    kind = draw(st.sampled_from(list(ResponseKind)))
+    k = draw(st.integers(1, 3)) if kind.is_likert else 5
+    header = ["respondent_id", *([f"q{i}" for i in range(1, k + 1)] if kind.is_likert
+                                 else IMPORTANCE_COLUMNS)]
+    ids = draw(st.lists(st.sampled_from(ID_SEEDS) | st.text(alphabet="ab8", min_size=1,
+                                                             max_size=10), min_size=1,
+                        max_size=25))
+    lines = [",".join(header)]
+    for respondent_id in ids:
+        cells = draw(ALLOCATIONS) if not kind.is_likert else \
+            draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+        lines.append(",".join([draw(st.sampled_from(ID_DRESSINGS)).format(respondent_id),
+                               *map(str, cells)]))
+    hard = draw(st.booleans())
+    if hard:
+        lines.insert(draw(st.integers(1, len(lines))), ",".join(["é", *lines[-1].split(",")[1:]]))
+    return _instrument(k, 1, 5), kind, ("\n".join(lines) + "\n").encode("utf-8"), hard
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(id_files())
+def test_line_route_ids_match_the_per_cell_parser(case):
+    """The line route's ids, held as keys until read, against the per-cell
+    parser's: its duplicate_id diagnostics are right before any read of the
+    ids and stay so after it.  A set holds its ids unread only when they are
+    all of 1 to 8 bytes, none repeats and no row came from csv.reader."""
+    instrument, kind, data, hard = case
+    for payload, policy in itertools.product((data, data.decode("utf-8")), MissingPolicy):
+        with _per_cell_only():
+            reference = _outcome(parse_response_rows, payload, instrument, kind, policy)
+        try:
+            rs, report = parse_response_file(payload, instrument, kind, policy)
+        except DataError as exc:
+            assert ("DataError", str(exc)) == reference
+            continue
+        assert report == reference[-1]  # before any read of the ids
+        ids = reference[-2]
+        lazy = not hard and max(map(len, ids)) <= 8 and report.rejected_rows == 0
+        assert ("respondent_ids" not in vars(rs)) == lazy
+        assert rs.respondent_ids == ids
+        assert report == reference[-1]  # and after it
+
+
+def test_line_route_set_survives_copies_comparison_and_repr(xyz_instrument):
+    """A set whose ids are still keys: every pickle protocol, copy and
+    deepcopy keeps them unread (an unset attribute raises AttributeError
+    rather than recursing while the copy is built) and reads the ids of the
+    per-cell parser; == and repr match that parser's set."""
+    header, rows = _xyz_rows(40)
+    data = (header + "\n" + "\n".join(rows) + "\n").encode()
+    rs, _ = parse_response_file(data, xyz_instrument, ResponseKind.EXPECTATION)
+    reference, _ = parse_response_rows(data, xyz_instrument, ResponseKind.EXPECTATION)
+    copies = [pickle.loads(pickle.dumps(rs, protocol)) for protocol in
+              range(pickle.HIGHEST_PROTOCOL + 1)] + [copy.copy(rs), copy.deepcopy(rs)]
+    for copied in [rs, *copies]:
+        assert "respondent_ids" not in vars(copied)
+        assert not hasattr(copied, "no_such_field")
+    for copied in copies:
+        assert copied.respondent_ids == reference.respondent_ids
+        assert copied.values.tolist() == reference.values.tolist()
+    assert repr(rs) == repr(reference)
+    assert rs == rs
+    one = b"respondent_id,q1\nr1,4\n"
+    instrument = _instrument(1, 1, 5)
+    single = parse_response_file(one, instrument, ResponseKind.EXPECTATION)[0]
+    assert "respondent_ids" not in vars(single)
+    assert single == parse_response_rows(one, instrument, ResponseKind.EXPECTATION)[0]

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import alpha_covariance_oracle, exact_statistics, examples, \
@@ -12,6 +15,8 @@ from satmetric.errors import ComputationError
 from satmetric.ingest import ResponseKind, ResponseSet, generate_synthetic
 from satmetric.instrument import LikertScale, build_instrument
 from satmetric.psychometrics import (
+    DEFAULT_ALPHA_THRESHOLD,
+    ReliabilityReport,
     VarianceMode,
     cronbach_alpha,
     item_descriptives,
@@ -434,3 +439,83 @@ def test_statistics_do_not_depend_on_memory_layout(seed):
         )
     assert results["F"] == results["C"]
     assert results["strided"] == results["C"]
+
+
+@st.composite
+def exact_route_matrices(draw):
+    """Integer N x k matrices inside both exact-route guards, up to their
+    bounds, from N = 1 and k = 1 (where the statistics raise) upwards, some
+    of their columns constant."""
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    bound = min(math.isqrt(2**53 // n), 2**31 // (n * k))  # N*peak**2, N*k*peak
+    peak = draw(st.sampled_from([1, 5, bound]))
+    matrix = draw(arrays(np.int64, (n, k), elements=st.integers(-peak, peak)))
+    for column in draw(st.sets(st.integers(0, k - 1), max_size=k)):
+        matrix[:, column] = draw(st.integers(-peak, peak))
+    return matrix
+
+
+def _single_statistic_report(matrix, instrument):
+    """reliability_report's result from cronbach_alpha and omitted_item_stats,
+    each run on the matrix alone, in its order."""
+    alpha = cronbach_alpha(matrix)
+    omitted = omitted_item_stats(matrix, item_ids=instrument.item_ids)
+    return ReliabilityReport(alpha=alpha, n_items=matrix.shape[1], n_respondents=len(matrix),
+                             threshold=DEFAULT_ALPHA_THRESHOLD,
+                             passes_gate=reliability_gate(alpha), omitted=tuple(omitted))
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(exact_route_matrices())
+def test_one_moment_pass_gives_every_statistic_bit_for_bit(matrix):
+    """The descriptives and the reliability report of a survey, read from
+    its one shared M, against the single-statistic functions on the bare
+    matrix: the same bits and the same error, in the same order (k = 2
+    passes alpha and fails in the omitted stats).  Means and variances are
+    also the correctly rounded exact values."""
+    assert psychometrics._as_matrix(matrix).dtype == np.int64
+    n, k = matrix.shape
+    rs, instrument = make_response_set(matrix), tiny_instrument(k)
+    descriptives = {mode: item_descriptives(rs, instrument, mode) for mode in VarianceMode}
+    report = _result_or_error(reliability_report, rs, instrument)
+    assert "_moments" in vars(rs)  # made by the first statistic, read by the others
+    assert report == _result_or_error(_single_statistic_report, matrix, instrument)
+    sums, squares = matrix.sum(axis=0).tolist(), (matrix * matrix).sum(axis=0).tolist()
+    for mode, got in descriptives.items():
+        assert [d.mean for d in got] == [float(Fraction(s, n)) for s in sums]
+        assert [d.variance for d in got] == [
+            float(Fraction(n * q - s * s, n * (n - mode.ddof))) if n > mode.ddof else None
+            for s, q in zip(sums, squares)]
+
+
+def test_a_survey_takes_one_moment_pass(monkeypatch):
+    """item_descriptives in both modes and reliability_report on one
+    integer survey make one _moments call, with the cross products, and
+    alpha reads its total from it, as the pipeline calls them."""
+    calls = []
+    real = psychometrics._moments
+
+    def spy(m, cross=False):
+        calls.append((m.shape, cross))
+        return real(m, cross)
+
+    monkeypatch.setattr(psychometrics, "_moments", spy)
+    matrix = _factor_matrix(500, 6, seed=3)
+    rs, instrument = make_response_set(matrix), tiny_instrument(6)
+    for mode in VarianceMode:
+        item_descriptives(rs, instrument, mode)
+    reliability_report(rs, instrument)
+    assert calls == [((500, 6), True)]
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1], [2]], "alpha requires at least 2 items, got 1"),
+    ([[1, 2, 3]], "alpha requires at least 2 respondents, got 1"),
+    ([[1, 2], [2, 1]], "total-score variance is zero; alpha is undefined"),
+    ([[1, 2], [2, 4]], "omitted-item statistics require at least 3 items, got 2"),
+])
+def test_shared_moments_keep_the_error_order(rows, message):
+    matrix = np.array(rows)
+    rs = make_response_set(matrix)
+    with pytest.raises(ComputationError, match=f"^{message}$"):
+        reliability_report(rs, tiny_instrument(matrix.shape[1]))

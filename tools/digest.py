@@ -11,9 +11,13 @@ weights file rewritten as the bare means object.  On the same inputs it runs ``v
 ``descriptives`` with and without ``--variance-mode sample``,
 ``reliability`` with and without ``--strict-gate``, and ``qfd`` with and
 without ``--show-conflicts`` on the workload's ``--hoq`` file, if it has
-one.  It prints one line per output file and per call's stdout, stderr and
-exit code.  Every path is relative to a temporary directory, so two source
-trees give the same lines exactly when their outputs are byte-identical:
+one.  It also parses each of the workload's response CSVs with
+``parse_response_file`` and prints the SHA-256 of the parsed set written back
+by ``serialize_response_set``, so that a change in the accepted ids or values
+shows even where no report reads them.  It prints one line per output file,
+per parsed CSV and per call's stdout, stderr and exit code.  Every path is
+relative to a temporary directory, so two source trees give the same lines
+exactly when their outputs are byte-identical:
 
     PYTHONPATH=/elsewhere/src python3 tools/digest.py --seed 5 > before.txt
     PYTHONPATH=src python3 tools/digest.py --seed 5 > after.txt
@@ -40,6 +44,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 from satmetric import cli  # noqa: E402
+from satmetric.ingest import (  # noqa: E402
+    MissingPolicy, ResponseKind, parse_response_file, serialize_response_set)
+from satmetric.instrument import load_instrument  # noqa: E402
 
 VARIANTS = {
     "default": [],
@@ -47,6 +54,9 @@ VARIANTS = {
     "strict": ["--strict-gate"],
     "options": ["--normalize-weights", "--variance-mode", "sample", "--pareto-threshold", "50"],
 }
+#: Response-CSV option of the gap call -> the kind of file it names.
+RESPONSE_FILES = {"--expect": ResponseKind.EXPECTATION, "--perceive": ResponseKind.PERCEPTION,
+                  "--importance": ResponseKind.IMPORTANCE}
 #: Output directory of each ``satmetric report`` re-emit -> its ``--formats`` flags.
 REEMITS = {"report": [], "report_md_svg": ["--formats", "markdown,svg-charts"]}
 #: Survey subcommand -> the gap options it takes, whether it writes ``--out``, and
@@ -80,12 +90,28 @@ def _files(root: Path) -> list[str]:
             for path in sorted(root.rglob("*")) if path.is_file()]
 
 
+def _parsed(gap: list[str]) -> list[str]:
+    """The digest line of each response CSV of a gap call: its parsed set,
+    ids included, as serialize_response_set writes it."""
+    instrument = load_instrument(gap[gap.index("--instrument") + 1])
+    policy = MissingPolicy(gap[gap.index("--missing-policy") + 1]) \
+        if "--missing-policy" in gap else MissingPolicy.DROP_ROW
+    lines = []
+    for option, kind in RESPONSE_FILES.items():
+        if option in gap:
+            path = Path(gap[gap.index(option) + 1])
+            responses, _ = parse_response_file(path.read_bytes(), instrument, kind, policy)
+            lines.append(f"{path.as_posix()} parsed "
+                         f"{_sha(serialize_response_set(responses, instrument))}")
+    return lines
+
+
 def digest(name: str, seed: int) -> list[str]:
     """The digest lines of one workload, run in the current directory."""
     gap = workloads.make(name, Path(name) / "inputs", seed).argv  # --suppress-timestamp in it
     at = gap.index("--out")
     del gap[at:at + 2]
-    lines = []
+    lines = _parsed(gap)
     for variant, flags in VARIANTS.items():
         run = Path(name) / variant
         lines += _call(f"{run}/gap", [*gap, *flags, "--out", str(run / "gap" / "report")])
