@@ -19,7 +19,9 @@ help:
 	@echo "make bench-pair   benchmark pairs, src/ of git revision BASE=<rev> against the working"
 	@echo "                  tree, alternating which runs first: W=<workload> PAIRS=<n> (default"
 	@echo "                  10) SEED=<s> (pair i uses SEED+i); prints each end-to-end metric's"
-	@echo "                  medians, base quartiles and the pairs in which the change read lower"
+	@echo "                  medians and quartiles, the pairs in which the change read lower and"
+	@echo "                  the median per-pair difference, marked unresolved when it is"
+	@echo "                  smaller than the base's interquartile range"
 	@echo "make loc          line counts of the source modules"
 	@echo "make digest       SHA-256 of every gap, report, validate, descriptives, reliability"
 	@echo "                  and qfd output on each workload: SEED=<n> (default 1); gap runs"

@@ -118,7 +118,7 @@ class ValidationReport:
         return self.accepted_rows + self.rejected_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResponseSet:
     """N x k integer response matrix of one kind, N >= 1, one respondent id
     per row.  ``values`` is read-only.
@@ -129,6 +129,8 @@ class ResponseSet:
     parse_response_file rejects the rows outside it, and generate_synthetic
     stays within it by construction.  A set that the line route builds
     holds its ids as _id_keys and decodes them when they are first read.
+    Two sets are equal when their kind, instrument_ref, values and ids are;
+    a set has no hash, as its values array has none.
     """
 
     kind: ResponseKind
@@ -159,6 +161,15 @@ class ResponseSet:
         ids = tuple(_key_texts(vars(self)["_id_keys"]))
         object.__setattr__(self, "respondent_ids", ids)
         return ids
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind is other.kind and self.instrument_ref == other.instrument_ref
+                and np.array_equal(self.values, other.values)
+                and self.respondent_ids == other.respondent_ids)
+
+    __hash__ = None
 
     @property
     def n_respondents(self) -> int:

@@ -4,7 +4,9 @@ An AnalysisReport bundles every analysis output in a fixed section order and
 serializes deterministically to each format in FORMATS, the one table of
 format names, file suffixes and renderers: JSON (round-trips losslessly), a
 CSV table bundle, Markdown, and SVG charts whose bars, the Pareto chart's
-too, come from one renderer.  Each table is declared once, as Columns that
+too, come from one renderer.  The JSON is json.dumps(indent=2)'s text, byte
+for byte, though the stdlib's C encoder, which has no indent, writes most of
+it (_json_text).  Each table is declared once, as Columns that
 the CSV bundle and Markdown both render.  Every string from outside the
 program goes through one helper per format: _md_text in a Markdown table
 cell, _md_prose in Markdown prose, _svg_text in a chart.  Saved JSON is read
@@ -23,6 +25,8 @@ import re
 from dataclasses import dataclass, field, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cache
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -200,7 +204,8 @@ def _record(value):
     if type(value) in _PLAIN:
         return value
     if is_dataclass(value):
-        return {name: _record(getattr(value, name)) for name in hints(type(value))}
+        return {name: v if type(v := getattr(value, name)) in _PLAIN else _record(v)
+                for name in hints(type(value))}
     if isinstance(value, tuple):
         return [_record(v) for v in value]
     return value.value if isinstance(value, Enum) else value
@@ -383,13 +388,18 @@ def format_cell(value) -> str:
     return str(value)
 
 
+#: The cell types that csv.writer writes as format_cell does (None as an empty cell).
+_CSV_PLAIN = _PLAIN - {bool}
+
+
 def csv_bytes(header: Sequence[str], rows: Sequence[Sequence]) -> bytes:
-    """UTF-8 CSV with newline line ends; every cell goes through format_cell."""
+    """UTF-8 CSV with newline line ends; a cell of another type than those
+    in _CSV_PLAIN (a bool, a numpy scalar) goes through format_cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_cell(cell) for cell in row])
+    writer.writerows([cell if type(cell) in _CSV_PLAIN else format_cell(cell) for cell in row]
+                     for row in rows)
     return buf.getvalue().encode("utf-8")
 
 
@@ -510,92 +520,68 @@ def _markdown(report: AnalysisReport) -> bytes:
         if rel is None:
             continue
         verdict = "passes" if rel.passes_gate else "FAILS"
-        lines.append(f"## Reliability ({survey})")
-        lines.append("")
-        lines.append(f"Cronbach's alpha = {_num(rel.alpha, 4)} over {rel.n_items} items, "
-                     f"N = {rel.n_respondents}; {verdict} the > {rel.threshold} gate.")
-        lines.append("")
-        lines.extend(_md_table(_OMITTED, [_values(o) for o in rel.omitted]))
-        lines.append("")
+        lines += [f"## Reliability ({survey})", "",
+                  f"Cronbach's alpha = {_num(rel.alpha, 4)} over {rel.n_items} items, "
+                  f"N = {rel.n_respondents}; {verdict} the > {rel.threshold} gate.", "",
+                  *_md_table(_OMITTED, [_values(o) for o in rel.omitted]), ""]
 
-    lines.append("## Gap analysis")
-    lines.append("")
+    lines += ["## Gap analysis", ""]
     gap_rows = {g.item_id: row for g, row in zip(gr.item_gaps, _gap_rows(report))}
     for d in gr.dimension_scores:
-        lines.append(f"### {_md_prose(d.dimension.capitalize())}")
-        lines.append("")
-        lines.extend(_md_table(_GAPS, [gap_rows[item_id] for item_id in d.item_ids]))
-        lines.append("")
-        lines.append(f"Average importance score: {_num(d.importance)} | "
-                     f"unweighted score: {_num(d.unweighted)} | "
-                     f"weighted score: {_num(d.weighted)}")
-        lines.append("")
+        lines += [f"### {_md_prose(d.dimension.capitalize())}", "",
+                  *_md_table(_GAPS, [gap_rows[item_id] for item_id in d.item_ids]), "",
+                  f"Average importance score: {_num(d.importance)} | "
+                  f"unweighted score: {_num(d.unweighted)} | "
+                  f"weighted score: {_num(d.weighted)}", ""]
 
-    lines.append("### Overall")
-    lines.append("")
-    lines.append(f"- Weighted sum: {_num(gr.overall_weighted_sum)}")
-    lines.append(f"- Weighted mean (sum / 100): {_num(gr.overall_weighted_mean)}")
-    lines.append(f"- Unweighted mean of dimensions: {_num(gr.unweighted_mean_of_dimensions)}")
-    lines.append("")
+    lines += ["### Overall", "",
+              f"- Weighted sum: {_num(gr.overall_weighted_sum)}",
+              f"- Weighted mean (sum / 100): {_num(gr.overall_weighted_mean)}",
+              f"- Unweighted mean of dimensions: {_num(gr.unweighted_mean_of_dimensions)}", ""]
 
     if report.kano_priorities:
-        lines.append("## Improvement priorities (Kano-adjusted)")
-        lines.append("")
-        lines.extend(_md_table(_KANO, _kano_rows(report)))
-        lines.append("")
+        lines += ["## Improvement priorities (Kano-adjusted)", "",
+                  *_md_table(_KANO, _kano_rows(report)), ""]
 
     if report.pareto:
-        lines.append("## Dissatisfaction Pareto")
-        lines.append("")
+        lines += ["## Dissatisfaction Pareto", ""]
         if report.pareto.is_empty:
             lines.append("No negative gaps: nothing to prioritize.")
         else:
-            lines.extend(_md_table(_PARETO, [_values(r) for r in report.pareto.rows]))
-            lines.append("")
-            lines.append(f"Vital few: first {report.pareto.vital_few_cutoff} row(s) reach "
-                         f"{_num(report.pareto.threshold_pct, 1)}% of total dissatisfaction.")
+            lines += [*_md_table(_PARETO, [_values(r) for r in report.pareto.rows]), "",
+                      f"Vital few: first {report.pareto.vital_few_cutoff} row(s) reach "
+                      f"{_num(report.pareto.threshold_pct, 1)}% of total dissatisfaction."]
         lines.append("")
 
     if report.hoq:
-        lines.append("## House of quality")
-        lines.append("")
         names = {t.id: t.name for t in report.hoq.tech_reqs}
-        lines.extend(_md_table(
+        lines += ["## House of quality", "", *_md_table(
             (Column("rank", "Rank"), Column("name", "Technical requirement"),
              Column("absolute", "Absolute weight", 6), Column("relative_pct", "Relative %", 4)),
             [[t.rank, names[t.tech_id], t.absolute, t.relative_pct]
-             for t in sorted(report.hoq.importances, key=lambda t: t.rank)],
-        ))
-        lines.append("")
+             for t in sorted(report.hoq.importances, key=lambda t: t.rank)]), ""]
 
     if report.fishbone:
-        lines.append("## Cause-and-effect tree")
-        lines.append("")
-        lines.append(f"Effect: {_md_prose(report.fishbone.effect)}")
-        lines.append("")
+        lines += ["## Cause-and-effect tree", "",
+                  f"Effect: {_md_prose(report.fishbone.effect)}", ""]
         for branch in report.fishbone.branches:
             lines.append(f"- **{_md_prose(branch.name)}**"
                          + (f" (items {', '.join(map(str, branch.item_ids))})"
                             if branch.item_ids else ""))
             for cause in branch.causes:
                 lines.append(f"  - {_md_prose(cause.text)}")
-                for child in cause.children:
-                    lines.append(f"    - {_md_prose(child.text)}")
+                lines += [f"    - {_md_prose(child.text)}" for child in cause.children]
         lines.append("")
         if report.branch_magnitudes:
-            lines.append("Per-branch dissatisfaction (tool extension, summed from the "
-                         "items annotated on each branch):")
-            lines.append("")
-            for name, magnitude in report.branch_magnitudes.items():
-                lines.append(f"- {_md_prose(name)}: {_num(magnitude, 6)}")
-            lines.append("")
+            lines += ["Per-branch dissatisfaction (tool extension, summed from the "
+                      "items annotated on each branch):", "",
+                      *[f"- {_md_prose(name)}: {_num(magnitude, 6)}"
+                        for name, magnitude in report.branch_magnitudes.items()], ""]
 
     if report.warnings:
-        lines.append("## Warnings")
-        lines.append("")
-        for w in report.warnings:
-            lines.append(f"- `{_md_prose(w.code)}`: {_md_prose(w.message)}")
-        lines.append("")
+        lines += ["## Warnings", "",
+                  *[f"- `{_md_prose(w.code)}`: {_md_prose(w.message)}" for w in report.warnings],
+                  ""]
 
     return ("\n".join(lines).rstrip("\n") + "\n").encode("utf-8")
 
@@ -719,9 +705,49 @@ def _svg_charts(report: AnalysisReport) -> dict[str, bytes]:
 
 # --- emit --------------------------------------------------------------------
 
+@cache
+def _encoder(depth: int):
+    """The C encoder for a container at ``depth``: its item separator ends the
+    line and indents the next member."""
+    return json.JSONEncoder(ensure_ascii=False, allow_nan=False,
+                            separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _flat(members) -> bool:
+    """Whether no member is a container (a set of types is quicker to check)."""
+    return not any(issubclass(t, (dict, list, tuple)) for t in set(map(type, members)))
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """``value`` as json.dumps(value, indent=2, ensure_ascii=False,
+    allow_nan=False) writes it at ``depth``.  Python walks only the containers
+    that hold containers.  The C encoder writes everything else: a scalar, a
+    flat container, or a table (a list of flat objects) in one call; only the
+    newlines inside the brackets are added to its text.  An encoded string
+    never holds a raw newline, so in a table's text each ``},<newline>{`` is
+    a boundary between two objects."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _encoder(depth)(value)  # a scalar, [] or {}
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    is_dict = isinstance(value, dict)
+    if _flat(value.values() if is_dict else value):
+        text = _encoder(depth)(value)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if is_dict:  # a key as json writes it: a non-str key is converted or refused
+        parts = [_encoder(0)({k: 0})[1:-4] + ": " + _json_text(v, depth + 1)
+                 for k, v in value.items()]
+    elif all(map(isinstance, value, repeat(dict))) \
+            and _flat(chain.from_iterable(map(dict.values, value))):
+        rows = _encoder(depth + 1)(value)[2:-2].split("}," + inner + "  {")
+        parts = ["{" + inner + "  " + row + inner + "}" if row else "{}" for row in rows]
+    else:
+        parts = [_json_text(m, depth + 1) for m in value]
+    opener, closer = "{}" if is_dict else "[]"
+    return opener + inner + ("," + inner).join(parts) + outer + closer
+
+
 def _json(report: AnalysisReport) -> bytes:
-    return (json.dumps(report_to_dict(report), indent=2, ensure_ascii=False, allow_nan=False)
-            + "\n").encode("utf-8")
+    return (_json_text(report_to_dict(report)) + "\n").encode("utf-8")
 
 
 #: Each report format: the suffix of its file or directory after the stem, and its renderer.

@@ -363,6 +363,22 @@ def test_importance_set_check_matches_row_validator(rows):
         assert str(exc.value) == f"importance row {first_bad[0]} violates {first_bad[1]}"
 
 
+def test_response_sets_compare_by_value_and_have_no_hash():
+    def two_by_two(values=((1, 2), (3, 4)), ids=("r1", "r2"), ref="t",
+                   kind=ResponseKind.EXPECTATION):
+        return ResponseSet(kind, ref, np.array(values), ids)
+
+    a = two_by_two()
+    assert a == two_by_two() and not a != two_by_two()
+    for other in (two_by_two(values=((1, 2), (3, 5))), two_by_two(ids=("r1", "r3")),
+                  two_by_two(ref="u"), two_by_two(kind=ResponseKind.PERCEPTION),
+                  two_by_two(values=((1, 2), (3, 4), (5, 1)), ids=("r1", "r2", "r3"))):
+        assert a != other and not a == other
+    assert a != ((1, 2), (3, 4))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
 def test_serialize_parse_round_trip_is_bit_exact(xyz_instrument):
     rs = generate_synthetic([4.0, 3.5, 2.25] + [3.0] * 14, 4, xyz_instrument.scale, seed=3)
     payload = serialize_response_set(rs, xyz_instrument)

@@ -329,6 +329,21 @@ def test_field_over_the_csv_limit_takes_the_row_route():
             assert rs.respondent_ids == tuple(line.partition(",")[0] for line in lines)
 
 
+def test_line_route_set_equals_the_per_cell_set():
+    """A set whose ids the line route keeps as keys until read equals the
+    per-cell parser's set of the same file, and a set that differs in one
+    cell does not."""
+    instrument = _instrument(3, 1, 5)
+    data = b"respondent_id,q1,q2,q3\nr1,1,2,3\nr2,4,5,1\nr3, 2,2,2\nr4,9,1,1\n"
+    bulk, bulk_report = parse_response_file(data, instrument, ResponseKind.EXPECTATION)
+    assert "respondent_ids" not in vars(bulk)  # the ids are still keys
+    with _per_cell_only():
+        reference, report = parse_response_rows(data, instrument, ResponseKind.EXPECTATION)
+    assert bulk == reference and bulk_report == report
+    assert bulk != parse_response_file(data.replace(b"r2,4", b"r2,3"), instrument,
+                                       ResponseKind.EXPECTATION)[0]
+
+
 #: Any ASCII character, most of the time one at the edge of a byte class
 #: that the canonical check tells apart.
 ASCII = st.one_of(st.sampled_from("\x00\t\n\r !\",~\x7f"), st.sampled_from("/09:"),

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import re
 
@@ -11,7 +13,11 @@ from hypothesis import strategies as st
 from satmetric.cli import main
 from satmetric.errors import DefinitionError, SatmetricError
 from satmetric.ingest import RowError, ValidationReport
+from satmetric import report as report_module
+from satmetric.ingest import ResponseKind, generate_synthetic, serialize_response_set
+from satmetric.instrument import build_instrument
 from satmetric.kano import prioritize
+from satmetric.pipeline import Config, Inputs, run
 from satmetric.psychometrics import OmittedItemStats, ReliabilityReport
 from satmetric.instrument import serialize_instrument
 from satmetric.qfd import serialize_hoq
@@ -20,10 +26,13 @@ from satmetric.report import (
     WARN_IMPORTANCE_DRIFT,
     WARN_RELIABILITY_GATE,
     WARN_ROWS_REJECTED,
+    _json_text,
     _md_prose,
     _pareto_chart_svg,
     assemble,
+    csv_bytes,
     emit,
+    format_cell,
     parse_report,
     report_to_dict,
     write_report,
@@ -522,3 +531,134 @@ def test_item_label_key_must_be_an_integer_as_str_writes_it(saved_reports, key):
 ])
 def test_md_prose_escapes_ordered_list_openers_only(text, prose):
     assert _md_prose(text) == prose
+
+
+# --- the JSON writer and the CSV cells against their oracles ------------------
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False)
+
+
+#: Strings that a writer splicing encoded text could get wrong: quotes,
+#: backslashes, control characters, line separators, non-ASCII text and the
+#: text of a boundary between two objects of a table at each depth.
+AWKWARD_TEXT = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\r\n", "\u2028", "é ✓ 中",
+                                "},\n  {", "},\n    {", "},\n      {", "{}", "[]", ""]) \
+    | st.text(st.characters(codec="utf-8") | st.sampled_from('"\\\n{},[]'), max_size=8)
+SCALARS = st.none() | st.booleans() | AWKWARD_TEXT \
+    | st.integers() | st.sampled_from([10**100, -(2**64), 2**63]) \
+    | st.floats(allow_nan=False, allow_infinity=False) \
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1.7976931348623157e308, -1.5e-7])
+KEYS = AWKWARD_TEXT | st.integers(-5, 5) | st.booleans() | st.none() \
+    | st.floats(allow_nan=False, allow_infinity=False)
+FLAT_OBJECTS = st.dictionaries(KEYS, SCALARS, max_size=4)
+#: JSON trees: every container may be empty, and lists of flat objects
+#: (tables), an empty object among them now and then, are drawn on their own.
+JSON_TREES = st.recursive(
+    SCALARS | st.lists(FLAT_OBJECTS, max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(KEYS, children, max_size=4) | st.lists(FLAT_OBJECTS, max_size=3),
+    max_leaves=20)
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(JSON_TREES)
+def test_json_writer_matches_dumps_with_indent(doc):
+    assert _json_text(doc) == _dumps(doc)
+
+
+@st.composite
+def trees_holding(draw, leaf):
+    """A JSON tree that holds a ``leaf`` at a drawn depth among drawn siblings."""
+    doc = draw(leaf)
+    for _ in range(draw(st.integers(0, 4))):
+        siblings = draw(st.lists(SCALARS | FLAT_OBJECTS, max_size=3))
+        siblings.insert(draw(st.integers(0, len(siblings))), doc)
+        if draw(st.booleans()):
+            doc = dict(zip((f"k{at}" for at in range(len(siblings))), siblings))
+        else:
+            doc = siblings
+    return doc
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(trees_holding(st.sampled_from([float("nan"), float("inf"), float("-inf")])))
+def test_json_writer_refuses_a_non_finite_number_at_any_depth(doc):
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        _dumps(doc)
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        _json_text(doc)
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(trees_holding(st.sampled_from([object(), {1, 2}, b"x", np.int64(3), 1j])))
+def test_json_writer_refuses_an_unsupported_type_at_any_depth(doc):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        _json_text(doc)
+
+
+@pytest.fixture(scope="module")
+def wide_report(tmp_path_factory):
+    """The gap report of 150 items (30 per dimension), 60 respondents."""
+    work = tmp_path_factory.mktemp("wide")
+    dimensions = ("reliability", "responsiveness", "assurance", "empathy", "tangibles")
+    kano = ("must_be", "performance", "delighter", "indifferent")
+    instrument = build_instrument({"scale": {"min": 1, "max": 5}, "items": [
+        {"id": i, "prompt": f'{dimensions[(i - 1) // 30]} item {i}, "quoted" é',
+         "dimension": dimensions[(i - 1) // 30], "kano": kano[i % 4]} for i in range(1, 151)]})
+    (work / "instrument.json").write_text(json.dumps(serialize_instrument(instrument)))
+    for seed, (kind, shift) in enumerate(((ResponseKind.EXPECTATION, 0.8),
+                                          (ResponseKind.PERCEPTION, 0.2))):
+        targets = [3.0 + shift + ((i * 7) % 11 - 5) / 10 for i in range(150)]
+        rs = generate_synthetic(targets, 60, instrument.scale, seed=seed, kind=kind)
+        (work / f"{kind.value}.csv").write_bytes(serialize_response_set(rs, instrument))
+    (work / "weights.json").write_text(json.dumps({"means": dict(zip(
+        ("tangibles", "reliability", "responsiveness", "assurance", "empathy"),
+        (10.0, 40.0, 20.0, 20.0, 10.0)))}))
+    return run(Inputs(instrument=str(work / "instrument.json"),
+                      expect=str(work / "expectation.csv"), perceive=str(work / "perception.csv"),
+                      weights=str(work / "weights.json")), Config(), timestamp=False)
+
+
+@pytest.mark.parametrize("name", ["full_report", "wide_report"])
+def test_report_json_is_dumps_with_indent(request, name):
+    report = request.getfixturevalue(name)
+    assert emit(report, "json") == (_dumps(report_to_dict(report)) + "\n").encode("utf-8")
+
+
+def _csv_per_cell(header, rows) -> bytes:
+    """The CSV of every cell rendered by format_cell, as csv_bytes once wrote it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_cell(cell) for cell in row])
+    return buf.getvalue().encode("utf-8")
+
+
+AWKWARD_CELLS = [True, False, None, np.float64(0.1), -0.0, 1e16, 5e-324, 2**70, np.int64(-3),
+                 'a, "b"\nc', "", 1.7976931348623157e308]
+
+
+def test_csv_cells_are_written_as_format_cell_renders_them():
+    rows = [AWKWARD_CELLS, AWKWARD_CELLS[::-1], [None], [""], ["x"]]
+    assert csv_bytes(["a", "b"], rows) == _csv_per_cell(["a", "b"], rows)
+
+
+@pytest.mark.parametrize("name", ["full_report", "wide_report"])
+def test_csv_bundle_is_the_per_cell_rendering(request, monkeypatch, name):
+    """A report whose cells hold bools, None, numpy floats, -0.0, 1e16 and a
+    label with a comma, a quote and a newline."""
+    report = request.getfixturevalue(name)
+    gr = report.gap_report
+    rel = dataclasses.replace(fake_reliability(np.float64(0.7), [1, 2]), omitted=(
+        OmittedItemStats(item_id=1, adj_total_mean=-0.0, adj_total_stdev=1e16,
+                         item_adj_total_corr=np.float64(0.25), squared_multiple_corr=None,
+                         alpha_if_deleted=5e-324),))
+    report = dataclasses.replace(
+        report, item_labels={**report.item_labels, gr.item_gaps[0].item_id: 'a, "b"\nc'},
+        gap_report=dataclasses.replace(gr, reliability_perception=rel, item_gaps=(
+            dataclasses.replace(gr.item_gaps[0], gap=np.float64(-0.1)), *gr.item_gaps[1:])))
+    bundle = emit(report, "csv")
+    monkeypatch.setattr(report_module, "csv_bytes", _csv_per_cell)
+    assert bundle == emit(report, "csv")

@@ -9,8 +9,11 @@ with the working tree's ``src/`` (uncommitted changes included).  Pair i runs
 alternating which tree runs first.  Every ``__pycache__`` is removed before
 each run, so both trees start every run without bytecode, as a fresh checkout
 does.  For each end-to-end metric of ``BENCHMARK.json`` it prints the base's
-median and quartiles, the change's median and quartiles, and in how many
-pairs the change read lower.  Nothing is written inside the repository; the
+median and quartiles, the change's median and quartiles, in how many pairs
+the change read lower, and the median of the per-pair differences (change
+minus base).  A row whose median difference is smaller than the base's
+interquartile range is marked ``unresolved``: the runs spread more than
+the change moved them.  Nothing is written inside the repository; the
 trees go to a temporary directory that is removed at the end.
 """
 
@@ -91,16 +94,18 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}, {args.pairs} pairs, base {args.base} vs working tree, "
           f"seeds {args.seed}..{args.seed + args.pairs - 1}")
     print(f"{'metric':12s} {'unit':4s} {'base median [q1, q3]':>30s} "
-          f"{'change median [q1, q3]':>30s}  change lower")
+          f"{'change median [q1, q3]':>30s}  change lower  median pair diff")
     for name, unit in metrics:
         base = [r[name]["value"] for r in results["base"]]
         change = [r[name]["value"] for r in results["change"]]
         bq1, bmed, bq3 = quartiles(base)
         cq1, cmed, cq3 = quartiles(change)
         lower = sum(c < b for b, c in zip(base, change))
+        diff = statistics.median(c - b for b, c in zip(base, change))
         print(f"{name:12s} {unit:4s} {bmed:12.4f} [{bq1:.4f}, {bq3:.4f}] "
-              f"{cmed:12.4f} [{cq1:.4f}, {cq3:.4f}]  {lower}/{args.pairs}"
-              f"  (medians differ by {cmed - bmed:+.4f}; base IQR {bq3 - bq1:.4f})")
+              f"{cmed:12.4f} [{cq1:.4f}, {cq3:.4f}]  {lower:>5d}/{args.pairs:<6d} "
+              f"{diff:+.4f}  (medians differ by {cmed - bmed:+.4f}; base IQR {bq3 - bq1:.4f})"
+              + ("  unresolved" if abs(diff) < bq3 - bq1 else ""))
     return 0
 
 
