@@ -19,30 +19,32 @@ errors.
   arithmetic over its bytes: no double quote, k commas to a line, no byte
   outside ``!`` to ``~`` in the body but the line ends, every id non-empty
   and every cell 1 to 18 digits.  Any other file has all its lines
-  classified at once, and each line is one record.  An ASCII line whose
-  double quotes all wrap a field (as its first and last byte) is read as
-  csv.reader reads it, its comma split without those quotes, with array
-  arithmetic too, and so is its diagnostic: blank, ``row_length``,
-  ``empty_id``, or its first cell that str.strip() does not leave as an
-  optional sign and 1 to 18 digits; _refused checks the values of the
-  rows it converts.  Any other line (non-ASCII or with another quote) and
-  a row whose first such cell is longer digits go through csv.reader and
-  _check_record, which every row diagnostic but ``duplicate_id`` matches.
-  The route declines input that is not UTF-8, holds a NUL byte or a
-  carriage return not followed by a newline, is empty, has a header line
-  that holds a double quote or does not match, has a line of
-  csv.field_size_limit() bytes or more, line end included, or has an id or
-  a cell whose quotes take in a line end: a quoted record that spans
-  lines, or a last line whose quote is not closed before its newline.
-  Every byte costs the passes that find the commas, the quotes and the
-  bytes outside ``!`` to ``~``; every line its comma count and one search
-  of its bounds among the padding, quote and non-ASCII offsets; every cell
-  its first digit; every id of up to 8 bytes one uint64 key, which checks
-  repeats and is decoded into the ids when they are first read.  The rest is
-  paid only where its feature occurs: a later digit place by the cells that
-  wide, a sign by the cells whose first digit fails, stripping by padded
-  lines, a diagnostic by the row it rejects, and decoding at once by a file
-  with a wider id, a repeated id or a row read by csv.reader.
+  classified at once, and each line is one record, read with array
+  arithmetic too: its comma split without the quotes that wrap a field
+  (its first and last byte), as csv.reader reads it, and so is its
+  diagnostic: blank, ``row_length``, ``empty_id``, or its first cell that
+  str.strip() does not leave as an optional sign and 1 to 18 digits;
+  _refused checks the values of the rows it converts.  Non-ASCII lines
+  take the same arrays: the input is valid UTF-8, whose multi-byte
+  sequences hold no comma, quote, CR or LF byte, so every span ends at an
+  ASCII byte and holds whole code points.  The route declines input that
+  is not UTF-8, holds a NUL byte, a carriage return not followed by a
+  newline or a code point outside ASCII that str.strip() removes, is empty,
+  has a header line that holds a double quote or does not match, has a
+  line of csv.field_size_limit() bytes or more, line end included, has a
+  quote that wraps no field (such as a quoted record that spans lines), or
+  has a row whose first such cell is more than 18 digits.  Every byte
+  costs the passes that find the commas, the quotes and the bytes outside
+  ``!`` to ``~``, and a non-ASCII input one decode and one search for the
+  code points that str.strip() removes; every line its comma count and one
+  search of its bounds among the padding and quote offsets; every cell its
+  first digit; every id of up to 8 bytes one uint64 key, which checks
+  repeats and is decoded into the ids when they are first read.  The rest
+  is paid only where its feature occurs: a later digit place by the cells
+  that wide, a sign by the cells whose first digit fails, stripping by
+  padded lines, a diagnostic by the row it rejects, and decoding at once by
+  a file with a wider id or a repeated id.  A declined file pays for
+  parse_response_rows on top of the passes made before the decline.
 * Per-cell: parse_response_rows reads every record with csv.reader and
   checks it cell by cell.  It reads every input the line route declines.
 
@@ -305,8 +307,8 @@ def _rows_with(cells: np.ndarray) -> np.ndarray:
 
 
 def _texts(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
-    """The ASCII text of each span ``raw[starts:ends]``, none of which holds
-    a newline: one gather takes each span and the byte at its end (clipped to
+    """The UTF-8 text of each span ``raw[starts:ends]``, none of which holds
+    a newline or splits a code point: one gather takes each span and the byte at its end (clipped to
     ``raw``), which becomes the newline that one split cuts at."""
     if not len(starts):
         return []
@@ -317,14 +319,15 @@ def _texts(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
     steps[0], steps[stops[:-1]] = starts[0], starts[1:] - ends[:-1]
     text = raw.take(np.cumsum(steps, out=steps), mode="clip")
     text[stops - 1] = ord("\n")
-    return text.tobytes().decode("ascii").split("\n")[:-1]
+    return text.tobytes().decode("utf-8").split("\n")[:-1]
 
 
 def _id_keys(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | list[str]:
-    """The ASCII ids ``raw[lo:hi]``, none empty, ``raw`` 8 bytes or more (a
+    """The UTF-8 ids ``raw[lo:hi]``, none empty, ``raw`` 8 bytes or more (a
     header holds 13): as uint64 keys, each id's bytes little-endian and
     zero-padded to 8, when none is wider than 8 bytes, else as _texts.  A
-    key is one id only, as the line route declines NUL bytes."""
+    key is one id only, as the line route declines NUL bytes, and two ids
+    are equal exactly when their keys are, as each holds whole code points."""
     widths = hi - lo
     if widths.max(initial=0) > 8:
         return _texts(raw, lo, hi)
@@ -338,7 +341,7 @@ def _id_keys(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | li
 
 def _key_texts(keys: np.ndarray) -> list[str]:
     """The ids of _id_keys' ``keys``, in order (an S8 item drops its zero padding)."""
-    return [key.decode("ascii") for key in keys.astype("<u8").view("S8").tolist()]
+    return [key.decode("utf-8") for key in keys.astype("<u8").view("S8").tolist()]
 
 
 def _refused(values: np.ndarray, valid: np.ndarray, rows: np.ndarray, expected: list[str],
@@ -371,6 +374,9 @@ def _refused(values: np.ndarray, valid: np.ndarray, rows: np.ndarray, expected: 
 #: The ASCII bytes that str.strip() removes, but for the line ends: within
 #: a line's text, the padding a cell or an id may carry.
 _PAD = np.array([b < 0x80 and chr(b).isspace() and b not in b"\r\n" for b in range(256)])
+#: The 19 code points outside ASCII that str.strip() removes: _PAD holds
+#: bytes, so the line route declines the input that holds one.
+_WIDE_PAD = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 
 
 def _parse_lines(
@@ -424,20 +430,19 @@ def _parse_lines(
                 return _result(instrument, kind, policy, rows,
                                _id_keys(raw, starts, grid[:, 0]), values, errors)
 
-    # The lines that csv.reader reads: non-ASCII, or with a quote that wraps no field.
-    hard = _per_line(odd[kinds > 0x7F], edges) > 0
     quoted, loose = _quotes(raw, edges, commas)
-    hard[loose] = True
+    if len(loose):  # a quote that wraps no field, which only csv.reader reads
+        return None
     pad = odd[_PAD[kinds]]
     pads = _per_line(pad, edges)
     lead = np.searchsorted(commas, edges[1:])  # no comma lies between a stop and an end
     fields = np.diff(lead) + 1
     # A blank line holds only padding, commas and quotes.
-    easy = ~hard & (stops - starts - quoted - fields + 1 > pads)
-    short = np.flatnonzero(easy & (fields != k + 1))
+    filled = stops - starts - quoted - fields + 1 > pads
+    short = np.flatnonzero(filled & (fields != k + 1))
     errors = [RowError(at + 1, "*", "row_length", f"expected {k + 1} fields, got {count}")
               for at, count in zip(short.tolist(), fields[short].tolist())]
-    lines = np.flatnonzero(easy & (fields == k + 1))
+    lines = np.flatnonzero(filled & (fields == k + 1))
     # The k commas of line lines[i]: the window of k from its first (the header holds k).
     values, bad, id_lo, id_hi, lo, widths = _bulk_values(
         raw, starts[lines], stops[lines],
@@ -453,55 +458,32 @@ def _parse_lines(
     first = lo[broken, cells]
     del lo, widths  # let go of two N x k arrays
     texts = _texts(raw, first, first + width)
-    for at in np.flatnonzero(width > 18).tolist():
-        if _INT_CELL.fullmatch(texts[at]):  # more than 18 digits
-            hard[lines[broken[at]]] = True
-            texts[at] = None
-    errors += [_cell_error(at + 1, expected[cell + 1], text) for at, cell, text in
-               zip(lines[broken].tolist(), cells.tolist(), texts) if text is not None]
+    if any(_INT_CELL.fullmatch(texts[at]) for at in np.flatnonzero(width > 18).tolist()):
+        return None  # more than 18 digits, which only _parse_int_cell reads
+    errors += [_cell_error(at + 1, expected[cell + 1], text)
+               for at, cell, text in zip(lines[broken].tolist(), cells.tolist(), texts)]
     errors += _refused(values, valid, lines + 1, expected, instrument.scale, kind)
-    lines, values, id_lo, id_hi = lines[valid], values[valid], id_lo[valid], id_hi[valid]
-
-    checked = []
-    rest = np.flatnonzero(hard)
-    for at, start, end in zip(rest.tolist(), starts[rest].tolist(), ends[rest].tolist()):
-        record = next(csv.reader([data[start:end].decode("utf-8")]))
-        if record[-1].endswith("\n"):  # a quote still open at the line end
-            return None
-        outcome = _check_record(record, at + 1, expected, instrument.scale, kind)
-        if isinstance(outcome, RowError):
-            errors.append(outcome)
-        elif outcome is not None:
-            checked.append((at, record[0].strip(), outcome))
-    ids = (_texts if checked else _id_keys)(raw, id_lo, id_hi)
-    if checked:  # merge them into the converted rows, in line order
-        more_lines, more_ids, more_values = zip(*checked)
-        lines = np.concatenate((lines, more_lines))
-        order = np.argsort(lines, kind="stable")
-        values = np.concatenate((values, np.array(more_values, dtype=np.int64)))[order]
-        lines = lines[order]
-        ids = np.array(ids + list(more_ids), dtype=object)[order].tolist()
-    return _result(instrument, kind, policy, lines + 1, ids, values, errors)
+    return _result(instrument, kind, policy, lines[valid] + 1,
+                   _id_keys(raw, id_lo[valid], id_hi[valid]), values[valid], errors)
 
 
 def _line_input(data: bytes | str, expected: list[str]) -> bytes | None:
     """The UTF-8 bytes of ``data`` (a byte-order mark removed from bytes),
-    or None unless they are valid, non-empty, free of NUL bytes, and start
-    with a header line that holds no double quote and matches ``expected``
-    once stripped."""
-    if isinstance(data, str):
-        try:
-            data = data.encode("utf-8")
-        except UnicodeEncodeError:
-            return None
+    or None unless they are valid, non-empty, free of NUL bytes and of
+    _WIDE_PAD code points, and start with a header line that holds no double
+    quote and matches ``expected`` once stripped."""
+    if isinstance(data, str):  # a lone surrogate fails the decode below
+        data = data.encode("utf-8", "surrogatepass")
     else:
         data = data.removeprefix(codecs.BOM_UTF8)
     if not data or b"\0" in data:
         return None
     if not data.isascii():
         try:
-            data.decode("utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError:
+            return None
+        if _WIDE_PAD.search(text):
             return None
     head = data.partition(b"\n")[0].removesuffix(b"\r")
     if b'"' in head or [cell.strip() for cell in head.decode("utf-8").split(",")] != expected:
@@ -543,7 +525,7 @@ def _bulk_values(
     raw: np.ndarray, starts: np.ndarray, stops: np.ndarray, commas: np.ndarray,
     quoted: np.ndarray, padded: np.ndarray, pad: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
-    """Read the ASCII lines ``raw[starts:stops]``, whose N x k comma offsets
+    """Read the UTF-8 lines ``raw[starts:stops]``, whose N x k comma offsets
     are ``commas`` (consumed) and whose quotes all wrap a field; ``quoted``
     and ``padded`` mark the lines that hold a quote and a _PAD byte, and
     ``pad`` holds the sorted offsets of the _PAD bytes.  Each id and cell
@@ -578,11 +560,11 @@ def _bulk_values(
 def _strip_spans(
     lo: np.ndarray, hi: np.ndarray, pad: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Narrow each span raw[lo:hi] as str.strip() narrows its ASCII text,
-    given the sorted offsets ``pad`` of the _PAD bytes of ``raw`` (not
-    empty; no pad byte lies just outside a span).  A pad byte left inside a
-    cell is not a digit, so the digit check refuses it.  An all-pad span
-    comes back with hi < lo."""
+    """Narrow each span raw[lo:hi] as str.strip() narrows its text, which
+    holds no _WIDE_PAD code point, given the sorted offsets ``pad`` of the
+    _PAD bytes of ``raw`` (not empty; no pad byte lies just outside a
+    span).  A pad byte left inside a cell is not a digit, so the digit check
+    refuses it.  An all-pad span comes back with hi < lo."""
     breaks = np.flatnonzero(np.diff(pad) != 1)
     never = np.iinfo(np.int64).max  # ends both run arrays, matching no offset
     run_lo = np.append(pad[np.append(0, breaks + 1)], never)
@@ -626,6 +608,10 @@ def _read_records(
         except UnicodeDecodeError as exc:
             raise DataError(f"response file is not valid UTF-8: {exc}") from None
     else:
+        try:
+            data.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataError(f"response text cannot be encoded as UTF-8: {exc}") from None
         text = data
 
     try:
@@ -793,6 +779,8 @@ def generate_synthetic(
     columns: list[list[int]] = []
     for col_idx, target in enumerate(targets, start=1):
         exact_sum = target * n_respondents
+        if not math.isfinite(exact_sum):
+            raise DataError(f"target mean {target!r} for column {col_idx} has no finite total")
         col_sum = round(exact_sum)
         if abs(exact_sum - col_sum) > 1e-6:
             raise DataError(

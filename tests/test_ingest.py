@@ -1,4 +1,5 @@
 import codecs
+import re
 import sys
 
 import numpy as np
@@ -251,6 +252,15 @@ def test_strict_str_input_takes_the_strict_case():
     assert rs.values.tolist() == ref_rs.values.tolist() == [[1, 2, 3], [4, 5, 1]]
 
 
+@pytest.mark.parametrize("parse", [parse_response_file, parse_response_rows])
+def test_text_with_a_lone_surrogate_is_refused(parse):
+    """A str that UTF-8 cannot encode is refused, as undecodable bytes are,
+    rather than accepted into a set that serialize_response_set cannot write."""
+    with pytest.raises(DataError, match="cannot be encoded as UTF-8"):
+        parse("respondent_id,q1,q2,q3\n\ud800x,3,3,3\n", SMALL_INSTRUMENT,
+              ResponseKind.EXPECTATION)
+
+
 def test_texts_reads_spans_up_to_the_end_of_the_data():
     """_texts gathers the byte after each span; after the last byte of the
     data there is none."""
@@ -417,6 +427,15 @@ def test_synthetic_non_integer_sum_is_infeasible():
 def test_synthetic_out_of_scale_target_is_infeasible():
     with pytest.raises(DataError, match="outside"):
         generate_synthetic([5.5], 10, LikertScale(), seed=0)
+
+
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), float("-inf"), 1e308])
+def test_synthetic_non_finite_target_is_refused(target):
+    """A target whose total over the respondents is not finite (nan,
+    infinite or too large for a float) is refused for its column."""
+    with pytest.raises(DataError, match=re.escape(f"target mean {target!r} for column 2 has "
+                                                  "no finite total")):
+        generate_synthetic([4.0, target], 10, LikertScale(), seed=0)
 
 
 def test_synthetic_is_deterministic_per_seed():

@@ -1,8 +1,10 @@
 """The line route of ``parse_response_file`` against the per-cell parser
 (``parse_response_rows``) it stands in for: its strict case reads a
-canonical file, bytes or ``str``, at once; otherwise it reads every ASCII
-line whose quotes all wrap a field from arrays, diagnostics included, and
-only the other records with csv.reader and the per-cell checks.
+canonical file, bytes or ``str``, at once; otherwise it reads every UTF-8
+line from arrays, diagnostics included, and never calls csv.reader or the
+per-cell checks.  It declines a file with a quote that wraps no field, a
+code point outside ASCII that str.strip() removes, or a row whose first bad
+cell is more than 18 digits, and parse_response_rows reads that file.
 
 Hypothesis starts from canonical files and applies the near misses a real
 export produces.  Whatever the bytes, every route must return the same
@@ -128,6 +130,13 @@ FILE_MUTATIONS = ("bare_cr", "mixed_crlf", "extra_trailing_newlines", "bom", "do
 MUTATIONS = tuple(CELL_MUTATIONS) + ROW_MUTATIONS + FILE_MUTATIONS
 
 
+#: Ids and cells outside ASCII, as survey tools export them: accented and
+#: CJK ids, an id wider than one key, and a digit that is not ASCII.
+NON_ASCII = ("\u00e9", "\u9867\u5ba2", "M\u00fcller-00042", "\u0663")
+#: The code points outside ASCII that str.strip() removes.
+WIDE_PADDING = tuple(char for char in map(chr, range(0x80, 0x110000)) if char.isspace())
+
+
 def _render(table, eol, trailing, line_ends=None) -> str:
     lines = [",".join(row) for row in table]
     ends = line_ends or [eol] * len(lines)
@@ -214,6 +223,27 @@ def _mutate(draw, table, hi, eol, trailing, names) -> bytes:
     return data
 
 
+def _dress_utf8(draw, table, eol, trailing) -> bytes:
+    """The file of ``table`` after one to four edits outside ASCII, each to
+    a field of a data row, which it may then quote: the field replaced by,
+    or run into, one of NON_ASCII, or one of WIDE_PADDING put at its start,
+    at its end or inside it."""
+    table = [list(row) for row in table]
+    for _ in range(draw(st.integers(1, 4))):
+        row = table[draw(st.integers(1, len(table) - 1))]
+        c = draw(st.integers(0, len(row) - 1))
+        field = row[c]
+        if draw(st.booleans()):
+            text = draw(st.sampled_from(NON_ASCII))
+            row[c] = draw(st.sampled_from((text, field + text, text + field)))
+        else:
+            at = draw(st.one_of(st.sampled_from((0, len(field))), st.integers(0, len(field))))
+            row[c] = field[:at] + draw(st.sampled_from(WIDE_PADDING)) + field[at:]
+        if draw(st.integers(0, 3)) == 0:
+            row[c] = f'"{row[c]}"'
+    return _render(table, eol, trailing).encode("utf-8")
+
+
 def _outcome(parse, data, instrument, kind, policy):
     """Everything a caller can observe of one parse."""
     try:
@@ -232,22 +262,16 @@ BULK_HELPERS = ("_digit_values", "_rows_with", "_texts", "_refused", "_invalid_a
 
 def _refuser(name: str):
     def refuse(*args):
-        raise AssertionError(f"the per-cell parser used {name}")
+        raise AssertionError(f"{name} was called")
     return refuse
 
 
-@contextlib.contextmanager
-def _checked_rows():
-    """While active, the list of the data rows that reach _check_record."""
-    rows: list[int] = []
-    real = ingest._check_record
-
-    def spy(raw, row, *args):
-        rows.append(row)
-        return real(raw, row, *args)
-
-    with mock.patch.object(ingest, "_check_record", spy):
-        yield rows
+def _line_route(data, instrument, kind, policy=MissingPolicy.DROP_ROW):
+    """The line route's result, or None where it declines ``data``, with
+    _check_record and csv.reader failing while it runs."""
+    with mock.patch.object(ingest, "_check_record", _refuser("_check_record")), \
+            mock.patch.object(csv, "reader", _refuser("csv.reader")):
+        return ingest._parse_lines(data, instrument, kind, policy)
 
 
 @contextlib.contextmanager
@@ -264,13 +288,15 @@ def _per_cell_only():
 def test_bulk_route_matches_row_by_row_parser(case, names, data):
     """parse_response_file on bytes and on the decoded text against the
     per-cell parser, which runs the per-record checks on every csv.reader
-    record.  A canonical file takes the strict case either way."""
+    record: the canonical file, which takes the strict case either way, the
+    file after the drawn mutations, after edits outside ASCII and with one
+    repeated id."""
     instrument, kind, table, hi, eol, trailing = case
     canonical = _render(table, eol, trailing).encode("ascii")
     for payload in (canonical, canonical.decode("ascii")):
         assert strict_result(payload, instrument, kind) is not None
     mutated = _mutate(data.draw, table, hi, eol, trailing, names)
-    payloads = [canonical, mutated]
+    payloads = [canonical, mutated, _dress_utf8(data.draw, table, eol, trailing)]
     if len(table) > 2:  # a canonical file but for one repeated id
         repeated = [list(row) for row in table]
         first, later = sorted(data.draw(st.lists(st.integers(1, len(table) - 1), min_size=2,
@@ -288,6 +314,30 @@ def test_bulk_route_matches_row_by_row_parser(case, names, data):
             assert _outcome(parse_response_file, payload, instrument, kind, policy) == reference
             if text is not None:
                 assert _outcome(parse_response_file, text, instrument, kind, policy) == reference
+
+
+def test_utf8_lines_are_read_from_arrays_but_wide_padding():
+    """Ids and cells outside ASCII are read from arrays, with neither
+    csv.reader nor the per-cell checks; each code point outside ASCII that
+    str.strip() removes, at the start, at the end or inside the header, an
+    id or a cell, makes the line route decline the file.  The result is the
+    per-cell parser's either way, from bytes and from text."""
+    assert len(WIDE_PADDING) == 19
+    instrument = _instrument(3, 1, 5)
+    table = [["respondent_id", "q1", "q2", "q3"], ["r1", "1", "2", "3"],
+             ["\u00e9", "4", "5", "1"], ["\u9867\u5ba2", "2", "\u0663", "1"],
+             ['"M\u00fcller-00042"', "3", "+3", "3"]]
+    data = _render(table, "\n", True).encode("utf-8")
+    assert _line_route(data, instrument, ResponseKind.EXPECTATION)[1].rejected_rows == 1
+    for pad, (r, c), edge in itertools.product(WIDE_PADDING, ((0, 0), (3, 0), (4, 2)), range(3)):
+        dressed = [list(row) for row in table]
+        field = dressed[r][c]
+        at = (0, 1, len(field))[edge]
+        dressed[r][c] = field[:at] + pad + field[at:]
+        payload = _render(dressed, "\n", True).encode("utf-8")
+        for form in (payload, payload.decode("utf-8")):
+            assert _line_route(form, instrument, ResponseKind.EXPECTATION) is None
+            _assert_routes_agree(form, instrument)
 
 
 @pytest.mark.parametrize("name", CELL_MUTATIONS)
@@ -477,14 +527,13 @@ def _wraps(line: str) -> bool:
 
 def _assert_bulk_iff_relaxed(k: int, lines: list[str], trailing: bool) -> None:
     """The line route, on the file of ``lines`` (under a scale that holds
-    every int64, so that no value is refused for its size), reads from
-    arrays every record of one ASCII line whose quotes all wrap a field,
-    every line that fullmatches CANONICAL_ROW among them, unless its first
-    cell that str.strip() does not leave as RELAXED_CELL is a longer run of
-    digits; it sends exactly the other records to _check_record, declines
-    exactly the inputs with a NUL, a \\r outside a \\r\\n or a quoted
-    record that spans lines (a cell that holds a line end), and gives the
-    per-cell result either way."""
+    every int64, so that no value is refused for its size), reads every
+    record from arrays, with neither csv.reader nor _check_record, and
+    gives the per-cell result.  It declines exactly the inputs with a NUL, a
+    \\r outside a \\r\\n or a line whose quotes do not all wrap a field
+    (which takes in a quoted record that spans lines), and those with a row
+    whose first cell that str.strip() does not leave as RELAXED_CELL is a
+    longer run of digits."""
     instrument = build_instrument({
         "scale": {"min": -(2**63 - 1), "max": 2**63 - 1},
         "items": [{"id": i, "prompt": f"q{i}", "dimension": "empathy", "kano": "must_be"}
@@ -492,36 +541,25 @@ def _assert_bulk_iff_relaxed(k: int, lines: list[str], trailing: bool) -> None:
     })
     header = ",".join(["respondent_id", *(f"q{i}" for i in range(1, k + 1))])
     text = header + "\n" + "\n".join(lines) + ("\n" if trailing else "")
-    with _checked_rows() as checked:
-        try:
-            got = ingest._parse_lines(text.encode("ascii"), instrument,
-                                      ResponseKind.EXPECTATION, MissingPolicy.DROP_ROW)
-        except DataError:
-            got = ()
+    try:
+        got = _line_route(text.encode("ascii"), instrument, ResponseKind.EXPECTATION)
+    except DataError:
+        got = ()
     body = text.partition("\n")[2]
-    records = csv.reader(io.StringIO(body, newline=""))
     declined = ("\x00" in text or "\r" in text.replace("\r\n", "")
-                or any("\n" in cell for record in records for cell in record))
+                or not all(_wraps(line.removesuffix("\r")) for line in body.split("\n")))
+    if not declined:  # each line is one record
+        for record in csv.reader(io.StringIO(body, newline="")):
+            bad = [cell.strip() for cell in record[1:]
+                   if not RELAXED_CELL.fullmatch(cell.strip())]
+            if (any(cell.strip() for cell in record) and len(record) == k + 1
+                    and record[0].strip() and bad and INT_CELL.fullmatch(bad[0])):
+                declined = True
     assert (got is None) == declined, text
     assert _outcome(parse_response_file, text, instrument, ResponseKind.EXPECTATION,
                     MissingPolicy.DROP_ROW) == \
         _outcome(parse_response_rows, text, instrument, ResponseKind.EXPECTATION,
                  MissingPolicy.DROP_ROW)
-    if declined:
-        return
-    canonical = re.compile(CANONICAL_ROW % k)
-    reached = set()
-    for number, (line, record) in enumerate(
-            zip(body.split("\n"), csv.reader(io.StringIO(body, newline=""))), start=1):
-        line = line.removesuffix("\r")
-        bad = [cell.strip() for cell in record[1:] if not RELAXED_CELL.fullmatch(cell.strip())]
-        if not (line.isascii() and _wraps(line)) or (
-                any(cell.strip() for cell in record) and len(record) == k + 1
-                and record[0].strip() and bad and INT_CELL.fullmatch(bad[0])):
-            reached.add(number)
-        if canonical.fullmatch(line):
-            assert number not in reached, text
-    assert set(checked) == reached, text
 
 
 @settings(max_examples=examples(300), deadline=None)
@@ -588,68 +626,63 @@ def test_canonical_file_never_parses_a_cell(monkeypatch, xyz_instrument):
     assert calls == []
 
 
-def test_per_record_route_parses_only_non_canonical_records(monkeypatch, xyz_instrument):
-    """On a mixed file csv.reader and the per-cell parser see only the
-    records that the line route does not read from arrays: a line with a
-    quote that wraps no field, a non-ASCII line and a row whose first cell
-    that is not 1 to 18 digits is longer digits.  Signed, padded, quoted and
-    CRLF records, bad, missing and out-of-range cells, a wrong field count,
-    an empty quoted id and a blank quoted line never reach them."""
+def test_mixed_file_is_read_from_arrays(monkeypatch, xyz_instrument):
+    """On a mixed file the line route reads every record from arrays, with
+    neither csv.reader nor the per-cell parser: signed, padded, quoted,
+    non-ASCII and CRLF records, bad, missing and out-of-range cells, a
+    wrong field count, an empty quoted id and a blank quoted line.  Padding
+    after a quote, which wraps no field, or a first bad cell of more than 18
+    digits makes it decline the file, which parse_response_rows reads."""
     calls = _count_cell_parses(monkeypatch)
-    starts: list[str] = []
-    real_reader = csv.reader
-
-    def reader(lines):
-        lines = iter(lines)
-        first = next(lines)
-        starts.append(first)
-        return real_reader(itertools.chain([first], lines))
-
-    monkeypatch.setattr(ingest.csv, "reader", reader)
     header, rows = _xyz_rows(200)
     cells = [row.split(",") for row in rows]
-    cells[10][3] = "+" + cells[10][3]               # signed: converted in bulk
-    cells[15][4] = f" {cells[15][4]}\t"             # padded: converted in bulk
-    cells[20][5] = f'" {cells[20][5]}"'             # quoted: converted in bulk
-    cells[25][5] = f'"{cells[25][5]}" '             # padding after a quote: csv.reader
-    cells[30][2] = "x"                              # bad cell: from arrays
-    cells[35][0] += "\u00e9"                        # non-ASCII: csv.reader
-    cells[40][17] = "6"                             # out of range: converted, refused
-    cells[45][3] = "0" * 20 + cells[45][3]          # 21 digits: csv.reader
-    cells[50] = cells[50][:-1]                      # row_length: from arrays
-    cells[55][0] = '""'                             # empty_id: from arrays
-    cells[80][1] = ""                               # missing: from arrays
+    cells[10][3] = "+" + cells[10][3]               # signed
+    cells[15][4] = f" {cells[15][4]}\t"             # padded
+    cells[20][5] = f'" {cells[20][5]}"'             # quoted
+    cells[30][2] = "x"                              # bad cell
+    cells[35][0] += "\u00e9"                        # non-ASCII ids
+    cells[36][0] = "\u9867\u5ba2"
+    cells[37][0] = '"M\u00fcller-00042"'
+    cells[40][17] = "6"                             # out of range
+    cells[45][9] = "\u0663"                         # a digit outside ASCII
+    cells[50] = cells[50][:-1]                      # row_length
+    cells[55][0] = '""'                             # empty_id
+    cells[80][1] = ""                               # missing
     lines = [",".join(row) for row in cells] + ['"",""']  # and a blank line
-    lines[60] += "\r"                               # CRLF: converted in bulk
+    lines[60] += "\r"                               # CRLF
     data = (header + "\n" + "\n".join(lines) + "\n").encode()
-    rs, report = parse_response_file(data, xyz_instrument, ResponseKind.EXPECTATION)
-    read = [row[:] for row in cells]
-    read[25][5] = read[25][5].replace('"', "")
-    assert calls == [*read[25][1:], *read[35][1:], *read[45][1:]]
-    assert starts == [lines[at] + "\n" for at in (25, 35, 45)]
+    rs, report = _line_route(data, xyz_instrument, ResponseKind.EXPECTATION)
+    assert calls == []
     assert [(err.row, err.code) for err in report.row_errors] == \
-        [(31, "not_an_integer"), (41, "out_of_range"), (51, "row_length"), (56, "empty_id"),
-         (81, "missing")]
-    assert rs.respondent_ids == tuple(row[0] for at, row in enumerate(cells)
-                                      if at not in (30, 40, 50, 55, 80))
+        [(31, "not_an_integer"), (41, "out_of_range"), (46, "not_an_integer"), (51, "row_length"),
+         (56, "empty_id"), (81, "missing")]
+    assert rs.respondent_ids == tuple(row[0].strip('"') for at, row in enumerate(cells)
+                                      if at not in (30, 40, 45, 50, 55, 80))
     assert rs.values[20].tolist() == [int(cell.strip('" ')) for cell in cells[20][1:]]
+    _assert_routes_agree(data, xyz_instrument)
+    for at, cell in ((25, f'"{cells[25][5]}" '), (65, "0" * 20 + cells[65][5])):
+        declined = lines[:]
+        declined[at] = ",".join([*cells[at][:5], cell, *cells[at][6:]])
+        payload = (header + "\n" + "\n".join(declined) + "\n").encode()
+        assert _line_route(payload, xyz_instrument, ResponseKind.EXPECTATION) is None
+        _assert_routes_agree(payload, xyz_instrument)
 
 
-@pytest.mark.parametrize("cells, column, code, checked", [
+@pytest.mark.parametrize("cells, column, code, declined", [
     (["1", "x", "2", "", "3"], "q2", "not_an_integer", False),
     (["1", " ", "x", "3", "4"], "q2", "missing", False),
     (["1", "2", '"3.0"', "9" * 19, ""], "q3", "not_an_integer", False),
     (["1", "0" * 19 + "2", "x", "", "3"], "q3", "not_an_integer", True),
 ], ids=["bad_then_missing", "missing_then_bad", "quoted_then_long", "long_then_bad"])
-def test_first_bad_cell_gives_the_diagnostic(cells, column, code, checked):
+def test_first_bad_cell_gives_the_diagnostic(cells, column, code, declined):
     """A row with several bad cells is rejected for the first, from arrays
-    unless a longer run of digits comes before it."""
+    unless a longer run of digits comes before it: the line route declines
+    that file."""
     instrument = _instrument(5, 1, 5)
     data = ("respondent_id,q1,q2,q3,q4,q5\nr1,1,2,3,4,5\nr2," + ",".join(cells) + "\n").encode()
-    with _checked_rows() as calls:
-        _, report = parse_response_file(data, instrument, ResponseKind.EXPECTATION)
+    _, report = parse_response_file(data, instrument, ResponseKind.EXPECTATION)
     assert [(err.row, err.column, err.code) for err in report.row_errors] == [(2, column, code)]
-    assert calls == ([2] if checked else [])
+    assert (_line_route(data, instrument, ResponseKind.EXPECTATION) is None) == declined
     assert _outcome(parse_response_file, data, instrument, ResponseKind.EXPECTATION,
                     MissingPolicy.DROP_ROW) == \
         _outcome(parse_response_rows, data, instrument, ResponseKind.EXPECTATION,
@@ -683,7 +716,7 @@ def test_wide_cell_beside_a_dressed_cell(width, sign, dressing):
 @pytest.mark.parametrize("kind", list(ResponseKind))
 def test_bad_last_cell_at_the_end_of_the_file(cell, kind, xyz_instrument):
     """The last cell of a file without a final newline, bad: its diagnostic
-    comes from arrays, and a longer run of digits goes to the per-cell checks."""
+    comes from arrays, and the line route declines a longer run of digits."""
     if kind.is_likert:
         instrument, rows = _instrument(3, 1, 5), ["r1,1,2,3", "r2,4,5," + cell]
     else:
@@ -691,9 +724,7 @@ def test_bad_last_cell_at_the_end_of_the_file(cell, kind, xyz_instrument):
     header = ",".join(ingest._expected_header(instrument, kind))
     data = (header + "\n" + "\n".join(rows)).encode()
     _assert_routes_agree(data, instrument, kind)
-    with _checked_rows() as checked:
-        parse_response_file(data, instrument, kind)
-    assert checked == ([2] if cell.lstrip("+").isdigit() else [])
+    assert (_line_route(data, instrument, kind) is None) == cell.lstrip("+").isdigit()
 
 
 @pytest.mark.parametrize("digits", ["0" * 17 + "4", "9" * 18, "1" + "0" * 17])
@@ -790,17 +821,17 @@ def test_dirty_export_is_read_from_arrays(kind, xyz_instrument):
     for policy in MissingPolicy:
         with _per_cell_only():
             reference = _outcome(parse_response_rows, data, xyz_instrument, kind, policy)
-        with _checked_rows() as checked:
-            assert _outcome(parse_response_file, data, xyz_instrument, kind, policy) == reference
-        assert checked == []
+        assert _outcome(_line_route, data, xyz_instrument, kind, policy) == reference
         if policy is MissingPolicy.DROP_ROW:
             assert {err.code for err in reference[-1].row_errors} == codes
 
 
 #: Ids around the 8 bytes that one key holds: 1 to 8 bytes, pairs that
-#: differ only in byte 8, and wider ids that share their first 8 bytes.
+#: differ only in byte 8, and wider ids that share their first 8 bytes;
+#: UTF-8 ids of 2 to 13 bytes, one with a code point across bytes 8 and 9.
 ID_SEEDS = ("a", "Z9", "r000001", "abcdefgh", "abcdefgi", "abcdefghX", "abcdefghY",
-            "abcdefgiX", "#+!~.-_@", "r0000001234")
+            "abcdefgiX", "#+!~.-_@", "r0000001234", "\u00e9", "\u9867\u5ba2", "abcdef\u00e9",
+            "abcdefg\u00e9", "abcdefg\u00e8", "M\u00fcller-00042")
 #: The ways an id is written that leave the same id once read: padded,
 #: quoted, or both.
 ID_DRESSINGS = ("{}", " {} ", "\t{}", '"{}"', '" {}"', '"{} "')
@@ -808,9 +839,8 @@ ID_DRESSINGS = ("{}", " {} ", "\t{}", '"{}"', '" {}"', '"{} "')
 
 @st.composite
 def id_files(draw):
-    """(instrument, kind, file bytes, whether a non-ASCII line makes the
-    line route read a row with csv.reader): every data row valid but for
-    its id, which may repeat another once stripped."""
+    """(instrument, kind, file bytes): every data row valid but for its id,
+    which may repeat another once stripped."""
     kind = draw(st.sampled_from(list(ResponseKind)))
     k = draw(st.integers(1, 3)) if kind.is_likert else 5
     header = ["respondent_id", *([f"q{i}" for i in range(1, k + 1)] if kind.is_likert
@@ -824,10 +854,7 @@ def id_files(draw):
             draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
         lines.append(",".join([draw(st.sampled_from(ID_DRESSINGS)).format(respondent_id),
                                *map(str, cells)]))
-    hard = draw(st.booleans())
-    if hard:
-        lines.insert(draw(st.integers(1, len(lines))), ",".join(["é", *lines[-1].split(",")[1:]]))
-    return _instrument(k, 1, 5), kind, ("\n".join(lines) + "\n").encode("utf-8"), hard
+    return _instrument(k, 1, 5), kind, ("\n".join(lines) + "\n").encode("utf-8")
 
 
 @settings(max_examples=examples(200), deadline=None)
@@ -835,9 +862,9 @@ def id_files(draw):
 def test_line_route_ids_match_the_per_cell_parser(case):
     """The line route's ids, held as keys until read, against the per-cell
     parser's: its duplicate_id diagnostics are right before any read of the
-    ids and stay so after it.  A set holds its ids unread only when they are
-    all of 1 to 8 bytes, none repeats and no row came from csv.reader."""
-    instrument, kind, data, hard = case
+    ids and stay so after it.  A set holds its ids unread exactly when they
+    are all of 1 to 8 UTF-8 bytes and none repeats."""
+    instrument, kind, data = case
     for payload, policy in itertools.product((data, data.decode("utf-8")), MissingPolicy):
         with _per_cell_only():
             reference = _outcome(parse_response_rows, payload, instrument, kind, policy)
@@ -848,7 +875,8 @@ def test_line_route_ids_match_the_per_cell_parser(case):
             continue
         assert report == reference[-1]  # before any read of the ids
         ids = reference[-2]
-        lazy = not hard and max(map(len, ids)) <= 8 and report.rejected_rows == 0
+        lazy = max(len(respondent_id.encode()) for respondent_id in ids) <= 8 \
+            and report.rejected_rows == 0
         assert ("respondent_ids" not in vars(rs)) == lazy
         assert rs.respondent_ids == ids
         assert report == reference[-1]  # and after it

@@ -14,7 +14,10 @@ without ``--show-conflicts`` on the workload's ``--hoq`` file, if it has
 one.  It also parses each of the workload's response CSVs with
 ``parse_response_file`` and prints the SHA-256 of the parsed set written back
 by ``serialize_response_set``, so that a change in the accepted ids or values
-shows even where no report reads them.  It prints one line per output file,
+shows even where no report reads them.  It does the same, row diagnostics
+included, for two shapes built from each CSV: ``é`` appended to every other
+id, which the line route reads from arrays, and a loose quote (``3"``) in one
+cell, which makes the line route leave the file to ``parse_response_rows``.  It prints one line per output file,
 per parsed CSV and per call's stdout, stderr and exit code.  Every path is
 relative to a temporary directory, so two source trees give the same lines
 exactly when their outputs are byte-identical:
@@ -44,6 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 from satmetric import cli  # noqa: E402
+from satmetric.errors import DataError  # noqa: E402
 from satmetric.ingest import (  # noqa: E402
     MissingPolicy, ResponseKind, parse_response_file, serialize_response_set)
 from satmetric.instrument import load_instrument  # noqa: E402
@@ -90,9 +94,22 @@ def _files(root: Path) -> list[str]:
             for path in sorted(root.rglob("*")) if path.is_file()]
 
 
+def _shapes(data: bytes) -> dict[str, bytes]:
+    """Two shapes of a response CSV: ``é`` appended to the id of every other
+    data line, and the first cell of its middle line replaced by ``3"``."""
+    lines = data.split(b"\n")
+    accented = lines[:]
+    accented[1::2] = [line.replace(b",", "é,".encode(), 1) for line in lines[1::2]]
+    loose = lines[:]
+    middle = loose[len(loose) // 2].split(b",")
+    loose[len(loose) // 2] = b",".join([middle[0], b'3"', *middle[2:]])
+    return {"accented": b"\n".join(accented), "loose_quote": b"\n".join(loose)}
+
+
 def _parsed(gap: list[str]) -> list[str]:
-    """The digest line of each response CSV of a gap call: its parsed set,
-    ids included, as serialize_response_set writes it."""
+    """The digest lines of each response CSV of a gap call: its parsed set,
+    ids included, as serialize_response_set writes it, and that set and its
+    row diagnostics, or the error, for each of its _shapes."""
     instrument = load_instrument(gap[gap.index("--instrument") + 1])
     policy = MissingPolicy(gap[gap.index("--missing-policy") + 1]) \
         if "--missing-policy" in gap else MissingPolicy.DROP_ROW
@@ -100,9 +117,17 @@ def _parsed(gap: list[str]) -> list[str]:
     for option, kind in RESPONSE_FILES.items():
         if option in gap:
             path = Path(gap[gap.index(option) + 1])
-            responses, _ = parse_response_file(path.read_bytes(), instrument, kind, policy)
+            data = path.read_bytes()
+            responses, _ = parse_response_file(data, instrument, kind, policy)
             lines.append(f"{path.as_posix()} parsed "
                          f"{_sha(serialize_response_set(responses, instrument))}")
+            for shape, shaped in _shapes(data).items():
+                try:
+                    responses, report = parse_response_file(shaped, instrument, kind, policy)
+                    out = serialize_response_set(responses, instrument) + repr(report).encode()
+                except DataError as exc:
+                    out = str(exc).encode()
+                lines.append(f"{path.as_posix()} {shape} {_sha(out)}")
     return lines
 
 
