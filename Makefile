@@ -22,12 +22,16 @@ help:
 	@echo "                  medians and quartiles, the pairs in which the change read lower and"
 	@echo "                  the median per-pair difference, marked unresolved when it is"
 	@echo "                  smaller than the base's interquartile range"
-	@echo "make loc          line counts of the source modules"
+	@echo "make loc          line counts of the source modules, and their code lines"
+	@echo "                  (docstrings, comments and blank lines not counted)"
 	@echo "make digest       SHA-256 of every gap, report, validate, descriptives, reliability"
 	@echo "                  and qfd output on each workload: SEED=<n> (default 1); gap runs"
 	@echo "                  also with --normalize-weights --variance-mode sample"
 	@echo "                  --pareto-threshold 50 and, on xyz_batch, with the weights file as"
-	@echo "                  a bare means object; descriptives with --variance-mode sample"
+	@echo "                  a bare means object; descriptives with --variance-mode sample;"
+	@echo "                  gap and validate with --missing-policy fail where the workload"
+	@echo "                  sets --missing-policy; the parsed set and the repr of its"
+	@echo "                  ValidationReport of each response CSV"
 	@echo "make digest-diff  make digest with the src/ of git revision BASE=<rev> and of the"
 	@echo "                  working tree; prints the diff and fails on any difference: SEED=<n>"
 
@@ -54,7 +58,7 @@ bench-pair:
 	$(PYTHON) tools/bench_pair.py --base $(BASE) --workload $(W) --pairs $(PAIRS) --seed $(SEED)
 
 loc:
-	@wc -l src/satmetric/*.py
+	@$(PYTHON) tools/loc.py src/satmetric/*.py
 
 digest:
 	@PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) tools/digest.py --seed $(SEED)

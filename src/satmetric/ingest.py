@@ -35,14 +35,14 @@ errors.
   quote that wraps no field (such as a quoted record that spans lines), or
   has a row whose first such cell is more than 18 digits.  Every byte
   costs the passes that find the commas, the quotes and the bytes outside
-  ``!`` to ``~``, and a non-ASCII input one decode and one search for the
-  code points that str.strip() removes; every line its comma count and one
+  ``!`` to ``~``, and a non-ASCII input one decode and a look at the lead
+  bytes of the code points that str.strip() removes; every line its comma count and one
   search of its bounds among the padding and quote offsets; every cell its
   first digit; every id of up to 8 bytes one uint64 key, which checks
   repeats and is decoded into the ids when they are first read.  The rest
   is paid only where its feature occurs: a later digit place by the cells
   that wide, a sign by the cells whose first digit fails, stripping by
-  padded lines, a diagnostic by the row it rejects, and decoding at once by
+  padded lines, a diagnostic tuple by the row it rejects, and decoding at once by
   a file with a wider id or a repeated id.  A declined file pays for
   parse_response_rows on top of the passes made before the decline.
 * Per-cell: parse_response_rows reads every record with csv.reader and
@@ -57,12 +57,14 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import itertools
 import math
 import random
 import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -101,7 +103,9 @@ class MissingPolicy(str, Enum):
 @dataclass(frozen=True)
 class RowError:
     """One rejected row: 1-based data-row index, offending column, machine
-    code, and a human-readable message."""
+    code, and a human-readable message.  The routes keep each as a plain
+    ``(row, column, code, message)`` tuple; ValidationReport builds the
+    RowErrors when its row_errors is first read."""
 
     row: int
     column: str
@@ -109,11 +113,44 @@ class RowError:
     message: str
 
 
+#: A RowError's fields as a plain tuple: (row, column, code, message).
+_Diagnostic = tuple[int, str, str, str]
+
+
 @dataclass(frozen=True)
 class ValidationReport:
+    """The rejected rows of one parse, in file order, and the row counts.
+
+    A report that parse_response_file builds holds each rejected row as one
+    plain tuple, ``diagnostics``, and builds the RowErrors of row_errors
+    when it is first read, which equality, repr, hashing, copying and
+    pickling do; a pickle holds row_errors, as the constructor's report
+    does.  pipeline.surveys writes stderr from the tuples, so the CLI builds
+    no RowError."""
+
     row_errors: tuple[RowError, ...]
     accepted_rows: int
     rejected_rows: int
+
+    def __getattr__(self, name: str):
+        # Only for an unset attribute, as in ResponseSet.
+        if name != "row_errors" or "_diagnostics" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        errors = tuple(itertools.starmap(RowError, vars(self)["_diagnostics"]))
+        object.__setattr__(self, "row_errors", errors)
+        return errors
+
+    def __getstate__(self) -> dict:
+        return {"row_errors": self.row_errors, "accepted_rows": self.accepted_rows,
+                "rejected_rows": self.rejected_rows}
+
+    @property
+    def diagnostics(self) -> tuple[_Diagnostic, ...]:
+        """row_errors as plain ``(row, column, code, message)`` tuples, read
+        without building the RowErrors."""
+        if "_diagnostics" in vars(self):
+            return vars(self)["_diagnostics"]
+        return tuple((err.row, err.column, err.code, err.message) for err in self.row_errors)
 
     @property
     def total_rows(self) -> int:
@@ -345,8 +382,8 @@ def _key_texts(keys: np.ndarray) -> list[str]:
 
 
 def _refused(values: np.ndarray, valid: np.ndarray, rows: np.ndarray, expected: list[str],
-             scale: LikertScale, kind: ResponseKind) -> list[RowError]:
-    """The errors that _value_error gives the converted rows (``valid``) of
+             scale: LikertScale, kind: ResponseKind) -> list[_Diagnostic]:
+    """The diagnostics that _value_error gives the converted rows (``valid``) of
     ``values`` that fail the scale or allocation check, found with array
     operations; those rows are cleared from ``valid``.  ``rows`` holds the
     data-row numbers of ``values``."""
@@ -355,14 +392,14 @@ def _refused(values: np.ndarray, valid: np.ndarray, rows: np.ndarray, expected: 
         refused = np.flatnonzero(valid & _rows_with(outside))
         columns = outside[refused].argmax(axis=1)  # the first cell outside
         message = _OUT_OF_SCALE.format("{}", scale=scale)
-        errors = [RowError(row, expected[column + 1], "out_of_range", message.format(value))
+        errors = [(row, expected[column + 1], "out_of_range", message.format(value))
                   for row, column, value in zip(rows[refused].tolist(), columns.tolist(),
                                                 values[refused, columns].tolist())]
     else:
         failed = _invalid_allocations(values)
         refused = np.flatnonzero(valid & failed.any(axis=0))
         codes = list(_ALLOCATION_MESSAGES.items())
-        errors = [RowError(row, "*", code, message.format(sum=total))
+        errors = [(row, "*", code, message.format(sum=total))
                   for row, (code, message), total in zip(
                       rows[refused].tolist(),
                       (codes[at] for at in failed[:, refused].argmax(axis=0).tolist()),
@@ -375,8 +412,15 @@ def _refused(values: np.ndarray, valid: np.ndarray, rows: np.ndarray, expected: 
 #: a line's text, the padding a cell or an id may carry.
 _PAD = np.array([b < 0x80 and chr(b).isspace() and b not in b"\r\n" for b in range(256)])
 #: The 19 code points outside ASCII that str.strip() removes: _PAD holds
-#: bytes, so the line route declines the input that holds one.
-_WIDE_PAD = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
+#: bytes, so the line route declines the input that holds one.  Each is
+#: kept as its UTF-8 bytes in a big-endian key of 3 bytes, a 2-byte one
+#: zero-padded; _WIDE_LEAD marks their lead bytes, C2 (2 bytes) and E1 to E3.
+_WIDE_PAD = "\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + \
+    "\u2028\u2029\u202f\u205f\u3000"
+_WIDE_KEYS = np.array([int.from_bytes(char.encode().ljust(3, b"\0"), "big")
+                       for char in _WIDE_PAD])
+_WIDE_LEAD = np.zeros(256, dtype=bool)
+_WIDE_LEAD[[char.encode()[0] for char in _WIDE_PAD]] = True
 
 
 def _parse_lines(
@@ -389,14 +433,17 @@ def _parse_lines(
     parse_response_rows, or None for an input it declines.  Data line i
     (from 0) is data row i + 1."""
     expected = _expected_header(instrument, kind)
-    data = _line_input(data, expected)
-    if data is None:
+    checked = _line_input(data, expected)
+    if checked is None:
         return None
+    data, is_ascii = checked
     raw = np.frombuffer(data, dtype=np.uint8)
     # Sparse offsets of the bytes outside "!" to "~" (the subtraction wraps
     # below "!"): the line ends, the padding and the non-ASCII bytes are among them.
     odd = np.flatnonzero((raw - np.uint8(ord("!"))) > ord("~") - ord("!"))
     kinds = raw[odd]
+    if not is_ascii and _wide_padded(raw, odd[_WIDE_LEAD[kinds]]):
+        return None
     if (raw.take(odd[kinds == ord("\r")] + 1, mode="clip") != ord("\n")).any():
         return None
     edges = np.append(0, odd[kinds == ord("\n")] + 1)
@@ -440,7 +487,7 @@ def _parse_lines(
     # A blank line holds only padding, commas and quotes.
     filled = stops - starts - quoted - fields + 1 > pads
     short = np.flatnonzero(filled & (fields != k + 1))
-    errors = [RowError(at + 1, "*", "row_length", f"expected {k + 1} fields, got {count}")
+    errors = [(at + 1, "*", "row_length", f"expected {k + 1} fields, got {count}")
               for at, count in zip(short.tolist(), fields[short].tolist())]
     lines = np.flatnonzero(filled & (fields == k + 1))
     # The k commas of line lines[i]: the window of k from its first (the header holds k).
@@ -449,7 +496,7 @@ def _parse_lines(
         np.lib.stride_tricks.sliding_window_view(commas, k)[lead[lines]],
         quoted[lines] > 0, pads[lines] > 0, pad)
     valid = id_hi > id_lo
-    errors += [RowError(at + 1, _ID_COLUMN, "empty_id", "respondent id is empty")
+    errors += [(at + 1, _ID_COLUMN, "empty_id", "respondent id is empty")
                for at in lines[~valid].tolist()]
     broken = np.flatnonzero(valid & _rows_with(bad))
     valid[broken] = False
@@ -467,10 +514,10 @@ def _parse_lines(
                    _id_keys(raw, id_lo[valid], id_hi[valid]), values[valid], errors)
 
 
-def _line_input(data: bytes | str, expected: list[str]) -> bytes | None:
-    """The UTF-8 bytes of ``data`` (a byte-order mark removed from bytes),
-    or None unless they are valid, non-empty, free of NUL bytes and of
-    _WIDE_PAD code points, and start with a header line that holds no double
+def _line_input(data: bytes | str, expected: list[str]) -> tuple[bytes, bool] | None:
+    """The UTF-8 bytes of ``data`` (a byte-order mark removed from bytes)
+    and whether they are all ASCII, or None unless they are valid, non-empty,
+    free of NUL bytes, and start with a header line that holds no double
     quote and matches ``expected`` once stripped."""
     if isinstance(data, str):  # a lone surrogate fails the decode below
         data = data.encode("utf-8", "surrogatepass")
@@ -478,17 +525,25 @@ def _line_input(data: bytes | str, expected: list[str]) -> bytes | None:
         data = data.removeprefix(codecs.BOM_UTF8)
     if not data or b"\0" in data:
         return None
-    if not data.isascii():
+    is_ascii = data.isascii()
+    if not is_ascii:
         try:
-            text = data.decode("utf-8")
+            data.decode("utf-8")
         except UnicodeDecodeError:
-            return None
-        if _WIDE_PAD.search(text):
             return None
     head = data.partition(b"\n")[0].removesuffix(b"\r")
     if b'"' in head or [cell.strip() for cell in head.decode("utf-8").split(",")] != expected:
         return None
-    return data
+    return data, is_ascii
+
+
+def _wide_padded(raw: np.ndarray, lead: np.ndarray) -> bool:
+    """Whether the valid UTF-8 ``raw`` holds a _WIDE_PAD code point, given
+    the offsets ``lead`` of its _WIDE_LEAD bytes, each the lead byte of a
+    sequence (no continuation byte is one)."""
+    seq = raw.take(lead[:, None] + np.arange(3), mode="clip").astype(np.int32)
+    seq[seq[:, 0] == 0xC2, 2] = 0  # a 2-byte sequence's key is zero-padded
+    return bool(np.isin(seq @ np.array([1 << 16, 1 << 8, 1]), _WIDE_KEYS).any())
 
 
 def _per_line(offsets: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -587,7 +642,7 @@ def parse_response_rows(
     rows, ids, values, errors = [], [], [], []
     for row, record in enumerate(records, start=1):
         checked = _check_record(record, row, expected, instrument.scale, kind)
-        if isinstance(checked, RowError):
+        if isinstance(checked, tuple):
             errors.append(checked)
         elif checked is not None:
             rows.append(row)
@@ -633,16 +688,15 @@ def _read_records(
 
 def _check_record(
     raw: list[str], row: int, expected: list[str], scale: LikertScale, kind: ResponseKind,
-) -> list[int] | RowError | None:
+) -> list[int] | _Diagnostic | None:
     """The per-cell checks of one record, data row ``row``: its values, the
-    first violation as a RowError, or None for a blank line."""
+    first violation as a diagnostic tuple, or None for a blank line."""
     if not any(map(str.strip, raw)):
         return None
     if len(raw) != len(expected):
-        return RowError(row, "*", "row_length",
-                        f"expected {len(expected)} fields, got {len(raw)}")
+        return row, "*", "row_length", f"expected {len(expected)} fields, got {len(raw)}"
     if not raw[0].strip():
-        return RowError(row, _ID_COLUMN, "empty_id", "respondent id is empty")
+        return row, _ID_COLUMN, "empty_id", "respondent id is empty"
     values: list[int] = []
     for col_name, cell in zip(expected[1:], raw[1:]):
         value = _parse_int_cell(cell)
@@ -652,27 +706,26 @@ def _check_record(
     return _value_error(values, row, expected, scale, kind) or values
 
 
-def _cell_error(row: int, column: str, text: str) -> RowError:
-    """The error of a cell that str.strip() leaves as ``text``, which
+def _cell_error(row: int, column: str, text: str) -> _Diagnostic:
+    """The diagnostic of a cell that str.strip() leaves as ``text``, which
     _parse_int_cell does not read: not an integer, or one of too many digits."""
     if _INT_CELL.fullmatch(text):
         digits = len(text.lstrip("+-").lstrip("0"))
-        return RowError(row, column, "out_of_range", f"value of {digits} digits exceeds "
-                        f"the {sys.get_int_max_str_digits()}-digit integer limit")
-    return RowError(row, column, "not_an_integer" if text else "missing",
-                    f"cell {text!r} is not a plain integer")
+        return (row, column, "out_of_range", f"value of {digits} digits exceeds "
+                f"the {sys.get_int_max_str_digits()}-digit integer limit")
+    return (row, column, "not_an_integer" if text else "missing",
+            f"cell {text!r} is not a plain integer")
 
 
 def _value_error(
     values: list[int], row: int, expected: list[str], scale: LikertScale, kind: ResponseKind,
-) -> RowError | None:
+) -> _Diagnostic | None:
     """The first scale or allocation violation of the values of data row
-    ``row`` as a RowError, or None if they pass."""
+    ``row`` as a diagnostic tuple, or None if they pass."""
     if kind.is_likert:
         for col_name, value in zip(expected[1:], values):
             if value < scale.min or value > scale.max:
-                return RowError(row, col_name, "out_of_range",
-                                _OUT_OF_SCALE.format(value, scale=scale))
+                return row, col_name, "out_of_range", _OUT_OF_SCALE.format(value, scale=scale)
         return None
     violation = validate_importance_row(values)
     if violation is None:
@@ -681,7 +734,7 @@ def _value_error(
         total = str(sum(values))
     except ValueError:  # more digits than str() writes
         total = f"a number of more than {sys.get_int_max_str_digits()} digits"
-    return RowError(row, "*", violation, _ALLOCATION_MESSAGES[violation].format(sum=total))
+    return row, "*", violation, _ALLOCATION_MESSAGES[violation].format(sum=total)
 
 
 def _result(
@@ -691,13 +744,14 @@ def _result(
     rows: np.ndarray | Sequence[int],
     ids: list[str] | np.ndarray,
     values: np.ndarray,
-    errors: list[RowError],
+    errors: list[_Diagnostic],
 ) -> tuple[ResponseSet, ValidationReport]:
     """Finish a parse from its accepted rows (data-row numbers, ids or their
-    _id_keys, and values, in file order) and the errors of the rejected
+    _id_keys, and values, in file order) and the diagnostics of the rejected
     ones, in any order: reject each accepted row whose id an earlier
-    accepted row holds, put the errors in file order, then raise the first
-    under policy fail, else build the result."""
+    accepted row holds, put the diagnostics in file order, then raise the
+    first under policy fail, else build the result, whose report builds no
+    RowError until its row_errors is read."""
     if isinstance(ids, np.ndarray) and (np.diff(np.sort(ids)) == 0).any():  # a repeated key
         ids = _key_texts(ids)
     if isinstance(ids, list) and len(set(ids)) != len(ids):
@@ -705,24 +759,23 @@ def _result(
         keep: list[int] = []
         for at, (row, respondent_id) in enumerate(zip(np.asarray(rows).tolist(), ids)):
             if respondent_id in first:
-                errors.append(RowError(row, _ID_COLUMN, "duplicate_id",
-                                       f"respondent id {respondent_id!r} repeats row "
-                                       f"{first[respondent_id]}"))
+                errors.append((row, _ID_COLUMN, "duplicate_id", f"respondent id "
+                               f"{respondent_id!r} repeats row {first[respondent_id]}"))
             else:
                 first[respondent_id] = row
                 keep.append(at)
         ids = [ids[at] for at in keep]
         values = values[keep]
-    errors.sort(key=lambda err: err.row)
+    errors.sort(key=itemgetter(0))
     if errors and policy is MissingPolicy.FAIL:
-        err = errors[0]
-        raise DataError(f"row {err.row}, column {err.column}: {err.message} [{err.code}]")
+        row, column, code, message = errors[0]
+        raise DataError(f"row {row}, column {column}: {message} [{code}]")
     if not len(ids):
         raise DataError(f"no valid rows in {kind.value} file ({len(errors)} rejected)")
-    response_set = _validated_set(instrument, kind, values, ids)
-    report = ValidationReport(row_errors=tuple(errors), accepted_rows=len(ids),
-                              rejected_rows=len(errors))
-    return response_set, report
+    report = object.__new__(ValidationReport)
+    vars(report).update(_diagnostics=tuple(errors), accepted_rows=len(ids),
+                        rejected_rows=len(errors))
+    return _validated_set(instrument, kind, values, ids), report
 
 
 def _validated_set(

@@ -92,10 +92,9 @@ def surveys(instrument: SurveyInstrument, policy: MissingPolicy | str, *paths: s
         if path is None:
             continue
         responses, validation = parse_response_file(read_bytes(path), instrument, kind, policy)
-        if validation.row_errors:
-            sys.stderr.write("".join(
-                f"{path}: row {err.row}, column {err.column}: {err.message} [{err.code}]\n"
-                for err in validation.row_errors))
+        if validation.rejected_rows:
+            sys.stderr.write("".join(f"{path}: row {row}, column {column}: {message} [{code}]\n"
+                                     for row, column, code, message in validation.diagnostics))
         yield kind, path, responses, validation
 
 
@@ -120,7 +119,8 @@ def _load_weights_file(path: str):
 def run(inputs: Inputs, config: Config = Config(), timestamp=True) -> AnalysisReport | None:
     """Ingest, descriptives, the reliability gate, gaps, Kano, Pareto, HoQ and
     fishbone, then the report; None when ``config.strict_gate`` refuses a
-    survey, whose refusal is then on stderr."""
+    survey, whose refusal is then on stderr.  The instrument, weights, HoQ
+    and fishbone files are read and checked before the survey CSVs."""
     if None in (inputs.expect, inputs.perceive) or \
             (inputs.importance is None) == (inputs.weights is None):
         raise SatmetricError("the gap analysis needs an expectation CSV, a perception CSV "
@@ -129,10 +129,13 @@ def run(inputs: Inputs, config: Config = Config(), timestamp=True) -> AnalysisRe
     mode = _setting(VarianceMode, config.variance_mode, "variance_mode")
     policy = _setting(MissingPolicy, config.missing_policy, "missing_policy")
     instrument = load_instrument(inputs.instrument)
+    weights = None if inputs.weights is None else _load_weights_file(inputs.weights)
+    hoq = load_hoq(inputs.hoq) if inputs.hoq else None
+    fishbone = load_fishbone(inputs.fishbone) if inputs.fishbone else None
     parsed = {kind.value: (responses, validation) for kind, _, responses, validation in surveys(
         instrument, policy, inputs.expect, inputs.perceive, inputs.importance)}
-    weights = importance_weights(parsed["importance"][0]) if inputs.importance \
-        else _load_weights_file(inputs.weights)
+    if weights is None:
+        weights = importance_weights(parsed["importance"][0])
     if config.normalize_weights:
         weights = normalize_weights(weights)
     likert = ("expectation", "perception")
@@ -155,8 +158,7 @@ def run(inputs: Inputs, config: Config = Config(), timestamp=True) -> AnalysisRe
         gap_report, instrument=instrument, importance_weights=weights,
         expectation_descriptives=descriptives[0], perception_descriptives=descriptives[1],
         kano_priorities=priorities, pareto=pareto_table,
-        hoq=load_hoq(inputs.hoq) if inputs.hoq else None,
-        fishbone=load_fishbone(inputs.fishbone) if inputs.fishbone else None,
+        hoq=hoq, fishbone=fishbone,
         validation={name: validation for name, (_, validation) in parsed.items()},
         config={"variance_mode": mode.value, "alpha_threshold": config.alpha_threshold,
                 "strict_gate": bool(config.strict_gate),

@@ -107,6 +107,23 @@ def strict_result(data, instrument, kind, policy=ingest.MissingPolicy.DROP_ROW):
     return None if calls else result
 
 
+def dirty_xyz_csv(n: int = 40) -> bytes:
+    """An expectation file of the xyz instrument (17 items, scale 1-5) with
+    ``n`` >= 20 data rows, one rejected for each code such a file can have
+    and a few accepted ones whose cells are padded, signed, quoted or
+    outside ASCII; the line route reads it."""
+    rows = [[f"r{r:04d}", *(str(1 + (r + c) % 5) for c in range(17))] for r in range(n)]
+    rows[3] = rows[3][:3]  # row_length
+    rows[5][0] = '" "'  # empty_id
+    rows[7][2] = ""  # missing
+    rows[9][4] = "x"  # not_an_integer
+    rows[11][6] = "9"  # out_of_range
+    rows[13][0] = "r0001"  # duplicate_id
+    rows[15][1], rows[17][2], rows[19][0] = " +3 ", '"4"', "\u00e9-19"
+    header = ["respondent_id", *(f"q{i}" for i in range(1, 18))]
+    return "".join(",".join(row) + "\n" for row in [header, *rows]).encode()
+
+
 def replace_at(doc, path, value):
     """A copy of JSON document ``doc`` with the position ``path`` (a tuple of
     keys and indices) set to ``value``."""

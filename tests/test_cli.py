@@ -311,12 +311,10 @@ class TestGapPipeline:
         assert "Traceback" not in err
         assert not (xyz_dir / "overflow").exists()
 
-    @pytest.mark.parametrize("bad", [["--hoq", "absent_hoq.json"],
-                                     ["--kano-multipliers", "must_be"]],
-                             ids=["hoq_path", "kano_spec"])
+    @pytest.mark.parametrize("bad", [["--kano-multipliers", "must_be"]], ids=["kano_spec"])
     def test_row_diagnostics_precede_a_later_input_error(self, xyz_dir, capsys, bad):
-        """The CSVs are read (and their rejections written) before the HoQ
-        file is read and before the Kano spec is parsed."""
+        """The CSVs are read (and their rejections written) before the Kano
+        spec is parsed."""
         bad_row = "x99," + ",".join(["6"] + ["4"] * 16)
         (xyz_dir / "e_dirty.csv").write_text((xyz_dir / "e.csv").read_text() + bad_row + "\n")
         rc = main(["gap", "--instrument", str(xyz_dir / "xyz.json"),
@@ -328,10 +326,41 @@ class TestGapPipeline:
         assert rc == 1
         assert len(err) == 2
         assert err[0].startswith(f"{xyz_dir / 'e_dirty.csv'}: row 82, column q1:")
-        assert err[1].startswith("error: cannot read absent_hoq.json" if bad[0] == "--hoq"
-                                 else "error: bad multiplier entry 'must_be'")
+        assert err[1].startswith("error: bad multiplier entry 'must_be'")
 
-    def test_strict_gate_refusal_reads_no_hoq(self, xyz_dir, capsys):
+    @pytest.mark.parametrize("bad", ["weights", "hoq", "hoq_path", "fishbone"])
+    def test_definition_files_are_checked_before_the_csvs(self, xyz_dir, capsys, bad):
+        """A weights, HoQ or fishbone file that fails its check ends the call
+        before any CSV is read: one error line, no row diagnostic of the
+        dirty CSV, no output file."""
+        bad_row = "x99," + ",".join(["6"] + ["4"] * 16)
+        (xyz_dir / "e_dirty.csv").write_text((xyz_dir / "e.csv").read_text() + bad_row + "\n")
+        weights = {"means": xyz.importance_means(), "n_respondents": xyz.N_IMPORTANCE}
+        hoq = serialize_hoq(xyz.load_xyz_hoq())
+        fishbone = serialize_fishbone(xyz.load_xyz_fishbone())
+        if bad == "weights":
+            weights["means"]["tangibles"] = -10
+        elif bad == "hoq":
+            hoq["customer_reqs"][0]["importance"] = "high"
+        elif bad == "fishbone":
+            fishbone["effect"] = ""
+        for name, doc in (("weights", weights), ("hoq", hoq), ("fishbone", fishbone)):
+            (xyz_dir / f"{name}.json").write_text(json.dumps(doc))
+        hoq_path = xyz_dir / ("absent_hoq.json" if bad == "hoq_path" else "hoq.json")
+        rc = main(["gap", "--instrument", str(xyz_dir / "xyz.json"),
+                   "--expect", str(xyz_dir / "e_dirty.csv"),
+                   "--perceive", str(xyz_dir / "p.csv"),
+                   "--weights", str(xyz_dir / "weights.json"), "--hoq", str(hoq_path),
+                   "--fishbone", str(xyz_dir / "fishbone.json"),
+                   "--out", str(xyz_dir / "early" / "xyz")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        if bad == "weights":
+            assert err == ["error: importance for tangibles must be >= 0, got -10.0"]
+        assert not (xyz_dir / "early").exists()
+
+    def test_absent_hoq_fails_before_the_strict_gate(self, xyz_dir, capsys):
         rc = main(["gap", "--instrument", str(xyz_dir / "xyz.json"),
                    "--expect", str(xyz_dir / "e.csv"),
                    "--perceive", str(xyz_dir / "p.csv"),
@@ -340,8 +369,8 @@ class TestGapPipeline:
                    "--out", str(xyz_dir / "gated" / "xyz")])
         err = capsys.readouterr().err
         assert rc == 1
-        assert "refusing to emit scores under --strict-gate" in err
-        assert "error:" not in err
+        assert err.startswith(f"error: cannot read {xyz_dir / 'absent_hoq.json'}")
+        assert "refusing" not in err
 
 
 class TestQfdCommand:

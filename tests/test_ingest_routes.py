@@ -26,7 +26,7 @@ import re
 from unittest import mock
 
 import pytest
-from conftest import ALLOCATIONS, examples, strict_result
+from conftest import ALLOCATIONS, dirty_xyz_csv, examples, strict_result
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +36,8 @@ from satmetric.ingest import (
     IMPORTANCE_COLUMNS,
     MissingPolicy,
     ResponseKind,
+    RowError,
+    ValidationReport,
     parse_response_file,
     parse_response_rows,
 )
@@ -906,3 +908,38 @@ def test_line_route_set_survives_copies_comparison_and_repr(xyz_instrument):
     single = parse_response_file(one, instrument, ResponseKind.EXPECTATION)[0]
     assert "respondent_ids" not in vars(single)
     assert single == parse_response_rows(one, instrument, ResponseKind.EXPECTATION)[0]
+
+
+def test_unread_validation_report_matches_the_constructed_one(xyz_instrument):
+    """A report whose RowErrors are not built yet: ==, hash, repr, every
+    pickle protocol, copy and deepcopy match the report that the public
+    constructor builds from the same RowErrors, and a copy holds the same
+    state as that report.  Each of these reads row_errors once; a second
+    read gives the same tuple."""
+    data = dirty_xyz_csv()
+
+    def unread():
+        report = parse_response_file(data, xyz_instrument, ResponseKind.EXPECTATION)[1]
+        assert "row_errors" not in vars(report)
+        assert not hasattr(report, "no_such_field")
+        return report
+
+    reference = parse_response_rows(data, xyz_instrument, ResponseKind.EXPECTATION)[1]
+    public = ValidationReport(row_errors=tuple(RowError(*vars(err).values())
+                                               for err in reference.row_errors),
+                              accepted_rows=reference.accepted_rows,
+                              rejected_rows=reference.rejected_rows)
+    assert public.rejected_rows == 6 and {err.code for err in public.row_errors} == {
+        "row_length", "empty_id", "missing", "not_an_integer", "out_of_range", "duplicate_id"}
+    assert unread().diagnostics == public.diagnostics == tuple(
+        (err.row, err.column, err.code, err.message) for err in public.row_errors)
+    assert unread() == public and public == unread()
+    assert hash(unread()) == hash(public)
+    assert repr(unread()) == repr(public)
+    copies = [pickle.loads(pickle.dumps(unread(), protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in [*copies, copy.copy(unread()), copy.deepcopy(unread())]:
+        assert vars(copied) == vars(public)
+    report = unread()
+    assert report.row_errors is report.row_errors
+    assert report == public

@@ -2,11 +2,12 @@ import json
 import re
 
 import pytest
+from conftest import dirty_xyz_csv
 
-from satmetric import xyz
+from satmetric import ingest, pipeline, xyz
 from satmetric.cli import main
-from satmetric.errors import ConfigError, DefinitionError, SatmetricError
-from satmetric.ingest import ResponseKind, generate_synthetic, serialize_response_set
+from satmetric.errors import ConfigError, DataError, DefinitionError, SatmetricError
+from satmetric.ingest import ResponseKind, RowError, generate_synthetic, serialize_response_set
 from satmetric.instrument import serialize_instrument
 from satmetric.pipeline import Config, Inputs, run, surveys
 from satmetric.report import write_report
@@ -125,3 +126,51 @@ def test_weights_file_shapes_give_the_weights_of_their_means(study, tmp_path, do
     report = run(_with_weights(study, tmp_path, doc), timestamp=False)
     assert report.importance_weights == weights_from_means(xyz.importance_means(), n)
     assert report.metadata.respondents.importance == n
+
+
+@pytest.mark.parametrize("policy", ["drop_row", "fail"])
+def test_surveys_stderr_is_the_same_on_both_routes(study, tmp_path, monkeypatch, capsys, policy):
+    """surveys writes the same stderr, and under fail raises the same error,
+    whether the line route or parse_response_rows reads a dirty file."""
+    (tmp_path / "e.csv").write_bytes(dirty_xyz_csv())
+    paths = str(tmp_path / "e.csv"), str(study / "p.csv")
+
+    def outcome():
+        try:
+            error = len(list(surveys(xyz.xyz_instrument(), policy, *paths)))
+        except DataError as exc:
+            error = str(exc)
+        return capsys.readouterr().err, error
+
+    line = outcome()
+    if policy == "fail":
+        assert line == ("", "row 4, column *: expected 18 fields, got 3 [row_length]")
+    else:
+        assert line[0].count("\n") == 6 and line[1] == 2
+    monkeypatch.setattr(pipeline, "parse_response_file", ingest.parse_response_rows)
+    assert outcome() == line
+
+
+@pytest.mark.parametrize("command", ["gap", "validate", "descriptives", "reliability"])
+def test_survey_commands_build_no_row_error(study, tmp_path, monkeypatch, capsys, command):
+    """A RowError is built only when row_errors is read, which no command
+    does: each writes its row diagnostics from the plain tuples."""
+    (tmp_path / "e.csv").write_bytes(dirty_xyz_csv())
+    built = []
+    real = RowError.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RowError, "__init__", spy)
+    argv = [command, "--instrument", str(study / "xyz.json"),
+            "--expect", str(tmp_path / "e.csv"), "--perceive", str(study / "p.csv")]
+    if command == "gap":
+        argv += ["--weights", str(study / "weights.json"), "--out", str(tmp_path / "out")]
+    assert main(argv) == (1 if command == "validate" else 0)
+    assert capsys.readouterr().err.count("[duplicate_id]") == 1
+    assert built == []
+    report = ingest.parse_response_file(dirty_xyz_csv(), xyz.xyz_instrument(),
+                                        ResponseKind.EXPECTATION)[1]
+    assert len(report.row_errors) == len(built) == 6  # the spy sees a read

@@ -11,11 +11,14 @@ weights file rewritten as the bare means object.  On the same inputs it runs ``v
 ``descriptives`` with and without ``--variance-mode sample``,
 ``reliability`` with and without ``--strict-gate``, and ``qfd`` with and
 without ``--show-conflicts`` on the workload's ``--hoq`` file, if it has
-one.  It also parses each of the workload's response CSVs with
-``parse_response_file`` and prints the SHA-256 of the parsed set written back
-by ``serialize_response_set``, so that a change in the accepted ids or values
-shows even where no report reads them.  It does the same, row diagnostics
-included, for two shapes built from each CSV: ``é`` appended to every other
+one.  Where the gap call sets ``--missing-policy`` (``tall_dirty``), ``gap``
+and ``validate`` also run with ``--missing-policy fail``, whose first-row
+error and exit code are digested.  It also parses each of the workload's
+response CSVs with ``parse_response_file`` and prints the SHA-256 of the
+parsed set written back by ``serialize_response_set`` and of the repr of its
+ValidationReport, so that a change in the accepted ids or values or in a row
+diagnostic shows even where no report reads them.  It does the same for two
+shapes built from each CSV: ``é`` appended to every other
 id, which the line route reads from arrays, and a loose quote (``3"``) in one
 cell, which makes the line route leave the file to ``parse_response_rows``.  It prints one line per output file,
 per parsed CSV and per call's stdout, stderr and exit code.  Every path is
@@ -63,6 +66,8 @@ RESPONSE_FILES = {"--expect": ResponseKind.EXPECTATION, "--perceive": ResponseKi
                   "--importance": ResponseKind.IMPORTANCE}
 #: Output directory of each ``satmetric report`` re-emit -> its ``--formats`` flags.
 REEMITS = {"report": [], "report_md_svg": ["--formats", "markdown,svg-charts"]}
+#: The extra run of ``gap`` and ``validate`` where the gap call sets ``--missing-policy``.
+FAIL = {"fail": ["--missing-policy", "fail"]}
 #: Survey subcommand -> the gap options it takes, whether it writes ``--out``, and
 #: the flags of each run besides the default one.
 SURVEY_COMMANDS = {
@@ -107,9 +112,9 @@ def _shapes(data: bytes) -> dict[str, bytes]:
 
 
 def _parsed(gap: list[str]) -> list[str]:
-    """The digest lines of each response CSV of a gap call: its parsed set,
-    ids included, as serialize_response_set writes it, and that set and its
-    row diagnostics, or the error, for each of its _shapes."""
+    """The digest lines of each response CSV of a gap call and of each of
+    its _shapes: the parsed set, ids included, as serialize_response_set
+    writes it, and the repr of its ValidationReport, or the error."""
     instrument = load_instrument(gap[gap.index("--instrument") + 1])
     policy = MissingPolicy(gap[gap.index("--missing-policy") + 1]) \
         if "--missing-policy" in gap else MissingPolicy.DROP_ROW
@@ -118,10 +123,7 @@ def _parsed(gap: list[str]) -> list[str]:
         if option in gap:
             path = Path(gap[gap.index(option) + 1])
             data = path.read_bytes()
-            responses, _ = parse_response_file(data, instrument, kind, policy)
-            lines.append(f"{path.as_posix()} parsed "
-                         f"{_sha(serialize_response_set(responses, instrument))}")
-            for shape, shaped in _shapes(data).items():
+            for shape, shaped in {"parsed": data, **_shapes(data)}.items():
                 try:
                     responses, report = parse_response_file(shaped, instrument, kind, policy)
                     out = serialize_response_set(responses, instrument) + repr(report).encode()
@@ -137,7 +139,8 @@ def digest(name: str, seed: int) -> list[str]:
     at = gap.index("--out")
     del gap[at:at + 2]
     lines = _parsed(gap)
-    for variant, flags in VARIANTS.items():
+    fail = FAIL if "--missing-policy" in gap else {}
+    for variant, flags in {**VARIANTS, **fail}.items():
         run = Path(name) / variant
         lines += _call(f"{run}/gap", [*gap, *flags, "--out", str(run / "gap" / "report")])
         saved = run / "gap" / "report.report.json"
@@ -160,6 +163,8 @@ def digest(name: str, seed: int) -> list[str]:
         for at, option in enumerate(gap):
             if option in takes:
                 argv += gap[at:at + 2]
+        if command == "validate":
+            variants = {**variants, **fail}
         for variant, flags in {"default": [], **variants}.items():
             run = Path(name) / command / variant
             out = ["--out", str(run / "out.csv")] if writes else []
