@@ -7,7 +7,7 @@ PAIRS ?= 10
 TIER1 = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
 
 .PHONY: help test test-deep test-ingest-deep test-psych-deep bench-smoke bench bench-pair loc \
-	digest digest-diff
+	loc-diff digest digest-diff
 
 help:
 	@echo "make test         tier-1 suite (tests/, default hypothesis profile)"
@@ -24,6 +24,8 @@ help:
 	@echo "                  smaller than the base's interquartile range"
 	@echo "make loc          line counts of the source modules, and their code lines"
 	@echo "                  (docstrings, comments and blank lines not counted)"
+	@echo "make loc-diff     code lines of each source module at git revision BASE=<rev> and in"
+	@echo "                  the working tree, with each module's change and the total's"
 	@echo "make digest       SHA-256 of every gap, report, validate, descriptives, reliability"
 	@echo "                  and qfd output on each workload: SEED=<n> (default 1); gap runs"
 	@echo "                  also with --normalize-weights --variance-mode sample"
@@ -59,6 +61,14 @@ bench-pair:
 
 loc:
 	@$(PYTHON) tools/loc.py src/satmetric/*.py
+
+# Only src/satmetric is taken from BASE; uncommitted changes count on the
+# working-tree side only.
+loc-diff:
+	@test -n "$(BASE)" || { echo "usage: make loc-diff BASE=<rev>" >&2; exit 2; }
+	@base=$$(mktemp -d) && trap 'rm -rf "$$base"' EXIT && \
+	git archive "$(BASE)" src/satmetric | tar -x -C "$$base" && \
+	$(PYTHON) tools/loc.py --diff "$$base/src/satmetric" src/satmetric
 
 digest:
 	@PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) tools/digest.py --seed $(SEED)

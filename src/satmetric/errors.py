@@ -11,7 +11,8 @@ class DefinitionError(SatmetricError):
 
 
 class ConfigError(SatmetricError):
-    """An analysis setting is not one of its allowed values."""
+    """An analysis setting has the wrong type (a string for a number, a
+    non-finite number) or is not one of its allowed values."""
 
 
 class DataError(SatmetricError):

@@ -245,7 +245,13 @@ _ALLOCATION_MESSAGES = {
     "out_of_range": "allocation values must lie in [0, 100]",
     "not_multiple_of_five": "allocation values must be multiples of five",
 }
+#: The messages of the row diagnostics that both routes give.  A cell that
+#: is not a plain integer is "missing" when str.strip() leaves it empty,
+#: else "not_an_integer".
 _OUT_OF_SCALE = "value {} outside scale [{scale.min}, {scale.max}]"
+_ROW_LENGTH = "expected {} fields, got {}"
+_EMPTY_ID = "respondent id is empty"
+_NOT_AN_INTEGER = "cell {!r} is not a plain integer"
 
 
 def _invalid_allocations(values: np.ndarray) -> np.ndarray:
@@ -487,7 +493,7 @@ def _parse_lines(
     # A blank line holds only padding, commas and quotes.
     filled = stops - starts - quoted - fields + 1 > pads
     short = np.flatnonzero(filled & (fields != k + 1))
-    errors = [(at + 1, "*", "row_length", f"expected {k + 1} fields, got {count}")
+    errors = [(at + 1, "*", "row_length", _ROW_LENGTH.format(k + 1, count))
               for at, count in zip(short.tolist(), fields[short].tolist())]
     lines = np.flatnonzero(filled & (fields == k + 1))
     # The k commas of line lines[i]: the window of k from its first (the header holds k).
@@ -496,8 +502,7 @@ def _parse_lines(
         np.lib.stride_tricks.sliding_window_view(commas, k)[lead[lines]],
         quoted[lines] > 0, pads[lines] > 0, pad)
     valid = id_hi > id_lo
-    errors += [(at + 1, _ID_COLUMN, "empty_id", "respondent id is empty")
-               for at in lines[~valid].tolist()]
+    errors += [(at + 1, _ID_COLUMN, "empty_id", _EMPTY_ID) for at in lines[~valid].tolist()]
     broken = np.flatnonzero(valid & _rows_with(bad))
     valid[broken] = False
     cells = bad[broken].argmax(axis=1)  # the first bad cell of each row
@@ -507,7 +512,10 @@ def _parse_lines(
     texts = _texts(raw, first, first + width)
     if any(_INT_CELL.fullmatch(texts[at]) for at in np.flatnonzero(width > 18).tolist()):
         return None  # more than 18 digits, which only _parse_int_cell reads
-    errors += [_cell_error(at + 1, expected[cell + 1], text)
+    # A bad cell that _INT_CELL matches is wider than 18 bytes, and those are
+    # declined above: each one left is blank or not an integer.
+    errors += [(at + 1, expected[cell + 1], "not_an_integer" if text else "missing",
+                _NOT_AN_INTEGER.format(text))
                for at, cell, text in zip(lines[broken].tolist(), cells.tolist(), texts)]
     errors += _refused(values, valid, lines + 1, expected, instrument.scale, kind)
     return _result(instrument, kind, policy, lines[valid] + 1,
@@ -694,9 +702,9 @@ def _check_record(
     if not any(map(str.strip, raw)):
         return None
     if len(raw) != len(expected):
-        return row, "*", "row_length", f"expected {len(expected)} fields, got {len(raw)}"
+        return row, "*", "row_length", _ROW_LENGTH.format(len(expected), len(raw))
     if not raw[0].strip():
-        return row, _ID_COLUMN, "empty_id", "respondent id is empty"
+        return row, _ID_COLUMN, "empty_id", _EMPTY_ID
     values: list[int] = []
     for col_name, cell in zip(expected[1:], raw[1:]):
         value = _parse_int_cell(cell)
@@ -707,14 +715,14 @@ def _check_record(
 
 
 def _cell_error(row: int, column: str, text: str) -> _Diagnostic:
-    """The diagnostic of a cell that str.strip() leaves as ``text``, which
-    _parse_int_cell does not read: not an integer, or one of too many digits."""
+    """The per-cell route's diagnostic of a cell that str.strip() leaves as
+    ``text``, which _parse_int_cell does not read: not an integer, or one of
+    too many digits."""
     if _INT_CELL.fullmatch(text):
         digits = len(text.lstrip("+-").lstrip("0"))
         return (row, column, "out_of_range", f"value of {digits} digits exceeds "
                 f"the {sys.get_int_max_str_digits()}-digit integer limit")
-    return (row, column, "not_an_integer" if text else "missing",
-            f"cell {text!r} is not a plain integer")
+    return row, column, "not_an_integer" if text else "missing", _NOT_AN_INTEGER.format(text)
 
 
 def _value_error(

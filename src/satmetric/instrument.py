@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DefinitionError
-from .schema import hints, read, read_json
+from .schema import read, read_json, write
 
 #: The five service-quality dimensions, in canonical reporting order.
 DIMENSION_ORDER: tuple[str, ...] = (
@@ -203,10 +203,9 @@ def serialize_instrument(instrument: SurveyInstrument) -> dict:
     """Serialize to the definition-document shape accepted by
     :func:`build_instrument` (round-trips to an identical instrument): each
     record's fields in declaration order, an absent source key left out."""
-    def record(obj) -> dict:
-        return {name: value.value if isinstance(value, Enum) else value
-                for name in hints(type(obj)) if (value := getattr(obj, name)) is not None}
-    return {"scale": record(instrument.scale), "items": [record(it) for it in instrument.items]}
+    return {"scale": write(instrument.scale),
+            "items": [{name: value for name, value in write(item).items() if value is not None}
+                      for item in instrument.items]}
 
 
 def load_instrument(path) -> SurveyInstrument:

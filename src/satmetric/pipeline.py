@@ -6,11 +6,10 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, fields
 from typing import Iterator, Mapping
 
-from .errors import ConfigError, SatmetricError
+from .errors import ConfigError, DefinitionError, SatmetricError
 from .ingest import MissingPolicy, ResponseKind, ResponseSet, ValidationReport, \
     parse_response_file
 from .instrument import SurveyInstrument, load_instrument
@@ -21,7 +20,7 @@ from .qfd import load_hoq
 from .report import AnalysisReport, assemble
 from .rootcause import DEFAULT_PARETO_THRESHOLD, dissatisfaction_contributions, load_fishbone, \
     pareto
-from .schema import read, read_bytes, read_json
+from .schema import hints, read, read_bytes, read_json
 from .servqual import compute_gap_report, importance_weights, normalize_weights, \
     weights_from_means
 
@@ -40,46 +39,24 @@ class Inputs:
 
 @dataclass(frozen=True)
 class Config:
-    """The settings of one analysis, with the CLI's defaults."""
-    variance_mode: VarianceMode | str = VarianceMode.POPULATION
+    """The settings of one analysis, with the CLI's defaults.  ``run`` reads each
+    through schema.read, so an enum setting may also be given as its value."""
+    variance_mode: VarianceMode = VarianceMode.POPULATION
     alpha_threshold: float = DEFAULT_ALPHA_THRESHOLD
     strict_gate: bool = False  # refuse to build a report when a survey fails the gate
     kano_multipliers: str | None = None  # spec text, e.g. "must_be=2,delighter=0"
     pareto_threshold: float = DEFAULT_PARETO_THRESHOLD
     normalize_weights: bool = False
     unweighted_contributions: bool = False
-    missing_policy: MissingPolicy | str = MissingPolicy.DROP_ROW
+    missing_policy: MissingPolicy = MissingPolicy.DROP_ROW
 
 
-def _setting(kind: type[Enum], value, name: str):
-    """``value`` as a member of ``kind``, or a ConfigError naming the allowed values."""
+def _setting(name: str, value):
+    """``value`` read as the Config field ``name``; a ConfigError says why it is not one."""
     try:
-        return kind(value)
-    except ValueError:
-        allowed = ", ".join(member.value for member in kind)
-        raise ConfigError(f"{name} {value!r} is not one of: {allowed}") from None
-
-
-_NUMBER = (int, float)
-#: The type of each Config field that is not an enum setting, and its name
-#: in the error.  A bool is not a number here, and a number must be finite.
-_FIELD_TYPES = {
-    "alpha_threshold": (_NUMBER, "a number"),
-    "strict_gate": (bool, "a bool"),
-    "kano_multipliers": ((str, type(None)), "a string or None"),
-    "pareto_threshold": (_NUMBER, "a number"),
-    "normalize_weights": (bool, "a bool"),
-    "unweighted_contributions": (bool, "a bool"),
-}
-
-
-def _check_types(config: Config) -> None:
-    for name, (types, noun) in _FIELD_TYPES.items():
-        value = getattr(config, name)
-        if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-            raise ConfigError(f"{name} must be {noun}, got {value!r}")
-        if types is _NUMBER and not abs(value) <= sys.float_info.max:  # False for NaN
-            raise ConfigError(f"{name} must be finite, got {value!r}")
+        return read(hints(Config)[name], value, name)
+    except DefinitionError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def surveys(instrument: SurveyInstrument, policy: MissingPolicy | str, *paths: str | None,
@@ -87,7 +64,7 @@ def surveys(instrument: SurveyInstrument, policy: MissingPolicy | str, *paths: s
     """Read the CSVs at ``paths`` (expectation, perception, importance; None
     for one not given), yielding each one's kind, path, responses and validation
     once its row diagnostics are on stderr, in one write rather than one per row."""
-    policy = _setting(MissingPolicy, policy, "missing_policy")
+    policy = _setting("missing_policy", policy)
     for kind, path in zip(ResponseKind, paths):
         if path is None:
             continue
@@ -125,9 +102,8 @@ def run(inputs: Inputs, config: Config = Config(), timestamp=True) -> AnalysisRe
             (inputs.importance is None) == (inputs.weights is None):
         raise SatmetricError("the gap analysis needs an expectation CSV, a perception CSV "
                              "and exactly one of an importance CSV and a weights file")
-    _check_types(config)
-    mode = _setting(VarianceMode, config.variance_mode, "variance_mode")
-    policy = _setting(MissingPolicy, config.missing_policy, "missing_policy")
+    config = Config(**{f.name: _setting(f.name, getattr(config, f.name)) for f in fields(Config)})
+    mode, policy = config.variance_mode, config.missing_policy
     instrument = load_instrument(inputs.instrument)
     weights = None if inputs.weights is None else _load_weights_file(inputs.weights)
     hoq = load_hoq(inputs.hoq) if inputs.hoq else None
@@ -161,10 +137,10 @@ def run(inputs: Inputs, config: Config = Config(), timestamp=True) -> AnalysisRe
         hoq=hoq, fishbone=fishbone,
         validation={name: validation for name, (_, validation) in parsed.items()},
         config={"variance_mode": mode.value, "alpha_threshold": config.alpha_threshold,
-                "strict_gate": bool(config.strict_gate),
+                "strict_gate": config.strict_gate,
                 "kano_multipliers": {c.value: v for c, v in multipliers.items()},
                 "pareto_threshold_pct": config.pareto_threshold,
-                "normalize_weights": bool(config.normalize_weights),
+                "normalize_weights": config.normalize_weights,
                 "contributions": "unweighted" if config.unweighted_contributions
                 else "importance_weighted",
                 "missing_policy": policy.value},

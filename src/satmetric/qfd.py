@@ -22,20 +22,26 @@ ROOF_SIGNS = ("positive", "negative")
 
 
 @dataclass(frozen=True)
-class CustomerRequirement:
+class TechnicalRequirement:
+    """A requirement; its name defaults to its id."""
     id: str
-    name: str
+    name: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.name is None:
+            object.__setattr__(self, "name", self.id)
+
+
+@dataclass(frozen=True, kw_only=True)
+class CustomerRequirement(TechnicalRequirement):
+    """A requirement and its importance to the customer, stored as a float."""
     importance: float
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.importance < 0:
             raise DefinitionError(f"customer requirement {self.id!r}: importance must be >= 0")
-
-
-@dataclass(frozen=True)
-class TechnicalRequirement:
-    id: str
-    name: str
+        object.__setattr__(self, "importance", float(self.importance))
 
 
 @dataclass(frozen=True)
@@ -49,21 +55,9 @@ class RoofEntry:
 
 
 @dataclass(frozen=True)
-class RequirementDoc:
-    """A requirement as its JSON writes it: the name defaults to the id."""
-    id: str
-    name: str | None = None
-
-
-@dataclass(frozen=True, kw_only=True)
-class CustomerRequirementDoc(RequirementDoc):
-    importance: float
-
-
-@dataclass(frozen=True)
 class HouseOfQualityDoc:
-    customer_reqs: tuple[CustomerRequirementDoc, ...]
-    tech_reqs: tuple[RequirementDoc, ...]
+    customer_reqs: tuple[CustomerRequirement, ...]
+    tech_reqs: tuple[TechnicalRequirement, ...]
     relationships: tuple[tuple[int, ...], ...]
     roof: tuple[RoofEntry, ...] = ()
     benchmarks: object = None
@@ -137,11 +131,7 @@ def build_hoq(definition: Mapping) -> HouseOfQuality:
                 raise DefinitionError(f"hoq.{key}[{at}].id {req.id!r} is "
                                       + ("a duplicate" if req.id else "empty"))
             seen.add(req.id)
-    customer_reqs = tuple(CustomerRequirement(id=r.id, name=r.id if r.name is None else r.name,
-                                              importance=float(r.importance))
-                          for r in doc.customer_reqs)
-    tech_reqs = tuple(TechnicalRequirement(id=r.id, name=r.id if r.name is None else r.name)
-                      for r in doc.tech_reqs)
+    customer_reqs, tech_reqs = doc.customer_reqs, doc.tech_reqs
 
     rows = doc.relationships
     if len(rows) != len(customer_reqs):

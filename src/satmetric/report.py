@@ -22,9 +22,8 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from enum import Enum
 from functools import cache
 from itertools import chain, repeat
 from pathlib import Path
@@ -39,7 +38,7 @@ from .psychometrics import ItemDescriptives, ReliabilityReport
 from .qfd import HouseOfQuality, build_hoq, serialize_hoq
 from .rootcause import FishboneTree, ParetoTable, branch_magnitudes, build_fishbone, \
     serialize_fishbone
-from .schema import array, hints, mapping, number, parse_json, read
+from .schema import array, hints, mapping, number, parse_json, read, write
 from .servqual import GapReport, ImportanceWeights, classify_satisfaction
 
 WARN_RELIABILITY_GATE = "RELIABILITY_GATE_FAILED"
@@ -194,54 +193,38 @@ def assemble(
 
 # --- JSON ------------------------------------------------------------------
 
-#: The types of the values that _record returns as they are: most of them.
-_PLAIN = frozenset((float, int, str, bool, type(None)))
-
-
-def _record(value):
-    """``value`` as JSON-ready data: a result dataclass as a dict of its fields
-    in declaration order, a tuple as a list, an enum as its value."""
-    if type(value) in _PLAIN:
-        return value
-    if is_dataclass(value):
-        return {name: v if type(v := getattr(value, name)) in _PLAIN else _record(v)
-                for name in hints(type(value))}
-    if isinstance(value, tuple):
-        return [_record(v) for v in value]
-    return value.value if isinstance(value, Enum) else value
-
 
 def report_to_dict(report: AnalysisReport) -> dict:
     """Serialize to a plain JSON-ready dict with fixed section order."""
     gr = report.gap_report
     hoq = report.hoq and {**serialize_hoq(report.hoq), "computed": {
         "degenerate": report.hoq.degenerate,
-        "technical_importance": _record(report.hoq.importances)}}
+        "technical_importance": write(report.hoq.importances)}}
     return {
-        "metadata": _record(report.metadata),
-        "descriptives": {"expectation": _record(report.expectation_descriptives),
-                         "perception": _record(report.perception_descriptives)},
-        "reliability": {"expectation": _record(gr.reliability_expectation),
-                        "perception": _record(gr.reliability_perception)},
-        "importance_weights": _record(report.importance_weights),
+        "metadata": write(report.metadata),
+        "descriptives": {"expectation": write(report.expectation_descriptives),
+                         "perception": write(report.perception_descriptives)},
+        "reliability": {"expectation": write(gr.reliability_expectation),
+                        "perception": write(gr.reliability_perception)},
+        "importance_weights": write(report.importance_weights),
         "gap_analysis": {
-            "items": [{**_record(g), "classification": classify_satisfaction(g.gap).value}
+            "items": [{**write(g), "classification": classify_satisfaction(g.gap).value}
                       for g in gr.item_gaps],
-            "dimensions": _record(gr.dimension_scores),
+            "dimensions": write(gr.dimension_scores),
             "overall": {
                 "weighted_sum": gr.overall_weighted_sum,
                 "weighted_mean": gr.overall_weighted_mean,
                 "unweighted_mean_of_dimensions": gr.unweighted_mean_of_dimensions,
             },
         },
-        "kano": _record(report.kano_priorities),
-        "pareto": _record(report.pareto),
+        "kano": write(report.kano_priorities),
+        "pareto": write(report.pareto),
         "hoq": hoq,
         "fishbone": serialize_fishbone(report.fishbone) if report.fishbone else None,
         "fishbone_branch_magnitudes": dict(report.branch_magnitudes)
         if report.branch_magnitudes is not None else None,
         "item_labels": {str(k): v for k, v in report.item_labels.items()},
-        "warnings": _record(report.warnings),
+        "warnings": write(report.warnings),
     }
 
 
@@ -389,7 +372,7 @@ def format_cell(value) -> str:
 
 
 #: The cell types that csv.writer writes as format_cell does (None as an empty cell).
-_CSV_PLAIN = _PLAIN - {bool}
+_CSV_PLAIN = frozenset((float, int, str, type(None)))
 
 
 def csv_bytes(header: Sequence[str], rows: Sequence[Sequence]) -> bytes:
@@ -510,7 +493,7 @@ def _markdown(report: AnalysisReport) -> bytes:
     if meta.instrument:
         lines.append(f"- Instrument: {meta.instrument.n_items} items "
                      f"(fingerprint {_md_prose(meta.instrument.fingerprint)})")
-    parts = [f"{k}={v}" for k, v in _record(meta.respondents).items() if v is not None]
+    parts = [f"{k}={v}" for k, v in write(meta.respondents).items() if v is not None]
     if parts:
         lines.append(f"- Respondents: {_md_prose(', '.join(parts))}")
     lines.append("")

@@ -3,16 +3,18 @@ here.  Each document (an instrument, a weights, house-of-quality or fishbone
 file, a saved report) is read by :func:`read` through the annotations of a
 dataclass shaped like its JSON; the loaders keep only the checks that are not
 about types.  Each raises DefinitionError naming the offending place by its
-path, so malformed input lets no other exception out."""
+path, so malformed input lets no other exception out.  :func:`write` turns a
+dataclass back into the JSON data that :func:`read` takes."""
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from collections.abc import Container, Iterable, Mapping
 from dataclasses import MISSING, fields as dataclass_fields, is_dataclass
-from enum import EnumMeta
+from enum import Enum, EnumMeta
 from functools import cache
 from numbers import Integral, Real
 from pathlib import Path
@@ -91,13 +93,19 @@ def mapping(value, context: str) -> Mapping:
 
 
 def number(value, context: str, minimum: float | None = None) -> float:
-    """``value`` as a float: a finite real number, not a bool."""
-    if not (type(value) in (float, int) or isinstance(value, Real) and type(value) is not bool) \
-            or not abs(value) <= sys.float_info.max:  # False for NaN
+    """``value`` as a float: a finite real number, not a bool.  It is converted
+    before the range check, so a numpy float is never compared with a Python
+    one and an int or a Fraction beyond the float range is refused."""
+    try:
+        real = float(value) if type(value) in (float, int) or \
+            isinstance(value, Real) and type(value) is not bool else math.nan
+    except OverflowError:
+        real = math.inf
+    if not abs(real) <= sys.float_info.max:  # False for NaN
         raise DefinitionError(f"{context} must be a finite number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise DefinitionError(f"{context} must be >= {minimum}, got {float(value)}")
-    return float(value)
+    if minimum is not None and real < minimum:
+        raise DefinitionError(f"{context} must be >= {minimum}, got {real}")
+    return real
 
 
 def integer(value, context: str, minimum: int | None = None) -> int:
@@ -110,6 +118,8 @@ def integer(value, context: str, minimum: int | None = None) -> int:
 
 
 _SCALARS = {float: number, int: integer, str: string, bool: boolean}
+#: The types of the values that read and write return as they are.
+_PLAIN = frozenset((float, int, str, bool, type(None)))
 #: A JSON object key that names an int: the text str() writes for it.
 _INT_KEY = re.compile(r"0|-?[1-9][0-9]*")
 #: A dataclass's annotations, resolved on its first read.
@@ -140,9 +150,11 @@ def _form(tp) -> tuple[str, object]:
 
 
 def read(tp, value, context: str):
-    """``value`` read as the annotation ``tp``: ``object`` or a scalar (returned
-    as given), an enum, a dataclass (no unknown key, no missing field without a
-    default; its constructor makes the checks not about types), a union of
+    """``value`` read as the annotation ``tp``: ``object`` (returned as given), a
+    scalar (an int, float, str or bool returned as given, any other accepted
+    number, such as a numpy scalar, as its checker's int or float), an enum, a
+    dataclass (no unknown key, no missing field without a default; its
+    constructor makes the checks not about types), a union of
     ``None``, ``str`` and one other type (the member is chosen by the value's
     JSON kind), ``tuple[X, ...]`` or ``Mapping[str | int, X]``.  Errors give
     the path (``instrument.items[2].kano``)."""
@@ -150,8 +162,8 @@ def read(tp, value, context: str):
         return value
     form, detail = _form(tp)
     if form == "scalar":
-        detail(value, context)
-        return value
+        checked = detail(value, context)
+        return value if type(value) in _PLAIN else checked
     if form == "enum":
         try:
             return tp(value)
@@ -174,3 +186,17 @@ def read(tp, value, context: str):
     key = _int_key if detail[0] is int else string  # a Mapping
     return {key(k, context): read(detail[1], v, f"{context}[{k!r}]")
             for k, v in mapping(value, context).items()}
+
+
+def write(value):
+    """``value`` as JSON-ready data, the shape :func:`read` takes: a dataclass as
+    a dict of its fields in declaration order, a tuple as a list, an enum as
+    its value."""
+    if type(value) in _PLAIN:
+        return value
+    if isinstance(value, Enum):  # tested first: is_dataclass costs more when it misses
+        return value.value
+    if is_dataclass(value):
+        return {name: v if type(v := getattr(value, name)) in _PLAIN else write(v)
+                for name in hints(type(value))}
+    return [write(v) for v in value] if isinstance(value, tuple) else value

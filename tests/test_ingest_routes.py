@@ -270,8 +270,9 @@ def _refuser(name: str):
 
 def _line_route(data, instrument, kind, policy=MissingPolicy.DROP_ROW):
     """The line route's result, or None where it declines ``data``, with
-    _check_record and csv.reader failing while it runs."""
+    _check_record, _cell_error and csv.reader failing while it runs."""
     with mock.patch.object(ingest, "_check_record", _refuser("_check_record")), \
+            mock.patch.object(ingest, "_cell_error", _refuser("_cell_error")), \
             mock.patch.object(csv, "reader", _refuser("csv.reader")):
         return ingest._parse_lines(data, instrument, kind, policy)
 

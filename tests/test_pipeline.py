@@ -1,6 +1,8 @@
 import json
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import dirty_xyz_csv
 
@@ -10,7 +12,7 @@ from satmetric.errors import ConfigError, DataError, DefinitionError, SatmetricE
 from satmetric.ingest import ResponseKind, RowError, generate_synthetic, serialize_response_set
 from satmetric.instrument import serialize_instrument
 from satmetric.pipeline import Config, Inputs, run, surveys
-from satmetric.report import write_report
+from satmetric.report import FORMATS, emit, write_report
 from satmetric.servqual import weights_from_means
 
 
@@ -63,9 +65,13 @@ def test_bad_setting_raises_a_config_error_naming_the_choices(study, setting, al
     ("unweighted_contributions", None, "a bool"),
 ])
 def test_wrongly_typed_setting_raises_a_config_error_naming_it(setting, value, noun):
-    """The check comes before any file is read, so the paths need not exist."""
+    """The check comes before any file is read, so the paths need not exist.
+    A setting is read by schema.read, so the error carries its wording for
+    the type that ``noun`` names."""
     inputs = Inputs(instrument="xyz.json", expect="e.csv", perceive="p.csv", weights="w.json")
-    with pytest.raises(ConfigError, match=f"^{setting} must be {noun}, got {value!r}$"):
+    wanted = {"a number": "a finite number", "a bool": "true or false",
+              "a string or None": "a string"}[noun]
+    with pytest.raises(ConfigError, match=f"^{setting} must be {wanted}, got {value!r}$"):
         run(inputs, Config(**{setting: value}))
 
 
@@ -75,8 +81,20 @@ def test_non_finite_threshold_raises_a_config_error_naming_it(setting, value):
     """Refused before any file is read (the paths do not exist), so a NaN gate
     never reaches the report, whose JSON cannot hold it."""
     inputs = Inputs(instrument="xyz.json", expect="e.csv", perceive="p.csv", weights="w.json")
-    with pytest.raises(ConfigError, match=f"^{setting} must be finite, got {value!r}$"):
+    with pytest.raises(ConfigError, match=f"^{setting} must be a finite number, got {value!r}$"):
         run(inputs, Config(**{setting: value}))
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), Fraction(1, 2)],
+                         ids=["float32", "float64", "Fraction"])
+def test_threshold_of_another_number_type_reports_as_its_float(study, value):
+    """A setting is read as a plain float, so the report, which holds it in
+    its config block, is the one that the float gives."""
+    inputs = Inputs(instrument=str(study / "xyz.json"), expect=str(study / "e.csv"),
+                    perceive=str(study / "p.csv"), weights=str(study / "weights.json"))
+    plain, other = (run(inputs, Config(alpha_threshold=v), timestamp=False) for v in (0.5, value))
+    assert {name: emit(other, name) for name in FORMATS} == \
+        {name: emit(plain, name) for name in FORMATS}
 
 
 def test_run_and_write_report_match_the_cli(study, capsys):

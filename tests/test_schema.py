@@ -4,8 +4,11 @@ SatmetricError at every entry point, never by another exception."""
 import json
 import math
 import re
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import JSON_VALUES, examples, replace_at
 from hypothesis import given, settings
@@ -14,11 +17,14 @@ from hypothesis import strategies as st
 import satmetric
 from satmetric.cli import main
 from satmetric.errors import DefinitionError, SatmetricError
-from satmetric.instrument import build_instrument, load_instrument
+from satmetric.instrument import build_instrument, load_instrument, serialize_instrument
 from satmetric.kano import resolve_multipliers
 from satmetric.qfd import build_hoq, load_hoq
+from satmetric.report import FORMATS, assemble, emit
 from satmetric.rootcause import build_fishbone, load_fishbone
-from satmetric.servqual import weights_from_means
+from satmetric.schema import integer, number, read
+from satmetric.servqual import compute_gap_report, weights_from_means
+from satmetric.xyz import xyz_instrument
 
 INSTRUMENT = {
     "scale": {"min": 1, "max": 5, "anchor_low": "low", "anchor_high": "high"},
@@ -222,3 +228,81 @@ def test_json_is_decoded_only_in_schema_module():
     decoders = [path.name for path in sorted(package.glob("*.py"))
                 if re.search(r"\bjson\.loads?\(|from json import", path.read_text())]
     assert decoders == ["schema.py"]
+
+
+def test_number_converts_before_it_compares():
+    """A numpy float is converted before the range check, which would
+    otherwise cast the float maximum to float32 and warn of an overflow; a
+    number beyond the float range is refused, not an OverflowError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value, plain in ((np.float32(2.5), 2.5), (np.float64(0.1), 0.1),
+                             (Fraction(1, 4), 0.25), (np.int64(3), 3.0), (7, 7.0)):
+            got = number(value, "x")
+            assert type(got) is float and got == plain
+        for value in (np.float32("inf"), np.float64("nan"), 10**400, -(10**400),
+                      Fraction(10**400, 3), "1", True, np.bool_(True), None):
+            with pytest.raises(DefinitionError, match="^x must be a finite number, got "):
+                number(value, "x")
+        with pytest.raises(DefinitionError, match=r"^x must be >= 3, got 2\.5$"):
+            number(np.float32(2.5), "x", minimum=3)
+        assert type(integer(np.int64(3), "x")) is int
+
+
+@pytest.mark.parametrize("tp, value, plain", [
+    (float, 5, 5), (float, 2.5, 2.5), (float, np.float32(2.5), 2.5),
+    (float, np.int16(5), 5.0), (float, Fraction(1, 2), 0.5),
+    (int, np.uint8(3), 3), (int, np.int64(-2), -2), (bool, False, False),
+])
+def test_read_returns_plain_python_scalars(tp, value, plain):
+    """A plain int or float is returned as given, so a JSON 5 stays 5; any
+    other number as the int or float that its checker makes of it."""
+    got = read(tp, value, "x")
+    assert type(got) is type(plain) and got == plain
+
+
+def _numpy_at(doc, paths, kind):
+    """A copy of ``doc`` with the number at each of ``paths`` made a ``kind`` scalar."""
+    doc = json.loads(json.dumps(doc))
+    for path in paths:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = kind(parent[path[-1]])
+    return doc
+
+
+#: Each builder's numbers given as numpy scalars: the report section it
+#: builds, the places and the numpy type.
+NUMPY_CASES = {
+    "instrument_item_id": ("instrument", [("items", 0, "id"), ("items", 16, "id")], np.int64),
+    "instrument_scale": ("instrument", [("scale", "min"), ("scale", "max")], np.int32),
+    "hoq_importance": ("hoq", [("customer_reqs", 1, "importance")], np.float32),
+    "hoq_relationship": ("hoq", [("relationships", 0, 0), ("relationships", 1, 1)], np.int64),
+    "hoq_roof": ("hoq", [("roof", 0, "i"), ("roof", 0, "j")], np.int64),
+    "fishbone_items": ("fishbone", [("branches", 0, "items", 1)], np.uint16),
+}
+
+
+@pytest.mark.parametrize("case", NUMPY_CASES)
+def test_numpy_scalars_build_as_plain_numbers(case, xyz_weights, xyz_expect_desc,
+                                              xyz_perceive_desc):
+    """A document whose numbers are numpy scalars builds what its plain
+    numbers build: the same instrument fingerprint and the same report in
+    every format."""
+    section, paths, kind = NUMPY_CASES[case]
+    build, doc = {"instrument": (build_instrument, serialize_instrument(xyz_instrument())),
+                  "hoq": (build_hoq, HOQ), "fishbone": (build_fishbone, FISHBONE)}[section]
+
+    def emitted(built) -> dict:
+        instrument = built if section == "instrument" else xyz_instrument()
+        gap_report = compute_gap_report(xyz_expect_desc, xyz_perceive_desc, xyz_weights,
+                                        instrument)
+        report = assemble(gap_report, instrument=instrument, importance_weights=xyz_weights,
+                          timestamp=False, **({} if section == "instrument" else {section: built}))
+        return {name: emit(report, name) for name in FORMATS}
+
+    plain, numpy = build(doc), build(_numpy_at(doc, paths, kind))
+    if section == "instrument":
+        assert numpy == plain and numpy.fingerprint() == plain.fingerprint()
+    assert emitted(numpy) == emitted(plain)
