@@ -6,8 +6,8 @@ SEED ?= 1
 PAIRS ?= 10
 TIER1 = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
 
-.PHONY: help test test-deep test-ingest-deep test-psych-deep bench-smoke bench bench-pair loc \
-	loc-diff digest digest-diff
+.PHONY: help test test-deep test-ingest-deep test-psych-deep bench-smoke bench bench-pair peak \
+	loc loc-diff digest digest-diff
 
 help:
 	@echo "make test         tier-1 suite (tests/, default hypothesis profile)"
@@ -22,6 +22,10 @@ help:
 	@echo "                  medians and quartiles, the pairs in which the change read lower and"
 	@echo "                  the median per-pair difference, marked unresolved when it is"
 	@echo "                  smaller than the base's interquartile range"
+	@echo "make peak         peak memory (VmHWM) of a fresh process making one gap call on"
+	@echo "                  W=<workload> (default tall), for the working tree and, with"
+	@echo "                  BASE=<rev>, for the src/ of that revision; inputs are written"
+	@echo "                  by another process: SEED=<n> (default 1)"
 	@echo "make loc          line counts of the source modules, and their code lines"
 	@echo "                  (docstrings, comments and blank lines not counted)"
 	@echo "make loc-diff     code lines of each source module at git revision BASE=<rev> and in"
@@ -58,6 +62,9 @@ bench:
 bench-pair:
 	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [W=<workload>] [PAIRS=<n>] [SEED=<s>]" >&2; exit 2; }
 	$(PYTHON) tools/bench_pair.py --base $(BASE) --workload $(W) --pairs $(PAIRS) --seed $(SEED)
+
+peak:
+	$(PYTHON) tools/peak.py --workload $(W) --seed $(SEED) $(if $(BASE),--base $(BASE))
 
 loc:
 	@$(PYTHON) tools/loc.py src/satmetric/*.py

@@ -5,7 +5,9 @@
 
 from __future__ import annotations
 
+import os
 import sys
+import threading
 from dataclasses import dataclass, fields
 from typing import Iterator, Mapping
 
@@ -59,20 +61,100 @@ def _setting(name: str, value):
         raise ConfigError(str(exc)) from None
 
 
+#: The file size from which ``surveys`` parses one call's files concurrently,
+#: when at least two of them reach it.  Below it, thread start-up and GIL
+#: handoffs between many short numpy calls cost about what the overlap saves.
+#: A sweep of one ``gap`` call in-process (one setting per process, a 2-vCPU
+#: host): files with rejected rows gained from about 0.5 MB; clean files
+#: lost at 0.42 MB, were level from 0.5 to 1 MB and gained at 2.1 MB.
+CONCURRENT_BYTES = 512 * 1024
+
+
+def _lanes(paths: list[str]) -> int:
+    """How many lanes parse ``paths``: one unless two of the files reach
+    CONCURRENT_BYTES, else one per file up to the usable CPUs.  A file that
+    cannot be read counts as small; its error comes when it is parsed."""
+    sizes = []
+    for path in paths:
+        try:
+            sizes.append(os.stat(path).st_size)
+        except (OSError, ValueError):
+            sizes.append(0)
+    if sum(size >= CONCURRENT_BYTES for size in sizes) < 2:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return min(len(paths), cpus)
+
+
 def surveys(instrument: SurveyInstrument, policy: MissingPolicy | str, *paths: str | None,
             ) -> Iterator[tuple[ResponseKind, str, ResponseSet, ValidationReport]]:
     """Read the CSVs at ``paths`` (expectation, perception, importance; None
     for one not given), yielding each one's kind, path, responses and validation
-    once its row diagnostics are on stderr, in one write rather than one per row."""
+    once its row diagnostics are on stderr, in one write rather than one per row.
+
+    Large files are parsed concurrently (see ``_lanes``): the calling thread
+    parses the first file, and it and up to one thread per other usable CPU
+    each take the next file not yet taken.  What the caller sees keeps file
+    order either way: a file's diagnostics are written, and an error from
+    reading or parsing it is raised, by the calling thread when that file's
+    turn comes.  Every thread has ended when the generator ends, raises or
+    is closed."""
     policy = _setting("missing_policy", policy)
-    for kind, path in zip(ResponseKind, paths):
-        if path is None:
-            continue
-        responses, validation = parse_response_file(read_bytes(path), instrument, kind, policy)
-        if validation.rejected_rows:
-            sys.stderr.write("".join(f"{path}: row {row}, column {column}: {message} [{code}]\n"
-                                     for row, column, code, message in validation.diagnostics))
-        yield kind, path, responses, validation
+    jobs = [(kind, path) for kind, path in zip(ResponseKind, paths) if path is not None]
+    done: list[tuple | None] = [None] * len(jobs)  # (responses, validation, error) per file
+    taken, stop = 1, False  # the calling thread parses the first file
+    turn = threading.Condition()
+
+    def take() -> int | None:
+        nonlocal taken
+        with turn:
+            if stop or taken >= len(jobs):
+                return None
+            taken += 1
+            return taken - 1
+
+    def parse(at: int) -> None:
+        kind, path = jobs[at]
+        try:
+            result = (*parse_response_file(read_bytes(path), instrument, kind, policy), None)
+        except BaseException as exc:  # raised again by the calling thread, in file order
+            result = None, None, exc
+        with turn:
+            done[at] = result
+            turn.notify_all()
+
+    def lane() -> None:
+        while (at := take()) is not None:
+            parse(at)
+
+    lanes = [threading.Thread(target=lane) for _ in range(1, _lanes([path for _, path in jobs]))]
+    try:
+        for thread in lanes:
+            thread.start()
+        if jobs:
+            parse(0)
+        for at, (kind, path) in enumerate(jobs):
+            while done[at] is None:
+                if (job := take()) is not None:
+                    parse(job)
+                else:
+                    with turn:
+                        turn.wait_for(lambda: done[at] is not None)
+            responses, validation, error = done[at]
+            done[at] = ()  # the caller alone holds a set once it is handed on
+            if error is not None:
+                raise error
+            if validation.rejected_rows:
+                sys.stderr.write("".join(f"{path}: row {row}, column {column}: {message} [{code}]\n"
+                                         for row, column, code, message in validation.diagnostics))
+            yield kind, path, responses, validation
+    finally:
+        with turn:
+            stop = True
+        for thread in lanes:
+            if thread.ident is not None:  # started
+                thread.join()
 
 
 def gate_failure(survey: str, rel: ReliabilityReport) -> str:

@@ -149,17 +149,58 @@ def _form(tp) -> tuple[str, object]:
     return ("tuple", args[0]) if origin is tuple else ("mapping", args)
 
 
+def _data(value, context: str):
+    """``value`` as JSON data, made of plain Python values: an object with
+    string keys (a dict), a list or tuple (a list), a string, true, false,
+    null and finite numbers (an int, or a float for any other real number,
+    such as a numpy float).  Anything else, and a container that holds
+    itself, is refused by its path, the first in document order that the
+    walk meets.  It walks with a stack, not by recursion, so no depth that
+    JSON can hold raises RecursionError."""
+    root = [None]
+    stack = [(value, root, 0, context, 0)]  # (value, its container, its slot there, path, depth)
+    within: list[int] = []  # the ids of the containers that hold the value, outermost first
+    while stack:
+        value, into, slot, path, depth = stack.pop()
+        del within[depth:]
+        if value is None or type(value) in (str, bool, int):
+            into[slot] = value
+        elif isinstance(value, Integral):
+            into[slot] = int(value)
+        elif isinstance(value, Real):
+            into[slot] = number(value, path)
+        elif isinstance(value, (Mapping, list, tuple)):
+            if id(value) in within:
+                raise DefinitionError(f"{path} holds itself")
+            within.append(id(value))
+            if isinstance(value, Mapping):
+                for key in value:
+                    if type(key) is not str:
+                        raise DefinitionError(f"{path} key {key!r} must be a string")
+                into[slot] = out = dict.fromkeys(value)  # keeps the key order
+                keys = list(out)
+            else:
+                into[slot] = out = [None] * len(value)
+                keys = range(len(value))
+            stack.extend((value[key], out, key, f"{path}[{key!r}]", depth + 1)
+                         for key in reversed(keys))
+        else:
+            raise DefinitionError(f"{path} must be JSON data (an object, a list, a string, "
+                                  f"a finite number, true, false or null), got {value!r}")
+    return root[0]
+
+
 def read(tp, value, context: str):
-    """``value`` read as the annotation ``tp``: ``object`` (returned as given), a
-    scalar (an int, float, str or bool returned as given, any other accepted
-    number, such as a numpy scalar, as its checker's int or float), an enum, a
-    dataclass (no unknown key, no missing field without a default; its
-    constructor makes the checks not about types), a union of
+    """``value`` read as the annotation ``tp``: ``object`` (JSON data, see
+    :func:`_data`), a scalar (an int, float, str or bool returned as given,
+    any other accepted number, such as a numpy scalar, as its checker's int
+    or float), an enum, a dataclass (no unknown key, no missing field without
+    a default; its constructor makes the checks not about types), a union of
     ``None``, ``str`` and one other type (the member is chosen by the value's
     JSON kind), ``tuple[X, ...]`` or ``Mapping[str | int, X]``.  Errors give
     the path (``instrument.items[2].kano``)."""
     if tp is object:
-        return value
+        return _data(value, context)
     form, detail = _form(tp)
     if form == "scalar":
         checked = detail(value, context)

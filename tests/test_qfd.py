@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from conftest import examples
@@ -152,6 +155,29 @@ class TestShippedExample:
         doc = serialize_hoq(hoq)
         assert doc["benchmarks"] == hoq.benchmarks
         assert build_hoq(doc).importances == hoq.importances
+
+    def test_annotations_are_read_as_plain_json_data(self):
+        """numpy numbers become int and float, a tuple a list, so the
+        house serializes; a value JSON cannot hold is refused by its path."""
+        hoq = simple_hoq([1], [[9]], benchmarks={"us": [np.int64(1), np.float32(0.5), (2, 3)]},
+                         ctq_tree={"root": None})
+        assert hoq.benchmarks == {"us": [1, 0.5, [2, 3]]}
+        assert [type(v) for v in hoq.benchmarks["us"]] == [int, float, list]
+        assert json.loads(json.dumps(serialize_hoq(hoq)))["benchmarks"] == hoq.benchmarks
+        cycle = {"a": [1]}
+        cycle["a"].append(cycle)
+        shared = [1, 2]
+        assert simple_hoq([1], [[9]], ctq_tree=[shared, shared]).ctq_tree == [[1, 2], [1, 2]]
+        for field, value, message in [
+            ("benchmarks", {"us": [np.int64(1), {2}]}, "hoq.benchmarks['us'][1] must be JSON data"),
+            ("benchmarks", {"us": [float("nan")]}, "hoq.benchmarks['us'][0] must be a finite"),
+            ("ctq_tree", [{1: "a"}], "hoq.ctq_tree[0] key 1 must be a string"),
+            ("ctq_tree", {"a"}, "hoq.ctq_tree must be JSON data"),
+            ("ctq_tree", [np.bool_(True)], "hoq.ctq_tree[0] must be JSON data"),
+            ("ctq_tree", cycle, "hoq.ctq_tree['a'][1] holds itself"),
+        ]:
+            with pytest.raises(DefinitionError, match=re.escape(message)):
+                simple_hoq([1], [[9]], **{field: value})
 
 
 class TestProperties:

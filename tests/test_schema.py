@@ -4,6 +4,7 @@ SatmetricError at every entry point, never by another exception."""
 import json
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -187,6 +188,20 @@ def test_valid_documents_still_build():
     assert [t.rank for t in build_hoq(HOQ).importances] == [1, 2]
     assert build_fishbone(FISHBONE).branches[0].item_ids == (1, 2)
     assert weights_from_means(MEANS, n_respondents=3).sum_of_means == 100.0
+
+
+def test_object_field_nested_beyond_the_recursion_limit_reads():
+    """An ``object`` field is walked without recursion, whatever its depth."""
+    depth = 3 * sys.getrecursionlimit()
+    deep = leaf = []
+    for _ in range(depth):
+        leaf.append([])
+        leaf = leaf[0]
+    copy, levels = read(object, deep, "doc"), 0
+    while copy:
+        copy, levels = copy[0], levels + 1
+        assert type(copy) is list
+    assert copy == [] and levels == depth
 
 
 def _paths(doc, path=()):

@@ -11,7 +11,9 @@ each run, so both trees start every run without bytecode, as a fresh checkout
 does.  For each end-to-end metric of ``BENCHMARK.json`` it prints the base's
 median and quartiles, the change's median and quartiles, in how many pairs
 the change read lower, and the median of the per-pair differences (change
-minus base).  A row whose median difference is smaller than the base's
+minus base); the last row does the same for the median gap call's
+unadjusted wall time (``unadjusted_gap_s``), from perfbench's ``# unadjusted
+wall times`` line.  A row whose median difference is smaller than the base's
 interquartile range is marked ``unresolved``: the runs spread more than
 the change moved them.  Nothing is written inside the repository; the
 trees go to a temporary directory that is removed at the end.
@@ -29,6 +31,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: The start of perfbench's line of wall times, which no host-speed adjustment
+#: has scaled: "# unadjusted wall times: gap median <s> s, ...".
+UNADJUSTED = "# unadjusted wall times: gap median "
 SKIP = shutil.ignore_patterns("__pycache__", ".perfbench_work")
 
 
@@ -58,6 +63,9 @@ def run(tree: Path, workload: str, seed: int) -> dict:
     doc = json.loads(lines[-1])
     if not doc["correct"] or doc["failed"]:  # a figure of a failing run means nothing
         raise SystemExit(f"perfbench failed in {tree.name} at seed {seed}:\n{proc.stdout}")
+    wall = next(line for line in lines if line.startswith(UNADJUSTED))
+    wall_s = float(wall.removeprefix(UNADJUSTED).split()[0])
+    doc["metrics"]["unadjusted_gap_s"] = {"value": wall_s, "unit": "s"}
     return doc
 
 
@@ -77,6 +85,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     metrics = [(m["name"], m["unit"]) for m in
                json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    metrics.append(("unadjusted_gap_s", "s"))
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
         build_tree(trees["base"], args.base)
