@@ -6,7 +6,7 @@ SEED ?= 1
 PAIRS ?= 10
 TIER1 = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
 
-.PHONY: help test test-deep test-ingest-deep test-psych-deep bench-smoke bench bench-pair peak \
+.PHONY: help test test-deep test-ingest-deep test-psych-deep bench-smoke bench bench-pair peak faults \
 	loc loc-diff digest digest-diff
 
 help:
@@ -26,6 +26,11 @@ help:
 	@echo "                  W=<workload> (default tall), for the working tree and, with"
 	@echo "                  BASE=<rev>, for the src/ of that revision; inputs are written"
 	@echo "                  by another process: SEED=<n> (default 1)"
+	@echo "make faults       medians of wall time, minor page faults and CPU seconds per"
+	@echo "                  warm gap call in fresh processes on W=<workload> (default tall),"
+	@echo "                  for the working tree and, with BASE=<rev>, for the src/ of that"
+	@echo "                  revision, alternating; inputs are written by another process:"
+	@echo "                  SEED=<n> (default 1)"
 	@echo "make loc          line counts of the source modules, and their code lines"
 	@echo "                  (docstrings, comments and blank lines not counted)"
 	@echo "make loc-diff     code lines of each source module at git revision BASE=<rev> and in"
@@ -65,6 +70,9 @@ bench-pair:
 
 peak:
 	$(PYTHON) tools/peak.py --workload $(W) --seed $(SEED) $(if $(BASE),--base $(BASE))
+
+faults:
+	$(PYTHON) tools/faults.py --workload $(W) --seed $(SEED) $(if $(BASE),--base $(BASE))
 
 loc:
 	@$(PYTHON) tools/loc.py src/satmetric/*.py

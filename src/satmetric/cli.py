@@ -8,6 +8,9 @@ files or stdout.  All randomness sits behind an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -25,10 +28,44 @@ from .rootcause import DEFAULT_PARETO_THRESHOLD
 from .schema import number, read, read_bytes, read_json
 
 
+#: glibc's mallopt parameters (malloc.h) and the values ``main`` gives them:
+#: the dynamic mmap threshold's own ceiling on 64-bit (DEFAULT_MMAP_THRESHOLD_MAX)
+#: and the size of one thread arena's heap on 64-bit.
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
+_MMAP_THRESHOLD = 32 << 20
+_TOP_PAD = 64 << 20
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Let glibc keep up to ``_TOP_PAD`` of freed heap in each malloc arena,
+    the ingest lanes' included, so a later command's large arrays reuse pages
+    already mapped instead of faulting fresh ones in one 4 KiB page at a time.
+
+    By default glibc returns the free top of a heap to the kernel once it
+    exceeds twice the largest mmap'd block freed so far, so every parse
+    hands its arrays back.  Setting either parameter switches off glibc's
+    dynamic mmap threshold (mallopt(3)), so the threshold is first fixed at
+    that dynamic threshold's ceiling: blocks below it then come from the
+    heap whatever the process allocated before.  Only on glibc; elsewhere,
+    or if a call fails, nothing changes."""
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+        libc = ctypes.CDLL(None)
+        if libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+            libc.mallopt(_M_TOP_PAD, _TOP_PAD)
+    except (AttributeError, OSError, ValueError):  # no confstr, name or mallopt
+        pass
+
+
 def _write_out(payload: bytes, out: str | None) -> None:
     """Write UTF-8 output to the ``--out`` file, or to stdout without one."""
     if out:
-        Path(out).write_bytes(payload)
+        try:
+            Path(out).write_bytes(payload)
+        except OSError as exc:
+            raise SatmetricError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(payload.decode("utf-8"))
 
@@ -259,6 +296,10 @@ def main(argv=None) -> int:
     except SatmetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # After the first command, not before it: a process that runs one
+        # command has nothing to reuse, so its peak memory is glibc's default.
+        _keep_freed_heap()
 
 
 if __name__ == "__main__":

@@ -66,7 +66,10 @@ def _setting(name: str, value):
 #: handoffs between many short numpy calls cost about what the overlap saves.
 #: A sweep of one ``gap`` call in-process (one setting per process, a 2-vCPU
 #: host): files with rejected rows gained from about 0.5 MB; clean files
-#: lost at 0.42 MB, were level from 0.5 to 1 MB and gained at 2.1 MB.
+#: lost at 0.42 MB, were level from 0.5 to 1 MB and gained at 2.1 MB.  The
+#: sweep ran while glibc trimmed freed heap after every parse; a CLI process
+#: now keeps it after its first call (``cli._keep_freed_heap``), and the cut
+#: has not been swept again under that.
 CONCURRENT_BYTES = 512 * 1024
 
 

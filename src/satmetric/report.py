@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .errors import DefinitionError
+from .errors import DefinitionError, SatmetricError
 from .ingest import ValidationReport
 from .instrument import DIMENSION_ORDER, SurveyInstrument
 from .kano import KanoPriority
@@ -760,19 +760,23 @@ def parse_report(data: bytes | str) -> AnalysisReport:
 def write_report(report: AnalysisReport, stem, formats: Iterable[str] = FORMATS) -> list[str]:
     """Write ``<stem>.report.json``, ``<stem>.report.md``, ``<stem>.tables/``
     and ``<stem>.charts/`` for the requested formats, each once, and only once
-    every one has rendered; returns written paths."""
+    every one has rendered; returns written paths.  A directory or file that
+    cannot be made or written is a SatmetricError naming it."""
     stem = Path(stem)
     payloads = [(fmt, emit(report, fmt)) for fmt in dict.fromkeys(formats)]
-    stem.parent.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
-    for fmt, payload in payloads:
-        target = stem.with_name(stem.name + FORMATS[fmt][0])
-        if isinstance(payload, bytes):
-            files = {target: payload}
-        else:
-            target.mkdir(parents=True, exist_ok=True)
-            files = {target / name: content for name, content in payload.items()}
-        for path, content in files.items():
-            path.write_bytes(content)
-            written.append(str(path))
+    try:
+        stem.parent.mkdir(parents=True, exist_ok=True)
+        for fmt, payload in payloads:
+            target = stem.with_name(stem.name + FORMATS[fmt][0])
+            if isinstance(payload, bytes):
+                files = {target: payload}
+            else:
+                target.mkdir(parents=True, exist_ok=True)
+                files = {target / name: content for name, content in payload.items()}
+            for path, content in files.items():
+                path.write_bytes(content)
+                written.append(str(path))
+    except OSError as exc:
+        raise SatmetricError(f"cannot write {exc.filename or stem}: {exc.strerror}") from None
     return written

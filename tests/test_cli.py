@@ -1,9 +1,13 @@
 import codecs
 import contextlib
 import hashlib
+import ctypes
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.dom.minidom
 from pathlib import Path
 
@@ -13,6 +17,7 @@ from conftest import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satmetric import cli, pipeline
 from satmetric.cli import main
 from satmetric.instrument import serialize_instrument
 from satmetric.qfd import serialize_hoq
@@ -626,6 +631,143 @@ def test_repeated_format_is_written_and_printed_once(xyz_dir, capsys, command):
         str(xyz_dir / "out" / "xyz.report.json"), str(xyz_dir / "out" / "xyz.report.md")]
     assert sorted(p.name for p in (xyz_dir / "out").iterdir()) == ["xyz.report.json",
                                                                    "xyz.report.md"]
+
+
+def _out_argv(xyz_dir, command: str, out: Path) -> list[str]:
+    """A call of ``command`` on the case study that writes ``--out out``."""
+    survey = ["--instrument", str(xyz_dir / "xyz.json"), "--expect", str(xyz_dir / "e.csv")]
+    if command in ("gap", "report"):
+        return _formats_argv(xyz_dir, command, out.parent)[:-1] + [str(out)]
+    if command == "qfd":
+        hoq = xyz_dir / "hoq.json"
+        hoq.write_text(json.dumps(serialize_hoq(xyz.load_xyz_hoq())))
+        return ["qfd", "--hoq", str(hoq), "--out", str(out)]
+    if command == "synth":
+        return ["synth", "--instrument", str(xyz_dir / "xyz.json"), "--targets",
+                str(xyz_dir / "e_targets.json"), "--n", "81", "--out", str(out)]
+    return [command, *survey, "--out", str(out)]
+
+
+#: Every subcommand that takes --out, and where that --out cannot be written:
+#: under a regular file, or (for the single-file commands; gap and report make
+#: their directory) in a directory that does not exist.
+WRITE_FAILURES = [(command, "under_a_file") for command in
+                  ("descriptives", "reliability", "gap", "qfd", "synth", "report")] + \
+                 [(command, "missing_dir") for command in
+                  ("descriptives", "reliability", "qfd", "synth")]
+
+
+@pytest.mark.parametrize("command, place", WRITE_FAILURES)
+def test_unwritable_out_is_1_naming_the_path(xyz_dir, capsys, command, place):
+    blocker = xyz_dir / "blocker"
+    if place == "under_a_file":
+        blocker.write_text("a regular file")
+    argv = _out_argv(xyz_dir, command, blocker / "r")
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]  # reliability warns of the failed gate first
+    assert last.startswith(f"error: cannot write {blocker}")
+    assert last.endswith("No such file or directory" if place == "missing_dir" else
+                         "File exists" if command in ("gap", "report") else "Not a directory")
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+#: After one ``main`` call, two rounds of six 3 MiB arrays filled and freed;
+#: prints the minor page faults of the second round.
+RETENTION = """
+import json, resource, sys
+import numpy as np
+from satmetric.cli import main
+assert main(json.loads(sys.argv[1])) == 0
+
+def round_faults():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(3 << 17) for _ in range(6)]
+    del arrays
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+round_faults()
+print(round_faults())
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the CLI keeps freed heap on glibc only")
+def test_cli_process_reuses_freed_heap(xyz_dir):
+    # glibc's default trims the heap's free top, so each round faults its
+    # 18 MiB in again: about 4,600 faults.
+    argv = ["validate", "--instrument", str(xyz_dir / "xyz.json"),
+            "--expect", str(xyz_dir / "e.csv")]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", RETENTION, json.dumps(argv)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out.splitlines()[-1]) < 500
+
+
+class _Libc:
+    """Stands in for ``ctypes.CDLL(None)``: records mallopt calls."""
+    calls: list = []
+    result = 1
+
+    def __init__(self, name):
+        assert name is None
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return self.result
+
+
+def _confstr_raises(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr, result, calls", [
+    (_confstr_raises, 1, []),
+    (lambda name: None, 1, []),
+    (lambda name: "musl 1.2.4", 1, []),
+    (lambda name: "glibc 2.36", 0, [(-3, 32 << 20)]),
+    (lambda name: "glibc 2.36", 1, [(-3, 32 << 20), (-2, 64 << 20)]),
+], ids=["raises", "undefined", "other_libc", "threshold_refused", "glibc"])
+def test_heap_setting_is_glibc_only_and_once(workdir, capsys, monkeypatch, confstr, result,
+                                             calls):
+    monkeypatch.setattr(os, "confstr", confstr)
+    monkeypatch.setattr(ctypes, "CDLL", _Libc)
+    monkeypatch.setattr(_Libc, "calls", [])
+    monkeypatch.setattr(_Libc, "result", result)
+    cli._keep_freed_heap.cache_clear()
+    try:
+        argv = ["validate", "--instrument", str(workdir / "tiny.json"),
+                "--expect", str(workdir / "good.csv")]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert "4 accepted" in capsys.readouterr().out
+        assert _Libc.calls == calls
+    finally:
+        cli._keep_freed_heap.cache_clear()
+
+
+def test_library_leaves_the_allocator_alone(xyz_dir, monkeypatch):
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(ctypes, "CDLL", _Libc)
+    monkeypatch.setattr(_Libc, "calls", [])
+    cli._keep_freed_heap.cache_clear()
+    try:
+        inputs = pipeline.Inputs(instrument=str(xyz_dir / "xyz.json"),
+                                 expect=str(xyz_dir / "e.csv"), perceive=str(xyz_dir / "p.csv"),
+                                 weights=str(xyz_dir / "weights.json"))
+        assert pipeline.run(inputs) is not None
+        assert _Libc.calls == []
+    finally:
+        cli._keep_freed_heap.cache_clear()
 
 
 @pytest.fixture(scope="module")

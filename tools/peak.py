@@ -50,6 +50,27 @@ print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
 
 
+def sides(tmp: str, base: str | None) -> dict[str, Path]:
+    """The ``src/`` directories to measure, by side name: git revision
+    ``base``'s, extracted under ``tmp``, if given, then the working tree's."""
+    found = {"working tree": ROOT / "src"}
+    if base:
+        archive = subprocess.run(["git", "archive", base, "src"], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        found = {f"base {base}": Path(tmp) / "src", **found}
+    return found
+
+
+def gap_argv(tmp: str, workload: str, seed: int) -> list[str]:
+    """Writes the workload's inputs under ``tmp`` from another process;
+    returns the gap argv."""
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", MAKE, str(ROOT / "src"), str(ROOT / "perfbench"),
+         workload, str(seed), str(Path(tmp) / "work")],
+        capture_output=True, text=True, check=True).stdout)
+
+
 def peak_mib(src: Path, argv: list[str]) -> float:
     kib = subprocess.run([sys.executable, "-c", CALL, str(src), json.dumps(argv)],
                          capture_output=True, text=True, check=True).stdout
@@ -64,20 +85,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="peak-") as tmp:
-        sides = {"working tree": ROOT / "src"}
-        if args.base:
-            archive = subprocess.run(["git", "archive", args.base, "src"], cwd=ROOT,
-                                     capture_output=True, check=True).stdout
-            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-            sides = {f"base {args.base}": Path(tmp) / "src", **sides}
-        gap = json.loads(subprocess.run(
-            [sys.executable, "-c", MAKE, str(ROOT / "src"), str(ROOT / "perfbench"),
-             args.workload, str(args.seed), str(Path(tmp) / "work")],
-            capture_output=True, text=True, check=True).stdout)
-        peaks: dict[str, list[float]] = {side: [] for side in sides}
+        srcs = sides(tmp, args.base)
+        gap = gap_argv(tmp, args.workload, args.seed)
+        peaks: dict[str, list[float]] = {side: [] for side in srcs}
         for run in range(args.runs):
-            for side in (list(sides) if run % 2 == 0 else list(sides)[::-1]):
-                peaks[side].append(peak_mib(sides[side], gap))
+            for side in (list(srcs) if run % 2 == 0 else list(srcs)[::-1]):
+                peaks[side].append(peak_mib(srcs[side], gap))
     print(f"{args.workload}, seed {args.seed}: VmHWM of a fresh process making one gap call, "
           f"MiB, {args.runs} runs per side")
     for side, values in peaks.items():
