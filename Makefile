@@ -4,6 +4,7 @@ PYTHON ?= python3
 W ?= tall
 SEED ?= 1
 PAIRS ?= 10
+RUNS ?= 10
 TIER1 = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
 
 .PHONY: help test test-deep test-ingest-deep test-psych-deep bench-smoke bench bench-pair peak faults \
@@ -25,12 +26,13 @@ help:
 	@echo "make peak         peak memory (VmHWM) of a fresh process making one gap call on"
 	@echo "                  W=<workload> (default tall), for the working tree and, with"
 	@echo "                  BASE=<rev>, for the src/ of that revision; inputs are written"
-	@echo "                  by another process: SEED=<n> (default 1)"
+	@echo "                  by another process: SEED=<n> (default 1), RUNS=<n> fresh"
+	@echo "                  processes per side (default 10)"
 	@echo "make faults       medians of wall time, minor page faults and CPU seconds per"
 	@echo "                  warm gap call in fresh processes on W=<workload> (default tall),"
 	@echo "                  for the working tree and, with BASE=<rev>, for the src/ of that"
 	@echo "                  revision, alternating; inputs are written by another process:"
-	@echo "                  SEED=<n> (default 1)"
+	@echo "                  SEED=<n> (default 1), RUNS=<n> processes per side (default 10)"
 	@echo "make loc          line counts of the source modules, and their code lines"
 	@echo "                  (docstrings, comments and blank lines not counted)"
 	@echo "make loc-diff     code lines of each source module at git revision BASE=<rev> and in"
@@ -69,10 +71,10 @@ bench-pair:
 	$(PYTHON) tools/bench_pair.py --base $(BASE) --workload $(W) --pairs $(PAIRS) --seed $(SEED)
 
 peak:
-	$(PYTHON) tools/peak.py --workload $(W) --seed $(SEED) $(if $(BASE),--base $(BASE))
+	$(PYTHON) tools/peak.py --workload $(W) --seed $(SEED) --runs $(RUNS) $(if $(BASE),--base $(BASE))
 
 faults:
-	$(PYTHON) tools/faults.py --workload $(W) --seed $(SEED) $(if $(BASE),--base $(BASE))
+	$(PYTHON) tools/faults.py --workload $(W) --seed $(SEED) --runs $(RUNS) $(if $(BASE),--base $(BASE))
 
 loc:
 	@$(PYTHON) tools/loc.py src/satmetric/*.py

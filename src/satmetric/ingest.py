@@ -15,11 +15,11 @@ Two routes read a file; each yields its result, row diagnostics and
 errors.
 
 * Line route: bytes, and ``str`` input encoded to UTF-8 (with no byte-order
-  mark removed).  Its strict case reads a strict file at once with array
-  arithmetic over its bytes: no double quote, k commas to a line, no byte
-  outside ``!`` to ``~`` in the body but the line ends, every id non-empty
-  and every cell 1 to 18 digits.  Any other file has all its lines
-  classified at once, and each line is one record, read with array
+  mark removed).  Its strict case reads a strict block of lines at once
+  with array arithmetic over its bytes: no double quote, k commas to a
+  line, no byte outside ``!`` to ``~`` but the line ends, every id
+  non-empty and every cell 1 to 18 digits.  Any other block has all its
+  lines classified at once, and each line is one record, read with array
   arithmetic too: its comma split without the quotes that wrap a field
   (its first and last byte), as csv.reader reads it, and so is its
   diagnostic: blank, ``row_length``, ``empty_id``, or its first cell that
@@ -42,9 +42,22 @@ errors.
   repeats and is decoded into the ids when they are first read.  The rest
   is paid only where its feature occurs: a later digit place by the cells
   that wide, a sign by the cells whose first digit fails, stripping by
-  padded lines, a diagnostic tuple by the row it rejects, and decoding at once by
+  padded lines, a diagnostic tuple by the row it rejects (its message is
+  formatted once per distinct value in a block), and decoding at once by
   a file with a wider id or a repeated id.  A declined file pays for
   parse_response_rows on top of the passes made before the decline.
+
+  The route runs in three steps.  cut_lines, the whole-file step, makes
+  every check that declines the input as a whole (the input, the header,
+  the line ends, wide padding and the field size limit) and cuts the data
+  lines into blocks of about BLOCK_BYTES, each cut just after a line end.
+  LineBlocks.parse, the block step, reads one block as above, or declines
+  the input for a quote or a long cell in it.  LineBlocks.result joins the
+  blocks (repeated ids across them, diagnostics in file order and the
+  first error under fail), or hands a declined input to
+  parse_response_rows.  A block's temporaries, some of them several arrays
+  of a block's cells, never grow with the file.  parse_response_file runs
+  the blocks in order; pipeline.surveys runs them as jobs in its lanes.
 * Per-cell: parse_response_rows reads every record with csv.reader and
   checks it cell by cell.  It reads every input the line route declines.
 
@@ -65,7 +78,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -293,20 +306,38 @@ def parse_response_file(
     instrument: SurveyInstrument,
     kind: ResponseKind,
     policy: MissingPolicy = MissingPolicy.DROP_ROW,
+    *,
+    blocks: LineBlocks | None = None,
 ) -> tuple[ResponseSet, ValidationReport]:
     """Parse one CSV response file into a validated ResponseSet.
 
     Returns the set built from accepted rows plus a report enumerating every
     rejection.  Raises DataError on malformed CSV, header mismatch, zero
     accepted rows, or (with policy=fail) the first bad row in file order.
-    The line route reads the file unless it declines it, and then
-    parse_response_rows does; the result, and any error, is the same.
+    The line route reads the file, one block of lines after another, unless
+    it declines it, and then parse_response_rows does; the result, and any
+    error, is the same.  ``blocks`` is what cut_lines gave for ``data``,
+    for a caller that parses its blocks itself, as pipeline.surveys does in
+    its lanes; a block it has not parsed is parsed here.
     """
-    parsed = _parse_lines(data, instrument, kind, policy)
-    if parsed is not None:
-        return parsed
-    return parse_response_rows(data, instrument, kind, policy)
+    if blocks is None:
+        blocks = cut_lines(data, instrument, kind)
+    if blocks is None:
+        return parse_response_rows(data, instrument, kind, policy)
+    return blocks.result(policy)
 
+
+#: The most bytes, about, of one block of the line route; a file is cut
+#: into as few blocks of equal size as this allows.  A byte budget, since a
+#: line costs about the same whatever its cell count: with blocks of 2**17
+#: cells, an importance block (k = 5) took three times an expectation
+#: block's time (k = 17).  In-process sweep of one warm ``gap`` call with
+#: the CLI heap setting on (2-vCPU host, 40 interleaved calls a setting):
+#: 0.5, 0.75, 1, 1.5 and 2 MiB blocks and whole files read 115, 109, 108,
+#: 113, 114 and 114 ms on tall_dirty and 55, 53, 53, 59, 60 and 60 ms on
+#: tall.  Smaller blocks cost more: each pays a fixed 0.3-0.4 ms, and
+#: lanes that parse many blocks hand the GIL to each other more often.
+BLOCK_BYTES = 1 << 20
 
 _ID_COLUMN = "respondent_id"
 
@@ -387,6 +418,13 @@ def _key_texts(keys: np.ndarray) -> list[str]:
     return [key.decode("utf-8") for key in keys.astype("<u8").view("S8").tolist()]
 
 
+def _formatted(render: Callable[[Any], str], values: list) -> dict:
+    """``render(value)`` by each distinct one of ``values``: the rejected
+    rows of a file share few messages, and a lookup costs a tenth of
+    formatting one."""
+    return {value: render(value) for value in set(values)}
+
+
 def _refused(values: np.ndarray, valid: np.ndarray, rows: np.ndarray, expected: list[str],
              scale: LikertScale, kind: ResponseKind) -> list[_Diagnostic]:
     """The diagnostics that _value_error gives the converted rows (``valid``) of
@@ -397,19 +435,19 @@ def _refused(values: np.ndarray, valid: np.ndarray, rows: np.ndarray, expected: 
         outside = (values < scale.min) | (values > scale.max)
         refused = np.flatnonzero(valid & _rows_with(outside))
         columns = outside[refused].argmax(axis=1)  # the first cell outside
-        message = _OUT_OF_SCALE.format("{}", scale=scale)
-        errors = [(row, expected[column + 1], "out_of_range", message.format(value))
-                  for row, column, value in zip(rows[refused].tolist(), columns.tolist(),
-                                                values[refused, columns].tolist())]
+        found = values[refused, columns].tolist()
+        message = _formatted(_OUT_OF_SCALE.format("{}", scale=scale).format, found)
+        errors = [(row, expected[column + 1], "out_of_range", message[value])
+                  for row, column, value in zip(rows[refused].tolist(), columns.tolist(), found)]
     else:
         failed = _invalid_allocations(values)
         refused = np.flatnonzero(valid & failed.any(axis=0))
         codes = list(_ALLOCATION_MESSAGES.items())
-        errors = [(row, "*", code, message.format(sum=total))
-                  for row, (code, message), total in zip(
-                      rows[refused].tolist(),
-                      (codes[at] for at in failed[:, refused].argmax(axis=0).tolist()),
-                      values[refused].sum(axis=1).tolist())]
+        found = list(zip(failed[:, refused].argmax(axis=0).tolist(),
+                         values[refused].sum(axis=1).tolist()))
+        message = _formatted(lambda key: codes[key[0]][1].format(sum=key[1]), found)
+        errors = [(row, "*", codes[at][0], message[at, total])
+                  for row, (at, total) in zip(rows[refused].tolist(), found)]
     valid[refused] = False
     return errors
 
@@ -429,21 +467,17 @@ _WIDE_LEAD = np.zeros(256, dtype=bool)
 _WIDE_LEAD[[char.encode()[0] for char in _WIDE_PAD]] = True
 
 
-def _parse_lines(
-    data: bytes | str,
-    instrument: SurveyInstrument,
-    kind: ResponseKind,
-    policy: MissingPolicy,
-) -> tuple[ResponseSet, ValidationReport] | None:
-    """Line route (see the module docstring): the result of
-    parse_response_rows, or None for an input it declines.  Data line i
-    (from 0) is data row i + 1."""
+def cut_lines(data: bytes | str, instrument: SurveyInstrument,
+              kind: ResponseKind) -> LineBlocks | None:
+    """The line route's whole-file step (see the module docstring): every
+    check that declines the input as a whole, then the data lines cut into
+    blocks.  None for an input it declines."""
     expected = _expected_header(instrument, kind)
     checked = _line_input(data, expected)
     if checked is None:
         return None
-    data, is_ascii = checked
-    raw = np.frombuffer(data, dtype=np.uint8)
+    encoded, is_ascii = checked
+    raw = np.frombuffer(encoded, dtype=np.uint8)
     # Sparse offsets of the bytes outside "!" to "~" (the subtraction wraps
     # below "!"): the line ends, the padding and the non-ASCII bytes are among them.
     odd = np.flatnonzero((raw - np.uint8(ord("!"))) > ord("~") - ord("!"))
@@ -457,69 +491,139 @@ def _parse_lines(
         edges = np.append(edges, len(raw))
     if np.diff(edges).max() >= csv.field_size_limit():
         return None
-    # Data line i is raw[starts[i]:ends[i]], line end included, and its text
-    # is raw[starts[i]:stops[i]].
-    starts, ends = edges[1:-1], edges[2:]
-    stops = ends - (raw[ends - 1] == ord("\n"))
-    stops -= raw[stops - 1] == ord("\r")
-    k = len(expected) - 1
-    commas = np.flatnonzero(raw == ord(","))
-    # A strict file: no quote, k commas to a line (the header holds k), and no
-    # body byte outside "!" to "~" but the line ends.  Row i of the grid holds
-    # line i's commas only if each line holds k of them, which the first-comma
-    # check and the cell widths that _digit_values checks ensure only when
-    # they hold on every line.
-    if (b'"' not in data and len(commas) == k * (len(starts) + 1)
-            and len(odd) - np.searchsorted(odd, edges[1]) == (ends - stops).sum()):
-        grid = commas[k:].reshape(-1, k)
-        if (grid[:, 0] > starts).all():
-            values, bad = _digit_values(raw, grid + 1, np.column_stack((grid[:, 1:], stops)))
-            if not bad.any():
-                rows = np.arange(1, len(starts) + 1)
-                valid = np.ones(len(rows), dtype=bool)
-                errors = _refused(values, valid, rows, expected, instrument.scale, kind)
-                if errors:  # keep the rows that pass
-                    rows, values, starts, grid = (a[valid] for a in (rows, values, starts, grid))
-                return _result(instrument, kind, policy, rows,
-                               _id_keys(raw, starts, grid[:, 0]), values, errors)
+    return LineBlocks(data, encoded, raw, odd, kinds, edges[1:], instrument, kind, expected)
 
-    quoted, loose = _quotes(raw, edges, commas)
-    if len(loose):  # a quote that wraps no field, which only csv.reader reads
-        return None
-    pad = odd[_PAD[kinds]]
-    pads = _per_line(pad, edges)
-    lead = np.searchsorted(commas, edges[1:])  # no comma lies between a stop and an end
-    fields = np.diff(lead) + 1
-    # A blank line holds only padding, commas and quotes.
-    filled = stops - starts - quoted - fields + 1 > pads
-    short = np.flatnonzero(filled & (fields != k + 1))
-    errors = [(at + 1, "*", "row_length", _ROW_LENGTH.format(k + 1, count))
-              for at, count in zip(short.tolist(), fields[short].tolist())]
-    lines = np.flatnonzero(filled & (fields == k + 1))
-    # The k commas of line lines[i]: the window of k from its first (the header holds k).
-    values, bad, id_lo, id_hi, lo, widths = _bulk_values(
-        raw, starts[lines], stops[lines],
-        np.lib.stride_tricks.sliding_window_view(commas, k)[lead[lines]],
-        quoted[lines] > 0, pads[lines] > 0, pad)
-    valid = id_hi > id_lo
-    errors += [(at + 1, _ID_COLUMN, "empty_id", _EMPTY_ID) for at in lines[~valid].tolist()]
-    broken = np.flatnonzero(valid & _rows_with(bad))
-    valid[broken] = False
-    cells = bad[broken].argmax(axis=1)  # the first bad cell of each row
-    width = np.maximum(widths[broken, cells], 0)  # an all-pad cell has hi < lo
-    first = lo[broken, cells]
-    del lo, widths  # let go of two N x k arrays
-    texts = _texts(raw, first, first + width)
-    if any(_INT_CELL.fullmatch(texts[at]) for at in np.flatnonzero(width > 18).tolist()):
-        return None  # more than 18 digits, which only _parse_int_cell reads
-    # A bad cell that _INT_CELL matches is wider than 18 bytes, and those are
-    # declined above: each one left is blank or not an integer.
-    errors += [(at + 1, expected[cell + 1], "not_an_integer" if text else "missing",
-                _NOT_AN_INTEGER.format(text))
-               for at, cell, text in zip(lines[broken].tolist(), cells.tolist(), texts)]
-    errors += _refused(values, valid, lines + 1, expected, instrument.scale, kind)
-    return _result(instrument, kind, policy, lines[valid] + 1,
-                   _id_keys(raw, id_lo[valid], id_hi[valid]), values[valid], errors)
+
+class LineBlocks:
+    """One input after the line route's whole-file step: its data lines cut
+    into blocks of at most about BLOCK_BYTES bytes, each cut just after a
+    line end.  ``parse(at)`` runs block ``at``'s step, in any order and from
+    any thread; ``result`` then joins the blocks.  Data line i (from 0) is
+    data row i + 1."""
+
+    def __init__(self, source: bytes | str, data: bytes, raw: np.ndarray, odd: np.ndarray,
+                 kinds: np.ndarray, edges: np.ndarray, instrument: SurveyInstrument,
+                 kind: ResponseKind, expected: list[str]) -> None:
+        self.source = source  # the input as given, for parse_response_rows
+        self.data, self.raw, self.odd, self.kinds = data, raw, odd, kinds
+        self.edges = edges  # data line i is raw[edges[i]:edges[i + 1]], line end included
+        self.instrument, self.kind, self.expected = instrument, kind, expected
+        # n blocks of about equal size: block j starts with the line that
+        # holds byte j / n of the data lines.  A file without one is one empty block.
+        size = int(edges[-1] - edges[0])
+        n = -(-size // BLOCK_BYTES) or 1
+        self.firsts = sorted(set((np.searchsorted(
+            edges, edges[0] + np.arange(n) * size // n, side="right") - 1).tolist()))
+        self.parts: list = [None] * len(self.firsts)  # None until parsed
+
+    def __len__(self) -> int:
+        return len(self.firsts)
+
+    def parse(self, at: int) -> None:
+        """Read block ``at`` into ``parts[at]``: its accepted lines, their
+        ids or _id_keys and values, and the diagnostics of its rejected
+        rows, or False if it declines the input."""
+        last = self.firsts[at + 1] if at + 1 < len(self) else len(self.edges) - 1
+        self.parts[at] = self._block(self.firsts[at], last) or False
+
+    def _block(self, first: int, last: int) -> tuple | None:
+        raw, expected, k = self.raw, self.expected, len(self.expected) - 1
+        edges = self.edges[first:last + 1]
+        start, end = int(edges[0]), int(edges[-1])
+        lo, hi = np.searchsorted(self.odd, (start, end))
+        odd, kinds = self.odd[lo:hi], self.kinds[lo:hi]
+        # Line i of the block is raw[starts[i]:ends[i]], line end included, and
+        # its text is raw[starts[i]:stops[i]].
+        starts, ends = edges[:-1], edges[1:]
+        stops = ends - (raw[ends - 1] == ord("\n"))
+        stops -= raw[stops - 1] == ord("\r")
+        commas = np.flatnonzero(raw[start:end] == ord(","))
+        commas += start
+        # A strict block: no quote, k commas to a line and no byte outside "!"
+        # to "~" but the line ends.  Row i of the grid holds line i's commas
+        # only if each line holds k of them, which the first-comma check and
+        # the cell widths that _digit_values checks ensure only when they hold
+        # on every line.
+        if (self.data.find(b'"', start, end) < 0 and len(commas) == k * len(starts)
+                and len(odd) == (ends - stops).sum()):
+            grid = commas.reshape(-1, k)
+            if (grid[:, 0] > starts).all():
+                values, bad = _digit_values(raw, grid + 1, np.column_stack((grid[:, 1:], stops)))
+                if not bad.any():
+                    lines = np.arange(first, last)
+                    valid = np.ones(len(lines), dtype=bool)
+                    errors = _refused(values, valid, lines + 1, expected,
+                                      self.instrument.scale, self.kind)
+                    if errors:  # keep the rows that pass
+                        lines, values, starts, grid = (a[valid] for a in (lines, values, starts,
+                                                                          grid))
+                    return lines, _id_keys(raw, starts, grid[:, 0]), values, errors
+
+        quoted, loose = _quotes(raw, edges, commas)
+        if loose:  # a quote that wraps no field, which only csv.reader reads
+            return None
+        pad = odd[_PAD[kinds]]
+        pads = _per_line(pad, edges)
+        lead = np.searchsorted(commas, edges)  # no comma lies between a stop and an end
+        fields = np.diff(lead) + 1
+        # A blank line holds only padding, commas and quotes.
+        filled = stops - starts - quoted - fields + 1 > pads
+        short = np.flatnonzero(filled & (fields != k + 1))
+        counts = fields[short].tolist()
+        message = _formatted(_ROW_LENGTH.format(k + 1, "{}").format, counts)
+        errors = [(first + at + 1, "*", "row_length", message[count])
+                  for at, count in zip(short.tolist(), counts)]
+        lines = np.flatnonzero(filled & (fields == k + 1))
+        # The k commas of line lines[i]: the window of k from its first.  A
+        # block of fewer than k commas has no such line.
+        windows = np.lib.stride_tricks.sliding_window_view(commas, k) if len(commas) >= k \
+            else commas[:0].reshape(0, k)
+        values, bad, id_lo, id_hi, lo, widths = _bulk_values(
+            raw, starts[lines], stops[lines], windows[lead[lines]], quoted[lines] > 0,
+            pads[lines] > 0, pad)
+        lines += first
+        valid = id_hi > id_lo
+        errors += [(at + 1, _ID_COLUMN, "empty_id", _EMPTY_ID) for at in lines[~valid].tolist()]
+        broken = np.flatnonzero(valid & _rows_with(bad))
+        valid[broken] = False
+        cells = bad[broken].argmax(axis=1)  # the first bad cell of each row
+        width = np.maximum(widths[broken, cells], 0)  # an all-pad cell has hi < lo
+        cell_lo = lo[broken, cells]
+        del lo, widths  # let go of two lines x k arrays
+        texts = _texts(raw, cell_lo, cell_lo + width)
+        if any(_INT_CELL.fullmatch(texts[at]) for at in np.flatnonzero(width > 18).tolist()):
+            return None  # more than 18 digits, which only _parse_int_cell reads
+        # A bad cell that _INT_CELL matches is wider than 18 bytes, and those are
+        # declined above: each one left is blank or not an integer.
+        message = _formatted(_NOT_AN_INTEGER.format, texts)
+        errors += [(at + 1, expected[cell + 1], "not_an_integer" if text else "missing",
+                    message[text])
+                   for at, cell, text in zip(lines[broken].tolist(), cells.tolist(), texts)]
+        errors += _refused(values, valid, lines + 1, expected, self.instrument.scale, self.kind)
+        return lines[valid], _id_keys(raw, id_lo[valid], id_hi[valid]), values[valid], errors
+
+    def result(self, policy: MissingPolicy) -> tuple[ResponseSet, ValidationReport]:
+        """parse_response_file's result, once each block not parsed yet has
+        run, in order: _result on the blocks' accepted rows, in file order,
+        or parse_response_rows' if a block declined the input."""
+        for at, part in enumerate(self.parts):
+            if part is None:
+                self.parse(at)
+        if not all(self.parts):
+            return parse_response_rows(self.source, self.instrument, self.kind, policy)
+        if len(self.parts) == 1:
+            lines, ids, values, errors = self.parts[0]
+            errors = list(errors)  # _result extends and sorts it
+        else:
+            lines, ids, values, errors = zip(*self.parts)
+            if all(isinstance(keys, np.ndarray) for keys in ids):
+                ids = np.concatenate(ids)
+            else:  # an id wider than one key: every block's ids as texts
+                ids = [text for part in ids for text in (
+                    _key_texts(part) if isinstance(part, np.ndarray) else part)]
+            lines, values = np.concatenate(lines), np.concatenate(values)
+            errors = [error for part in errors for error in part]
+        return _result(self.instrument, self.kind, policy, lines + 1, ids, values, errors)
 
 
 def _line_input(data: bytes | str, expected: list[str]) -> tuple[bytes, bool] | None:
@@ -555,21 +659,23 @@ def _wide_padded(raw: np.ndarray, lead: np.ndarray) -> bool:
 
 
 def _per_line(offsets: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """How many of the sorted byte ``offsets`` lie on each data line
-    raw[edges[i + 1]:edges[i + 2]]."""
-    return np.diff(np.searchsorted(offsets, edges[1:]))
+    """How many of the sorted byte ``offsets`` lie on each line
+    raw[edges[i]:edges[i + 1]]."""
+    return np.diff(np.searchsorted(offsets, edges))
 
 
-def _quotes(raw: np.ndarray, edges: np.ndarray, commas: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The quote count of each data line raw[edges[i + 1]:edges[i + 2]], and
-    the lines that hold a quote that does not wrap a field: two quotes wrap
-    one when they are its first and last byte and it holds no other quote.
-    An array with an entry per quote goes once used: a file may be all quotes."""
-    quotes = np.flatnonzero(raw == ord('"'))
+def _quotes(raw: np.ndarray, edges: np.ndarray, commas: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The quote count of each line raw[edges[i]:edges[i + 1]], and whether
+    one of those quotes does not wrap a field: two quotes wrap one when they
+    are its first and last byte and it holds no other quote.  ``commas``
+    holds the lines' comma offsets.  An array with an entry per quote goes
+    once used: a file may be all quotes."""
+    quotes = np.flatnonzero(raw[edges[0]:edges[-1]] == ord('"')) + edges[0]
     # The quotes that start a field, and those that end one: before a comma,
     # a line end (every \r is one) or the end of the file.
-    first = np.isin(raw[quotes - 1], (ord(","), ord("\n")))
-    last = np.isin(raw.take(quotes + 1, mode="clip"), (ord(","), ord("\r"), ord("\n")))
+    before, after = raw[quotes - 1], raw.take(quotes + 1, mode="clip")
+    first = (before == ord(",")) | (before == ord("\n"))
+    last = (after == ord(",")) | (after == ord("\r")) | (after == ord("\n"))
     last[-1:] |= quotes[-1:] == len(raw) - 1
     # Quotes i and i + 1 wrap a field when no comma or line end lies between
     # them; a quote in two such pairs would be a field of its own.
@@ -580,8 +686,7 @@ def _quotes(raw: np.ndarray, edges: np.ndarray, commas: np.ndarray) -> tuple[np.
                       == np.searchsorted(bounds, quotes[1:][opens], side)]
     wraps = np.zeros(len(quotes), dtype=bool)
     wraps[opens] = wraps[1:][opens] = True
-    return (_per_line(quotes, edges),
-            np.searchsorted(edges, quotes[~wraps], side="right") - 2)
+    return _per_line(quotes, edges), not wraps.all()
 
 
 def _bulk_values(
@@ -612,7 +717,8 @@ def _bulk_values(
     values, bad = _digit_values(raw, lo, hi)
     # A sign fails the first digit: read those cells again without it.
     cells = np.flatnonzero(bad)
-    cells = cells[np.isin(raw.take(lo.take(cells), mode="clip"), (ord("+"), ord("-")))]
+    sign = raw.take(lo.take(cells), mode="clip")
+    cells = cells[(sign == ord("+")) | (sign == ord("-"))]
     start = lo.take(cells) + 1
     magnitude, wrong = _digit_values(raw, start, start + hi.take(cells) - 1)
     values.put(cells, np.where(raw[start - 1] == ord("-"), -magnitude, magnitude))

@@ -12,8 +12,8 @@ from dataclasses import dataclass, fields
 from typing import Iterator, Mapping
 
 from .errors import ConfigError, DefinitionError, SatmetricError
-from .ingest import MissingPolicy, ResponseKind, ResponseSet, ValidationReport, \
-    parse_response_file
+from .ingest import MissingPolicy, ResponseKind, ResponseSet, ValidationReport, cut_lines, \
+    parse_response_file, parse_response_rows
 from .instrument import SurveyInstrument, load_instrument
 from .kano import DEFAULT_MULTIPLIERS, parse_multiplier_spec, prioritize
 from .psychometrics import DEFAULT_ALPHA_THRESHOLD, ReliabilityReport, VarianceMode, \
@@ -61,33 +61,66 @@ def _setting(name: str, value):
         raise ConfigError(str(exc)) from None
 
 
-#: The file size from which ``surveys`` parses one call's files concurrently,
-#: when at least two of them reach it.  Below it, thread start-up and GIL
-#: handoffs between many short numpy calls cost about what the overlap saves.
-#: A sweep of one ``gap`` call in-process (one setting per process, a 2-vCPU
-#: host): files with rejected rows gained from about 0.5 MB; clean files
-#: lost at 0.42 MB, were level from 0.5 to 1 MB and gained at 2.1 MB.  The
-#: sweep ran while glibc trimmed freed heap after every parse; a CLI process
-#: now keeps it after its first call (``cli._keep_freed_heap``), and the cut
-#: has not been swept again under that.
-CONCURRENT_BYTES = 512 * 1024
+#: The total size of one call's survey files from which ``surveys`` parses
+#: them in more than one lane.  Below it, thread start-up and GIL handoffs
+#: between many short numpy calls cost about what the overlap saves.  A
+#: sweep of warm ``gap`` calls in-process with the CLI heap setting on (a
+#: 2-vCPU host whose second CPU comes and goes; 20 to 30 interleaved pairs
+#: a size, one lane against two): files with rejected rows gained from a
+#: total of 1.5 MiB (13 of 20 pairs, 19 of 20 at 2.5 MiB) and lost at 0.5
+#: to 1 MiB; clean files lost up to 1 MiB, were level at 1.5 to 2.5 MiB,
+#: and at 5 MiB gained in 30 of 30 pairs in one run and 11 of 20 in another.
+#: The cut sits at the smallest total where neither kind lost.
+CONCURRENT_BYTES = 3 << 19  # 1.5 MiB
+#: The lanes of a call from CONCURRENT_BYTES on, or the usable CPUs if
+#: fewer.  Two, as swept: more lanes hand the GIL to each other more often,
+#: and have not been measured.
+LANES = 2
 
 
 def _lanes(paths: list[str]) -> int:
-    """How many lanes parse ``paths``: one unless two of the files reach
-    CONCURRENT_BYTES, else one per file up to the usable CPUs.  A file that
-    cannot be read counts as small; its error comes when it is parsed."""
-    sizes = []
+    """How many lanes parse ``paths``: one below CONCURRENT_BYTES of their
+    total size, else LANES or the usable CPUs, whichever is fewer.  A file
+    that cannot be read counts as empty; its error comes at its turn."""
+    total = 0
     for path in paths:
         try:
-            sizes.append(os.stat(path).st_size)
+            total += os.stat(path).st_size
         except (OSError, ValueError):
-            sizes.append(0)
-    if sum(size >= CONCURRENT_BYTES for size in sizes) < 2:
+            pass
+    if total < CONCURRENT_BYTES:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    return min(len(paths), cpus)
+    return min(LANES, cpus)
+
+
+class _Survey:
+    """One file of ``surveys`` and its jobs: job 0 reads it and cuts its
+    lines into blocks (ingest.cut_lines), or parses it with
+    parse_response_rows if the line route declines it as a whole; job
+    j > 0 parses block j - 1."""
+
+    def __init__(self, kind: ResponseKind, path: str) -> None:
+        self.kind, self.path = kind, path
+        self.data = self.blocks = self.parsed = self.error = None
+        self.jobs, self.taken, self.done = 1, 0, 0  # its blocks are jobs once it is cut
+
+    def run(self, job: int, instrument: SurveyInstrument,
+            policy: MissingPolicy) -> BaseException | None:
+        """Run job ``job``; returns what it raised, to be raised again by the
+        calling thread at the file's turn."""
+        try:
+            if job:
+                self.blocks.parse(job - 1)
+            else:
+                self.data = read_bytes(self.path)
+                self.blocks = cut_lines(self.data, instrument, self.kind)
+                if self.blocks is None:
+                    self.parsed = parse_response_rows(self.data, instrument, self.kind, policy)
+        except BaseException as exc:
+            return exc
+        return None
 
 
 def surveys(instrument: SurveyInstrument, policy: MissingPolicy | str, *paths: str | None,
@@ -96,65 +129,72 @@ def surveys(instrument: SurveyInstrument, policy: MissingPolicy | str, *paths: s
     for one not given), yielding each one's kind, path, responses and validation
     once its row diagnostics are on stderr, in one write rather than one per row.
 
-    Large files are parsed concurrently (see ``_lanes``): the calling thread
-    parses the first file, and it and up to one thread per other usable CPU
-    each take the next file not yet taken.  What the caller sees keeps file
-    order either way: a file's diagnostics are written, and an error from
-    reading or parsing it is raised, by the calling thread when that file's
-    turn comes.  Every thread has ended when the generator ends, raises or
-    is closed."""
+    Each file is parsed as jobs (see ``_Survey``): the first reads it and
+    cuts its lines into blocks, or parses it whole if the line route
+    declines it; each of the others parses one block.  With one lane (see
+    ``_lanes``), the calling thread runs each file's jobs at its turn.
+    With more, it and one thread per other lane each take the earliest job
+    not yet taken, every file's first job before any block and the blocks
+    in file order, so the blocks of one file, or of several, are parsed at
+    the same time.  What the caller sees keeps file order either way: the
+    calling thread joins a file's blocks, writes its diagnostics and raises
+    an error from reading or parsing it when that file's turn comes.  Every
+    thread has ended when the generator ends, raises or is closed."""
     policy = _setting("missing_policy", policy)
-    jobs = [(kind, path) for kind, path in zip(ResponseKind, paths) if path is not None]
-    done: list[tuple | None] = [None] * len(jobs)  # (responses, validation, error) per file
-    taken, stop = 1, False  # the calling thread parses the first file
+    files = [_Survey(kind, path) for kind, path in zip(ResponseKind, paths) if path is not None]
+    stop = False
     turn = threading.Condition()
 
-    def take() -> int | None:
-        nonlocal taken
-        with turn:
-            if stop or taken >= len(jobs):
-                return None
-            taken += 1
-            return taken - 1
+    def work(until: _Survey | None = None) -> None:
+        """Run jobs one after another: in a lane, the earliest job not yet
+        taken, until none is left and every file is cut; in the calling
+        thread, until file ``until`` has no job left to finish, taking only
+        its jobs when it is the only lane."""
+        pool = files if lanes or until is None else [until]
+        while True:
+            with turn:
+                while True:
+                    if stop or until is not None and until.done == until.jobs:
+                        return
+                    survey = next((s for s in pool if not s.taken), None) or \
+                        next((s for s in pool if s.taken < s.jobs), None)
+                    if survey is not None:
+                        break
+                    if until is None and all(s.done for s in files):
+                        return
+                    turn.wait()
+                job = survey.taken
+                survey.taken += 1
+            error = survey.run(job, instrument, policy)
+            with turn:
+                if not job and survey.blocks is not None:
+                    survey.jobs += len(survey.blocks)
+                survey.error = survey.error or error
+                survey.done += 1
+                turn.notify_all()
 
-    def parse(at: int) -> None:
-        kind, path = jobs[at]
-        try:
-            result = (*parse_response_file(read_bytes(path), instrument, kind, policy), None)
-        except BaseException as exc:  # raised again by the calling thread, in file order
-            result = None, None, exc
-        with turn:
-            done[at] = result
-            turn.notify_all()
-
-    def lane() -> None:
-        while (at := take()) is not None:
-            parse(at)
-
-    lanes = [threading.Thread(target=lane) for _ in range(1, _lanes([path for _, path in jobs]))]
+    lanes = [threading.Thread(target=work) for _ in range(1, _lanes([s.path for s in files]))]
     try:
         for thread in lanes:
             thread.start()
-        if jobs:
-            parse(0)
-        for at, (kind, path) in enumerate(jobs):
-            while done[at] is None:
-                if (job := take()) is not None:
-                    parse(job)
-                else:
-                    with turn:
-                        turn.wait_for(lambda: done[at] is not None)
-            responses, validation, error = done[at]
-            done[at] = ()  # the caller alone holds a set once it is handed on
+        for survey in files:
+            work(survey)
+            data, blocks, parsed, error = survey.data, survey.blocks, survey.parsed, survey.error
+            # the caller alone holds a set once it is handed on
+            survey.data = survey.blocks = survey.parsed = None
             if error is not None:
                 raise error
+            responses, validation = parsed or parse_response_file(
+                data, instrument, survey.kind, policy, blocks=blocks)
             if validation.rejected_rows:
-                sys.stderr.write("".join(f"{path}: row {row}, column {column}: {message} [{code}]\n"
-                                         for row, column, code, message in validation.diagnostics))
-            yield kind, path, responses, validation
+                sys.stderr.write("".join(
+                    f"{survey.path}: row {row}, column {column}: {message} [{code}]\n"
+                    for row, column, code, message in validation.diagnostics))
+            yield survey.kind, survey.path, responses, validation
     finally:
         with turn:
             stop = True
+            turn.notify_all()
         for thread in lanes:
             if thread.ident is not None:  # started
                 thread.join()

@@ -228,6 +228,26 @@ def _squared_multiple_corrs(cross: np.ndarray, varying: list[int]) -> dict[int, 
     return dict(zip(varying, np.clip(1.0 - 1.0 / inverse_diag, 0.0, 1.0).tolist()))
 
 
+def _rest_less_first_row(m: np.ndarray, i: int) -> np.ndarray:
+    """A_i = T - x_i of the float matrix ``m``, less its first row's value,
+    to about one rounding per row.  Where A_i nearly cancels, its plain row
+    sums carry an error of about eps times the sum of the rows' magnitudes,
+    which its moment cannot absorb; here each row sum is kept as an
+    unevaluated pair s + c by error-free TwoSum steps (Ogita, Rump and
+    Oishi's Sum2), so that subtracting the first row's pair cancels A_i's
+    common part exactly and rounds only the difference.  A shift leaves
+    every moment of A_i as it is."""
+    s, c = np.zeros(len(m)), np.zeros(len(m))
+    for j in range(m.shape[1]):
+        if j != i:
+            x = m[:, j]
+            t = s + x
+            z = t - s
+            c += (s - (t - z)) + (x - z)
+            s = t
+    return (s - s[0]) + (c - c[0])
+
+
 @np.errstate(all="ignore")  # _finite reports overflow
 def omitted_item_stats(matrix, item_ids: Sequence[int] | None = None) -> list[OmittedItemStats]:
     """Per-item omitted diagnostics over an N x k matrix (k >= 3, N >= 2).
@@ -243,11 +263,12 @@ def omitted_item_stats(matrix, item_ids: Sequence[int] | None = None) -> list[Om
     With r_i the sum of M's row i, A_i's moment is sum M - 2*r_i + M_ii,
     its moment with x_i r_i - M_ii and mean(A_i) (sum S - S_i) / N; on the
     float route an item whose A_i moment cancels to under 1/64 of N*(sum of
-    stdevs)**2 takes A_i from its columns.  SMC takes one eigendecomposition
-    of R, M scaled to unit diagonal, or when fewer than two items vary or R
-    is not finite or is rank-deficient (least/largest eigenvalue <= 1e-6:
-    N <= k, duplicated items, an item that is a linear combination of
-    others), a least-squares regression of each item on the others.
+    stdevs)**2 takes A_i from its columns, summed with compensation.  SMC
+    takes one eigendecomposition of R, M scaled to unit diagonal, or when
+    fewer than two items vary or R is not finite or is rank-deficient
+    (least/largest eigenvalue <= 1e-6: N <= k, duplicated items, an item
+    that is a linear combination of others), a least-squares regression of
+    each item on the others.
     """
     m, shared = _unpack(matrix)
     n, k = m.shape
@@ -265,7 +286,7 @@ def omitted_item_stats(matrix, item_ids: Sequence[int] | None = None) -> list[Om
     parts = [(total - 2 * r + d, r - d, trace - d) for r, d in zip(rows, diag)]
     bound = 0 if m.dtype.kind == "i" else math.fsum(map(math.sqrt, diag)) ** 2 / 64
     for i in [i for i, part in enumerate(parts) if part[0] < bound]:
-        pair = np.column_stack([m[:, i], m[:, np.arange(k) != i].sum(axis=1)])
+        pair = np.column_stack([m[:, i], _rest_less_first_row(m, i)])
         (_, cov), (_, adj) = _moments(pair, cross=True)[1].tolist()
         parts[i] = (adj, cov, math.fsum(diag[:i] + diag[i + 1:]))
     smc = _squared_multiple_corrs(cross, [i for i, d in enumerate(diag) if d != 0])

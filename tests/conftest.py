@@ -83,8 +83,8 @@ ALLOCATIONS = st.lists(st.integers(0, 20), min_size=4, max_size=4).map(
 
 
 def strict_result(data, instrument, kind, policy=ingest.MissingPolicy.DROP_ROW):
-    """parse_response_file's result if the line route's strict-file case
-    gave it, else None.  Every other way through the parser calls
+    """parse_response_file's result if the line route's strict case gave
+    it, in every block, else None.  Every other way through the parser calls
     _bulk_values, _check_record or csv.reader; a DataError that the strict
     case raises is raised again."""
     calls: list[str] = []

@@ -258,8 +258,8 @@ def _outcome(parse, data, instrument, kind, policy):
 
 #: The helpers of the line route, which the per-cell parser must not use.
 BULK_HELPERS = ("_digit_values", "_rows_with", "_texts", "_refused", "_invalid_allocations",
-                "_parse_lines", "_line_input", "_quotes", "_bulk_values", "_strip_spans",
-                "_id_keys", "_key_texts")
+                "_line_input", "_quotes", "_bulk_values", "_strip_spans", "_id_keys",
+                "_key_texts", "_formatted", "cut_lines")
 
 
 def _refuser(name: str):
@@ -274,7 +274,12 @@ def _line_route(data, instrument, kind, policy=MissingPolicy.DROP_ROW):
     with mock.patch.object(ingest, "_check_record", _refuser("_check_record")), \
             mock.patch.object(ingest, "_cell_error", _refuser("_cell_error")), \
             mock.patch.object(csv, "reader", _refuser("csv.reader")):
-        return ingest._parse_lines(data, instrument, kind, policy)
+        blocks = ingest.cut_lines(data, instrument, kind)
+        if blocks is None:
+            return None
+        for at in range(len(blocks)):
+            blocks.parse(at)
+        return blocks.result(policy) if all(blocks.parts) else None
 
 
 @contextlib.contextmanager
@@ -317,6 +322,83 @@ def test_bulk_route_matches_row_by_row_parser(case, names, data):
             assert _outcome(parse_response_file, payload, instrument, kind, policy) == reference
             if text is not None:
                 assert _outcome(parse_response_file, text, instrument, kind, policy) == reference
+
+
+#: Block budgets of the line route, in bytes: one line, a few lines and the whole file.
+BLOCK_BYTES = (1, 40, 1 << 40)
+
+
+def _declined(data, instrument, kind) -> bool:
+    """Whether the line route declines ``data``, in its whole-file step or in a
+    block.  Each block starts just after a line end."""
+    blocks = ingest.cut_lines(data, instrument, kind)
+    if blocks is None:
+        return True
+    for at in range(len(blocks)):
+        assert blocks.raw[blocks.edges[blocks.firsts[at]] - 1] == ord("\n")
+        blocks.parse(at)
+    return not all(blocks.parts)
+
+
+def _assert_blocks_agree(data, instrument, kind) -> None:
+    """parse_response_file's outcome under both policies, and whether the
+    line route declines the input, are the same for every block budget."""
+    outcomes = []
+    for budget in BLOCK_BYTES:
+        with mock.patch.object(ingest, "BLOCK_BYTES", budget):
+            outcomes.append([_declined(data, instrument, kind)] + [
+                _outcome(parse_response_file, data, instrument, kind, policy)
+                for policy in MissingPolicy])
+    assert outcomes[0] == outcomes[1] == outcomes[2], data
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(canonical_files(), st.lists(st.sampled_from(MUTATIONS), max_size=3), st.data())
+def test_block_budget_changes_nothing(case, names, data):
+    """Blocks of one line, of three lines and of the whole file give the same
+    sets, reports, DataErrors and declines, on the files that
+    test_bulk_route_matches_row_by_row_parser draws."""
+    instrument, kind, table, hi, eol, trailing = case
+    for payload in (_render(table, eol, trailing).encode("ascii"),
+                    _mutate(data.draw, table, hi, eol, trailing, names),
+                    _dress_utf8(data.draw, table, eol, trailing)):
+        _assert_blocks_agree(payload, instrument, kind)
+
+
+@pytest.mark.parametrize("edge", ["repeated_id", "blank_line", "crlf_line", "short_line",
+                                  "quoted_record"])
+@pytest.mark.parametrize("at", [2, 3], ids=["before_cut", "after_cut"])
+def test_block_boundary_cases(edge, at):
+    """Blocks of about 18 bytes, two lines of 9, with the edge case on data
+    line ``at`` beside a cut: an id that an earlier block holds, a blank
+    line, a line ended by \\r\\n, a line of one field too few, and a quoted
+    id that holds a line end, so that its record spans the cut when ``at``
+    is 2.  The line route declines only the last, whatever the blocks; each
+    gives the per-cell result."""
+    instrument = _instrument(3, 1, 5)
+    lines = [f"r{row},{row % 5 + 1},2,3" for row in range(1, 8)]
+    if edge == "repeated_id":
+        lines[at - 1] = "r1" + lines[at - 1][2:]
+    elif edge == "blank_line":
+        lines[at - 1] = ""
+    elif edge == "crlf_line":
+        lines[at - 1] += "\r"
+    elif edge == "short_line":
+        lines[at - 1] = lines[at - 1].rsplit(",", 1)[0]
+    else:
+        lines[at - 1] = f'"r{at}\nx"' + lines[at - 1][2:]
+    data = ("respondent_id,q1,q2,q3\n" + "\n".join(lines) + "\n").encode()
+    with mock.patch.object(ingest, "BLOCK_BYTES", 18):
+        cuts = set(ingest.cut_lines(data, instrument, ResponseKind.EXPECTATION).firsts)
+    last = at if edge == "quoted_record" else at - 1  # the edge case's last line
+    assert cuts & set(range(at - 1, last + 2))  # a cut before, inside or just after it
+    assert (at in cuts) >= (edge == "quoted_record" and at == 2)  # a cut inside the record
+    for budget in (18, *BLOCK_BYTES):
+        with mock.patch.object(ingest, "BLOCK_BYTES", budget):
+            assert _declined(data, instrument, ResponseKind.EXPECTATION) == \
+                (edge == "quoted_record")
+            _assert_routes_agree(data, instrument)
+    _assert_blocks_agree(data, instrument, ResponseKind.EXPECTATION)
 
 
 def test_utf8_lines_are_read_from_arrays_but_wide_padding():
@@ -760,8 +842,7 @@ def test_quoted_record_over_two_lines_takes_the_per_cell_route(column, xyz_instr
         quoted[70][column] = f'"{value[:1]}\n{value[1:]}"' if spans else f'"{value}"'
         data = (header + "\n" + "\n".join(",".join(row) for row in quoted) + "\n").encode()
         for payload in (data, data.decode()):
-            line_route = ingest._parse_lines(payload, xyz_instrument, ResponseKind.EXPECTATION,
-                                             MissingPolicy.DROP_ROW)
+            line_route = _line_route(payload, xyz_instrument, ResponseKind.EXPECTATION)
             assert (line_route is None) == spans
             for policy in MissingPolicy:
                 reference = _outcome(parse_response_rows, payload, xyz_instrument,
@@ -883,6 +964,15 @@ def test_line_route_ids_match_the_per_cell_parser(case):
         assert ("respondent_ids" not in vars(rs)) == lazy
         assert rs.respondent_ids == ids
         assert report == reference[-1]  # and after it
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(id_files())
+def test_block_budget_changes_no_id(case):
+    """The same across block budgets on the files of repeated and wide ids
+    that test_line_route_ids_match_the_per_cell_parser draws."""
+    instrument, kind, data = case
+    _assert_blocks_agree(data, instrument, kind)
 
 
 def test_line_route_set_survives_copies_comparison_and_repr(xyz_instrument):

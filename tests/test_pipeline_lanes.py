@@ -1,14 +1,17 @@
-"""pipeline.surveys parses large files concurrently, one lane per usable CPU.
+"""pipeline.surveys parses one call's files as block jobs in lanes: one lane
+below ``pipeline.CONCURRENT_BYTES`` of input, ``pipeline.LANES`` (two) from
+it on.
 
-The test files are far below ``pipeline.CONCURRENT_BYTES``, so each test
-moves that cut to 0 (every file counts as large) or to infinity (one lane)
-and, for the concurrent side, reports four usable CPUs.  Whatever the lanes,
-the caller sees the same yields, output, errors and order."""
+The test files are far below ``pipeline.CONCURRENT_BYTES`` and
+``ingest.BLOCK_BYTES``, so each test moves the lane cut to 1 byte or out of
+reach (one lane), reports four usable CPUs on the concurrent side and cuts
+each file into blocks of about BLOCK_LINES lines.  Whatever the lanes, the
+caller sees the same yields, output, errors and order."""
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 import os
 import shutil
 import sys
@@ -72,25 +75,33 @@ def _paths(study, case: str) -> list[str]:
     return [str(study / f"{shape}_{role}.csv") for role, shape in zip(ROLES, CASES[case])]
 
 
-def _lanes(monkeypatch, concurrent: bool, delay: float = 0.02,
-           lane_delay: float = 0.02) -> list[int]:
-    """Set the size cut for one side; on the concurrent side, report four
-    usable CPUs and return the list the threads that parse append to.  The
-    spy sleeps ``delay`` in the calling thread and ``lane_delay`` in the
-    others, releasing the GIL, so that another lane takes the next file."""
-    monkeypatch.setattr(pipeline, "CONCURRENT_BYTES", 0 if concurrent else math.inf)
-    parsers: list[int] = []
+#: About the lines to a block of a test file (17 items, about 40 bytes to a
+#: line), so that each file is several jobs.
+BLOCK_LINES = 10
+
+
+def _lanes(monkeypatch, concurrent: bool, delay: float = 0.02, lane_delay: float = 0.02,
+           kind_delays: dict | None = None) -> list[tuple[ResponseKind, int]]:
+    """Set the lane cut for one side and blocks of about BLOCK_LINES lines; on the
+    concurrent side, report four usable CPUs and return the list that each
+    block job appends its file's kind and its thread to.  The spy sleeps
+    ``delay`` in the calling thread and ``lane_delay`` in the others, or
+    ``kind_delays[kind]`` for a block of that kind, releasing the GIL, so
+    that another lane takes the next job."""
+    monkeypatch.setattr(pipeline, "CONCURRENT_BYTES", 1 if concurrent else sys.maxsize)
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 40 * BLOCK_LINES)
+    parsers: list[tuple[ResponseKind, int]] = []
     if concurrent:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        real = ingest.parse_response_file
+        real = ingest.LineBlocks.parse
 
-        def spy(*args):
-            parsers.append(threading.get_ident())
-            time.sleep(delay if threading.current_thread() is threading.main_thread()
-                       else lane_delay)
-            return real(*args)
+        def spy(blocks, at):
+            parsers.append((blocks.kind, threading.get_ident()))
+            main = threading.current_thread() is threading.main_thread()
+            time.sleep((kind_delays or {}).get(blocks.kind, delay if main else lane_delay))
+            return real(blocks, at)
 
-        monkeypatch.setattr(pipeline, "parse_response_file", spy)
+        monkeypatch.setattr(ingest.LineBlocks, "parse", spy)
     return parsers
 
 
@@ -132,9 +143,8 @@ def test_concurrent_parse_gives_what_one_lane_gives(study, tmp_path, monkeypatch
             outcomes[concurrent] = [_survey_outcome(study, case, policy, capsys)] + [
                 _cli_outcome(study, case, policy, command, tmp_path / "out", capsys)
                 for command in COMMAND_ROLES]
-        present = [shape != "missing" for shape in CASES[case]]
-        if concurrent and present[0] and sum(present) > 1:
-            assert len(set(parsers)) > 1, "one thread parsed every file"
+        if concurrent:
+            assert len({thread for _, thread in parsers}) > 1, "one thread parsed every block"
     assert outcomes[True] == outcomes[False]
     if CASES[case] == ("bad", "missing", "good"):  # the bad file comes first in both
         surveyed = outcomes[False][0]
@@ -143,6 +153,74 @@ def test_concurrent_parse_gives_what_one_lane_gives(study, tmp_path, monkeypatch
             assert surveyed[1].err == ""
         else:
             assert "cannot read" in surveyed[0][1] and "[row_length]" in surveyed[1].err
+
+
+def test_first_file_blocks_run_in_several_lanes(study, monkeypatch, capsys):
+    """The blocks of the first file alone are shared among the lanes, and
+    what surveys yields is what one lane yields."""
+    paths = _paths(study, "clean")
+    with monkeypatch.context() as patch:
+        _lanes(patch, False)
+        expected = list(surveys(xyz.xyz_instrument(), "drop_row", *paths))
+    parsers = _lanes(monkeypatch, True)
+    assert list(surveys(xyz.xyz_instrument(), "drop_row", *paths)) == expected
+    threads = {thread for kind, thread in parsers if kind is ResponseKind.EXPECTATION}
+    assert len(threads) > 1, "one thread parsed every block of the first file"
+    capsys.readouterr()
+
+
+def test_fail_from_a_later_block_waits_for_its_turn(study, tmp_path, monkeypatch, capsys):
+    """Under fail, a bad row in the third block of the first file raises the
+    one-lane error at that file's turn, while the second file's blocks are
+    still being parsed in other lanes, and every lane has ended once it is
+    raised."""
+    rows = xyz.xyz_instrument().n_items
+    lines = (study / "good_expect.csv").read_bytes().split(b"\n")
+    third = 2 * BLOCK_LINES + 5  # data row 25, in the third block
+    lines[third] = lines[third].rsplit(b",", 1)[0] + b",9"  # out_of_range
+    bad = tmp_path / "bad_third_block.csv"
+    bad.write_bytes(b"\n".join(lines))
+    paths = [str(bad), *_paths(study, "clean")[1:]]
+    with monkeypatch.context() as patch:
+        _lanes(patch, False)
+        with pytest.raises(SatmetricError) as one_lane:
+            list(surveys(xyz.xyz_instrument(), "fail", *paths))
+    assert str(one_lane.value) == f"row {third}, column q{rows}: value 9 outside scale [1, 5] " \
+        "[out_of_range]"
+    parsers = _lanes(monkeypatch, True, kind_delays={ResponseKind.EXPECTATION: 0.01,
+                                                     ResponseKind.PERCEPTION: 0.3})
+    firsts = ingest.cut_lines(bad.read_bytes(), xyz.xyz_instrument(),
+                              ResponseKind.EXPECTATION).firsts
+    assert firsts[2] <= third - 1 < firsts[3]  # data line third - 1 is data row third
+    busy = []  # at each join, the second file's blocks begun so far
+    real = ingest.LineBlocks.result
+
+    def joined(blocks, *args):
+        busy.append(sum(kind is ResponseKind.PERCEPTION for kind, _ in parsers))
+        return real(blocks, *args)
+
+    monkeypatch.setattr(ingest.LineBlocks, "result", joined)
+    before = threading.active_count()
+    survey = surveys(xyz.xyz_instrument(), "fail", *paths)
+    with pytest.raises(SatmetricError) as lanes:
+        next(survey)
+    assert str(lanes.value) == str(one_lane.value)
+    assert busy and busy[0] > 0, "no block of the second file had begun at the first's join"
+    assert threading.active_count() == before
+    capsys.readouterr()
+
+
+def test_one_lane_reads_each_file_at_its_turn(study, monkeypatch, capsys):
+    """With one lane, no file is read before its turn: under fail, an error
+    from the first file leaves the others unread."""
+    _lanes(monkeypatch, False)
+    read = []
+    real = pipeline.read_bytes
+    monkeypatch.setattr(pipeline, "read_bytes", lambda path: read.append(path) or real(path))
+    with pytest.raises(SatmetricError, match="row_length"):
+        list(surveys(xyz.xyz_instrument(), "fail", *_paths(study, "bad_expect")))
+    assert read == _paths(study, "bad_expect")[:1]
+    capsys.readouterr()
 
 
 def test_no_lane_outlives_surveys(study, monkeypatch, capsys):
@@ -161,6 +239,97 @@ def test_no_lane_outlives_surveys(study, monkeypatch, capsys):
     assert next(survey)[0] is ResponseKind.EXPECTATION
     survey.close()
     assert threading.active_count() == before
+    capsys.readouterr()
+
+
+def test_every_block_runs_once_under_a_short_switch_interval(study, monkeypatch, capsys):
+    """Eight lanes on blocks of one line each, with a short switch interval:
+    every block of every file is parsed exactly once, no file falls back to
+    parse_response_rows, and surveys yields what one lane yields, in every
+    case and under both policies."""
+    monkeypatch.setattr(ingest, "parse_response_rows", None)  # a call would raise
+    expected = {}
+    with monkeypatch.context() as patch:
+        _lanes(patch, False)
+        for case, policy in itertools.product(CASES, ("drop_row", "fail")):
+            expected[case, policy] = _survey_outcome(study, case, policy, capsys)
+    monkeypatch.setattr(pipeline, "CONCURRENT_BYTES", 1)
+    monkeypatch.setattr(pipeline, "LANES", 8)
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    parsed: list[tuple[ResponseKind, int]] = []
+    real = ingest.LineBlocks.parse
+
+    def spy(blocks, at):
+        parsed.append((blocks.kind, at))
+        return real(blocks, at)
+
+    monkeypatch.setattr(ingest.LineBlocks, "parse", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for (case, policy), outcome in expected.items():
+            parsed.clear()
+            before = threading.active_count()
+            assert _survey_outcome(study, case, policy, capsys) == outcome, (case, policy)
+            assert threading.active_count() == before
+            assert len(parsed) == len(set(parsed)), "a block was parsed twice"
+            assert parsed, "no block was parsed"
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus, sizes, lanes", [
+    (4, (10, 19), 1), (4, (10, 20), 2), (4, (30,), 2), (1, (10, 20), 1), (4, (10, None), 1),
+    (4, (30, None), 2)])
+def test_lanes_are_one_cut_on_the_total_size(tmp_path, monkeypatch, cpus, sizes, lanes):
+    """One lane below CONCURRENT_BYTES of files in all, LANES or the usable
+    CPUs from it on, one file or several; a file that cannot be read counts
+    as empty."""
+    monkeypatch.setattr(pipeline, "CONCURRENT_BYTES", 30)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    paths = []
+    for at, size in enumerate(sizes):
+        paths.append(str(tmp_path / f"{at}.csv"))
+        if size is not None:
+            (tmp_path / f"{at}.csv").write_bytes(b"x" * size)
+    assert pipeline.LANES == 2
+    assert pipeline._lanes(paths) == lanes
+
+
+def test_declined_files_are_parsed_in_the_lanes(study, tmp_path, monkeypatch, capsys):
+    """Files that the line route declines as a whole (a bare CR) are read
+    and cut once each, and parsed by parse_response_rows in the lanes, more
+    than one at a time; surveys yields what one lane yields."""
+    paths = []
+    for role in ROLES:
+        lines = (study / f"good_{role}.csv").read_bytes().split(b"\n")
+        lines[2:4] = [lines[2] + b"\r" + lines[3]]  # data row 2 ends in a lone CR
+        paths.append(str(tmp_path / f"{role}.csv"))
+        (tmp_path / f"{role}.csv").write_bytes(b"\n".join(lines))
+    with monkeypatch.context() as patch:
+        _lanes(patch, False)
+        expected = list(surveys(xyz.xyz_instrument(), "drop_row", *paths))
+    _lanes(monkeypatch, True)
+    cut, parsed = [], []
+    real_cut, real_rows = pipeline.cut_lines, pipeline.parse_response_rows
+
+    def cut_spy(data, instrument, kind):
+        cut.append(kind)
+        blocks = real_cut(data, instrument, kind)
+        assert blocks is None
+        return blocks
+
+    def rows_spy(*args):
+        parsed.append(threading.get_ident())
+        time.sleep(0.05)
+        return real_rows(*args)
+
+    monkeypatch.setattr(pipeline, "cut_lines", cut_spy)
+    monkeypatch.setattr(pipeline, "parse_response_rows", rows_spy)
+    assert list(surveys(xyz.xyz_instrument(), "drop_row", *paths)) == expected
+    assert sorted(cut) == sorted(ResponseKind)
+    assert len(parsed) == 3 and len(set(parsed)) > 1, "one thread parsed every declined file"
     capsys.readouterr()
 
 

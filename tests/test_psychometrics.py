@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import alpha_covariance_oracle, exact_statistics, examples, \
     omitted_item_stats_oracle, ulps
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -381,6 +381,23 @@ def test_omitted_item_stats_matches_per_item_oracle(case, data):
                     assert a == pytest.approx(b, rel=1e-12, abs=1e-12), name
     if exact:
         assert_within_ulp_bounds(matrix)
+
+
+@example(seed=2_226_790_759)  # N = 2, k = 11: A_i cancels by about 10**7 on items 8 and 10
+@settings(max_examples=examples(50), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_float_omitted_item_stats_match_exact_arithmetic(seed):
+    """The float route against exact Fraction arithmetic on the float case's
+    matrices, to 1e-12 relative, where the adjusted total nearly cancels too."""
+    matrix = _normal_matrix(seed)
+    exact = exact_statistics(np.array([[Fraction(x) for x in row] for row in matrix.tolist()],
+                                      dtype=object))
+    for got, want in zip(omitted_item_stats(matrix), exact["omitted"], strict=True):
+        for name, b in want.items():
+            a = getattr(got, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-12), name
 
 
 def test_full_rank_matrix_needs_no_per_item_alpha_or_regression(monkeypatch):
