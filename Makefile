@@ -3,6 +3,7 @@
 PYTHON ?= python3
 W ?= tall
 SEED ?= 1
+SEEDS ?= 1 7
 PAIRS ?= 10
 RUNS ?= 10
 TIER1 = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
@@ -46,7 +47,8 @@ help:
 	@echo "                  sets --missing-policy; the parsed set and the repr of its"
 	@echo "                  ValidationReport of each response CSV"
 	@echo "make digest-diff  make digest with the src/ of git revision BASE=<rev> and of the"
-	@echo "                  working tree; prints the diff and fails on any difference: SEED=<n>"
+	@echo "                  working tree at each seed of SEEDS=\"<n> ...\" (default \"1 7\"), in"
+	@echo "                  turn; prints the first diff and fails on it"
 
 test:
 	$(TIER1)
@@ -94,9 +96,12 @@ digest:
 # perfbench workloads, so a digest that gains lines still compares cleanly.
 # Uncommitted changes count on the working-tree side only.
 digest-diff:
-	@test -n "$(BASE)" || { echo "usage: make digest-diff BASE=<rev> [SEED=<n>]" >&2; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make digest-diff BASE=<rev> [SEEDS=\"<n> ...\"]" >&2; exit 2; }
 	@base=$$(mktemp -d) && trap 'rm -rf "$$base"' EXIT && \
 	git archive "$(BASE)" src | tar -x -C "$$base" && \
-	PYTHONPATH="$$base/src" $(PYTHON) tools/digest.py --seed $(SEED) > "$$base/digest.txt" && \
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) tools/digest.py --seed $(SEED) \
-		| diff "$$base/digest.txt" - && echo "no difference from $(BASE) at SEED=$(SEED)"
+	for seed in $(SEEDS); do \
+		PYTHONPATH="$$base/src" $(PYTHON) tools/digest.py --seed $$seed > "$$base/digest.txt" && \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) tools/digest.py --seed $$seed \
+			| diff "$$base/digest.txt" - && echo "no difference from $(BASE) at SEED=$$seed" \
+			|| exit 1; \
+	done

@@ -21,7 +21,8 @@ errors.
   non-empty and every cell 1 to 18 digits.  Any other block has all its
   lines classified at once, and each line is one record, read with array
   arithmetic too: its comma split without the quotes that wrap a field
-  (its first and last byte), as csv.reader reads it, and so is its
+  (its first and last byte; quotes pair by position, the block's quote 2j
+  with quote 2j + 1, see _quotes), as csv.reader reads it, and so is its
   diagnostic: blank, ``row_length``, ``empty_id``, or its first cell that
   str.strip() does not leave as an optional sign and 1 to 18 digits;
   _refused checks the values of the rows it converts.  Non-ASCII lines
@@ -55,9 +56,11 @@ errors.
   the input for a quote or a long cell in it.  LineBlocks.result joins the
   blocks (repeated ids across them, diagnostics in file order and the
   first error under fail), or hands a declined input to
-  parse_response_rows.  A block's temporaries, some of them several arrays
-  of a block's cells, never grow with the file.  parse_response_file runs
-  the blocks in order; pipeline.surveys runs them as jobs in its lanes.
+  parse_response_rows as the bytes that cut_lines checked, which decode
+  to the text of the input as given.  A block's temporaries, some of them
+  several arrays of a block's cells, never grow with the file.
+  parse_response_file runs the blocks in order; pipeline.surveys runs them
+  as jobs in its lanes.
 * Per-cell: parse_response_rows reads every record with csv.reader and
   checks it cell by cell.  It reads every input the line route declines.
 
@@ -491,7 +494,7 @@ def cut_lines(data: bytes | str, instrument: SurveyInstrument,
         edges = np.append(edges, len(raw))
     if np.diff(edges).max() >= csv.field_size_limit():
         return None
-    return LineBlocks(data, encoded, raw, odd, kinds, edges[1:], instrument, kind, expected)
+    return LineBlocks(encoded, raw, odd, kinds, edges[1:], instrument, kind, expected)
 
 
 class LineBlocks:
@@ -501,10 +504,9 @@ class LineBlocks:
     any thread; ``result`` then joins the blocks.  Data line i (from 0) is
     data row i + 1."""
 
-    def __init__(self, source: bytes | str, data: bytes, raw: np.ndarray, odd: np.ndarray,
-                 kinds: np.ndarray, edges: np.ndarray, instrument: SurveyInstrument,
-                 kind: ResponseKind, expected: list[str]) -> None:
-        self.source = source  # the input as given, for parse_response_rows
+    def __init__(self, data: bytes, raw: np.ndarray, odd: np.ndarray, kinds: np.ndarray,
+                 edges: np.ndarray, instrument: SurveyInstrument, kind: ResponseKind,
+                 expected: list[str]) -> None:
         self.data, self.raw, self.odd, self.kinds = data, raw, odd, kinds
         self.edges = edges  # data line i is raw[edges[i]:edges[i + 1]], line end included
         self.instrument, self.kind, self.expected = instrument, kind, expected
@@ -559,8 +561,8 @@ class LineBlocks:
                                                                           grid))
                     return lines, _id_keys(raw, starts, grid[:, 0]), values, errors
 
-        quoted, loose = _quotes(raw, edges, commas)
-        if loose:  # a quote that wraps no field, which only csv.reader reads
+        quoted = _quotes(raw, edges, commas)
+        if quoted is None:  # a quote that wraps no field, which only csv.reader reads
             return None
         pad = odd[_PAD[kinds]]
         pads = _per_line(pad, edges)
@@ -605,12 +607,14 @@ class LineBlocks:
     def result(self, policy: MissingPolicy) -> tuple[ResponseSet, ValidationReport]:
         """parse_response_file's result, once each block not parsed yet has
         run, in order: _result on the blocks' accepted rows, in file order,
-        or parse_response_rows' if a block declined the input."""
+        or parse_response_rows' on ``data`` if a block declined the input:
+        cut_lines has checked that it is UTF-8, removed any byte-order mark
+        and matched the header, so it reads as the input as given."""
         for at, part in enumerate(self.parts):
             if part is None:
                 self.parse(at)
         if not all(self.parts):
-            return parse_response_rows(self.source, self.instrument, self.kind, policy)
+            return parse_response_rows(self.data, self.instrument, self.kind, policy)
         if len(self.parts) == 1:
             lines, ids, values, errors = self.parts[0]
             errors = list(errors)  # _result extends and sorts it
@@ -664,29 +668,24 @@ def _per_line(offsets: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.diff(np.searchsorted(offsets, edges))
 
 
-def _quotes(raw: np.ndarray, edges: np.ndarray, commas: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The quote count of each line raw[edges[i]:edges[i + 1]], and whether
-    one of those quotes does not wrap a field: two quotes wrap one when they
-    are its first and last byte and it holds no other quote.  ``commas``
-    holds the lines' comma offsets.  An array with an entry per quote goes
-    once used: a file may be all quotes."""
+def _quotes(raw: np.ndarray, edges: np.ndarray, commas: np.ndarray) -> np.ndarray | None:
+    """The quote count of each line raw[edges[i]:edges[i + 1]], or None if
+    one of those quotes wraps no field.  Every quote wraps a field exactly
+    when, for each j, quotes 2j and 2j + 1 are the first and last byte of
+    one field: a comma or LF comes before the first, a comma, CR, LF or the
+    end of the file after the second, and no comma or line end lies between
+    them.  ``commas`` holds the lines' comma offsets."""
     quotes = np.flatnonzero(raw[edges[0]:edges[-1]] == ord('"')) + edges[0]
-    # The quotes that start a field, and those that end one: before a comma,
-    # a line end (every \r is one) or the end of the file.
-    before, after = raw[quotes - 1], raw.take(quotes + 1, mode="clip")
-    first = (before == ord(",")) | (before == ord("\n"))
-    last = (after == ord(",")) | (after == ord("\r")) | (after == ord("\n"))
-    last[-1:] |= quotes[-1:] == len(raw) - 1
-    # Quotes i and i + 1 wrap a field when no comma or line end lies between
-    # them; a quote in two such pairs would be a field of its own.
-    opens = np.flatnonzero(first[:-1] & last[1:])
-    del first, last
+    if len(quotes) % 2:
+        return None
+    opens, shuts = quotes[0::2], quotes[1::2]
+    before, after = raw[opens - 1], raw.take(shuts + 1, mode="clip")
+    wraps = ((before == ord(",")) | (before == ord("\n"))) & (
+        (after == ord(",")) | (after == ord("\r")) | (after == ord("\n"))
+        | (shuts == len(raw) - 1))
     for bounds, side in ((commas, "left"), (edges, "right")):
-        opens = opens[np.searchsorted(bounds, quotes[opens], side)
-                      == np.searchsorted(bounds, quotes[1:][opens], side)]
-    wraps = np.zeros(len(quotes), dtype=bool)
-    wraps[opens] = wraps[1:][opens] = True
-    return _per_line(quotes, edges), not wraps.all()
+        wraps &= np.searchsorted(bounds, opens, side) == np.searchsorted(bounds, shuts, side)
+    return _per_line(quotes, edges) if wraps.all() else None
 
 
 def _bulk_values(

@@ -52,7 +52,8 @@ def resolve_multipliers(
 
 
 def parse_multiplier_spec(spec: str) -> dict[KanoCategory, float]:
-    """Parse ``must_be=2,performance=1,...`` into a multiplier mapping."""
+    """Parse ``must_be=2,performance=1,...`` into a multiplier mapping; a
+    category may be named once."""
     overrides: dict[str, float] = {}
     for part in spec.split(","):
         part = part.strip()
@@ -61,10 +62,13 @@ def parse_multiplier_spec(spec: str) -> dict[KanoCategory, float]:
         if "=" not in part:
             raise DefinitionError(f"bad multiplier entry {part!r}, expected category=value")
         key, _, raw = part.partition("=")
+        key = key.strip()
+        if key in overrides:
+            raise DefinitionError(f"multiplier for {key!r} is given more than once")
         try:
-            overrides[key.strip()] = float(raw)
+            overrides[key] = float(raw)
         except ValueError:
-            raise DefinitionError(f"bad multiplier value {raw!r} for {key.strip()!r}") from None
+            raise DefinitionError(f"bad multiplier value {raw!r} for {key!r}") from None
     return resolve_multipliers(overrides)
 
 

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ComputationError, DefinitionError
-from .schema import read, read_json
+from .schema import read, read_json, write
 
 STRENGTH_VALUES = (0, 1, 3, 9)
 ROOF_SIGNS = ("positive", "negative")
@@ -188,16 +188,9 @@ def load_hoq(path) -> HouseOfQuality:
 
 
 def serialize_hoq(hoq: HouseOfQuality) -> dict:
-    """Serialize back to the definition-document shape (round-trips)."""
-    doc: dict = {
-        "customer_reqs": [{"id": cr.id, "name": cr.name, "importance": cr.importance}
-                          for cr in hoq.customer_reqs],
-        "tech_reqs": [{"id": tr.id, "name": tr.name} for tr in hoq.tech_reqs],
-        "relationships": [[int(v) for v in row] for row in hoq.relationships],
-        "roof": [{"i": e.i, "j": e.j, "sign": e.sign} for e in hoq.roof],
-    }
-    if hoq.benchmarks is not None:
-        doc["benchmarks"] = hoq.benchmarks
-    if hoq.ctq_tree is not None:
-        doc["ctq_tree"] = hoq.ctq_tree
-    return doc
+    """Serialize back to the definition-document shape (round-trips): the
+    fields of :class:`HouseOfQualityDoc` in its order, an absent annotation
+    left out."""
+    doc = HouseOfQualityDoc(hoq.customer_reqs, hoq.tech_reqs, hoq.relationships.tolist(),
+                            hoq.roof, hoq.benchmarks, hoq.ctq_tree)
+    return {key: value for key, value in write(doc).items() if value is not None}

@@ -34,7 +34,7 @@ from .errors import DefinitionError, SatmetricError
 from .ingest import ValidationReport
 from .instrument import DIMENSION_ORDER, SurveyInstrument
 from .kano import KanoPriority
-from .psychometrics import ItemDescriptives, ReliabilityReport
+from .psychometrics import ItemDescriptives, ReliabilityReport, reliability_gate
 from .qfd import HouseOfQuality, build_hoq, serialize_hoq
 from .rootcause import FishboneTree, ParetoTable, branch_magnitudes, build_fishbone, \
     serialize_fishbone
@@ -234,7 +234,7 @@ def _check_derived(gap: GapReport, kano, pareto: ParetoTable | None) -> None:
     3.12 on, so a report saved on another version may differ in the last bit."""
     for name in ("reliability_expectation", "reliability_perception"):
         r = getattr(gap, name)
-        if r is not None and r.passes_gate != (r.alpha > r.threshold):
+        if r is not None and r.passes_gate != reliability_gate(r.alpha, r.threshold):
             raise DefinitionError(f"report gap_report.{name}.passes_gate {r.passes_gate} disagrees "
                                   f"with alpha {r.alpha} against threshold {r.threshold}")
     rows = pareto.rows if pareto else ()

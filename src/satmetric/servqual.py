@@ -19,7 +19,7 @@ from .psychometrics import ItemDescriptives, ReliabilityReport
 from .schema import integer, number
 
 #: Allowed drift of the importance means' sum away from 100 points.
-DEFAULT_WEIGHT_SUM_TOLERANCE = 0.25
+WEIGHT_SUM_TOLERANCE = 0.25
 
 
 class Satisfaction(str, Enum):
@@ -97,28 +97,24 @@ def item_gaps(
     ]
 
 
-def importance_weights(
-    importance: ResponseSet,
-    tolerance: float = DEFAULT_WEIGHT_SUM_TOLERANCE,
-) -> ImportanceWeights:
+def importance_weights(importance: ResponseSet) -> ImportanceWeights:
     """Column means of an importance response set, keyed by dimension."""
     if importance.kind is not ResponseKind.IMPORTANCE:
         raise DataError(f"expected an importance response set, got {importance.kind.value}")
     sums = importance.values.sum(axis=0)
     n = importance.n_respondents
     means = {dim: float(total) / n for dim, total in zip(IMPORTANCE_COLUMNS, sums)}
-    return weights_from_means(means, n_respondents=n, tolerance=tolerance)
+    return weights_from_means(means, n_respondents=n)
 
 
 def weights_from_means(
     means: Mapping[str, float],
     n_respondents: int | None = None,
-    tolerance: float = DEFAULT_WEIGHT_SUM_TOLERANCE,
 ) -> ImportanceWeights:
     """Build ImportanceWeights from already-averaged dimension allocations.
 
     The five dimensions must all be present and nonnegative, and their sum
-    must lie within ``tolerance`` of 100 points.
+    must lie within ``WEIGHT_SUM_TOLERANCE`` of 100 points.
     """
     if not isinstance(means, Mapping):
         raise DefinitionError("importance means must be a dimension -> points object")
@@ -133,9 +129,9 @@ def weights_from_means(
     clean = {dim: number(means[dim], f"importance for {dim}", minimum=0)
              for dim in DIMENSION_ORDER}
     total = sum(clean.values())
-    if abs(total - 100.0) > tolerance:
+    if abs(total - 100.0) > WEIGHT_SUM_TOLERANCE:
         raise DefinitionError(
-            f"importance means sum to {total!r}, outside 100 +/- {tolerance}"
+            f"importance means sum to {total!r}, outside 100 +/- {WEIGHT_SUM_TOLERANCE}"
         )
     return ImportanceWeights(means=clean, n_respondents=n_respondents, sum_of_means=total)
 

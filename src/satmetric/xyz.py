@@ -102,21 +102,18 @@ def xyz_weights() -> ImportanceWeights:
     return weights_from_means(importance_means(), n_respondents=N_IMPORTANCE)
 
 
+def _descriptives(totals, variances) -> list[ItemDescriptives]:
+    return [ItemDescriptives(item_id=i, mean=total / N_LIKERT, variance=var, n=N_LIKERT)
+            for i, (total, var) in enumerate(zip(totals, variances), start=1)]
+
+
 def expectation_descriptives() -> list[ItemDescriptives]:
     """Descriptives fixture built from the published aggregates."""
-    return [
-        ItemDescriptives(item_id=i, mean=total / N_LIKERT, variance=var, n=N_LIKERT)
-        for i, (total, var) in enumerate(zip(EXPECTATION_TOTALS, EXPECTATION_VARIANCES),
-                                         start=1)
-    ]
+    return _descriptives(EXPECTATION_TOTALS, EXPECTATION_VARIANCES)
 
 
 def perception_descriptives() -> list[ItemDescriptives]:
-    return [
-        ItemDescriptives(item_id=i, mean=total / N_LIKERT, variance=var, n=N_LIKERT)
-        for i, (total, var) in enumerate(zip(PERCEPTION_TOTALS, PERCEPTION_VARIANCES),
-                                         start=1)
-    ]
+    return _descriptives(PERCEPTION_TOTALS, PERCEPTION_VARIANCES)
 
 
 def _load_data(name: str) -> dict:

@@ -296,6 +296,18 @@ class TestGapPipeline:
         report = json.loads((xyz_dir / "km" / "xyz.report.json").read_text())
         assert report["metadata"]["config"]["kano_multipliers"]["must_be"] == 2.0
 
+    def test_repeated_kano_category_is_1(self, xyz_dir, capsys):
+        rc = main(["gap", "--instrument", str(xyz_dir / "xyz.json"),
+                   "--expect", str(xyz_dir / "e.csv"),
+                   "--perceive", str(xyz_dir / "p.csv"),
+                   "--weights", str(xyz_dir / "weights.json"),
+                   "--kano-multipliers", "must_be=2, must_be =0",
+                   "--out", str(xyz_dir / "twice" / "xyz")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: multiplier for 'must_be' is given more than once\n"
+        assert not (xyz_dir / "twice").exists()
+
     @pytest.mark.parametrize("case", ["kano_multiplier", "hoq_importance"])
     def test_overflowing_finite_input_is_1(self, xyz_dir, capsys, case):
         # each input is finite, but the priority score or the HoQ weight sum is not

@@ -855,6 +855,72 @@ def test_quoted_record_over_two_lines_takes_the_per_cell_route(column, xyz_instr
             assert rs.values[70].tolist() == [int(cell.strip('"')) for cell in quoted[70][1:]]
 
 
+#: Quote shapes on data row 2 of a three-item file, between rows r1 and r3
+#: (a line without a final newline ends the file): the line, whether the
+#: line route declines the file in its block, the ids accepted and the
+#: (row, code) rejections.
+QUOTE_SHAPES = {
+    "quoted_cell": ('r2,"1",2,3\n', False, ("r1", "r2", "r3"), []),
+    "empty_quoted_cell": ('r2,1,"",3\n', False, ("r1", "r3"), [(2, "missing")]),
+    "padded_inside_quotes": ('r2,1," 1 ",3\n', False, ("r1", "r2", "r3"), []),
+    "quoted_last_cell_before_crlf": ('r2,1,2,"3"\r\n', False, ("r1", "r2", "r3"), []),
+    "quoted_last_cell_at_eof": ('r2,1,2,"3"', False, ("r1", "r2"), []),
+    "doubled_quote_in_id": ('"a""b",1,2,3\n', True, ("r1", 'a"b', "r3"), []),
+    "comma_in_id": ('"X, J",1,2,3\n', True, ("r1", "X, J", "r3"), []),
+    "lone_quote": ('r2,1,",3\n', True, ("r1",), [(2, "row_length")]),
+    "quote_inside_cell": ('r2,1"2,2,3\n', True, ("r1", "r3"), [(2, "not_an_integer")]),
+    "text_after_closing_quote": ('r2,"1"2,2,3\n', True, ("r1", "r3"), [(2, "out_of_range")]),
+    "escaped_quote_alone": ('r2,"""",2,3\n', True, ("r1", "r3"), [(2, "not_an_integer")]),
+    "space_before_opening_quote": ('r2, "1",2,3\n', True, ("r1", "r3"),
+                                   [(2, "not_an_integer")]),
+}
+
+
+@pytest.mark.parametrize("shape", QUOTE_SHAPES)
+def test_quote_shapes(shape):
+    """The line route reads an id or cell whose only quotes are its first and
+    last byte, and declines any other quote in the block that holds it;
+    either way parse_response_file gives parse_response_rows' outcome, from
+    bytes and from str, under both policies (csv.reader reads '"1"2' as 12)."""
+    line, declined, ids, rejected = QUOTE_SHAPES[shape]
+    instrument = _instrument(3, 1, 5)
+    text = "respondent_id,q1,q2,q3\nr1,1,2,3\n" + line
+    text += "r3,4,5,1\n" if line.endswith("\n") else ""
+    for payload in (text.encode(), text):
+        assert ingest.cut_lines(payload, instrument, ResponseKind.EXPECTATION) is not None
+        assert (_line_route(payload, instrument, ResponseKind.EXPECTATION) is None) == declined
+        _assert_routes_agree(payload, instrument)
+        rs, report = parse_response_file(payload, instrument, ResponseKind.EXPECTATION)
+        assert rs.respondent_ids == ids
+        assert [(err.row, err.code) for err in report.row_errors] == rejected
+
+
+@pytest.mark.parametrize("form", ["str", "bytes", "bom_bytes"])
+def test_block_decline_reads_the_input_as_given(form, monkeypatch):
+    """A loose quote in the second block hands the input to
+    parse_response_rows, which reads the bytes that cut_lines checked: the
+    outcome is parse_response_rows' on the input as given, under both
+    policies, for a str, for bytes and for bytes after a byte-order mark."""
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 30)
+    instrument = _instrument(3, 1, 5)
+    lines = ["r1,1,2,3", "\u00e92,4,5,1", "r3,1,,2", 'r4,1"2,2,3', "r5,2,2,2", "r6,3,3,3"]
+    text = "respondent_id,q1,q2,q3\r\n" + "\n".join(lines) + "\n"
+    payload = {"str": text, "bytes": text.encode(),
+               "bom_bytes": codecs.BOM_UTF8 + text.encode()}[form]
+    blocks = ingest.cut_lines(payload, instrument, ResponseKind.EXPECTATION)
+    for at in range(len(blocks)):
+        blocks.parse(at)
+    assert [bool(part) for part in blocks.parts] == [True, False]
+    for policy in MissingPolicy:
+        assert _outcome(parse_response_file, payload, instrument, ResponseKind.EXPECTATION,
+                        policy) == _outcome(parse_response_rows, payload, instrument,
+                                            ResponseKind.EXPECTATION, policy)
+    rs, report = parse_response_file(payload, instrument, ResponseKind.EXPECTATION)
+    assert rs.respondent_ids == ("r1", "\u00e92", "r5", "r6")
+    assert [(err.row, err.code) for err in report.row_errors] == \
+        [(3, "missing"), (4, "not_an_integer")]
+
+
 #: Cells and allocation rows that trip one rejection code each, and accepted
 #: spellings of a valid cell, as survey tools export them.
 BAD_CELLS = {"missing": "", "not_an_integer": "3.0", "out_of_range": "6"}

@@ -61,6 +61,16 @@ class TestMultipliers:
         with pytest.raises(DefinitionError, match=">= 0"):
             resolve_multipliers({"must_be": -1})
 
+    @pytest.mark.parametrize("spec, name", [("must_be=2,must_be=0", "must_be"),
+                                            ("must_be=2, must_be =2", "must_be"),
+                                            ("delighter=1,performance=1,delighter=1",
+                                             "delighter")])
+    def test_repeated_category_rejected(self, spec, name):
+        """A category named twice is refused, not overwritten by the later
+        entry; names are compared once stripped."""
+        with pytest.raises(DefinitionError, match=f"multiplier for '{name}' is given more than"):
+            parse_multiplier_spec(spec)
+
 
 class TestPrioritize:
     def test_performance_item_score_is_weighted_gap(self, xyz_weights):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satmetric.errors import DefinitionError
-from satmetric.qfd import build_hoq, roof_conflicts, serialize_hoq
+from satmetric.qfd import HouseOfQualityDoc, build_hoq, roof_conflicts, serialize_hoq
 from satmetric import xyz
 
 
@@ -155,6 +156,27 @@ class TestShippedExample:
         doc = serialize_hoq(hoq)
         assert doc["benchmarks"] == hoq.benchmarks
         assert build_hoq(doc).importances == hoq.importances
+
+    @pytest.mark.parametrize("extra", [{}, {"benchmarks": {}, "ctq_tree": []},
+                                       {"ctq_tree": {"root": None}}],
+                             ids=["absent", "empty", "ctq_tree_only"])
+    def test_serialized_keys_follow_the_document(self, extra):
+        """serialize_hoq writes HouseOfQualityDoc's fields in their declared
+        order; an annotation is left out when absent and kept when present,
+        even empty."""
+        hoq = simple_hoq([1, 2], [[9, 0], [1, 3]], roof=[{"i": 1, "j": 0, "sign": "negative"}],
+                         **extra)
+        doc = serialize_hoq(hoq)
+        declared = [field.name for field in dataclasses.fields(HouseOfQualityDoc)]
+        assert list(doc) == [name for name in declared if name not in {
+            "benchmarks", "ctq_tree"} - set(extra)]
+        assert {name: doc[name] for name in extra} == extra
+        assert doc["customer_reqs"][0] == {"id": "c1", "name": "customer req 1", "importance": 1.0}
+        assert doc["tech_reqs"][1] == {"id": "t2", "name": "tech req 2"}
+        assert doc["relationships"] == [[9, 0], [1, 3]]
+        assert [type(v) for row in doc["relationships"] for v in row] == [int] * 4
+        assert doc["roof"] == [{"i": 0, "j": 1, "sign": "negative"}]
+        assert serialize_hoq(build_hoq(json.loads(json.dumps(doc)))) == doc
 
     def test_annotations_are_read_as_plain_json_data(self):
         """numpy numbers become int and float, a tuple a list, so the

@@ -210,7 +210,7 @@ class TestProperties:
         p = descriptives_from(rng.uniform(1, 5, 5).tolist())
         raw = rng.uniform(0, 1, 5)
         alloc = raw / raw.sum() * 100.0
-        weights = weights_from_means(dict(zip(DIMENSION_ORDER, alloc)), tolerance=0.25)
+        weights = weights_from_means(dict(zip(DIMENSION_ORDER, alloc)))
         report = compute_gap_report(e, p, weights, instrument)
         for score in report.dimension_scores:
             assert score.weighted == pytest.approx(

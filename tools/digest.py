@@ -29,8 +29,8 @@ exactly when their outputs are byte-identical:
     PYTHONPATH=src python3 tools/digest.py --seed 5 > after.txt
     diff before.txt after.txt
 
-``make digest-diff BASE=<rev> SEED=5`` does this with the ``src`` of a git
-revision on the first line.  Run from the repository root (``make digest``
+``make digest-diff BASE=<rev> SEEDS="1 7"`` does this at each seed in turn
+with the ``src`` of a git revision on the first line.  Run from the repository root (``make digest``
 runs it on this checkout's ``src``).
 """
 
