@@ -45,7 +45,8 @@ help:
 	@echo "                  a bare means object; descriptives with --variance-mode sample;"
 	@echo "                  gap and validate with --missing-policy fail where the workload"
 	@echo "                  sets --missing-policy; the parsed set and the repr of its"
-	@echo "                  ValidationReport of each response CSV"
+	@echo "                  ValidationReport of each response CSV and of its shapes: ids"
+	@echo "                  outside ASCII, one loose quote and, in a Likert CSV, one 07 cell"
 	@echo "make digest-diff  make digest with the src/ of git revision BASE=<rev> and of the"
 	@echo "                  working tree at each seed of SEEDS=\"<n> ...\" (default \"1 7\"), in"
 	@echo "                  turn; prints the first diff and fails on it"

@@ -15,18 +15,27 @@ Two routes read a file; each yields its result, row diagnostics and
 errors.
 
 * Line route: bytes, and ``str`` input encoded to UTF-8 (with no byte-order
-  mark removed).  Its strict case reads a strict block of lines at once
-  with array arithmetic over its bytes: no double quote, k commas to a
-  line, no byte outside ``!`` to ``~`` but the line ends, every id
-  non-empty and every cell 1 to 18 digits.  Any other block has all its
-  lines classified at once, and each line is one record, read with array
-  arithmetic too: its comma split without the quotes that wrap a field
-  (its first and last byte; quotes pair by position, the block's quote 2j
-  with quote 2j + 1, see _quotes), as csv.reader reads it, and so is its
-  diagnostic: blank, ``row_length``, ``empty_id``, or its first cell that
-  str.strip() does not leave as an optional sign and 1 to 18 digits;
-  _refused checks the values of the rows it converts.  Non-ASCII lines
-  take the same arrays: the input is valid UTF-8, whose multi-byte
+  mark removed).  Its block step reads a block of lines by the first of
+  three cases that takes it, each with array arithmetic over the block's
+  bytes.  The one-byte and the strict case take only a block with no double
+  quote and no byte outside ``!`` to ``~`` but the line ends.
+
+  - One-byte: a block of a Likert kind whose scale lies in 0 to 9, every
+    line a non-empty id and k cells of one digit.  Such a line ends in k
+    ``,d`` pairs, so one gather of every line's last 2k bytes reads all its
+    cells, with no comma offset (see LineBlocks._one_byte).
+  - Strict: k commas to a line, every id non-empty and every cell 1 to 18
+    digits.
+  - General: any other block has all its lines classified at once, and
+    each line is one record, read with array arithmetic too: its comma
+    split without the quotes that wrap a field (its first and last byte;
+    quotes pair by position, the block's quote 2j with quote 2j + 1, see
+    _quotes), as csv.reader reads it, and so is its diagnostic: blank,
+    ``row_length``, ``empty_id``, or its first cell that str.strip() does
+    not leave as an optional sign and 1 to 18 digits.
+
+  _refused checks the values of the rows that a case converts.  Non-ASCII
+  lines take the general case: the input is valid UTF-8, whose multi-byte
   sequences hold no comma, quote, CR or LF byte, so every span ends at an
   ASCII byte and holds whole code points.  The route declines input that
   is not UTF-8, holds a NUL byte, a carriage return not followed by a
@@ -34,31 +43,41 @@ errors.
   has a header line that holds a double quote or does not match, has a
   line of csv.field_size_limit() bytes or more, line end included, has a
   quote that wraps no field (such as a quoted record that spans lines), or
-  has a row whose first such cell is more than 18 digits.  Every byte
-  costs the passes that find the commas, the quotes and the bytes outside
-  ``!`` to ``~``, and a non-ASCII input one decode and a look at the lead
-  bytes of the code points that str.strip() removes; every line its comma count and one
-  search of its bounds among the padding and quote offsets; every cell its
-  first digit; every id of up to 8 bytes one uint64 key, which checks
-  repeats and is decoded into the ids when they are first read.  The rest
-  is paid only where its feature occurs: a later digit place by the cells
-  that wide, a sign by the cells whose first digit fails, stripping by
-  padded lines, a diagnostic tuple by the row it rejects (its message is
-  formatted once per distinct value in a block), and decoding at once by
-  a file with a wider id or a repeated id.  A declined file pays for
-  parse_response_rows on top of the passes made before the decline.
+  has a row whose first such cell is more than 18 digits.
+
+  Cost model.  Every byte costs the passes that find the bytes outside
+  ``!`` to ``~``, the quotes and the commas (one compare into a mask), and
+  a non-ASCII input one decode and a look at the lead bytes of the code
+  points that str.strip() removes; every id of up to 8 bytes one uint64
+  key, which checks repeats and is decoded into the ids when they are first
+  read.  The one-byte case costs every line a look at the byte where its
+  first comma must lie and a gather of its last 2k bytes, every cell one
+  subtraction and a maximum, and the block one count of its commas.  A
+  block it does not take has paid the look at each line and, only when
+  those all hold a comma, the count and the gather.  The strict and the
+  general case cost every byte the comma offsets, found from the mask,
+  every cell its first digit, and, in the general case, every line its
+  comma count and one search of its bounds among the padding and quote
+  offsets.  The rest is paid only where its feature occurs: a later digit
+  place by the cells that wide, a sign by the cells whose first digit
+  fails, stripping by padded lines, a diagnostic tuple by the row it
+  rejects (its message is formatted once per distinct value in a block),
+  and decoding at once by a file with a wider id or a repeated id.  A
+  declined file pays for parse_response_rows on top of the passes made
+  before the decline.
 
   The route runs in three steps.  cut_lines, the whole-file step, makes
   every check that declines the input as a whole (the input, the header,
   the line ends, wide padding and the field size limit) and cuts the data
   lines into blocks of about BLOCK_BYTES, each cut just after a line end.
-  LineBlocks.parse, the block step, reads one block as above, or declines
-  the input for a quote or a long cell in it.  LineBlocks.result joins the
-  blocks (repeated ids across them, diagnostics in file order and the
-  first error under fail), or hands a declined input to
-  parse_response_rows as the bytes that cut_lines checked, which decode
-  to the text of the input as given.  A block's temporaries, some of them
-  several arrays of a block's cells, never grow with the file.
+  LineBlocks.parse, the block step, reads one block by its one-byte,
+  strict or general case, or declines the input for a quote or a long cell
+  in it.  LineBlocks.result joins the blocks (repeated ids across them,
+  diagnostics in file order and the first error under fail), or hands a
+  declined input to parse_response_rows as the bytes that cut_lines
+  checked, which decode to the text of the input as given.  A block's
+  temporaries, some of them several arrays of a block's cells, never grow
+  with the file.
   parse_response_file runs the blocks in order; pipeline.surveys runs them
   as jobs in its lanes.
 * Per-cell: parse_response_rows reads every record with csv.reader and
@@ -502,7 +521,15 @@ class LineBlocks:
     into blocks of at most about BLOCK_BYTES bytes, each cut just after a
     line end.  ``parse(at)`` runs block ``at``'s step, in any order and from
     any thread; ``result`` then joins the blocks.  Data line i (from 0) is
-    data row i + 1."""
+    data row i + 1.
+
+    The block step tries three cases in turn (see the module docstring for
+    what each takes and costs): the one-byte case (_one_byte), one gather of
+    every line's last 2k bytes, no comma offsets; the strict case, one grid
+    of the block's comma offsets; and the general case, every line
+    classified and each cell read from its stripped bounds.  A case that
+    fails a check hands the block on, with the comma mask that both of the
+    first two cases read."""
 
     def __init__(self, data: bytes, raw: np.ndarray, odd: np.ndarray, kinds: np.ndarray,
                  edges: np.ndarray, instrument: SurveyInstrument, kind: ResponseKind,
@@ -539,15 +566,20 @@ class LineBlocks:
         starts, ends = edges[:-1], edges[1:]
         stops = ends - (raw[ends - 1] == ord("\n"))
         stops -= raw[stops - 1] == ord("\r")
-        commas = np.flatnonzero(raw[start:end] == ord(","))
+        is_comma = raw[start:end] == ord(",")
+        # The one-byte and the strict case read a block with no quote and no
+        # byte outside "!" to "~" but the line ends.
+        plain = self.data.find(b'"', start, end) < 0 and len(odd) == (ends - stops).sum()
+        if plain and (read := self._one_byte(first, last, starts, stops, is_comma)):
+            return read
+        commas = np.flatnonzero(is_comma)
+        del is_comma  # a bool per byte, not held while the other cases run
         commas += start
-        # A strict block: no quote, k commas to a line and no byte outside "!"
-        # to "~" but the line ends.  Row i of the grid holds line i's commas
-        # only if each line holds k of them, which the first-comma check and
-        # the cell widths that _digit_values checks ensure only when they hold
-        # on every line.
-        if (self.data.find(b'"', start, end) < 0 and len(commas) == k * len(starts)
-                and len(odd) == (ends - stops).sum()):
+        # A strict block: k commas to a line.  Row i of the grid holds line
+        # i's commas only if each line holds k of them, which the first-comma
+        # check and the cell widths that _digit_values checks ensure only when
+        # they hold on every line.
+        if plain and len(commas) == k * len(starts):
             grid = commas.reshape(-1, k)
             if (grid[:, 0] > starts).all():
                 values, bad = _digit_values(raw, grid + 1, np.column_stack((grid[:, 1:], stops)))
@@ -603,6 +635,40 @@ class LineBlocks:
                    for at, cell, text in zip(lines[broken].tolist(), cells.tolist(), texts)]
         errors += _refused(values, valid, lines + 1, expected, self.instrument.scale, self.kind)
         return lines[valid], _id_keys(raw, id_lo[valid], id_hi[valid]), values[valid], errors
+
+    def _one_byte(self, first: int, last: int, starts: np.ndarray, stops: np.ndarray,
+                  is_comma: np.ndarray) -> tuple | None:
+        """_block's one-byte case, for a block with no quote and no byte
+        outside "!" to "~" but the line ends (``is_comma`` marks its commas),
+        of a Likert kind whose scale lies in 0 to 9: it reads the block when
+        every line is a non-empty id and k cells of one digit, that is, when
+        every line ends in k ``,d`` pairs after at least one byte and the
+        block holds k commas to a line.  None for any other block.  Its
+        values are uint16, which _validated_set converts once."""
+        raw, k, scale = self.raw, len(self.expected) - 1, self.instrument.scale
+        if not self.kind.is_likert or scale.min < 0 or scale.max > 9:
+            return None
+        base = stops - 2 * k  # where line i's first comma lies, if it holds such cells
+        # A cell of two bytes or more moves its line's base onto a digit, so
+        # the first-comma check declines such a block before the gather.
+        if not (base > starts).all() or (raw[base] != ord(",")).any() \
+                or np.count_nonzero(is_comma) != k * len(starts):
+            return None
+        # Every line's 2k bytes from its base in one gather, read as k
+        # big-endian pairs: "," then "0" to "9" is 0 to 9 once ",0" is taken
+        # off, and every other pair wraps above 9.
+        cells = np.lib.stride_tricks.sliding_window_view(raw, 2 * k)[base].view(">u2")
+        values = cells - np.uint16(ord(",") << 8 | ord("0"))
+        top = values.max(initial=0)
+        if top > 9:
+            return None
+        lines = np.arange(first, last)
+        errors = []
+        if top > scale.max or values.min(initial=scale.min) < scale.min:
+            valid = np.ones(len(lines), dtype=bool)
+            errors = _refused(values, valid, lines + 1, self.expected, scale, self.kind)
+            lines, values, starts, base = (a[valid] for a in (lines, values, starts, base))
+        return lines, _id_keys(raw, starts, base), values, errors
 
     def result(self, policy: MissingPolicy) -> tuple[ResponseSet, ValidationReport]:
         """parse_response_file's result, once each block not parsed yet has

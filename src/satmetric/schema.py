@@ -231,8 +231,9 @@ def read(tp, value, context: str):
 
 def write(value):
     """``value`` as JSON-ready data, the shape :func:`read` takes: a dataclass as
-    a dict of its fields in declaration order, a tuple as a list, an enum as
-    its value."""
+    a dict of its fields in declaration order, a tuple or a list as a new list,
+    a dict as a new dict, an enum as its value.  No container of the result is
+    one of ``value``'s, so editing the result leaves ``value`` as it was."""
     if type(value) in _PLAIN:
         return value
     if isinstance(value, Enum):  # tested first: is_dataclass costs more when it misses
@@ -240,4 +241,6 @@ def write(value):
     if is_dataclass(value):
         return {name: v if type(v := getattr(value, name)) in _PLAIN else write(v)
                 for name in hints(type(value))}
-    return [write(v) for v in value] if isinstance(value, tuple) else value
+    if isinstance(value, dict):
+        return {key: write(v) for key, v in value.items()}
+    return [write(v) for v in value] if isinstance(value, (tuple, list)) else value

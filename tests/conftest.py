@@ -83,10 +83,10 @@ ALLOCATIONS = st.lists(st.integers(0, 20), min_size=4, max_size=4).map(
 
 
 def strict_result(data, instrument, kind, policy=ingest.MissingPolicy.DROP_ROW):
-    """parse_response_file's result if the line route's strict case gave
-    it, in every block, else None.  Every other way through the parser calls
-    _bulk_values, _check_record or csv.reader; a DataError that the strict
-    case raises is raised again."""
+    """parse_response_file's result if the line route's one-byte or strict
+    case gave it, in every block, else None.  Every other way through the
+    parser calls _bulk_values, _check_record or csv.reader; a DataError
+    that the strict case raises is raised again."""
     calls: list[str] = []
 
     def spy(owner, name):
@@ -135,6 +135,16 @@ def replace_at(doc, path, value):
         parent = parent[key]
     parent[path[-1]] = value
     return doc
+
+
+def empty_containers(doc) -> None:
+    """Empty every dict and list of JSON document ``doc``, innermost first,
+    so that a container it shares with another object shows there."""
+    children = doc.values() if isinstance(doc, dict) else doc
+    for child in children:
+        if isinstance(child, (dict, list)):
+            empty_containers(child)
+    doc.clear()
 
 
 def alpha_covariance_oracle(matrix: np.ndarray) -> float:

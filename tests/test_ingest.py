@@ -208,16 +208,18 @@ def test_strict_file_with_a_repeated_id_matches_the_per_cell_parser():
 
 
 @pytest.mark.parametrize("policy", list(MissingPolicy))
-@pytest.mark.parametrize("kind, rows", [
-    (ResponseKind.EXPECTATION, ["r1,1,2,3", "r2,1,9,3", "r3,5,5,5", "r4,0,2,2"]),
+@pytest.mark.parametrize("kind, rows, one_byte", [
+    (ResponseKind.EXPECTATION, ["r1,1,2,3", "r2,1,19,3", "r3,5,5,05", "r4,0,2,2"], False),
+    (ResponseKind.EXPECTATION, ["r1,1,2,3", "r2,1,9,3", "r3,5,5,5", "r4,0,2,2"], True),
     (ResponseKind.IMPORTANCE, ["r1,40,30,10,10,10", "r2,22,18,20,20,20",
-                               "r3,20,20,20,20,20", "r4,100,0,0,0,5"]),
-], ids=["likert", "importance"])
+                               "r3,20,20,20,20,20", "r4,100,0,0,0,5"], False),
+], ids=["likert", "likert_one_byte", "importance"])
 def test_strict_file_with_refused_rows_converts_once(monkeypatch, xyz_instrument, kind, rows,
-                                                     policy):
+                                                     one_byte, policy):
     """A strict file whose only faults are values outside the scale or bad
-    allocations stays in the strict case: its digits are converted once,
-    and its result or error is the per-cell parser's."""
+    allocations stays in the strict case, or in the one-byte case when each
+    Likert cell is one digit: its cells are converted once, their values
+    checked once, and its result or error is the per-cell parser's."""
     instrument = SMALL_INSTRUMENT if kind.is_likert else xyz_instrument
     data = (likert_csv if kind.is_likert else importance_csv)(rows)
     try:
@@ -225,13 +227,21 @@ def test_strict_file_with_refused_rows_converts_once(monkeypatch, xyz_instrument
     except DataError as exc:
         reference = str(exc)
     calls = []
-    real = ingest._digit_values
 
-    def spy(*args):
-        calls.append(len(args[1]))
-        return real(*args)
+    def spy(owner, name, rows_at=None):
+        """Record each call of ``owner.name``: the row count of its argument
+        ``rows_at``, or whether it returned a result."""
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(ingest, "_digit_values", spy)
+        def record(*args):
+            result = real(*args)
+            calls.append((name, result is not None if rows_at is None else len(args[rows_at])))
+            return result
+        monkeypatch.setattr(owner, name, record)
+
+    spy(ingest.LineBlocks, "_one_byte")
+    spy(ingest, "_digit_values", 1)
+    spy(ingest, "_refused", 0)
     try:
         rs, report = strict_result(data, instrument, kind, policy)
     except DataError as exc:
@@ -241,7 +251,9 @@ def test_strict_file_with_refused_rows_converts_once(monkeypatch, xyz_instrument
         assert report == ref_report and report.rejected_rows == 2
         assert rs.respondent_ids == ref_rs.respondent_ids == ("r1", "r3")
         assert rs.values.tolist() == ref_rs.values.tolist()
-    assert calls == [4]
+    # A call is recorded as it returns: _one_byte calls _refused itself.
+    assert calls == ([("_refused", 4), ("_one_byte", True)] if one_byte else
+                     [("_one_byte", False), ("_digit_values", 4), ("_refused", 4)])
 
 
 def test_strict_str_input_takes_the_strict_case():

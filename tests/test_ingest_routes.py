@@ -1041,6 +1041,92 @@ def test_block_budget_changes_no_id(case):
     _assert_blocks_agree(data, instrument, kind)
 
 
+#: A data line that the one-byte case reads: a CANONICAL_ROW id, then k
+#: cells of one digit each.
+ONE_BYTE_ROW = r"[!#-+\--~]+(?:,[0-9]){%d}"
+#: Near misses of a one-byte line, as edits of its fields: each leaves the
+#: one-byte case to the strict case, the general case or the per-cell
+#: parser.  ":" and "/" are the bytes just above and below the digits.
+ONE_BYTE_MISSES = {
+    "leading_zero": lambda fields: [fields[0], "0" + fields[1], *fields[2:]],
+    "signed": lambda fields: [fields[0], "+" + fields[1], *fields[2:]],
+    "extra_cell": lambda fields: [*fields, fields[1]],
+    "missing_cell": lambda fields: fields[:-1],
+    "quoted_cell": lambda fields: [*fields[:-1], f'"{fields[-1]}"'],
+    "tab": lambda fields: [fields[0], fields[1] + "\t", *fields[2:]],
+    "colon_cell": lambda fields: [*fields[:-1], ":"],
+    "slash_cell": lambda fields: [fields[0], "/", *fields[2:]],
+    "empty_id": lambda fields: ["", *fields[1:]],
+    "quoted_id": lambda fields: [f'"{fields[0]}"', *fields[1:]],
+    "blank_line": lambda fields: [""],
+}
+#: Ids of 1 to 12 UTF-8 bytes: printable ASCII but the comma and the
+#: quote, or text outside ASCII.
+ONE_BYTE_IDS = st.text(alphabet=[chr(c) for c in range(0x21, 0x7F) if chr(c) not in ',"'],
+                       min_size=1, max_size=12) | \
+    st.sampled_from([text for text in NON_ASCII if len(text.encode()) <= 12])
+
+
+@st.composite
+def one_byte_files(draw):
+    """(instrument, kind, k, data lines, file bytes, block budget): a Likert
+    file under a scale inside 0 to 9, its cells one digit each, inside or
+    outside the scale, its ids repeating one another now and then, its lines
+    ended by LF or CRLF, the last one maybe by neither, and a few lines
+    edited into a ONE_BYTE_MISSES near miss."""
+    lo = draw(st.integers(0, 8))
+    hi = draw(st.integers(lo + 1, 9))
+    k = draw(st.integers(1, 6))
+    pool = draw(st.lists(ONE_BYTE_IDS, min_size=1, max_size=6))
+    ids = draw(st.lists(st.sampled_from(pool) | ONE_BYTE_IDS, min_size=1, max_size=20))
+    lines = []
+    for respondent_id in ids:
+        fields = [respondent_id, *map(str, draw(st.lists(st.integers(0, 9), min_size=k,
+                                                         max_size=k)))]
+        miss = draw(st.sampled_from([None] * 8 + list(ONE_BYTE_MISSES)))
+        lines.append(",".join(ONE_BYTE_MISSES[miss](fields) if miss else fields))
+    header = ",".join(["respondent_id", *(f"q{i}" for i in range(1, k + 1))])
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    ends[-1] = ends[-1] if draw(st.booleans()) else ""
+    text = header + "\n" + "".join(line + end for line, end in zip(lines, ends))
+    kind = draw(st.sampled_from([ResponseKind.EXPECTATION, ResponseKind.PERCEPTION]))
+    return (_instrument(k, lo, hi), kind, k, lines, text.encode("utf-8"),
+            draw(st.integers(1, 120)))
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(one_byte_files())
+def test_one_byte_case_matches_the_per_cell_parser(case):
+    """The one-byte case against the per-cell parser, bytes and ``str``,
+    under both policies, in small blocks.  A block takes the one-byte case
+    exactly when each of its lines matches ONE_BYTE_ROW, so that the case
+    can neither read a near miss nor stop reading a clean block unseen."""
+    instrument, kind, k, lines, data, budget = case
+    took = {}
+    real = ingest.LineBlocks._one_byte
+
+    def spy(blocks, first, *args):
+        result = real(blocks, first, *args)
+        took[first] = result is not None
+        return result
+
+    pattern = re.compile(ONE_BYTE_ROW % k)
+    with mock.patch.object(ingest, "BLOCK_BYTES", budget), \
+            mock.patch.object(ingest.LineBlocks, "_one_byte", spy):
+        blocks = ingest.cut_lines(data, instrument, kind)
+        for at in range(len(blocks)):
+            blocks.parse(at)
+        for at, first in enumerate(blocks.firsts):
+            last = blocks.firsts[at + 1] if at + 1 < len(blocks) else len(blocks.edges) - 1
+            assert took.get(first, False) == \
+                all(pattern.fullmatch(line) for line in lines[first:last]), (data, first)
+        for payload, policy in itertools.product((data, data.decode("utf-8")), MissingPolicy):
+            with _per_cell_only():
+                reference = _outcome(parse_response_rows, payload, instrument, kind, policy)
+            assert _outcome(parse_response_file, payload, instrument, kind, policy) == \
+                reference, payload
+
+
 def test_line_route_set_survives_copies_comparison_and_repr(xyz_instrument):
     """A set whose ids are still keys: every pickle protocol, copy and
     deepcopy keeps them unread (an unset attribute raises AttributeError

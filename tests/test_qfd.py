@@ -1,10 +1,11 @@
+import copy
 import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
-from conftest import examples
+from conftest import empty_containers, examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,6 +157,18 @@ class TestShippedExample:
         doc = serialize_hoq(hoq)
         assert doc["benchmarks"] == hoq.benchmarks
         assert build_hoq(doc).importances == hoq.importances
+
+    def test_editing_the_serialized_house_leaves_the_house(self):
+        """serialize_hoq hands out new containers: emptying every dict and
+        list of its document leaves the house, and its next document, as
+        they were."""
+        hoq = xyz.load_xyz_hoq()
+        doc = serialize_hoq(hoq)
+        before = copy.deepcopy(doc)
+        assert doc["benchmarks"] is not hoq.benchmarks and doc["ctq_tree"] is not hoq.ctq_tree
+        empty_containers(doc)
+        assert serialize_hoq(hoq) == before
+        assert before["benchmarks"] == hoq.benchmarks and before["ctq_tree"] == hoq.ctq_tree
 
     @pytest.mark.parametrize("extra", [{}, {"benchmarks": {}, "ctq_tree": []},
                                        {"ctq_tree": {"root": None}}],

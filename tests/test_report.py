@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import io
@@ -6,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import JSON_VALUES, examples, replace_at
+from conftest import JSON_VALUES, empty_containers, examples, replace_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +131,15 @@ class TestAssemble:
 
 
 class TestJsonRoundTrip:
+    def test_editing_the_document_leaves_the_report(self, full_report):
+        """report_to_dict hands out new containers, the house's annotations
+        too: emptying every dict and list of its document leaves the
+        report's next document as it was."""
+        doc = report_to_dict(full_report)
+        before = copy.deepcopy(doc)
+        empty_containers(doc)
+        assert report_to_dict(full_report) == before
+
     def test_parse_of_emitted_json_is_structurally_identical(self, full_report):
         payload = emit(full_report, "json")
         reparsed = parse_report(payload)

@@ -17,10 +17,12 @@ error and exit code are digested.  It also parses each of the workload's
 response CSVs with ``parse_response_file`` and prints the SHA-256 of the
 parsed set written back by ``serialize_response_set`` and of the repr of its
 ValidationReport, so that a change in the accepted ids or values or in a row
-diagnostic shows even where no report reads them.  It does the same for two
-shapes built from each CSV: ``é`` appended to every other
-id, which the line route reads from arrays, and a loose quote (``3"``) in one
-cell, which makes the line route leave the file to ``parse_response_rows``.  It prints one line per output file,
+diagnostic shows even where no report reads them.  It does the same for the
+shapes built from each CSV: ``é`` appended to every other id, which the line
+route reads from arrays; a loose quote (``3"``) in one cell, which makes the
+line route leave the file to ``parse_response_rows``; and, in a Likert CSV,
+a ``07`` in one cell, whose block the line route's one-byte case leaves to
+its strict case.  It prints one line per output file,
 per parsed CSV and per call's stdout, stderr and exit code.  Every path is
 relative to a temporary directory, so two source trees give the same lines
 exactly when their outputs are byte-identical:
@@ -99,16 +101,24 @@ def _files(root: Path) -> list[str]:
             for path in sorted(root.rglob("*")) if path.is_file()]
 
 
-def _shapes(data: bytes) -> dict[str, bytes]:
-    """Two shapes of a response CSV: ``é`` appended to the id of every other
-    data line, and the first cell of its middle line replaced by ``3"``."""
+def _shapes(data: bytes, kind: ResponseKind) -> dict[str, bytes]:
+    """The shapes of a response CSV: ``é`` appended to the id of every other
+    data line, and the first cell of its middle line replaced by ``3"`` and,
+    for a Likert kind, by ``07``."""
     lines = data.split(b"\n")
     accented = lines[:]
     accented[1::2] = [line.replace(b",", "é,".encode(), 1) for line in lines[1::2]]
-    loose = lines[:]
-    middle = loose[len(loose) // 2].split(b",")
-    loose[len(loose) // 2] = b",".join([middle[0], b'3"', *middle[2:]])
-    return {"accented": b"\n".join(accented), "loose_quote": b"\n".join(loose)}
+    middle = lines[len(lines) // 2].split(b",")
+
+    def with_first_cell(cell: bytes) -> bytes:
+        shaped = lines[:]
+        shaped[len(lines) // 2] = b",".join([middle[0], cell, *middle[2:]])
+        return b"\n".join(shaped)
+
+    shapes = {"accented": b"\n".join(accented), "loose_quote": with_first_cell(b'3"')}
+    if kind.is_likert:
+        shapes["leading_zero"] = with_first_cell(b"07")
+    return shapes
 
 
 def _parsed(gap: list[str]) -> list[str]:
@@ -123,7 +133,7 @@ def _parsed(gap: list[str]) -> list[str]:
         if option in gap:
             path = Path(gap[gap.index(option) + 1])
             data = path.read_bytes()
-            for shape, shaped in {"parsed": data, **_shapes(data)}.items():
+            for shape, shaped in {"parsed": data, **_shapes(data, kind)}.items():
                 try:
                     responses, report = parse_response_file(shaped, instrument, kind, policy)
                     out = serialize_response_set(responses, instrument) + repr(report).encode()
