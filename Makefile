@@ -8,7 +8,7 @@ PAIRS ?= 10
 RUNS ?= 10
 TIER1 = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
 
-.PHONY: help test test-deep test-ingest-deep test-psych-deep bench-smoke bench bench-pair peak faults \
+.PHONY: help test test-deep test-ingest-deep test-psych-deep bench-smoke bench bench-pair faults \
 	loc loc-diff digest digest-diff
 
 help:
@@ -24,16 +24,12 @@ help:
 	@echo "                  medians and quartiles, the pairs in which the change read lower and"
 	@echo "                  the median per-pair difference, marked unresolved when it is"
 	@echo "                  smaller than the base's interquartile range"
-	@echo "make peak         peak memory (VmHWM) of a fresh process making one gap call on"
-	@echo "                  W=<workload> (default tall), for the working tree and, with"
-	@echo "                  BASE=<rev>, for the src/ of that revision; inputs are written"
-	@echo "                  by another process: SEED=<n> (default 1), RUNS=<n> fresh"
-	@echo "                  processes per side (default 10)"
-	@echo "make faults       medians of wall time, minor page faults and CPU seconds per"
-	@echo "                  warm gap call in fresh processes on W=<workload> (default tall),"
-	@echo "                  for the working tree and, with BASE=<rev>, for the src/ of that"
-	@echo "                  revision, alternating; inputs are written by another process:"
-	@echo "                  SEED=<n> (default 1), RUNS=<n> processes per side (default 10)"
+	@echo "make faults       peak memory (VmHWM) of fresh processes after one gap call on"
+	@echo "                  W=<workload> (default tall), then the medians of wall time, minor"
+	@echo "                  page faults and CPU seconds over their warm gap calls, for the"
+	@echo "                  working tree and, with BASE=<rev>, for the src/ of that revision,"
+	@echo "                  alternating; inputs are written by another process: SEED=<n>"
+	@echo "                  (default 1), RUNS=<n> processes per side (default 10)"
 	@echo "make loc          line counts of the source modules, and their code lines"
 	@echo "                  (docstrings, comments and blank lines not counted)"
 	@echo "make loc-diff     code lines of each source module at git revision BASE=<rev> and in"
@@ -73,14 +69,11 @@ bench-pair:
 	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [W=<workload>] [PAIRS=<n>] [SEED=<s>]" >&2; exit 2; }
 	$(PYTHON) tools/bench_pair.py --base $(BASE) --workload $(W) --pairs $(PAIRS) --seed $(SEED)
 
-peak:
-	$(PYTHON) tools/peak.py --workload $(W) --seed $(SEED) --runs $(RUNS) $(if $(BASE),--base $(BASE))
-
 faults:
 	$(PYTHON) tools/faults.py --workload $(W) --seed $(SEED) --runs $(RUNS) $(if $(BASE),--base $(BASE))
 
 loc:
-	@$(PYTHON) tools/loc.py src/satmetric/*.py
+	@$(PYTHON) tools/loc.py src/satmetric
 
 # Only src/satmetric is taken from BASE; uncommitted changes count on the
 # working-tree side only.

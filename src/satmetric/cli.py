@@ -22,7 +22,7 @@ from .instrument import load_instrument
 from .pipeline import Config, Inputs, gate_failure, run, surveys
 from .psychometrics import DEFAULT_ALPHA_THRESHOLD, VarianceMode, item_descriptives, \
     reliability_report
-from .qfd import load_hoq, roof_conflicts
+from .qfd import load_hoq, ranked_importances, roof_conflicts
 from .report import FORMATS, csv_bytes, parse_report, reliability_csv, write_report
 from .rootcause import DEFAULT_PARETO_THRESHOLD
 from .schema import number, read, read_bytes, read_json
@@ -86,6 +86,33 @@ def _add_policy_arg(parser) -> None:
                         help="what to do with invalid rows (default: drop_row)")
 
 
+def _add_variance_arg(parser) -> None:
+    parser.add_argument("--variance-mode", choices=[m.value for m in VarianceMode],
+                        default=VarianceMode.POPULATION.value)
+
+
+def _add_gate_args(parser, strict_help: str) -> None:
+    parser.add_argument("--alpha-threshold", type=_finite_arg, default=DEFAULT_ALPHA_THRESHOLD)
+    parser.add_argument("--strict-gate", action="store_true", help=strict_help)
+
+
+def _add_csv_out_arg(parser) -> None:
+    parser.add_argument("--out", help="write CSV here instead of stdout")
+
+
+def _add_formats_arg(parser) -> None:
+    parser.add_argument("--formats", type=_formats_arg, default=list(FORMATS),
+                        help="comma list from: " + ", ".join(FORMATS))
+
+
+def _likert_surveys(args, instrument):
+    """pipeline.surveys on ``--expect`` and ``--perceive``, at least one of
+    which must be given."""
+    if args.expect is None and args.perceive is None:
+        raise SatmetricError("provide --expect and/or --perceive")
+    return surveys(instrument, args.missing_policy, args.expect, args.perceive)
+
+
 def cmd_validate(args) -> int:
     instrument = load_instrument(args.instrument)
     rejected = []
@@ -103,21 +130,16 @@ def cmd_descriptives(args) -> int:
     instrument = load_instrument(args.instrument)
     mode = VarianceMode(args.variance_mode)
     rows = [[kind.value, d.item_id, d.mean, d.variance, d.n]
-            for kind, _, rs, _ in surveys(instrument, args.missing_policy, args.expect,
-                                          args.perceive)
+            for kind, _, rs, _ in _likert_surveys(args, instrument)
             for d in item_descriptives(rs, instrument, mode)]
-    if not rows:
-        raise SatmetricError("provide --expect and/or --perceive")
     _write_out(csv_bytes(["survey", "item_id", "mean", "variance", "n"], rows), args.out)
     return 0
 
 
 def cmd_reliability(args) -> int:
     instrument = load_instrument(args.instrument)
-    if args.expect is None and args.perceive is None:
-        raise SatmetricError("provide --expect and/or --perceive")
     results = []
-    for kind, _, rs, _ in surveys(instrument, args.missing_policy, args.expect, args.perceive):
+    for kind, _, rs, _ in _likert_surveys(args, instrument):
         rel = reliability_report(rs, instrument, threshold=args.alpha_threshold)
         if not rel.passes_gate:
             print(gate_failure(kind.value, rel), file=sys.stderr)
@@ -138,9 +160,8 @@ def cmd_qfd(args) -> int:
     if args.show_conflicts:
         _write_out(csv_bytes(["tech_i", "tech_j"], roof_conflicts(hoq)), args.out)
         return 0
-    names = {t.id: t.name for t in hoq.tech_reqs}
-    ranked = sorted(hoq.importances, key=lambda t: t.rank)
-    rows = [[t.tech_id, names[t.tech_id], t.absolute, t.relative_pct, t.rank] for t in ranked]
+    rows = [[t.tech_id, name, t.absolute, t.relative_pct, t.rank]
+            for t, name in ranked_importances(hoq)]
     _write_out(csv_bytes(["tech_id", "name", "absolute", "relative_pct", "rank"], rows), args.out)
     if hoq.degenerate:
         print("warning: all technical weights are zero (degenerate house)", file=sys.stderr)
@@ -214,18 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("descriptives", help="per-item means and variances")
     _add_survey_args(p)
-    p.add_argument("--variance-mode", choices=[m.value for m in VarianceMode],
-                   default=VarianceMode.POPULATION.value)
-    p.add_argument("--out", help="write CSV here instead of stdout")
+    _add_variance_arg(p)
+    _add_csv_out_arg(p)
     _add_policy_arg(p)
     p.set_defaults(func=cmd_descriptives)
 
     p = sub.add_parser("reliability", help="Cronbach's alpha and omitted-item diagnostics")
     _add_survey_args(p)
-    p.add_argument("--alpha-threshold", type=_finite_arg, default=DEFAULT_ALPHA_THRESHOLD)
-    p.add_argument("--strict-gate", action="store_true",
-                   help="exit 1 when a survey fails the alpha gate")
-    p.add_argument("--out", help="write CSV here instead of stdout")
+    _add_gate_args(p, "exit 1 when a survey fails the alpha gate")
+    _add_csv_out_arg(p)
     _add_policy_arg(p)
     p.set_defaults(func=cmd_reliability)
 
@@ -237,11 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="JSON file of per-dimension mean allocations")
     p.add_argument("--hoq", help="optional house-of-quality definition JSON")
     p.add_argument("--fishbone", help="optional fishbone definition JSON")
-    p.add_argument("--variance-mode", choices=[m.value for m in VarianceMode],
-                   default=VarianceMode.POPULATION.value)
-    p.add_argument("--alpha-threshold", type=_finite_arg, default=DEFAULT_ALPHA_THRESHOLD)
-    p.add_argument("--strict-gate", action="store_true",
-                   help="refuse to emit scores when a survey fails the alpha gate")
+    _add_variance_arg(p)
+    _add_gate_args(p, "refuse to emit scores when a survey fails the alpha gate")
     p.add_argument("--kano-multipliers",
                    help="per-category multipliers, e.g. must_be=2,performance=1,delighter=0")
     p.add_argument("--pareto-threshold", type=_finite_arg, default=DEFAULT_PARETO_THRESHOLD)
@@ -250,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unweighted-contributions", action="store_true",
                    help="Pareto magnitudes use |gap| instead of |gap| x importance")
     p.add_argument("--out", required=True, help="output stem for report files")
-    p.add_argument("--formats", type=_formats_arg, default=list(FORMATS),
-                   help="comma list from: " + ", ".join(FORMATS))
+    _add_formats_arg(p)
     p.add_argument("--suppress-timestamp", action="store_true",
                    help="omit the generation timestamp for byte-stable output")
     _add_policy_arg(p)
@@ -261,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hoq", required=True, help="house-of-quality definition JSON")
     p.add_argument("--show-conflicts", action="store_true",
                    help="list negatively correlated technical pairs instead")
-    p.add_argument("--out", help="write CSV here instead of stdout")
+    _add_csv_out_arg(p)
     p.set_defaults(func=cmd_qfd)
 
     p = sub.add_parser("synth", help="deterministic synthetic Likert responses")
@@ -272,14 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="respondent count")
     p.add_argument("--kind", choices=["expectation", "perception"], default="expectation")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write CSV here instead of stdout")
+    _add_csv_out_arg(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("report", help="re-emit saved report JSON in other formats")
     p.add_argument("--input", required=True, help="saved .report.json file")
     p.add_argument("--out", required=True, help="output stem")
-    p.add_argument("--formats", type=_formats_arg, default=list(FORMATS),
-                   help="comma list from: " + ", ".join(FORMATS))
+    _add_formats_arg(p)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -34,24 +34,28 @@ errors.
     ``row_length``, ``empty_id``, or its first cell that str.strip() does
     not leave as an optional sign and 1 to 18 digits.
 
-  _refused checks the values of the rows that a case converts.  Non-ASCII
-  lines take the general case: the input is valid UTF-8, whose multi-byte
-  sequences hold no comma, quote, CR or LF byte, so every span ends at an
-  ASCII byte and holds whole code points.  The route declines input that
-  is not UTF-8, holds a NUL byte, a carriage return not followed by a
-  newline or a code point outside ASCII that str.strip() removes, is empty,
-  has a header line that holds a double quote or does not match, has a
-  line of csv.field_size_limit() bytes or more, line end included, has a
-  quote that wraps no field (such as a quoted record that spans lines), or
-  has a row whose first such cell is more than 18 digits.
+  Every case leaves through one step, LineBlocks._accepted: _refused
+  checks the values of the rows that the case converts, and the rows that
+  pass keep their ids.  Non-ASCII lines take the general case: the input
+  is valid UTF-8, whose multi-byte sequences hold no comma, quote, CR or
+  LF byte, so every span ends at an ASCII byte and holds whole code
+  points.  The route declines input that is not UTF-8, holds a NUL byte,
+  a carriage return not followed by a newline or a code point outside
+  ASCII that str.strip() removes, is empty, has a header line that holds a
+  double quote or does not match, has a line of csv.field_size_limit()
+  bytes or more, line end included, has a quote that wraps no field (such
+  as a quoted record that spans lines), or has a row whose first such cell
+  is more than 18 digits.
 
   Cost model.  Every byte costs the passes that find the bytes outside
   ``!`` to ``~``, the quotes and the commas (one compare into a mask), and
   a non-ASCII input one decode and a look at the lead bytes of the code
   points that str.strip() removes; every id of up to 8 bytes one uint64
   key, which checks repeats and is decoded into the ids when they are first
-  read.  The one-byte case costs every line a look at the byte where its
-  first comma must lie and a gather of its last 2k bytes, every cell one
+  read; every Likert cell that a case converts one minimum and one maximum
+  in _refused, all that a block whose values pass the scale pays there.
+  The one-byte case costs every line a look at the byte where its first
+  comma must lie and a gather of its last 2k bytes, every cell one
   subtraction and a maximum, and the block one count of its commas.  A
   block it does not take has paid the look at each line and, only when
   those all hold a comma, the count and the gather.  The strict and the
@@ -150,6 +154,12 @@ class RowError:
 
 #: A RowError's fields as a plain tuple: (row, column, code, message).
 _Diagnostic = tuple[int, str, str, str]
+
+
+def diagnostic_text(row: int, column: str, code: str, message: str) -> str:
+    """One rejected row as text: the error under policy fail and, after the
+    file name, the CLI's stderr line."""
+    return f"row {row}, column {column}: {message} [{code}]"
 
 
 @dataclass(frozen=True)
@@ -452,8 +462,11 @@ def _refused(values: np.ndarray, valid: np.ndarray, rows: np.ndarray, expected: 
     """The diagnostics that _value_error gives the converted rows (``valid``) of
     ``values`` that fail the scale or allocation check, found with array
     operations; those rows are cleared from ``valid``.  ``rows`` holds the
-    data-row numbers of ``values``."""
+    data-row numbers of ``values``.  Likert values that all lie in the scale
+    cost one minimum and one maximum."""
     if kind.is_likert:
+        if scale.min <= values.min(initial=scale.min) and values.max(initial=0) <= scale.max:
+            return []
         outside = (values < scale.min) | (values > scale.max)
         refused = np.flatnonzero(valid & _rows_with(outside))
         columns = outside[refused].argmax(axis=1)  # the first cell outside
@@ -529,7 +542,8 @@ class LineBlocks:
     of the block's comma offsets; and the general case, every line
     classified and each cell read from its stripped bounds.  A case that
     fails a check hands the block on, with the comma mask that both of the
-    first two cases read."""
+    first two cases read; a case that reads the block leaves through
+    _accepted."""
 
     def __init__(self, data: bytes, raw: np.ndarray, odd: np.ndarray, kinds: np.ndarray,
                  edges: np.ndarray, instrument: SurveyInstrument, kind: ResponseKind,
@@ -584,14 +598,7 @@ class LineBlocks:
             if (grid[:, 0] > starts).all():
                 values, bad = _digit_values(raw, grid + 1, np.column_stack((grid[:, 1:], stops)))
                 if not bad.any():
-                    lines = np.arange(first, last)
-                    valid = np.ones(len(lines), dtype=bool)
-                    errors = _refused(values, valid, lines + 1, expected,
-                                      self.instrument.scale, self.kind)
-                    if errors:  # keep the rows that pass
-                        lines, values, starts, grid = (a[valid] for a in (lines, values, starts,
-                                                                          grid))
-                    return lines, _id_keys(raw, starts, grid[:, 0]), values, errors
+                    return self._accepted(np.arange(first, last), starts, grid[:, 0], values)
 
         quoted = _quotes(raw, edges, commas)
         if quoted is None:  # a quote that wraps no field, which only csv.reader reads
@@ -633,8 +640,7 @@ class LineBlocks:
         errors += [(at + 1, expected[cell + 1], "not_an_integer" if text else "missing",
                     message[text])
                    for at, cell, text in zip(lines[broken].tolist(), cells.tolist(), texts)]
-        errors += _refused(values, valid, lines + 1, expected, self.instrument.scale, self.kind)
-        return lines[valid], _id_keys(raw, id_lo[valid], id_hi[valid]), values[valid], errors
+        return self._accepted(lines, id_lo, id_hi, values, valid, errors)
 
     def _one_byte(self, first: int, last: int, starts: np.ndarray, stops: np.ndarray,
                   is_comma: np.ndarray) -> tuple | None:
@@ -659,16 +665,23 @@ class LineBlocks:
         # off, and every other pair wraps above 9.
         cells = np.lib.stride_tricks.sliding_window_view(raw, 2 * k)[base].view(">u2")
         values = cells - np.uint16(ord(",") << 8 | ord("0"))
-        top = values.max(initial=0)
-        if top > 9:
+        if values.max(initial=0) > 9:
             return None
-        lines = np.arange(first, last)
-        errors = []
-        if top > scale.max or values.min(initial=scale.min) < scale.min:
-            valid = np.ones(len(lines), dtype=bool)
-            errors = _refused(values, valid, lines + 1, self.expected, scale, self.kind)
-            lines, values, starts, base = (a[valid] for a in (lines, values, starts, base))
-        return lines, _id_keys(raw, starts, base), values, errors
+        return self._accepted(np.arange(first, last), starts, base, values)
+
+    def _accepted(self, lines: np.ndarray, id_lo: np.ndarray, id_hi: np.ndarray,
+                  values: np.ndarray, valid: np.ndarray | None = None,
+                  errors: list[_Diagnostic] | None = None) -> tuple:
+        """A block's part, the one exit of its three cases: of its converted
+        ``lines`` (every one unless ``valid`` marks some), with ids at
+        raw[id_lo:id_hi] and ``values``, those that _refused passes, and the
+        diagnostics of the rest after ``errors``."""
+        valid = np.ones(len(lines), dtype=bool) if valid is None else valid
+        errors = (errors or []) + _refused(values, valid, lines + 1, self.expected,
+                                           self.instrument.scale, self.kind)
+        if not valid.all():  # keep the rows that pass
+            lines, id_lo, id_hi, values = (a[valid] for a in (lines, id_lo, id_hi, values))
+        return lines, _id_keys(self.raw, id_lo, id_hi), values, errors
 
     def result(self, policy: MissingPolicy) -> tuple[ResponseSet, ValidationReport]:
         """parse_response_file's result, once each block not parsed yet has
@@ -947,8 +960,7 @@ def _result(
         values = values[keep]
     errors.sort(key=itemgetter(0))
     if errors and policy is MissingPolicy.FAIL:
-        row, column, code, message = errors[0]
-        raise DataError(f"row {row}, column {column}: {message} [{code}]")
+        raise DataError(diagnostic_text(*errors[0]))
     if not len(ids):
         raise DataError(f"no valid rows in {kind.value} file ({len(errors)} rejected)")
     report = object.__new__(ValidationReport)

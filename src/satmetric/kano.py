@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 from .errors import ComputationError, DefinitionError
 from .instrument import KanoCategory, SurveyInstrument
 from .schema import number
-from .servqual import ImportanceWeights, ItemGap
+from .servqual import ImportanceWeights, ItemGap, dissatisfaction
 
 DEFAULT_MULTIPLIERS: dict[KanoCategory, float] = {
     KanoCategory.MUST_BE: 2.0,
@@ -80,19 +80,15 @@ def prioritize(
 ) -> list[KanoPriority]:
     """Rank every item by category-scaled dissatisfaction.
 
-    raw_contribution = |gap| x dimension importance for negative gaps and 0
+    raw_contribution = servqual.dissatisfaction for negative gaps and 0
     otherwise; priority_score = raw_contribution x multiplier(category).
     The result is sorted by descending score with lower item id breaking
     ties, and ranks form the permutation 1..m.
     """
     table = resolve_multipliers(multipliers) if multipliers is not None else DEFAULT_MULTIPLIERS
-    gap_by_id = {g.item_id: g.gap for g in gaps}
     entries: list[tuple[float, int, KanoCategory, float, float]] = []
-    for item in instrument.items:
-        gap = gap_by_id.get(item.id)
-        if gap is None:
-            continue
-        raw = -gap * weights[item.dimension] if gap < 0 else 0.0
+    for item, raw in dissatisfaction(gaps, weights, instrument):
+        raw = 0.0 if raw is None else raw
         multiplier = table[item.kano]
         score = raw * multiplier
         if not math.isfinite(score):

@@ -13,7 +13,7 @@ from typing import Iterator, Mapping
 
 from .errors import ConfigError, DefinitionError, SatmetricError
 from .ingest import MissingPolicy, ResponseKind, ResponseSet, ValidationReport, cut_lines, \
-    parse_response_file, parse_response_rows
+    diagnostic_text, parse_response_file, parse_response_rows
 from .instrument import SurveyInstrument, load_instrument
 from .kano import DEFAULT_MULTIPLIERS, parse_multiplier_spec, prioritize
 from .psychometrics import DEFAULT_ALPHA_THRESHOLD, ReliabilityReport, VarianceMode, \
@@ -187,9 +187,8 @@ def surveys(instrument: SurveyInstrument, policy: MissingPolicy | str, *paths: s
             responses, validation = parsed or parse_response_file(
                 data, instrument, survey.kind, policy, blocks=blocks)
             if validation.rejected_rows:
-                sys.stderr.write("".join(
-                    f"{survey.path}: row {row}, column {column}: {message} [{code}]\n"
-                    for row, column, code, message in validation.diagnostics))
+                sys.stderr.write("".join(f"{survey.path}: {diagnostic_text(*diagnostic)}\n"
+                                         for diagnostic in validation.diagnostics))
             yield survey.kind, survey.path, responses, validation
     finally:
         with turn:

@@ -182,6 +182,12 @@ def roof_conflicts(hoq: HouseOfQuality) -> list[tuple[str, str]]:
     ]
 
 
+def ranked_importances(hoq: HouseOfQuality) -> list[tuple[TechnicalImportance, str]]:
+    """Each technical importance with its requirement's name, in rank order."""
+    names = {t.id: t.name for t in hoq.tech_reqs}
+    return [(t, names[t.tech_id]) for t in sorted(hoq.importances, key=lambda t: t.rank)]
+
+
 def load_hoq(path) -> HouseOfQuality:
     """Read and validate a house-of-quality JSON file."""
     return build_hoq(read_json(path))

@@ -35,7 +35,7 @@ from .ingest import ValidationReport
 from .instrument import DIMENSION_ORDER, SurveyInstrument
 from .kano import KanoPriority
 from .psychometrics import ItemDescriptives, ReliabilityReport, reliability_gate
-from .qfd import HouseOfQuality, build_hoq, serialize_hoq
+from .qfd import HouseOfQuality, build_hoq, ranked_importances, serialize_hoq
 from .rootcause import FishboneTree, ParetoTable, branch_magnitudes, build_fishbone, \
     serialize_fishbone
 from .schema import array, hints, mapping, number, parse_json, read, write
@@ -126,10 +126,7 @@ def assemble(
         raise DefinitionError("a gap report is mandatory to assemble an analysis report")
 
     warnings: list[ReportWarning] = []
-    for survey, reliability in (
-        ("expectation", gap_report.reliability_expectation),
-        ("perception", gap_report.reliability_perception),
-    ):
+    for survey, reliability in gap_report.reliabilities:
         if reliability is not None and not reliability.passes_gate:
             warnings.append(ReportWarning(
                 code=WARN_RELIABILITY_GATE,
@@ -204,8 +201,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "metadata": write(report.metadata),
         "descriptives": {"expectation": write(report.expectation_descriptives),
                          "perception": write(report.perception_descriptives)},
-        "reliability": {"expectation": write(gr.reliability_expectation),
-                        "perception": write(gr.reliability_perception)},
+        "reliability": {survey: write(rel) for survey, rel in gr.reliabilities},
         "importance_weights": write(report.importance_weights),
         "gap_analysis": {
             "items": [{**write(g), "classification": classify_satisfaction(g.gap).value}
@@ -414,8 +410,7 @@ def _csv_tables(report: AnalysisReport) -> dict[str, bytes]:
             [g.item_id, report.item_labels.get(g.item_id, ""),
              *expect.get(g.item_id, missing), *perceive.get(g.item_id, missing)]
             for g in gr.item_gaps]),
-        "reliability.csv": reliability_csv((("expectation", gr.reliability_expectation),
-                                            ("perception", gr.reliability_perception))),
+        "reliability.csv": reliability_csv(gr.reliabilities),
         "gaps.csv": csv_bytes([c.csv for c in _GAPS], gap_rows),
     }
     if report.kano_priorities:
@@ -498,8 +493,7 @@ def _markdown(report: AnalysisReport) -> bytes:
         lines.append(f"- Respondents: {_md_prose(', '.join(parts))}")
     lines.append("")
 
-    for survey, rel in (("expectation", gr.reliability_expectation),
-                        ("perception", gr.reliability_perception)):
+    for survey, rel in gr.reliabilities:
         if rel is None:
             continue
         verdict = "passes" if rel.passes_gate else "FAILS"
@@ -537,12 +531,11 @@ def _markdown(report: AnalysisReport) -> bytes:
         lines.append("")
 
     if report.hoq:
-        names = {t.id: t.name for t in report.hoq.tech_reqs}
         lines += ["## House of quality", "", *_md_table(
             (Column("rank", "Rank"), Column("name", "Technical requirement"),
              Column("absolute", "Absolute weight", 6), Column("relative_pct", "Relative %", 4)),
-            [[t.rank, names[t.tech_id], t.absolute, t.relative_pct]
-             for t in sorted(report.hoq.importances, key=lambda t: t.rank)]), ""]
+            [[t.rank, name, t.absolute, t.relative_pct]
+             for t, name in ranked_importances(report.hoq)]), ""]
 
     if report.fishbone:
         lines += ["## Cause-and-effect tree", "",

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 from .errors import DefinitionError
 from .instrument import SurveyInstrument
 from .schema import read, read_json
-from .servqual import ImportanceWeights, ItemGap
+from .servqual import ImportanceWeights, ItemGap, dissatisfaction
 
 DEFAULT_PARETO_THRESHOLD = 80.0
 MAX_FISHBONE_DEPTH = 3
@@ -66,18 +66,13 @@ def dissatisfaction_contributions(
 ) -> list[Contribution]:
     """One contribution per negative-gap item, in instrument order.
 
-    magnitude = |gap| x dimension importance (or plain |gap| when
-    ``weighted`` is False); items with nonnegative gaps are excluded.
+    magnitude = servqual.dissatisfaction: |gap| x dimension importance (or
+    plain |gap| when ``weighted`` is False); items with nonnegative gaps are
+    excluded.
     """
-    gap_by_id = {g.item_id: g.gap for g in gaps}
-    out: list[Contribution] = []
-    for item in instrument.items:
-        gap = gap_by_id.get(item.id)
-        if gap is None or gap >= 0:
-            continue
-        magnitude = -gap * (weights[item.dimension] if weighted else 1.0)
-        out.append(Contribution(item_id=item.id, label=item.prompt, magnitude=magnitude))
-    return out
+    return [Contribution(item_id=item.id, label=item.prompt, magnitude=magnitude)
+            for item, magnitude in dissatisfaction(gaps, weights, instrument, weighted)
+            if magnitude is not None]
 
 
 def pareto(

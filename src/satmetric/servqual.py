@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .errors import ComputationError, DataError, DefinitionError
 from .ingest import IMPORTANCE_COLUMNS, ResponseKind, ResponseSet
-from .instrument import DIMENSION_ORDER, SurveyInstrument
+from .instrument import DIMENSION_ORDER, Item, SurveyInstrument
 from .psychometrics import ItemDescriptives, ReliabilityReport
 from .schema import integer, number
 
@@ -67,6 +67,12 @@ class GapReport:
     reliability_expectation: ReliabilityReport | None = None
     reliability_perception: ReliabilityReport | None = None
 
+    @property
+    def reliabilities(self) -> tuple[tuple[str, ReliabilityReport | None], ...]:
+        """(survey, reliability report or None) for expectation, then perception."""
+        return (("expectation", self.reliability_expectation),
+                ("perception", self.reliability_perception))
+
 
 def classify_satisfaction(gap: float) -> Satisfaction:
     """Positive gap: satisfied; zero: neutral; negative: dissatisfied."""
@@ -75,6 +81,18 @@ def classify_satisfaction(gap: float) -> Satisfaction:
     if gap < 0:
         return Satisfaction.DISSATISFIED
     return Satisfaction.NEUTRAL
+
+
+def dissatisfaction(gaps: Sequence[ItemGap], weights: ImportanceWeights,
+                    instrument: SurveyInstrument, weighted: bool = True,
+                    ) -> list[tuple[Item, float | None]]:
+    """Every instrument item that has a gap, in instrument order, with its
+    dissatisfaction: -gap x its dimension's importance (x 1.0 when
+    ``weighted`` is False) when the gap is negative, None otherwise.  Kano
+    priorities and Pareto contributions both rank this value."""
+    gap_by_id = {g.item_id: g.gap for g in gaps}
+    return [(item, -gap * (weights[item.dimension] if weighted else 1.0) if gap < 0 else None)
+            for item in instrument.items if (gap := gap_by_id.get(item.id)) is not None]
 
 
 def item_gaps(

@@ -91,6 +91,10 @@ class TestValidate:
         assert rc == 0
         assert "4 accepted, 0 rejected" in capsys.readouterr().out
 
+    def test_instrument_alone_exits_0(self, workdir, capsys):
+        assert main(["validate", "--instrument", str(workdir / "tiny.json")]) == 0
+        assert capsys.readouterr().out == "instrument OK; no response files given\n"
+
     def test_rejections_exit_1_with_row_diagnostics(self, workdir, capsys):
         mixed = workdir / "mixed.csv"
         mixed.write_text("respondent_id,q1,q2,q3\nr1,4,4,4\nr2,6,4,4\n")
@@ -191,6 +195,12 @@ class TestDescriptivesAndReliability:
     def test_reliability_requires_a_survey(self, workdir, capsys):
         rc = main(["reliability", "--instrument", str(workdir / "tiny.json")])
         assert rc == 1
+        assert capsys.readouterr().err == "error: provide --expect and/or --perceive\n"
+
+    def test_descriptives_requires_a_survey(self, workdir, capsys):
+        rc = main(["descriptives", "--instrument", str(workdir / "tiny.json")])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: provide --expect and/or --perceive\n")
 
     def test_reliability_csv_matches_gap_bundle_table(self, xyz_dir):
         inputs = ["--instrument", str(xyz_dir / "xyz.json"),

@@ -351,6 +351,24 @@ def test_allocations_are_checked_once_per_parse(monkeypatch, xyz_instrument):
     assert calls == [2]
 
 
+@pytest.mark.parametrize("data", [b"", codecs.BOM_UTF8, ""])
+def test_empty_response_file_is_refused(data):
+    with pytest.raises(DataError, match="^empty response file$"):
+        parse_response_file(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION)
+
+
+@pytest.mark.parametrize("kind, values, ids, message", [
+    (ResponseKind.EXPECTATION, np.zeros((0, 3)), (), "response matrix must be N x k with N >= 1"),
+    (ResponseKind.EXPECTATION, np.ones((2, 3)), ("r1",),
+     "respondent_ids length must match row count"),
+    (ResponseKind.IMPORTANCE, np.full((1, 4), 25), ("r1",),
+     "importance matrix must have exactly 5 columns"),
+], ids=["no_rows", "id_count", "importance_width"])
+def test_response_set_constructor_refuses_a_bad_shape(kind, values, ids, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        ResponseSet(kind, "t", values, ids)
+
+
 @pytest.mark.parametrize("row, expected", [
     ((20, 20, 20, 20, 20), None),
     ((40, 30, 10, 10, 10), None),

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from conftest import examples
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from satmetric.kano import (
     prioritize,
     resolve_multipliers,
 )
+from satmetric.rootcause import dissatisfaction_contributions
 from satmetric.servqual import ItemGap, item_gaps, weights_from_means
 from satmetric import xyz
 
@@ -165,3 +168,31 @@ class TestProperties:
         for p in priorities:
             if gap_by_id[p.item_id] >= 0:
                 assert p.rank > worst_positive_rank
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(DIMENSION_ORDER), st.sampled_from(list(KanoCategory)),
+                          st.floats(-5, 5) | st.sampled_from([0.0, -0.0])),
+                min_size=1, max_size=12),
+       st.lists(st.integers(0, 100), min_size=5, max_size=5).filter(any))
+def test_kano_raw_contribution_is_the_pareto_magnitude(items, shares):
+    """Both rank one dissatisfaction: a negative-gap item's Kano raw
+    contribution is its weighted Pareto magnitude, bit for bit; any other
+    item scores 0.0 and has no Pareto row; unweighted, the magnitude is -gap."""
+    instrument = build_instrument({"scale": {"min": 1, "max": 5}, "items": [
+        {"id": i, "prompt": f"i{i}", "dimension": dim, "kano": kano.value}
+        for i, (dim, kano, _) in enumerate(items, start=1)]})
+    weights = weights_from_means({dim: 100 * share / sum(shares)
+                                  for dim, share in zip(DIMENSION_ORDER, shares)})
+    gaps = [gap(i, value) for i, (_, _, value) in enumerate(items, start=1)]
+    raw = {p.item_id: p.raw_contribution for p in prioritize(gaps, weights, instrument)}
+    weighted, plain = ({c.item_id: c.magnitude for c in dissatisfaction_contributions(
+        gaps, weights, instrument, weighted=flag)} for flag in (True, False))
+    negative = {g.item_id: g.gap for g in gaps if g.gap < 0}
+    assert weighted.keys() == plain.keys() == negative.keys()
+    for item_id, contribution in raw.items():
+        if item_id in negative:
+            assert contribution.hex() == weighted[item_id].hex()
+            assert plain[item_id].hex() == (-negative[item_id]).hex()
+        else:
+            assert contribution == 0.0 and math.copysign(1.0, contribution) == 1.0

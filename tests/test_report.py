@@ -21,9 +21,10 @@ from satmetric.kano import prioritize
 from satmetric.pipeline import Config, Inputs, run
 from satmetric.psychometrics import OmittedItemStats, ReliabilityReport
 from satmetric.instrument import serialize_instrument
-from satmetric.qfd import serialize_hoq
+from satmetric.qfd import build_hoq, serialize_hoq
 from satmetric.report import (
     FORMATS,
+    WARN_DEGENERATE_HOQ,
     WARN_IMPORTANCE_DRIFT,
     WARN_RELIABILITY_GATE,
     WARN_ROWS_REJECTED,
@@ -116,6 +117,16 @@ class TestAssemble:
         report = assemble(gap_report, validation={"expectation": vr}, timestamp=False)
         rejected = [w for w in report.warnings if w.code == WARN_ROWS_REJECTED]
         assert len(rejected) == 1 and "1 of 81" in rejected[0].message
+
+    def test_degenerate_house_warning(self, xyz_instrument, xyz_weights,
+                                      xyz_expect_desc, xyz_perceive_desc):
+        gap_report = compute_gap_report(xyz_expect_desc, xyz_perceive_desc,
+                                        xyz_weights, xyz_instrument)
+        hoq = build_hoq({"customer_reqs": [{"id": "c1", "importance": 1}],
+                         "tech_reqs": [{"id": "t1"}], "relationships": [[0]]})
+        report = assemble(gap_report, hoq=hoq, timestamp=False)
+        assert hoq.degenerate
+        assert [w.code for w in report.warnings] == [WARN_DEGENERATE_HOQ]
 
     def test_minimal_report_marks_absent_sections_null(self, xyz_instrument, xyz_weights,
                                                        xyz_expect_desc, xyz_perceive_desc):
@@ -271,6 +282,14 @@ class TestMarkdownAndCharts:
                             'stroke-width="1"/>')
         bars = [line for line in lines if line.startswith("<rect x=")]
         assert len(bars) == 2 and all('y="290.00"' in b and 'height="0.00"' in b for b in bars)
+
+    def test_empty_pareto_table_is_named_in_markdown(self, xyz_instrument, xyz_weights,
+                                                     xyz_expect_desc, xyz_perceive_desc):
+        gap_report = compute_gap_report(xyz_expect_desc, xyz_perceive_desc,
+                                        xyz_weights, xyz_instrument)
+        report = assemble(gap_report, pareto=pareto([]), timestamp=False)
+        text = emit(report, "markdown").decode()
+        assert "## Dissatisfaction Pareto\n\nNo negative gaps: nothing to prioritize.\n" in text
 
 
 class TestDeterminism:

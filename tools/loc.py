@@ -1,4 +1,5 @@
-"""Print the line count and the code-line count of each Python file given.
+"""Print the line count and the code-line count of each Python file given;
+a directory stands for its ``*.py`` files, sorted.
 
 The line count is ``wc -l``'s.  A code line holds a token of a statement:
 comments, blank lines and docstrings (a statement that is only a string
@@ -7,7 +8,7 @@ line it spans.  With ``--diff``, print the code lines of each module in two
 directories and the change from the first to the second.  Standard library
 only:
 
-    python3 tools/loc.py src/satmetric/*.py
+    python3 tools/loc.py src/satmetric
     python3 tools/loc.py --diff <base>/src/satmetric src/satmetric
 """
 
@@ -53,17 +54,19 @@ def diff(base: Path, head: Path) -> int:
 
 
 def main(paths: list[str]) -> int:
-    if paths[:1] == ["--diff"]:
-        if len(paths) != 3:
-            sys.exit("usage: loc.py --diff <base directory> <directory>")
+    if not paths or paths[0] == "--diff" and len(paths) != 3:
+        print("usage: loc.py <file or directory> ... | --diff <base directory> <directory>",
+              file=sys.stderr)
+        return 2
+    if paths[0] == "--diff":
         return diff(Path(paths[1]), Path(paths[2]))
     totals = [0, 0]
     print(f"{'lines':>7} {'code':>7}  file")
-    for name in paths:
-        path = Path(name)
+    for path in (found for name in paths for found in (
+            sorted(Path(name).glob("*.py")) if Path(name).is_dir() else [Path(name)])):
         counts = (path.read_bytes().count(b"\n"), code_lines(path))
         totals = [a + b for a, b in zip(totals, counts)]
-        print(f"{counts[0]:7d} {counts[1]:7d}  {name}")
+        print(f"{counts[0]:7d} {counts[1]:7d}  {path}")
     print(f"{totals[0]:7d} {totals[1]:7d}  total")
     return 0
 
