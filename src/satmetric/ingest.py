@@ -53,22 +53,26 @@ errors.
   points that str.strip() removes; every id of up to 8 bytes one uint64
   key, which checks repeats and is decoded into the ids when they are first
   read; every Likert cell that a case converts one minimum and one maximum
-  in _refused, all that a block whose values pass the scale pays there.
-  The one-byte case costs every line a look at the byte where its first
-  comma must lie and a gather of its last 2k bytes, every cell one
-  subtraction and a maximum, and the block one count of its commas.  A
-  block it does not take has paid the look at each line and, only when
-  those all hold a comma, the count and the gather.  The strict and the
+  in _refused, all that a block whose values pass the scale pays there;
+  and every Likert block one product for its accepted rows' column sums S
+  and cross products X'X (_exact_moments, chunks of at most 2**16 cells),
+  which the join adds up and psychometrics reads in place of a pass over
+  the set's values.  The one-byte case costs every line a look at the byte
+  where its first comma must lie and a gather of its last 2k bytes, every
+  cell one subtraction and a maximum, and the block one count of its
+  commas.  A block it does not take has paid the look at each line and,
+  only when those all hold a comma, the count and the gather.  The strict and the
   general case cost every byte the comma offsets, found from the mask,
   every cell its first digit, and, in the general case, every line its
   comma count and one search of its bounds among the padding and quote
-  offsets.  The rest is paid only where its feature occurs: a later digit
-  place by the cells that wide, a sign by the cells whose first digit
-  fails, stripping by padded lines, a diagnostic tuple by the row it
-  rejects (its message is formatted once per distinct value in a block),
-  and decoding at once by a file with a wider id or a repeated id.  A
-  declined file pays for parse_response_rows on top of the passes made
-  before the decline.
+  offsets.  A later digit place costs every cell while more than half the
+  cells reach it (an allocation's second place), and after that only the
+  cells that wide.  The rest is paid only where its feature occurs: a sign
+  by the cells whose first digit fails, stripping by padded lines, a
+  diagnostic tuple by the row it rejects (its message is formatted once
+  per distinct value in a block), and decoding at once by a file with a
+  wider id or a repeated id.  A declined file pays for parse_response_rows
+  on top of the passes made before the decline.
 
   The route runs in three steps.  cut_lines, the whole-file step, makes
   every check that declines the input as a whole (the input, the header,
@@ -77,13 +81,13 @@ errors.
   LineBlocks.parse, the block step, reads one block by its one-byte,
   strict or general case, or declines the input for a quote or a long cell
   in it.  LineBlocks.result joins the blocks (repeated ids across them,
-  diagnostics in file order and the first error under fail), or hands a
-  declined input to parse_response_rows as the bytes that cut_lines
-  checked, which decode to the text of the input as given.  A block's
-  temporaries, some of them several arrays of a block's cells, never grow
-  with the file.
-  parse_response_file runs the blocks in order; pipeline.surveys runs them
-  as jobs in its lanes.
+  diagnostics in file order, the first error under fail and the sum of the
+  blocks' S and X'X, which the set keeps unless a row was dropped at the
+  join), or hands a declined input to parse_response_rows as the bytes
+  that cut_lines checked, which decode to the text of the input as given.
+  A block's temporaries, some of them several arrays of a block's cells,
+  never grow with the file.  parse_response_file runs the blocks in
+  order; pipeline.surveys runs them as jobs in its lanes.
 * Per-cell: parse_response_rows reads every record with csv.reader and
   checks it cell by cell.  It reads every input the line route declines.
 
@@ -207,12 +211,15 @@ class ResponseSet:
     """N x k integer response matrix of one kind, N >= 1, one respondent id
     per row.  ``values`` is read-only.
 
-    The constructor checks the shape, the id count and, for importance (k
-    is 5), that every row allocates exactly 100 points in multiples of
-    five.  It does not check Likert cells against a scale:
+    The constructor checks the shape, that every cell is an integer or a
+    float of integer value within int64 (no string, None or NaN), the id
+    count and, for importance (k is 5), that every row allocates exactly
+    100 points in multiples of five.  It does not check Likert cells
+    against a scale:
     parse_response_file rejects the rows outside it, and generate_synthetic
     stays within it by construction.  A set that the line route builds
-    holds its ids as _id_keys and decodes them when they are first read.
+    holds its ids as _id_keys and decodes them when they are first read,
+    and may hold its S and X'X as _gram (see _validated_set).
     Two sets are equal when their kind, instrument_ref, values and ids are;
     a set has no hash, as its values array has none.
     """
@@ -223,11 +230,9 @@ class ResponseSet:
     respondent_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.int64, copy=True, order="C")
+        values = _int64_matrix(self.values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if values.ndim != 2 or values.shape[0] < 1:
-            raise DataError("response matrix must be N x k with N >= 1")
         if len(self.respondent_ids) != values.shape[0]:
             raise DataError("respondent_ids length must match row count")
         if self.kind is ResponseKind.IMPORTANCE:
@@ -262,6 +267,41 @@ class ResponseSet:
     @property
     def n_columns(self) -> int:
         return int(self.values.shape[1])
+
+
+def _int64_matrix(values) -> np.ndarray:
+    """A new C-contiguous int64 copy of the N x k matrix ``values``, N >= 1,
+    each of whose cells is an integer, or a float of integer value, within
+    int64, so that the copy loses nothing; else DataError, naming the
+    first row that holds another cell."""
+    try:
+        given = np.asarray(values)
+    except ValueError:  # rows of unequal lengths
+        given = None
+    if given is None or given.ndim != 2 or given.shape[0] < 1:
+        raise DataError("response matrix must be N x k with N >= 1")
+    kind = given.dtype.kind
+    if kind in "bi":
+        exact = np.ones(given.shape, dtype=bool)
+    elif kind == "f" and given is values:  # NaN fails every comparison
+        top = np.float64(2**63)  # not cast to a narrower float, where it overflows
+        exact = (given >= -top) & (given < top) & (np.trunc(given) == given)
+    else:  # each cell as given, not as the text or the float numpy made of it
+        given = np.array(values, dtype=object)
+        exact = np.frompyfunc(_is_int64, 1, 1)(given).astype(bool)
+    if not exact.all():
+        row, column = np.argwhere(~exact)[0].tolist()
+        raise DataError(f"response row {row + 1} holds {given[row].tolist()[column]!r}, "
+                        "not an integer within int64")
+    return np.array(given, dtype=np.int64, order="C")
+
+
+def _is_int64(cell) -> bool:
+    """Whether ``cell``, a Python object, is an integer or a finite float
+    of integer value, within int64."""
+    if isinstance(cell, (float, np.floating)):
+        return math.isfinite(cell) and float(cell).is_integer() and -2**63 <= cell < 2**63
+    return isinstance(cell, (int, np.integer)) and -2**63 <= cell < 2**63
 
 
 def validate_importance_row(row: Sequence[int]) -> str | None:
@@ -303,9 +343,9 @@ def _invalid_allocations(values: np.ndarray) -> np.ndarray:
     """3 x N mask of an N x 5 integer matrix: row c is True where
     validate_importance_row finds the c-th violation of _ALLOCATION_MESSAGES
     (the int64 sum of five values of at most 18 digits is exact)."""
-    return np.stack((values.sum(axis=1) != IMPORTANCE_TOTAL,
+    return np.stack((np.einsum("ij->i", values) != IMPORTANCE_TOTAL,
                      _rows_with((values < 0) | (values > IMPORTANCE_TOTAL)),
-                     _rows_with(values % IMPORTANCE_STEP != 0)))
+                     _rows_with(values // IMPORTANCE_STEP * IMPORTANCE_STEP != values)))
 
 
 def _expected_header(instrument: SurveyInstrument, kind: ResponseKind) -> list[str]:
@@ -389,12 +429,26 @@ def _digit_values(
     # Horner's rule, one gather per digit place: several times faster than
     # converting the split cells with astype.  Every cell of good width has
     # a first digit, and a gather past the end of ``raw`` reads its last
-    # byte, unused.  The later places read only the cells that have them.
+    # byte, unused.  A later place is read in every cell while most cells
+    # reach it (as two-digit allocations do), and after that only in the
+    # cells that reach it: index arrays cost more than a dense pass over a
+    # place most cells have, and far less than one over a rare place.
     worst = raw.take(starts, mode="clip") - ord("0")  # other bytes wrap above 9
     np.maximum(worst, 10, out=worst, where=misfit)  # and so does a bad width
     values = worst.astype(np.int64)
-    cells = np.flatnonzero(narrow > 1) if narrow.max(initial=0) > 1 else []
-    place = 1
+    place, wide = 1, narrow > 1
+    while 2 * (reach := np.count_nonzero(wide)) > wide.size:
+        # Unmasked arithmetic: a ufunc masked by ``where`` runs several times
+        # slower on a mask of short runs.  A cell short of the place gains a
+        # zero digit and keeps its value, times 1.
+        digits = raw.take(starts + place, mode="clip") - ord("0")
+        digits *= wide
+        np.maximum(worst, digits, out=worst)
+        values *= wide * np.uint8(9) + np.uint8(1)
+        values += digits
+        place += 1
+        wide = np.greater(narrow, place, out=wide)
+    cells = np.flatnonzero(wide) if reach else []
     while len(cells):
         digits = raw.take(starts.take(cells) + place) - ord("0")
         values.put(cells, values.take(cells) * 10 + digits)
@@ -402,6 +456,46 @@ def _digit_values(
         place += 1
         cells = cells[narrow.take(cells) > place]
     return values, worst > 9
+
+
+def _exact_route(n: int, k: int, peak: int) -> bool:
+    """Whether the moments of an n x k integer matrix whose values are at
+    most ``peak`` in magnitude take psychometrics' exact route: its int64
+    sums and X'X, and N times them, cannot overflow, and _exact_moments
+    reads X'X exactly."""
+    return n * peak * peak <= 2**53 and n * k * peak <= 2**31
+
+
+def _gram_float(rows: int, bound: int) -> type:
+    """The float type in which BLAS reads the column sums and X'X of
+    ``rows`` rows, each value at most ``bound`` in magnitude, exactly:
+    float32 where rows * bound**2 < 2**24, as every partial sum is then an
+    integer that its 24-bit significand holds, else float64, exact on
+    _exact_route's matrices."""
+    return np.float32 if rows * bound * bound < 2**24 else np.float64
+
+
+def _exact_moments(m: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column sums S and X'X of the integer matrix ``m``, each value at most
+    ``bound`` in magnitude, as int64, exact on _exact_route's matrices: BLAS
+    products over chunks of rows of at most 2**16 cells (no N x k float
+    copy), in the _gram_float type of one chunk.  The products release the
+    GIL, so the ingest lanes overlap them."""
+    n, k = m.shape
+    rows = min(n, 2**16 // k) or 1
+    kind = _gram_float(rows, bound)
+    ones = np.ones(rows, dtype=kind)
+    sums, gram = np.zeros(k, dtype=np.int64), np.zeros((k, k), dtype=np.int64)
+    for at in range(0, n, rows):
+        chunk = m[at:at + rows].astype(kind)
+        sums += (ones[:len(chunk)] @ chunk).astype(np.int64)
+        gram += (chunk.T @ chunk).astype(np.int64)
+    return sums, gram
+
+
+def _scale_bound(scale: LikertScale) -> int:
+    """The largest magnitude of a value inside ``scale``."""
+    return max(-scale.min, scale.max)
 
 
 def _rows_with(cells: np.ndarray) -> np.ndarray:
@@ -564,10 +658,21 @@ class LineBlocks:
 
     def parse(self, at: int) -> None:
         """Read block ``at`` into ``parts[at]``: its accepted lines, their
-        ids or _id_keys and values, and the diagnostics of its rejected
-        rows, or False if it declines the input."""
+        ids or _id_keys and values, the diagnostics of its rejected rows
+        and, for a Likert kind, its accepted rows' S and X'X, or False if it
+        declines the input."""
         last = self.firsts[at + 1] if at + 1 < len(self) else len(self.edges) - 1
-        self.parts[at] = self._block(self.firsts[at], last) or False
+        read = self._block(self.firsts[at], last)
+        # Once the case's temporaries are freed.
+        self.parts[at] = (*read, self._moments(read[2])) if read else False
+
+    def _moments(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """The S and X'X of a block's accepted ``values``, which lie within
+        the scale, for a Likert kind, unless they leave the exact route."""
+        bound = _scale_bound(self.instrument.scale)
+        if self.kind.is_likert and _exact_route(*values.shape, bound):
+            return _exact_moments(values, bound)
+        return None
 
     def _block(self, first: int, last: int) -> tuple | None:
         raw, expected, k = self.raw, self.expected, len(self.expected) - 1
@@ -695,10 +800,11 @@ class LineBlocks:
         if not all(self.parts):
             return parse_response_rows(self.data, self.instrument, self.kind, policy)
         if len(self.parts) == 1:
-            lines, ids, values, errors = self.parts[0]
+            lines, ids, values, errors, moments = self.parts[0]
             errors = list(errors)  # _result extends and sorts it
         else:
-            lines, ids, values, errors = zip(*self.parts)
+            lines, ids, values, errors, moments = zip(*self.parts)
+            moments = None if None in moments else tuple(map(sum, zip(*moments)))
             if all(isinstance(keys, np.ndarray) for keys in ids):
                 ids = np.concatenate(ids)
             else:  # an id wider than one key: every block's ids as texts
@@ -706,7 +812,8 @@ class LineBlocks:
                     _key_texts(part) if isinstance(part, np.ndarray) else part)]
             lines, values = np.concatenate(lines), np.concatenate(values)
             errors = [error for part in errors for error in part]
-        return _result(self.instrument, self.kind, policy, lines + 1, ids, values, errors)
+        return _result(self.instrument, self.kind, policy, lines + 1, ids, values, errors,
+                       moments)
 
 
 def _line_input(data: bytes | str, expected: list[str]) -> tuple[bytes, bool] | None:
@@ -937,13 +1044,14 @@ def _result(
     ids: list[str] | np.ndarray,
     values: np.ndarray,
     errors: list[_Diagnostic],
+    moments: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ResponseSet, ValidationReport]:
     """Finish a parse from its accepted rows (data-row numbers, ids or their
-    _id_keys, and values, in file order) and the diagnostics of the rejected
-    ones, in any order: reject each accepted row whose id an earlier
-    accepted row holds, put the diagnostics in file order, then raise the
-    first under policy fail, else build the result, whose report builds no
-    RowError until its row_errors is read."""
+    _id_keys, and values, in file order, and maybe their S and X'X) and the
+    diagnostics of the rejected ones, in any order: reject each accepted row
+    whose id an earlier accepted row holds, put the diagnostics in file
+    order, then raise the first under policy fail, else build the result,
+    whose report builds no RowError until its row_errors is read."""
     if isinstance(ids, np.ndarray) and (np.diff(np.sort(ids)) == 0).any():  # a repeated key
         ids = _key_texts(ids)
     if isinstance(ids, list) and len(set(ids)) != len(ids):
@@ -958,6 +1066,7 @@ def _result(
                 keep.append(at)
         ids = [ids[at] for at in keep]
         values = values[keep]
+        moments = None  # they count the dropped rows
     errors.sort(key=itemgetter(0))
     if errors and policy is MissingPolicy.FAIL:
         raise DataError(diagnostic_text(*errors[0]))
@@ -966,20 +1075,25 @@ def _result(
     report = object.__new__(ValidationReport)
     vars(report).update(_diagnostics=tuple(errors), accepted_rows=len(ids),
                         rejected_rows=len(errors))
-    return _validated_set(instrument, kind, values, ids), report
+    return _validated_set(instrument, kind, values, ids, moments), report
 
 
 def _validated_set(
     instrument: SurveyInstrument, kind: ResponseKind, values: np.ndarray, ids: list | np.ndarray,
+    moments: tuple[np.ndarray, np.ndarray] | None,
 ) -> ResponseSet:
     """The ResponseSet of the rows that a route has checked, at least one:
     ``values`` is the route's own matrix, one row per id or _id_keys key,
-    which the set keeps until its ids are read.  It skips the constructor,
-    whose copy of ``values`` costs page faults in this and later stages and
-    whose allocation check would check every row again."""
+    which the set keeps until its ids are read, and ``moments`` its S and
+    X'X, or None.  It skips the constructor, whose copy of ``values`` costs
+    page faults in this and later stages and whose allocation check would
+    check every row again.  The set keeps ``moments`` as _gram when the
+    matrix, its values bounded by the scale, is on the exact route."""
     values = np.ascontiguousarray(values, dtype=np.int64)
     values.setflags(write=False)
     response_set = object.__new__(ResponseSet)
+    if moments is not None and _exact_route(*values.shape, _scale_bound(instrument.scale)):
+        object.__setattr__(response_set, "_gram", moments)
     named = ("_id_keys", ids) if isinstance(ids, np.ndarray) else ("respondent_ids", tuple(ids))
     for name, value in (("kind", kind), ("instrument_ref", instrument.fingerprint()),
                         ("values", values), named):

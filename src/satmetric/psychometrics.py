@@ -10,14 +10,22 @@ Each statistic is a ratio of moments of the N x k matrix X: with S its
 column sums, M = N*X'X - S S' is N^2 times the covariance matrix, an item's
 variance is M_ii / (N*(N-ddof)) and alpha k*(sum M - tr M) / ((k-1)*sum M).
 Integer input inside a guard (N*max|x|**2 <= 2**53, N*k*max|x| <= 2**31)
-takes the exact route: int64 sums, X'X from float64 BLAS products that stay
-exact, and one rounding of a ratio of Python integers per statistic, so
-variances and means are correctly rounded and the rest is within 4 ulp.
+takes the exact route: int64 sums and X'X from float32 or float64 BLAS
+products that stay exact (ingest._exact_moments), and one rounding of a
+ratio of Python integers per statistic, so variances and means are
+correctly rounded and the rest is within 4 ulp.
 Other input has the centered Gram matrix as M, and a NaN, an infinity or an
 overflow there raises ComputationError.  A ResponseSet on the exact route has
 all of M computed once and kept on it, and each of its statistics reads that
 M: descriptives S and M's diagonal, alpha its trace and its sum, which is the
 row totals' moment, and the omitted-item fields the rest.
+
+A set's M comes from the S and X'X that its parse summed, block by block in
+the ingest lanes, when the parse kept them: the line route keeps them unless
+a row was dropped at the join for a repeated id, and only where the guard
+holds with the scale's bound in place of max|x|.  Any other set, a declined
+file's or one built by the constructor, has them computed here from its
+values by the same function (ingest._exact_moments), to the same integers.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ComputationError
-from .ingest import ResponseSet
+from .ingest import ResponseSet, _exact_moments, _exact_route
 from .instrument import SurveyInstrument
 
 #: Alpha must strictly exceed this for a survey to count as reliable.
@@ -91,8 +99,7 @@ def _as_matrix(matrix) -> np.ndarray:
     if m.ndim != 2:
         raise ComputationError("expected a 2-D N x k matrix")
     if m.dtype.kind in "biu" and m.size:
-        peak = max(-int(m.min()), int(m.max()))
-        if len(m) * peak * peak <= 2**53 and m.size * peak <= 2**31:
+        if _exact_route(*m.shape, max(-int(m.min()), int(m.max()))):
             return np.ascontiguousarray(m, dtype=np.int64)
     m = np.ascontiguousarray(m, dtype=float)
     _finite(m)
@@ -107,28 +114,37 @@ def _finite(*values) -> None:
 def _unpack(matrix) -> tuple[np.ndarray, tuple | None]:
     """The matrix of a statistic's argument and, for a ResponseSet on the
     exact route, its _moments(m, cross=True), made on first use and kept on
-    the set, whose values are read-only."""
+    the set, whose values are read-only: from the S and X'X that its parse
+    summed (_gram), if it kept them, else from its values."""
     if not isinstance(matrix, ResponseSet):
         return _as_matrix(matrix), None
     shared = vars(matrix).get("_moments")
     if shared is None:
-        m = _as_matrix(matrix.values)
-        if m.dtype.kind != "i":
-            return m, None
-        shared = m, _moments(m, cross=True)
+        if "_gram" in vars(matrix):  # kept only on the exact route
+            m = matrix.values
+            shared = m, _central(len(m), *vars(matrix)["_gram"])
+        else:
+            m = _as_matrix(matrix.values)
+            if m.dtype.kind != "i":
+                return m, None
+            shared = m, _moments(m, cross=True)
         object.__setattr__(matrix, "_moments", shared)
     return shared
+
+
+def _central(n: int, sums: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """S, M = N*X'X - S S' and M's scale N, of N rows whose sums are S and
+    whose cross products are X'X."""
+    return sums, n * gram - np.outer(sums, sums), n
 
 
 def _moments(m: np.ndarray, cross: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
     """Column sums S, M's diagonal (all of M if ``cross``) and M's scale N, or 1 if float."""
     n = len(m)
     if m.dtype.kind == "i":
+        if cross:
+            return _central(n, *_exact_moments(m, max(-int(m.min()), int(m.max()))))
         sums = np.einsum("ij->j", m)  # exact in any order, and twice as fast as sum
-        if cross:  # X'X in float64 blocks of about 2**16 cells: exact, no N x k float copy
-            blocks = (b.astype(float) for b in np.array_split(m, m.size // 2**16 + 1))
-            gram = sum(b.T @ b for b in blocks).astype(np.int64)
-            return sums, n * gram - np.outer(sums, sums), n
         return sums, n * np.einsum("ij,ij->j", m, m) - sums * sums, n
     sums = m.sum(axis=0)
     centered = m - sums / n

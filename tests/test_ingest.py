@@ -369,6 +369,32 @@ def test_response_set_constructor_refuses_a_bad_shape(kind, values, ids, message
         ResponseSet(kind, "t", values, ids)
 
 
+@pytest.mark.parametrize("cell, shown", [
+    (1.9, "1.9"), (2**63, None), (None, "None"), ("a", "'a'"), (float("nan"), "nan"),
+], ids=["fraction", "past_int64", "none", "text", "nan"])
+def test_response_set_constructor_refuses_a_cell_that_is_no_int64(cell, shown):
+    """A cell that an int64 cannot hold exactly raises DataError naming its
+    row, where the constructor used to truncate it or let numpy's error out."""
+    rows = [[1, 2, 3], [cell, 2, 3], [4.5, 2, 3]]
+    with pytest.raises(DataError, match=r"^response row 2 holds (.+), not an integer within "
+                                        r"int64$") as exc:
+        ResponseSet(ResponseKind.EXPECTATION, "t", rows, ("r1", "r2", "r3"))
+    assert shown is None or f"holds {shown}," in str(exc.value)
+
+
+def test_response_set_constructor_keeps_what_converts_exactly():
+    """Integers, bools and floats of integer value within int64 are kept,
+    as an int64 copy; an integer beside a float in a list is not read
+    through the float64 that numpy would make of the row."""
+    given = np.array([[2.0, -(2.0**63), 7]])
+    rs = ResponseSet(ResponseKind.EXPECTATION, "t", given, ("r1",))
+    assert rs.values.dtype == np.int64 and rs.values.tolist() == [[2, -2**63, 7]]
+    for mixed, kept in (([True, np.int32(3), 2**63 - 1], [1, 3, 2**63 - 1]),
+                        ([2**53 + 1, 1.0, 2**63 - 1], [2**53 + 1, 1, 2**63 - 1])):
+        assert ResponseSet(ResponseKind.EXPECTATION, "t", [mixed], ("r1",)).values.tolist() == \
+            [kept]
+
+
 @pytest.mark.parametrize("row, expected", [
     ((20, 20, 20, 20, 20), None),
     ((40, 30, 10, 10, 10), None),

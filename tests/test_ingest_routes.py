@@ -25,12 +25,13 @@ import random
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from conftest import ALLOCATIONS, dirty_xyz_csv, examples, strict_result
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satmetric import ingest
+from satmetric import ingest, psychometrics
 from satmetric.errors import DataError
 from satmetric.ingest import (
     IMPORTANCE_COLUMNS,
@@ -259,7 +260,7 @@ def _outcome(parse, data, instrument, kind, policy):
 #: The helpers of the line route, which the per-cell parser must not use.
 BULK_HELPERS = ("_digit_values", "_rows_with", "_texts", "_refused", "_invalid_allocations",
                 "_line_input", "_quotes", "_bulk_values", "_strip_spans", "_id_keys",
-                "_key_texts", "_formatted", "cut_lines")
+                "_key_texts", "_formatted", "_exact_moments", "cut_lines")
 
 
 def _refuser(name: str):
@@ -1186,3 +1187,178 @@ def test_unread_validation_report_matches_the_constructed_one(xyz_instrument):
     report = unread()
     assert report.row_errors is report.row_errors
     assert report == public
+
+
+#: Edits of a Likert line's fields that take its block out of the one-byte
+#: case (to the strict or the general case) or refuse the row.
+MOMENT_EDITS = {
+    "two_digits": lambda fields, hi: [fields[0], f"0{fields[1]}", *fields[2:]],
+    "quoted": lambda fields, hi: [*fields[:-1], f'"{fields[-1]}"'],
+    "padded": lambda fields, hi: [fields[0], f" {fields[1]}\t", *fields[2:]],
+    "signed": lambda fields, hi: [fields[0], f"+{fields[1]}", *fields[2:]],
+    "out_of_scale": lambda fields, hi: [*fields[:-1], str(hi + 1)],
+    "empty_cell": lambda fields, hi: [fields[0], "", *fields[2:]],
+    "missing_cell": lambda fields, hi: fields[:-1],
+}
+
+
+@st.composite
+def likert_block_files(draw):
+    """(instrument, kind, file bytes, block budget): a Likert file whose
+    blocks take each of the three cases, its scale inside 0 to 9 or wider,
+    a negative minimum among them, a few of its lines edited by
+    MOMENT_EDITS, its ids repeating now and then anywhere in the file, its
+    lines ended by LF or CRLF."""
+    lo = draw(st.sampled_from([0, 1, 1, 2, -3]))
+    hi = draw(st.sampled_from([lo + 1, 5, 7, 9, 12, 99]).filter(lambda h: h > lo))
+    k = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.text(alphabet="abcXYZ0129_-", min_size=1, max_size=6), min_size=1,
+                         max_size=4))
+    ids = draw(st.lists(st.sampled_from(pool) | st.text(alphabet="abcXYZ0129_-", min_size=1,
+                                                        max_size=6), min_size=1, max_size=30))
+    lines = []
+    for respondent_id in ids:
+        fields = [respondent_id, *map(str, draw(st.lists(st.integers(lo, hi), min_size=k,
+                                                         max_size=k)))]
+        edit = draw(st.sampled_from([None] * 10 + list(MOMENT_EDITS)))
+        lines.append(",".join(MOMENT_EDITS[edit](fields, hi) if edit else fields))
+    header = ",".join(["respondent_id", *(f"q{i}" for i in range(1, k + 1))])
+    text = header + "\n" + "".join(line + draw(st.sampled_from(["\n", "\r\n"]))
+                                   for line in lines)
+    kind = draw(st.sampled_from([ResponseKind.EXPECTATION, ResponseKind.PERCEPTION]))
+    return _instrument(k, lo, hi), kind, text.encode(), draw(st.integers(1, 120))
+
+
+def _assert_exact_moments(rs) -> None:
+    """The S and X'X that a set's parse kept are its values' sums and cross
+    products in Python integers, and psychometrics reads from them the
+    moments that _moments reads from its values."""
+    sums, gram = vars(rs)["_gram"]
+    columns = list(zip(*rs.values.tolist()))
+    assert sums.dtype == gram.dtype == np.int64
+    assert sums.tolist() == [sum(column) for column in columns]
+    assert gram.tolist() == [[sum(a * b for a, b in zip(ci, cj)) for cj in columns]
+                             for ci in columns]
+    shared = psychometrics._unpack(rs)[1]
+    reference = psychometrics._moments(rs.values, cross=True)
+    assert shared[2] == reference[2] == len(rs.values)
+    assert [shared[0].tolist(), shared[1].tolist()] == \
+        [reference[0].tolist(), reference[1].tolist()]
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(likert_block_files())
+def test_parse_time_moments_are_exact(case):
+    """Blocks parsed last to first, as the lanes may finish them: the set
+    keeps the S and X'X its blocks summed exactly when no row was dropped
+    at the join for a repeated id, and they are exact."""
+    instrument, kind, data, budget = case
+    with mock.patch.object(ingest, "BLOCK_BYTES", budget):
+        blocks = ingest.cut_lines(data, instrument, kind)
+        for at in reversed(range(len(blocks))):
+            blocks.parse(at)
+        try:
+            rs, report = blocks.result(MissingPolicy.DROP_ROW)
+        except DataError:  # no valid row
+            return
+    dropped = any(code == "duplicate_id" for _, _, code, _ in report.diagnostics)
+    assert ("_gram" in vars(rs)) == (all(blocks.parts) and not dropped)
+    if "_gram" in vars(rs):
+        _assert_exact_moments(rs)
+
+
+def test_sets_without_parse_time_moments_read_the_same_statistics(xyz_instrument):
+    """A set whose rows were dropped at the join and one from a file that the
+    line route declined keep no parse-time moments, and their descriptives
+    and reliability report equal those of the set of the same rows that
+    kept them."""
+    header, rows = _xyz_rows(60)
+    clean = (header + "\n" + "\n".join(rows) + "\n").encode()
+    repeated = clean + rows[0].encode() + b"\n"
+    declined = clean + b'late,3",' + b",".join([b"4"] * 16) + b"\n"
+    kind = ResponseKind.EXPECTATION
+    kept = parse_response_file(clean, xyz_instrument, kind)[0]
+    _assert_exact_moments(kept)
+    assert _line_route(declined, xyz_instrument, kind) is None
+
+    def statistics(rs):
+        return ([psychometrics.item_descriptives(rs, xyz_instrument, mode)
+                 for mode in psychometrics.VarianceMode],
+                psychometrics.reliability_report(rs, xyz_instrument))
+
+    expected = statistics(kept)
+    for data in (repeated, declined):
+        rs, report = parse_response_file(data, xyz_instrument, kind)
+        assert report.rejected_rows == 1 and rs == kept
+        assert "_gram" not in vars(rs)
+        assert statistics(rs) == expected
+
+
+#: Cells that are not 1 to 18 ASCII digits, which _digit_values marks.
+MISFITS = ("", "9" * 19, "1" * 25, "1a", "a1", ":", "/", "-1", " 7", "12 ")
+
+
+@st.composite
+def digit_cells(draw):
+    """Cells of 1 to 18 digits, none, a few, half, most or all of them wider
+    than one digit, and now and then one of MISFITS."""
+    share = draw(st.sampled_from([0, 1, 5, 9, 10]))  # tenths of the cells wider than one digit
+    cells = []
+    for _ in range(draw(st.integers(1, 40))):
+        if draw(st.integers(0, 15)) == 0:
+            cells.append(draw(st.sampled_from(MISFITS)))
+            continue
+        width = draw(st.integers(2, 18)) if draw(st.integers(0, 9)) < share else 1
+        cells.append(draw(st.text(alphabet="0123456789", min_size=width, max_size=width)))
+    return cells
+
+
+def _cell_bounds(cells: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The line of the cells, joined by commas, as bytes, and each cell's
+    start and end."""
+    widths = np.array([len(cell) for cell in cells])
+    ends = np.cumsum(widths + 1) - 1
+    return np.frombuffer((",".join(cells) + "\n").encode(), dtype=np.uint8), ends - widths, ends
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(digit_cells(), st.booleans())
+def test_digit_values_reads_every_width(cells, grid):
+    """Each cell of 1 to 18 digits reads as int(cell) and every other cell is
+    marked, in a row of cells or a grid of two columns, whatever the share
+    of wide cells."""
+    raw, starts, ends = _cell_bounds(cells)
+    if grid and len(cells) % 2 == 0:
+        starts, ends = starts.reshape(-1, 2), ends.reshape(-1, 2)
+    values, misfit = ingest._digit_values(raw, starts, ends)
+    fits = [re.fullmatch(r"[0-9]{1,18}", cell) is not None for cell in cells]
+    assert misfit.ravel().tolist() == [not fit for fit in fits]
+    assert [value for value, fit in zip(values.ravel().tolist(), fits) if fit] == \
+        [int(cell) for cell, fit in zip(cells, fits) if fit]
+
+
+class _Gathers(np.ndarray):
+    """Bytes that record the size of each gather from them."""
+
+    def take(self, indices, *args, **kwargs):
+        self.sizes.append(np.size(indices))
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
+@pytest.mark.parametrize("cells, dense", [
+    (["7"] * 99 + ["1" * 18], 1),
+    (["12"] * 60 + ["3"] * 40, 2),
+    (["100"] * 51 + ["5"] * 49, 3),
+    (["100"] * 10 + ["50"] * 50 + ["5"] * 40, 2),
+], ids=["one_wide_cell", "most_two_digits", "most_three_digits", "few_three_digits"])
+def test_digit_places_are_read_in_every_cell_only_while_most_cells_reach_them(cells, dense):
+    """The first place and each later place that most cells reach are
+    gathered over every cell, ``dense`` gathers in all; a later place that
+    half the cells or fewer reach is gathered over those cells alone."""
+    raw, starts, ends = _cell_bounds(cells)
+    raw = raw.view(_Gathers)
+    raw.sizes = []
+    values, misfit = ingest._digit_values(raw, starts, ends)
+    assert values.tolist() == list(map(int, cells)) and not misfit.any()
+    assert raw.sizes.count(len(cells)) == dense
+    assert all(size <= len(cells) // 2 for size in raw.sizes if size != len(cells))

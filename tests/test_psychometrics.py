@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from satmetric import psychometrics
+from satmetric import ingest, psychometrics
 
 from satmetric.errors import ComputationError
 from satmetric.ingest import ResponseKind, ResponseSet, generate_synthetic
@@ -354,6 +354,32 @@ def test_exact_route_guard_boundary(n, k, peak):
         for got, want in zip(omitted_item_stats(matrix), exact["omitted"], strict=True):
             for name, b in want.items():
                 assert getattr(got, name) == pytest.approx(b, rel=1e-12), name
+
+
+@pytest.mark.parametrize("rows, bound, kind", [
+    (2**24 - 1, 1, np.float32), (1_864_135, 3, np.float32), (1, 4095, np.float32),
+    (2**24, 1, np.float64), (2**22, 2, np.float64), (1, 4096, np.float64),
+])
+def test_gram_float_boundary(rows, bound, kind):
+    """A chunk of rows * bound**2 = 2**24 - 1 is read in float32, whose
+    partial sums stay exact below 2**24; one of 2**24 is read in float64."""
+    assert ingest._gram_float(rows, bound) is kind
+
+
+@pytest.mark.parametrize("bound, kind", [
+    (31, np.float32), (32, np.float64), (33, np.float64), (5000, np.float64),
+])
+def test_exact_moments_on_either_side_of_the_float32_boundary(bound, kind):
+    """One chunk of 2**14 rows, one column: 2**14 * 31**2 < 2**24 is read in
+    float32, 32 and up in float64.  Its sums and X'X equal Python's integer
+    arithmetic either way."""
+    column = np.full((2**14, 1), bound, dtype=np.int64)
+    column[::3] = -bound + 1
+    assert ingest._gram_float(len(column), bound) is kind
+    sums, gram = ingest._exact_moments(column, bound)
+    values = column[:, 0].tolist()
+    assert sums.tolist() == [sum(values)]
+    assert gram.tolist() == [[sum(v * v for v in values)]]
 
 
 @pytest.mark.parametrize("case", OMITTED_CASES)

@@ -20,9 +20,12 @@ ValidationReport, so that a change in the accepted ids or values or in a row
 diagnostic shows even where no report reads them.  It does the same for the
 shapes built from each CSV: ``é`` appended to every other id, which the line
 route reads from arrays; a loose quote (``3"``) in one cell, which makes the
-line route leave the file to ``parse_response_rows``; and, in a Likert CSV,
-a ``07`` in one cell, whose block the line route's one-byte case leaves to
-its strict case.  It prints one line per output file,
+line route leave the file to ``parse_response_rows``; in a Likert CSV, a
+``07`` in one cell, whose block the line route's one-byte case leaves to
+its strict case; and, in an importance CSV, ``00`` prepended to one cell,
+whose value and allocation stay valid and whose 3 to 5 digits the strict
+case reads place by place over only the cells that wide, after the places
+that most cells reach.  It prints one line per output file,
 per parsed CSV and per call's stdout, stderr and exit code.  Every path is
 relative to a temporary directory, so two source trees give the same lines
 exactly when their outputs are byte-identical:
@@ -104,7 +107,7 @@ def _files(root: Path) -> list[str]:
 def _shapes(data: bytes, kind: ResponseKind) -> dict[str, bytes]:
     """The shapes of a response CSV: ``é`` appended to the id of every other
     data line, and the first cell of its middle line replaced by ``3"`` and,
-    for a Likert kind, by ``07``."""
+    for a Likert kind, by ``07``, else by itself after ``00``."""
     lines = data.split(b"\n")
     accented = lines[:]
     accented[1::2] = [line.replace(b",", "é,".encode(), 1) for line in lines[1::2]]
@@ -118,6 +121,8 @@ def _shapes(data: bytes, kind: ResponseKind) -> dict[str, bytes]:
     shapes = {"accented": b"\n".join(accented), "loose_quote": with_first_cell(b'3"')}
     if kind.is_likert:
         shapes["leading_zero"] = with_first_cell(b"07")
+    else:
+        shapes["zero_padded"] = with_first_cell(b"00" + b"".join(middle[1:2]))
     return shapes
 
 
