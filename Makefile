@@ -9,7 +9,7 @@ RUNS ?= 10
 TIER1 = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
 
 .PHONY: help test test-deep test-ingest-deep test-psych-deep bench-smoke bench bench-pair faults \
-	loc loc-diff digest digest-diff
+	loc loc-diff digest digest-diff check
 
 help:
 	@echo "make test         tier-1 suite (tests/, default hypothesis profile)"
@@ -47,6 +47,9 @@ help:
 	@echo "make digest-diff  make digest with the src/ of git revision BASE=<rev> and of the"
 	@echo "                  working tree at each seed of SEEDS=\"<n> ...\" (default \"1 7\"), in"
 	@echo "                  turn; prints the first diff and fails on it"
+	@echo "make check        the checks of a change against git revision BASE=<rev>, in turn,"
+	@echo "                  stopping at the first that fails: make test, digest-diff (at"
+	@echo "                  SEEDS), test-ingest-deep, test-psych-deep, bench-smoke and loc-diff"
 
 test:
 	$(TIER1)
@@ -100,3 +103,12 @@ digest-diff:
 			| diff "$$base/digest.txt" - && echo "no difference from $(BASE) at SEED=$$seed" \
 			|| exit 1; \
 	done
+
+check:
+	@test -n "$(BASE)" || { echo "usage: make check BASE=<rev> [SEEDS=\"<n> ...\"]" >&2; exit 2; }
+	$(MAKE) --no-print-directory test
+	$(MAKE) --no-print-directory digest-diff
+	$(MAKE) --no-print-directory test-ingest-deep
+	$(MAKE) --no-print-directory test-psych-deep
+	$(MAKE) --no-print-directory bench-smoke
+	$(MAKE) --no-print-directory loc-diff

@@ -66,8 +66,17 @@ def _write_out(payload: bytes, out: str | None) -> None:
             Path(out).write_bytes(payload)
         except OSError as exc:
             raise SatmetricError(f"cannot write {out}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
+    elif hasattr(sys.stdout, "buffer"):  # the same bytes, whatever stdout's encoding
+        sys.stdout.flush()
+        sys.stdout.buffer.write(payload)
+    else:  # a text stream, such as io.StringIO
+        sys.stdout.write(payload.decode("utf-8", "surrogateescape"))
+
+
+def _echo(line: str) -> None:
+    """Write one line of text, which may hold a path, to stdout as UTF-8;
+    a path's bytes that are not UTF-8 are written as they are."""
+    _write_out(f"{line}\n".encode("utf-8", "surrogateescape"), None)
 
 
 def _add_instrument_arg(parser) -> None:
@@ -118,11 +127,11 @@ def cmd_validate(args) -> int:
     rejected = []
     for kind, path, _, vr in surveys(instrument, args.missing_policy,
                                      args.expect, args.perceive, args.importance):
-        print(f"{path}: {vr.accepted_rows} accepted, {vr.rejected_rows} rejected "
+        _echo(f"{path}: {vr.accepted_rows} accepted, {vr.rejected_rows} rejected "
               f"({kind.value})")
         rejected.append(vr.rejected_rows)
     if not rejected:
-        print("instrument OK; no response files given")
+        _echo("instrument OK; no response files given")
     return 1 if any(rejected) else 0
 
 
@@ -194,7 +203,7 @@ def cmd_report(args) -> int:
 def _write(report, args) -> int:
     """Write the report's ``--formats`` under ``--out``; print each path."""
     for path in write_report(report, args.out, formats=args.formats):
-        print(path)
+        _echo(path)
     return 0
 
 

@@ -57,11 +57,16 @@ errors.
   and every Likert block one product for its accepted rows' column sums S
   and cross products X'X (_exact_moments, chunks of at most 2**16 cells),
   which the join adds up and psychometrics reads in place of a pass over
-  the set's values.  The one-byte case costs every line a look at the byte
-  where its first comma must lie and a gather of its last 2k bytes, every
-  cell one subtraction and a maximum, and the block one count of its
-  commas.  A block it does not take has paid the look at each line and,
-  only when those all hold a comma, the count and the gather.  The strict and the
+  the set's values.  LineBlocks decides once per file whether its blocks
+  compute them: when the exact route's guard holds for its data-line count
+  with the scale's bound as the peak.  The line count bounds the accepted
+  rows and the guard is monotone in N, so the joined set is on the exact
+  route whenever the blocks computed its S and X'X.  The one-byte case
+  costs every line a look at the byte where its first comma must lie and a
+  gather of its last 2k bytes, every cell one subtraction and a maximum,
+  and the block one count of its commas.  A block it does not take has
+  paid the look at each line and, only when those all hold a comma, the
+  count and the gather.  The strict and the
   general case cost every byte the comma offsets, found from the mask,
   every cell its first digit, and, in the general case, every line its
   comma count and one search of its bounds among the padding and quote
@@ -80,14 +85,19 @@ errors.
   lines into blocks of about BLOCK_BYTES, each cut just after a line end.
   LineBlocks.parse, the block step, reads one block by its one-byte,
   strict or general case, or declines the input for a quote or a long cell
-  in it.  LineBlocks.result joins the blocks (repeated ids across them,
-  diagnostics in file order, the first error under fail and the sum of the
-  blocks' S and X'X, which the set keeps unless a row was dropped at the
-  join), or hands a declined input to parse_response_rows as the bytes
-  that cut_lines checked, which decode to the text of the input as given.
-  A block's temporaries, some of them several arrays of a block's cells,
-  never grow with the file.  parse_response_file runs the blocks in
-  order; pipeline.surveys runs them as jobs in its lanes.
+  in it.  LineBlocks.result joins the blocks, one block by the same code
+  as many (repeated ids across them, diagnostics in file order, the first
+  error under fail and the sum of the blocks' S and X'X, which the set
+  keeps unless a row was dropped at the join), or hands a declined input
+  to parse_response_rows as the bytes that cut_lines checked, which decode
+  to the text of the input as given.  A block's temporaries, some of them
+  several arrays of a block's cells, never grow with the file.
+  parse_response_file runs the blocks in order.  pipeline.surveys runs
+  them as jobs in its lanes and joins them through parse_response_file's
+  ``blocks``; it hands a file that cut_lines declines, whole, to
+  parse_response_file in a lane, which cuts it once more and reads it with
+  parse_response_rows.  So surveys reads every file through cut_lines and
+  parse_response_file alone.
 * Per-cell: parse_response_rows reads every record with csv.reader and
   checks it cell by cell.  It reads every input the line route declines.
 
@@ -493,11 +503,6 @@ def _exact_moments(m: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return sums, gram
 
 
-def _scale_bound(scale: LikertScale) -> int:
-    """The largest magnitude of a value inside ``scale``."""
-    return max(-scale.min, scale.max)
-
-
 def _rows_with(cells: np.ndarray) -> np.ndarray:
     """Row mask of an N x k cell mask: True where a row holds a True cell.
     The same as cells.any(axis=1), and faster when few cells are True."""
@@ -645,6 +650,12 @@ class LineBlocks:
         self.data, self.raw, self.odd, self.kinds = data, raw, odd, kinds
         self.edges = edges  # data line i is raw[edges[i]:edges[i + 1]], line end included
         self.instrument, self.kind, self.expected = instrument, kind, expected
+        # The bound of the S and X'X that each Likert block computes, or None
+        # for none: the data lines bound the rows the blocks accept, and
+        # _exact_route is monotone in N, so one check holds for the joined set.
+        bound = max(-instrument.scale.min, instrument.scale.max)
+        self.bound = bound if kind.is_likert and \
+            _exact_route(len(edges) - 1, len(expected) - 1, bound) else None
         # n blocks of about equal size: block j starts with the line that
         # holds byte j / n of the data lines.  A file without one is one empty block.
         size = int(edges[-1] - edges[0])
@@ -659,20 +670,13 @@ class LineBlocks:
     def parse(self, at: int) -> None:
         """Read block ``at`` into ``parts[at]``: its accepted lines, their
         ids or _id_keys and values, the diagnostics of its rejected rows
-        and, for a Likert kind, its accepted rows' S and X'X, or False if it
-        declines the input."""
+        and its accepted rows' S and X'X (None unless ``bound`` is set), or
+        False if it declines the input."""
         last = self.firsts[at + 1] if at + 1 < len(self) else len(self.edges) - 1
         read = self._block(self.firsts[at], last)
         # Once the case's temporaries are freed.
-        self.parts[at] = (*read, self._moments(read[2])) if read else False
-
-    def _moments(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """The S and X'X of a block's accepted ``values``, which lie within
-        the scale, for a Likert kind, unless they leave the exact route."""
-        bound = _scale_bound(self.instrument.scale)
-        if self.kind.is_likert and _exact_route(*values.shape, bound):
-            return _exact_moments(values, bound)
-        return None
+        self.parts[at] = False if not read else (
+            *read, None if self.bound is None else _exact_moments(read[2], self.bound))
 
     def _block(self, first: int, last: int) -> tuple | None:
         raw, expected, k = self.raw, self.expected, len(self.expected) - 1
@@ -799,19 +803,15 @@ class LineBlocks:
                 self.parse(at)
         if not all(self.parts):
             return parse_response_rows(self.data, self.instrument, self.kind, policy)
-        if len(self.parts) == 1:
-            lines, ids, values, errors, moments = self.parts[0]
-            errors = list(errors)  # _result extends and sorts it
-        else:
-            lines, ids, values, errors, moments = zip(*self.parts)
-            moments = None if None in moments else tuple(map(sum, zip(*moments)))
-            if all(isinstance(keys, np.ndarray) for keys in ids):
-                ids = np.concatenate(ids)
-            else:  # an id wider than one key: every block's ids as texts
-                ids = [text for part in ids for text in (
-                    _key_texts(part) if isinstance(part, np.ndarray) else part)]
-            lines, values = np.concatenate(lines), np.concatenate(values)
-            errors = [error for part in errors for error in part]
+        lines, ids, values, errors, moments = zip(*self.parts)
+        if all(isinstance(keys, np.ndarray) for keys in ids):
+            ids = np.concatenate(ids)
+        else:  # an id wider than one key: every block's ids as texts
+            ids = [text for part in ids for text in (
+                _key_texts(part) if isinstance(part, np.ndarray) else part)]
+        lines, values = np.concatenate(lines), np.concatenate(values)
+        errors = [error for part in errors for error in part]
+        moments = None if self.bound is None else tuple(map(sum, zip(*moments)))
         return _result(self.instrument, self.kind, policy, lines + 1, ids, values, errors,
                        moments)
 
@@ -1087,12 +1087,11 @@ def _validated_set(
     which the set keeps until its ids are read, and ``moments`` its S and
     X'X, or None.  It skips the constructor, whose copy of ``values`` costs
     page faults in this and later stages and whose allocation check would
-    check every row again.  The set keeps ``moments`` as _gram when the
-    matrix, its values bounded by the scale, is on the exact route."""
+    check every row again.  The set keeps ``moments`` as _gram."""
     values = np.ascontiguousarray(values, dtype=np.int64)
     values.setflags(write=False)
     response_set = object.__new__(ResponseSet)
-    if moments is not None and _exact_route(*values.shape, _scale_bound(instrument.scale)):
+    if moments is not None:
         object.__setattr__(response_set, "_gram", moments)
     named = ("_id_keys", ids) if isinstance(ids, np.ndarray) else ("respondent_ids", tuple(ids))
     for name, value in (("kind", kind), ("instrument_ref", instrument.fingerprint()),

@@ -85,7 +85,7 @@ def prioritize(
     The result is sorted by descending score with lower item id breaking
     ties, and ranks form the permutation 1..m.
     """
-    table = resolve_multipliers(multipliers) if multipliers is not None else DEFAULT_MULTIPLIERS
+    table = resolve_multipliers(multipliers)
     entries: list[tuple[float, int, KanoCategory, float, float]] = []
     for item, raw in dissatisfaction(gaps, weights, instrument):
         raw = 0.0 if raw is None else raw

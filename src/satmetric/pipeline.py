@@ -13,9 +13,9 @@ from typing import Iterator, Mapping
 
 from .errors import ConfigError, DefinitionError, SatmetricError
 from .ingest import MissingPolicy, ResponseKind, ResponseSet, ValidationReport, cut_lines, \
-    diagnostic_text, parse_response_file, parse_response_rows
+    diagnostic_text, parse_response_file
 from .instrument import SurveyInstrument, load_instrument
-from .kano import DEFAULT_MULTIPLIERS, parse_multiplier_spec, prioritize
+from .kano import parse_multiplier_spec, prioritize
 from .psychometrics import DEFAULT_ALPHA_THRESHOLD, ReliabilityReport, VarianceMode, \
     item_descriptives, reliability_report
 from .qfd import load_hoq
@@ -98,12 +98,12 @@ def _lanes(paths: list[str]) -> int:
 class _Survey:
     """One file of ``surveys`` and its jobs: job 0 reads it and cuts its
     lines into blocks (ingest.cut_lines), or parses it with
-    parse_response_rows if the line route declines it as a whole; job
+    parse_response_file if the line route declines it as a whole; job
     j > 0 parses block j - 1."""
 
     def __init__(self, kind: ResponseKind, path: str) -> None:
         self.kind, self.path = kind, path
-        self.data = self.blocks = self.parsed = self.error = None
+        self.blocks = self.parsed = self.error = None
         self.jobs, self.taken, self.done = 1, 0, 0  # its blocks are jobs once it is cut
 
     def run(self, job: int, instrument: SurveyInstrument,
@@ -114,10 +114,10 @@ class _Survey:
             if job:
                 self.blocks.parse(job - 1)
             else:
-                self.data = read_bytes(self.path)
-                self.blocks = cut_lines(self.data, instrument, self.kind)
+                data = read_bytes(self.path)
+                self.blocks = cut_lines(data, instrument, self.kind)
                 if self.blocks is None:
-                    self.parsed = parse_response_rows(self.data, instrument, self.kind, policy)
+                    self.parsed = parse_response_file(data, instrument, self.kind, policy)
         except BaseException as exc:
             return exc
         return None
@@ -131,8 +131,10 @@ def surveys(instrument: SurveyInstrument, policy: MissingPolicy | str, *paths: s
 
     Each file is parsed as jobs (see ``_Survey``): the first reads it and
     cuts its lines into blocks, or parses it whole if the line route
-    declines it; each of the others parses one block.  With one lane (see
-    ``_lanes``), the calling thread runs each file's jobs at its turn.
+    declines it; each of the others parses one block.  Either way a file
+    meets parse_response_file once: whole in its first job, or at its
+    join, given its blocks.  With one lane (see ``_lanes``), the calling
+    thread runs each file's jobs at its turn.
     With more, it and one thread per other lane each take the earliest job
     not yet taken, every file's first job before any block and the blocks
     in file order, so the blocks of one file, or of several, are parsed at
@@ -179,13 +181,13 @@ def surveys(instrument: SurveyInstrument, policy: MissingPolicy | str, *paths: s
             thread.start()
         for survey in files:
             work(survey)
-            data, blocks, parsed, error = survey.data, survey.blocks, survey.parsed, survey.error
+            blocks, parsed, error = survey.blocks, survey.parsed, survey.error
             # the caller alone holds a set once it is handed on
-            survey.data = survey.blocks = survey.parsed = None
+            survey.blocks = survey.parsed = None
             if error is not None:
                 raise error
             responses, validation = parsed or parse_response_file(
-                data, instrument, survey.kind, policy, blocks=blocks)
+                blocks.data, instrument, survey.kind, policy, blocks=blocks)
             if validation.rejected_rows:
                 sys.stderr.write("".join(f"{survey.path}: {diagnostic_text(*diagnostic)}\n"
                                          for diagnostic in validation.diagnostics))
@@ -248,8 +250,7 @@ def run(inputs: Inputs, config: Config = Config(), timestamp=True) -> AnalysisRe
                                  for message in failed))
         return None
     gap_report = compute_gap_report(*descriptives, weights, instrument, *reliability)
-    multipliers = parse_multiplier_spec(config.kano_multipliers) if config.kano_multipliers \
-        else DEFAULT_MULTIPLIERS
+    multipliers = parse_multiplier_spec(config.kano_multipliers or "")
     priorities = prioritize(gap_report.item_gaps, weights, instrument, multipliers)
     contributions = dissatisfaction_contributions(
         gap_report.item_gaps, weights, instrument, weighted=not config.unweighted_contributions)

@@ -21,11 +21,13 @@ M: descriptives S and M's diagonal, alpha its trace and its sum, which is the
 row totals' moment, and the omitted-item fields the rest.
 
 A set's M comes from the S and X'X that its parse summed, block by block in
-the ingest lanes, when the parse kept them: the line route keeps them unless
-a row was dropped at the join for a repeated id, and only where the guard
-holds with the scale's bound in place of max|x|.  Any other set, a declined
-file's or one built by the constructor, has them computed here from its
-values by the same function (ingest._exact_moments), to the same integers.
+the ingest lanes, when the parse kept them (_gram): the line route keeps
+them unless a row was dropped at the join for a repeated id, and only where
+the guard holds for the file's data-line count with the scale's bound in
+place of max|x|, which bounds the set's rows and values.  Any other set, a
+declined file's or one built by the constructor, has them computed here
+from its values by the same function (ingest._exact_moments), to the same
+integers.
 """
 
 from __future__ import annotations
@@ -120,14 +122,11 @@ def _unpack(matrix) -> tuple[np.ndarray, tuple | None]:
         return _as_matrix(matrix), None
     shared = vars(matrix).get("_moments")
     if shared is None:
-        if "_gram" in vars(matrix):  # kept only on the exact route
-            m = matrix.values
-            shared = m, _central(len(m), *vars(matrix)["_gram"])
-        else:
-            m = _as_matrix(matrix.values)
-            if m.dtype.kind != "i":
-                return m, None
-            shared = m, _moments(m, cross=True)
+        gram = vars(matrix).get("_gram")  # kept only on the exact route
+        m = matrix.values if gram else _as_matrix(matrix.values)
+        if m.dtype.kind != "i":
+            return m, None
+        shared = m, (_central(len(m), *gram) if gram else _moments(m, cross=True))
         object.__setattr__(matrix, "_moments", shared)
     return shared
 

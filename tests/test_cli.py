@@ -945,3 +945,47 @@ def test_outside_strings_keep_markdown_structure_and_svg_well_formed(
         assert len(charts) == 5
         for chart in charts:
             xml.dom.minidom.parse(str(chart))
+
+
+def _ascii_cli(argv: list[str]) -> subprocess.CompletedProcess:
+    """``satmetric argv`` in a fresh process whose stdout encodes ASCII only."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "satmetric.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_qfd_stdout_is_the_out_file_whatever_the_stdout_encoding(tmp_path):
+    """A technical requirement named outside ASCII, with stdout in ASCII:
+    ``qfd`` exits 0 with no traceback and writes the bytes of its --out file."""
+    hoq = serialize_hoq(xyz.load_xyz_hoq())
+    hoq["tech_reqs"][0]["name"] = "Qualité du dépannage"
+    (tmp_path / "hoq.json").write_text(json.dumps(hoq), encoding="utf-8")
+    argv = ["qfd", "--hoq", str(tmp_path / "hoq.json")]
+    shown = _ascii_cli(argv)
+    assert shown.returncode == 0 and b"Traceback" not in shown.stderr, shown.stderr
+    written = _ascii_cli([*argv, "--out", str(tmp_path / "qfd.csv")])
+    assert written.returncode == 0 and written.stdout == b""
+    assert shown.stdout == (tmp_path / "qfd.csv").read_bytes()
+    assert "Qualité du dépannage".encode() in shown.stdout
+
+
+def test_paths_outside_ascii_reach_an_ascii_stdout(xyz_dir):
+    """``gap --out`` and ``validate --expect`` under a directory named
+    outside ASCII, with stdout in ASCII: each exits 0 with no traceback and
+    prints its paths as UTF-8."""
+    place = xyz_dir / "résultats"
+    place.mkdir()
+    (place / "e.csv").write_bytes((xyz_dir / "e.csv").read_bytes())
+    gap = _ascii_cli(["gap", "--instrument", str(xyz_dir / "xyz.json"),
+                      "--expect", str(place / "e.csv"), "--perceive", str(xyz_dir / "p.csv"),
+                      "--weights", str(xyz_dir / "weights.json"), "--out", str(place / "r"),
+                      "--formats", "json"])
+    assert gap.returncode == 0 and b"Traceback" not in gap.stderr, gap.stderr
+    assert gap.stdout.decode("utf-8") == f"{place / 'r.report.json'}\n"
+    validate = _ascii_cli(["validate", "--instrument", str(xyz_dir / "xyz.json"),
+                           "--expect", str(place / "e.csv")])
+    assert validate.returncode == 0 and b"Traceback" not in validate.stderr, validate.stderr
+    assert validate.stdout.decode("utf-8") == \
+        f"{place / 'e.csv'}: 81 accepted, 0 rejected (expectation)\n"

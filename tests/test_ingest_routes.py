@@ -37,6 +37,7 @@ from satmetric.ingest import (
     IMPORTANCE_COLUMNS,
     MissingPolicy,
     ResponseKind,
+    ResponseSet,
     RowError,
     ValidationReport,
     parse_response_file,
@@ -1226,7 +1227,8 @@ def likert_block_files(draw):
     text = header + "\n" + "".join(line + draw(st.sampled_from(["\n", "\r\n"]))
                                    for line in lines)
     kind = draw(st.sampled_from([ResponseKind.EXPECTATION, ResponseKind.PERCEPTION]))
-    return _instrument(k, lo, hi), kind, text.encode(), draw(st.integers(1, 120))
+    budget = draw(st.integers(1, 120) | st.just(1 << 40))  # or one block, larger than the file
+    return _instrument(k, lo, hi), kind, text.encode(), budget
 
 
 def _assert_exact_moments(rs) -> None:
@@ -1292,6 +1294,42 @@ def test_sets_without_parse_time_moments_read_the_same_statistics(xyz_instrument
         assert report.rejected_rows == 1 and rs == kept
         assert "_gram" not in vars(rs)
         assert statistics(rs) == expected
+
+
+@pytest.mark.parametrize("budget", [500, 1 << 40], ids=["blocks", "one_block"])
+@pytest.mark.parametrize("rejected", [0, 1])
+@pytest.mark.parametrize("lines", [120, 121])
+def test_parse_time_moments_stop_at_the_exact_route_by_line_count(lines, rejected, budget):
+    """With a scale bound of 2**20 and k = 17, the exact route's guard holds
+    for 120 rows and not for 121.  A file of 120 data lines keeps the S and
+    X'X its blocks summed and one of 121 keeps none, whether or not a row
+    is rejected, as the line count bounds the accepted rows; either way its
+    descriptives and reliability report are those of the constructor's set
+    of the same rows."""
+    k, bound = 17, 2**20
+    assert ingest._exact_route(120, k, bound) and not ingest._exact_route(121, k, bound)
+    instrument, kind = _instrument(k, 1, bound), ResponseKind.EXPECTATION
+    rng = np.random.default_rng(lines + rejected)
+    rows = rng.integers(1, bound + 1, size=(lines, k)).tolist()
+    rows[7][3] -= rows[7][3] * rejected  # a 0 lies outside the scale
+    header = ",".join(["respondent_id", *(f"q{i}" for i in range(1, k + 1))])
+    data = "\n".join([header, *(f"r{at},{','.join(map(str, row))}"
+                                for at, row in enumerate(rows))]) + "\n"
+    with mock.patch.object(ingest, "BLOCK_BYTES", budget):
+        rs, report = parse_response_file(data.encode(), instrument, kind)
+    assert report.rejected_rows == rejected and rs.n_respondents == lines - rejected
+    assert ("_gram" in vars(rs)) == (lines == 120)
+    if lines == 120:
+        _assert_exact_moments(rs)
+    built = ResponseSet(kind=kind, instrument_ref=rs.instrument_ref, values=rs.values,
+                        respondent_ids=rs.respondent_ids)
+
+    def statistics(responses):
+        return ([psychometrics.item_descriptives(responses, instrument, mode)
+                 for mode in psychometrics.VarianceMode],
+                psychometrics.reliability_report(responses, instrument))
+
+    assert statistics(rs) == statistics(built)
 
 
 #: Cells that are not 1 to 18 ASCII digits, which _digit_values marks.

@@ -299,8 +299,8 @@ def test_lanes_are_one_cut_on_the_total_size(tmp_path, monkeypatch, cpus, sizes,
 
 def test_declined_files_are_parsed_in_the_lanes(study, tmp_path, monkeypatch, capsys):
     """Files that the line route declines as a whole (a bare CR) are read
-    and cut once each, and parsed by parse_response_rows in the lanes, more
-    than one at a time; surveys yields what one lane yields."""
+    and cut once each by surveys, and parsed by parse_response_rows in the
+    lanes, more than one at a time; surveys yields what one lane yields."""
     paths = []
     for role in ROLES:
         lines = (study / f"good_{role}.csv").read_bytes().split(b"\n")
@@ -312,7 +312,7 @@ def test_declined_files_are_parsed_in_the_lanes(study, tmp_path, monkeypatch, ca
         expected = list(surveys(xyz.xyz_instrument(), "drop_row", *paths))
     _lanes(monkeypatch, True)
     cut, parsed = [], []
-    real_cut, real_rows = pipeline.cut_lines, pipeline.parse_response_rows
+    real_cut, real_rows = pipeline.cut_lines, ingest.parse_response_rows
 
     def cut_spy(data, instrument, kind):
         cut.append(kind)
@@ -326,10 +326,38 @@ def test_declined_files_are_parsed_in_the_lanes(study, tmp_path, monkeypatch, ca
         return real_rows(*args)
 
     monkeypatch.setattr(pipeline, "cut_lines", cut_spy)
-    monkeypatch.setattr(pipeline, "parse_response_rows", rows_spy)
+    monkeypatch.setattr(ingest, "parse_response_rows", rows_spy)
     assert list(surveys(xyz.xyz_instrument(), "drop_row", *paths)) == expected
     assert sorted(cut) == sorted(ResponseKind)
     assert len(parsed) == 3 and len(set(parsed)) > 1, "one thread parsed every declined file"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("concurrent", [False, True], ids=["one_lane", "lanes"])
+def test_each_file_meets_parse_response_file_once(study, tmp_path, monkeypatch, capsys,
+                                                  concurrent):
+    """surveys parses each file through parse_response_file exactly once:
+    a file on the line route at its join, given its blocks, and a file that
+    the line route declines as a whole (a bare CR) in its first job, with no
+    blocks, so in a lane and not at the join."""
+    lines = (study / "good_perceive.csv").read_bytes().split(b"\n")
+    lines[2:4] = [lines[2] + b"\r" + lines[3]]
+    declined = tmp_path / "declined.csv"
+    declined.write_bytes(b"\n".join(lines))
+    paths = [str(study / "good_expect.csv"), str(declined), str(study / "bad_importance.csv")]
+    _lanes(monkeypatch, concurrent)
+    calls = []
+    real = pipeline.parse_response_file
+
+    def spy(data, instrument, kind, policy, blocks=None):
+        calls.append((kind, blocks is None, sys._getframe(1).f_code.co_name))
+        return real(data, instrument, kind, policy, blocks=blocks)
+
+    monkeypatch.setattr(pipeline, "parse_response_file", spy)
+    assert len(list(surveys(xyz.xyz_instrument(), "drop_row", *paths))) == 3
+    assert sorted(calls) == sorted([(ResponseKind.EXPECTATION, False, "surveys"),
+                                    (ResponseKind.PERCEPTION, True, "run"),
+                                    (ResponseKind.IMPORTANCE, False, "surveys")])
     capsys.readouterr()
 
 
