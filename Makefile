@@ -42,8 +42,9 @@ help:
 	@echo "                  gap and validate with --missing-policy fail where the workload"
 	@echo "                  sets --missing-policy; the parsed set and the repr of its"
 	@echo "                  ValidationReport of each response CSV and of its shapes: ids"
-	@echo "                  outside ASCII, one loose quote, in a Likert CSV one 07 cell and,"
-	@echo "                  in an importance CSV, one cell with 00 prepended"
+	@echo "                  outside ASCII, one loose quote, in a Likert CSV one 07 cell, in"
+	@echo "                  an importance CSV one cell with 00 prepended, and the header"
+	@echo "                  line alone"
 	@echo "make digest-diff  make digest with the src/ of git revision BASE=<rev> and of the"
 	@echo "                  working tree at each seed of SEEDS=\"<n> ...\" (default \"1 7\"), in"
 	@echo "                  turn; prints the first diff and fails on it"

@@ -47,57 +47,58 @@ errors.
   as a quoted record that spans lines), or has a row whose first such cell
   is more than 18 digits.
 
-  Cost model.  Every byte costs the passes that find the bytes outside
-  ``!`` to ``~``, the quotes and the commas (one compare into a mask), and
-  a non-ASCII input one decode and a look at the lead bytes of the code
-  points that str.strip() removes; every id of up to 8 bytes one uint64
-  key, which checks repeats and is decoded into the ids when they are first
-  read; every Likert cell that a case converts one minimum and one maximum
-  in _refused, all that a block whose values pass the scale pays there;
-  and every Likert block one product for its accepted rows' column sums S
-  and cross products X'X (_exact_moments, chunks of at most 2**16 cells),
-  which the join adds up and psychometrics reads in place of a pass over
-  the set's values.  LineBlocks decides once per file whether its blocks
-  compute them: when the exact route's guard holds for its data-line count
-  with the scale's bound as the peak.  The line count bounds the accepted
-  rows and the guard is monotone in N, so the joined set is on the exact
-  route whenever the blocks computed its S and X'X.  The one-byte case
-  costs every line a look at the byte where its first comma must lie and a
-  gather of its last 2k bytes, every cell one subtraction and a maximum,
-  and the block one count of its commas.  A block it does not take has
-  paid the look at each line and, only when those all hold a comma, the
-  count and the gather.  The strict and the
-  general case cost every byte the comma offsets, found from the mask,
-  every cell its first digit, and, in the general case, every line its
-  comma count and one search of its bounds among the padding and quote
-  offsets.  A later digit place costs every cell while more than half the
-  cells reach it (an allocation's second place), and after that only the
-  cells that wide.  The rest is paid only where its feature occurs: a sign
-  by the cells whose first digit fails, stripping by padded lines, a
-  diagnostic tuple by the row it rejects (its message is formatted once
-  per distinct value in a block), and decoding at once by a file with a
-  wider id or a repeated id.  A declined file pays for parse_response_rows
-  on top of the passes made before the decline.
+  Cost model.  Every byte costs the passes that find the bytes outside ``!``
+  to ``~`` and the quotes, one compare for the commas in each case that
+  looks for them, and a non-ASCII input one decode and a look at the lead
+  bytes of the code points that str.strip() removes; every id of up to 8
+  bytes one uint64 key, which checks repeats and is decoded into the ids
+  when they are first read; every Likert cell that a case converts one
+  minimum and one maximum in _refused, all that a block whose values pass
+  the scale pays there; and every Likert block one product for its accepted
+  rows' column sums S and cross products X'X (_exact_moments, chunks of at
+  most 2**16 cells), which the join adds up and psychometrics reads in place
+  of a pass over the set's values.  LineBlocks decides once per file whether
+  its blocks compute them: when the exact route's guard holds for its
+  data-line count with the scale's bound as the peak.  The line count bounds
+  the accepted rows and the guard is monotone in N, so the joined set is on
+  the exact route whenever the blocks computed its S and X'X.  The one-byte
+  case costs every line a look at the byte where its first comma must lie
+  and a gather of its last 2k bytes, every cell one subtraction and a
+  maximum, and the block one count of its commas, which it makes itself and
+  does not hand on.  A block it does not take has paid the look at each line
+  and, only when those all hold a comma, the count, and the gather only when
+  the count holds.  The strict and the general case cost every byte a comma
+  mask and the comma offsets, found from it, every cell its first digit,
+  and, in the general case, every line its comma count and one search of its
+  bounds among the padding and quote offsets.  A later digit place costs
+  every cell while more than half the cells reach it (an allocation's second
+  place), and after that only the cells that wide.  The rest is paid only
+  where its feature occurs: a sign by the cells whose first digit fails,
+  stripping by padded lines, a diagnostic tuple by the row it rejects (its
+  message is formatted once per distinct value in a block), and decoding at
+  once by a file with a wider id or a repeated id.  A declined file pays for
+  parse_response_rows on top of the passes made before the decline.
 
   The route runs in three steps.  cut_lines, the whole-file step, makes
-  every check that declines the input as a whole (the input, the header,
-  the line ends, wide padding and the field size limit) and cuts the data
-  lines into blocks of about BLOCK_BYTES, each cut just after a line end.
-  LineBlocks.parse, the block step, reads one block by its one-byte,
-  strict or general case, or declines the input for a quote or a long cell
-  in it.  LineBlocks.result joins the blocks, one block by the same code
-  as many (repeated ids across them, diagnostics in file order, the first
-  error under fail and the sum of the blocks' S and X'X, which the set
-  keeps unless a row was dropped at the join), or hands a declined input
-  to parse_response_rows as the bytes that cut_lines checked, which decode
-  to the text of the input as given.  A block's temporaries, some of them
-  several arrays of a block's cells, never grow with the file.
-  parse_response_file runs the blocks in order.  pipeline.surveys runs
-  them as jobs in its lanes and joins them through parse_response_file's
-  ``blocks``; it hands a file that cut_lines declines, whole, to
-  parse_response_file in a lane, which cuts it once more and reads it with
-  parse_response_rows.  So surveys reads every file through cut_lines and
-  parse_response_file alone.
+  every check that declines the input as a whole (the input, the header, the
+  line ends, wide padding and the field size limit) and cuts the data lines
+  into blocks of about BLOCK_BYTES, each cut just after a line end.
+  LineBlocks.parse, the block step, reads one block by its one-byte, strict
+  or general case, or declines the input for a quote or a long cell in it.
+  LineBlocks.result joins the blocks, one block by the same code as many
+  (repeated ids across them, diagnostics in file order, the first error
+  under fail and the sum of the blocks' S and X'X, which the set keeps
+  unless a row was dropped at the join), or gives None if a block declined
+  the input.  A block's temporaries, some of them several arrays of a
+  block's cells, never grow with the file.  parse_response_file runs the
+  blocks in order, and is the one exit to parse_response_rows: it reads the
+  input there when cut_lines or a block declines it.  pipeline.surveys runs
+  the blocks as jobs in its lanes and joins them through
+  parse_response_file's ``blocks``, with the bytes that cut_lines checked as
+  its input, which decode to the text of the input as given; it hands a
+  file that cut_lines declines, whole, to parse_response_file in a lane,
+  which cuts it once more and reads it with parse_response_rows.  So
+  surveys reads every file through cut_lines and parse_response_file alone.
 * Per-cell: parse_response_rows reads every record with csv.reader and
   checks it cell by cell.  It reads every input the line route declines.
 
@@ -397,16 +398,14 @@ def parse_response_file(
     rejection.  Raises DataError on malformed CSV, header mismatch, zero
     accepted rows, or (with policy=fail) the first bad row in file order.
     The line route reads the file, one block of lines after another, unless
-    it declines it, and then parse_response_rows does; the result, and any
-    error, is the same.  ``blocks`` is what cut_lines gave for ``data``,
-    for a caller that parses its blocks itself, as pipeline.surveys does in
-    its lanes; a block it has not parsed is parsed here.
+    cut_lines or a block declines it, and then parse_response_rows reads
+    ``data``; the result, and any error, is the same.  ``blocks`` is what
+    cut_lines gave for ``data``, for a caller that parses its blocks
+    itself, as pipeline.surveys does in its lanes; a block it has not
+    parsed is parsed here.
     """
-    if blocks is None:
-        blocks = cut_lines(data, instrument, kind)
-    if blocks is None:
-        return parse_response_rows(data, instrument, kind, policy)
-    return blocks.result(policy)
+    blocks = blocks or cut_lines(data, instrument, kind)
+    return blocks and blocks.result(policy) or parse_response_rows(data, instrument, kind, policy)
 
 
 #: The most bytes, about, of one block of the line route; a file is cut
@@ -640,9 +639,9 @@ class LineBlocks:
     every line's last 2k bytes, no comma offsets; the strict case, one grid
     of the block's comma offsets; and the general case, every line
     classified and each cell read from its stripped bounds.  A case that
-    fails a check hands the block on, with the comma mask that both of the
-    first two cases read; a case that reads the block leaves through
-    _accepted."""
+    fails a check hands the block on; a case that reads the block leaves
+    through _accepted.  LineBlocks never reads an input by the per-cell
+    route: result gives None for an input that a block declines."""
 
     def __init__(self, data: bytes, raw: np.ndarray, odd: np.ndarray, kinds: np.ndarray,
                  edges: np.ndarray, instrument: SurveyInstrument, kind: ResponseKind,
@@ -689,14 +688,12 @@ class LineBlocks:
         starts, ends = edges[:-1], edges[1:]
         stops = ends - (raw[ends - 1] == ord("\n"))
         stops -= raw[stops - 1] == ord("\r")
-        is_comma = raw[start:end] == ord(",")
         # The one-byte and the strict case read a block with no quote and no
         # byte outside "!" to "~" but the line ends.
         plain = self.data.find(b'"', start, end) < 0 and len(odd) == (ends - stops).sum()
-        if plain and (read := self._one_byte(first, last, starts, stops, is_comma)):
+        if plain and (read := self._one_byte(first, last, starts, stops)):
             return read
-        commas = np.flatnonzero(is_comma)
-        del is_comma  # a bool per byte, not held while the other cases run
+        commas = np.flatnonzero(raw[start:end] == ord(","))
         commas += start
         # A strict block: k commas to a line.  Row i of the grid holds line
         # i's commas only if each line holds k of them, which the first-comma
@@ -751,14 +748,14 @@ class LineBlocks:
                    for at, cell, text in zip(lines[broken].tolist(), cells.tolist(), texts)]
         return self._accepted(lines, id_lo, id_hi, values, valid, errors)
 
-    def _one_byte(self, first: int, last: int, starts: np.ndarray, stops: np.ndarray,
-                  is_comma: np.ndarray) -> tuple | None:
+    def _one_byte(self, first: int, last: int, starts: np.ndarray,
+                  stops: np.ndarray) -> tuple | None:
         """_block's one-byte case, for a block with no quote and no byte
-        outside "!" to "~" but the line ends (``is_comma`` marks its commas),
-        of a Likert kind whose scale lies in 0 to 9: it reads the block when
-        every line is a non-empty id and k cells of one digit, that is, when
-        every line ends in k ``,d`` pairs after at least one byte and the
-        block holds k commas to a line.  None for any other block.  Its
+        outside "!" to "~" but the line ends, of a Likert kind whose scale
+        lies in 0 to 9: it reads the block when every line is a non-empty id
+        and k cells of one digit, that is, when every line ends in k ``,d``
+        pairs after at least one byte and the block holds k commas to a
+        line, which it counts itself.  None for any other block.  Its
         values are uint16, which _validated_set converts once."""
         raw, k, scale = self.raw, len(self.expected) - 1, self.instrument.scale
         if not self.kind.is_likert or scale.min < 0 or scale.max > 9:
@@ -766,8 +763,8 @@ class LineBlocks:
         base = stops - 2 * k  # where line i's first comma lies, if it holds such cells
         # A cell of two bytes or more moves its line's base onto a digit, so
         # the first-comma check declines such a block before the gather.
-        if not (base > starts).all() or (raw[base] != ord(",")).any() \
-                or np.count_nonzero(is_comma) != k * len(starts):
+        if not (base > starts).all() or (raw[base] != ord(",")).any() or np.count_nonzero(
+                raw[self.edges[first]:self.edges[last]] == ord(",")) != k * len(starts):
             return None
         # Every line's 2k bytes from its base in one gather, read as k
         # big-endian pairs: "," then "0" to "9" is 0 to 9 once ",0" is taken
@@ -792,17 +789,16 @@ class LineBlocks:
             lines, id_lo, id_hi, values = (a[valid] for a in (lines, id_lo, id_hi, values))
         return lines, _id_keys(self.raw, id_lo, id_hi), values, errors
 
-    def result(self, policy: MissingPolicy) -> tuple[ResponseSet, ValidationReport]:
+    def result(self, policy: MissingPolicy) -> tuple[ResponseSet, ValidationReport] | None:
         """parse_response_file's result, once each block not parsed yet has
         run, in order: _result on the blocks' accepted rows, in file order,
-        or parse_response_rows' on ``data`` if a block declined the input:
-        cut_lines has checked that it is UTF-8, removed any byte-order mark
-        and matched the header, so it reads as the input as given."""
+        or None if a block declined the input, which parse_response_file
+        then reads with parse_response_rows."""
         for at, part in enumerate(self.parts):
             if part is None:
                 self.parse(at)
         if not all(self.parts):
-            return parse_response_rows(self.data, self.instrument, self.kind, policy)
+            return None
         lines, ids, values, errors, moments = zip(*self.parts)
         if all(isinstance(keys, np.ndarray) for keys in ids):
             ids = np.concatenate(ids)

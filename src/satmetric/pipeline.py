@@ -133,14 +133,13 @@ def surveys(instrument: SurveyInstrument, policy: MissingPolicy | str, *paths: s
     cuts its lines into blocks, or parses it whole if the line route
     declines it; each of the others parses one block.  Either way a file
     meets parse_response_file once: whole in its first job, or at its
-    join, given its blocks.  With one lane (see ``_lanes``), the calling
-    thread runs each file's jobs at its turn.
-    With more, it and one thread per other lane each take the earliest job
-    not yet taken, every file's first job before any block and the blocks
-    in file order, so the blocks of one file, or of several, are parsed at
-    the same time.  What the caller sees keeps file order either way: the
-    calling thread joins a file's blocks, writes its diagnostics and raises
-    an error from reading or parsing it when that file's turn comes.  Every
+    join, given its blocks.  The calling thread and one thread per other
+    lane (see ``_lanes``) each take the next job of the earliest file that
+    has one, so the blocks of one file, or of several, are parsed at the
+    same time, and with one lane the calling thread reads each file at its
+    turn.  What the caller sees keeps file order either way: the calling
+    thread joins a file's blocks, writes its diagnostics and raises an
+    error from reading or parsing it when that file's turn comes.  Every
     thread has ended when the generator ends, raises or is closed."""
     policy = _setting("missing_policy", policy)
     files = [_Survey(kind, path) for kind, path in zip(ResponseKind, paths) if path is not None]
@@ -148,18 +147,16 @@ def surveys(instrument: SurveyInstrument, policy: MissingPolicy | str, *paths: s
     turn = threading.Condition()
 
     def work(until: _Survey | None = None) -> None:
-        """Run jobs one after another: in a lane, the earliest job not yet
-        taken, until none is left and every file is cut; in the calling
-        thread, until file ``until`` has no job left to finish, taking only
-        its jobs when it is the only lane."""
-        pool = files if lanes or until is None else [until]
+        """Run jobs one after another, each the next job of the earliest
+        file that has one: in a lane, until none is left and every file is
+        cut; in the calling thread, until file ``until`` has no job left to
+        finish."""
         while True:
             with turn:
                 while True:
                     if stop or until is not None and until.done == until.jobs:
                         return
-                    survey = next((s for s in pool if not s.taken), None) or \
-                        next((s for s in pool if s.taken < s.jobs), None)
+                    survey = next((s for s in files if s.taken < s.jobs), None)
                     if survey is not None:
                         break
                     if until is None and all(s.done for s in files):

@@ -87,8 +87,6 @@ def pareto(
     if not 0 < threshold_pct <= 100:
         raise DefinitionError(f"threshold must lie in (0, 100], got {threshold_pct}")
     ordered = sorted(contribs, key=lambda c: (-c.magnitude, c.item_id))
-    if not ordered:
-        return ParetoTable(rows=(), threshold_pct=threshold_pct, vital_few_cutoff=None)
     total = sum(c.magnitude for c in ordered)
     rows: list[ParetoRow] = []
     running = 0.0

@@ -427,6 +427,19 @@ class TestQfdCommand:
         assert main(["qfd", "--hoq", str(path), "--show-conflicts"]) == 0
         assert "t1,t3" in capsys.readouterr().out
 
+    def test_degenerate_house_warns_after_its_weights(self, tmp_path, capsys):
+        hoq_doc = {
+            "customer_reqs": [{"id": "c1", "importance": 40}],
+            "tech_reqs": [{"id": "t1"}, {"id": "t2"}],
+            "relationships": [[0, 0]],
+        }
+        path = tmp_path / "hoq.json"
+        path.write_text(json.dumps(hoq_doc))
+        assert main(["qfd", "--hoq", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:] == ["t1,t1,0.0,0.0,1", "t2,t2,0.0,0.0,2"]
+        assert err == "warning: all technical weights are zero (degenerate house)\n"
+
 
 class TestSynthCommand:
     def test_deterministic_per_seed(self, workdir):
@@ -454,6 +467,12 @@ class TestSynthCommand:
         rc = main(["synth", "--instrument", str(workdir / "tiny.json"),
                    "--means", "4,4", "--n", "10"])
         assert rc == 1
+
+    def test_non_number_mean_is_1(self, workdir, capsys):
+        rc = main(["synth", "--instrument", str(workdir / "tiny.json"),
+                   "--means", "1,x", "--n", "4"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: bad --means list '1,x'\n"
 
 
 def _bundle_variants(xyz_dir) -> dict[str, list[str]]:

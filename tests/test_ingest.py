@@ -382,6 +382,18 @@ def test_response_set_constructor_refuses_a_cell_that_is_no_int64(cell, shown):
     assert shown is None or f"holds {shown}," in str(exc.value)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ResponseSet(ResponseKind.EXPECTATION, "t", [[1, 2, 3], [4, 5]], ("r1", "r2")),
+     "response matrix must be N x k with N >= 1"),
+    (lambda: generate_synthetic([3.0], 0, LikertScale()), "n_respondents must be >= 1"),
+    (lambda: generate_synthetic([20.0] * 5, 4, LikertScale(), kind=ResponseKind.IMPORTANCE),
+     "synthetic generation covers Likert kinds only"),
+], ids=["ragged_rows", "no_respondents", "importance_kind"])
+def test_refused_sets_raise_data_error(call, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_response_set_constructor_keeps_what_converts_exactly():
     """Integers, bools and floats of integer value within int64 are kept,
     as an int64 copy; an integer beside a float in a list is not read

@@ -28,7 +28,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import ALLOCATIONS, dirty_xyz_csv, examples, strict_result
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satmetric import ingest, psychometrics
@@ -1098,6 +1098,8 @@ def one_byte_files(draw):
 
 @settings(max_examples=examples(200), deadline=None)
 @given(one_byte_files())
+# A header-only file: one empty block, which the one-byte case takes.
+@example((_instrument(1, 0, 1), ResponseKind.EXPECTATION, 1, [""], b"respondent_id,q1\n", 1))
 def test_one_byte_case_matches_the_per_cell_parser(case):
     """The one-byte case against the per-cell parser, bytes and ``str``,
     under both policies, in small blocks.  A block takes the one-byte case

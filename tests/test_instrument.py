@@ -201,3 +201,15 @@ def test_shipped_definition_file_matches_catalog_selection(xyz_instrument):
 def test_dimension_order_is_the_servqual_set(xyz_instrument):
     assert xyz_instrument.dimension_order == DIMENSION_ORDER
     assert len(DIMENSION_ORDER) == 5
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LikertScale(min=3, max=3), DefinitionError, "scale min must be < max, got [3, 3]"),
+    (lambda: LikertScale(min=5, max=1), DefinitionError, "scale min must be < max, got [5, 1]"),
+    (lambda: xyz.xyz_instrument().item(18), KeyError, "18"),
+    (lambda: select_items(master_catalog(), []), DefinitionError,
+     "selection must contain at least one key"),
+], ids=["empty_scale", "reversed_scale", "unknown_item", "empty_selection"])
+def test_refused_definitions_raise(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -146,6 +146,18 @@ def test_weights_file_shapes_give_the_weights_of_their_means(study, tmp_path, do
     assert report.metadata.respondents.importance == n
 
 
+def test_normalized_weights_sum_to_100_with_no_drift_warning(study, tmp_path):
+    """The study's means sum to about 100.06, which warns of drift unless
+    the weights are normalized; the report's config records the setting."""
+    inputs = _with_weights(study, tmp_path, {"means": xyz.importance_means()})
+    assert "IMPORTANCE_SUM_DRIFT" in [w.code for w in run(inputs, timestamp=False).warnings]
+    report = run(inputs, Config(normalize_weights=True), timestamp=False)
+    assert sum(report.importance_weights.means.values()) == pytest.approx(100, abs=1e-9)
+    assert report.importance_weights.sum_of_means == pytest.approx(100, abs=1e-9)
+    assert "IMPORTANCE_SUM_DRIFT" not in [w.code for w in report.warnings]
+    assert report.metadata.config["normalize_weights"] is True
+
+
 @pytest.mark.parametrize("policy", ["drop_row", "fail"])
 def test_surveys_stderr_is_the_same_on_both_routes(study, tmp_path, monkeypatch, capsys, policy):
     """surveys writes the same stderr, and under fail raises the same error,

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -562,3 +563,15 @@ def test_shared_moments_keep_the_error_order(rows, message):
     rs = make_response_set(matrix)
     with pytest.raises(ComputationError, match=f"^{message}$"):
         reliability_report(rs, tiny_instrument(matrix.shape[1]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cronbach_alpha(np.arange(4)), "expected a 2-D N x k matrix"),
+    (lambda: item_descriptives(make_response_set(ORACLE_MATRIX), tiny_instrument(4)),
+     "response set has 3 columns but instrument has 4 items"),
+    (lambda: omitted_item_stats(ORACLE_MATRIX, item_ids=[1, 2]),
+     "item_ids length must match the column count"),
+], ids=["one_dimension", "column_count", "item_id_count"])
+def test_mismatched_shapes_are_refused(call, message):
+    with pytest.raises(ComputationError, match=f"^{re.escape(message)}$"):
+        call()

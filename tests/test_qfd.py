@@ -242,3 +242,13 @@ class TestProperties:
         if not base.degenerate:
             assert sum(w.relative_pct for w in base.importances) == pytest.approx(
                 100.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("key, doc", [
+    ("customer_reqs", {"customer_reqs": [], "tech_reqs": [{"id": "t1"}], "relationships": []}),
+    ("tech_reqs", {"customer_reqs": [{"id": "c1", "importance": 1}], "tech_reqs": [],
+                   "relationships": [[]]}),
+])
+def test_empty_requirement_list_is_refused(key, doc):
+    with pytest.raises(DefinitionError, match=rf"^hoq\.{key} must hold at least one requirement$"):
+        build_hoq(doc)

@@ -691,3 +691,12 @@ def test_csv_bundle_is_the_per_cell_rendering(request, monkeypatch, name):
     bundle = emit(report, "csv")
     monkeypatch.setattr(report_module, "csv_bytes", _csv_per_cell)
     assert bundle == emit(report, "csv")
+
+
+def test_dimension_item_without_a_gap_row_is_refused(saved_reports):
+    doc = json.loads(json.dumps(saved_reports["demo07"][0]))
+    dimension = doc["gap_analysis"]["dimensions"][0]
+    dimension["item_ids"].append(99)
+    with pytest.raises(DefinitionError, match=f"^report dimension {dimension['dimension']!r} "
+                                              r"lists items \[99\] that have no gap row$"):
+        parse_report(json.dumps(doc))

@@ -264,6 +264,12 @@ def test_number_converts_before_it_compares():
         assert type(integer(np.int64(3), "x")) is int
 
 
+def test_integer_below_its_minimum_is_refused():
+    assert integer(1, "x", minimum=1) == 1
+    with pytest.raises(DefinitionError, match=r"^x must be >= 1, got 0$"):
+        integer(0, "x", minimum=1)
+
+
 @pytest.mark.parametrize("tp, value, plain", [
     (float, 5, 5), (float, 2.5, 2.5), (float, np.float32(2.5), 2.5),
     (float, np.int16(5), 5.0), (float, Fraction(1, 2), 0.5),

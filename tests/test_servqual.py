@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from satmetric.ingest import ResponseKind, ResponseSet
 from satmetric.instrument import DIMENSION_ORDER, build_instrument
 from satmetric.psychometrics import ItemDescriptives
 from satmetric.servqual import (
+    ImportanceWeights,
     Satisfaction,
     classify_satisfaction,
     compute_gap_report,
@@ -217,3 +220,27 @@ class TestProperties:
                 score.unweighted * weights[score.dimension], rel=1e-12)
         assert report.overall_weighted_sum == pytest.approx(
             sum(s.weighted for s in report.dimension_scores), rel=1e-12)
+
+
+FIVE_ITEMS = build_instrument({
+    "scale": {"min": 1, "max": 5},
+    "items": [{"id": i, "prompt": f"i{i}", "dimension": dim, "kano": "must_be"}
+              for i, dim in enumerate(DIMENSION_ORDER, start=1)],
+})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: weights_from_means({"reliability": 40, "responsiveness": 20, "assurance": 20,
+                                 "empathy": 10, "tangibles": 10, "speed": 0}),
+     DefinitionError, "importance means name unknown dimensions: ['speed']"),
+    (lambda: normalize_weights(ImportanceWeights(
+        means=dict.fromkeys(DIMENSION_ORDER, 0.0), n_respondents=None, sum_of_means=0.0)),
+     ComputationError, "cannot normalize all-zero importance weights"),
+    (lambda: dimension_scores(item_gaps(descriptives_from([4] * 4), descriptives_from([3] * 4)),
+                              weights_from_means(dict.fromkeys(DIMENSION_ORDER, 20)),
+                              FIVE_ITEMS),
+     DataError, "no gap computed for item 5"),
+], ids=["unknown_dimension", "all_zero_weights", "item_without_gap"])
+def test_inconsistent_weights_and_gaps_are_refused(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -25,7 +25,8 @@ line route leave the file to ``parse_response_rows``; in a Likert CSV, a
 its strict case; and, in an importance CSV, ``00`` prepended to one cell,
 whose value and allocation stay valid and whose 3 to 5 digits the strict
 case reads place by place over only the cells that wide, after the places
-that most cells reach.  It prints one line per output file,
+that most cells reach; and the header line alone, which the line route reads
+as one empty block and which has no row to accept.  It prints one line per output file,
 per parsed CSV and per call's stdout, stderr and exit code.  Every path is
 relative to a temporary directory, so two source trees give the same lines
 exactly when their outputs are byte-identical:
@@ -106,8 +107,9 @@ def _files(root: Path) -> list[str]:
 
 def _shapes(data: bytes, kind: ResponseKind) -> dict[str, bytes]:
     """The shapes of a response CSV: ``é`` appended to the id of every other
-    data line, and the first cell of its middle line replaced by ``3"`` and,
-    for a Likert kind, by ``07``, else by itself after ``00``."""
+    data line, the first cell of its middle line replaced by ``3"`` and, for
+    a Likert kind, by ``07``, else by itself after ``00``, and its header
+    line alone."""
     lines = data.split(b"\n")
     accented = lines[:]
     accented[1::2] = [line.replace(b",", "é,".encode(), 1) for line in lines[1::2]]
@@ -118,7 +120,8 @@ def _shapes(data: bytes, kind: ResponseKind) -> dict[str, bytes]:
         shaped[len(lines) // 2] = b",".join([middle[0], cell, *middle[2:]])
         return b"\n".join(shaped)
 
-    shapes = {"accented": b"\n".join(accented), "loose_quote": with_first_cell(b'3"')}
+    shapes = {"accented": b"\n".join(accented), "loose_quote": with_first_cell(b'3"'),
+              "header_only": lines[0] + b"\n"}
     if kind.is_likert:
         shapes["leading_zero"] = with_first_cell(b"07")
     else:
