@@ -17,35 +17,44 @@ errors.
 * Line route: bytes, and ``str`` input encoded to UTF-8 (with no byte-order
   mark removed).  Its block step reads a block of lines by the first of
   three cases that takes it, each with array arithmetic over the block's
-  bytes.  The one-byte and the strict case take only a block with no double
-  quote and no byte outside ``!`` to ``~`` but the line ends.
+  bytes.
 
-  - One-byte: a block of a Likert kind whose scale lies in 0 to 9, every
-    line a non-empty id and k cells of one digit.  Such a line ends in k
-    ``,d`` pairs, so one gather of every line's last 2k bytes reads all its
-    cells, with no comma offset (see LineBlocks._one_byte).
-  - Strict: k commas to a line, every id non-empty and every cell 1 to 18
-    digits.
-  - General: any other block has all its lines classified at once, and
-    each line is one record, read with array arithmetic too: its comma
-    split without the quotes that wrap a field (its first and last byte;
-    quotes pair by position, the block's quote 2j with quote 2j + 1, see
-    _quotes), as csv.reader reads it, and so is its diagnostic: blank,
-    ``row_length``, ``empty_id``, or its first cell that str.strip() does
-    not leave as an optional sign and 1 to 18 digits.
+  - One-byte: a block of a Likert kind whose scale lies in 0 to 9.  Its
+    one-byte lines hold no double quote and no byte outside ``!`` to ``~``
+    but the line end, and end in k ``,d`` pairs after a non-empty id, so one
+    gather of every line's last 2k bytes reads all their cells, with no
+    comma offset.  Its other lines, the dirty ones, are copied into a
+    compact buffer that the general case reads, and their rows are put back
+    in line order (see LineBlocks._one_byte).  The case leaves a block whose
+    lines are more than half dirty, and a block whose comma count is not k
+    to a one-byte line plus the dirty lines' commas, as only then can a
+    one-byte line hold a comma in its id.
+  - Strict: a block with no double quote and no byte outside ``!`` to
+    ``~`` but the line ends, k commas to a line, every id non-empty and
+    every cell 1 to 18 digits.
+  - General (_general): any other block, and the dirty lines of a one-byte
+    block, have all their lines classified at once, and each line is one
+    record, read with array arithmetic too: its comma split without the
+    quotes that wrap a field (its first and last byte; quotes pair by
+    position, quote 2j with quote 2j + 1, see _quotes), as csv.reader reads
+    it, and so is its diagnostic: blank, ``row_length``, ``empty_id``, or
+    its first cell that str.strip() does not leave as an optional sign and
+    1 to 18 digits.
 
   Every case leaves through one step, LineBlocks._accepted: _refused
   checks the values of the rows that the case converts, and the rows that
-  pass keep their ids.  Non-ASCII lines take the general case: the input
-  is valid UTF-8, whose multi-byte sequences hold no comma, quote, CR or
-  LF byte, so every span ends at an ASCII byte and holds whole code
-  points.  The route declines input that is not UTF-8, holds a NUL byte,
-  a carriage return not followed by a newline or a code point outside
-  ASCII that str.strip() removes, is empty, has a header line that holds a
-  double quote or does not match, has a line of csv.field_size_limit()
-  bytes or more, line end included, has a quote that wraps no field (such
-  as a quoted record that spans lines), or has a row whose first such cell
-  is more than 18 digits.
+  pass keep their ids.  A one-byte block with dirty lines runs _refused on
+  their values first, then on the block's uint16 rows, where each dirty
+  row holds what the general case read or else the scale's minimum.
+  Non-ASCII lines take the general case: the input is valid UTF-8, whose
+  multi-byte sequences hold no comma, quote, CR or LF byte, so every span
+  ends at an ASCII byte and holds whole code points.  The route declines
+  input that is not UTF-8, holds a NUL byte, a carriage return not followed
+  by a newline or a code point outside ASCII that str.strip() removes, is
+  empty, has a header line that holds a double quote or does not match, has
+  a line of csv.field_size_limit() bytes or more, line end included, has a
+  quote that wraps no field (such as a quoted record that spans lines), or
+  has a row whose first such cell is more than 18 digits.
 
   Cost model.  Every byte costs the passes that find the bytes outside ``!``
   to ``~`` and the quotes, one compare for the commas in each case that
@@ -64,14 +73,19 @@ errors.
   the exact route whenever the blocks computed its S and X'X.  The one-byte
   case costs every line a look at the byte where its first comma must lie
   and a gather of its last 2k bytes, every cell one subtraction and a
-  maximum, and the block one count of its commas, which it makes itself and
-  does not hand on.  A block it does not take has paid the look at each line
-  and, only when those all hold a comma, the count, and the gather only when
-  the count holds.  The strict and the general case cost every byte a comma
-  mask and the comma offsets, found from it, every cell its first digit,
-  and, in the general case, every line its comma count and one search of its
-  bounds among the padding and quote offsets.  A later digit place costs
-  every cell while more than half the cells reach it (an allocation's second
+  maximum, and the block one count of its commas.  Each quote and each byte
+  outside ``!`` to ``~`` but a line end costs one search among the line
+  bounds, or, in a block with more of them than lines, every line one
+  search among each kind.  A block it leaves has paid the look at each line,
+  and the searches unless that look alone found most lines dirty.  The
+  dirty lines cost a copy of their bytes into the buffer, the buffer's
+  passes, and the general case over them alone; the block then pays a
+  merge of their rows into its uint16 matrix, which stays in line order.
+  The strict and the general case cost every byte a comma mask and the
+  comma offsets, found from it, every cell its first digit, and, in the
+  general case, every line its comma count and one search of its bounds
+  among the padding and quote offsets.  A later digit place costs every
+  cell while more than half the cells reach it (an allocation's second
   place), and after that only the cells that wide.  The rest is paid only
   where its feature occurs: a sign by the cells whose first digit fails,
   stripping by padded lines, a diagnostic tuple by the row it rejects (its
@@ -636,8 +650,9 @@ class LineBlocks:
 
     The block step tries three cases in turn (see the module docstring for
     what each takes and costs): the one-byte case (_one_byte), one gather of
-    every line's last 2k bytes, no comma offsets; the strict case, one grid
-    of the block's comma offsets; and the general case, every line
+    every one-byte line's last 2k bytes, no comma offsets, and the general
+    case over its dirty lines alone; the strict case, one grid of the
+    block's comma offsets; and the general case (_general), every line
     classified and each cell read from its stripped bounds.  A case that
     fails a check hands the block on; a case that reads the block leaves
     through _accepted.  LineBlocks never reads an input by the per-cell
@@ -678,102 +693,123 @@ class LineBlocks:
             *read, None if self.bound is None else _exact_moments(read[2], self.bound))
 
     def _block(self, first: int, last: int) -> tuple | None:
-        raw, expected, k = self.raw, self.expected, len(self.expected) - 1
+        raw, k = self.raw, len(self.expected) - 1
         edges = self.edges[first:last + 1]
         start, end = int(edges[0]), int(edges[-1])
         lo, hi = np.searchsorted(self.odd, (start, end))
         odd, kinds = self.odd[lo:hi], self.kinds[lo:hi]
-        # Line i of the block is raw[starts[i]:ends[i]], line end included, and
-        # its text is raw[starts[i]:stops[i]].
-        starts, ends = edges[:-1], edges[1:]
-        stops = ends - (raw[ends - 1] == ord("\n"))
-        stops -= raw[stops - 1] == ord("\r")
-        # The one-byte and the strict case read a block with no quote and no
-        # byte outside "!" to "~" but the line ends.
-        plain = self.data.find(b'"', start, end) < 0 and len(odd) == (ends - stops).sum()
-        if plain and (read := self._one_byte(first, last, starts, stops)):
+        # Line i of the block is raw[starts[i]:edges[i + 1]], line end
+        # included, and its text is raw[starts[i]:stops[i]].
+        starts, stops = edges[:-1], _stops(raw, edges)
+        # The bytes outside "!" to "~" but the line ends (cut_lines declines a
+        # CR not followed by LF), and the quotes: none in most blocks, where
+        # the line ends are every such byte.
+        strays = odd[(kinds != ord("\n")) & (kinds != ord("\r"))] \
+            if len(odd) != (edges[1:] - stops).sum() else odd[:0]
+        quotes = np.flatnonzero(raw[start:end] == ord('"')) + start \
+            if self.data.find(b'"', start, end) >= 0 else odd[:0]
+        if read := self._one_byte(first, edges, stops, strays, quotes):
             return read
         commas = np.flatnonzero(raw[start:end] == ord(","))
         commas += start
-        # A strict block: k commas to a line.  Row i of the grid holds line
-        # i's commas only if each line holds k of them, which the first-comma
+        # A strict block: no quote, no byte outside "!" to "~" but the line
+        # ends, and k commas to a line.  Row i of the grid holds line i's
+        # commas only if each line holds k of them, which the first-comma
         # check and the cell widths that _digit_values checks ensure only when
         # they hold on every line.
-        if plain and len(commas) == k * len(starts):
+        if not len(strays) and not len(quotes) and len(commas) == k * len(starts):
             grid = commas.reshape(-1, k)
             if (grid[:, 0] > starts).all():
                 values, bad = _digit_values(raw, grid + 1, np.column_stack((grid[:, 1:], stops)))
                 if not bad.any():
                     return self._accepted(np.arange(first, last), starts, grid[:, 0], values)
+        read = _general(raw, edges, stops, odd, kinds, commas, quotes,
+                        np.arange(first + 1, last + 1), self.expected)
+        return read and self._accepted(first + read[0], *read[1:])
 
-        quoted = _quotes(raw, edges, commas)
-        if quoted is None:  # a quote that wraps no field, which only csv.reader reads
-            return None
-        pad = odd[_PAD[kinds]]
-        pads = _per_line(pad, edges)
-        lead = np.searchsorted(commas, edges)  # no comma lies between a stop and an end
-        fields = np.diff(lead) + 1
-        # A blank line holds only padding, commas and quotes.
-        filled = stops - starts - quoted - fields + 1 > pads
-        short = np.flatnonzero(filled & (fields != k + 1))
-        counts = fields[short].tolist()
-        message = _formatted(_ROW_LENGTH.format(k + 1, "{}").format, counts)
-        errors = [(first + at + 1, "*", "row_length", message[count])
-                  for at, count in zip(short.tolist(), counts)]
-        lines = np.flatnonzero(filled & (fields == k + 1))
-        # The k commas of line lines[i]: the window of k from its first.  A
-        # block of fewer than k commas has no such line.
-        windows = np.lib.stride_tricks.sliding_window_view(commas, k) if len(commas) >= k \
-            else commas[:0].reshape(0, k)
-        values, bad, id_lo, id_hi, lo, widths = _bulk_values(
-            raw, starts[lines], stops[lines], windows[lead[lines]], quoted[lines] > 0,
-            pads[lines] > 0, pad)
-        lines += first
-        valid = id_hi > id_lo
-        errors += [(at + 1, _ID_COLUMN, "empty_id", _EMPTY_ID) for at in lines[~valid].tolist()]
-        broken = np.flatnonzero(valid & _rows_with(bad))
-        valid[broken] = False
-        cells = bad[broken].argmax(axis=1)  # the first bad cell of each row
-        width = np.maximum(widths[broken, cells], 0)  # an all-pad cell has hi < lo
-        cell_lo = lo[broken, cells]
-        del lo, widths  # let go of two lines x k arrays
-        texts = _texts(raw, cell_lo, cell_lo + width)
-        if any(_INT_CELL.fullmatch(texts[at]) for at in np.flatnonzero(width > 18).tolist()):
-            return None  # more than 18 digits, which only _parse_int_cell reads
-        # A bad cell that _INT_CELL matches is wider than 18 bytes, and those are
-        # declined above: each one left is blank or not an integer.
-        message = _formatted(_NOT_AN_INTEGER.format, texts)
-        errors += [(at + 1, expected[cell + 1], "not_an_integer" if text else "missing",
-                    message[text])
-                   for at, cell, text in zip(lines[broken].tolist(), cells.tolist(), texts)]
-        return self._accepted(lines, id_lo, id_hi, values, valid, errors)
-
-    def _one_byte(self, first: int, last: int, starts: np.ndarray,
-                  stops: np.ndarray) -> tuple | None:
-        """_block's one-byte case, for a block with no quote and no byte
-        outside "!" to "~" but the line ends, of a Likert kind whose scale
-        lies in 0 to 9: it reads the block when every line is a non-empty id
-        and k cells of one digit, that is, when every line ends in k ``,d``
-        pairs after at least one byte and the block holds k commas to a
-        line, which it counts itself.  None for any other block.  Its
-        values are uint16, which _validated_set converts once."""
+    def _one_byte(self, first: int, edges: np.ndarray, stops: np.ndarray, strays: np.ndarray,
+                  quotes: np.ndarray) -> tuple | None:
+        """_block's one-byte case, for a Likert kind whose scale lies in 0 to
+        9, given the offsets of the block's quotes and of its bytes outside
+        "!" to "~" but the line ends.  A one-byte line holds neither and ends
+        in k ``,d`` pairs after a non-empty id: one gather of every line's
+        last 2k bytes reads its cells, with no comma offset.  The other lines,
+        the dirty ones, are copied into a compact buffer that _general reads,
+        and their rows are put back in line order.  The block's comma count
+        must be k to a one-byte line plus the dirty lines' commas, which
+        proves that no one-byte line has a comma in its id.  None for a block
+        whose count differs or whose lines are more than half dirty, which
+        the later cases read, and for one whose dirty lines decline the
+        input, which the general case then declines again.  Its values are
+        uint16, which _validated_set converts once."""
         raw, k, scale = self.raw, len(self.expected) - 1, self.instrument.scale
         if not self.kind.is_likert or scale.min < 0 or scale.max > 9:
             return None
-        base = stops - 2 * k  # where line i's first comma lies, if it holds such cells
-        # A cell of two bytes or more moves its line's base onto a digit, so
-        # the first-comma check declines such a block before the gather.
-        if not (base > starts).all() or (raw[base] != ord(",")).any() or np.count_nonzero(
-                raw[self.edges[first]:self.edges[last]] == ord(",")) != k * len(starts):
+        starts = edges[:-1]
+        # Where line i's first comma lies, if it holds such cells.  A line
+        # too short for them is dirty; the bases rise with the lines, so only
+        # the first can be negative, and those go to 0 to index a window.
+        base = stops - 2 * k
+        if len(base) and base[0] < 0:
+            np.maximum(base, 0, out=base)
+        dirty = base <= starts
+        dirty |= raw[base] != ord(",")
+        count = np.count_nonzero(dirty)
+        if 2 * count > len(starts):  # a quoted export, say: no search
             return None
+        if len(strays) or len(quotes):
+            if len(strays) + len(quotes) <= len(starts):
+                dirty[np.searchsorted(edges, np.concatenate((strays, quotes)), "right") - 1] = True
+            else:  # more marks than lines: search the lines among them
+                for marks in (strays, quotes):
+                    dirty |= _per_line(marks, edges) > 0
+            count = np.count_nonzero(dirty)
+            if 2 * count > len(starts):
+                return None
         # Every line's 2k bytes from its base in one gather, read as k
         # big-endian pairs: "," then "0" to "9" is 0 to 9 once ",0" is taken
-        # off, and every other pair wraps above 9.
-        cells = np.lib.stride_tricks.sliding_window_view(raw, 2 * k)[base].view(">u2")
-        values = cells - np.uint16(ord(",") << 8 | ord("0"))
+        # off, and every other pair wraps above 9.  A dirty line's row holds
+        # the scale's minimum, which passes _refused, until _general reads it.
+        cells = np.lib.stride_tricks.sliding_window_view(raw, 2 * k)[base]
+        values = cells.view(">u2") - np.uint16(ord(",") << 8 | ord("0"))
+        if count:
+            values[dirty] = scale.min
         if values.max(initial=0) > 9:
+            wrong = (values > 9).any(axis=1)
+            dirty |= wrong
+            values[wrong] = scale.min
+            count = np.count_nonzero(dirty)
+        dirty = np.flatnonzero(dirty) if count else []
+        lines = np.arange(first, first + len(starts))
+        commas = np.count_nonzero(raw[edges[0]:edges[-1]] == ord(","))
+        if not len(dirty):
+            return None if commas != k * len(starts) else \
+                self._accepted(lines, starts, base, values)
+        # The dirty lines, line ends included, after one LF (the byte before
+        # the first of them): byte p of dirty line j is raw's byte p + shift[j].
+        sizes = edges[dirty + 1] - starts[dirty]
+        spans = np.append(0, np.cumsum(sizes)) + 1
+        shift = starts[dirty] - spans[:-1]
+        sizes[0] += 1
+        buffer = raw[np.repeat(shift, sizes) + np.arange(spans[-1])]
+        found = [np.flatnonzero(buffer == ord(byte)) for byte in ',"']
+        if commas != k * (len(starts) - len(dirty)) + len(found[0]):
             return None
-        return self._accepted(np.arange(first, last), starts, base, values)
+        odd = np.flatnonzero((buffer - np.uint8(ord("!"))) > ord("~") - ord("!"))
+        read = _general(buffer, spans, _stops(buffer, spans), odd, buffer[odd], *found,
+                        lines[dirty] + 1, self.expected)
+        if read is None:
+            return None
+        converted, lo, hi, dirty_values, valid, errors = read
+        at = dirty[converted]
+        errors += _refused(dirty_values, valid, lines[at] + 1, self.expected, scale, self.kind)
+        accepted = np.ones(len(starts), dtype=bool)
+        accepted[dirty] = False
+        accepted[at[valid]] = True
+        values[at[valid]] = dirty_values[valid]
+        id_lo, id_hi = np.array(starts), base
+        id_lo[at], id_hi[at] = lo + shift[converted], hi + shift[converted]
+        return self._accepted(lines, id_lo, id_hi, values, accepted, errors)
 
     def _accepted(self, lines: np.ndarray, id_lo: np.ndarray, id_hi: np.ndarray,
                   values: np.ndarray, valid: np.ndarray | None = None,
@@ -850,14 +886,79 @@ def _per_line(offsets: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.diff(np.searchsorted(offsets, edges))
 
 
-def _quotes(raw: np.ndarray, edges: np.ndarray, commas: np.ndarray) -> np.ndarray | None:
+def _stops(raw: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Where the text of each line raw[edges[i]:edges[i + 1]] ends: before
+    its LF or CRLF, if it has one."""
+    ends = edges[1:]
+    stops = ends - (raw[ends - 1] == ord("\n"))
+    stops -= raw[stops - 1] == ord("\r")
+    return stops
+
+
+def _general(raw: np.ndarray, edges: np.ndarray, stops: np.ndarray, odd: np.ndarray,
+             kinds: np.ndarray, commas: np.ndarray, quotes: np.ndarray, rows: np.ndarray,
+             expected: list[str]) -> tuple | None:
+    """The block step's general case over the lines raw[edges[i]:edges[i +
+    1]], each one record whose text ends at ``stops`` (_stops), given the
+    offsets of their bytes outside "!" to "~" (``odd``, whose bytes are
+    ``kinds``), of their commas and of their quotes, and their data-row
+    numbers ``rows``.  Every line is classified
+    at once, and each cell read from its stripped bounds.  Returns the
+    positions of the lines it converts, the bounds of their ids, their values
+    and the mask of those whose cells all read, and the diagnostics of the
+    other lines; or None if it declines the input: a quote that wraps no
+    field, which only csv.reader reads, or a first bad cell of more than 18
+    digits, which only _parse_int_cell reads."""
+    k, starts = len(expected) - 1, edges[:-1]
+    quoted = _quotes(raw, edges, commas, quotes)
+    if quoted is None:
+        return None
+    pad = odd[_PAD[kinds]]
+    pads = _per_line(pad, edges)
+    lead = np.searchsorted(commas, edges)  # no comma lies between a stop and an end
+    fields = np.diff(lead) + 1
+    # A blank line holds only padding, commas and quotes.
+    filled = stops - starts - quoted - fields + 1 > pads
+    short = np.flatnonzero(filled & (fields != k + 1))
+    counts = fields[short].tolist()
+    message = _formatted(_ROW_LENGTH.format(k + 1, "{}").format, counts)
+    errors = [(row, "*", "row_length", message[count])
+              for row, count in zip(rows[short].tolist(), counts)]
+    lines = np.flatnonzero(filled & (fields == k + 1))
+    # The k commas of line lines[i]: the window of k from its first.  Lines
+    # of fewer than k commas in all have no such line.
+    windows = np.lib.stride_tricks.sliding_window_view(commas, k) if len(commas) >= k \
+        else commas[:0].reshape(0, k)
+    values, bad, id_lo, id_hi, lo, widths = _bulk_values(
+        raw, starts[lines], stops[lines], windows[lead[lines]], quoted[lines] > 0,
+        pads[lines] > 0, pad)
+    valid = id_hi > id_lo
+    errors += [(row, _ID_COLUMN, "empty_id", _EMPTY_ID) for row in rows[lines[~valid]].tolist()]
+    broken = np.flatnonzero(valid & _rows_with(bad))
+    valid[broken] = False
+    cells = bad[broken].argmax(axis=1)  # the first bad cell of each row
+    width = np.maximum(widths[broken, cells], 0)  # an all-pad cell has hi < lo
+    cell_lo = lo[broken, cells]
+    del lo, widths  # let go of two lines x k arrays
+    texts = _texts(raw, cell_lo, cell_lo + width)
+    if any(_INT_CELL.fullmatch(texts[at]) for at in np.flatnonzero(width > 18).tolist()):
+        return None
+    # A bad cell that _INT_CELL matches is wider than 18 bytes, and those are
+    # declined above: each one left is blank or not an integer.
+    message = _formatted(_NOT_AN_INTEGER.format, texts)
+    errors += [(row, expected[cell + 1], "not_an_integer" if text else "missing", message[text])
+               for row, cell, text in zip(rows[lines[broken]].tolist(), cells.tolist(), texts)]
+    return lines, id_lo, id_hi, values, valid, errors
+
+
+def _quotes(raw: np.ndarray, edges: np.ndarray, commas: np.ndarray,
+            quotes: np.ndarray) -> np.ndarray | None:
     """The quote count of each line raw[edges[i]:edges[i + 1]], or None if
     one of those quotes wraps no field.  Every quote wraps a field exactly
     when, for each j, quotes 2j and 2j + 1 are the first and last byte of
     one field: a comma or LF comes before the first, a comma, CR, LF or the
-    end of the file after the second, and no comma or line end lies between
-    them.  ``commas`` holds the lines' comma offsets."""
-    quotes = np.flatnonzero(raw[edges[0]:edges[-1]] == ord('"')) + edges[0]
+    end of the input after the second, and no comma or line end lies between
+    them.  ``commas`` and ``quotes`` hold the lines' comma and quote offsets."""
     if len(quotes) % 2:
         return None
     opens, shuts = quotes[0::2], quotes[1::2]

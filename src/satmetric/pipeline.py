@@ -20,8 +20,8 @@ from .psychometrics import DEFAULT_ALPHA_THRESHOLD, ReliabilityReport, VarianceM
     item_descriptives, reliability_report
 from .qfd import load_hoq
 from .report import AnalysisReport, assemble
-from .rootcause import DEFAULT_PARETO_THRESHOLD, dissatisfaction_contributions, load_fishbone, \
-    pareto
+from .rootcause import DEFAULT_PARETO_THRESHOLD, check_threshold, \
+    dissatisfaction_contributions, load_fishbone, pareto
 from .schema import hints, read, read_bytes, read_json
 from .servqual import compute_gap_report, importance_weights, normalize_weights, \
     weights_from_means
@@ -219,14 +219,18 @@ def _load_weights_file(path: str):
 def run(inputs: Inputs, config: Config = Config(), timestamp=True) -> AnalysisReport | None:
     """Ingest, descriptives, the reliability gate, gaps, Kano, Pareto, HoQ and
     fishbone, then the report; None when ``config.strict_gate`` refuses a
-    survey, whose refusal is then on stderr.  The instrument, weights, HoQ
-    and fishbone files are read and checked before the survey CSVs."""
+    survey, whose refusal is then on stderr.  The settings are checked
+    before any file is read, the Kano multipliers and the Pareto threshold
+    included, and the instrument, weights, HoQ and fishbone files are read
+    and checked before the survey CSVs."""
     if None in (inputs.expect, inputs.perceive) or \
             (inputs.importance is None) == (inputs.weights is None):
         raise SatmetricError("the gap analysis needs an expectation CSV, a perception CSV "
                              "and exactly one of an importance CSV and a weights file")
     config = Config(**{f.name: _setting(f.name, getattr(config, f.name)) for f in fields(Config)})
     mode, policy = config.variance_mode, config.missing_policy
+    multipliers = parse_multiplier_spec(config.kano_multipliers or "")
+    check_threshold(config.pareto_threshold)
     instrument = load_instrument(inputs.instrument)
     weights = None if inputs.weights is None else _load_weights_file(inputs.weights)
     hoq = load_hoq(inputs.hoq) if inputs.hoq else None
@@ -247,7 +251,6 @@ def run(inputs: Inputs, config: Config = Config(), timestamp=True) -> AnalysisRe
                                  for message in failed))
         return None
     gap_report = compute_gap_report(*descriptives, weights, instrument, *reliability)
-    multipliers = parse_multiplier_spec(config.kano_multipliers or "")
     priorities = prioritize(gap_report.item_gaps, weights, instrument, multipliers)
     contributions = dissatisfaction_contributions(
         gap_report.item_gaps, weights, instrument, weighted=not config.unweighted_contributions)

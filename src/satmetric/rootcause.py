@@ -75,6 +75,12 @@ def dissatisfaction_contributions(
             if magnitude is not None]
 
 
+def check_threshold(threshold_pct: float) -> None:
+    """Raise DefinitionError unless a Pareto threshold lies in (0, 100]."""
+    if not 0 < threshold_pct <= 100:
+        raise DefinitionError(f"threshold must lie in (0, 100], got {threshold_pct}")
+
+
 def pareto(
     contribs: Sequence[Contribution],
     threshold_pct: float = DEFAULT_PARETO_THRESHOLD,
@@ -84,8 +90,7 @@ def pareto(
     The final cumulative percentage is exactly 100 for a nonempty table;
     an empty contribution list yields the empty-table marker.
     """
-    if not 0 < threshold_pct <= 100:
-        raise DefinitionError(f"threshold must lie in (0, 100], got {threshold_pct}")
+    check_threshold(threshold_pct)
     ordered = sorted(contribs, key=lambda c: (-c.magnitude, c.item_id))
     total = sum(c.magnitude for c in ordered)
     rows: list[ParetoRow] = []

@@ -338,22 +338,31 @@ class TestGapPipeline:
         assert "Traceback" not in err
         assert not (xyz_dir / "overflow").exists()
 
-    @pytest.mark.parametrize("bad", [["--kano-multipliers", "must_be"]], ids=["kano_spec"])
-    def test_row_diagnostics_precede_a_later_input_error(self, xyz_dir, capsys, bad):
-        """The CSVs are read (and their rejections written) before the Kano
-        spec is parsed."""
+    @pytest.mark.parametrize("bad, message", [
+        (["--kano-multipliers", "must_be"],
+         "bad multiplier entry 'must_be', expected category=value"),
+        (["--kano-multipliers", "must_be=x"], "bad multiplier value 'x' for 'must_be'"),
+        (["--pareto-threshold", "150"], "threshold must lie in (0, 100], got 150.0"),
+    ], ids=["kano_spec", "kano_value", "pareto_threshold"])
+    def test_bad_setting_is_refused_before_any_csv_is_read(self, xyz_dir, capsys, monkeypatch,
+                                                           bad, message):
+        """A Kano spec or a Pareto threshold that the analysis would refuse
+        ends the call before any CSV is read: one error line, with the
+        message that kano and rootcause give, no row diagnostic of the dirty
+        CSV and no output file."""
         bad_row = "x99," + ",".join(["6"] + ["4"] * 16)
         (xyz_dir / "e_dirty.csv").write_text((xyz_dir / "e.csv").read_text() + bad_row + "\n")
+        read = []
+        monkeypatch.setattr(pipeline, "surveys", lambda *args: read.append(args) or iter(()))
         rc = main(["gap", "--instrument", str(xyz_dir / "xyz.json"),
                    "--expect", str(xyz_dir / "e_dirty.csv"),
                    "--perceive", str(xyz_dir / "p.csv"),
                    "--weights", str(xyz_dir / "weights.json"),
                    *bad, "--out", str(xyz_dir / "late" / "xyz")])
-        err = capsys.readouterr().err.splitlines()
         assert rc == 1
-        assert len(err) == 2
-        assert err[0].startswith(f"{xyz_dir / 'e_dirty.csv'}: row 82, column q1:")
-        assert err[1].startswith("error: bad multiplier entry 'must_be'")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert read == []
+        assert not (xyz_dir / "late").exists()
 
     @pytest.mark.parametrize("bad", ["weights", "hoq", "hoq_path", "fishbone"])
     def test_definition_files_are_checked_before_the_csvs(self, xyz_dir, capsys, bad):

@@ -207,9 +207,21 @@ def test_strict_file_with_a_repeated_id_matches_the_per_cell_parser():
         "row 3, column respondent_id: respondent id 'r1' repeats row 1 [duplicate_id]"
 
 
+def _spy(monkeypatch, calls, owner, name, rows_at=None):
+    """Record each call of ``owner.name`` in ``calls`` as it returns: the row
+    count of its argument ``rows_at``, or whether it returned a result."""
+    real = getattr(owner, name)
+
+    def record(*args):
+        result = real(*args)
+        calls.append((name, result is not None if rows_at is None else len(args[rows_at])))
+        return result
+    monkeypatch.setattr(owner, name, record)
+
+
 @pytest.mark.parametrize("policy", list(MissingPolicy))
 @pytest.mark.parametrize("kind, rows, one_byte", [
-    (ResponseKind.EXPECTATION, ["r1,1,2,3", "r2,1,19,3", "r3,5,5,05", "r4,0,2,2"], False),
+    (ResponseKind.EXPECTATION, ["r1,1,2,3", "r2,1,19,3", "r3,5,5,05", "r4,00,2,2"], False),
     (ResponseKind.EXPECTATION, ["r1,1,2,3", "r2,1,9,3", "r3,5,5,5", "r4,0,2,2"], True),
     (ResponseKind.IMPORTANCE, ["r1,40,30,10,10,10", "r2,22,18,20,20,20",
                                "r3,20,20,20,20,20", "r4,100,0,0,0,5"], False),
@@ -219,7 +231,9 @@ def test_strict_file_with_refused_rows_converts_once(monkeypatch, xyz_instrument
     """A strict file whose only faults are values outside the scale or bad
     allocations stays in the strict case, or in the one-byte case when each
     Likert cell is one digit: its cells are converted once, their values
-    checked once, and its result or error is the per-cell parser's."""
+    checked once, and its result or error is the per-cell parser's.  Three
+    of the four lines of the ``likert`` file have a cell of two digits, more
+    than half, so that the one-byte case leaves the block to the strict case."""
     instrument = SMALL_INSTRUMENT if kind.is_likert else xyz_instrument
     data = (likert_csv if kind.is_likert else importance_csv)(rows)
     try:
@@ -227,21 +241,9 @@ def test_strict_file_with_refused_rows_converts_once(monkeypatch, xyz_instrument
     except DataError as exc:
         reference = str(exc)
     calls = []
-
-    def spy(owner, name, rows_at=None):
-        """Record each call of ``owner.name``: the row count of its argument
-        ``rows_at``, or whether it returned a result."""
-        real = getattr(owner, name)
-
-        def record(*args):
-            result = real(*args)
-            calls.append((name, result is not None if rows_at is None else len(args[rows_at])))
-            return result
-        monkeypatch.setattr(owner, name, record)
-
-    spy(ingest.LineBlocks, "_one_byte")
-    spy(ingest, "_digit_values", 1)
-    spy(ingest, "_refused", 0)
+    _spy(monkeypatch, calls, ingest.LineBlocks, "_one_byte")
+    _spy(monkeypatch, calls, ingest, "_digit_values", 1)
+    _spy(monkeypatch, calls, ingest, "_refused", 0)
     try:
         rs, report = strict_result(data, instrument, kind, policy)
     except DataError as exc:
@@ -254,6 +256,36 @@ def test_strict_file_with_refused_rows_converts_once(monkeypatch, xyz_instrument
     # A call is recorded as it returns: _one_byte calls _refused itself.
     assert calls == ([("_refused", 4), ("_one_byte", True)] if one_byte else
                      [("_one_byte", False), ("_digit_values", 4), ("_refused", 4)])
+
+
+@pytest.mark.parametrize("policy", list(MissingPolicy))
+def test_one_byte_block_reads_its_dirty_lines_once(monkeypatch, policy):
+    """A Likert block with two lines of a two-digit cell among four: the
+    one-byte case gathers the other two, and hands those two alone to the
+    general case, whose cells are converted once (and read once more for a
+    sign, in none of them).  _refused checks the dirty rows' values in int64,
+    then the block's uint16 rows, where the dirty ones hold the scale's
+    minimum or the values the general case read.  The result or error is the
+    per-cell parser's."""
+    data = likert_csv(["r1,1,2,3", "r2,1,19,3", "r3,5,5,05", "r4,0,2,2"])
+    try:
+        reference = parse_response_rows(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION, policy)
+    except DataError as exc:
+        reference = str(exc)
+    calls = []
+    _spy(monkeypatch, calls, ingest.LineBlocks, "_one_byte")
+    _spy(monkeypatch, calls, ingest, "_digit_values", 1)
+    _spy(monkeypatch, calls, ingest, "_refused", 0)
+    try:
+        rs, report = parse_response_file(data, SMALL_INSTRUMENT, ResponseKind.EXPECTATION, policy)
+    except DataError as exc:
+        assert str(exc) == reference
+    else:
+        assert report == reference[1] and report.rejected_rows == 2
+        assert rs.respondent_ids == reference[0].respondent_ids == ("r1", "r3")
+        assert rs.values.tolist() == reference[0].values.tolist() == [[1, 2, 3], [5, 5, 5]]
+    assert calls == [("_digit_values", 2), ("_digit_values", 0), ("_refused", 2),
+                     ("_refused", 4), ("_one_byte", True)]
 
 
 def test_strict_str_input_takes_the_strict_case():

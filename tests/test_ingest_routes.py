@@ -261,7 +261,8 @@ def _outcome(parse, data, instrument, kind, policy):
 #: The helpers of the line route, which the per-cell parser must not use.
 BULK_HELPERS = ("_digit_values", "_rows_with", "_texts", "_refused", "_invalid_allocations",
                 "_line_input", "_quotes", "_bulk_values", "_strip_spans", "_id_keys",
-                "_key_texts", "_formatted", "_exact_moments", "cut_lines")
+                "_key_texts", "_formatted", "_exact_moments", "cut_lines", "_stops", "_general",
+                "LineBlocks._one_byte")
 
 
 def _refuser(name: str):
@@ -289,7 +290,7 @@ def _per_cell_only():
     """While active, every bulk helper fails."""
     with contextlib.ExitStack() as stack:
         for name in BULK_HELPERS:
-            stack.enter_context(mock.patch.object(ingest, name, _refuser(name)))
+            stack.enter_context(mock.patch(f"satmetric.ingest.{name}", _refuser(name)))
         yield
 
 
@@ -432,10 +433,11 @@ def test_cell_mutations_leave_the_bulk_route_except_leading_zeros(name):
     """Every cell mutation the differential test draws leaves the strict
     case, except the two that leave a cell plain digits: short leading
     zeros, which read as the same value on every route, and an out-of-range
-    value, whose row the strict case rejects itself."""
-    instrument = _instrument(3, 1, 5)
+    value, whose row the strict case rejects itself.  The scale reaches 10,
+    so that the one-byte case, which would read the other line, never runs."""
+    instrument = _instrument(3, 1, 10)
     table = [["respondent_id", "q1", "q2", "q3"], ["r1", "1", "2", "3"], ["r2", "4", "5", "1"]]
-    table[2][2] = CELL_MUTATIONS[name](table[2][2], 5)
+    table[2][2] = CELL_MUTATIONS[name](table[2][2], 10)
     data = _render(table, "\n", True).encode("utf-8")
     bulk = strict_result(data, instrument, ResponseKind.EXPECTATION)
     accepted = {"leading_zeros": [[1, 2, 3], [4, 5, 1]], "out_of_range": [[1, 2, 3]]}
@@ -816,14 +818,17 @@ def test_bad_last_cell_at_the_end_of_the_file(cell, kind, xyz_instrument):
 
 @pytest.mark.parametrize("digits", ["0" * 17 + "4", "9" * 18, "1" + "0" * 17])
 def test_one_wide_cell_among_one_digit_cells(digits, xyz_instrument):
-    """A file of one-digit cells but for one of 18 digits stays in the strict
-    case; signed, it takes the line route's conversion of signed cells."""
+    """A file of one-digit cells but for one of 18 digits: the one-byte case
+    reads every other line, and the general case that one alone, signed or
+    not."""
     header, rows = _xyz_rows(300)
     cells = [row.split(",") for row in rows]
     cells[150][9] = digits
     data = (header + "\n" + "\n".join(",".join(row) for row in cells) + "\n").encode()
-    assert strict_result(data, xyz_instrument, ResponseKind.EXPECTATION) is not None
     for payload in (data, data.replace(b"," + digits.encode(), b",+" + digits.encode())):
+        with _one_byte_routes() as routes:
+            ingest.cut_lines(payload, xyz_instrument, ResponseKind.EXPECTATION).parse(0)
+        assert routes == {0: (True, [151])}
         _assert_routes_agree(payload, xyz_instrument)
     rs, report = parse_response_file(data, xyz_instrument, ResponseKind.EXPECTATION)
     assert (rs.values[150, 8] == 4) if digits.endswith("4") else report.rejected_rows == 1
@@ -1046,9 +1051,17 @@ def test_block_budget_changes_no_id(case):
 #: A data line that the one-byte case reads: a CANONICAL_ROW id, then k
 #: cells of one digit each.
 ONE_BYTE_ROW = r"[!#-+\--~]+(?:,[0-9]){%d}"
-#: Near misses of a one-byte line, as edits of its fields: each leaves the
-#: one-byte case to the strict case, the general case or the per-cell
-#: parser.  ":" and "/" are the bytes just above and below the digits.
+#: A line that the one-byte case does not mark dirty before its gather: no
+#: quote, no byte outside "!" to "~", and a comma 2k bytes before its end,
+#: after at least one byte.
+ONE_BYTE_BASE = r"[!#-~]+,[!#-~]{%d}"
+#: A line that the gather reads, whose id may hold a comma: only the block's
+#: comma count tells it from a ONE_BYTE_ROW line.
+ONE_BYTE_LOOSE = r"[!#-~]+(?:,[0-9]){%d}"
+#: Near misses of a one-byte line, as edits of its fields: each one is a
+#: dirty line, which the general case reads, or, an id with a comma, makes
+#: its block leave the one-byte case.  ":" and "/" are the bytes just above
+#: and below the digits.
 ONE_BYTE_MISSES = {
     "leading_zero": lambda fields: [fields[0], "0" + fields[1], *fields[2:]],
     "signed": lambda fields: [fields[0], "+" + fields[1], *fields[2:]],
@@ -1060,6 +1073,7 @@ ONE_BYTE_MISSES = {
     "slash_cell": lambda fields: [fields[0], "/", *fields[2:]],
     "empty_id": lambda fields: ["", *fields[1:]],
     "quoted_id": lambda fields: [f'"{fields[0]}"', *fields[1:]],
+    "comma_id": lambda fields: [fields[0], "x", *fields[1:]],
     "blank_line": lambda fields: [""],
 }
 #: Ids of 1 to 12 UTF-8 bytes: printable ASCII but the comma and the
@@ -1074,18 +1088,19 @@ def one_byte_files(draw):
     """(instrument, kind, k, data lines, file bytes, block budget): a Likert
     file under a scale inside 0 to 9, its cells one digit each, inside or
     outside the scale, its ids repeating one another now and then, its lines
-    ended by LF or CRLF, the last one maybe by neither, and a few lines
-    edited into a ONE_BYTE_MISSES near miss."""
+    ended by LF or CRLF, the last one maybe by neither, and a few or most
+    lines edited into a ONE_BYTE_MISSES near miss."""
     lo = draw(st.integers(0, 8))
     hi = draw(st.integers(lo + 1, 9))
     k = draw(st.integers(1, 6))
     pool = draw(st.lists(ONE_BYTE_IDS, min_size=1, max_size=6))
     ids = draw(st.lists(st.sampled_from(pool) | ONE_BYTE_IDS, min_size=1, max_size=20))
+    clean = [None] * draw(st.sampled_from([8, 40]))
     lines = []
     for respondent_id in ids:
         fields = [respondent_id, *map(str, draw(st.lists(st.integers(0, 9), min_size=k,
                                                          max_size=k)))]
-        miss = draw(st.sampled_from([None] * 8 + list(ONE_BYTE_MISSES)))
+        miss = draw(st.sampled_from(clean + list(ONE_BYTE_MISSES)))
         lines.append(",".join(ONE_BYTE_MISSES[miss](fields) if miss else fields))
     header = ",".join(["respondent_id", *(f"q{i}" for i in range(1, k + 1))])
     ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
@@ -1096,39 +1111,149 @@ def one_byte_files(draw):
             draw(st.integers(1, 120)))
 
 
+@contextlib.contextmanager
+def _one_byte_routes():
+    """While active, a dict of each block's one-byte case, by its first
+    line: whether the case read the block, and the data-row numbers of the
+    lines it handed to _general."""
+    routes, inside = {}, []
+    real_case, real_general = ingest.LineBlocks._one_byte, ingest._general
+
+    def case(blocks, first, *args):
+        inside.append([])
+        result = real_case(blocks, first, *args)
+        routes[first] = (result is not None, inside.pop())
+        return result
+
+    def general(*args):
+        if inside:
+            inside[-1] += args[-2].tolist()
+        return real_general(*args)
+
+    with mock.patch.object(ingest.LineBlocks, "_one_byte", case), \
+            mock.patch.object(ingest, "_general", general):
+        yield routes
+
+
 @settings(max_examples=examples(200), deadline=None)
 @given(one_byte_files())
 # A header-only file: one empty block, which the one-byte case takes.
 @example((_instrument(1, 0, 1), ResponseKind.EXPECTATION, 1, [""], b"respondent_id,q1\n", 1))
 def test_one_byte_case_matches_the_per_cell_parser(case):
     """The one-byte case against the per-cell parser, bytes and ``str``,
-    under both policies, in small blocks.  A block takes the one-byte case
-    exactly when each of its lines matches ONE_BYTE_ROW, so that the case
-    can neither read a near miss nor stop reading a clean block unseen."""
+    under both policies, in small blocks.  A block leaves the case exactly
+    when more than half its lines fail ONE_BYTE_BASE or one of its
+    ONE_BYTE_LOOSE lines has a comma in its id.  Otherwise the gather reads
+    exactly its ONE_BYTE_ROW lines and _general the others, so that the case
+    can neither read a near miss nor leave a clean line to the general case."""
     instrument, kind, k, lines, data, budget = case
-    took = {}
-    real = ingest.LineBlocks._one_byte
-
-    def spy(blocks, first, *args):
-        result = real(blocks, first, *args)
-        took[first] = result is not None
-        return result
-
-    pattern = re.compile(ONE_BYTE_ROW % k)
-    with mock.patch.object(ingest, "BLOCK_BYTES", budget), \
-            mock.patch.object(ingest.LineBlocks, "_one_byte", spy):
+    row, base, loose = (re.compile(pattern % arg) for pattern, arg in (
+        (ONE_BYTE_ROW, k), (ONE_BYTE_BASE, 2 * k - 1), (ONE_BYTE_LOOSE, k)))
+    with mock.patch.object(ingest, "BLOCK_BYTES", budget), _one_byte_routes() as routes:
         blocks = ingest.cut_lines(data, instrument, kind)
         for at in range(len(blocks)):
             blocks.parse(at)
-        for at, first in enumerate(blocks.firsts):
-            last = blocks.firsts[at + 1] if at + 1 < len(blocks) else len(blocks.edges) - 1
-            assert took.get(first, False) == \
-                all(pattern.fullmatch(line) for line in lines[first:last]), (data, first)
-        for payload, policy in itertools.product((data, data.decode("utf-8")), MissingPolicy):
+    for at, first in enumerate(blocks.firsts):
+        last = blocks.firsts[at + 1] if at + 1 < len(blocks) else len(blocks.edges) - 1
+        block = lines[first:last]
+        left = 2 * sum(not base.fullmatch(line) for line in block) > len(block) or any(
+            loose.fullmatch(line) and not row.fullmatch(line) for line in block)
+        dirty = [first + at + 1 for at, line in enumerate(block) if not row.fullmatch(line)]
+        assert routes[first] == ((False, []) if left else (True, dirty)), (data, first)
+    for payload, policy in itertools.product((data, data.decode("utf-8")), MissingPolicy):
+        with mock.patch.object(ingest, "BLOCK_BYTES", budget):
             with _per_cell_only():
                 reference = _outcome(parse_response_rows, payload, instrument, kind, policy)
             assert _outcome(parse_response_file, payload, instrument, kind, policy) == \
                 reference, payload
+
+
+#: Dirty lines of a Likert file under a scale inside 0 to 9, as edits of a
+#: clean one-digit line's fields (``hi`` is the scale's maximum): dressed
+#: cells, blank and short lines, out-of-scale and two-digit cells, and ids
+#: outside ASCII or holding an unquoted comma.
+DIRTY_LINES = {
+    "quoted": lambda fields, hi: [*fields[:-1], f'"{fields[-1]}"'],
+    "padded": lambda fields, hi: [fields[0], f" {fields[1]}\t", *fields[2:]],
+    "signed": lambda fields, hi: [fields[0], f"+{fields[1]}", *fields[2:]],
+    "blank": lambda fields, hi: [""],
+    "short": lambda fields, hi: fields[:-1],
+    "out_of_scale": lambda fields, hi: [*fields[:-1], str(hi + 1 if hi < 9 else 0)],
+    "two_digits": lambda fields, hi: [fields[0], "07", *fields[2:]],
+    "non_ascii_id": lambda fields, hi: [fields[0] + "é", *fields[1:]],
+    "comma_id": lambda fields, hi: [fields[0], "x", *fields[1:]],
+}
+
+
+@st.composite
+def mixed_one_byte_files(draw):
+    """(instrument, kind, file bytes, block budget): a Likert file under a
+    scale inside 0 to 9 whose lines are clean one-digit lines or, each with
+    a drawn share, DIRTY_LINES edits, ended by LF or CRLF."""
+    lo = draw(st.integers(0, 5))
+    hi = draw(st.integers(lo + 1, 9))
+    k = draw(st.integers(1, 5))
+    share = draw(st.sampled_from([5, 30, 50, 70]))  # percent of the lines made dirty
+    lines = []
+    for at in range(draw(st.integers(1, 30))):
+        fields = [f"r{at}", *map(str, draw(st.lists(st.integers(lo, hi), min_size=k,
+                                                    max_size=k)))]
+        if draw(st.integers(0, 99)) < share:
+            fields = DIRTY_LINES[draw(st.sampled_from(list(DIRTY_LINES)))](fields, hi)
+        lines.append(",".join(fields) + draw(st.sampled_from(["\n", "\r\n"])))
+    header = ",".join(["respondent_id", *(f"q{i}" for i in range(1, k + 1))])
+    kind = draw(st.sampled_from([ResponseKind.EXPECTATION, ResponseKind.PERCEPTION]))
+    return (_instrument(k, lo, hi), kind, (header + "\n" + "".join(lines)).encode("utf-8"),
+            draw(st.integers(1, 120)))
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(mixed_one_byte_files())
+def test_mixed_one_byte_blocks_match_the_per_cell_parser(case):
+    """Blocks of clean one-digit lines and dirty ones, in any share, read the
+    per-cell parser's sets, reports and DataErrors under both policies,
+    whichever way each block takes."""
+    instrument, kind, data, budget = case
+    with mock.patch.object(ingest, "BLOCK_BYTES", budget):
+        for policy in MissingPolicy:
+            with _per_cell_only():
+                reference = _outcome(parse_response_rows, data, instrument, kind, policy)
+            assert _outcome(parse_response_file, data, instrument, kind, policy) == reference
+
+
+def _routes_of(lines: list[str]):
+    """The one-byte routes of a file of ``lines`` under the scale 1 to 5
+    (k = 3), read as one block, and its result against the per-cell parser's."""
+    instrument = _instrument(3, 1, 5)
+    data = ("respondent_id,q1,q2,q3\n" + "\n".join(lines) + "\n").encode()
+    with _one_byte_routes() as routes, mock.patch.object(ingest, "_general", wraps=ingest._general) \
+            as general:
+        _assert_routes_agree(data, instrument)
+        parse_response_file(data, instrument, ResponseKind.EXPECTATION)
+    return routes, [call.args[-2].tolist() for call in general.call_args_list]
+
+
+def test_a_comma_in_a_one_byte_id_sends_the_block_to_the_general_case():
+    """A line that ends in k ``,d`` pairs but whose id holds a comma passes
+    every look the one-byte case takes at a line: only the block's comma
+    count finds it, and the whole block goes to the general case, which
+    rejects that line for its field count."""
+    routes, general = _routes_of(["r1,1,2,3", "r2,x,4,5,1", "r3,2,2,2", "r4, 3,3,3"])
+    assert routes == {0: (False, [])}
+    assert general[-1] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("quoted", [2, 3])
+def test_a_block_of_mostly_dirty_lines_goes_to_the_general_case_whole(quoted):
+    """Of five lines, two quoted ones go to the general case alone and the
+    gather reads the other three; three quoted ones, more than half, send
+    the whole block to the general case."""
+    lines = [f'"r{at}",1,2,3' if at <= quoted else f"r{at},1,2,3" for at in range(1, 6)]
+    routes, general = _routes_of(lines)
+    if quoted == 2:
+        assert routes == {0: (True, [1, 2])} and general[-1] == [1, 2]
+    else:
+        assert routes == {0: (False, [])} and general[-1] == [1, 2, 3, 4, 5]
 
 
 def test_line_route_set_survives_copies_comparison_and_repr(xyz_instrument):
@@ -1192,8 +1317,9 @@ def test_unread_validation_report_matches_the_constructed_one(xyz_instrument):
     assert report == public
 
 
-#: Edits of a Likert line's fields that take its block out of the one-byte
-#: case (to the strict or the general case) or refuse the row.
+#: Edits of a Likert line's fields that make it a dirty line of the
+#: one-byte case, which the general case reads (or its block, with a comma
+#: in an id or with most lines dirty), or refuse the row.
 MOMENT_EDITS = {
     "two_digits": lambda fields, hi: [fields[0], f"0{fields[1]}", *fields[2:]],
     "quoted": lambda fields, hi: [*fields[:-1], f'"{fields[-1]}"'],
@@ -1202,6 +1328,10 @@ MOMENT_EDITS = {
     "out_of_scale": lambda fields, hi: [*fields[:-1], str(hi + 1)],
     "empty_cell": lambda fields, hi: [fields[0], "", *fields[2:]],
     "missing_cell": lambda fields, hi: fields[:-1],
+    "quoted_id": lambda fields, hi: [f'"{fields[0]}"', *fields[1:]],
+    "non_ascii_id": lambda fields, hi: [fields[0] + "é", *fields[1:]],
+    "comma_id": lambda fields, hi: [fields[0], "x", *fields[1:]],
+    "blank": lambda fields, hi: [""],
 }
 
 
@@ -1209,9 +1339,10 @@ MOMENT_EDITS = {
 def likert_block_files(draw):
     """(instrument, kind, file bytes, block budget): a Likert file whose
     blocks take each of the three cases, its scale inside 0 to 9 or wider,
-    a negative minimum among them, a few of its lines edited by
-    MOMENT_EDITS, its ids repeating now and then anywhere in the file, its
-    lines ended by LF or CRLF."""
+    a negative minimum among them, a few or most of its lines edited by
+    MOMENT_EDITS, so that one-byte blocks mix clean and dirty lines, its ids
+    repeating now and then anywhere in the file, its lines ended by LF or
+    CRLF."""
     lo = draw(st.sampled_from([0, 1, 1, 2, -3]))
     hi = draw(st.sampled_from([lo + 1, 5, 7, 9, 12, 99]).filter(lambda h: h > lo))
     k = draw(st.integers(1, 6))
@@ -1219,11 +1350,12 @@ def likert_block_files(draw):
                          max_size=4))
     ids = draw(st.lists(st.sampled_from(pool) | st.text(alphabet="abcXYZ0129_-", min_size=1,
                                                         max_size=6), min_size=1, max_size=30))
+    clean = [None] * draw(st.sampled_from([3, 10, 40]))
     lines = []
     for respondent_id in ids:
         fields = [respondent_id, *map(str, draw(st.lists(st.integers(lo, hi), min_size=k,
                                                          max_size=k)))]
-        edit = draw(st.sampled_from([None] * 10 + list(MOMENT_EDITS)))
+        edit = draw(st.sampled_from(clean + list(MOMENT_EDITS)))
         lines.append(",".join(MOMENT_EDITS[edit](fields, hi) if edit else fields))
     header = ",".join(["respondent_id", *(f"q{i}" for i in range(1, k + 1))])
     text = header + "\n" + "".join(line + draw(st.sampled_from(["\n", "\r\n"]))

@@ -20,13 +20,16 @@ ValidationReport, so that a change in the accepted ids or values or in a row
 diagnostic shows even where no report reads them.  It does the same for the
 shapes built from each CSV: ``é`` appended to every other id, which the line
 route reads from arrays; a loose quote (``3"``) in one cell, which makes the
-line route leave the file to ``parse_response_rows``; in a Likert CSV, a
-``07`` in one cell, whose block the line route's one-byte case leaves to
-its strict case; and, in an importance CSV, ``00`` prepended to one cell,
-whose value and allocation stay valid and whose 3 to 5 digits the strict
-case reads place by place over only the cells that wide, after the places
-that most cells reach; and the header line alone, which the line route reads
-as one empty block and which has no row to accept.  It prints one line per output file,
+line route leave the file to ``parse_response_rows``; ``"3"`` in one cell,
+and in a Likert CSV a ``07`` in one cell, each one dirty line of a clean
+block, which the one-byte case hands to the general case alone; an
+unquoted ``,x`` after one id, which the one-byte case finds only by its
+block's comma count, and then leaves the whole block to the general case;
+in an importance CSV, ``00`` prepended to one cell, whose value and
+allocation stay valid and whose 3 to 5 digits the strict case reads place
+by place over only the cells that wide, after the places that most cells
+reach; and the header line alone, which the line route reads as one empty
+block and which has no row to accept.  It prints one line per output file,
 per parsed CSV and per call's stdout, stderr and exit code.  Every path is
 relative to a temporary directory, so two source trees give the same lines
 exactly when their outputs are byte-identical:
@@ -107,20 +110,23 @@ def _files(root: Path) -> list[str]:
 
 def _shapes(data: bytes, kind: ResponseKind) -> dict[str, bytes]:
     """The shapes of a response CSV: ``é`` appended to the id of every other
-    data line, the first cell of its middle line replaced by ``3"`` and, for
-    a Likert kind, by ``07``, else by itself after ``00``, and its header
-    line alone."""
+    data line; the id of its middle line followed by an unquoted ``,x``; the
+    first cell of its middle line replaced by ``3"``, by ``"3"`` and, for a
+    Likert kind, by ``07``, else by itself after ``00``; and its header line
+    alone."""
     lines = data.split(b"\n")
     accented = lines[:]
     accented[1::2] = [line.replace(b",", "é,".encode(), 1) for line in lines[1::2]]
     middle = lines[len(lines) // 2].split(b",")
 
-    def with_first_cell(cell: bytes) -> bytes:
+    def with_first_cell(cell: bytes, at: int = 1) -> bytes:
         shaped = lines[:]
-        shaped[len(lines) // 2] = b",".join([middle[0], cell, *middle[2:]])
+        shaped[len(lines) // 2] = b",".join([*middle[:at], cell, *middle[at + 1:]])
         return b"\n".join(shaped)
 
     shapes = {"accented": b"\n".join(accented), "loose_quote": with_first_cell(b'3"'),
+              "quoted_cell": with_first_cell(b'"3"'),
+              "comma_id": with_first_cell(middle[0] + b",x", 0),
               "header_only": lines[0] + b"\n"}
     if kind.is_likert:
         shapes["leading_zero"] = with_first_cell(b"07")
