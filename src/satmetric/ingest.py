@@ -26,10 +26,9 @@ errors.
     comma offset.  Its other lines, the dirty ones, are copied into a
     compact buffer that the general case reads, and their rows are put back
     in line order (see LineBlocks._one_byte).  The case leaves a block whose
-    lines are more than half dirty, a block that holds more quotes and
-    stray bytes (outside ``!`` to ``~`` but a line end) than lines, and a
-    block whose comma count is not k to a one-byte line plus the dirty
-    lines' commas, as only then can a one-byte line hold a comma in its id.
+    lines are more than half dirty, and a block whose comma count is not k
+    to a one-byte line plus the dirty lines' commas, as only then can a
+    one-byte line hold a comma in its id.
   - Strict: a block with no double quote and no byte outside ``!`` to
     ``~`` but the line ends, k commas to a line, every id non-empty and
     every cell 1 to 18 digits.
@@ -74,14 +73,15 @@ errors.
   the exact route whenever the blocks computed its S and X'X.  The one-byte
   case costs every line a look at the byte where its first comma must lie
   and a gather of its last 2k bytes, every cell one subtraction and a
-  maximum, and the block one count of its commas.  Each quote and each byte
-  outside ``!`` to ``~`` but a line end costs one search among the line
-  bounds.  A block with more of them than lines leaves the case before the
-  look at each line and the search; any other block it leaves has paid
-  both.  The dirty lines cost a copy of their bytes into the
-  buffer, the buffer's passes, and the general case over them alone; the
-  block then pays a merge of their rows into its uint16 matrix, which stays
-  in line order.
+  maximum, and the block one count of its commas.  A block that holds a
+  quote or a byte outside ``!`` to ``~`` but a line end costs every line one
+  search of its bounds among each such kind's offsets.  A block that it
+  leaves for its lines being mostly dirty has paid the look at each line
+  and those searches; one that it leaves for its comma count has paid the
+  gather too.  The dirty lines cost a copy of their bytes into the buffer,
+  the buffer's passes, and the general case over them alone; the block then
+  pays a merge of their rows into its uint16 matrix, which stays in line
+  order.
   The strict and the general case cost every byte a comma mask and the
   comma offsets, found from it, every cell its first digit, and, in the
   general case, every line its comma count and one search of its bounds
@@ -739,27 +739,27 @@ class LineBlocks:
         and their rows are put back in line order.  The block's comma count
         must be k to a one-byte line plus the dirty lines' commas, which
         proves that no one-byte line has a comma in its id.  None for a block
-        whose count differs, that holds more quotes and stray bytes than
-        lines, or whose lines are more than half dirty, which the later cases
-        read, and for one whose dirty lines decline the
+        whose count differs or whose lines are more than half dirty, which
+        the later cases read, and for one whose dirty lines decline the
         input, which the general case then declines again.  Its values are
         uint16, which _validated_set converts once."""
         raw, k, scale = self.raw, len(self.expected) - 1, self.instrument.scale
         if not self.kind.is_likert or scale.min < 0 or scale.max > 9:
             return None
         starts = edges[:-1]
-        if len(strays) + len(quotes) > len(starts):  # a quoted export, say
-            return None
         # Where line i's first comma lies, if it holds such cells.  A line
         # too short for them is dirty, and so is one that holds a quote or a
         # stray byte.
         base = stops - 2 * k
         dirty = base <= starts
         dirty |= raw[base] != ord(",")
-        dirty[np.searchsorted(edges, np.concatenate((strays, quotes)), "right") - 1] = True
+        for marks in (strays, quotes):
+            if len(marks):
+                dirty |= _per_line(marks, edges) > 0
         count = np.count_nonzero(dirty)
         if 2 * count > len(starts):
             return None
+        commas = np.count_nonzero(raw[edges[0]:edges[-1]] == ord(","))
         # Every line's 2k bytes from its base in one gather, read as k
         # big-endian pairs: "," then "0" to "9" is 0 to 9 once ",0" is taken
         # off, and every other pair wraps above 9.  A dirty line's row holds
@@ -775,7 +775,6 @@ class LineBlocks:
             count = np.count_nonzero(dirty)
         dirty = np.flatnonzero(dirty) if count else []
         lines = np.arange(first, first + len(starts))
-        commas = np.count_nonzero(raw[edges[0]:edges[-1]] == ord(","))
         if not len(dirty):
             return None if commas != k * len(starts) else \
                 self._accepted(lines, starts, base, values)

@@ -1142,9 +1142,8 @@ def _one_byte_routes():
 def test_one_byte_case_matches_the_per_cell_parser(case):
     """The one-byte case against the per-cell parser, bytes and ``str``,
     under both policies, in small blocks.  A block leaves the case exactly
-    when more than half its lines fail ONE_BYTE_BASE, when it holds more
-    quotes and bytes outside "!" to "~" (but line ends) than lines, or when
-    one of its ONE_BYTE_LOOSE lines has a comma in its id.  Otherwise the gather reads
+    when more than half its lines fail ONE_BYTE_BASE or one of its
+    ONE_BYTE_LOOSE lines has a comma in its id.  Otherwise the gather reads
     exactly its ONE_BYTE_ROW lines and _general the others, so that the case
     can neither read a near miss nor leave a clean line to the general case."""
     instrument, kind, k, lines, data, budget = case
@@ -1157,11 +1156,8 @@ def test_one_byte_case_matches_the_per_cell_parser(case):
     for at, first in enumerate(blocks.firsts):
         last = blocks.firsts[at + 1] if at + 1 < len(blocks) else len(blocks.edges) - 1
         block = lines[first:last]
-        marks = sum(byte == ord('"') or not 0x21 <= byte <= 0x7E
-                    for line in block for byte in line.encode())
-        left = 2 * sum(not base.fullmatch(line) for line in block) > len(block) or \
-            marks > len(block) or any(loose.fullmatch(line) and not row.fullmatch(line)
-                                      for line in block)
+        left = 2 * sum(not base.fullmatch(line) for line in block) > len(block) or any(
+            loose.fullmatch(line) and not row.fullmatch(line) for line in block)
         dirty = [first + at + 1 for at, line in enumerate(block) if not row.fullmatch(line)]
         assert routes[first] == ((False, []) if left else (True, dirty)), (data, first)
     for payload, policy in itertools.product((data, data.decode("utf-8")), MissingPolicy):
@@ -1260,13 +1256,13 @@ def test_a_block_of_mostly_dirty_lines_goes_to_the_general_case_whole(quoted):
         assert routes == {0: (False, [])} and general[-1] == [1, 2, 3, 4, 5]
 
 
-def test_a_block_of_more_quotes_than_lines_goes_to_the_general_case_whole():
+def test_a_block_of_more_quotes_than_lines_keeps_its_clean_lines_in_the_gather():
     """One line of five with its id and two cells quoted holds six quotes,
-    more than the block's lines: the block goes to the general case whole
-    before the quotes are searched, though four of its lines are clean."""
+    more than the block's lines: it alone goes to the general case, and the
+    gather reads the four clean lines."""
     routes, general = _routes_of(['"r1","1","2",3', "r2,1,2,3", "r3,1,2,3", "r4,1,2,3",
                                   "r5,1,2,3"])
-    assert routes == {0: (False, [])} and general[-1] == [1, 2, 3, 4, 5]
+    assert routes == {0: (True, [1])} and general[-1] == [1]
 
 
 def test_line_route_set_survives_copies_comparison_and_repr(xyz_instrument):
