@@ -75,13 +75,13 @@ errors.
   and a gather of its last 2k bytes, every cell one subtraction and a
   maximum, and the block one count of its commas.  A block that holds a
   quote or a byte outside ``!`` to ``~`` but a line end costs every line one
-  search of its bounds among each such kind's offsets.  A block that it
-  leaves for its lines being mostly dirty has paid the look at each line
-  and those searches; one that it leaves for its comma count has paid the
-  gather too.  The dirty lines cost a copy of their bytes into the buffer,
-  the buffer's passes, and the general case over them alone; the block then
-  pays a merge of their rows into its uint16 matrix, which stays in line
-  order.
+  search of its bounds among each such kind's offsets, unless the look at
+  each line already found most lines dirty.  A block that it leaves for its
+  lines being mostly dirty has paid that look and those searches; one that
+  it leaves for its comma count has paid the gather too.  The dirty lines
+  cost a copy of their bytes into the buffer, the buffer's passes, and the
+  general case over them alone; the block then pays a merge of their rows
+  into its uint16 matrix, which stays in line order.
   The strict and the general case cost every byte a comma mask and the
   comma offsets, found from it, every cell its first digit, and, in the
   general case, every line its comma count and one search of its bounds
@@ -749,12 +749,13 @@ class LineBlocks:
         starts = edges[:-1]
         # Where line i's first comma lies, if it holds such cells.  A line
         # too short for them is dirty, and so is one that holds a quote or a
-        # stray byte.
+        # stray byte, which is not searched for once most lines are dirty (a
+        # quoted export, say).
         base = stops - 2 * k
         dirty = base <= starts
         dirty |= raw[base] != ord(",")
         for marks in (strays, quotes):
-            if len(marks):
+            if len(marks) and 2 * np.count_nonzero(dirty) <= len(starts):
                 dirty |= _per_line(marks, edges) > 0
         count = np.count_nonzero(dirty)
         if 2 * count > len(starts):
